@@ -52,6 +52,7 @@ from .cohomology import (
     h1_structural,
     local_types,
     trivial_action,
+    types_of_classes,
 )
 from .slmodel import (
     InvolutionSpec,

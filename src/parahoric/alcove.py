@@ -88,7 +88,10 @@ def reduce_to_alcove(
             word.append(0)
             continue
         return tuple(point), tuple(word)
-    raise RuntimeError("alcove reduction did not terminate within the step cap")
+    raise EnumerationCapError(
+        f"alcove reduction: {len(word)} reflections reached the step cap "
+        f"{MAX_REDUCTION_STEPS} before the point entered the alcove"
+    )
 
 
 @dataclass(frozen=True)

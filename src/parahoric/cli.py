@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .alcove import (
     apartment_orbit_types,
@@ -37,24 +37,18 @@ from .alcove import (
 from .cohomology import (
     GammaAction,
     LocalType,
-    MODE_LATTICE,
     cocycle_of,
     h1_elements,
-    local_types,
     trivial_action,
+    types_of_classes,
 )
 from .exactalg import QZVector
-from .rootdata import (
-    EnumerationCapError,
-    LatticeAutomorphism,
-    build_root_datum,
-    diagram_automorphism,
-)
+from .rootdata import EnumerationCapError, RootDatum, build_root_datum, diagram_automorphism
 from .slmodel import (
+    diagonal_action,
     sl_local_types,
     sl_torus_h1,
     standard_involution,
-    torus_action_matrix,
     variant_involution,
 )
 
@@ -84,10 +78,6 @@ def vec_str(v: Sequence[Fraction]) -> List[str]:
     return [frac_str(x) for x in v]
 
 
-def vec_text(v: Sequence[Fraction]) -> str:
-    return "[" + ", ".join(vec_str(v)) + "]"
-
-
 def parse_fraction(s: str) -> Fraction:
     try:
         return Fraction(s)
@@ -102,11 +92,12 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
     return tuple(parse_fraction(p) for p in parts)
 
 
-def emit(report: dict, fmt: str, text_lines: List[str]) -> None:
+def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
+    """Print the report as JSON, or as the text lines ``render`` makes of it."""
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in render(report):
             print(line)
 
 
@@ -153,6 +144,27 @@ def action_spec(kind: str, variant: Optional[str] = None,
 # the types computation shared by `types`, `twist` and `global`
 # ---------------------------------------------------------------------------
 
+def point_or_default(
+    point: Optional[Tuple[Fraction, ...]], rank: int, order: int
+) -> Tuple[Fraction, ...]:
+    """The given root values, or the equidistant default <alpha_i, x> = 1/e;
+    a nonpositive order is rejected first."""
+    if order < 1:
+        raise UsageError("--order must be a positive integer")
+    if point is None:
+        return tuple(Fraction(1, order) for _ in range(rank))
+    return point
+
+
+def split_types(datum: RootDatum, order: int, values: Sequence[Fraction], cap: int):
+    """Action, alcove-reduced base point, H^1 classes and local types of the
+    split (trivial) action at the point with the given root values."""
+    action = trivial_action(datum.rank, order)
+    base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
+    classes = h1_elements(datum, action, cap=cap)
+    return action, base, classes, types_of_classes(datum, action, classes, base=base)
+
+
 def compute_types(
     label: str,
     rank: int,
@@ -162,31 +174,18 @@ def compute_types(
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
 ) -> dict:
-    """Full type report for one branch point; raises UsageError on invalid
-    specs and EnumerationCapError on cap breaches."""
+    """Full type report for one branch point; raises ValueError (UsageError
+    among them) on invalid specs and EnumerationCapError on cap breaches."""
     datum = build_root_datum(label, rank)
-    if order < 1:
-        raise UsageError("--order must be a positive integer")
+    values = point_or_default(point, rank, order)
+    if point is not None and action_kind != "trivial":
+        raise UsageError("--point applies only to trivial actions")
 
     if action_kind == "trivial":
-        action = trivial_action(rank, order)
-        if point is None:
-            base = point_from_root_values(
-                datum, tuple(Fraction(1, order) for _ in range(rank))
-            )
-        else:
-            base = point_from_root_values(datum, point)
-        base, _ = reduce_to_alcove(datum, base)
-        classes = h1_elements(datum, action, cap=cap)
-        try:
-            types = local_types(datum, action, base=base, cap=cap)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        cocycles = [cocycle_of(t.orbit_representative, action) for t in types]
-        base_values = simple_root_values(datum, base)
+        action, base, classes, types = split_types(datum, order, values, cap)
         extra = {
             "base_point": {
-                "root_values": vec_str(base_values),
+                "root_values": vec_str(simple_root_values(datum, base)),
                 "coroot_coordinates": vec_str(base),
             }
         }
@@ -195,42 +194,34 @@ def compute_types(
             raise UsageError("sl involutions are only defined for type A")
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
-        if point is not None:
-            raise UsageError("--point applies only to trivial actions")
         n = rank + 1
         spec = standard_involution(n) if action_kind == "sl-J" else variant_involution(n)
+        action = diagonal_action(spec)
         classes = sl_torus_h1(n, spec)
         types = sl_local_types(n, spec)
-        G = torus_action_matrix(spec)
-        diag_action = GammaAction(2, LatticeAutomorphism(G, 2), MODE_LATTICE)
-        cocycles = [cocycle_of(t.orbit_representative, diag_action) for t in types]
         extra = {"matrix_size": n}
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError("--perm is required for a diagram action")
-        if point is not None:
-            raise UsageError("--point applies only to trivial actions")
         aut = diagram_automorphism(datum, perm)
         if order % aut.order != 0:
             raise UsageError(
                 f"the permutation has order {aut.order}, which must divide --order"
             )
-        action = GammaAction(order, aut, MODE_LATTICE)
+        action = GammaAction(order, aut)
         classes = h1_elements(datum, action, cap=cap)
-        if classes.structure.order == 1:
-            types = [LocalType(classes.representatives[0], 1, 0)]
-            cocycles = [cocycle_of(types[0].orbit_representative, action)]
-        else:
+        if classes.structure.order != 1:
             raise UsageError(
                 "type enumeration for a pinned diagram action needs Weyl-lift "
                 "data that has no general recipe; use an sl involution for "
                 "type A, or a trivial action"
             )
+        types = [LocalType(classes.representatives[0], 1, 0)]
         extra = {}
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
 
-    order_h1 = classes.structure.order
+    cocycles = [cocycle_of(t.orbit_representative, action) for t in types]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
@@ -242,7 +233,7 @@ def compute_types(
             perm=perm,
         ),
         "torus_h1": {
-            "order": order_h1,
+            "order": classes.structure.order,
             "invariant_factors": list(classes.structure.invariant_factors),
             "gamma0": classes.gamma0_choice,
         },
@@ -262,16 +253,27 @@ def compute_types(
     return report
 
 
+# ---------------------------------------------------------------------------
+# text renderings of the reports
+# ---------------------------------------------------------------------------
+
+def _list_text(values: Sequence[str]) -> str:
+    return "[" + ", ".join(values) + "]"
+
+
+def _header(report: dict) -> List[str]:
+    g = report["group"]
+    lines = [f"group: {g['label']}{g['rank']}"]
+    if "order" in report:
+        lines.append(f"order: {report['order']}")
+    return lines
+
+
 def types_text(report: dict) -> List[str]:
-    lines = [
-        f"group: {report['group']['label']}{report['group']['rank']}",
-        f"order: {report['order']}",
-        f"action: {_action_text(report['action'])}",
-    ]
+    lines = _header(report) + [f"action: {_action_text(report['action'])}"]
     if "base_point" in report:
         lines.append(
-            "base point (root values): "
-            + "[" + ", ".join(report["base_point"]["root_values"]) + "]"
+            "base point (root values): " + _list_text(report["base_point"]["root_values"])
         )
     inv = report["torus_h1"]["invariant_factors"]
     lines.append(
@@ -280,15 +282,16 @@ def types_text(report: dict) -> List[str]:
     )
     lines.append(
         "classes: " + (", ".join(
-            "[" + ", ".join(rep) + "]" for rep in report["class_representatives"]
+            _list_text(rep) for rep in report["class_representatives"]
         ) if report["class_representatives"] else "(none)")
     )
     for t in report["types"]:
         cocycle = ", ".join(
-            f"{i}: [" + ", ".join(v) + "]" for i, v in sorted(t["cocycle"].items(), key=lambda kv: int(kv[0]))
+            f"{i}: " + _list_text(v)
+            for i, v in sorted(t["cocycle"].items(), key=lambda kv: int(kv[0]))
         )
         lines.append(
-            f"type {t['index']}: rep [" + ", ".join(t["representative"]) + "]"
+            f"type {t['index']}: rep " + _list_text(t["representative"])
             + f", orbit size {t['orbit_size']}, cocycle {{{cocycle}}}"
         )
     lines.append(f"types: {report['type_count']}")
@@ -304,6 +307,67 @@ def _action_text(action: dict) -> str:
     return kind
 
 
+def twist_text(report: dict) -> List[str]:
+    lines = _header(report) + [
+        "base point (root values): " + _list_text(report["base_point"]["root_values"])
+    ]
+    for row in report["twists"]:
+        tag = (f"class {row['class_index']}" if "class_index" in row
+               else f"type {row['type_index']}")
+        lines.append(
+            f"{tag}: point " + _list_text(row["point_root_values"])
+            + f", facet: {row['facet_text']}"
+        )
+    return lines
+
+
+def split_degree_text(report: dict) -> List[str]:
+    char = report["characteristic"]
+    return _header(report) + [
+        "point (root values): " + _list_text(report["point_root_values"]),
+        f"degree: {report['degree']}",
+        f"tame: {'yes' if report['tame'] else 'no (wild)'}"
+        + (f" (char {char})" if char else " (no excluded characteristic)"),
+        f"mark primes: {report['mark_primes']}",
+        f"excluded characteristics: {report['excluded_characteristics']}",
+    ]
+
+
+def orbit_text(report: dict) -> List[str]:
+    return (
+        _header(report)
+        + ["point (root values): " + _list_text(report["point_root_values"])]
+        + ["rep (root values): " + _list_text(r) for r in report["representatives"]]
+        + [f"count: {report['count']}"]
+    )
+
+
+def data_text(report: dict) -> List[str]:
+    return _header(report) + [
+        f"mark primes: {report['mark_primes']}",
+        "affine diagram automorphisms: "
+        + str(report["affine_aut_order"] or "not quoted"),
+        "twisted affine diagram automorphisms: "
+        + str(report["twisted_affine_aut_order"] or "not quoted"),
+        f"excluded characteristics: {report['excluded_characteristics']}",
+    ]
+
+
+def global_text(report: dict) -> List[str]:
+    lines = [
+        f"point {bp['name']}: {bp['group']['label']}{bp['group']['rank']} "
+        f"order {bp['order']} ({_action_text(bp['action'])}) -> types {bp['type_count']}"
+        for bp in report["branch_points"]
+    ]
+    lines.append(f"pi0: {report['pi0']}")
+    if report["tuples"] is None:
+        lines.append(f"tuples omitted: {report['tuples_omitted']}")
+    else:
+        lines += ["tuple: (" + ", ".join(str(i) for i in t) + ")"
+                  for t in report["tuples"]]
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -315,7 +379,7 @@ def cmd_types(args) -> int:
     report = compute_types(
         label, rank, args.order, args.action, perm=perm, point=point, cap=args.cap
     )
-    emit(report, args.format, types_text(report))
+    emit(report, args.format, types_text)
     return EXIT_OK
 
 
@@ -324,14 +388,10 @@ def cmd_twist(args) -> int:
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     datum = build_root_datum(label, rank)
-    point = parse_point(args.point, rank) if args.point else tuple(
-        Fraction(1, args.order) for _ in range(rank)
+    point = point_or_default(
+        parse_point(args.point, rank) if args.point else None, rank, args.order
     )
-    base = point_from_root_values(datum, point)
-    base, _ = reduce_to_alcove(datum, base)
-    action = trivial_action(rank, args.order)
-    classes = h1_elements(datum, action, cap=args.cap)
-    types = local_types(datum, action, base=base, cap=args.cap)
+    _, base, classes, types = split_types(datum, args.order, point, args.cap)
 
     def twist_row(rep: QZVector) -> dict:
         reduced, facet = type_to_alcove(datum, rep, args.order, base)
@@ -367,19 +427,7 @@ def cmd_twist(args) -> int:
         "twists": rows,
         "type_count": len(types),
     }
-    lines = [
-        f"group: {label}{rank}",
-        f"order: {args.order}",
-        f"base point (root values): [{', '.join(vec_str(point))}]",
-    ]
-    for row in rows:
-        tag = (f"class {row['class_index']}" if "class_index" in row
-               else f"type {row['type_index']}")
-        lines.append(
-            f"{tag}: point [" + ", ".join(row["point_root_values"]) + "], "
-            f"facet: {row['facet_text']}"
-        )
-    emit(report, args.format, lines)
+    emit(report, args.format, twist_text)
     return EXIT_OK
 
 
@@ -403,24 +451,15 @@ def cmd_split_degree(args) -> int:
         "mark_primes": sorted(data.mark_primes),
         "excluded_characteristics": sorted(data.excluded_characteristics),
     }
-    lines = [
-        f"group: {label}{rank}",
-        f"point (root values): [{', '.join(vec_str(point))}]",
-        f"degree: {degree}",
-        f"tame: {'yes' if tame else 'no (wild)'}"
-        + (f" (char {args.char})" if args.char else " (no excluded characteristic)"),
-        f"mark primes: {sorted(data.mark_primes)}",
-        f"excluded characteristics: {sorted(data.excluded_characteristics)}",
-    ]
-    emit(report, args.format, lines)
+    emit(report, args.format, split_degree_text)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
     datum = build_root_datum(label, rank)
-    point = parse_point(args.point, rank) if args.point else tuple(
-        Fraction(1, args.order) for _ in range(rank)
+    point = point_or_default(
+        parse_point(args.point, rank) if args.point else None, rank, args.order
     )
     a = point_from_root_values(datum, point)
     reps = apartment_orbit_types(datum, a, args.order, cap=args.cap)
@@ -433,15 +472,7 @@ def cmd_orbit(args) -> int:
         "representatives": [vec_str(simple_root_values(datum, r)) for r in reps],
         "count": len(reps),
     }
-    lines = [
-        f"group: {label}{rank}",
-        f"order: {args.order}",
-        f"point (root values): [{', '.join(vec_str(point))}]",
-    ]
-    for r in reps:
-        lines.append("rep (root values): [" + ", ".join(vec_str(simple_root_values(datum, r))) + "]")
-    lines.append(f"count: {len(reps)}")
-    emit(report, args.format, lines)
+    emit(report, args.format, orbit_text)
     return EXIT_OK
 
 
@@ -457,17 +488,7 @@ def cmd_data(args) -> int:
         "twisted_affine_aut_order": data.twisted_affine_aut_order,
         "excluded_characteristics": sorted(data.excluded_characteristics),
     }
-    lines = [
-        f"group: {label}{rank}",
-        f"mark primes: {sorted(data.mark_primes)}",
-        f"affine diagram automorphisms: "
-        + (str(data.affine_aut_order) if data.affine_aut_order else "not quoted"),
-        f"twisted affine diagram automorphisms: "
-        + (str(data.twisted_affine_aut_order)
-           if data.twisted_affine_aut_order else "not quoted"),
-        f"excluded characteristics: {sorted(data.excluded_characteristics)}",
-    ]
-    emit(report, args.format, lines)
+    emit(report, args.format, data_text)
     return EXIT_OK
 
 
@@ -477,10 +498,12 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         label = str(group["label"]).upper()
         rank = int(group["rank"])
         order = int(bp["order"])
-        action = bp.get("action", {"kind": "trivial"})
-        kind = action.get("kind", "trivial")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed branch point {bp!r}") from exc
+    action = bp.get("action", {"kind": "trivial"})
+    if not isinstance(action, dict):
+        raise UsageError(f"branch point action must be an object, not {action!r}")
+    kind = action.get("kind", "trivial")
     perm = None
     point = None
     if kind == "sl-involution":
@@ -492,10 +515,15 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         perm_in = action.get("permutation")
         if not isinstance(perm_in, list):
             raise UsageError("diagram action needs a permutation list")
-        perm = tuple(int(p) - 1 for p in perm_in)
+        try:
+            perm = tuple(int(p) - 1 for p in perm_in)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"malformed permutation {perm_in!r}") from exc
     elif kind != "trivial":
         raise UsageError(f"unknown action kind {kind!r}")
     if "point" in bp:
+        if not isinstance(bp["point"], list):
+            raise UsageError("branch point 'point' must be a list of root values")
         point = tuple(parse_fraction(str(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
@@ -519,12 +547,13 @@ def cmd_global(args) -> int:
     per_point = []
     names = set()
     for i, bp in enumerate(points):
+        if not isinstance(bp, dict):
+            raise UsageError(f"branch point {i} is not an object: {bp!r}")
         name = str(bp.get("name", f"x{i}"))
         if name in names:
             raise UsageError(f"duplicate branch point name {name!r}")
         names.add(name)
-        sub = _branch_point_types(bp, args.cap)
-        per_point.append((name, sub))
+        per_point.append((name, _branch_point_types(bp, args.cap)))
 
     pi0 = 1
     for _, sub in per_point:
@@ -546,33 +575,18 @@ def cmd_global(args) -> int:
         ],
         "pi0": pi0,
     }
-    lines = []
-    for name, sub in per_point:
-        g = sub["group"]
-        lines.append(
-            f"point {name}: {g['label']}{g['rank']} order {sub['order']} "
-            f"({_action_text(sub['action'])}) -> types {sub['type_count']}"
-        )
-    lines.append(f"pi0: {pi0}")
-
     capped = pi0 > args.product_cap
     if not capped:
         tuples = [[]]
         for _, sub in per_point:
             tuples = [t + [i] for t in tuples for i in range(sub["type_count"])]
-        report["tuples"] = [list(t) for t in tuples]
-        for t in tuples:
-            lines.append("tuple: (" + ", ".join(str(i) for i in t) + ")")
+        report["tuples"] = tuples
     else:
         report["tuples"] = None
         report["tuples_omitted"] = (
             f"product {pi0} exceeds the output cap {args.product_cap}"
         )
-        lines.append(
-            f"tuples omitted: product {pi0} exceeds the output cap "
-            f"{args.product_cap}"
-        )
-    emit(report, args.format, lines)
+    emit(report, args.format, global_text)
     return EXIT_CAP if capped else EXIT_OK
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     FiniteAbelianGroup,
@@ -66,12 +66,10 @@ from .rootdata import (
     identity_automorphism,
     orbit_partition,
     weyl_elements,
-    weyl_generators,
 )
 
 MODE_TRIVIAL = "trivial"
 MODE_LATTICE = "lattice-only"
-MODE_SL = "sl-matrix-model"
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class GammaAction:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("the order of Gamma must be positive")
-        if self.mode not in (MODE_TRIVIAL, MODE_LATTICE, MODE_SL):
+        if self.mode not in (MODE_TRIVIAL, MODE_LATTICE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.e % self.automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
@@ -200,6 +198,31 @@ def _torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
     ]
 
 
+def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
+    return all(x == 0 for x in mat_vec_qz(norm, t))
+
+
+def least_per_class(
+    candidates: Iterable[QZVector],
+    norm: IntMatrix,
+    invariant: Callable[[QZVector], QZVector],
+) -> Tuple[QZVector, ...]:
+    """The least norm-killed candidate of each class, in sorted order.
+
+    ``invariant`` maps a norm-killed vector to a key that two vectors share
+    exactly when they lie in the same class.
+    """
+    classes: Dict[QZVector, QZVector] = {}
+    for t in candidates:
+        if not _norm_kills(norm, t):
+            continue
+        key = invariant(t)
+        best = classes.get(key)
+        if best is None or t < best:
+            classes[key] = t
+    return tuple(sorted(classes.values()))
+
+
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1Classes:
     """Element-model H^1: enumerate norm-killed grid vectors and sort them
     into classes modulo the image of (A - 1) on the full torsion group.
@@ -213,20 +236,12 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1
     image vanishes), so that case skips straight to the grid.
     """
     structure = h1_structural(datum, action)
+    grid = _torsion_grid(action.rank, action.e, cap)
     if action.matrix == identity_matrix(action.rank):
-        reps = tuple(sorted(_torsion_grid(action.rank, action.e, cap)))
+        reps = tuple(sorted(grid))
     else:
-        norm = action.norm_matrix()
         member = ImageMembership(action.coboundary_matrix())
-        classes: Dict[QZVector, QZVector] = {}
-        for t in _torsion_grid(action.rank, action.e, cap):
-            if not all(x == 0 for x in mat_vec_qz(norm, t)):
-                continue
-            key = member.invariant(t)
-            best = classes.get(key)
-            if best is None or t < best:
-                classes[key] = t
-        reps = tuple(sorted(classes.values()))
+        reps = least_per_class(grid, action.norm_matrix(), member.invariant)
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
@@ -237,7 +252,7 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1
 
 
 def _require_norm_killed(t: QZVector, action: GammaAction) -> None:
-    if not all(x == 0 for x in mat_vec_qz(action.norm_matrix(), t)):
+    if not _norm_kills(action.norm_matrix(), t):
         raise ValueError(f"vector {t} is not killed by the norm")
 
 
@@ -278,46 +293,6 @@ def _validate_grid_point(datum: RootDatum, base: Sequence[Fraction], e: int) -> 
                 f"base point must lie on the (1/{e})-grid: the value {value} "
                 f"of the root {name} is not in (1/{e})Z"
             )
-
-
-def twisted_generator_maps(
-    datum: RootDatum,
-    action: GammaAction,
-    lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
-    base: Optional[Sequence[Fraction]] = None,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
-) -> List[Callable[[QZVector], QZVector]]:
-    """Generator maps t -> w^-1(t) + t_w of the twisted Weyl action on classes."""
-    if action.mode == MODE_SL:
-        raise ValueError("sl-matrix-model lifts live in slmodel.sl_local_types")
-    if action.mode == MODE_TRIVIAL:
-        gens = weyl_generators(datum)
-        base_vec = tuple(Fraction(x) for x in base) if base is not None else None
-        if base_vec is not None:
-            _validate_grid_point(datum, base_vec, action.e)
-        maps = []
-        for g in gens:
-            # simple reflections are involutions, so g is its own inverse
-            M = g.matrix
-            if base_vec is None:
-                maps.append(lambda t, M=M: mat_vec_qz(M, t))
-            else:
-                t_w = qz_sub(qz_vector(mat_vec(M, base_vec)), qz_vector(base_vec))
-                maps.append(lambda t, M=M, t_w=t_w: qz_add(mat_vec_qz(M, t), t_w))
-        return maps
-    # lattice-only mode: a nontrivial pinned action needs externally supplied
-    # lifts; there is no general recipe for t_w
-    if lift_provider is None:
-        raise ValueError("lift_provider is required for a nontrivial action mode")
-    if base is not None:
-        raise ValueError("base twists are only defined in trivial mode")
-    gens = fixed_weyl_subgroup(datum, action.automorphism, cap=weyl_cap)
-    maps = []
-    for w in gens:
-        w_inv = _integer_inverse(w.matrix)
-        t_w = qz_vector(lift_provider(w))
-        maps.append(lambda t, M=w_inv, t_w=t_w: qz_add(mat_vec_qz(M, t), t_w))
-    return maps
 
 
 def _integer_inverse(M: IntMatrix) -> IntMatrix:
@@ -365,6 +340,79 @@ def _trivial_orbit_partition(
     return out
 
 
+def _numbered(keyed: Sequence[Tuple[QZVector, int]]) -> List[LocalType]:
+    return [
+        LocalType(orbit_representative=rep, orbit_size=size, index=i)
+        for i, (rep, size) in enumerate(keyed)
+    ]
+
+
+def class_orbits(
+    reps: Sequence[QZVector],
+    norm: IntMatrix,
+    invariant: Callable[[QZVector], QZVector],
+    maps: Sequence[Callable[[QZVector], QZVector]],
+) -> List[LocalType]:
+    """Orbits of the classes ``reps`` under the vector maps ``maps``.
+
+    Each image must stay in the norm kernel and hit one of the classes
+    (matched through ``invariant``, as in :func:`least_per_class`); either
+    failure is a hard error.  Each orbit is represented by its least member,
+    and the types are numbered in the order of those representatives.
+    """
+    index_of = {invariant(t): i for i, t in enumerate(reps)}
+
+    def class_index(t: QZVector) -> int:
+        if not _norm_kills(norm, t):
+            raise AssertionError("twisted action left the norm kernel")
+        i = index_of.get(invariant(t))
+        if i is None:
+            raise AssertionError("twisted action image matches no class")
+        return i
+
+    orbits = orbit_partition(
+        [(i,) for i in range(len(reps))],
+        [lambda p, m=m: (class_index(m(reps[p[0]])),) for m in maps],
+    )
+    return _numbered(sorted((min(reps[i] for (i,) in orbit), len(orbit))
+                            for orbit in orbits))
+
+
+def types_of_classes(
+    datum: RootDatum,
+    action: GammaAction,
+    classes: H1Classes,
+    lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
+    base: Optional[Sequence[Fraction]] = None,
+    weyl_cap: int = DEFAULT_WEYL_CAP,
+) -> List[LocalType]:
+    """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
+    Weyl action t -> w^-1(t) + t_w, neutral type first.
+
+    The trivial mode twists by the base point (default the origin) and runs
+    on the integer engine.  A nontrivial pinned action has no general recipe
+    for t_w, so ``lift_provider`` must supply it for each element of the
+    fixed Weyl subgroup.
+    """
+    reps = classes.representatives
+    if action.mode == MODE_TRIVIAL:
+        keyed = _trivial_orbit_partition(datum, action.e, base)
+        if sum(size for _, size in keyed) != len(reps):
+            raise AssertionError("orbit sizes must add up to the class count")
+        return _numbered(keyed)
+    if lift_provider is None:
+        raise ValueError("lift_provider is required for a nontrivial action mode")
+    if base is not None:
+        raise ValueError("base twists are only defined in trivial mode")
+    maps = []
+    for w in fixed_weyl_subgroup(datum, action.automorphism, cap=weyl_cap):
+        w_inv = _integer_inverse(w.matrix)
+        t_w = qz_vector(lift_provider(w))
+        maps.append(lambda t, M=w_inv, t_w=t_w: qz_add(mat_vec_qz(M, t), t_w))
+    member = ImageMembership(action.coboundary_matrix())
+    return class_orbits(reps, action.norm_matrix(), member.invariant, maps)
+
+
 def local_types(
     datum: RootDatum,
     action: GammaAction,
@@ -375,42 +423,8 @@ def local_types(
 ) -> List[LocalType]:
     """Orbits of H^1 classes under the twisted Weyl action, neutral type first."""
     classes = h1_elements(datum, action, cap=cap)
-    reps = classes.representatives
-    if action.mode == MODE_TRIVIAL:
-        keyed = _trivial_orbit_partition(datum, action.e, base)
-        if sum(size for _, size in keyed) != len(reps):
-            raise AssertionError("orbit sizes must add up to the class count")
-    else:
-        member = ImageMembership(action.coboundary_matrix())
-        index_of = {member.invariant(t): i for i, t in enumerate(reps)}
-        maps = twisted_generator_maps(
-            datum, action, lift_provider=lift_provider, base=base,
-            weyl_cap=weyl_cap
-        )
-        norm = action.norm_matrix()
-
-        def class_index(t: QZVector) -> int:
-            if not all(x == 0 for x in mat_vec_qz(norm, t)):
-                raise AssertionError("twisted action left the norm kernel")
-            i = index_of.get(member.invariant(t))
-            if i is None:
-                raise AssertionError("twisted action image matches no class")
-            return i
-
-        index_maps = [
-            (lambda i, m=m: class_index(m(reps[i]))) for m in maps
-        ]
-        orbits = orbit_partition([(i,) for i in range(len(reps))],
-                                 [lambda p, f=f: (f(p[0]),) for f in index_maps])
-        keyed = []
-        for orbit in orbits:
-            members = sorted(reps[i[0]] for i in orbit)
-            keyed.append((members[0], len(orbit)))
-        keyed.sort()
-    return [
-        LocalType(orbit_representative=rep, orbit_size=size, index=i)
-        for i, (rep, size) in enumerate(keyed)
-    ]
+    return types_of_classes(datum, action, classes, lift_provider=lift_provider,
+                            base=base, weyl_cap=weyl_cap)
 
 
 def burnside_type_count(

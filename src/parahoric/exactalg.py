@@ -38,10 +38,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def mat_shape(M: IntMatrix) -> Tuple[int, int]:
     return (len(M), len(M[0]) if M else 0)
 
@@ -63,10 +59,6 @@ def mat_vec(M: IntMatrix, v: Sequence) -> tuple:
     if cols != len(v):
         raise ValueError("dimension mismatch in mat_vec")
     return tuple(sum(M[i][j] * v[j] for j in range(cols)) for i in range(rows))
-
-
-def mat_transpose(M: IntMatrix) -> IntMatrix:
-    return tuple(zip(*M)) if M else ()
 
 
 def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -132,16 +124,8 @@ def qz_sub(u: QZVector, v: QZVector) -> QZVector:
     return tuple(qz(a - b) for a, b in zip(u, v))
 
 
-def qz_neg(u: QZVector) -> QZVector:
-    return tuple(qz(-a) for a in u)
-
-
 def qz_zero(n: int) -> QZVector:
     return (Fraction(0),) * n
-
-
-def qz_is_zero(u: QZVector) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat_vec_qz(M: IntMatrix, v: Sequence[Fraction]) -> QZVector:

@@ -17,24 +17,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import (
     ImageMembership,
     QZVector,
     identity_matrix,
     mat_sub,
-    mat_vec_qz,
     qz,
     qz_vector,
     qz_zero,
 )
-from .cohomology import GammaAction, H1Classes, LocalType, MODE_LATTICE, h1_structural
+from .cohomology import (
+    GammaAction,
+    H1Classes,
+    LocalType,
+    class_orbits,
+    h1_structural,
+    least_per_class,
+)
 from .rootdata import (
     EnumerationCapError,
+    LatticeAutomorphism,
     build_root_datum,
     diagram_automorphism,
-    orbit_partition,
 )
 
 SL_WEYL_ENUMERATION_CAP = 8
@@ -223,6 +229,12 @@ def torus_action_matrix(spec: InvolutionSpec):
     )
 
 
+def diagonal_action(spec: InvolutionSpec) -> GammaAction:
+    """The involution on additive diagonal vectors, as an order-2 action;
+    it supplies the norm 1 + gamma and the cocycles of the diagonal model."""
+    return GammaAction(2, LatticeAutomorphism(torus_action_matrix(spec), 2))
+
+
 def _sl_membership(spec: InvolutionSpec) -> ImageMembership:
     """Membership test for the coboundary image (1 - gamma) T(k) inside the
     SL torus: solve (1 - gamma) x = delta with the sum-zero constraint."""
@@ -246,8 +258,7 @@ def induced_lattice_action(spec: InvolutionSpec) -> GammaAction:
     n = spec.n
     datum = build_root_datum("A", n - 1)
     flip = tuple(n - 2 - i for i in range(n - 1))
-    return GammaAction(e=2, automorphism=diagram_automorphism(datum, flip),
-                       mode=MODE_LATTICE)
+    return GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
 
 
 def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
@@ -263,23 +274,13 @@ def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
         raise ValueError("the worked involutions need n >= 3")
     if spec.n != n:
         raise ValueError("size mismatch")
-    G = torus_action_matrix(spec)
-    norm = tuple(
-        tuple((1 if i == j else 0) + G[i][j] for j in range(n)) for i in range(n)
-    )
     member = _sl_membership(spec)
-    classes: Dict[QZVector, QZVector] = {}
-    for bits in itertools.product((0, 1), repeat=n):
-        if sum(bits) % 2 != 0:
-            continue
-        t = tuple(Fraction(b, 2) for b in bits)
-        if not all(x == 0 for x in mat_vec_qz(norm, t)):
-            continue
-        key = _sl_invariant(member, t)
-        best = classes.get(key)
-        if best is None or t < best:
-            classes[key] = t
-    reps = tuple(sorted(classes.values()))
+    candidates = (
+        tuple(Fraction(b, 2) for b in bits)
+        for bits in itertools.product((0, 1), repeat=n) if sum(bits) % 2 == 0
+    )
+    reps = least_per_class(candidates, diagonal_action(spec).norm_matrix(),
+                           lambda t: _sl_invariant(member, t))
     lattice = induced_lattice_action(spec)
     structure = h1_structural(build_root_datum("A", n - 1), lattice)
     if structure.order != len(reps):
@@ -296,39 +297,17 @@ def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
 
 def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:
     """Orbits of H^1(Gamma, T) under W^gamma with monomial-lift twists."""
-    classes = sl_torus_h1(n, spec)
-    reps = classes.representatives
+    reps = sl_torus_h1(n, spec).representatives
     member = _sl_membership(spec)
-    index_of = {_sl_invariant(member, t): i for i, t in enumerate(reps)}
-    G = torus_action_matrix(spec)
-    norm = tuple(
-        tuple((1 if i == j else 0) + G[i][j] for j in range(n)) for i in range(n)
-    )
     lifts = [lift_of_permutation(s) for s in reversal_fixed_permutations(n)]
-
-    def act(lift: MonomialMatrix, t: QZVector) -> QZVector:
-        image = mm_mul(mm_inv(lift), mm_mul(mm_diag(t), involution_apply(lift, spec)))
-        out = image.diagonal()
-        if not all(x == 0 for x in mat_vec_qz(norm, out)):
-            raise AssertionError("twisted action left the norm kernel")
-        return out
-
-    maps = []
-    for lift in lifts:
-        def index_map(p, lift=lift):
-            i = index_of.get(_sl_invariant(member, act(lift, reps[p[0]])))
-            if i is None:
-                raise AssertionError("twisted action image matches no class")
-            return (i,)
-
-        maps.append(index_map)
-
-    orbits = orbit_partition([(i,) for i in range(len(reps))], maps)
-    keyed = sorted((min(reps[i[0]] for i in orbit), len(orbit)) for orbit in orbits)
-    return [
-        LocalType(orbit_representative=rep, orbit_size=size, index=i)
-        for i, (rep, size) in enumerate(keyed)
+    maps = [
+        lambda t, lift=lift: mm_mul(
+            mm_inv(lift), mm_mul(mm_diag(t), involution_apply(lift, spec))
+        ).diagonal()
+        for lift in lifts
     ]
+    return class_orbits(reps, diagonal_action(spec).norm_matrix(),
+                        lambda t: _sl_invariant(member, t), maps)
 
 
 # ---------------------------------------------------------------------------

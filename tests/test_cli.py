@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 
 from parahoric.cli import main
 
@@ -259,3 +261,40 @@ def test_text_output_deterministic(capsys):
         _, out, _ = run_cli(capsys, "types", "--group", "G2", "--order", "3")
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"branch_points": [1]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1},
+                        "order": 3, "action": "trivial"}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1},
+                        "order": 3, "point": 5}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 2},
+                        "order": 2, "action": {"kind": "diagram",
+                                               "permutation": [None, 1]}}]},
+], ids=["non-object-branch-point", "string-action", "non-list-point",
+        "non-integer-permutation"])
+def test_global_rejects_malformed_branch_point(capsys, tmp_path, config):
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("twist", "--group", "A1", "--order", "0"),
+    ("orbit", "--group", "A1", "--order", "0"),
+    ("orbit", "--group", "A1", "--order", "-2"),
+])
+def test_rejects_nonpositive_order(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be a positive integer\n"
+
+
+def test_alcove_reduction_step_cap(capsys, monkeypatch):
+    monkeypatch.setattr("parahoric.alcove.MAX_REDUCTION_STEPS", 50)
+    code, out, err = run_cli(capsys, "orbit", "--group", "A1", "--order", "1",
+                             "--point", "10000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: alcove reduction: 50 reflections")
+    assert "step cap 50" in err
