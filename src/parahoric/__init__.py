@@ -65,6 +65,7 @@ from .slmodel import (
     mm_transpose,
     sl_local_types,
     sl_torus_h1,
+    sl_types_of_classes,
     standard_involution,
     su_special_vertex_types,
     t_w,

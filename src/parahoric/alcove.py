@@ -24,6 +24,7 @@ from .rootdata import (
     RootDatum,
     build_root_datum,
     weyl_elements,
+    weyl_order,
 )
 
 AlcovePoint = Tuple[Fraction, ...]
@@ -180,16 +181,17 @@ def apartment_orbit_types(
 
     Enumerates w(a) + mu/e over the Weyl group and mu in {0..e-1}^r (coroot
     translations beyond that are already Weyl-affine), reduces each into the
-    alcove and deduplicates.
+    alcove and deduplicates.  The size |W| * e^r is checked against ``cap``
+    before W is enumerated.
     """
-    elements = weyl_elements(datum, cap=cap)
-    if len(elements) * e ** datum.rank > cap:
+    order = weyl_order(datum, cap=None)
+    if order * e ** datum.rank > cap:
         raise EnumerationCapError(
-            f"apartment orbit of size {len(elements)}*{e}^{datum.rank} exceeds cap {cap}"
+            f"apartment orbit of size {order}*{e}^{datum.rank} exceeds cap {cap}"
         )
     point = as_point(a)
     seen = set()
-    for w in elements:
+    for w in weyl_elements(datum, cap=cap):
         wa = w.apply(point)
         for mu in itertools.product(range(e), repeat=datum.rank):
             shifted = tuple(x + Fraction(m, e) for x, m in zip(wa, mu))

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import (
     apartment_orbit_types,
@@ -46,8 +46,8 @@ from .exactalg import QZVector
 from .rootdata import EnumerationCapError, RootDatum, build_root_datum, diagram_automorphism
 from .slmodel import (
     diagonal_action,
-    sl_local_types,
     sl_torus_h1,
+    sl_types_of_classes,
     standard_involution,
     variant_involution,
 )
@@ -70,7 +70,7 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """An int or a Fraction as "num" or "num/den"."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -198,7 +198,7 @@ def compute_types(
         spec = standard_involution(n) if action_kind == "sl-J" else variant_involution(n)
         action = diagonal_action(spec)
         classes = sl_torus_h1(n, spec)
-        types = sl_local_types(n, spec)
+        types = sl_types_of_classes(n, spec, classes)
         extra = {"matrix_size": n}
     elif action_kind == "diagram":
         if perm is None:
@@ -221,7 +221,20 @@ def compute_types(
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
 
-    cocycles = [cocycle_of(t.orbit_representative, action) for t in types]
+    rendered: Dict[Tuple[int, int], str] = {}
+
+    def entry_str(x: Fraction) -> str:
+        # cocycle values repeat across the types: render each one once
+        key = (x.numerator, x.denominator)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = frac_str(x)
+        return text
+
+    def cocycle_json(t: LocalType) -> dict:
+        table = cocycle_of(t.orbit_representative, action)
+        return {str(i): [entry_str(x) for x in v] for i, v in table.items()}
+
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
@@ -243,7 +256,7 @@ def compute_types(
                 "index": t.index,
                 "representative": vec_str(t.orbit_representative),
                 "orbit_size": t.orbit_size,
-                "cocycle": {str(i): vec_str(v) for i, v in cocycles[t.index].items()},
+                "cocycle": cocycle_json(t),
             }
             for t in types
         ],

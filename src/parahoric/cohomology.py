@@ -35,6 +35,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -114,6 +116,11 @@ class GammaAction:
         return self.automorphism.matrix
 
     def norm_matrix(self) -> IntMatrix:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> IntMatrix:
+        """N_A = 1 + A + ... + A^(e-1), built once per action."""
         n = self.rank
         acc = identity_matrix(n)
         power = identity_matrix(n)
@@ -190,16 +197,25 @@ def h1_structural(datum: RootDatum, action: GammaAction) -> FiniteAbelianGroup:
 
 
 def _torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
+    """All of T[e] = ((1/e)Z/Z)^rank, in lexicographic order."""
     if e ** rank > cap:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
-    return [
-        tuple(Fraction(a, e) for a in combo)
-        for combo in itertools.product(range(e), repeat=rank)
-    ]
+    values = [Fraction(a, e) for a in range(e)]
+    return list(itertools.product(values, repeat=rank))
+
+
+def _numerators(t: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """The common denominator d of t and the numerators of t over d, mod d."""
+    d = lcm(*(x.denominator for x in t))
+    return d, tuple(x.numerator * (d // x.denominator) % d for x in t)
+
+
+def _kills(norm: IntMatrix, d: int, numerators: Sequence[int]) -> bool:
+    return all(sum(a * b for a, b in zip(row, numerators)) % d == 0 for row in norm)
 
 
 def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
-    return all(x == 0 for x in mat_vec_qz(norm, t))
+    return _kills(norm, *_numerators(t))
 
 
 def least_per_class(
@@ -233,12 +249,13 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1
 
     When A is the identity the generic pass provably returns the whole
     sorted grid (the norm kills every e-torsion vector and the coboundary
-    image vanishes), so that case skips straight to the grid.
+    image vanishes), so that case skips straight to the grid, which is
+    already in sorted order.
     """
     structure = h1_structural(datum, action)
     grid = _torsion_grid(action.rank, action.e, cap)
     if action.matrix == identity_matrix(action.rank):
-        reps = tuple(sorted(grid))
+        reps = tuple(grid)
     else:
         member = ImageMembership(action.coboundary_matrix())
         reps = least_per_class(grid, action.norm_matrix(), member.invariant)
@@ -251,9 +268,13 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1
                      gamma0_choice=action.gamma0_record())
 
 
-def _require_norm_killed(t: QZVector, action: GammaAction) -> None:
-    if not _norm_kills(action.norm_matrix(), t):
+def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[int, ...]]:
+    """The denominator and numerators of t (see :func:`_numerators`), once
+    the norm is checked to kill t."""
+    d, numerators = _numerators(t)
+    if not _kills(action.norm_matrix(), d, numerators):
         raise ValueError(f"vector {t} is not killed by the norm")
+    return d, numerators
 
 
 def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
@@ -265,15 +286,29 @@ def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
 
 
 def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
-    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep."""
-    _require_norm_killed(rep, action)
+    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep.
+
+    The walk runs on the integer numerators of rep over its common
+    denominator d, modulo d; each distinct numerator becomes one Fraction.
+    """
+    d, power = _require_norm_killed(rep, action)
+    A = action.matrix
+    moves = A != identity_matrix(action.rank)
+    values: Dict[int, Fraction] = {}
+
+    def value(a: int) -> Fraction:
+        x = values.get(a)
+        if x is None:
+            x = values[a] = Fraction(a, d)
+        return x
+
     table: Dict[int, QZVector] = {}
-    acc = qz_zero(action.rank)
-    power = rep
+    acc = (0,) * action.rank
     for i in range(action.e):
-        table[i] = acc
-        acc = qz_add(acc, power)
-        power = mat_vec_qz(action.matrix, power)
+        table[i] = tuple(value(a) for a in acc)
+        acc = tuple((a + p) % d for a, p in zip(acc, power))
+        if moves:
+            power = tuple(sum(a * p for a, p in zip(row, power)) % d for row in A)
     return table
 
 

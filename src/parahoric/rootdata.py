@@ -10,18 +10,21 @@ Conventions (Bourbaki numbering throughout):
 
 Weyl elements are integer matrices acting on the coroot lattice; the group
 is only ever materialized by breadth-first closure of the generators, with
-a configurable cap.
+a configurable cap that is checked against the order |W| before the
+closure starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     IntMatrix,
     IntVector,
+    det_int,
     identity_matrix,
     mat_mul,
     mat_pow,
@@ -242,7 +245,12 @@ def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
 
 
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylElement]:
-    """The whole Weyl group by breadth-first closure, in a deterministic order."""
+    """The whole Weyl group by breadth-first closure, in a deterministic order.
+
+    An order above ``cap`` is refused before the closure starts, and the
+    closure must reach exactly the order of :func:`weyl_order`.
+    """
+    order = weyl_order(datum, cap=cap)
     gens = weyl_generators(datum)
     ident = identity_weyl(datum.rank)
     seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
@@ -253,18 +261,34 @@ def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylEle
             for g in gens:
                 wg = w * g
                 if wg.matrix not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapError(
-                            f"Weyl closure for {datum.name} exceeds cap {cap}"
-                        )
                     seen[wg.matrix] = wg
                     nxt.append(wg)
         frontier = nxt
+    if len(seen) != order:
+        raise AssertionError(
+            f"Weyl closure for {datum.name} has {len(seen)} elements, "
+            f"the order formula gives {order}"
+        )
     return sorted(seen.values(), key=lambda w: w.matrix)
 
 
-def weyl_order(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:
-    return len(weyl_elements(datum, cap=cap))
+def weyl_order(datum: RootDatum, cap: Optional[int] = DEFAULT_WEYL_CAP) -> int:
+    """|W| = r! * (product of the marks) * det(Cartan), without enumerating W.
+
+    W x Q_coroot acts simply transitively on the alcoves, so a fundamental
+    domain of the coroot lattice holds |W| alcoves.  The fundamental alcove
+    is the simplex on 0 and the fundamental coweights divided by the marks,
+    of volume 1 / (r! * prod(marks)) in units of the coweight lattice, and
+    the coroot lattice has index det(Cartan) in the coweight lattice.  A
+    ``cap`` below the order raises :class:`EnumerationCapError`.
+    """
+    r = datum.rank
+    order = factorial(r) * prod(datum.marks) * det_int(datum.cartan)
+    if cap is not None and order > cap:
+        raise EnumerationCapError(
+            f"Weyl closure for {datum.name}: |W| = {order} exceeds cap {cap}"
+        )
+    return order
 
 
 @dataclass(frozen=True)

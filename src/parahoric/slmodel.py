@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -202,7 +203,8 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
     """The fixed group W^gamma: permutations commuting with the reversal."""
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"full S_n enumeration is capped at n <= {SL_WEYL_ENUMERATION_CAP}"
+            f"reversal-fixed permutations of S_{n}: a scan of {factorial(n)} "
+            f"permutations exceeds the cap n <= {SL_WEYL_ENUMERATION_CAP}"
         )
     rho = reversal(n)
     out = []
@@ -295,9 +297,10 @@ def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
     )
 
 
-def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:
-    """Orbits of H^1(Gamma, T) under W^gamma with monomial-lift twists."""
-    reps = sl_torus_h1(n, spec).representatives
+def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> List[LocalType]:
+    """Orbits of the classes of :func:`sl_torus_h1` under W^gamma with
+    monomial-lift twists, neutral type first."""
+    reps = classes.representatives
     member = _sl_membership(spec)
     lifts = [lift_of_permutation(s) for s in reversal_fixed_permutations(n)]
     maps = [
@@ -308,6 +311,11 @@ def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:
     ]
     return class_orbits(reps, diagonal_action(spec).norm_matrix(),
                         lambda t: _sl_invariant(member, t), maps)
+
+
+def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:
+    """Orbits of H^1(Gamma, T) under W^gamma with monomial-lift twists."""
+    return sl_types_of_classes(n, spec, sl_torus_h1(n, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,7 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
     if order == 1:
         count = 1
     else:
-        count = len(sl_local_types(n, spec))
+        count = len(sl_types_of_classes(n, spec, torus))
     return SUVertexReport(
         n=n,
         case=key,

@@ -298,3 +298,35 @@ def test_alcove_reduction_step_cap(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded: alcove reduction: 50 reflections")
     assert "step cap 50" in err
+
+
+def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
+    # |W(E6)| * 2^6 exceeds the default cap: refused from the order formula
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the Weyl group must not be enumerated")
+
+    monkeypatch.setattr("parahoric.alcove.weyl_elements", no_closure)
+    monkeypatch.setattr("parahoric.rootdata.weyl_elements", no_closure)
+    code, out, err = run_cli(capsys, "orbit", "--group", "E6", "--order", "2")
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: apartment orbit of size 51840*2^6 "
+                   "exceeds cap 1000000\n")
+
+
+def test_sl_types_compute_h1_once(capsys, monkeypatch):
+    import parahoric.cli
+    import parahoric.slmodel
+
+    calls = []
+    original = parahoric.slmodel.sl_torus_h1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(parahoric.cli, "sl_torus_h1", counted)
+    monkeypatch.setattr(parahoric.slmodel, "sl_torus_h1", counted)
+    code, out, _ = run_cli(capsys, "types", "--group", "A3", "--order", "2",
+                           "--action", "sl-Jprime")
+    assert (code, out.splitlines()[-1]) == (0, "types: 2")
+    assert len(calls) == 1

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+import parahoric.rootdata as rootdata
 from parahoric.exactalg import identity_matrix, mat_mul, mat_pow
 from parahoric.rootdata import (
     EnumerationCapError,
@@ -110,6 +112,44 @@ def test_weyl_orders(label, rank):
 def test_weyl_cap():
     with pytest.raises(EnumerationCapError):
         weyl_order(build_root_datum("A", 4), cap=100)
+
+
+def standard_weyl_order(label, rank):
+    exceptional = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+                   ("F", 4): 1152, ("G", 2): 12}
+    if label == "A":
+        return factorial(rank + 1)
+    if label in "BC":
+        return 2 ** rank * factorial(rank)
+    if label == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return exceptional[(label, rank)]
+
+
+def test_weyl_order_formula_gives_the_standard_orders():
+    for label, rank in rank_range(8):
+        assert weyl_order(build_root_datum(label, rank), cap=None) == \
+            standard_weyl_order(label, rank)
+
+
+def test_weyl_order_formula_matches_the_closure():
+    checked = 0
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        if weyl_order(datum, cap=None) <= 2000:
+            assert len(weyl_elements(datum)) == weyl_order(datum)
+            checked += 1
+    assert checked == 15
+
+
+def test_weyl_elements_refuses_over_cap_before_closure(monkeypatch):
+    def no_closure(datum):
+        raise AssertionError("the closure must not start")
+
+    monkeypatch.setattr(rootdata, "weyl_generators", no_closure)
+    with pytest.raises(EnumerationCapError) as info:
+        weyl_elements(build_root_datum("E", 6), cap=1000)
+    assert str(info.value) == "Weyl closure for E6: |W| = 51840 exceeds cap 1000"
 
 
 def test_weyl_matrices_permute_coroots():

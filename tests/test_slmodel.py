@@ -21,6 +21,7 @@ from parahoric.slmodel import (
     reversal_fixed_permutations,
     sl_local_types,
     sl_torus_h1,
+    sl_types_of_classes,
     standard_involution,
     su_special_vertex_types,
     t_w,
@@ -278,6 +279,29 @@ def test_sl_local_types_orbit_sizes():
     assert types[0].orbit_size == 2
     types = sl_local_types(4, variant_involution(4))
     assert [t.orbit_size for t in types] == [1, 1]
+
+
+def test_sl_types_of_classes_matches_sl_local_types():
+    for n in (3, 4, 5, 6):
+        specs = [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
+        for spec in specs:
+            classes = sl_torus_h1(n, spec)
+            assert sl_types_of_classes(n, spec, classes) == sl_local_types(n, spec)
+
+
+def test_su_special_vertex_types_compute_h1_once(monkeypatch):
+    import parahoric.slmodel as slmodel
+
+    calls = []
+    original = slmodel.sl_torus_h1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(slmodel, "sl_torus_h1", counted)
+    assert slmodel.su_special_vertex_types(4, "even-Lm").type_count == 2
+    assert len(calls) == 1
 
 
 def test_su_special_vertex_types():
