@@ -184,7 +184,7 @@ def apartment_orbit_types(
     alcove and deduplicates.  The size |W| * e^r is checked against ``cap``
     before W is enumerated.
     """
-    order = weyl_order(datum, cap=None)
+    order = weyl_order(datum, cap=cap)
     if order * e ** datum.rank > cap:
         raise EnumerationCapError(
             f"apartment orbit of size {order}*{e}^{datum.rank} exceeds cap {cap}"

@@ -224,7 +224,8 @@ def compute_types(
     rendered: Dict[Tuple[int, int], str] = {}
 
     def entry_str(x: Fraction) -> str:
-        # cocycle values repeat across the types: render each one once
+        # cocycle values repeat across the types: render each one once, so
+        # the report also shares one string per value
         key = (x.numerator, x.denominator)
         text = rendered.get(key)
         if text is None:

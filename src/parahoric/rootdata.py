@@ -272,7 +272,7 @@ def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylEle
     return sorted(seen.values(), key=lambda w: w.matrix)
 
 
-def weyl_order(datum: RootDatum, cap: Optional[int] = DEFAULT_WEYL_CAP) -> int:
+def weyl_order(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:
     """|W| = r! * (product of the marks) * det(Cartan), without enumerating W.
 
     W x Q_coroot acts simply transitively on the alcoves, so a fundamental
@@ -284,7 +284,7 @@ def weyl_order(datum: RootDatum, cap: Optional[int] = DEFAULT_WEYL_CAP) -> int:
     """
     r = datum.rank
     order = factorial(r) * prod(datum.marks) * det_int(datum.cartan)
-    if cap is not None and order > cap:
+    if order > cap:
         raise EnumerationCapError(
             f"Weyl closure for {datum.name}: |W| = {order} exceeds cap {cap}"
         )

@@ -106,18 +106,6 @@ def test_unreduced_and_integer_entries_are_canonicalized():
     assert cocycle_of(rep, action)[2] == (F(2, 3), F(0))
 
 
-@pytest.mark.parametrize("label,rank,perm,e", DIAGRAM[:-1])
-def test_cocycle_identity(label, rank, perm, e):
-    # c(i + j) = c(i) + A^i c(j) mod 1, indices mod e (c(e) is the norm, 0)
-    datum, action = diagram_action(label, rank, perm, e)
-    for rep in norm_killed_grid(action):
-        c = cocycle_of(rep, action)
-        for i in range(e):
-            Ai = mat_pow(action.matrix, i)
-            for j in range(e):
-                assert c[(i + j) % e] == qz_add(c[i], mat_vec_qz(Ai, c[j]))
-
-
 def test_large_denominator_builds_no_denominator_sized_table(monkeypatch):
     datum, action = diagram_action("A", 2, (1, 0), 2)
     d = 1000003

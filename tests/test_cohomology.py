@@ -149,7 +149,10 @@ def test_cocycle_tables():
 def test_cocycle_identity():
     # theta(gamma^(i+j)) = theta(gamma^i) + gamma^i theta(gamma^j), including
     # the wrap-around i + j >= e (theta of gamma^e is the norm, which is 0)
-    cases = [flip_action(3, e=2),
+    d4 = build_root_datum("D", 4)
+    triality = diagram_automorphism(d4, (2, 1, 3, 0))  # 1 -> 3 -> 4 -> 1
+    cases = [flip_action(3, e=2), flip_action(4, e=2),
+             (d4, GammaAction(3, triality, MODE_LATTICE)),
              (build_root_datum("A", 2), trivial_action(2, 4))]
     for datum, act in cases:
         for rep in h1_elements(datum, act).representatives:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
 
@@ -40,9 +39,19 @@ MARKS = {
 
 WEYL_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
-    ("B", 2): 8, ("B", 3): 48, ("C", 2): 8,
-    ("D", 4): 192, ("G", 2): 12, ("F", 4): 1152,
+    ("A", 5): 720, ("A", 6): 5040, ("A", 7): 40320, ("A", 8): 362880,
+    ("B", 2): 8, ("B", 3): 48, ("B", 4): 384, ("B", 5): 3840,
+    ("B", 6): 46080, ("B", 7): 645120, ("B", 8): 10321920,
+    ("C", 2): 8, ("C", 3): 48, ("C", 4): 384, ("C", 5): 3840,
+    ("C", 6): 46080, ("C", 7): 645120, ("C", 8): 10321920,
+    ("D", 4): 192, ("D", 5): 1920, ("D", 6): 23040, ("D", 7): 322560,
+    ("D", 8): 5160960,
+    ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+    ("G", 2): 12, ("F", 4): 1152,
 }
+
+# above every order in WEYL_ORDERS; weyl_order itself enumerates nothing
+ORDER_CAP = 10 ** 9
 
 
 @pytest.mark.parametrize("label,rank", sorted(POSITIVE_ROOT_COUNTS))
@@ -106,7 +115,8 @@ def test_reflections_are_involutions_and_braid_orders(label, rank):
 
 @pytest.mark.parametrize("label,rank", sorted(WEYL_ORDERS))
 def test_weyl_orders(label, rank):
-    assert weyl_order(build_root_datum(label, rank)) == WEYL_ORDERS[(label, rank)]
+    datum = build_root_datum(label, rank)
+    assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
 
 
 def test_weyl_cap():
@@ -114,29 +124,12 @@ def test_weyl_cap():
         weyl_order(build_root_datum("A", 4), cap=100)
 
 
-def standard_weyl_order(label, rank):
-    exceptional = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                   ("F", 4): 1152, ("G", 2): 12}
-    if label == "A":
-        return factorial(rank + 1)
-    if label in "BC":
-        return 2 ** rank * factorial(rank)
-    if label == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return exceptional[(label, rank)]
-
-
-def test_weyl_order_formula_gives_the_standard_orders():
-    for label, rank in rank_range(8):
-        assert weyl_order(build_root_datum(label, rank), cap=None) == \
-            standard_weyl_order(label, rank)
-
-
 def test_weyl_order_formula_matches_the_closure():
+    assert set(WEYL_ORDERS) == set(rank_range(8))
     checked = 0
     for label, rank in rank_range(8):
         datum = build_root_datum(label, rank)
-        if weyl_order(datum, cap=None) <= 2000:
+        if weyl_order(datum, cap=ORDER_CAP) <= 2000:
             assert len(weyl_elements(datum)) == weyl_order(datum)
             checked += 1
     assert checked == 15
