@@ -12,18 +12,16 @@ alcove.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, lcm_many
+from .exactalg import QZVector, adjugate_int, det_int, lcm_many
 from .rootdata import (
     DEFAULT_WEYL_CAP,
     EnumerationCapError,
     RootDatum,
     build_root_datum,
-    weyl_elements,
     weyl_order,
 )
 
@@ -177,27 +175,68 @@ def apartment_orbit_types(
     cap: int = DEFAULT_WEYL_CAP,
 ) -> List[AlcovePoint]:
     """Fundamental-alcove representatives of the W_aff-classes inside the
-    orbit of a under the level-e affine group W x (1/e) Q_coroot.
+    orbit of a under the level-e affine group W x (1/e) Q_coroot, sorted.
 
-    Enumerates w(a) + mu/e over the Weyl group and mu in {0..e-1}^r (coroot
-    translations beyond that are already Weyl-affine), reduces each into the
-    alcove and deduplicates.  The size |W| * e^r is checked against ``cap``
-    before W is enumerated.
+    The closed alcove is a strict fundamental domain for W_aff, so the
+    classes are the closed-alcove points of the orbit, which is the union of
+    the cosets W(a) + (1/e) Q_coroot.  a is reduced into the alcove once; the
+    cosets are found by breadth-first search under the simple reflections on
+    coroot coordinates mod 1/e (a point of the (1/e)-grid has one coset).  In
+    a coset c the points c + mu/e of the closed alcove have root values
+    (Cc)_i + n_i/e >= 0 with sum_i m_i (Cc)_i + sum_i m_i n_i / e <= 1, where
+    n = C mu must satisfy adj(C) n = 0 mod det(C).  The cost is cosets times
+    alcove lattice points, but the size |W| * e^r of the orbit enumeration
+    is still checked against ``cap`` first, so the refusals do not move.
     """
     order = weyl_order(datum, cap=cap)
     if order * e ** datum.rank > cap:
         raise EnumerationCapError(
             f"apartment orbit of size {order}*{e}^{datum.rank} exceeds cap {cap}"
         )
-    point = as_point(a)
-    seen = set()
-    for w in weyl_elements(datum, cap=cap):
-        wa = w.apply(point)
-        for mu in itertools.product(range(e), repeat=datum.rank):
-            shifted = tuple(x + Fraction(m, e) for x, m in zip(wa, mu))
-            reduced, _ = reduce_to_alcove(datum, shifted)
-            seen.add(reduced)
-    return sorted(seen)
+    r = datum.rank
+    cartan = datum.cartan
+    base, _ = reduce_to_alcove(datum, a)
+    # x = X / (D e) with integer X; X mod D names the coset x + (1/e) Q_coroot
+    D = lcm_many((x * e).denominator for x in base)
+    start = tuple(int(x * e * D) % D for x in base)
+    cosets = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for i in range(r):
+                value = sum(c * x for c, x in zip(cartan[i], X))
+                image = X[:i] + ((X[i] - value) % D,) + X[i + 1:]
+                if image not in cosets:
+                    cosets.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    det = det_int(cartan)
+    adj = adjugate_int(cartan)
+    points = []
+    for X in cosets:
+        # D e <alpha_i, c>; the lattice point k >= 0 has n_i = k_i - floor(e <alpha_i, c>)
+        values = [sum(c * x for c, x in zip(row, X)) for row in cartan]
+        floors = [v // D for v in values]
+        budget = (e * D - sum(m * (v % D) for m, v in zip(datum.marks, values))) // D
+        for k in _bounded_points(datum.marks, budget):
+            n = [ki - fi for ki, fi in zip(k, floors)]
+            mu = [sum(c * ni for c, ni in zip(row, n)) for row in adj]
+            if all(m % det == 0 for m in mu):
+                points.append(tuple(
+                    Fraction(x + D * (m // det), D * e) for x, m in zip(X, mu)
+                ))
+    return sorted(points)
+
+
+def _bounded_points(weights: Sequence[int], budget: int):
+    """Every k in N^r with sum_i weights_i k_i <= budget."""
+    if not weights:
+        yield ()
+        return
+    for k0 in range(budget // weights[0] + 1):
+        for rest in _bounded_points(weights[1:], budget - weights[0] * k0):
+            yield (k0,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,16 @@ class GammaAction:
 
     @cached_property
     def _norm(self) -> IntMatrix:
-        """N_A = 1 + A + ... + A^(e-1), built once per action."""
+        """N_A = 1 + A + ... + A^(e-1), built once per action as
+        (e/m)(1 + A + ... + A^(m-1)) for the order m of A, which divides e."""
         n = self.rank
+        order = self.automorphism.order
         acc = identity_matrix(n)
         power = identity_matrix(n)
-        for _ in range(self.e - 1):
+        for _ in range(order - 1):
             power = mat_mul(power, self.matrix)
             acc = mat_add(acc, power)
-        return acc
+        return tuple(tuple(self.e // order * x for x in row) for row in acc)
 
     def coboundary_matrix(self) -> IntMatrix:
         return mat_sub(self.matrix, identity_matrix(self.rank))

@@ -103,6 +103,22 @@ def det_int(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate_int(M: IntMatrix) -> IntMatrix:
+    """Integer adjugate by cofactors, so that adj(M) M = det(M) I."""
+    n = len(M)
+
+    def minor(i: int, j: int) -> IntMatrix:
+        return tuple(
+            tuple(x for c, x in enumerate(row) if c != j)
+            for r, row in enumerate(M) if r != i
+        )
+
+    return tuple(
+        tuple((-1) ** (i + j) * det_int(minor(j, i)) for j in range(n))
+        for i in range(n)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Q/Z scalars and vectors
 # ---------------------------------------------------------------------------

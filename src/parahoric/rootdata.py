@@ -16,7 +16,7 @@ closure starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -205,23 +205,12 @@ class WeylElement:
     """An element of W as an integer matrix on the coroot lattice."""
 
     matrix: IntMatrix
-    word: Optional[Tuple[int, ...]] = field(default=None, compare=False)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(mat_mul(self.matrix, other.matrix), word)
 
     def __hash__(self) -> int:
         return hash(self.matrix)
 
     def apply(self, coweight: Sequence[Fraction]) -> tuple:
         return mat_vec(self.matrix, coweight)
-
-
-def identity_weyl(rank: int) -> WeylElement:
-    return WeylElement(identity_matrix(rank), ())
 
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
@@ -237,7 +226,7 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
             rows.append(
                 tuple((1 if b == k else 0) - datum.cartan[k][b] for b in range(datum.rank))
             )
-    return WeylElement(tuple(rows), (i,))
+    return WeylElement(tuple(rows))
 
 
 def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
@@ -245,31 +234,49 @@ def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
 
 
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylElement]:
-    """The whole Weyl group by breadth-first closure, in a deterministic order.
+    """The whole Weyl group by breadth-first closure, sorted by matrix.
 
+    An element w is keyed by the root values of w(x0), where
+    <alpha_i, x0> = 1 for every i; x0 is regular, so the key determines w.
+    Left multiplication by s_i updates the key in O(r),
+    v_j -= <alpha_j, alpha_i_coroot> v_i, and changes only row i of the
+    matrix, which is built only for a new element.  Since x0 is dominant,
+    s_i w is longer than w exactly when v_i > 0, so each breadth-first level
+    holds the elements of one length and a step with v_i < 0 is skipped.
     An order above ``cap`` is refused before the closure starts, and the
     closure must reach exactly the order of :func:`weyl_order`.
     """
     order = weyl_order(datum, cap=cap)
-    gens = weyl_generators(datum)
-    ident = identity_weyl(datum.rank)
-    seen: Dict[IntMatrix, WeylElement] = {ident.matrix: ident}
-    frontier = [ident]
+    n = datum.rank
+    rows = [g.matrix[i] for i, g in enumerate(weyl_generators(datum))]
+    columns = [tuple(datum.cartan[j][i] for j in range(n)) for i in range(n)]
+    start = (1,) * n
+    seen: Dict[IntVector, IntMatrix] = {start: identity_matrix(n)}
+    frontier = [start]
     while frontier:
         nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w * g
-                if wg.matrix not in seen:
-                    seen[wg.matrix] = wg
-                    nxt.append(wg)
+        for key in frontier:
+            M = seen[key]
+            for i in range(n):
+                vi = key[i]
+                if vi < 0:
+                    continue
+                image = tuple(v - c * vi for v, c in zip(key, columns[i]))
+                if image in seen:
+                    continue
+                row = tuple(
+                    sum(s * M[b][col] for b, s in enumerate(rows[i]) if s)
+                    for col in range(n)
+                )
+                seen[image] = M[:i] + (row,) + M[i + 1:]
+                nxt.append(image)
         frontier = nxt
     if len(seen) != order:
         raise AssertionError(
             f"Weyl closure for {datum.name} has {len(seen)} elements, "
             f"the order formula gives {order}"
         )
-    return sorted(seen.values(), key=lambda w: w.matrix)
+    return [WeylElement(M) for M in sorted(seen.values())]
 
 
 def weyl_order(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:

@@ -3,6 +3,12 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import parahoric.alcove
+import parahoric.cohomology
+import parahoric.rootdata
 
 from parahoric.alcove import (
     apartment_orbit_types,
@@ -15,7 +21,12 @@ from parahoric.alcove import (
     vertex_prime_data,
 )
 from parahoric.cohomology import local_types, trivial_action
-from parahoric.rootdata import build_root_datum, orbit_partition, weyl_generators
+from parahoric.rootdata import (
+    build_root_datum,
+    orbit_partition,
+    weyl_elements,
+    weyl_generators,
+)
 
 
 def rv_point(datum, *values):
@@ -80,6 +91,34 @@ def test_reduce_idempotent_and_waff_invariant_randomized():
         mu = tuple(rng.randint(-3, 3) for _ in range(r))
         assert reduce_to_alcove(datum, tuple(c + m for c, m in zip(x, mu)))[0] == x0
         trials += 1
+
+
+REDUCTION_GROUPS = [build_root_datum(*lr) for lr in [("A", 1), ("A", 2), ("B", 2),
+                                                    ("G", 2), ("A", 3), ("C", 3)]]
+
+
+@st.composite
+def reduction_cases(draw):
+    datum = draw(st.sampled_from(REDUCTION_GROUPS))
+    r = datum.rank
+    x = tuple(F(draw(st.integers(-24, 24)), draw(st.integers(1, 12))) for _ in range(r))
+    i = draw(st.integers(0, r - 1))
+    mu = tuple(draw(st.integers(-3, 3)) for _ in range(r))
+    return datum, x, i, mu
+
+
+@settings(database=None, max_examples=100, deadline=None)
+@given(reduction_cases())
+def test_reduce_to_alcove_properties(case):
+    datum, x, i, mu = case
+    x0, _ = reduce_to_alcove(datum, x)
+    facet_of(datum, x0)  # raises unless x0 lies in the closed alcove
+    assert reduce_to_alcove(datum, x0) == (x0, ())
+    value = simple_root_values(datum, x)[i]
+    reflected = tuple(c - value if k == i else c for k, c in enumerate(x))
+    assert reduce_to_alcove(datum, reflected)[0] == x0
+    translated = tuple(c + m for c, m in zip(x, mu))
+    assert reduce_to_alcove(datum, translated)[0] == x0
 
 
 def test_facets_a1():
@@ -154,6 +193,90 @@ def test_apartment_orbit_sl2():
 def test_apartment_orbit_a2_zero_base():
     d2 = build_root_datum("A", 2)
     assert len(apartment_orbit_types(d2, (F(0), F(0)), 2)) == 2
+
+
+def orbit_types_reference(datum, a, e):
+    """The |W| * e^r enumeration: reduce every distinct w(a) + mu/e, for w in
+    W and mu in {0..e-1}^r, into the alcove and deduplicate."""
+    candidates = set()
+    for w in weyl_elements(datum):
+        wa = w.apply(tuple(F(x) for x in a))
+        for mu in product(range(e), repeat=datum.rank):
+            candidates.add(tuple(x + F(m, e) for x, m in zip(wa, mu)))
+    return sorted({reduce_to_alcove(datum, c)[0] for c in candidates})
+
+
+def orbit_test_point(rng, datum, e, kind):
+    """The zero point, a (1/e)-grid point of the alcove moved by an integer
+    vector of root values with absolute entries adding up to 0, 2 or 5
+    (the near, mid and far bands), or an off-grid point whose root values
+    have the denominator e + 1 or 2e + 3, neither of which divides e."""
+    r = datum.rank
+    if kind == "zero":
+        return tuple(F(0) for _ in range(r))
+    if kind == "off-grid":
+        q = rng.choice((e + 1, 2 * e + 3))
+        numerators = [n for n in range(1 - q, q) if n % q]
+        values = tuple(F(rng.choice(numerators), q) for _ in range(r))
+        return point_from_root_values(datum, values)
+    while True:
+        k = [rng.randint(0, e // m) for m in datum.marks]
+        if sum(m * ki for m, ki in zip(datum.marks, k)) <= e:
+            break
+    shift = [0] * r
+    for _ in range({"near": 0, "mid": 2, "far": 5}[kind]):
+        shift[rng.randrange(r)] += rng.choice((1, -1))
+    return point_from_root_values(datum, tuple(F(ki, e) + s for ki, s in zip(k, shift)))
+
+
+ALL_KINDS = ("zero", "near", "mid", "far", "off-grid", "off-grid")
+# (label, rank, {order: kinds}): the reference costs |W| * e^r reductions,
+# so the largest orders of rank 3 and 4 skip the bands farthest out
+ORBIT_REFERENCE_CASES = [
+    ("A", 1, dict.fromkeys(range(1, 13), ALL_KINDS)),
+    ("A", 2, dict.fromkeys(range(1, 6), ALL_KINDS)),
+    ("B", 2, dict.fromkeys(range(1, 6), ALL_KINDS)),
+    ("C", 2, dict.fromkeys(range(1, 6), ALL_KINDS)),
+    ("G", 2, dict.fromkeys(range(1, 6), ALL_KINDS)),
+    ("A", 3, dict.fromkeys(range(1, 4), ALL_KINDS)),
+    ("B", 3, {1: ALL_KINDS, 2: ALL_KINDS, 3: ("zero", "near", "off-grid")}),
+    ("C", 3, {1: ALL_KINDS, 2: ALL_KINDS, 3: ("zero", "near", "mid", "off-grid")}),
+    ("A", 4, {2: ("zero", "near", "mid", "off-grid")}),
+    ("D", 4, {2: ("zero", "near", "off-grid")}),
+]
+
+
+@pytest.mark.parametrize("label,rank,kinds_by_order", ORBIT_REFERENCE_CASES)
+def test_apartment_orbit_matches_reference_lists(label, rank, kinds_by_order):
+    datum = build_root_datum(label, rank)
+    rng = random.Random(f"{label}{rank}")
+    for e, kinds in kinds_by_order.items():
+        for kind in kinds:
+            a = orbit_test_point(rng, datum, e, kind)
+            assert apartment_orbit_types(datum, a, e) == orbit_types_reference(datum, a, e), (
+                label, rank, e, kind, a)
+
+
+def test_apartment_orbit_reduces_once_and_never_closes_w(monkeypatch):
+    calls = []
+    reduce = parahoric.alcove.reduce_to_alcove
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the apartment orbit must not enumerate W")
+
+    monkeypatch.setattr(parahoric.alcove, "reduce_to_alcove", counted)
+    monkeypatch.setattr(parahoric.rootdata, "weyl_elements", no_closure)
+    monkeypatch.setattr(parahoric.cohomology, "weyl_elements", no_closure)
+    assert not hasattr(parahoric.alcove, "weyl_elements")
+    d3 = build_root_datum("B", 3)
+    x = point_from_root_values(d3, (F(7, 2), F(-5, 2), F(3, 5)))
+    reps = apartment_orbit_types(d3, x, 2)
+    assert len(calls) == 1
+    assert reps == sorted(set(reps)) and len(reps) > 1
 
 
 def grid_orbit_count_bruteforce(datum, a, e):

@@ -305,12 +305,20 @@ def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("the Weyl group must not be enumerated")
 
-    monkeypatch.setattr("parahoric.alcove.weyl_elements", no_closure)
     monkeypatch.setattr("parahoric.rootdata.weyl_elements", no_closure)
+    monkeypatch.setattr("parahoric.cohomology.weyl_elements", no_closure)
     code, out, err = run_cli(capsys, "orbit", "--group", "E6", "--order", "2")
     assert (code, out) == (3, "")
     assert err == ("cap exceeded: apartment orbit of size 51840*2^6 "
                    "exceeds cap 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["types", "twist"])
+def test_huge_order_refused_by_the_grid_cap(capsys, command):
+    # the norm 1 + A + ... + A^(e-1) is summed over one period of A, not e terms
+    code, out, err = run_cli(capsys, command, "--group", "A3", "--order", "10000000")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: torsion grid of size 10000000^3 exceeds cap 1000000\n"
 
 
 def test_sl_types_compute_h1_once(capsys, monkeypatch):

@@ -135,6 +135,35 @@ def test_weyl_order_formula_matches_the_closure():
     assert checked == 15
 
 
+def weyl_matrices_by_products(datum):
+    """Reference closure: right-multiply by the generator matrices until no
+    new matrix appears; sorted."""
+    gens = [g.matrix for g in weyl_generators(datum)]
+    seen = {identity_matrix(datum.rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = mat_mul(w, g)
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return sorted(seen)
+
+
+def test_weyl_elements_match_the_matrix_product_closure():
+    checked = []
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        if weyl_order(datum, cap=ORDER_CAP) <= 2000:
+            got = [w.matrix for w in weyl_elements(datum)]
+            assert got == weyl_matrices_by_products(datum), datum.name
+            checked.append(datum.name)
+    assert len(checked) == 15 and {"F4", "D5"} <= set(checked)
+
+
 def test_weyl_elements_refuses_over_cap_before_closure(monkeypatch):
     def no_closure(datum):
         raise AssertionError("the closure must not start")
