@@ -39,6 +39,8 @@ from .cohomology import (
     LocalType,
     cocycle_of,
     h1_elements,
+    require_grid_size,
+    require_root_values_on_grid,
     trivial_action,
     types_of_classes,
 )
@@ -158,8 +160,13 @@ def point_or_default(
 
 def split_types(datum: RootDatum, order: int, values: Sequence[Fraction], cap: int):
     """Action, alcove-reduced base point, H^1 classes and local types of the
-    split (trivial) action at the point with the given root values."""
+    split (trivial) action at the point with the given root values.
+
+    The grid cap and the grid condition are checked before the fold into the
+    alcove, whose cost grows with the distance of the point."""
     action = trivial_action(datum.rank, order)
+    require_grid_size(datum.rank, order, cap)
+    require_root_values_on_grid(values, order)
     base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
     classes = h1_elements(datum, action, cap=cap)
     return action, base, classes, types_of_classes(datum, action, classes, base=base)

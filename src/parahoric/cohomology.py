@@ -198,10 +198,15 @@ def h1_structural(datum: RootDatum, action: GammaAction) -> FiniteAbelianGroup:
     return group
 
 
-def _torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
-    """All of T[e] = ((1/e)Z/Z)^rank, in lexicographic order."""
+def require_grid_size(rank: int, e: int, cap: int) -> None:
+    """Refuse a torsion grid T[e] of more than ``cap`` points."""
     if e ** rank > cap:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
+
+
+def _torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
+    """All of T[e] = ((1/e)Z/Z)^rank, in lexicographic order."""
+    require_grid_size(rank, e, cap)
     values = [Fraction(a, e) for a in range(e)]
     return list(itertools.product(values, repeat=rank))
 
@@ -318,18 +323,30 @@ def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
 # local types: orbits under the twisted Weyl action
 # ---------------------------------------------------------------------------
 
+def _off_grid(value: Fraction, root_name: str, e: int) -> ValueError:
+    return ValueError(
+        f"base point must lie on the (1/{e})-grid: the value {value} "
+        f"of the root {root_name} is not in (1/{e})Z"
+    )
+
+
+def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
+    """Reject simple-root values outside (1/e)Z.  Every root is an integer
+    combination of the simple roots, so this is the condition of
+    :func:`_validate_grid_point`, checked in r steps and before any fold."""
+    for i, value in enumerate(values):
+        if (value * e).denominator != 1:
+            raise _off_grid(value, f"a{i + 1}", e)
+
+
 def _validate_grid_point(datum: RootDatum, base: Sequence[Fraction], e: int) -> None:
     for root in datum.positive_roots:
         value = datum.pairing(root, base)
         if (value * e).denominator != 1:
-            name = "+".join(
+            raise _off_grid(value, "+".join(
                 f"{c}a{i + 1}" if c != 1 else f"a{i + 1}"
                 for i, c in enumerate(root) if c
-            )
-            raise ValueError(
-                f"base point must lie on the (1/{e})-grid: the value {value} "
-                f"of the root {name} is not in (1/{e})Z"
-            )
+            ), e)
 
 
 def _integer_inverse(M: IntMatrix) -> IntMatrix:

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     ImageMembership,
@@ -200,7 +200,11 @@ def lift_of_permutation(sigma: Sequence[int]) -> MonomialMatrix:
 
 
 def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
-    """The fixed group W^gamma: permutations commuting with the reversal."""
+    """The fixed group W^gamma: permutations commuting with the reversal.
+
+    The reference enumeration, a scan of all n! permutations; the orbit
+    computation uses :func:`reversal_fixed_generators` instead.
+    """
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"reversal-fixed permutations of S_{n}: a scan of {factorial(n)} "
@@ -212,6 +216,35 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
         if all(sigma[rho[j]] == rho[sigma[j]] for j in range(n)):
             out.append(sigma)
     return out
+
+
+def reversal_fixed_generators(n: int) -> List[Tuple[int, ...]]:
+    """The m = n // 2 generators of W^gamma, the hyperoctahedral group
+    permuting the pairs {j, n-1-j}: the swaps (i i+1)(n-1-i n-2-i) of
+    adjacent pairs for i < m-1, and the flip of the last pair {m-1, n-m}."""
+    m = n // 2
+    gens = []
+    for i in range(m):
+        swaps = ((i, i + 1), (n - 1 - i, n - 2 - i)) if i < m - 1 else ((m - 1, n - m),)
+        sigma = list(range(n))
+        for a, b in swaps:
+            sigma[a], sigma[b] = b, a
+        gens.append(tuple(sigma))
+    return gens
+
+
+def twisted_diagonal_map(
+    sigma: Sequence[int], spec: InvolutionSpec
+) -> Callable[[QZVector], QZVector]:
+    """t -> L^-1 diag(t) gamma(L) for the lift L of sigma, as a map of
+    additive diagonals.
+
+    gamma(L) = L diag(c) with c = t_w(L) (see :func:`t_w`), and conjugating
+    a diagonal by a monomial matrix only permutes its entries, so the image
+    is t[sigma(j)] + c[j]: a permutation plus a fixed twist.
+    """
+    c = t_w(lift_of_permutation(sigma), spec)
+    return lambda t: tuple((t[s] + x) % 1 for s, x in zip(sigma, c))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +332,20 @@ def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
 
 def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> List[LocalType]:
     """Orbits of the classes of :func:`sl_torus_h1` under W^gamma with
-    monomial-lift twists, neutral type first."""
-    reps = classes.representatives
+    monomial-lift twists, neutral type first.
+
+    The twisted action is an action of W^gamma on the classes, so the
+    orbits are those of its n // 2 generators, each applied by
+    :func:`twisted_diagonal_map` in O(n).
+    """
     member = _sl_membership(spec)
-    lifts = [lift_of_permutation(s) for s in reversal_fixed_permutations(n)]
-    maps = [
-        lambda t, lift=lift: mm_mul(
-            mm_inv(lift), mm_mul(mm_diag(t), involution_apply(lift, spec))
-        ).diagonal()
-        for lift in lifts
-    ]
-    return class_orbits(reps, diagonal_action(spec).norm_matrix(),
+    if n > SL_WEYL_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds the cap "
+            f"n <= {SL_WEYL_ENUMERATION_CAP}"
+        )
+    maps = [twisted_diagonal_map(sigma, spec) for sigma in reversal_fixed_generators(n)]
+    return class_orbits(classes.representatives, diagonal_action(spec).norm_matrix(),
                         lambda t: _sl_invariant(member, t), maps)
 
 

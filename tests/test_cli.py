@@ -338,3 +338,35 @@ def test_sl_types_compute_h1_once(capsys, monkeypatch):
                            "--action", "sl-Jprime")
     assert (code, out.splitlines()[-1]) == (0, "types: 2")
     assert len(calls) == 1
+
+
+FAR_OFF_GRID_E8 = "--point=999,5/11,-7/3,999,13/4,2/9,-1000/7,-512"
+
+
+@pytest.mark.parametrize("command", ["types", "twist"])
+def test_off_grid_point_rejected_before_the_fold(capsys, monkeypatch, command):
+    def no_fold(*args, **kwargs):
+        raise AssertionError("an off-grid point must not be folded into the alcove")
+
+    monkeypatch.setattr("parahoric.cli.reduce_to_alcove", no_fold)
+    code, out, err = run_cli(capsys, command, "--group", "E8", "--order", "1",
+                             FAR_OFF_GRID_E8)
+    assert (code, out) == (2, "")
+    assert err == ("error: base point must lie on the (1/1)-grid: the value 5/11 "
+                   "of the root a2 is not in (1/1)Z\n")
+
+
+def test_off_grid_point_over_the_grid_cap_is_a_cap_error(capsys, monkeypatch):
+    monkeypatch.setattr("parahoric.cli.reduce_to_alcove", None)
+    code, out, err = run_cli(capsys, "types", "--group", "E8", "--order", "6",
+                             FAR_OFF_GRID_E8)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: torsion grid of size 6^8 exceeds cap 1000000\n"
+
+
+def test_sl_types_over_the_cap_name_the_stage(capsys):
+    code, out, err = run_cli(capsys, "types", "--group", "A8", "--order", "2",
+                             "--action", "sl-J")
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: twisted W^gamma orbits of SL_9: n = 9 exceeds "
+                   "the cap n <= 8\n")

@@ -1,9 +1,10 @@
 """Seeded fuzz of the command line: every input ends in exit 0, 2 or 3.
 
 About 300 argument vectors over every subcommand, drawn from valid and
-malformed groups, orders, points, permutations, caps and ``global`` configs.
-The commands run in-process, so an exception escaping ``main`` fails the
-test just as a traceback would end the command.
+malformed groups, orders, points, permutations, caps and ``global`` configs,
+and 120 ``types``/``twist`` vectors with far and off-grid base points in
+ranks 1 to 8.  The commands run in-process, so an exception escaping
+``main`` fails the test just as a traceback would end the command.
 """
 
 import json
@@ -26,6 +27,15 @@ VALUES = (["0", "1", "-1", "1/2", "-7/3", "5/11", "2/9", "13/4", "0.5"],
 # the alcove grows with its distance, and most steeply in large ranks
 FAR_VALUES = (VALUES[0] + ["-50/7", "17", "-13", "-5/3"], VALUES[1])
 CAPS = ([None, None, None, None, "1", "100"], ["-5", "0"])
+# far root values for `types` and `twist`: off the (1/e)-grid for every order
+# in FAR_ORDERS (the denominators are prime to 2, 3 and 5), so a point holding
+# one is rejected before it is folded into the alcove; the far values on the
+# grid are drawn only in small ranks, where the fold is cheap
+FAR_GROUPS = ["A1", "A2", "B2", "G2", "A3", "C3", "A6", "D6", "E6", "A7", "E7", "B8", "E8"]
+FAR_ORDERS = ["1", "2", "3", "10000000"]
+FAR_OFF_GRID = ["999/11", "-1000/7", "-512/13", "4097/7"]
+FAR_ON_GRID = ["17", "-13", "999", "-512"]
+FAR_COUNT = 120
 
 
 def pick(rng: random.Random, pool, bad: float = 0.15):
@@ -95,6 +105,16 @@ def draw_split_degree(rng: random.Random):
 def draw_data(rng: random.Random):
     _, args = group_args(rng)
     return ["data"] + args + common_tail(rng)
+
+
+def draw_far_point(rng: random.Random):
+    group = rng.choice(FAR_GROUPS)
+    rank = rank_of(group)
+    values = (VALUES[0] + FAR_OFF_GRID + (FAR_ON_GRID if rank <= 3 else []), VALUES[1])
+    point = point_text(rng, rank, values)
+    argv = [rng.choice(["types", "twist"]), "--group", group,
+            "--order", rng.choice(FAR_ORDERS), "--point=" + point]
+    return argv + common_tail(rng), any(v in FAR_OFF_GRID for v in point.split(","))
 
 
 def draw_branch_point(rng: random.Random, index: int):
@@ -172,3 +192,16 @@ def test_cli_fuzz_ends_in_documented_exit_codes(capsys, tmp_path, monkeypatch):
         codes[code] = codes.get(code, 0) + 1
     # the draw reaches every outcome, so the fuzz is not all rejections
     assert all(codes.get(code, 0) >= 20 for code in (0, 2, 3)), codes
+
+
+def test_cli_fuzz_far_and_off_grid_base_points(capsys, monkeypatch):
+    monkeypatch.delenv("PARAHORIC_CAP", raising=False)
+    rng = random.Random(SEED + 1)
+    codes = {}
+    for _ in range(FAR_COUNT):
+        argv, off_grid = draw_far_point(rng)
+        code, err = run(capsys, argv)
+        assert code in ((2, 3) if off_grid else (0, 2, 3)), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert all(codes.get(code, 0) >= 10 for code in (0, 2, 3)), codes

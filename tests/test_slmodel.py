@@ -18,6 +18,7 @@ from parahoric.slmodel import (
     mm_transpose,
     perm_sign,
     reversal,
+    reversal_fixed_generators,
     reversal_fixed_permutations,
     sl_local_types,
     sl_torus_h1,
@@ -26,6 +27,7 @@ from parahoric.slmodel import (
     su_special_vertex_types,
     t_w,
     torus_action_matrix,
+    twisted_diagonal_map,
     variant_involution,
 )
 
@@ -170,6 +172,22 @@ def test_torus_action_matrix_ignores_entries():
     )
 
 
+def closure(gens, n):
+    """The permutations of range(n) generated by ``gens``."""
+    generated = {tuple(range(n))}
+    frontier = list(generated)
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                gh = tuple(g[h[j]] for j in range(n))
+                if gh not in generated:
+                    generated.add(gh)
+                    new.append(gh)
+        frontier = new
+    return generated
+
+
 def _class_permutation(n, spec, sigma):
     """The twisted action of one fixed permutation on the class indices."""
     from parahoric.slmodel import _sl_invariant, _sl_membership
@@ -206,18 +224,7 @@ def test_orbit_partition_generator_set_independent():
         spec = builder(4)
         full = reversal_fixed_permutations(4)
         subset = [(3, 1, 2, 0), (1, 0, 3, 2)]  # generates the order-8 centralizer
-        generated = {(0, 1, 2, 3)}
-        frontier = list(generated)
-        while frontier:
-            new = []
-            for g in frontier:
-                for h in subset:
-                    gh = tuple(g[h[j]] for j in range(4))
-                    if gh not in generated:
-                        generated.add(gh)
-                        new.append(gh)
-            frontier = new
-        assert generated == set(full)
+        assert closure(subset, 4) == set(full)
 
         def orbits(perms):
             maps = [
@@ -287,6 +294,93 @@ def test_sl_types_of_classes_matches_sl_local_types():
         for spec in specs:
             classes = sl_torus_h1(n, spec)
             assert sl_types_of_classes(n, spec, classes) == sl_local_types(n, spec)
+
+
+def specs_of(n):
+    return [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reversal_fixed_generators_close_to_the_fixed_group(n):
+    gens = reversal_fixed_generators(n)
+    assert len(gens) == n // 2
+    assert closure(gens, n) == set(reversal_fixed_permutations(n))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_twisted_diagonal_map_matches_the_monomial_product(n):
+    rng = random.Random(n)
+    for spec in specs_of(n):
+        vectors = list(sl_torus_h1(n, spec).representatives)
+        vectors += [make_sl(mm_diag([F(rng.randint(0, 5), 6) for _ in range(n)])).entries
+                    for _ in range(3)]
+        for sigma in reversal_fixed_permutations(n):
+            lift = lift_of_permutation(sigma)
+            twist = involution_apply(lift, spec)
+            image = twisted_diagonal_map(sigma, spec)
+            for t in vectors:
+                want = mm_mul(mm_inv(lift), mm_mul(mm_diag(t), twist)).diagonal()
+                assert image(t) == want, (spec.kind, sigma, t)
+
+
+def reference_sl_types(n, spec, classes):
+    """The orbits under every element of W^gamma, each applied as the
+    monomial product L^-1 diag(t) gamma(L) of its lift."""
+    from parahoric.cohomology import class_orbits
+    from parahoric.slmodel import _sl_invariant, _sl_membership, diagonal_action
+
+    member = _sl_membership(spec)
+    lifts = [lift_of_permutation(s) for s in reversal_fixed_permutations(n)]
+    maps = [
+        lambda t, lift=lift: mm_mul(
+            mm_inv(lift), mm_mul(mm_diag(t), involution_apply(lift, spec))
+        ).diagonal()
+        for lift in lifts
+    ]
+    return class_orbits(classes.representatives, diagonal_action(spec).norm_matrix(),
+                        lambda t: _sl_invariant(member, t), maps)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sl_types_of_classes_match_the_full_group_reference(n):
+    for spec in specs_of(n):
+        classes = sl_torus_h1(n, spec)
+        assert sl_types_of_classes(n, spec, classes) == reference_sl_types(n, spec, classes)
+
+
+def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
+    import parahoric.slmodel as slmodel
+
+    n = 8
+    for spec in specs_of(n):
+        classes = sl_torus_h1(n, spec)
+        calls = []
+        original = slmodel.involution_apply
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        def no_scan(*args):
+            raise AssertionError("W^gamma must not be enumerated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(slmodel, "involution_apply", counted)
+            patch.setattr(slmodel, "reversal_fixed_permutations", no_scan)
+            slmodel.sl_types_of_classes(n, spec, classes)
+        assert 0 < len(calls) <= n // 2
+
+
+def test_sl_types_of_classes_refuse_n_over_the_cap():
+    from parahoric.rootdata import EnumerationCapError
+    from parahoric.slmodel import SL_WEYL_ENUMERATION_CAP
+
+    n = SL_WEYL_ENUMERATION_CAP + 1
+    spec = standard_involution(n)
+    with pytest.raises(EnumerationCapError) as err:
+        sl_types_of_classes(n, spec, sl_torus_h1(n, spec))
+    assert str(err.value) == (f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds "
+                              f"the cap n <= {SL_WEYL_ENUMERATION_CAP}")
 
 
 def test_su_special_vertex_types_compute_h1_once(monkeypatch):
