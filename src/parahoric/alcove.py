@@ -8,15 +8,20 @@ highest root; wall 0 is the theta-wall.  Reduction folds a point into the
 alcove by reflecting across violated walls, which terminates because each
 step lowers the number of affine hyperplanes separating the point from the
 alcove.
+
+The kernels work on integer numerators: a point x is X / D for its least
+common denominator D, and its simple-root values are C X / D for the Cartan
+matrix C.  A Fraction is built only for a returned point or value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, adjugate_int, det_int, lcm_many
+from .exactalg import QZVector, adjugate_int, common_numerators, det_int, lcm_many
 from .rootdata import (
     DEFAULT_WEYL_CAP,
     EnumerationCapError,
@@ -34,10 +39,18 @@ def as_point(coords: Sequence) -> AlcovePoint:
     return tuple(Fraction(x) for x in coords)
 
 
+def _root_numerators(
+    datum: RootDatum, x: Sequence
+) -> Tuple[int, Tuple[int, ...], List[int]]:
+    """(D, X, V): x = X / D over the least common denominator D, and
+    V = C X, so that <alpha_i, x> = V_i / D."""
+    D, X = common_numerators(as_point(x))
+    return D, X, [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
+
+
 def simple_root_values(datum: RootDatum, x: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    n = datum.rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return tuple(datum.pairing(s, x) for s in simple)
+    D, _, values = _root_numerators(datum, x)
+    return tuple(Fraction(v, D) for v in values)
 
 
 def point_from_root_values(datum: RootDatum, values: Sequence[Fraction]) -> AlcovePoint:
@@ -61,32 +74,41 @@ def reduce_to_alcove(
     datum: RootDatum, x: Sequence[Fraction]
 ) -> Tuple[AlcovePoint, Tuple[int, ...]]:
     """Fold x into the closed fundamental alcove; the word lists the walls
-    (0 for the theta-wall, i for the i-th simple wall) in reflection order."""
-    point = list(as_point(x))
-    theta = datum.highest_root
-    theta_coroot = datum.coroot(theta)
+    (0 for the theta-wall, i for the i-th simple wall) in reflection order.
+
+    Each step reflects across the first simple wall with a negative root
+    value, or else across the theta-wall when <theta, x> > 1.  The fold runs
+    on the numerators X and V = C X over the denominator D of x, which no
+    reflection changes: s_i lowers X_i by V_i and V_j by c_ji V_i, the
+    theta-reflection subtracts its excess times the theta-coroot, and
+    <theta, x> = sum_i m_i V_i / D for the marks m.
+    """
+    D, X, values = _root_numerators(datum, x)
+    X = list(X)
+    r = datum.rank
+    cartan = datum.cartan
+    marks = datum.marks
+    # the nonzero entries c_ji of column i, for the update of V under s_i
+    columns = [[(j, cartan[j][i]) for j in range(r) if cartan[j][i]] for i in range(r)]
+    theta_coroot = datum.coroot(datum.highest_root)
+    theta_values = [sum(c * t for c, t in zip(row, theta_coroot)) for row in cartan]
     word: List[int] = []
     for _ in range(MAX_REDUCTION_STEPS):
-        moved = False
-        for i in range(datum.rank):
-            value = sum(
-                Fraction(datum.cartan[i][j]) * point[j] for j in range(datum.rank)
-            )
-            if value < 0:
-                point[i] -= value
+        for i, v in enumerate(values):
+            if v < 0:
+                X[i] -= v
+                for j, c in columns[i]:
+                    values[j] -= c * v
                 word.append(i + 1)
-                moved = True
                 break
-        if moved:
-            continue
-        theta_value = datum.pairing(theta, point)
-        if theta_value > 1:
-            excess = theta_value - 1
-            for j in range(datum.rank):
-                point[j] -= excess * theta_coroot[j]
+        else:
+            excess = sum(m * v for m, v in zip(marks, values)) - D
+            if excess <= 0:
+                return tuple(Fraction(a, D) for a in X), tuple(word)
+            for j in range(r):
+                X[j] -= excess * theta_coroot[j]
+                values[j] -= excess * theta_values[j]
             word.append(0)
-            continue
-        return tuple(point), tuple(word)
     raise EnumerationCapError(
         f"alcove reduction: {len(word)} reflections reached the step cap "
         f"{MAX_REDUCTION_STEPS} before the point entered the alcove"
@@ -114,13 +136,17 @@ class FacetDescriptor:
 
 
 def facet_of(datum: RootDatum, x0: Sequence[Fraction]) -> FacetDescriptor:
-    point = as_point(x0)
-    values = simple_root_values(datum, point)
-    theta_value = datum.pairing(datum.highest_root, point)
-    if any(v < 0 for v in values) or theta_value > 1:
+    """Walls through a point of the closed alcove and its speciality.
+
+    The point is special when every root value is an integer; every root is
+    an integer combination of the simple roots, so the simple ones decide.
+    """
+    D, _, values = _root_numerators(datum, x0)
+    theta_value = sum(m * v for m, v in zip(datum.marks, values))
+    if any(v < 0 for v in values) or theta_value > D:
         raise ValueError("point is not reduced to the fundamental alcove")
     walls = {i + 1 for i, v in enumerate(values) if v == 0}
-    if theta_value == 1:
+    if theta_value == D:
         walls.add(0)
     if len(walls) == datum.rank:
         classification = "vertex"
@@ -128,9 +154,7 @@ def facet_of(datum: RootDatum, x0: Sequence[Fraction]) -> FacetDescriptor:
         classification = "Iwahori"
     else:
         classification = "intermediate"
-    special = all(
-        datum.pairing(root, point).denominator == 1 for root in datum.positive_roots
-    )
+    special = all(v % D == 0 for v in values)
     return FacetDescriptor(frozenset(walls), classification, special)
 
 
@@ -138,12 +162,11 @@ def min_split_degree(
     datum: RootDatum, x: Sequence[Fraction], p_exclusion: int = 0
 ) -> Tuple[int, bool]:
     """Least e making x special once the hyperplane spacing is refined to 1/e,
-    i.e. the lcm of the denominators of the root values; tameness records
+    i.e. the lcm of the denominators of the root values (those of the simple
+    roots, whose integer combinations the other roots are); tameness records
     whether the excluded characteristic misses that degree."""
-    point = as_point(x)
-    degree = lcm_many(
-        datum.pairing(root, point).denominator for root in datum.positive_roots
-    )
+    D, _, values = _root_numerators(datum, x)
+    degree = lcm_many(D // gcd(v, D) for v in values)
     tame = True if p_exclusion <= 0 else (degree % p_exclusion != 0)
     return degree, tame
 

@@ -19,10 +19,12 @@ for the standard hyperspecial base.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import (
@@ -37,7 +39,7 @@ from .alcove import (
 from .cohomology import (
     GammaAction,
     LocalType,
-    cocycle_of,
+    cocycle_numerators,
     h1_elements,
     require_grid_size,
     require_root_values_on_grid,
@@ -71,13 +73,9 @@ class UsageError(ValueError):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def frac_str(x: Fraction) -> str:
-    """An int or a Fraction as "num" or "num/den"."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def vec_str(v: Sequence[Fraction]) -> List[str]:
-    return [frac_str(x) for x in v]
+    """Ints and Fractions as "num" or "num/den", which is their str."""
+    return list(map(str, v))
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -94,10 +92,48 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
     return tuple(parse_fraction(p) for p in parts)
 
 
+def json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    report: dicts with str keys, lists, str, int, bool and None.
+
+    With ``indent`` set the standard library runs its pure-Python encoder;
+    this writer quotes the strings with the C ``encode_basestring_ascii``
+    and joins a list of strings in one call.  ``newline`` is the line break
+    and indentation of the enclosing level.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:
+            body = separator.join(map(encode_basestring_ascii, value))
+        except TypeError:  # not a list of strings only
+            body = separator.join([json_text(x, inner) for x in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = separator.join([encode_basestring_ascii(key) + ": " + json_text(value[key], inner)
+                               for key in sorted(value)])
+        return "{" + inner + body + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {value!r} into a report")
+
+
 def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
     """Print the report as JSON, or as the text lines ``render`` makes of it."""
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         for line in render(report):
             print(line)
@@ -228,20 +264,17 @@ def compute_types(
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
 
-    rendered: Dict[Tuple[int, int], str] = {}
-
-    def entry_str(x: Fraction) -> str:
-        # cocycle values repeat across the types: render each one once, so
-        # the report also shares one string per value
-        key = (x.numerator, x.denominator)
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = frac_str(x)
-        return text
+    keys = [str(i) for i in range(action.e)]
+    texts: Dict[int, List[str]] = {}
 
     def cocycle_json(t: LocalType) -> dict:
-        table = cocycle_of(t.orbit_representative, action)
-        return {str(i): [entry_str(x) for x in v] for i, v in table.items()}
+        # one string per numerator over each denominator d, which divides e
+        # here: the report shares one string per value
+        d, rows = cocycle_numerators(t.orbit_representative, action)
+        text = texts.get(d)
+        if text is None:
+            text = texts[d] = [str(Fraction(a, d)) for a in range(d)]
+        return {key: list(map(text.__getitem__, row)) for key, row in zip(keys, rows)}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -307,10 +340,8 @@ def types_text(report: dict) -> List[str]:
         ) if report["class_representatives"] else "(none)")
     )
     for t in report["types"]:
-        cocycle = ", ".join(
-            f"{i}: " + _list_text(v)
-            for i, v in sorted(t["cocycle"].items(), key=lambda kv: int(kv[0]))
-        )
+        table = t["cocycle"]
+        cocycle = ", ".join([f"{i}: " + _list_text(table[i]) for i in sorted(table, key=int)])
         lines.append(
             f"type {t['index']}: rep " + _list_text(t["representative"])
             + f", orbit size {t['orbit_size']}, cocycle {{{cocycle}}}"
@@ -628,7 +659,10 @@ def _add_common(p: argparse.ArgumentParser, with_group=True, with_order=False):
                    help="enumeration cap (default from PARAHORIC_CAP or 10^6)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than most queries."""
     parser = argparse.ArgumentParser(
         prog="parahoric",
         description="Local types of equivariant torsors and twisted parahoric "

@@ -43,7 +43,9 @@ from .exactalg import (
     FiniteAbelianGroup,
     ImageMembership,
     IntMatrix,
+    IntVector,
     QZVector,
+    common_numerators,
     identity_matrix,
     kernel_basis,
     mat_add,
@@ -292,15 +294,34 @@ def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
     return member.contains(qz_sub(t1, t2))
 
 
-def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
-    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep.
+def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
+    """The denominator d of a class rep and the cocycle table of
+    :func:`cocycle_of` as integer numerators over d: row i holds
+    sum_{j<i} A^j rep mod 1, times d.
 
-    The walk runs on the integer numerators of rep over its common
-    denominator d, modulo d; each distinct numerator becomes one Fraction.
+    For the identity A row i is i * rep mod 1, built column by column;
+    otherwise the walk applies A as an integer matrix mod d.
     """
     d, power = _require_norm_killed(rep, action)
+    e = action.e
     A = action.matrix
-    moves = A != identity_matrix(action.rank)
+    if A == identity_matrix(action.rank):
+        columns = [[i * p % d for i in range(e)] for p in power]
+        return d, list(zip(*columns))
+    rows: List[IntVector] = []
+    acc = (0,) * action.rank
+    for _ in range(e):
+        rows.append(acc)
+        acc = tuple((a + p) % d for a, p in zip(acc, power))
+        power = tuple(sum(a * p for a, p in zip(row, power)) % d for row in A)
+    return d, rows
+
+
+def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
+    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep,
+    read off :func:`cocycle_numerators`; each distinct numerator becomes one
+    Fraction."""
+    d, rows = cocycle_numerators(rep, action)
     values: Dict[int, Fraction] = {}
 
     def value(a: int) -> Fraction:
@@ -309,14 +330,7 @@ def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
             x = values[a] = Fraction(a, d)
         return x
 
-    table: Dict[int, QZVector] = {}
-    acc = (0,) * action.rank
-    for i in range(action.e):
-        table[i] = tuple(value(a) for a in acc)
-        acc = tuple((a + p) % d for a, p in zip(acc, power))
-        if moves:
-            power = tuple(sum(a * p for a, p in zip(row, power)) % d for row in A)
-    return table
+    return {i: tuple(value(a) for a in row) for i, row in enumerate(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +354,14 @@ def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
 
 
 def _validate_grid_point(datum: RootDatum, base: Sequence[Fraction], e: int) -> None:
+    """Reject a base point with a root value outside (1/e)Z, naming the first
+    such positive root; the values are the integer root rows times the
+    numerators of the base over its denominator D."""
+    D, numerators = common_numerators(base)
     for root in datum.positive_roots:
-        value = datum.pairing(root, base)
-        if (value * e).denominator != 1:
-            raise _off_grid(value, "+".join(
+        value = sum(c * a for c, a in zip(datum.root_rows[root], numerators))
+        if value * e % D:
+            raise _off_grid(Fraction(value, D), "+".join(
                 f"{c}a{i + 1}" if c != 1 else f"a{i + 1}"
                 for i, c in enumerate(root) if c
             ), e)
@@ -363,34 +381,61 @@ def _trivial_orbit_partition(
     e: int,
     base: Optional[Sequence[Fraction]],
 ) -> List[Tuple[QZVector, int]]:
-    """Orbits of T[e] under t -> s_i(t + b) - b, on integer numerators mod e.
+    """Orbits of T[e] under t -> s_i(t + b) - b, as (least member, size) in
+    the order of the least members.
 
-    A simple reflection changes only one coordinate, so each generator is an
-    O(rank) update: tau_i -> tau_i - sum_j c_ij tau_j - e <alpha_i, b>.
+    A point tau of integer numerators mod e is packed into the index
+    sum_k tau_k e^(r-1-k), so the index order is the lexicographic order and
+    the first index a scan in increasing order has not reached is the least
+    member of its orbit.  A simple reflection changes only one coordinate,
+    tau_i -> tau_i - sum_j c_ij tau_j - e <alpha_i, b> mod e, so each
+    generator is an O(rank) update of the digits and of the index.
     """
     r = datum.rank
     base_vec = tuple(Fraction(x) for x in base) if base is not None else qz_zero(r)
     _validate_grid_point(datum, base_vec, e)
-    shifts = []
-    for i in range(r):
-        root = tuple(1 if k == i else 0 for k in range(r))
-        value = datum.pairing(root, base_vec) * e
-        shifts.append(int(value))
-    cartan = datum.cartan
-
-    def reflect(i: int, tau: Tuple[int, ...]) -> Tuple[int, ...]:
-        new_i = (tau[i] - sum(cartan[i][j] * tau[j] for j in range(r))
-                 - shifts[i]) % e
-        return tau[:i] + (new_i,) + tau[i + 1:]
-
-    maps = [(lambda tau, i=i: reflect(i, tau)) for i in range(r)]
-    points = [tuple(c) for c in itertools.product(range(e), repeat=r)]
-    orbits = orbit_partition(points, maps)
+    D, numerators = common_numerators(base_vec)
+    # e <alpha_i, b>, an integer on the (1/e)-grid
+    shifts = [sum(c * a for c, a in zip(row, numerators)) * e // D for row in datum.cartan]
+    weights = [e ** (r - 1 - i) for i in range(r)]
+    # tau_i - sum_j c_ij tau_j = -tau_i - sum_{j != i} c_ij tau_j, as c_ii = 2
+    generators = [
+        (i, shifts[i], weights[i], [(j, c) for j, c in enumerate(row) if c and j != i])
+        for i, row in enumerate(datum.cartan)
+    ]
+    size = e ** r
+    seen = bytearray(size)
+    values = [Fraction(a, e) for a in range(e)]
     out = []
-    for orbit in orbits:
-        rep = tuple(Fraction(c, e) for c in orbit[0])
-        out.append((rep, len(orbit)))
-    out.sort()
+    start = seen.find(0)
+    while start >= 0:
+        seen[start] = 1
+        digits = []
+        rest = start
+        for w in weights:
+            k, rest = divmod(rest, w)
+            digits.append(k)
+        frontier = [(start, digits)]
+        count = 1
+        while frontier:
+            nxt = []
+            for index, tau in frontier:
+                for i, shift, weight, neighbours in generators:
+                    old = tau[i]
+                    new = -old - shift
+                    for j, c in neighbours:
+                        new -= c * tau[j]
+                    new %= e
+                    image = index + (new - old) * weight
+                    if not seen[image]:
+                        seen[image] = 1
+                        count += 1
+                        moved = tau.copy()
+                        moved[i] = new
+                        nxt.append((image, moved))
+            frontier = nxt
+        out.append((tuple(values[k] for k in digits), count))
+        start = seen.find(0, start)
     return out
 
 

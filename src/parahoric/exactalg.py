@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -362,3 +362,10 @@ def lcm_many(xs: Iterable[int]) -> int:
         if x:
             out = out * x // gcd(out, x)
     return out
+
+
+def common_numerators(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """The least common denominator d of the rationals xs (ints or
+    Fractions) and their numerators over d, so that x_i = numerators_i / d."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)

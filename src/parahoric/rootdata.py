@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -133,6 +134,10 @@ def _symmetrizers(cartan: IntMatrix) -> Tuple[Fraction, ...]:
     return tuple(d)  # type: ignore[arg-type]
 
 
+def _root_row(cartan: IntMatrix, root: Sequence[int]) -> IntVector:
+    return tuple(sum(b * c for b, c in zip(root, column)) for column in zip(*cartan))
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Simply-connected root datum of one simple type."""
@@ -149,14 +154,23 @@ class RootDatum:
     def name(self) -> str:
         return f"{self.label}{self.rank}"
 
+    @cached_property
+    def root_rows(self) -> Dict[IntVector, IntVector]:
+        """:meth:`root_row` of each positive root, the highest root among them."""
+        return {root: _root_row(self.cartan, root) for root in self.positive_roots}
+
+    def root_row(self, root: Sequence[int]) -> IntVector:
+        """The integer row sum_i beta_i c_ij of a root beta, so that
+        <beta, x> = sum_j row_j x_j; kept in :attr:`root_rows` for the
+        positive roots."""
+        row = self.root_rows.get(tuple(root))
+        return row if row is not None else _root_row(self.cartan, root)
+
     def pairing(self, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
         """<beta, x> for a root beta (simple-root coefficients) and coweight x."""
-        n = self.rank
-        return sum(
-            Fraction(root[i]) * self.cartan[i][j] * Fraction(coweight[j])
-            for i in range(n)
-            for j in range(n)
-        )
+        return Fraction(sum(
+            c * Fraction(x) for c, x in zip(self.root_row(root), coweight) if c
+        ))
 
     def coroot(self, root: Sequence[int]) -> IntVector:
         """Coroot of a root, in simple-coroot coordinates."""

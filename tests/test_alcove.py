@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from parahoric.cohomology import local_types, trivial_action
 from parahoric.rootdata import (
     build_root_datum,
     orbit_partition,
+    rank_range,
     weyl_elements,
     weyl_generators,
 )
@@ -366,3 +368,78 @@ def test_vertex_prime_data():
         v = vertex_prime_data(label, rank)
         assert v.mark_primes <= {2, 3}
         assert v.excluded_characteristics == frozenset({2, 3})
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction kernels they replaced
+# ---------------------------------------------------------------------------
+
+def reduce_to_alcove_reference(datum, x):
+    """The Fraction fold: the first simple wall with a negative value, else
+    the theta-wall while <theta, x> > 1, with r^2 pairings per step."""
+    point = [F(c) for c in x]
+    theta = datum.highest_root
+    theta_coroot = datum.coroot(theta)
+    word = []
+    while True:
+        for i in range(datum.rank):
+            value = sum(F(datum.cartan[i][j]) * point[j] for j in range(datum.rank))
+            if value < 0:
+                point[i] -= value
+                word.append(i + 1)
+                break
+        else:
+            excess = datum.pairing(theta, point) - 1
+            if excess <= 0:
+                return tuple(point), tuple(word)
+            for j in range(datum.rank):
+                point[j] -= excess * theta_coroot[j]
+            word.append(0)
+
+
+def facet_and_degree_reference(datum, x):
+    """(walls, special) with every positive root paired as a Fraction."""
+    values = [datum.pairing(tuple(int(k == i) for k in range(datum.rank)), x)
+              for i in range(datum.rank)]
+    walls = {i + 1 for i, v in enumerate(values) if v == 0}
+    if datum.pairing(datum.highest_root, x) == 1:
+        walls.add(0)
+    special = all(datum.pairing(root, x).denominator == 1
+                  for root in datum.positive_roots)
+    degree = 1
+    for root in datum.positive_roots:
+        d = datum.pairing(root, x).denominator
+        degree = degree * d // gcd(degree, d)
+    return frozenset(walls), special, degree
+
+
+# root values drawn per point: near the alcove, and far from it (the
+# reference fold costs r^2 Fraction products per reflection, so the far
+# band narrows with the rank)
+def fold_test_points(rng, datum):
+    r = datum.rank
+    far = 40 if r <= 3 else 10 if r <= 5 else 4
+    points = []
+    for bound in (1, far):
+        for _ in range(2 if r <= 5 else 1):
+            values = tuple(F(rng.randint(-bound * 6, bound * 6), rng.choice((1, 2, 3, 5, 6)))
+                           for _ in range(r))
+            points.append(point_from_root_values(datum, values))
+    return points
+
+
+@pytest.mark.parametrize("label,rank", rank_range(8))
+def test_integer_fold_matches_the_fraction_fold(label, rank):
+    datum = build_root_datum(label, rank)
+    rng = random.Random(f"{label}{rank}")
+    for x in fold_test_points(rng, datum):
+        point, word = reduce_to_alcove(datum, x)
+        assert (point, word) == reduce_to_alcove_reference(datum, x)
+        assert all(type(c) is F for c in point)
+        facet = facet_of(datum, point)
+        walls, special, degree = facet_and_degree_reference(datum, point)
+        assert (facet.vanishing_walls, facet.special) == (walls, special)
+        assert min_split_degree(datum, point)[0] == degree
+        assert min_split_degree(datum, x)[0] == facet_and_degree_reference(datum, x)[2]
+        assert simple_root_values(datum, x) == tuple(
+            datum.pairing(tuple(int(k == i) for k in range(rank)), x) for i in range(rank))

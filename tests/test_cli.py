@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
-from parahoric.cli import main
+from parahoric.cli import json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +46,32 @@ def test_types_json_roundtrip_and_determinism(capsys):
     assert parsed["torus_h1"]["order"] == 4
     # rationals are strings, never floats
     assert parsed["class_representatives"][1] == ["1/4"]
+
+
+# report-shaped values: str keys; text with non-ASCII and control characters
+REPORT_TEXT = st.text(max_size=6)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(database=None, max_examples=100, deadline=None)
+@given(REPORT_VALUES)
+def test_json_text_equals_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_escapes_like_json_dumps():
+    value = {"x\u2080": ["\ud800", "\x00\x1f\x7f", "\"\\/", "\u00fc\U0001f600"], "": [[]], "a": {}}
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_refuses_values_outside_a_report():
+    for value in (0.5, (1, 2), {1: "x"}, ["a", 0.5]):
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 def test_types_rejects_bad_spec(capsys):

@@ -29,8 +29,8 @@ FAR_VALUES = (VALUES[0] + ["-50/7", "17", "-13", "-5/3"], VALUES[1])
 CAPS = ([None, None, None, None, "1", "100"], ["-5", "0"])
 # far root values for `types` and `twist`: off the (1/e)-grid for every order
 # in FAR_ORDERS (the denominators are prime to 2, 3 and 5), so a point holding
-# one is rejected before it is folded into the alcove; the far values on the
-# grid are drawn only in small ranks, where the fold is cheap
+# one is rejected before it is folded into the alcove; a point whose values
+# are all on the grid is folded, in every rank up to 8
 FAR_GROUPS = ["A1", "A2", "B2", "G2", "A3", "C3", "A6", "D6", "E6", "A7", "E7", "B8", "E8"]
 FAR_ORDERS = ["1", "2", "3", "10000000"]
 FAR_OFF_GRID = ["999/11", "-1000/7", "-512/13", "4097/7"]
@@ -110,7 +110,10 @@ def draw_data(rng: random.Random):
 def draw_far_point(rng: random.Random):
     group = rng.choice(FAR_GROUPS)
     rank = rank_of(group)
-    values = (VALUES[0] + FAR_OFF_GRID + (FAR_ON_GRID if rank <= 3 else []), VALUES[1])
+    if rng.random() < 0.5:  # integer values, on the grid of every order
+        values = (["0", "1", "-1"] + FAR_ON_GRID, VALUES[1])
+    else:
+        values = (VALUES[0] + FAR_OFF_GRID + FAR_ON_GRID, VALUES[1])
     point = point_text(rng, rank, values)
     argv = [rng.choice(["types", "twist"]), "--group", group,
             "--order", rng.choice(FAR_ORDERS), "--point=" + point]
@@ -198,10 +201,15 @@ def test_cli_fuzz_far_and_off_grid_base_points(capsys, monkeypatch):
     monkeypatch.delenv("PARAHORIC_CAP", raising=False)
     rng = random.Random(SEED + 1)
     codes = {}
+    folded_far = 0
     for _ in range(FAR_COUNT):
         argv, off_grid = draw_far_point(rng)
         code, err = run(capsys, argv)
         assert code in ((2, 3) if off_grid else (0, 2, 3)), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         codes[code] = codes.get(code, 0) + 1
+        far = any(v in FAR_ON_GRID for v in argv[5].split("=")[1].split(","))
+        folded_far += code == 0 and far and rank_of(argv[2]) >= 4
     assert all(codes.get(code, 0) >= 10 for code in (0, 2, 3)), codes
+    # on-grid far points are folded into the alcove in the large ranks too
+    assert folded_far >= 10, folded_far

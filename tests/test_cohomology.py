@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+from parahoric.alcove import point_from_root_values
 from parahoric.cohomology import (
     GammaAction,
     MODE_LATTICE,
+    _trivial_orbit_partition,
     burnside_type_count,
     classes_equal,
     cocycle_of,
@@ -18,6 +21,7 @@ from parahoric.exactalg import mat_vec_qz, qz_add, qz_vector
 from parahoric.rootdata import (
     build_root_datum,
     diagram_automorphism,
+    orbit_partition,
     rank_range,
     weyl_element_automorphism,
     weyl_elements,
@@ -314,3 +318,35 @@ def _random_diagram_automorphism(datum, rng):
         return build(datum, rng.choice(candidates))
     except ValueError:
         return None
+
+
+def trivial_orbit_partition_reference(datum, e, base):
+    """Orbits of T[e] under t -> s_i(t + b) - b by ``orbit_partition`` on
+    numerator tuples, one tuple reflection per generator application."""
+    r = datum.rank
+    b = tuple(F(x) for x in base) if base is not None else (F(0),) * r
+    shifts = [int(datum.pairing(tuple(int(k == i) for k in range(r)), b) * e)
+              for i in range(r)]
+
+    def reflect(i, tau):
+        new_i = (tau[i] - sum(datum.cartan[i][j] * tau[j] for j in range(r))
+                 - shifts[i]) % e
+        return tau[:i] + (new_i,) + tau[i + 1:]
+
+    maps = [(lambda tau, i=i: reflect(i, tau)) for i in range(r)]
+    orbits = orbit_partition(list(product(range(e), repeat=r)), maps)
+    return sorted((tuple(F(c, e) for c in orbit[0]), len(orbit)) for orbit in orbits)
+
+
+def test_packed_orbit_partition_matches_the_tuple_reference():
+    rng = random.Random(61)
+    for label, rank in rank_range(4):
+        datum = build_root_datum(label, rank)
+        for e in range(1, 5):
+            bases = [None, _equidistant_base(datum, e)]
+            # a grid point outside the alcove: root values k/e
+            values = tuple(F(rng.randint(-2 * e, 2 * e), e) for _ in range(rank))
+            bases.append(point_from_root_values(datum, values))
+            for base in bases:
+                assert _trivial_orbit_partition(datum, e, base) \
+                    == trivial_orbit_partition_reference(datum, e, base), (label, rank, e, base)

@@ -77,6 +77,28 @@ def test_cartan_pairing_is_cartan_matrix():
             assert datum.pairing(root, coroot) == datum.cartan[i][j]
 
 
+def pairing_reference(datum, root, coweight):
+    """<beta, x> as the r^2 sum of Fraction products sum_ij beta_i c_ij x_j."""
+    n = datum.rank
+    return sum(F(root[i]) * datum.cartan[i][j] * F(coweight[j])
+               for i in range(n) for j in range(n))
+
+
+def test_pairing_matches_the_fraction_sum():
+    rng = random.Random(88)
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        roots = list(datum.positive_roots) + [datum.highest_root]
+        roots.append(tuple(-c for c in datum.highest_root))  # not a positive root
+        for _ in range(2):
+            x = tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rank))
+            for root in roots:
+                value = datum.pairing(root, x)
+                assert type(value) is F
+                assert value == pairing_reference(datum, root, x)
+        assert datum.root_row(datum.highest_root) == datum.root_rows[datum.highest_root]
+
+
 def test_invalid_labels_rejected():
     for label, rank in [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("F", 3),
                         ("G", 3), ("H", 2)]:
