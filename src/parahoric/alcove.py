@@ -10,8 +10,10 @@ step lowers the number of affine hyperplanes separating the point from the
 alcove.
 
 The kernels work on integer numerators: a point x is X / D for its least
-common denominator D, and its simple-root values are C X / D for the Cartan
-matrix C.  A Fraction is built only for a returned point or value.
+common denominator D, its simple-root values are V / D with V = C X for the
+Cartan matrix C, and x = adj(C) V / (det(C) D) through the integer pair
+(adj(C), det(C)) that the root datum keeps, as it keeps the theta-coroot.
+A Fraction is built only for a returned point or value.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from fractions import Fraction
 from math import gcd
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, adjugate_int, common_numerators, det_int, lcm_many
+from .exactalg import QZVector, common_numerators, lcm_many
 from .rootdata import (
-    DEFAULT_WEYL_CAP,
+    DEFAULT_CAP,
     EnumerationCapError,
     RootDatum,
     build_root_datum,
@@ -54,20 +56,13 @@ def simple_root_values(datum: RootDatum, x: Sequence[Fraction]) -> Tuple[Fractio
 
 
 def point_from_root_values(datum: RootDatum, values: Sequence[Fraction]) -> AlcovePoint:
-    """Invert <alpha_i, x> = values_i (the Cartan matrix is invertible)."""
-    n = datum.rank
-    a = [[Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(values[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    """Invert <alpha_i, x> = values_i: for values V / D over their least
+    common denominator D, x = adj(C) V / (det(C) D)."""
+    if len(values) != datum.rank:
+        raise ValueError(f"{datum.name} needs {datum.rank} root values, not {len(values)}")
+    adj, det = datum.cartan_inverse
+    D, V = common_numerators(as_point(values))
+    return tuple(Fraction(sum(a * v for a, v in zip(row, V) if a), det * D) for row in adj)
 
 
 def reduce_to_alcove(
@@ -90,7 +85,7 @@ def reduce_to_alcove(
     marks = datum.marks
     # the nonzero entries c_ji of column i, for the update of V under s_i
     columns = [[(j, cartan[j][i]) for j in range(r) if cartan[j][i]] for i in range(r)]
-    theta_coroot = datum.coroot(datum.highest_root)
+    theta_coroot = datum.theta_coroot
     theta_values = [sum(c * t for c, t in zip(row, theta_coroot)) for row in cartan]
     word: List[int] = []
     for _ in range(MAX_REDUCTION_STEPS):
@@ -164,11 +159,11 @@ def min_split_degree(
     """Least e making x special once the hyperplane spacing is refined to 1/e,
     i.e. the lcm of the denominators of the root values (those of the simple
     roots, whose integer combinations the other roots are); tameness records
-    whether the excluded characteristic misses that degree."""
+    whether the excluded characteristic (0 or a prime) misses that degree."""
+    require_characteristic(p_exclusion)
     D, _, values = _root_numerators(datum, x)
     degree = lcm_many(D // gcd(v, D) for v in values)
-    tame = True if p_exclusion <= 0 else (degree % p_exclusion != 0)
-    return degree, tame
+    return degree, p_exclusion == 0 or degree % p_exclusion != 0
 
 
 def type_to_alcove(
@@ -195,7 +190,7 @@ def apartment_orbit_types(
     datum: RootDatum,
     a: Sequence[Fraction],
     e: int,
-    cap: int = DEFAULT_WEYL_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> List[AlcovePoint]:
     """Fundamental-alcove representatives of the W_aff-classes inside the
     orbit of a under the level-e affine group W x (1/e) Q_coroot, sorted.
@@ -234,8 +229,7 @@ def apartment_orbit_types(
                     cosets.add(image)
                     nxt.append(image)
         frontier = nxt
-    det = det_int(cartan)
-    adj = adjugate_int(cartan)
+    adj, det = datum.cartan_inverse
     points = []
     for X in cosets:
         # D e <alpha_i, c>; the lattice point k >= 0 has n_i = k_i - floor(e <alpha_i, c>)
@@ -278,6 +272,12 @@ def prime_divisors(n: int) -> FrozenSet[int]:
     if n > 1:
         out.add(n)
     return frozenset(out)
+
+
+def require_characteristic(p: int) -> None:
+    """Reject a residue characteristic that is neither 0 nor a prime."""
+    if p != 0 and prime_divisors(p) != {p}:
+        raise ValueError(f"a residue characteristic must be 0 or a prime, not {p}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,13 @@ from .cohomology import (
     types_of_classes,
 )
 from .exactalg import QZVector
-from .rootdata import EnumerationCapError, RootDatum, build_root_datum, diagram_automorphism
+from .rootdata import (
+    DEFAULT_CAP,
+    EnumerationCapError,
+    RootDatum,
+    build_root_datum,
+    diagram_automorphism,
+)
 from .slmodel import (
     diagonal_action,
     sl_torus_h1,
@@ -57,7 +63,6 @@ from .slmodel import (
 )
 
 SCHEMA_VERSION = "1"
-DEFAULT_CAP = 10 ** 6
 DEFAULT_PRODUCT_CAP = 10 ** 4
 
 EXIT_OK = 0
@@ -490,7 +495,7 @@ def cmd_split_degree(args) -> int:
         raise UsageError("--point is required for split-degree")
     point = parse_point(args.point, rank)
     x = point_from_root_values(datum, point)
-    degree, tame = min_split_degree(datum, x, args.char or 0)
+    degree, tame = min_split_degree(datum, x, args.char)
     data = vertex_prime_data(label, rank)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -498,7 +503,7 @@ def cmd_split_degree(args) -> int:
         "group": {"label": label, "rank": rank},
         "point_root_values": vec_str(point),
         "degree": degree,
-        "characteristic": args.char or 0,
+        "characteristic": args.char,
         "tame": tame,
         "mark_primes": sorted(data.mark_primes),
         "excluded_characteristics": sorted(data.excluded_characteristics),
@@ -692,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True,
                    help="point as comma-separated root values")
     p.add_argument("--char", type=int, default=0,
-                   help="residue characteristic to test tameness against")
+                   help="residue characteristic (0 or a prime) to test tameness against")
     p.set_defaults(func=cmd_split_degree)
 
     p = sub.add_parser("orbit", help="apartment orbit representatives at level e")

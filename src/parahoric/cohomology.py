@@ -36,9 +36,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .alcove import as_point, require_characteristic, simple_root_values
 from .exactalg import (
     FiniteAbelianGroup,
     ImageMembership,
@@ -61,7 +62,7 @@ from .exactalg import (
     smith_normal_form,
 )
 from .rootdata import (
-    DEFAULT_WEYL_CAP,
+    DEFAULT_CAP,
     EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
@@ -98,9 +99,8 @@ class GammaAction:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.e % self.automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
-        if self.char_exclusion < 0:
-            raise ValueError("char_exclusion must be 0 or a positive prime")
-        if self.char_exclusion > 0 and self.e % self.char_exclusion == 0:
+        require_characteristic(self.char_exclusion)
+        if self.char_exclusion and self.e % self.char_exclusion == 0:
             raise ValueError(
                 f"tameness requires the order {self.e} to be prime to the "
                 f"excluded characteristic {self.char_exclusion}"
@@ -248,7 +248,7 @@ def least_per_class(
     return tuple(sorted(classes.values()))
 
 
-def h1_elements(datum: RootDatum, action: GammaAction, cap: int = 10 ** 6) -> H1Classes:
+def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
     """Element-model H^1: enumerate norm-killed grid vectors and sort them
     into classes modulo the image of (A - 1) on the full torsion group.
 
@@ -337,34 +337,16 @@ def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
 # local types: orbits under the twisted Weyl action
 # ---------------------------------------------------------------------------
 
-def _off_grid(value: Fraction, root_name: str, e: int) -> ValueError:
-    return ValueError(
-        f"base point must lie on the (1/{e})-grid: the value {value} "
-        f"of the root {root_name} is not in (1/{e})Z"
-    )
-
-
 def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
-    """Reject simple-root values outside (1/e)Z.  Every root is an integer
-    combination of the simple roots, so this is the condition of
-    :func:`_validate_grid_point`, checked in r steps and before any fold."""
+    """Reject simple-root values outside (1/e)Z, naming the first such root.
+    Every root is an integer combination of the simple roots, so this checks
+    every root value in r steps."""
     for i, value in enumerate(values):
         if (value * e).denominator != 1:
-            raise _off_grid(value, f"a{i + 1}", e)
-
-
-def _validate_grid_point(datum: RootDatum, base: Sequence[Fraction], e: int) -> None:
-    """Reject a base point with a root value outside (1/e)Z, naming the first
-    such positive root; the values are the integer root rows times the
-    numerators of the base over its denominator D."""
-    D, numerators = common_numerators(base)
-    for root in datum.positive_roots:
-        value = sum(c * a for c, a in zip(datum.root_rows[root], numerators))
-        if value * e % D:
-            raise _off_grid(Fraction(value, D), "+".join(
-                f"{c}a{i + 1}" if c != 1 else f"a{i + 1}"
-                for i, c in enumerate(root) if c
-            ), e)
+            raise ValueError(
+                f"base point must lie on the (1/{e})-grid: the value {value} "
+                f"of the root a{i + 1} is not in (1/{e})Z"
+            )
 
 
 def _integer_inverse(M: IntMatrix) -> IntMatrix:
@@ -392,11 +374,10 @@ def _trivial_orbit_partition(
     generator is an O(rank) update of the digits and of the index.
     """
     r = datum.rank
-    base_vec = tuple(Fraction(x) for x in base) if base is not None else qz_zero(r)
-    _validate_grid_point(datum, base_vec, e)
-    D, numerators = common_numerators(base_vec)
+    values = simple_root_values(datum, base if base is not None else qz_zero(r))
+    require_root_values_on_grid(values, e)
     # e <alpha_i, b>, an integer on the (1/e)-grid
-    shifts = [sum(c * a for c, a in zip(row, numerators)) * e // D for row in datum.cartan]
+    shifts = [int(v * e) for v in values]
     weights = [e ** (r - 1 - i) for i in range(r)]
     # tau_i - sum_j c_ij tau_j = -tau_i - sum_{j != i} c_ij tau_j, as c_ii = 2
     generators = [
@@ -483,7 +464,7 @@ def types_of_classes(
     classes: H1Classes,
     lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
+    weyl_cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
     """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
     Weyl action t -> w^-1(t) + t_w, neutral type first.
@@ -517,8 +498,8 @@ def local_types(
     action: GammaAction,
     lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
-    cap: int = 10 ** 6,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
+    cap: int = DEFAULT_CAP,
+    weyl_cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
     """Orbits of H^1 classes under the twisted Weyl action, neutral type first."""
     classes = h1_elements(datum, action, cap=cap)
@@ -536,24 +517,23 @@ def burnside_type_count(
 
     Fixed points of t -> w(t + b) - b on T[e] are counted through the Smith
     form of (w - 1): each congruence d_i y_i = c_i (mod e) contributes
-    gcd(d_i, e) solutions when solvable and zero otherwise.
+    gcd(d_i, e) solutions when solvable and zero otherwise.  The twist
+    e (b - w b) runs on the numerators B of b = B / N and must be divisible
+    by N.
     """
     r = datum.rank
-    base_vec = tuple(Fraction(x) for x in base) if base is not None else qz_zero(r)
-    _validate_grid_point(datum, base_vec, e)
+    base_vec = as_point(base) if base is not None else qz_zero(r)
+    require_root_values_on_grid(simple_root_values(datum, base_vec), e)
+    N, B = common_numerators(base_vec)
     elements = weyl_elements(datum, cap=weyl_cap)
     total = 0
-    from math import gcd
-
     for w in elements:
         M = mat_sub(w.matrix, identity_matrix(r))
-        shift = tuple(
-            (Fraction(x) - y) * e for x, y in zip(base_vec, mat_vec(w.matrix, base_vec))
-        )
-        if any(s.denominator != 1 for s in shift):
+        twist = [(b - wb) * e for b, wb in zip(B, mat_vec(w.matrix, B))]
+        if any(t % N for t in twist):
             raise AssertionError("grid base point must give an integral twist")
         U, D, _ = smith_normal_form(M)
-        rhs = mat_vec(U, tuple(int(s) for s in shift))
+        rhs = mat_vec(U, [t // N for t in twist])
         count = 1
         for i in range(r):
             d = abs(D[i][i])

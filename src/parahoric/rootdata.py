@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .exactalg import (
     IntMatrix,
     IntVector,
+    adjugate_int,
     det_int,
     identity_matrix,
     mat_mul,
@@ -35,7 +36,7 @@ from .exactalg import (
 
 LABELS = ("A", "B", "C", "D", "E", "F", "G")
 
-DEFAULT_WEYL_CAP = 10 ** 6
+DEFAULT_CAP = 10 ** 6
 
 
 class EnumerationCapError(RuntimeError):
@@ -166,6 +167,16 @@ class RootDatum:
         row = self.root_rows.get(tuple(root))
         return row if row is not None else _root_row(self.cartan, root)
 
+    @cached_property
+    def cartan_inverse(self) -> Tuple[IntMatrix, int]:
+        """(adj(C), det(C)), so that C^-1 = adj(C) / det(C)."""
+        return adjugate_int(self.cartan), det_int(self.cartan)
+
+    @cached_property
+    def theta_coroot(self) -> IntVector:
+        """The coroot of the highest root."""
+        return self.coroot(self.highest_root)
+
     def pairing(self, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
         """<beta, x> for a root beta (simple-root coefficients) and coweight x."""
         return Fraction(sum(
@@ -247,7 +258,7 @@ def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
-def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylElement]:
+def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[WeylElement]:
     """The whole Weyl group by breadth-first closure, sorted by matrix.
 
     An element w is keyed by the root values of w(x0), where
@@ -293,7 +304,7 @@ def weyl_elements(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> List[WeylEle
     return [WeylElement(M) for M in sorted(seen.values())]
 
 
-def weyl_order(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:
+def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:
     """|W| = r! * (product of the marks) * det(Cartan), without enumerating W.
 
     W x Q_coroot acts simply transitively on the alcoves, so a fundamental
@@ -303,8 +314,7 @@ def weyl_order(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> int:
     the coroot lattice has index det(Cartan) in the coweight lattice.  A
     ``cap`` below the order raises :class:`EnumerationCapError`.
     """
-    r = datum.rank
-    order = factorial(r) * prod(datum.marks) * det_int(datum.cartan)
+    order = factorial(datum.rank) * prod(datum.marks) * datum.cartan_inverse[1]
     if order > cap:
         raise EnumerationCapError(
             f"Weyl closure for {datum.name}: |W| = {order} exceeds cap {cap}"
@@ -369,7 +379,7 @@ def weyl_element_automorphism(w: WeylElement, cap: int = 1000) -> LatticeAutomor
 def fixed_weyl_subgroup(
     datum: RootDatum,
     aut: LatticeAutomorphism,
-    cap: int = DEFAULT_WEYL_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> List[WeylElement]:
     """All w in W commuting with the automorphism (i.e. A w A^-1 = w)."""
     A = aut.matrix

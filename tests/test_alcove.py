@@ -35,14 +35,41 @@ def rv_point(datum, *values):
     return point_from_root_values(datum, tuple(F(v) for v in values))
 
 
+def point_from_root_values_reference(datum, values):
+    """The Fraction Gauss-Jordan solve of C x = values that the adjugate
+    inverse replaced."""
+    n = datum.rank
+    a = [[F(datum.cartan[i][j]) for j in range(n)] + [F(values[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
 def test_point_from_root_values_roundtrip():
     rng = random.Random(4)
-    for label, rank in [("A", 1), ("A", 3), ("B", 2), ("G", 2), ("F", 4)]:
+    for label, rank in rank_range(8):
         datum = build_root_datum(label, rank)
+        samples = [tuple(F(0) for _ in range(rank)), tuple(range(-rank, 0))]
         for _ in range(20):
-            values = tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(rank))
+            samples.append(tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(rank)))
+        for _ in range(5):  # large numerators and denominators
+            samples.append(tuple(F(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+                                 for _ in range(rank)))
+        for values in samples:
             x = point_from_root_values(datum, values)
-            assert simple_root_values(datum, x) == values
+            assert x == point_from_root_values_reference(datum, values)
+            assert all(type(c) is F for c in x)
+            assert simple_root_values(datum, x) == tuple(F(v) for v in values)
+        for size in (rank - 1, rank + 1):
+            with pytest.raises(ValueError):
+                point_from_root_values(datum, (F(1, 3),) * size)
 
 
 def test_reduce_a1_example():
@@ -161,6 +188,9 @@ def test_min_split_degree():
     assert min_split_degree(d1, rv_point(d1, F(1, 5))) == (5, True)
     assert min_split_degree(d1, rv_point(d1, F(1, 3)), 2) == (3, True)
     assert min_split_degree(d1, rv_point(d1, F(1, 3)), 3) == (3, False)
+    for p in (1, 4, -1, -3):  # a residue characteristic is 0 or a prime
+        with pytest.raises(ValueError, match="0 or a prime"):
+            min_split_degree(d1, rv_point(d1, F(1, 3)), p)
     d2 = build_root_datum("A", 2)
     assert min_split_degree(d2, rv_point(d2, F(1, 3), F(1, 3)))[0] == 3
 

@@ -151,6 +151,10 @@ def test_split_degree(capsys):
                            "--point", "1/3", "--char", "3")
     assert code == 0
     assert "tame: no (wild)" in out
+    for char in ("1", "4", "-1", "-3"):
+        code, out, err = run_cli(capsys, "split-degree", "--group", "A1",
+                                 "--point", "1/3", "--char", char)
+        assert (code, out) == (2, "") and "must be 0 or a prime" in err
 
 
 def test_data_e8(capsys):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from parahoric.alcove import point_from_root_values
+from parahoric.alcove import point_from_root_values, simple_root_values
 from parahoric.cohomology import (
     GammaAction,
     MODE_LATTICE,
@@ -15,6 +15,7 @@ from parahoric.cohomology import (
     h1_elements,
     h1_structural,
     local_types,
+    require_root_values_on_grid,
     trivial_action,
 )
 from parahoric.exactalg import mat_vec_qz, qz_add, qz_vector
@@ -50,6 +51,12 @@ def test_char_exclusion_tameness():
     d1 = build_root_datum("A", 1)
     # the prime-to-p model carries exactly the usual e-torsion classes
     assert len(h1_elements(d1, act).representatives) == 3
+    # a residue characteristic is 0 or a prime
+    for p in (1, 4, 9, -1, -3):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            GammaAction(5, identity_automorphism(1), "trivial", char_exclusion=p)
+    for p in (0, 2, 7, 101):
+        assert GammaAction(3, identity_automorphism(1), "trivial", char_exclusion=p)
 
 
 def test_h1_trivial_is_e_to_the_rank():
@@ -205,12 +212,17 @@ def test_burnside_oracle_trivial_action():
 
 
 def test_burnside_oracle_with_base_twist():
+    rng = random.Random(13)
     for label, rank in [("A", 1), ("A", 2), ("C", 2), ("G", 2), ("B", 3)]:
         datum = build_root_datum(label, rank)
         for e in (2, 3, 4):
-            base = _equidistant_base(datum, e)
-            got = len(local_types(datum, trivial_action(rank, e), base=base))
-            assert got == burnside_type_count(datum, e, base=base)
+            # far and negative grid bases: root values -13 + k/e and 17 + k/e
+            far = [point_from_root_values(datum, tuple(
+                F(rng.choice((-13, 17)) * e + rng.randint(0, e - 1), e)
+                for _ in range(rank))) for _ in range(2)]
+            for base in [_equidistant_base(datum, e)] + far:
+                got = len(local_types(datum, trivial_action(rank, e), base=base))
+                assert got == burnside_type_count(datum, e, base=base)
 
 
 def _equidistant_base(datum, e):
@@ -224,6 +236,39 @@ def test_local_types_rejects_off_grid_base():
     d1 = build_root_datum("A", 1)
     with pytest.raises(ValueError):
         local_types(d1, trivial_action(1, 2), base=(F(1, 7),))
+
+
+def grid_point_reference(datum, base, e):
+    """The check the single simple-root check replaced: every positive root
+    value, paired as a Fraction, lies in (1/e)Z."""
+    return all((datum.pairing(root, base) * e).denominator == 1
+               for root in datum.positive_roots)
+
+
+def test_simple_root_grid_check_matches_the_all_roots_check():
+    rng = random.Random(29)
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        for e in (1, 2, 3, 6):
+            points = []
+            for denominators in ((e,), (e, 5 * e, 7), (2 * e, 3, 1)):
+                for _ in range(3):
+                    points.append(point_from_root_values(datum, tuple(
+                        F(rng.randint(-20 * e, 20 * e), rng.choice(denominators))
+                        for _ in range(rank))))
+            # coroot coordinates off the grid whose root values may lie on it
+            points.append(tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)) * e)
+                                for _ in range(rank)))
+            decisions = set()
+            for x in points:
+                try:
+                    require_root_values_on_grid(simple_root_values(datum, x), e)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == grid_point_reference(datum, x, e), (datum.name, e, x)
+                decisions.add(accepted)
+            assert decisions == {True, False}
 
 
 def test_lattice_mode_requires_lifts():

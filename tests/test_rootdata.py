@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import parahoric.rootdata as rootdata
-from parahoric.exactalg import identity_matrix, mat_mul, mat_pow
+from parahoric.exactalg import adjugate_int, det_int, identity_matrix, mat_mul, mat_pow
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
@@ -139,6 +139,18 @@ def test_reflections_are_involutions_and_braid_orders(label, rank):
 def test_weyl_orders(label, rank):
     datum = build_root_datum(label, rank)
     assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
+
+
+def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        adj, det = datum.cartan_inverse
+        assert (adj, det) == (adjugate_int(datum.cartan), det_int(datum.cartan))
+        assert mat_mul(adj, datum.cartan) == tuple(
+            tuple(det * x for x in row) for row in identity_matrix(rank))
+        assert datum.cartan_inverse is datum.cartan_inverse
+        assert datum.theta_coroot == datum.coroot(datum.highest_root)
+        assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
 
 
 def test_weyl_cap():
