@@ -36,7 +36,7 @@ from .rootdata import (
     WeylElement,
     build_root_datum,
     diagram_automorphism,
-    fixed_weyl_subgroup,
+    fixed_weyl_generators,
     orbit_partition,
     simple_reflection,
     weyl_order,

@@ -171,7 +171,6 @@ def type_to_alcove(
     rep: QZVector,
     e: int,
     base: Sequence[Fraction],
-    mode: str = "trivial",
 ) -> Tuple[AlcovePoint, FacetDescriptor]:
     """Alcove point and facet of the twisted stabilizer attached to a class.
 
@@ -179,8 +178,6 @@ def type_to_alcove(
     split untwisted one; the class representative acts as the translation
     by its coroot coordinates.
     """
-    if mode != "trivial":
-        raise ValueError("type_to_alcove needs the trivial (split) action mode")
     x = tuple(Fraction(b) + Fraction(t) for b, t in zip(base, rep))
     reduced, _ = reduce_to_alcove(datum, x)
     return reduced, facet_of(datum, reduced)
@@ -274,9 +271,28 @@ def prime_divisors(n: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
+# Miller-Rabin on the prime bases up to 41 decides primality below the bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below :data:`MILLER_RABIN_BOUND`."""
+    if n < 2 or any(n % a == 0 for a in MILLER_RABIN_BASES):
+        return n in MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    powers = [pow(a, (n - 1) >> s, n) for a in MILLER_RABIN_BASES]
+    return all(x == 1 or any(pow(x, 1 << k, n) == n - 1 for k in range(s)) for x in powers)
+
+
 def require_characteristic(p: int) -> None:
-    """Reject a residue characteristic that is neither 0 nor a prime."""
-    if p != 0 and prime_divisors(p) != {p}:
+    """Reject a residue characteristic that is neither 0 nor a prime; refuse
+    one at or above the bound of the primality test."""
+    if p >= MILLER_RABIN_BOUND:
+        raise EnumerationCapError(f"primality test of the characteristic: {p} is not "
+                                  f"below the bound {MILLER_RABIN_BOUND} of the test")
+    if p != 0 and not is_prime(p):
         raise ValueError(f"a residue characteristic must be 0 or a prime, not {p}")
 
 

@@ -4,8 +4,8 @@ Subcommands: ``types``, ``twist``, ``split-degree``, ``orbit``, ``data``,
 ``global``.  Output is deterministic text (default) or JSON
 (``--format json``); rationals serialize as "num/den" strings so no float
 ever appears.  Exit codes: 0 success, 2 usage or validation error, 3
-enumeration cap exceeded.  The environment variable ``PARAHORIC_CAP``
-overrides the default enumeration caps; ``--cap`` overrides both.
+enumeration cap exceeded.  ``--cap`` overrides the default enumeration
+cap.
 
 Points are given and reported by their simple-root values
 ``<alpha_1, x>, ..., <alpha_r, x>``; for the rank-one worked example this is
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -228,6 +227,8 @@ def compute_types(
     values = point_or_default(point, rank, order)
     if point is not None and action_kind != "trivial":
         raise UsageError("--point applies only to trivial actions")
+    if perm is not None and action_kind != "diagram":
+        raise UsageError("--perm applies only to diagram actions")
 
     if action_kind == "trivial":
         action, base, classes, types = split_types(datum, order, values, cap)
@@ -660,8 +661,8 @@ def _add_common(p: argparse.ArgumentParser, with_group=True, with_order=False):
         p.add_argument("--order", type=int, required=True,
                        help="order e of the cyclic group")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap (default from PARAHORIC_CAP or 10^6)")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="enumeration cap (default 10^6)")
 
 
 @functools.lru_cache(maxsize=1)
@@ -720,13 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_cap = os.environ.get("PARAHORIC_CAP")
-    if args.cap is None:
-        try:
-            args.cap = int(env_cap) if env_cap else DEFAULT_CAP
-        except ValueError:
-            print(f"PARAHORIC_CAP is not an integer: {env_cap!r}", file=sys.stderr)
-            return EXIT_USAGE
     args.product_cap = min(args.cap, DEFAULT_PRODUCT_CAP)
     try:
         return args.func(args)

@@ -22,12 +22,13 @@ and sorting them into classes (element model).  The two must agree; a
 mismatch is a hard error.
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
-acting by twisted conjugation t -> w^-1(t) + t_w.  In the untwisted
-(trivial-action) mode the twist t_w is zero for the standard base point; a
+acting by twisted conjugation t -> w^-1(t) + t_w.  For the trivial action
+(A the identity) the twist t_w is zero for the standard base point; a
 nonzero hyperspecial base point b contributes t_w = (w^-1 - 1)(b), i.e. the
 plain W-action conjugated by the translation with offset b.  This is what
 reconciles the alcove-side orbit counts with the cohomology side for every
-base point on the (1/e)-grid.
+base point on the (1/e)-grid.  For a diagram automorphism sigma only the
+generators w_J of W^sigma act, each an involution: t -> w_J(t) + t_w.
 """
 
 from __future__ import annotations
@@ -67,14 +68,11 @@ from .rootdata import (
     LatticeAutomorphism,
     RootDatum,
     WeylElement,
-    fixed_weyl_subgroup,
+    fixed_weyl_generators,
     identity_automorphism,
     orbit_partition,
     weyl_elements,
 )
-
-MODE_TRIVIAL = "trivial"
-MODE_LATTICE = "lattice-only"
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,11 @@ class GammaAction:
 
     e: int
     automorphism: LatticeAutomorphism
-    mode: str = MODE_LATTICE
     char_exclusion: int = 0
 
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("the order of Gamma must be positive")
-        if self.mode not in (MODE_TRIVIAL, MODE_LATTICE):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.e % self.automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
         require_characteristic(self.char_exclusion)
@@ -105,9 +100,6 @@ class GammaAction:
                 f"tameness requires the order {self.e} to be prime to the "
                 f"excluded characteristic {self.char_exclusion}"
             )
-        n = len(self.automorphism.matrix)
-        if self.mode == MODE_TRIVIAL and self.automorphism.matrix != identity_matrix(n):
-            raise ValueError("trivial mode requires the identity automorphism")
 
     @property
     def rank(self) -> int:
@@ -144,7 +136,7 @@ class GammaAction:
 
 
 def trivial_action(rank: int, e: int) -> GammaAction:
-    return GammaAction(e=e, automorphism=identity_automorphism(rank), mode=MODE_TRIVIAL)
+    return GammaAction(e=e, automorphism=identity_automorphism(rank))
 
 
 @dataclass(frozen=True)
@@ -349,15 +341,6 @@ def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
             )
 
 
-def _integer_inverse(M: IntMatrix) -> IntMatrix:
-    U, D, V = smith_normal_form(M)
-    n = len(M)
-    if any(abs(D[i][i]) != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    scale = tuple(tuple(V[i][j] * D[j][j] for j in range(n)) for i in range(n))
-    return mat_mul(scale, U)
-
-
 def _trivial_orbit_partition(
     datum: RootDatum,
     e: int,
@@ -464,31 +447,34 @@ def types_of_classes(
     classes: H1Classes,
     lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
-    weyl_cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
     """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
     Weyl action t -> w^-1(t) + t_w, neutral type first.
 
-    The trivial mode twists by the base point (default the origin) and runs
-    on the integer engine.  A nontrivial pinned action has no general recipe
-    for t_w, so ``lift_provider`` must supply it for each element of the
-    fixed Weyl subgroup.
+    When A is the identity the action twists by the base point (default the
+    origin) and runs on the integer engine.  Otherwise A must be a diagram
+    automorphism sigma and only the generators w_J of W^sigma (see
+    :func:`fixed_weyl_generators`) act, each as t -> w_J(t) + t_w.  A pinned
+    action has no general recipe for t_w, so ``lift_provider`` is called
+    once per generator, the only elements consulted, and must return the
+    twist of a lift of it.
     """
     reps = classes.representatives
-    if action.mode == MODE_TRIVIAL:
+    if action.matrix == identity_matrix(action.rank):
+        if lift_provider is not None:
+            raise ValueError("lift_provider applies only to a nontrivial action")
         keyed = _trivial_orbit_partition(datum, action.e, base)
         if sum(size for _, size in keyed) != len(reps):
             raise AssertionError("orbit sizes must add up to the class count")
         return _numbered(keyed)
     if lift_provider is None:
-        raise ValueError("lift_provider is required for a nontrivial action mode")
+        raise ValueError("lift_provider is required for a nontrivial action")
     if base is not None:
-        raise ValueError("base twists are only defined in trivial mode")
-    maps = []
-    for w in fixed_weyl_subgroup(datum, action.automorphism, cap=weyl_cap):
-        w_inv = _integer_inverse(w.matrix)
-        t_w = qz_vector(lift_provider(w))
-        maps.append(lambda t, M=w_inv, t_w=t_w: qz_add(mat_vec_qz(M, t), t_w))
+        raise ValueError("base twists are only defined for the trivial action")
+    maps = [
+        lambda t, M=w.matrix, t_w=qz_vector(lift_provider(w)): qz_add(mat_vec_qz(M, t), t_w)
+        for w in fixed_weyl_generators(datum, action.automorphism)
+    ]
     member = ImageMembership(action.coboundary_matrix())
     return class_orbits(reps, action.norm_matrix(), member.invariant, maps)
 
@@ -499,12 +485,10 @@ def local_types(
     lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
     cap: int = DEFAULT_CAP,
-    weyl_cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
     """Orbits of H^1 classes under the twisted Weyl action, neutral type first."""
     classes = h1_elements(datum, action, cap=cap)
-    return types_of_classes(datum, action, classes, lift_provider=lift_provider,
-                            base=base, weyl_cap=weyl_cap)
+    return types_of_classes(datum, action, classes, lift_provider=lift_provider, base=base)
 
 
 def burnside_type_count(

@@ -11,7 +11,8 @@ Conventions (Bourbaki numbering throughout):
 Weyl elements are integer matrices acting on the coroot lattice; the group
 is only ever materialized by breadth-first closure of the generators, with
 a configurable cap that is checked against the order |W| before the
-closure starts.
+closure starts.  The subgroup W^sigma fixed by a diagram automorphism is
+only ever given by its generators, never enumerated.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
+from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -33,8 +35,6 @@ from .exactalg import (
     mat_vec,
     matrix,
 )
-
-LABELS = ("A", "B", "C", "D", "E", "F", "G")
 
 DEFAULT_CAP = 10 ** 6
 
@@ -258,44 +258,51 @@ def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
+def _left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optional[IntVector]]:
+    """The O(r) step w -> s_i w: ``step(seen, key, i)`` maps the key v of w to
+    v_j - <alpha_j, alpha_i_coroot> v_i and, if that key is new to ``seen``,
+    stores the matrix of s_i w (that of w with row i rebuilt) and returns it."""
+    # row i of s_i M is sum_b (delta_ib - c_ib) M_b over the b with c_ib != 0
+    supports = [[b for b, c in enumerate(row) if c] for row in datum.cartan]
+    coefficients = [[int(b == i) - datum.cartan[i][b] for b in support]
+                    for i, support in enumerate(supports)]
+    columns = list(zip(*datum.cartan))
+
+    def step(seen: Dict[IntVector, IntMatrix], key: IntVector, i: int) -> Optional[IntVector]:
+        vi = key[i]
+        image = tuple(v - c * vi for v, c in zip(key, columns[i]))
+        if image in seen:
+            return None
+        M = seen[key]
+        row = tuple(sum(map(mul, coefficients[i], column))
+                    for column in zip(*[M[b] for b in supports[i]]))
+        seen[image] = M[:i] + (row,) + M[i + 1:]
+        return image
+
+    return step
+
+
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[WeylElement]:
     """The whole Weyl group by breadth-first closure, sorted by matrix.
 
     An element w is keyed by the root values of w(x0), where
     <alpha_i, x0> = 1 for every i; x0 is regular, so the key determines w.
-    Left multiplication by s_i updates the key in O(r),
-    v_j -= <alpha_j, alpha_i_coroot> v_i, and changes only row i of the
-    matrix, which is built only for a new element.  Since x0 is dominant,
-    s_i w is longer than w exactly when v_i > 0, so each breadth-first level
-    holds the elements of one length and a step with v_i < 0 is skipped.
-    An order above ``cap`` is refused before the closure starts, and the
-    closure must reach exactly the order of :func:`weyl_order`.
+    Left multiplication by s_i is the O(r) step of :func:`_left_multiplier`.
+    Since x0 is dominant, s_i w is longer than w exactly when v_i > 0, so
+    each breadth-first level holds the elements of one length and a step
+    with v_i < 0 is skipped.  An order above ``cap`` is refused before the
+    closure starts, and the closure must reach exactly the order of
+    :func:`weyl_order`.
     """
     order = weyl_order(datum, cap=cap)
     n = datum.rank
-    rows = [g.matrix[i] for i, g in enumerate(weyl_generators(datum))]
-    columns = [tuple(datum.cartan[j][i] for j in range(n)) for i in range(n)]
+    step = _left_multiplier(datum)
     start = (1,) * n
     seen: Dict[IntVector, IntMatrix] = {start: identity_matrix(n)}
     frontier = [start]
     while frontier:
-        nxt = []
-        for key in frontier:
-            M = seen[key]
-            for i in range(n):
-                vi = key[i]
-                if vi < 0:
-                    continue
-                image = tuple(v - c * vi for v, c in zip(key, columns[i]))
-                if image in seen:
-                    continue
-                row = tuple(
-                    sum(s * M[b][col] for b, s in enumerate(rows[i]) if s)
-                    for col in range(n)
-                )
-                seen[image] = M[:i] + (row,) + M[i + 1:]
-                nxt.append(image)
-        frontier = nxt
+        images = (step(seen, key, i) for key in frontier for i in range(n) if key[i] > 0)
+        frontier = [image for image in images if image is not None]
     if len(seen) != order:
         raise AssertionError(
             f"Weyl closure for {datum.name} has {len(seen)} elements, "
@@ -376,52 +383,49 @@ def weyl_element_automorphism(w: WeylElement, cap: int = 1000) -> LatticeAutomor
     return LatticeAutomorphism(w.matrix, matrix_order(w.matrix, cap=cap))
 
 
-def fixed_weyl_subgroup(
-    datum: RootDatum,
-    aut: LatticeAutomorphism,
-    cap: int = DEFAULT_CAP,
-) -> List[WeylElement]:
-    """All w in W commuting with the automorphism (i.e. A w A^-1 = w)."""
-    A = aut.matrix
-    return [
-        w
-        for w in weyl_elements(datum, cap=cap)
-        if mat_mul(A, w.matrix) == mat_mul(w.matrix, A)
-    ]
+def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[WeylElement]:
+    """Generators of W^sigma, the Weyl elements commuting with the diagram
+    automorphism ``aut`` of a node permutation sigma (else ValueError): the
+    longest element w_J of the parabolic subgroup W_J of each sigma-orbit J
+    of the nodes, in the order of the least node of J (Steinberg,
+    Endomorphisms of linear algebraic groups, 1968).  Each w_J is an
+    involution, reached by the root-value descent of :func:`weyl_elements`:
+    from the key (1, ..., 1), apply s_i for i in J while v_i > 0.
+    """
+    n = datum.rank
+    perm = [col.index(1) if 1 in col else -1 for col in zip(*aut.matrix)]
+    if diagram_automorphism(datum, perm).matrix != aut.matrix:
+        raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
+    step = _left_multiplier(datum)
+    gens = []
+    for node in range(n):
+        J, i = {node}, perm[node]
+        while i != node:
+            J, i = J | {i}, perm[i]
+        if node == min(J):
+            key = (1,) * n
+            seen = {key: identity_matrix(n)}
+            while any(key[j] > 0 for j in J):
+                key = step(seen, key, min(j for j in J if key[j] > 0))
+            gens.append(WeylElement(seen[key]))
+    return gens
 
 
 # ---------------------------------------------------------------------------
 # orbit partition by breadth-first closure
 # ---------------------------------------------------------------------------
 
-def _as_action(gen) -> Callable[[tuple], tuple]:
-    """Normalize a generator: a callable, a WeylElement (acting mod 1), or a
-    (WeylElement, translation) pair for a twisted action."""
-    if callable(gen):
-        return gen
-    if isinstance(gen, WeylElement):
-        return lambda p, w=gen: tuple(x % 1 for x in w.apply(p))
-    if isinstance(gen, tuple) and len(gen) == 2 and isinstance(gen[0], WeylElement):
-        w, shift = gen
-        return lambda p, w=w, s=tuple(shift): tuple(
-            (x + dx) % 1 for x, dx in zip(w.apply(p), s)
-        )
-    raise TypeError(f"cannot interpret {gen!r} as a group action")
-
-
 def orbit_partition(
     points: Iterable[tuple],
-    actions: Sequence,
+    actions: Sequence[Callable[[tuple], tuple]],
 ) -> List[Tuple[tuple, ...]]:
     """Partition a finite point set under the group generated by the actions.
 
-    Generators may be callables, WeylElements (acting on torsion vectors
-    modulo 1), or (WeylElement, twist) pairs.  Each action must map the set
-    into itself (each generator of a finite group of bijections suffices;
-    inverses are reached by iteration).  Orbits are returned sorted, each
-    orbit listed with its lexicographically least point first.
+    The actions are callables on points.  Each must map the set into itself
+    (each generator of a finite group of bijections suffices; inverses are
+    reached by iteration).  Orbits are returned sorted, each orbit listed
+    with its lexicographically least point first.
     """
-    actions = [_as_action(g) for g in actions]
     todo = sorted(set(points))
     point_set = set(todo)
     orbits: List[Tuple[tuple, ...]] = []

@@ -18,7 +18,6 @@ from parahoric.alcove import (
 from parahoric.cli import main
 from parahoric.cohomology import (
     GammaAction,
-    MODE_LATTICE,
     burnside_type_count,
     h1_elements,
     h1_structural,
@@ -120,14 +119,14 @@ def test_criterion_5_oracle_equivalence():
             if aut is None or aut.order > 6:
                 continue
             e = aut.order * rng.randint(1, 6 // aut.order)
-            action = GammaAction(e, aut, MODE_LATTICE)
+            action = GammaAction(e, aut)
         else:
             w = rng.choice(weyl_elements(datum, cap=10 ** 4))
             aut = weyl_element_automorphism(w)
             if aut.order > 6:
                 continue
             e = aut.order * rng.randint(1, 6 // aut.order)
-            action = GammaAction(e, aut, MODE_LATTICE)
+            action = GammaAction(e, aut)
         structural = h1_structural(datum, action).order
         elements = len(h1_elements(datum, action).representatives)
         assert structural == elements

@@ -195,6 +195,36 @@ def test_min_split_degree():
     assert min_split_degree(d2, rv_point(d2, F(1, 3), F(1, 3)))[0] == 3
 
 
+def test_is_prime_matches_sympy():
+    from sympy import isprime, prevprime
+
+    from parahoric.alcove import MILLER_RABIN_BOUND, is_prime, require_characteristic
+    from parahoric.rootdata import EnumerationCapError
+
+    assert all(is_prime(n) == isprime(n) for n in range(-5, 10 ** 5))
+    rng = random.Random(97)
+    for bits in (64, 80):
+        for _ in range(500):
+            n = rng.getrandbits(bits) | 1
+            assert is_prime(n) == isprime(n), n
+        # random primes of that size, which a random draw rarely hits
+        for _ in range(20):
+            n = rng.getrandbits(bits) | 1
+            while not isprime(n):
+                n += 2
+            assert is_prime(n), n
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37 (so base 41
+    # is needed below the bound), and Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="0 or a prime"):
+            require_characteristic(n)
+    # the largest prime below the bound passes, the bound itself is refused
+    require_characteristic(prevprime(MILLER_RABIN_BOUND))
+    with pytest.raises(EnumerationCapError, match="primality test"):
+        require_characteristic(MILLER_RABIN_BOUND)
+
+
 def test_type_to_alcove_sl2():
     d1 = build_root_datum("A", 1)
     for e in (3, 5, 7, 9, 11):
@@ -209,8 +239,6 @@ def test_type_to_alcove_sl2():
         assert pt == base and facet.classification == "Iwahori"
     pt, facet = type_to_alcove(d1, (F(1, 4),), 4, rv_point(d1, F(1, 4)))
     assert facet.classification == "Iwahori"
-    with pytest.raises(ValueError):
-        type_to_alcove(d1, (F(0),), 2, rv_point(d1, F(1, 2)), mode="sl-matrix-model")
 
 
 def test_apartment_orbit_sl2():

@@ -106,6 +106,13 @@ def test_types_diagram_needs_lifts(capsys):
     assert code == 2 and "lift" in err.lower()
 
 
+def test_types_perm_needs_a_diagram_action(capsys):
+    for action in (("--action", "sl-J"), ("--action", "trivial"), ()):
+        code, out, err = run_cli(capsys, "types", "--group", "A2", "--order", "2",
+                                 *action, "--perm", "2,1")
+        assert (code, out) == (2, "") and "--perm applies only to diagram" in err
+
+
 def test_twist_sl2_e5(capsys):
     code, out, _ = run_cli(capsys, "twist", "--group", "A1", "--order", "5",
                            "--point", "1/5")
@@ -155,6 +162,26 @@ def test_split_degree(capsys):
         code, out, err = run_cli(capsys, "split-degree", "--group", "A1",
                                  "--point", "1/3", "--char", char)
         assert (code, out) == (2, "") and "must be 0 or a prime" in err
+
+
+def test_split_degree_large_characteristics(capsys):
+    import time
+
+    # a 19-digit prime is decided at once, not by trial division
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "split-degree", "--group", "A1", "--point", "1/3",
+                           "--char", "1000000000000000003")
+    assert code == 0 and "tame: yes" in out
+    assert time.perf_counter() - start < 1
+    # the strong pseudoprime to the bases 2..23 is not a prime
+    code, _, err = run_cli(capsys, "split-degree", "--group", "A1", "--point", "1/3",
+                           "--char", "3825123056546413051")
+    assert code == 2 and "must be 0 or a prime" in err
+    # at the bound of the deterministic test the check is refused
+    code, out, err = run_cli(capsys, "split-degree", "--group", "A1", "--point", "1/3",
+                             "--char", "3317044064679887385961981")
+    assert (code, out) == (3, "")
+    assert "primality test" in err and "3317044064679887385961981" in err
 
 
 def test_data_e8(capsys):
@@ -277,13 +304,13 @@ def test_global_rejects_bad_config(capsys, tmp_path):
     assert code == 2
 
 
-def test_env_cap(capsys, monkeypatch):
+def test_cap_option_alone_sets_the_cap(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "types", "--group", "A1", "--order", "5", "--cap", "3")
+    assert code == 3
+    # no environment variable stands in for --cap
     monkeypatch.setenv("PARAHORIC_CAP", "3")
     code, _, err = run_cli(capsys, "types", "--group", "A1", "--order", "5")
-    assert code == 3
-    monkeypatch.setenv("PARAHORIC_CAP", "nonsense")
-    code, _, err = run_cli(capsys, "types", "--group", "A1", "--order", "5")
-    assert code == 2
+    assert code == 0
 
 
 def test_text_output_deterministic(capsys):

@@ -183,8 +183,7 @@ def run(capsys, argv):
     return code, captured.err
 
 
-def test_cli_fuzz_ends_in_documented_exit_codes(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("PARAHORIC_CAP", raising=False)
+def test_cli_fuzz_ends_in_documented_exit_codes(capsys, tmp_path):
     rng = random.Random(SEED)
     codes = {}
     for index in range(COUNT):
@@ -197,8 +196,7 @@ def test_cli_fuzz_ends_in_documented_exit_codes(capsys, tmp_path, monkeypatch):
     assert all(codes.get(code, 0) >= 20 for code in (0, 2, 3)), codes
 
 
-def test_cli_fuzz_far_and_off_grid_base_points(capsys, monkeypatch):
-    monkeypatch.delenv("PARAHORIC_CAP", raising=False)
+def test_cli_fuzz_far_and_off_grid_base_points(capsys):
     rng = random.Random(SEED + 1)
     codes = {}
     folded_far = 0

@@ -9,7 +9,6 @@ import pytest
 import parahoric.cohomology as cohomology
 from parahoric.cohomology import (
     GammaAction,
-    MODE_LATTICE,
     cocycle_of,
     h1_elements,
     trivial_action,
@@ -46,7 +45,7 @@ def reference_cocycle(rep, action):
 
 def diagram_action(label, rank, perm, e):
     datum = build_root_datum(label, rank)
-    return datum, GammaAction(e, diagram_automorphism(datum, perm), MODE_LATTICE)
+    return datum, GammaAction(e, diagram_automorphism(datum, perm))
 
 
 def norm_killed_grid(action):
@@ -148,6 +147,6 @@ def test_norm_cache_leaves_equality_and_hashing_alone():
     assert fresh == used and hash(fresh) == hash(used)
     assert repr(fresh) == repr(used)
     assert [f.name for f in fields(GammaAction)] == [
-        "e", "automorphism", "mode", "char_exclusion"]
+        "e", "automorphism", "char_exclusion"]
     assert trivial_action(2, 3) != trivial_action(2, 4)
     assert len({fresh, used, trivial_action(4, 4)}) == 2

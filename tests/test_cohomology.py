@@ -7,7 +7,6 @@ import pytest
 from parahoric.alcove import point_from_root_values, simple_root_values
 from parahoric.cohomology import (
     GammaAction,
-    MODE_LATTICE,
     _trivial_orbit_partition,
     burnside_type_count,
     classes_equal,
@@ -24,39 +23,42 @@ from parahoric.rootdata import (
     diagram_automorphism,
     orbit_partition,
     rank_range,
+    simple_reflection,
     weyl_element_automorphism,
     weyl_elements,
 )
+
+from .test_rootdata import flip
 
 
 def flip_action(n_nodes, e=2):
     datum = build_root_datum("A", n_nodes)
     flip = tuple(n_nodes - 1 - i for i in range(n_nodes))
-    return datum, GammaAction(e, diagram_automorphism(datum, flip), MODE_LATTICE)
+    return datum, GammaAction(e, diagram_automorphism(datum, flip))
 
 
 def test_gamma_action_validation():
     with pytest.raises(ValueError):
         # order-2 flip cannot act through a group of odd order
         datum, _ = flip_action(2)
-        GammaAction(3, diagram_automorphism(datum, (1, 0)), MODE_LATTICE)
+        GammaAction(3, diagram_automorphism(datum, (1, 0)))
 
 
 def test_char_exclusion_tameness():
     from parahoric.rootdata import identity_automorphism
 
     with pytest.raises(ValueError):
-        GammaAction(4, identity_automorphism(1), "trivial", char_exclusion=2)
-    act = GammaAction(3, identity_automorphism(1), "trivial", char_exclusion=2)
+        GammaAction(4, identity_automorphism(1), char_exclusion=2)
+    act = GammaAction(3, identity_automorphism(1), char_exclusion=2)
     d1 = build_root_datum("A", 1)
     # the prime-to-p model carries exactly the usual e-torsion classes
     assert len(h1_elements(d1, act).representatives) == 3
     # a residue characteristic is 0 or a prime
     for p in (1, 4, 9, -1, -3):
         with pytest.raises(ValueError, match="0 or a prime"):
-            GammaAction(5, identity_automorphism(1), "trivial", char_exclusion=p)
+            GammaAction(5, identity_automorphism(1), char_exclusion=p)
     for p in (0, 2, 7, 101):
-        assert GammaAction(3, identity_automorphism(1), "trivial", char_exclusion=p)
+        assert GammaAction(3, identity_automorphism(1), char_exclusion=p)
 
 
 def test_h1_trivial_is_e_to_the_rank():
@@ -163,7 +165,7 @@ def test_cocycle_identity():
     d4 = build_root_datum("D", 4)
     triality = diagram_automorphism(d4, (2, 1, 3, 0))  # 1 -> 3 -> 4 -> 1
     cases = [flip_action(3, e=2), flip_action(4, e=2),
-             (d4, GammaAction(3, triality, MODE_LATTICE)),
+             (d4, GammaAction(3, triality)),
              (build_root_datum("A", 2), trivial_action(2, 4))]
     for datum, act in cases:
         for rep in h1_elements(datum, act).representatives:
@@ -285,31 +287,125 @@ def test_lattice_mode_with_explicit_zero_lifts():
     assert len(types) == 2
 
 
+def test_lattice_types_reject_mismatched_arguments():
+    # lifts only for a nontrivial action, a base only for the trivial one,
+    # and a nontrivial action only through a diagram symmetry
+    d2 = build_root_datum("A", 2)
+    with pytest.raises(ValueError, match="lift_provider"):
+        local_types(d2, trivial_action(2, 2), lift_provider=lambda w: (F(0),) * 2)
+    datum, act = flip_action(3)
+    with pytest.raises(ValueError, match="base"):
+        local_types(datum, act, lift_provider=lambda w: (F(0),) * 3, base=(F(0),) * 3)
+    aut = weyl_element_automorphism(simple_reflection(d2, 1))
+    with pytest.raises(ValueError):
+        local_types(d2, GammaAction(aut.order, aut), lift_provider=lambda w: (F(0),) * 2)
+
+
+def _integer_inverse(M):
+    from parahoric.exactalg import mat_mul, smith_normal_form
+
+    U, D, V = smith_normal_form(M)
+    n = len(M)
+    if any(abs(D[i][i]) != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    scale = tuple(tuple(V[i][j] * D[j][j] for j in range(n)) for i in range(n))
+    return mat_mul(scale, U)
+
+
+def full_weyl_types(datum, action, lift):
+    """Reference: the orbits under every element of the fixed subgroup, found
+    by filtering W (all of W for the identity), each applied as
+    t -> w^-1(t) + lift(w)."""
+    from parahoric.cohomology import class_orbits
+    from parahoric.exactalg import ImageMembership, mat_mul
+
+    A = action.matrix
+    maps = []
+    for w in weyl_elements(datum):
+        if mat_mul(A, w.matrix) == mat_mul(w.matrix, A):
+            maps.append(lambda t, M=_integer_inverse(w.matrix), t_w=qz_vector(lift(w)):
+                        qz_add(mat_vec_qz(M, t), t_w))
+    member = ImageMembership(action.coboundary_matrix())
+    classes = h1_elements(datum, action)
+    return class_orbits(classes.representatives, action.norm_matrix(),
+                        member.invariant, maps)
+
+
+@pytest.mark.parametrize("label,rank,perm,e", [
+    ("A", 3, None, 2), ("A", 3, None, 4), ("A", 4, None, 4), ("A", 5, None, 2),
+    ("D", 4, (2, 1, 3, 0), 3), ("D", 4, (2, 1, 3, 0), 6), ("D", 4, None, 4)])
+def test_lattice_types_match_the_full_weyl_path(label, rank, perm, e):
+    from parahoric.exactalg import mat_pow, mat_vec, qz_sub
+
+    datum = build_root_datum(label, rank)
+    aut = diagram_automorphism(datum, perm) if perm else flip(datum)
+    action = GammaAction(e, aut)
+    # zero lifts, and the lifts w^-1(c) - c, which conjugate the linear
+    # action by the translation by c, for c = 1/e on the sigma-orbit of node 1
+    powers = [mat_pow(aut.matrix, k) for k in range(aut.order)]
+    c = tuple(F(int(any(P[i][0] for P in powers)), e) for i in range(rank))
+    assert mat_vec(aut.matrix, c) == c
+    lifts = [lambda w: (F(0),) * rank,
+             lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)),
+                              qz_vector(c))]
+    for lift in lifts:
+        got = local_types(datum, action, lift_provider=lift)
+        assert got == full_weyl_types(datum, action, lift)
+
+
+@pytest.mark.parametrize("label,rank,e,count", [
+    ("D", 5, 4, 9), ("E", 6, 2, 2), ("E", 6, 4, 5), ("A", 7, 2, 2)])
+def test_lattice_type_counts_with_zero_lifts(label, rank, e, count):
+    datum = build_root_datum(label, rank)
+    action = GammaAction(e, flip(datum))
+    assert len(local_types(datum, action, lift_provider=lambda w: (F(0),) * rank)) == count
+
+
+def test_lattice_types_consult_only_the_generators(monkeypatch):
+    import parahoric.cohomology as cohomology
+    import parahoric.rootdata as rootdata
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fixed subgroup must not be enumerated")
+
+    monkeypatch.setattr(rootdata, "weyl_elements", refuse)
+    monkeypatch.setattr(cohomology, "weyl_elements", refuse)
+    for label, rank, perm, e, orbits in [("A", 5, None, 2, 3),
+                                         ("D", 4, (2, 1, 3, 0), 3, 2),
+                                         ("E", 6, None, 4, 4)]:
+        datum = build_root_datum(label, rank)
+        action = GammaAction(e, diagram_automorphism(datum, perm) if perm else flip(datum))
+        calls = []
+
+        def lift(w, rank=rank):
+            calls.append(w)
+            return (F(0),) * rank
+
+        assert local_types(datum, action, lift_provider=lift)
+        # one call per sigma-orbit of the nodes
+        assert len(calls) == orbits
+
+
 def test_trivial_engine_matches_generic_lattice_engine():
-    # the integer orbit engine for the trivial mode must produce the same
-    # partition as the generic Fraction engine run in lattice mode with the
-    # identity automorphism and the base twist supplied per Weyl element
-    from parahoric.cohomology import _integer_inverse
+    # the integer orbit engine of the trivial action must produce the same
+    # partition as the generic Fraction engine run over every element of W,
+    # each as t -> w^-1(t) + w^-1(b) - b
     from parahoric.exactalg import mat_vec, qz_sub
-    from parahoric.rootdata import identity_automorphism
 
     for label, rank, emax in [("A", 1, 4), ("A", 2, 3), ("C", 2, 3)]:
         datum = build_root_datum(label, rank)
         for e in range(1, emax + 1):
+            action = trivial_action(rank, e)
             for base in [None,
                          _equidistant_base(datum, e)]:
-                fast = local_types(datum, trivial_action(rank, e), base=base)
+                fast = local_types(datum, action, base=base)
                 b = base if base is not None else (F(0),) * rank
-                generic_action = GammaAction(
-                    e, identity_automorphism(rank), MODE_LATTICE
-                )
 
-                def provider(w, b=b):
+                def lift(w, b=b):
                     w_inv = _integer_inverse(w.matrix)
                     return qz_sub(qz_vector(mat_vec(w_inv, b)), qz_vector(b))
 
-                generic = local_types(datum, generic_action,
-                                      lift_provider=provider)
+                generic = full_weyl_types(datum, action, lift)
                 assert [(t.orbit_representative, t.orbit_size) for t in fast] \
                     == [(t.orbit_representative, t.orbit_size) for t in generic]
 
@@ -332,7 +428,7 @@ def test_oracle_equivalence_randomized():
                 continue
             mult = rng.randint(1, 6 // aut.order)
             e = aut.order * mult
-            action = GammaAction(e, aut, MODE_LATTICE)
+            action = GammaAction(e, aut)
         else:
             elements = weyl_elements(datum, cap=10 ** 4)
             w = rng.choice(elements)
@@ -341,7 +437,7 @@ def test_oracle_equivalence_randomized():
                 continue
             mult = rng.randint(1, 6 // aut.order)
             e = aut.order * mult
-            action = GammaAction(e, aut, MODE_LATTICE)
+            action = GammaAction(e, aut)
         classes = h1_elements(datum, action)
         assert len(classes.representatives) == h1_structural(datum, action).order
         checked += 1

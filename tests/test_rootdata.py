@@ -1,19 +1,28 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 import parahoric.rootdata as rootdata
-from parahoric.exactalg import adjugate_int, det_int, identity_matrix, mat_mul, mat_pow
+from parahoric.exactalg import (
+    adjugate_int,
+    det_int,
+    identity_matrix,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+)
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
     diagram_automorphism,
-    fixed_weyl_subgroup,
+    fixed_weyl_generators,
     identity_automorphism,
     orbit_partition,
     rank_range,
     simple_reflection,
+    weyl_element_automorphism,
     weyl_elements,
     weyl_generators,
     weyl_order,
@@ -247,6 +256,29 @@ def test_diagram_automorphisms():
         diagram_automorphism(d3, (0, 0, 1))  # not a permutation
 
 
+def fixed_weyl_subgroup(datum, aut):
+    """Reference: every w in W commuting with the automorphism."""
+    A = aut.matrix
+    return [w for w in weyl_elements(datum)
+            if mat_mul(A, w.matrix) == mat_mul(w.matrix, A)]
+
+
+def regular_coweight(datum):
+    """adj(C)(1, ..., 1): every simple root takes the value det(C) on it, so
+    its stabilizer in W is trivial."""
+    return mat_vec(datum.cartan_inverse[0], (1,) * datum.rank)
+
+
+def generated_orbit(gens, x):
+    """The orbit of x under the group generated by the Weyl elements."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        frontier = list({mat_vec(g.matrix, y) for y in frontier for g in gens} - seen)
+        seen.update(frontier)
+    return seen
+
+
 def test_fixed_weyl_subgroup():
     d3 = build_root_datum("A", 3)
     full = fixed_weyl_subgroup(d3, identity_automorphism(3))
@@ -262,12 +294,105 @@ def test_fixed_weyl_subgroup():
         for b in fixed:
             assert mat_mul(a.matrix, b.matrix) in mats
     assert len(full) % len(fixed) == 0
+    x = regular_coweight(d3)
+    assert generated_orbit(fixed_weyl_generators(d3, flip), x) \
+        == {mat_vec(w.matrix, x) for w in fixed}
+    # the identity has one orbit per node: the simple reflections
+    assert fixed_weyl_generators(d3, identity_automorphism(3)) == list(weyl_generators(d3))
     # A2 folds to A1: fixed subgroup of order 2
     d2 = build_root_datum("A", 2)
     assert len(fixed_weyl_subgroup(d2, diagram_automorphism(d2, (1, 0)))) == 2
     # A1: everything is fixed
     d1 = build_root_datum("A", 1)
     assert len(fixed_weyl_subgroup(d1, identity_automorphism(1))) == 2
+
+
+def diagram_symmetries(datum):
+    """Every node permutation that is a Dynkin-diagram symmetry."""
+    out = []
+    for perm in permutations(range(datum.rank)):
+        try:
+            out.append(diagram_automorphism(datum, perm))
+        except ValueError:
+            pass
+    return out
+
+
+def test_fixed_weyl_generators_close_to_the_fixed_subgroup():
+    checked = 0
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        if weyl_order(datum, cap=ORDER_CAP) > 4000:
+            continue
+        x = regular_coweight(datum)
+        for aut in diagram_symmetries(datum):
+            reference = {mat_vec(w.matrix, x) for w in fixed_weyl_subgroup(datum, aut)}
+            assert generated_orbit(fixed_weyl_generators(datum, aut), x) == reference, \
+                (datum.name, aut.matrix)
+            checked += 1
+    # A1-A5 (9), B2-B5 and C2-C5 (8), D4 (6), D5 (2), F4 and G2 (2)
+    assert checked == 27
+
+
+def flip(datum):
+    """The A, D or E6 diagram flip (D swaps its last two nodes)."""
+    n = datum.rank
+    if datum.label == "A":
+        perm = tuple(n - 1 - i for i in range(n))
+    elif datum.label == "D":
+        perm = tuple(range(n - 2)) + (n - 1, n - 2)
+    else:
+        perm = (5, 1, 4, 3, 2, 0)
+    return diagram_automorphism(datum, perm)
+
+
+@pytest.mark.parametrize("label,rank,order", [("E", 6, 1152), ("D", 6, 3840),
+                                              ("A", 6, 48), ("A", 7, 384),
+                                              ("A", 8, 384)])
+def test_fixed_weyl_generators_of_large_flips(label, rank, order):
+    # the folded types F4, B5, B3, B4 and B4
+    datum = build_root_datum(label, rank)
+    aut = flip(datum)
+    A = aut.matrix
+    gens = fixed_weyl_generators(datum, aut)
+    assert len(gens) == len({frozenset((i, A[i].index(1))) for i in range(rank)})
+    for g in gens:
+        assert mat_mul(g.matrix, g.matrix) == identity_matrix(rank)
+        assert mat_mul(A, g.matrix) == mat_mul(g.matrix, A)
+    assert len(generated_orbit(gens, regular_coweight(datum))) == order
+
+
+def permutation_of(w, n):
+    """The permutation sigma of {0, ..., n-1} with w(e_j) = e_sigma(j), for w
+    in the Weyl group of A_(n-1), whose coroots are e_(k-1) - e_k."""
+    x = tuple(n - 1 - 2 * j for j in range(n))  # distinct entries, sum 0
+    coroot = tuple(sum(x[:k]) for k in range(1, n))
+    c = (0,) + mat_vec(w.matrix, coroot) + (0,)
+    y = tuple(c[j + 1] - c[j] for j in range(n))
+    return tuple(y.index(v) for v in x)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_fixed_weyl_generators_of_the_flip_are_the_reversal_generators(n):
+    from parahoric.slmodel import reversal_fixed_generators
+
+    datum = build_root_datum("A", n - 1)
+    gens = fixed_weyl_generators(datum, flip(datum))
+    assert [permutation_of(g, n) for g in gens] == reversal_fixed_generators(n)
+
+
+def test_fixed_weyl_generators_reject_non_diagram_automorphisms():
+    from parahoric.rootdata import LatticeAutomorphism
+
+    d3 = build_root_datum("A", 3)
+    for w in weyl_elements(d3):
+        if w.matrix != identity_matrix(3):
+            with pytest.raises(ValueError):
+                fixed_weyl_generators(d3, weyl_element_automorphism(w))
+    # a permutation of the coroots that is not a diagram symmetry
+    swap = LatticeAutomorphism(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 2)
+    with pytest.raises(ValueError):
+        fixed_weyl_generators(d3, swap)
 
 
 def _inverse_in(mats, w):
@@ -326,10 +451,10 @@ def test_orbit_partition_accepts_weyl_elements_and_twists():
     d1 = build_root_datum("A", 1)
     pts = [(F(k, 5),) for k in range(5)]
     s = simple_reflection(d1, 1)
-    # bare WeylElement: plain inversion, floor((5+2)/2) = 3 orbits
-    assert len(orbit_partition(pts, [s])) == 3
-    # twisted pair: t -> -t - 1/5, the worked-example action, 3 orbits
-    twisted = orbit_partition(pts, [(s, (F(-1, 5),))])
+    # the Weyl element mod 1: plain inversion, floor((5+2)/2) = 3 orbits
+    assert len(orbit_partition(pts, [lambda p: tuple(x % 1 for x in s.apply(p))])) == 3
+    # twisted: t -> -t - 1/5, the worked-example action, 3 orbits
+    twisted = orbit_partition(pts, [lambda p: tuple((x - F(1, 5)) % 1 for x in s.apply(p))])
     assert len(twisted) == 3
     assert twisted[0] == ((F(0),), (F(4, 5),))
 
