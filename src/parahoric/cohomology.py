@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, require_characteristic, simple_root_values
 from .exactalg import (
@@ -219,27 +219,6 @@ def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
     return _kills(norm, *_numerators(t))
 
 
-def least_per_class(
-    candidates: Iterable[QZVector],
-    norm: IntMatrix,
-    invariant: Callable[[QZVector], QZVector],
-) -> Tuple[QZVector, ...]:
-    """The least norm-killed candidate of each class, in sorted order.
-
-    ``invariant`` maps a norm-killed vector to a key that two vectors share
-    exactly when they lie in the same class.
-    """
-    classes: Dict[QZVector, QZVector] = {}
-    for t in candidates:
-        if not _norm_kills(norm, t):
-            continue
-        key = invariant(t)
-        best = classes.get(key)
-        if best is None or t < best:
-            classes[key] = t
-    return tuple(sorted(classes.values()))
-
-
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
     """Element-model H^1: enumerate norm-killed grid vectors and sort them
     into classes modulo the image of (A - 1) on the full torsion group.
@@ -258,8 +237,15 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     if action.matrix == identity_matrix(action.rank):
         reps = tuple(grid)
     else:
-        member = ImageMembership(action.coboundary_matrix())
-        reps = least_per_class(grid, action.norm_matrix(), member.invariant)
+        # the grid is in lexicographic order, so the first norm-killed
+        # vector of each class is its least
+        norm = action.norm_matrix()
+        invariant = ImageMembership(action.coboundary_matrix()).invariant
+        least: Dict[QZVector, QZVector] = {}
+        for t in grid:
+            if _norm_kills(norm, t):
+                least.setdefault(invariant(t), t)
+        reps = tuple(sorted(least.values()))
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
@@ -419,9 +405,10 @@ def class_orbits(
     """Orbits of the classes ``reps`` under the vector maps ``maps``.
 
     Each image must stay in the norm kernel and hit one of the classes
-    (matched through ``invariant``, as in :func:`least_per_class`); either
-    failure is a hard error.  Each orbit is represented by its least member,
-    and the types are numbered in the order of those representatives.
+    (matched through ``invariant``, a key that two vectors share exactly
+    when they lie in the same class); either failure is a hard error.  Each
+    orbit is represented by its least member, and the types are numbered in
+    the order of those representatives.
     """
     index_of = {invariant(t): i for i, t in enumerate(reps)}
 

@@ -360,6 +360,12 @@ def identity_automorphism(rank: int) -> LatticeAutomorphism:
     return LatticeAutomorphism(identity_matrix(rank), 1)
 
 
+def _preserves_cartan(datum: RootDatum, perm: Sequence[int]) -> bool:
+    n = datum.rank
+    return all(datum.cartan[perm[i]][perm[j]] == datum.cartan[i][j]
+               for i in range(n) for j in range(n))
+
+
 def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> LatticeAutomorphism:
     """Automorphism induced by a Dynkin-diagram symmetry.
 
@@ -369,10 +375,8 @@ def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> L
     perm = tuple(node_permutation)
     if sorted(perm) != list(range(n)):
         raise ValueError("node_permutation is not a permutation of the nodes")
-    for i in range(n):
-        for j in range(n):
-            if datum.cartan[perm[i]][perm[j]] != datum.cartan[i][j]:
-                raise ValueError("permutation is not a Dynkin-diagram symmetry")
+    if not _preserves_cartan(datum, perm):
+        raise ValueError("permutation is not a Dynkin-diagram symmetry")
     M = tuple(
         tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)
     )
@@ -394,7 +398,8 @@ def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[We
     """
     n = datum.rank
     perm = [col.index(1) if 1 in col else -1 for col in zip(*aut.matrix)]
-    if diagram_automorphism(datum, perm).matrix != aut.matrix:
+    if (sorted(perm) != list(range(n)) or not _preserves_cartan(datum, perm)
+            or diagram_automorphism(datum, perm).matrix != aut.matrix):
         raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
     step = _left_multiplier(datum)
     gens = []

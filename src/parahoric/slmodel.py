@@ -3,9 +3,15 @@
 A monomial matrix is a permutation together with one nonzero entry per
 column; entries are roots of unity recorded additively in Q/Z (so -1 is
 1/2).  This is enough to move the worked special-unitary examples entirely
-into exact arithmetic: Weyl lifts, the twisting elements t_w = w^-1
-gamma(w), and the twisted orbits of H^1(Gamma, T) under the fixed Weyl
-subgroup.
+into exact arithmetic: Weyl lifts and the twisting elements t_w = w^-1
+gamma(w).
+
+H^1(Gamma, T) and its twisted orbits under the fixed Weyl subgroup run on
+the lattice path of :mod:`parahoric.cohomology`: the involution acts on
+the coroot lattice as the A_(n-1) diagram flip, and each generator of
+W^gamma is twisted by t_w of the monomial lift of its permutation.
+Representatives are reported as sum-zero diagonals t, which correspond to
+coroot coordinates c by c_i = t_1 + ... + t_i and t_j = c_j - c_(j-1).
 
 The hermitian forms of the special-vertex cases are derived symbolically
 (valuation + sign per entry) from the lattice basis, not hard-coded; see
@@ -15,31 +21,24 @@ The hermitian forms of the special-vertex cases are derived symbolically
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exactalg import (
-    ImageMembership,
-    QZVector,
-    identity_matrix,
-    mat_sub,
-    qz,
-    qz_vector,
-    qz_zero,
-)
+from .exactalg import QZVector, qz, qz_vector, qz_zero
 from .cohomology import (
     GammaAction,
     H1Classes,
     LocalType,
-    class_orbits,
-    h1_structural,
-    least_per_class,
+    h1_elements,
+    types_of_classes,
 )
 from .rootdata import (
     EnumerationCapError,
     LatticeAutomorphism,
+    RootDatum,
+    WeylElement,
     build_root_datum,
     diagram_automorphism,
 )
@@ -203,7 +202,8 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
     """The fixed group W^gamma: permutations commuting with the reversal.
 
     The reference enumeration, a scan of all n! permutations; the orbit
-    computation uses :func:`reversal_fixed_generators` instead.
+    computation uses the n // 2 generators that
+    ``rootdata.fixed_weyl_generators`` returns for the flip instead.
     """
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -218,37 +218,8 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def reversal_fixed_generators(n: int) -> List[Tuple[int, ...]]:
-    """The m = n // 2 generators of W^gamma, the hyperoctahedral group
-    permuting the pairs {j, n-1-j}: the swaps (i i+1)(n-1-i n-2-i) of
-    adjacent pairs for i < m-1, and the flip of the last pair {m-1, n-m}."""
-    m = n // 2
-    gens = []
-    for i in range(m):
-        swaps = ((i, i + 1), (n - 1 - i, n - 2 - i)) if i < m - 1 else ((m - 1, n - m),)
-        sigma = list(range(n))
-        for a, b in swaps:
-            sigma[a], sigma[b] = b, a
-        gens.append(tuple(sigma))
-    return gens
-
-
-def twisted_diagonal_map(
-    sigma: Sequence[int], spec: InvolutionSpec
-) -> Callable[[QZVector], QZVector]:
-    """t -> L^-1 diag(t) gamma(L) for the lift L of sigma, as a map of
-    additive diagonals.
-
-    gamma(L) = L diag(c) with c = t_w(L) (see :func:`t_w`), and conjugating
-    a diagonal by a monomial matrix only permutes its entries, so the image
-    is t[sigma(j)] + c[j]: a permutation plus a fixed twist.
-    """
-    c = t_w(lift_of_permutation(sigma), spec)
-    return lambda t: tuple((t[s] + x) % 1 for s, x in zip(sigma, c))
-
-
 # ---------------------------------------------------------------------------
-# torus cohomology in the diagonal model
+# torus cohomology on the coroot lattice, read as diagonals
 # ---------------------------------------------------------------------------
 
 def torus_action_matrix(spec: InvolutionSpec):
@@ -266,26 +237,14 @@ def torus_action_matrix(spec: InvolutionSpec):
 
 def diagonal_action(spec: InvolutionSpec) -> GammaAction:
     """The involution on additive diagonal vectors, as an order-2 action;
-    it supplies the norm 1 + gamma and the cocycles of the diagonal model."""
+    it supplies the norm 1 + gamma and the cocycles of the diagonal
+    representatives."""
     return GammaAction(2, LatticeAutomorphism(torus_action_matrix(spec), 2))
 
 
-def _sl_membership(spec: InvolutionSpec) -> ImageMembership:
-    """Membership test for the coboundary image (1 - gamma) T(k) inside the
-    SL torus: solve (1 - gamma) x = delta with the sum-zero constraint."""
-    n = spec.n
-    G = torus_action_matrix(spec)
-    coboundary = mat_sub(identity_matrix(n), G)
-    rows = list(coboundary) + [tuple(1 for _ in range(n))]
-    return ImageMembership(tuple(rows))
-
-
-def _sl_invariant(member: ImageMembership, t: QZVector) -> QZVector:
-    return member.invariant(tuple(t) + (Fraction(0),))
-
-
-def induced_lattice_action(spec: InvolutionSpec) -> GammaAction:
-    """The same involution on the rank n-1 coroot lattice of SL_n.
+def induced_lattice_action(spec: InvolutionSpec) -> Tuple[RootDatum, GammaAction]:
+    """The root datum A_(n-1) of SL_n and the same involution on its
+    coroot lattice.
 
     gamma(alpha_i_coroot) = alpha_{n-i}_coroot, independently of the entries
     of J; only the underlying reversal enters.
@@ -293,39 +252,48 @@ def induced_lattice_action(spec: InvolutionSpec) -> GammaAction:
     n = spec.n
     datum = build_root_datum("A", n - 1)
     flip = tuple(n - 2 - i for i in range(n - 1))
-    return GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
+    return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
+
+
+def _coroot_coordinates(t: Sequence[Fraction]) -> QZVector:
+    """A sum-zero diagonal in the simple-coroot coordinates of SL_n:
+    c_i = t_1 + ... + t_i for i < n."""
+    return qz_vector(itertools.accumulate(t[:-1]))
+
+
+def _differences(c: Sequence) -> tuple:
+    """t_j = c_j - c_(j-1) with c_0 = c_n = 0, the inverse of
+    :func:`_coroot_coordinates` before reduction mod 1."""
+    padded = (0,) + tuple(c) + (0,)
+    return tuple(b - a for a, b in zip(padded, padded[1:]))
+
+
+def _diagonal(c: Sequence[Fraction]) -> QZVector:
+    return qz_vector(_differences(c))
+
+
+def _permutation(w: WeylElement) -> Tuple[int, ...]:
+    """The permutation sigma with w(e_j) = e_sigma(j) of a Weyl element of
+    A_(n-1), read off the images e_sigma(j) - e_sigma(j+1) of its coroots."""
+    images = [_differences(column) for column in zip(*w.matrix)]
+    return tuple(image.index(1) for image in images) + (images[-1].index(-1),)
 
 
 def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
-    """H^1(Gamma, T(k)) computed on diagonal vectors with sum zero.
+    """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
 
-    Candidates are the 2-torsion diagonal SL vectors (every class contains
-    one); classes are separated by solvability of (1 - gamma) x = difference
-    within the SL torus.  The class count is cross-checked against the
-    lattice-quotient computation on the induced rank n-1 action; any
-    mismatch is a hard error.
+    The classes are those of :func:`h1_elements` on the induced action on
+    the coroot lattice (which checks the element model against the
+    structural one), converted to diagonals by t_j = c_j - c_(j-1).
     """
     if n < 3:
         raise ValueError("the worked involutions need n >= 3")
     if spec.n != n:
         raise ValueError("size mismatch")
-    member = _sl_membership(spec)
-    candidates = (
-        tuple(Fraction(b, 2) for b in bits)
-        for bits in itertools.product((0, 1), repeat=n) if sum(bits) % 2 == 0
-    )
-    reps = least_per_class(candidates, diagonal_action(spec).norm_matrix(),
-                           lambda t: _sl_invariant(member, t))
-    lattice = induced_lattice_action(spec)
-    structure = h1_structural(build_root_datum("A", n - 1), lattice)
-    if structure.order != len(reps):
-        raise AssertionError(
-            f"diagonal model found {len(reps)} classes, lattice model "
-            f"{structure.order}"
-        )
+    classes = h1_elements(*induced_lattice_action(spec))
     return H1Classes(
-        structure=structure,
-        representatives=reps,
+        structure=classes.structure,
+        representatives=tuple(_diagonal(c) for c in classes.representatives),
         gamma0_choice=f"gamma_0 = the involution {spec.kind} on SL_{n}",
     )
 
@@ -334,19 +302,25 @@ def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> Lis
     """Orbits of the classes of :func:`sl_torus_h1` under W^gamma with
     monomial-lift twists, neutral type first.
 
-    The twisted action is an action of W^gamma on the classes, so the
-    orbits are those of its n // 2 generators, each applied by
-    :func:`twisted_diagonal_map` in O(n).
+    The classes go to coroot coordinates (c_i = t_1 + ... + t_i) and
+    through :func:`types_of_classes` on the induced action, whose n // 2
+    generators each get the twist t_w of the monomial lift of their
+    permutation; the orbit representatives come back as diagonals.
     """
-    member = _sl_membership(spec)
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds the cap "
             f"n <= {SL_WEYL_ENUMERATION_CAP}"
         )
-    maps = [twisted_diagonal_map(sigma, spec) for sigma in reversal_fixed_generators(n)]
-    return class_orbits(classes.representatives, diagonal_action(spec).norm_matrix(),
-                        lambda t: _sl_invariant(member, t), maps)
+    lattice = replace(classes, representatives=tuple(
+        _coroot_coordinates(t) for t in classes.representatives))
+    types = types_of_classes(
+        *induced_lattice_action(spec), lattice,
+        lift_provider=lambda w: _coroot_coordinates(
+            t_w(lift_of_permutation(_permutation(w)), spec)),
+    )
+    return [replace(t, orbit_representative=_diagonal(t.orbit_representative))
+            for t in types]
 
 
 def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:

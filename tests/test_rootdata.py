@@ -374,7 +374,7 @@ def permutation_of(w, n):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_fixed_weyl_generators_of_the_flip_are_the_reversal_generators(n):
-    from parahoric.slmodel import reversal_fixed_generators
+    from .test_slmodel import reversal_fixed_generators
 
     datum = build_root_datum("A", n - 1)
     gens = fixed_weyl_generators(datum, flip(datum))
@@ -384,15 +384,23 @@ def test_fixed_weyl_generators_of_the_flip_are_the_reversal_generators(n):
 def test_fixed_weyl_generators_reject_non_diagram_automorphisms():
     from parahoric.rootdata import LatticeAutomorphism
 
+    message = "the automorphism is not a Dynkin-diagram symmetry"
     d3 = build_root_datum("A", 3)
     for w in weyl_elements(d3):
         if w.matrix != identity_matrix(3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as err:
                 fixed_weyl_generators(d3, weyl_element_automorphism(w))
+            assert str(err.value) == message
+    minus_one = LatticeAutomorphism(tuple(tuple(-x for x in row)
+                                          for row in identity_matrix(3)), 2)
+    with pytest.raises(ValueError) as err:
+        fixed_weyl_generators(d3, minus_one)
+    assert str(err.value) == message
     # a permutation of the coroots that is not a diagram symmetry
     swap = LatticeAutomorphism(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         fixed_weyl_generators(d3, swap)
+    assert str(err.value) == message
 
 
 def _inverse_in(mats, w):

@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from parahoric.exactalg import qz_vector
+from parahoric.cohomology import class_orbits, cocycle_numerators
+from parahoric.exactalg import ImageMembership, identity_matrix, mat_sub, qz_vector
 from parahoric.slmodel import (
     MonomialMatrix,
+    diagonal_action,
     gram_conjugate,
     gram_unit_part,
     hermitian_gram,
@@ -18,7 +21,6 @@ from parahoric.slmodel import (
     mm_transpose,
     perm_sign,
     reversal,
-    reversal_fixed_generators,
     reversal_fixed_permutations,
     sl_local_types,
     sl_torus_h1,
@@ -27,9 +29,79 @@ from parahoric.slmodel import (
     su_special_vertex_types,
     t_w,
     torus_action_matrix,
-    twisted_diagonal_map,
     variant_involution,
 )
+
+
+# ---------------------------------------------------------------------------
+# the diagonal model of H^1 and its twisted orbits, the reference for the
+# lattice path of sl_torus_h1 and sl_types_of_classes
+# ---------------------------------------------------------------------------
+
+def sl_membership(spec):
+    """Membership test for the coboundary image (1 - gamma) T(k) inside the
+    SL torus: solve (1 - gamma) x = delta with the sum-zero constraint."""
+    n = spec.n
+    coboundary = mat_sub(identity_matrix(n), torus_action_matrix(spec))
+    return ImageMembership(tuple(coboundary) + ((1,) * n,))
+
+
+def sl_invariant(member, t):
+    return member.invariant(tuple(t) + (F(0),))
+
+
+def diagonal_classes(n, spec):
+    """The least norm-killed diagonal of each class among the 2^n 2-torsion
+    diagonals of even weight (every class contains one), in sorted order;
+    classes are separated by solvability of (1 - gamma) x = difference
+    within the SL torus."""
+    member = sl_membership(spec)
+    norm = diagonal_action(spec).norm_matrix()
+    least = {}
+    for bits in itertools.product((0, 1), repeat=n):
+        t = tuple(F(b, 2) for b in bits)
+        if sum(bits) % 2 or any(sum(a * x for a, x in zip(row, t)) % 1 for row in norm):
+            continue
+        key = sl_invariant(member, t)
+        if key not in least or t < least[key]:
+            least[key] = t
+    return tuple(sorted(least.values()))
+
+
+def reversal_fixed_generators(n):
+    """The m = n // 2 generators of W^gamma, the hyperoctahedral group
+    permuting the pairs {j, n-1-j}: the swaps (i i+1)(n-1-i n-2-i) of
+    adjacent pairs for i < m-1, and the flip of the last pair {m-1, n-m}."""
+    m = n // 2
+    gens = []
+    for i in range(m):
+        swaps = ((i, i + 1), (n - 1 - i, n - 2 - i)) if i < m - 1 else ((m - 1, n - m),)
+        sigma = list(range(n))
+        for a, b in swaps:
+            sigma[a], sigma[b] = b, a
+        gens.append(tuple(sigma))
+    return gens
+
+
+def twisted_diagonal_map(sigma, spec):
+    """t -> L^-1 diag(t) gamma(L) for the lift L of sigma, as a map of
+    additive diagonals.
+
+    gamma(L) = L diag(c) with c = t_w(L), and conjugating a diagonal by a
+    monomial matrix only permutes its entries, so the image is
+    t[sigma(j)] + c[j]: a permutation plus a fixed twist.
+    """
+    c = t_w(lift_of_permutation(sigma), spec)
+    return lambda t: tuple((t[s] + x) % 1 for s, x in zip(sigma, c))
+
+
+def diagonal_types(n, spec, reps):
+    """The orbits of the diagonal classes ``reps`` under the generators of
+    W^gamma, each applied by :func:`twisted_diagonal_map`."""
+    member = sl_membership(spec)
+    maps = [twisted_diagonal_map(sigma, spec) for sigma in reversal_fixed_generators(n)]
+    return class_orbits(reps, diagonal_action(spec).norm_matrix(),
+                        lambda t: sl_invariant(member, t), maps)
 
 
 def random_monomial(rng, n, max_den=12):
@@ -151,16 +223,14 @@ def test_t_w_class_independent_of_lift():
     s = make_sl(mm_diag((F(1, 3), F(1, 5), F(0), F(0))))
     w_alt = mm_mul(w, s)
     classes = sl_torus_h1(4, spec)
-    from parahoric.slmodel import _sl_invariant, _sl_membership
-
-    member = _sl_membership(spec)
-    index_of = {_sl_invariant(member, t): i for i, t in enumerate(classes.representatives)}
+    member = sl_membership(spec)
+    index_of = {sl_invariant(member, t): i for i, t in enumerate(classes.representatives)}
 
     def orbit_map(lift):
         out = {}
         for i, rep in enumerate(classes.representatives):
             img = mm_mul(mm_inv(lift), mm_mul(mm_diag(rep), involution_apply(lift, spec)))
-            out[i] = index_of[_sl_invariant(member, img.diagonal())]
+            out[i] = index_of[sl_invariant(member, img.diagonal())]
         return out
 
     assert orbit_map(w) == orbit_map(w_alt)
@@ -190,18 +260,16 @@ def closure(gens, n):
 
 def _class_permutation(n, spec, sigma):
     """The twisted action of one fixed permutation on the class indices."""
-    from parahoric.slmodel import _sl_invariant, _sl_membership
-
     classes = sl_torus_h1(n, spec)
-    member = _sl_membership(spec)
-    index_of = {_sl_invariant(member, t): i
+    member = sl_membership(spec)
+    index_of = {sl_invariant(member, t): i
                 for i, t in enumerate(classes.representatives)}
     lift = lift_of_permutation(sigma)
     images = []
     for rep in classes.representatives:
         img = mm_mul(mm_inv(lift), mm_mul(mm_diag(rep),
                                           involution_apply(lift, spec)))
-        images.append(index_of[_sl_invariant(member, img.diagonal())])
+        images.append(index_of[sl_invariant(member, img.diagonal())])
     return images
 
 
@@ -326,10 +394,7 @@ def test_twisted_diagonal_map_matches_the_monomial_product(n):
 def reference_sl_types(n, spec, classes):
     """The orbits under every element of W^gamma, each applied as the
     monomial product L^-1 diag(t) gamma(L) of its lift."""
-    from parahoric.cohomology import class_orbits
-    from parahoric.slmodel import _sl_invariant, _sl_membership, diagonal_action
-
-    member = _sl_membership(spec)
+    member = sl_membership(spec)
     lifts = [lift_of_permutation(s) for s in reversal_fixed_permutations(n)]
     maps = [
         lambda t, lift=lift: mm_mul(
@@ -338,7 +403,7 @@ def reference_sl_types(n, spec, classes):
         for lift in lifts
     ]
     return class_orbits(classes.representatives, diagonal_action(spec).norm_matrix(),
-                        lambda t: _sl_invariant(member, t), maps)
+                        lambda t: sl_invariant(member, t), maps)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -346,6 +411,44 @@ def test_sl_types_of_classes_match_the_full_group_reference(n):
     for spec in specs_of(n):
         classes = sl_torus_h1(n, spec)
         assert sl_types_of_classes(n, spec, classes) == reference_sl_types(n, spec, classes)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lattice_path_matches_the_diagonal_model(n, monkeypatch):
+    import parahoric.slmodel as slmodel
+
+    monkeypatch.setattr(slmodel, "SL_WEYL_ENUMERATION_CAP", 12)
+    for spec in specs_of(n):
+        classes = sl_torus_h1(n, spec)
+        reps = diagonal_classes(n, spec)
+        assert classes.representatives == reps
+        types = sl_types_of_classes(n, spec, classes)
+        want = diagonal_types(n, spec, reps)
+        assert [(t.orbit_representative, t.orbit_size, t.index) for t in types] == [
+            (t.orbit_representative, t.orbit_size, t.index) for t in want]
+        action = diagonal_action(spec)
+        for got, ref in ((classes.representatives, reps),
+                         ([t.orbit_representative for t in types],
+                          [t.orbit_representative for t in want])):
+            assert ([cocycle_numerators(t, action) for t in got]
+                    == [cocycle_numerators(t, action) for t in ref])
+
+
+def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):
+    import parahoric.slmodel as slmodel
+
+    calls = []
+    original = slmodel.h1_elements
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slmodel, "h1_elements", counted)
+    for spec in specs_of(6):
+        calls.clear()
+        sl_torus_h1(6, spec)
+        assert len(calls) == 1
 
 
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
