@@ -46,6 +46,8 @@ def _root_numerators(
 ) -> Tuple[int, Tuple[int, ...], List[int]]:
     """(D, X, V): x = X / D over the least common denominator D, and
     V = C X, so that <alpha_i, x> = V_i / D."""
+    if len(x) != datum.rank:
+        raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(x)}")
     D, X = common_numerators(as_point(x))
     return D, X, [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
 

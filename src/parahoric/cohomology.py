@@ -36,8 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, inf, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, require_characteristic, simple_root_values
@@ -72,6 +72,7 @@ from .rootdata import (
     identity_automorphism,
     orbit_partition,
     weyl_elements,
+    weyl_order,
 )
 
 
@@ -478,6 +479,34 @@ def local_types(
     return types_of_classes(datum, action, classes, lift_provider=lift_provider, base=base)
 
 
+@lru_cache(maxsize=None)
+def _burnside_table(
+    datum: RootDatum,
+) -> Tuple[Tuple[IntVector, ...], Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]]:
+    """The part of :func:`burnside_type_count` that depends on the datum
+    alone, built once per datum and process: (rows, signatures).
+
+    For each w in W the Smith form U (w - 1) V = D gives P = U (1 - w) and
+    the diagonal |d_i|.  ``rows`` holds each distinct row of every P once.
+    The signature of w is its tuple of pairs (index of row i of P in
+    ``rows``, |d_i|) over the i with |d_i| != 1, as a unit divisor poses
+    no condition; ``signatures`` lists each distinct signature with the
+    number of elements that share it, so the multiplicities add up to |W|.
+    """
+    r = datum.rank
+    one = identity_matrix(r)
+    index: Dict[IntVector, int] = {}
+    signatures: Dict[Tuple[Tuple[int, int], ...], int] = {}
+    # the caller has already held |W| to its cap
+    for w in weyl_elements(datum, cap=inf):
+        U, D, _ = smith_normal_form(mat_sub(w.matrix, one))
+        P = mat_mul(U, mat_sub(one, w.matrix))
+        signature = tuple((index.setdefault(row, len(index)), abs(D[i][i]))
+                          for i, row in enumerate(P) if abs(D[i][i]) != 1)
+        signatures[signature] = signatures.get(signature, 0) + 1
+    return tuple(index), tuple(signatures.items())
+
+
 def burnside_type_count(
     datum: RootDatum,
     e: int,
@@ -487,34 +516,38 @@ def burnside_type_count(
     """Independent orbit count over W on the e-torsion by Burnside's lemma.
 
     Fixed points of t -> w(t + b) - b on T[e] are counted through the Smith
-    form of (w - 1): each congruence d_i y_i = c_i (mod e) contributes
-    gcd(d_i, e) solutions when solvable and zero otherwise.  The twist
-    e (b - w b) runs on the numerators B of b = B / N and must be divisible
-    by N.
+    form U (w - 1) V = D: for t = tau / e and y = V^-1 tau, the fixed-point
+    equation reads d_i y_i = c_i (mod e) for c = U e (b - w b), and each
+    congruence contributes gcd(d_i, e) solutions when solvable and zero
+    otherwise.
+    The twist runs on the numerators B of b = B / N, as c = P B e / N for
+    P = U (1 - w), and every row of every P must give an integer there.
+    The Smith forms depend on the datum alone, so they come from one table
+    per datum (:func:`_burnside_table`), built once per process; a call
+    evaluates each distinct row of the P once.  An order |W| above
+    ``weyl_cap`` is refused on every call, before the table is consulted.
     """
-    r = datum.rank
-    base_vec = as_point(base) if base is not None else qz_zero(r)
+    if e < 1:
+        raise ValueError("the order of Gamma must be positive")
+    base_vec = as_point(base) if base is not None else qz_zero(datum.rank)
     require_root_values_on_grid(simple_root_values(datum, base_vec), e)
     N, B = common_numerators(base_vec)
-    elements = weyl_elements(datum, cap=weyl_cap)
+    order = weyl_order(datum, cap=weyl_cap)
+    rows, signatures = _burnside_table(datum)
+    values = [sum(p * b for p, b in zip(row, B) if p) * e for row in rows]
+    if any(v % N for v in values):
+        raise AssertionError("grid base point must give an integral twist")
+    rhs = [v // N for v in values]
     total = 0
-    for w in elements:
-        M = mat_sub(w.matrix, identity_matrix(r))
-        twist = [(b - wb) * e for b, wb in zip(B, mat_vec(w.matrix, B))]
-        if any(t % N for t in twist):
-            raise AssertionError("grid base point must give an integral twist")
-        U, D, _ = smith_normal_form(M)
-        rhs = mat_vec(U, [t // N for t in twist])
-        count = 1
-        for i in range(r):
-            d = abs(D[i][i])
+    for signature, multiplicity in signatures:
+        count = multiplicity
+        for k, d in signature:
             g = gcd(d, e)
-            if rhs[i] % g == 0:
-                count *= g
-            else:
-                count = 0
+            if rhs[k] % g:
                 break
-        total += count
-    if total % len(elements) != 0:
+            count *= g
+        else:
+            total += count
+    if total % order != 0:
         raise AssertionError("Burnside sum is not divisible by |W|")
-    return total // len(elements)
+    return total // order

@@ -133,7 +133,7 @@ def test_criterion_5_oracle_equivalence():
         checked += 1
 
     burnside_checked = 0
-    for label, rank in rank_range(4):
+    for label, rank in rank_range(5):
         datum = build_root_datum(label, rank)
         if weyl_order(datum) > 10 ** 4:
             continue

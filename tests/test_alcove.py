@@ -195,6 +195,15 @@ def test_min_split_degree():
     assert min_split_degree(d2, rv_point(d2, F(1, 3), F(1, 3)))[0] == 3
 
 
+@pytest.mark.parametrize("x", [(1,), (0, 0, 0)])
+def test_wrong_length_coweight_is_refused(x):
+    d2 = build_root_datum("A", 2)
+    message = f"A2 needs 2 coordinates, not {len(x)}"
+    for entry in (simple_root_values, reduce_to_alcove, facet_of, min_split_degree):
+        with pytest.raises(ValueError, match=message):
+            entry(d2, x)
+
+
 def test_is_prime_matches_sympy():
     from sympy import isprime, prevprime
 

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 
-from parahoric.alcove import point_from_root_values, simple_root_values
+import parahoric.cohomology
+from parahoric.alcove import as_point, point_from_root_values, simple_root_values
 from parahoric.cohomology import (
     GammaAction,
+    _burnside_table,
     _trivial_orbit_partition,
     burnside_type_count,
     classes_equal,
@@ -16,9 +19,20 @@ from parahoric.cohomology import (
     local_types,
     require_root_values_on_grid,
     trivial_action,
+    types_of_classes,
 )
-from parahoric.exactalg import mat_vec_qz, qz_add, qz_vector
+from parahoric.exactalg import (
+    common_numerators,
+    identity_matrix,
+    mat_sub,
+    mat_vec,
+    mat_vec_qz,
+    qz_add,
+    qz_vector,
+    smith_normal_form,
+)
 from parahoric.rootdata import (
+    EnumerationCapError,
     build_root_datum,
     diagram_automorphism,
     orbit_partition,
@@ -218,11 +232,7 @@ def test_burnside_oracle_with_base_twist():
     for label, rank in [("A", 1), ("A", 2), ("C", 2), ("G", 2), ("B", 3)]:
         datum = build_root_datum(label, rank)
         for e in (2, 3, 4):
-            # far and negative grid bases: root values -13 + k/e and 17 + k/e
-            far = [point_from_root_values(datum, tuple(
-                F(rng.choice((-13, 17)) * e + rng.randint(0, e - 1), e)
-                for _ in range(rank))) for _ in range(2)]
-            for base in [_equidistant_base(datum, e)] + far:
+            for base in _burnside_bases(datum, e, rng):
                 got = len(local_types(datum, trivial_action(rank, e), base=base))
                 assert got == burnside_type_count(datum, e, base=base)
 
@@ -232,6 +242,108 @@ def _equidistant_base(datum, e):
 
     b = point_from_root_values(datum, tuple(F(1, e) for _ in range(datum.rank)))
     return reduce_to_alcove(datum, b)[0]
+
+
+def _burnside_reference(datum, e, base=None):
+    """Burnside's count with one Smith form of w - 1 per Weyl element on
+    every call: the fixed points of t -> w(t + b) - b on T[e] solve
+    d_i y_i = c_i (mod e) for c = U e (b - w b)."""
+    r = datum.rank
+    N, B = common_numerators(as_point(base) if base is not None else (F(0),) * r)
+    elements = weyl_elements(datum, cap=10 ** 4)
+    total = 0
+    for w in elements:
+        twist = [(b - wb) * e for b, wb in zip(B, mat_vec(w.matrix, B))]
+        assert all(t % N == 0 for t in twist)
+        U, D, _ = smith_normal_form(mat_sub(w.matrix, identity_matrix(r)))
+        rhs = mat_vec(U, [t // N for t in twist])
+        count = 1
+        for i in range(r):
+            g = gcd(abs(D[i][i]), e)
+            count = count * g if rhs[i] % g == 0 else 0
+        total += count
+    assert total % len(elements) == 0
+    return total // len(elements)
+
+
+def _burnside_bases(datum, e, rng):
+    """The origin, the equidistant base and two far or negative grid bases
+    with root values -13 + k/e or 17 + k/e."""
+    far = [point_from_root_values(datum, tuple(
+        F(rng.choice((-13, 17)) * e + rng.randint(0, e - 1), e)
+        for _ in range(datum.rank))) for _ in range(2)]
+    return [None, _equidistant_base(datum, e)] + far
+
+
+@pytest.mark.parametrize("label,rank,orders", [
+    *((label, rank, range(1, 6)) for label, rank in rank_range(4)),  # F4 among them
+    ("D", 5, (2, 3)),
+])
+def test_burnside_table_matches_the_per_element_reference(label, rank, orders):
+    rng = random.Random(31 * rank + ord(label))
+    datum = build_root_datum(label, rank)
+    for e in orders:
+        for base in _burnside_bases(datum, e, rng):
+            assert burnside_type_count(datum, e, base=base) \
+                == _burnside_reference(datum, e, base), (label, rank, e, base)
+
+
+def test_burnside_warm_table_needs_no_closure_and_no_smith_form(monkeypatch):
+    _burnside_table.cache_clear()
+    d5 = build_root_datum("D", 5)
+    base = _burnside_bases(d5, 3, random.Random(5))[2]
+    expected = len(local_types(d5, trivial_action(5, 3), base=base))
+    burnside_type_count(d5, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the warm table must not be rebuilt")
+
+    monkeypatch.setattr(parahoric.cohomology, "weyl_elements", refuse)
+    monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", refuse)
+    assert burnside_type_count(d5, 3, base=base) == expected
+
+
+def test_burnside_weyl_cap_refuses_whether_the_table_is_cold_or_warm():
+    _burnside_table.cache_clear()
+    d5 = build_root_datum("D", 5)
+    message = "Weyl closure for D5: \\|W\\| = 1920 exceeds cap 100"
+    with pytest.raises(EnumerationCapError, match=message):
+        burnside_type_count(d5, 2, weyl_cap=100)
+    # refused before the closure: no table was built
+    assert _burnside_table.cache_info().currsize == 0
+    assert burnside_type_count(d5, 2) == 4
+    with pytest.raises(EnumerationCapError, match=message):
+        burnside_type_count(d5, 2, weyl_cap=100)
+
+
+def test_burnside_tables_of_equal_weyl_order_stay_apart():
+    _burnside_table.cache_clear()
+    for label in ("B", "C"):
+        datum = build_root_datum(label, 3)
+        for e in (2, 3, 4):
+            base = _equidistant_base(datum, e)
+            assert burnside_type_count(datum, e, base=base) \
+                == len(local_types(datum, trivial_action(3, e), base=base)), (label, e)
+    assert _burnside_table.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("e", [0, -2])
+def test_burnside_rejects_a_nonpositive_order(e):
+    with pytest.raises(ValueError, match="the order of Gamma must be positive"):
+        burnside_type_count(build_root_datum("A", 2), e)
+
+
+@pytest.mark.parametrize("base", [(1,), (0, 0, 0)])
+def test_wrong_length_base_is_refused(base):
+    d2 = build_root_datum("A", 2)
+    action = trivial_action(2, 2)
+    message = f"A2 needs 2 coordinates, not {len(base)}"
+    with pytest.raises(ValueError, match=message):
+        local_types(d2, action, base=base)
+    with pytest.raises(ValueError, match=message):
+        types_of_classes(d2, action, h1_elements(d2, action), base=base)
+    with pytest.raises(ValueError, match=message):
+        burnside_type_count(d2, 2, base=base)
 
 
 def test_local_types_rejects_off_grid_base():
