@@ -246,7 +246,7 @@ def compute_types(
         n = rank + 1
         spec = standard_involution(n) if action_kind == "sl-J" else variant_involution(n)
         action = diagonal_action(spec)
-        classes = sl_torus_h1(n, spec)
+        classes = sl_torus_h1(n, spec, cap)
         types = sl_types_of_classes(n, spec, classes)
         extra = {"matrix_size": n}
     elif action_kind == "diagram":

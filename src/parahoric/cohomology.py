@@ -17,9 +17,21 @@ automorphism A, the cohomology is
     H^1 = ker(N_A on (Q/Z)^r) / image(A - 1),      N_A = 1 + A + ... + A^(e-1),
 
 computed in two independent ways: as the finite lattice quotient
-``ker(A - 1) / N_A Z^r`` (structural), and by enumerating torsion vectors
-and sorting them into classes (element model).  The two must agree; a
-mismatch is a hard error.
+``ker(A - 1) / N_A Z^r`` (structural), and by listing one representative
+per class (element model).  The two must agree; a mismatch is a hard error.
+
+When A permutes the coordinates by a node permutation sigma of order k
+(the identity, or a diagram automorphism), the element model needs no
+grid.  The class of t is fixed by its sigma-orbit sums s_O = sum_{i in O}
+t_i, as image(A - 1) is exactly the vectors whose orbit sums all vanish;
+the norm acts on orbit O as multiplication of s_O by e/|O|, so it kills t
+exactly when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
+(1/e)-grid vector of a class puts s_O = j_O |O| / e on the largest node of
+O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
+order of the largest nodes, list the classes in lexicographic order.  The
+trivial action is the case of singleton orbits, where the digits are the
+numerators of t over e.  Any other automorphism sorts the norm-killed
+vectors of the (1/e)-grid into classes.
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 acting by twisted conjugation t -> w^-1(t) + t_w.  For the trivial action
@@ -29,6 +41,8 @@ plain W-action conjugated by the translation with offset b.  This is what
 reconciles the alcove-side orbit counts with the cohomology side for every
 base point on the (1/e)-grid.  For a diagram automorphism sigma only the
 generators w_J of W^sigma act, each an involution: t -> w_J(t) + t_w.
+Either way each generator is an affine map of the digits, and the orbits
+run on the digit vectors packed into integer indices.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, require_characteristic, simple_root_values
@@ -54,8 +68,6 @@ from .exactalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    mat_vec_qz,
-    qz_add,
     qz_sub,
     qz_vector,
     qz_zero,
@@ -70,7 +82,6 @@ from .rootdata import (
     WeylElement,
     fixed_weyl_generators,
     identity_automorphism,
-    orbit_partition,
     weyl_elements,
     weyl_order,
 )
@@ -220,33 +231,60 @@ def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
     return _kills(norm, *_numerators(t))
 
 
+def _class_values(action: GammaAction) -> List[List[Fraction]]:
+    """For a permutation action, the values each node takes on the least
+    class representatives: s_O = j |O| / e for j < e/|O| on the largest node
+    of each sigma-orbit O, and 0 on every other node.  The digit j of a node
+    indexes its list; a node other than the largest has the one digit 0."""
+    e = action.e
+    values = [[Fraction(0)] for _ in range(action.rank)]
+    for orbit in action.automorphism.node_orbits:
+        m = len(orbit)
+        values[orbit[-1]] = [Fraction(j * m, e) for j in range(e // m)]
+    return values
+
+
+def _grid_classes(action: GammaAction, cap: int) -> Tuple[QZVector, ...]:
+    """The least norm-killed vector of each class on the (1/e)-grid, for an
+    automorphism that is not a permutation."""
+    # the grid is in lexicographic order, so the first norm-killed vector of
+    # each class is its least
+    norm = action.norm_matrix()
+    invariant = ImageMembership(action.coboundary_matrix()).invariant
+    least: Dict[QZVector, QZVector] = {}
+    for t in _torsion_grid(action.rank, action.e, cap):
+        if _norm_kills(norm, t):
+            least.setdefault(invariant(t), t)
+    return tuple(sorted(least.values()))
+
+
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
-    """Element-model H^1: enumerate norm-killed grid vectors and sort them
-    into classes modulo the image of (A - 1) on the full torsion group.
+    """Element-model H^1: the least (1/e)-grid vector of each class, in
+    lexicographic order.
 
-    Every class contains a representative with denominator dividing e, so the
-    (1/e)-grid suffices; the class count is checked against the structural
-    computation and a mismatch is a hard error.
-
-    When A is the identity the generic pass provably returns the whole
-    sorted grid (the norm kills every e-torsion vector and the coboundary
-    image vanishes), so that case skips straight to the grid, which is
-    already in sorted order.
+    For a permutation action the classes are listed from their sigma-orbit
+    sums (see the module docstring): the representative of the digits j_O
+    carries j_O |O| / e on the largest node of O, so the product of the
+    per-node values of :func:`_class_values` is the list, already sorted.
+    A count prod_O e/|O| above ``cap`` is refused before the listing; the
+    trivial action, whose count is e^r, is refused as a torsion grid.  Any
+    other automorphism sorts the norm-killed vectors of the e^r grid into
+    classes modulo the image of (A - 1).  The class count is checked
+    against the structural computation and a mismatch is a hard error.
     """
     structure = h1_structural(datum, action)
-    grid = _torsion_grid(action.rank, action.e, cap)
-    if action.matrix == identity_matrix(action.rank):
-        reps = tuple(grid)
+    orbits = action.automorphism.node_orbits
+    if orbits is None:
+        reps = _grid_classes(action, cap)
     else:
-        # the grid is in lexicographic order, so the first norm-killed
-        # vector of each class is its least
-        norm = action.norm_matrix()
-        invariant = ImageMembership(action.coboundary_matrix()).invariant
-        least: Dict[QZVector, QZVector] = {}
-        for t in grid:
-            if _norm_kills(norm, t):
-                least.setdefault(invariant(t), t)
-        reps = tuple(sorted(least.values()))
+        if len(orbits) == action.rank:
+            require_grid_size(action.rank, action.e, cap)
+        else:
+            count = prod(action.e // len(orbit) for orbit in orbits)
+            if count > cap:
+                raise EnumerationCapError(
+                    f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
+        reps = tuple(itertools.product(*_class_values(action)))
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
@@ -328,35 +366,40 @@ def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
             )
 
 
-def _trivial_orbit_partition(
-    datum: RootDatum,
-    e: int,
-    base: Optional[Sequence[Fraction]],
-) -> List[Tuple[QZVector, int]]:
-    """Orbits of T[e] under t -> s_i(t + b) - b, as (least member, size) in
-    the order of the least members.
+Row = Tuple[int, int, Sequence[Tuple[int, int]]]
 
-    A point tau of integer numerators mod e is packed into the index
-    sum_k tau_k e^(r-1-k), so the index order is the lexicographic order and
-    the first index a scan in increasing order has not reached is the least
-    member of its orbit.  A simple reflection changes only one coordinate,
-    tau_i -> tau_i - sum_j c_ij tau_j - e <alpha_i, b> mod e, so each
-    generator is an O(rank) update of the digits and of the index.
+
+def _packed_orbits(radices: Sequence[int],
+                   generators: Sequence[Sequence[Row]]) -> List[Tuple[List[int], int]]:
+    """Orbits of the digit vectors d (d_k in [0, radices[k])) under affine
+    maps, as (digits of the least member, size) in the order of the least
+    members.
+
+    A generator is a list of rows (k, constant, terms): digit k of the image
+    is constant + sum c d_j over the (j, c) in ``terms``, mod radices[k],
+    read off the digits before the map; a digit without a row stays put.
+    A vector is packed into the index sum_k d_k w_k, with w_k the product
+    of the radices after k, so the index order is the lexicographic order
+    and the first index a scan in increasing order has not reached is the
+    least member of its orbit.  A generator of one row (each simple
+    reflection, and each w_J whose twist has orbit sums only on J) is the
+    O(terms) update of one digit and of the index; a twist with orbit sums
+    on other orbits adds rows that only translate those digits, and such a
+    generator is applied row by row to a copy of the digits.
     """
-    r = datum.rank
-    values = simple_root_values(datum, base if base is not None else qz_zero(r))
-    require_root_values_on_grid(values, e)
-    # e <alpha_i, b>, an integer on the (1/e)-grid
-    shifts = [int(v * e) for v in values]
-    weights = [e ** (r - 1 - i) for i in range(r)]
-    # tau_i - sum_j c_ij tau_j = -tau_i - sum_{j != i} c_ij tau_j, as c_ii = 2
-    generators = [
-        (i, shifts[i], weights[i], [(j, c) for j, c in enumerate(row) if c and j != i])
-        for i, row in enumerate(datum.cartan)
-    ]
-    size = e ** r
-    seen = bytearray(size)
-    values = [Fraction(a, e) for a in range(e)]
+    r = len(radices)
+    weights = [prod(radices[k + 1:]) for k in range(r)]
+    # (k, own coefficient, constant, radix, weight, other terms) per row
+    simple, compound = [], []
+    for rows in generators:
+        packed = [(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
+                   [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
+                  for k, constant, terms in rows]
+        if len(packed) == 1:
+            simple += packed
+        elif packed:
+            compound.append(packed)
+    seen = bytearray(prod(radices))
     out = []
     start = seen.find(0)
     while start >= 0:
@@ -371,12 +414,12 @@ def _trivial_orbit_partition(
         while frontier:
             nxt = []
             for index, tau in frontier:
-                for i, shift, weight, neighbours in generators:
+                for i, own, constant, radix, weight, terms in simple:
                     old = tau[i]
-                    new = -old - shift
-                    for j, c in neighbours:
-                        new -= c * tau[j]
-                    new %= e
+                    new = own * old + constant
+                    for j, c in terms:
+                        new += c * tau[j]
+                    new %= radix
                     image = index + (new - old) * weight
                     if not seen[image]:
                         seen[image] = 1
@@ -384,10 +427,67 @@ def _trivial_orbit_partition(
                         moved = tau.copy()
                         moved[i] = new
                         nxt.append((image, moved))
+                for rows in compound:
+                    image, moved = index, tau.copy()
+                    for i, own, constant, radix, weight, terms in rows:
+                        new = own * tau[i] + constant
+                        for j, c in terms:
+                            new += c * tau[j]
+                        new %= radix
+                        image += (new - tau[i]) * weight
+                        moved[i] = new
+                    if not seen[image]:
+                        seen[image] = 1
+                        count += 1
+                        nxt.append((image, moved))
             frontier = nxt
-        out.append((tuple(values[k] for k in digits), count))
+        out.append((digits, count))
         start = seen.find(0, start)
     return out
+
+
+def _reflection_rows(datum: RootDatum, e: int,
+                     base: Optional[Sequence[Fraction]]) -> List[List[Row]]:
+    """The simple reflections t -> s_i(t + b) - b of the trivial action on
+    the numerators tau of t over e: only tau_i moves, to
+    -tau_i - sum_{j != i} c_ij tau_j - e <alpha_i, b> mod e, as c_ii = 2."""
+    values = simple_root_values(datum, base if base is not None else qz_zero(datum.rank))
+    require_root_values_on_grid(values, e)
+    # e <alpha_i, b>, an integer on the (1/e)-grid
+    return [[(i, -int(v * e), [(j, (i == j) - c) for j, c in enumerate(row) if c])]
+            for i, (v, row) in enumerate(zip(values, datum.cartan))]
+
+
+def _twisted_rows(action: GammaAction, W: IntMatrix, twist: QZVector) -> List[Row]:
+    """The map t -> W t + twist of a permutation action on the digits j_O
+    of the classes (see :func:`_class_values`), one row per digit it moves.
+
+    The image of the representative has orbit sums
+    s'_O = sum_O' L[O][O'] s_O' + c_O, with L[O][O'] = sum_{i in O} W[i][q]
+    at the largest node q of O' and c_O = sum_{i in O} twist_i, so
+    j'_O = sum_O' L[O][O'] |O'|/|O| j_O' + c_O e/|O|.  Every coefficient of
+    a digit that can be nonzero, and the constant, must be an integer, or
+    some image leaves the norm kernel: a hard error.
+    """
+    e = action.e
+    orbits = action.automorphism.node_orbits
+    rows = []
+    for orbit in orbits:
+        m, k = len(orbit), orbit[-1]
+        constant = sum((twist[i] for i in orbit), Fraction(0)) * e / m
+        if constant.denominator != 1:
+            raise AssertionError("twisted action left the norm kernel")
+        terms = []
+        for other in orbits:
+            numerator = sum(W[i][other[-1]] for i in orbit) * len(other)
+            # a digit of radix e/|O'| = 1 is always 0
+            if numerator and e > len(other):
+                if numerator % m:
+                    raise AssertionError("twisted action left the norm kernel")
+                terms.append((other[-1], numerator // m))
+        if e > m and (terms != [(k, 1)] or constant % (e // m)):
+            rows.append((k, int(constant), terms))
+    return rows
 
 
 def _numbered(keyed: Sequence[Tuple[QZVector, int]]) -> List[LocalType]:
@@ -395,38 +495,6 @@ def _numbered(keyed: Sequence[Tuple[QZVector, int]]) -> List[LocalType]:
         LocalType(orbit_representative=rep, orbit_size=size, index=i)
         for i, (rep, size) in enumerate(keyed)
     ]
-
-
-def class_orbits(
-    reps: Sequence[QZVector],
-    norm: IntMatrix,
-    invariant: Callable[[QZVector], QZVector],
-    maps: Sequence[Callable[[QZVector], QZVector]],
-) -> List[LocalType]:
-    """Orbits of the classes ``reps`` under the vector maps ``maps``.
-
-    Each image must stay in the norm kernel and hit one of the classes
-    (matched through ``invariant``, a key that two vectors share exactly
-    when they lie in the same class); either failure is a hard error.  Each
-    orbit is represented by its least member, and the types are numbered in
-    the order of those representatives.
-    """
-    index_of = {invariant(t): i for i, t in enumerate(reps)}
-
-    def class_index(t: QZVector) -> int:
-        if not _norm_kills(norm, t):
-            raise AssertionError("twisted action left the norm kernel")
-        i = index_of.get(invariant(t))
-        if i is None:
-            raise AssertionError("twisted action image matches no class")
-        return i
-
-    orbits = orbit_partition(
-        [(i,) for i in range(len(reps))],
-        [lambda p, m=m: (class_index(m(reps[p[0]])),) for m in maps],
-    )
-    return _numbered(sorted((min(reps[i] for (i,) in orbit), len(orbit))
-                            for orbit in orbits))
 
 
 def types_of_classes(
@@ -439,32 +507,33 @@ def types_of_classes(
     """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
     Weyl action t -> w^-1(t) + t_w, neutral type first.
 
-    When A is the identity the action twists by the base point (default the
-    origin) and runs on the integer engine.  Otherwise A must be a diagram
-    automorphism sigma and only the generators w_J of W^sigma (see
+    When A is the identity the simple reflections act, twisted by the base
+    point (default the origin).  Otherwise A must be a diagram automorphism
+    sigma and only the generators w_J of W^sigma (see
     :func:`fixed_weyl_generators`) act, each as t -> w_J(t) + t_w.  A pinned
     action has no general recipe for t_w, so ``lift_provider`` is called
     once per generator, the only elements consulted, and must return the
-    twist of a lift of it.
+    twist of a lift of it.  Either way the orbits run on the digits of the
+    classes in :func:`_packed_orbits`, one packed index per class, and the
+    orbit sizes must add up to the class count.
     """
-    reps = classes.representatives
     if action.matrix == identity_matrix(action.rank):
         if lift_provider is not None:
             raise ValueError("lift_provider applies only to a nontrivial action")
-        keyed = _trivial_orbit_partition(datum, action.e, base)
-        if sum(size for _, size in keyed) != len(reps):
-            raise AssertionError("orbit sizes must add up to the class count")
-        return _numbered(keyed)
-    if lift_provider is None:
-        raise ValueError("lift_provider is required for a nontrivial action")
-    if base is not None:
-        raise ValueError("base twists are only defined for the trivial action")
-    maps = [
-        lambda t, M=w.matrix, t_w=qz_vector(lift_provider(w)): qz_add(mat_vec_qz(M, t), t_w)
-        for w in fixed_weyl_generators(datum, action.automorphism)
-    ]
-    member = ImageMembership(action.coboundary_matrix())
-    return class_orbits(reps, action.norm_matrix(), member.invariant, maps)
+        generators = _reflection_rows(datum, action.e, base)
+    else:
+        if lift_provider is None:
+            raise ValueError("lift_provider is required for a nontrivial action")
+        if base is not None:
+            raise ValueError("base twists are only defined for the trivial action")
+        generators = [_twisted_rows(action, w.matrix, qz_vector(lift_provider(w)))
+                      for w in fixed_weyl_generators(datum, action.automorphism)]
+    values = _class_values(action)
+    keyed = _packed_orbits([len(v) for v in values], generators)
+    if sum(size for _, size in keyed) != len(classes.representatives):
+        raise AssertionError("orbit sizes must add up to the class count")
+    return _numbered([(tuple(v[d] for v, d in zip(values, digits)), size)
+                      for digits, size in keyed])
 
 
 def local_types(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -205,7 +205,13 @@ class RootDatum:
 
 
 def build_root_datum(label: str, rank: int) -> RootDatum:
-    label = label.upper()
+    """The root datum of a simple type, built once per (label, rank) and
+    process; a :class:`RootDatum` is frozen, so every caller shares it."""
+    return _root_datum(label.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _root_datum(label: str, rank: int) -> RootDatum:
     cartan = _cartan_matrix(label, rank)
     positives = _positive_roots(cartan)
     highest = max(positives, key=lambda r: (sum(r), r))
@@ -345,6 +351,35 @@ class LatticeAutomorphism:
     def apply(self, coweight: Sequence[Fraction]) -> tuple:
         return mat_vec(self.matrix, coweight)
 
+    @cached_property
+    def node_permutation(self) -> Optional[Tuple[int, ...]]:
+        """The permutation sigma of the nodes with A e_j = e_sigma(j) when
+        the matrix A is a permutation matrix, else None."""
+        n = len(self.matrix)
+        unit = [0] * (n - 1) + [1]
+        columns = list(zip(*self.matrix))
+        if any(sorted(column) != unit for column in columns):
+            return None
+        perm = tuple(column.index(1) for column in columns)
+        return perm if sorted(perm) == list(range(n)) else None
+
+    @cached_property
+    def node_orbits(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The orbits of :attr:`node_permutation`, each sorted, in the order
+        of their largest nodes; None when the matrix is not a permutation
+        matrix."""
+        perm = self.node_permutation
+        if perm is None:
+            return None
+        orbits = set()
+        for node in range(len(perm)):
+            orbit, i = [node], perm[node]
+            while i != node:
+                orbit.append(i)
+                i = perm[i]
+            orbits.add(tuple(sorted(orbit)))
+        return tuple(sorted(orbits, key=max))
+
 
 def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
     n = len(M)
@@ -397,22 +432,17 @@ def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[We
     from the key (1, ..., 1), apply s_i for i in J while v_i > 0.
     """
     n = datum.rank
-    perm = [col.index(1) if 1 in col else -1 for col in zip(*aut.matrix)]
-    if (sorted(perm) != list(range(n)) or not _preserves_cartan(datum, perm)
-            or diagram_automorphism(datum, perm).matrix != aut.matrix):
+    perm = aut.node_permutation
+    if perm is None or len(perm) != n or not _preserves_cartan(datum, perm):
         raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
     step = _left_multiplier(datum)
     gens = []
-    for node in range(n):
-        J, i = {node}, perm[node]
-        while i != node:
-            J, i = J | {i}, perm[i]
-        if node == min(J):
-            key = (1,) * n
-            seen = {key: identity_matrix(n)}
-            while any(key[j] > 0 for j in J):
-                key = step(seen, key, min(j for j in J if key[j] > 0))
-            gens.append(WeylElement(seen[key]))
+    for J in sorted(aut.node_orbits):
+        key = (1,) * n
+        seen = {key: identity_matrix(n)}
+        while any(key[j] > 0 for j in J):
+            key = step(seen, key, min(j for j in J if key[j] > 0))
+        gens.append(WeylElement(seen[key]))
     return gens
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,6 +36,7 @@ from .cohomology import (
     types_of_classes,
 )
 from .rootdata import (
+    DEFAULT_CAP,
     EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
@@ -247,9 +249,14 @@ def induced_lattice_action(spec: InvolutionSpec) -> Tuple[RootDatum, GammaAction
     coroot lattice.
 
     gamma(alpha_i_coroot) = alpha_{n-i}_coroot, independently of the entries
-    of J; only the underlying reversal enters.
+    of J; only the underlying reversal enters, so the pair depends on n
+    alone and is built once per n and process.
     """
-    n = spec.n
+    return _sl_flip(spec.n)
+
+
+@lru_cache(maxsize=None)
+def _sl_flip(n: int) -> Tuple[RootDatum, GammaAction]:
     datum = build_root_datum("A", n - 1)
     flip = tuple(n - 2 - i for i in range(n - 1))
     return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
@@ -279,18 +286,19 @@ def _permutation(w: WeylElement) -> Tuple[int, ...]:
     return tuple(image.index(1) for image in images) + (images[-1].index(-1),)
 
 
-def sl_torus_h1(n: int, spec: InvolutionSpec) -> H1Classes:
+def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
     """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
 
     The classes are those of :func:`h1_elements` on the induced action on
     the coroot lattice (which checks the element model against the
-    structural one), converted to diagonals by t_j = c_j - c_(j-1).
+    structural one, and refuses more than ``cap`` classes), converted to
+    diagonals by t_j = c_j - c_(j-1).
     """
     if n < 3:
         raise ValueError("the worked involutions need n >= 3")
     if spec.n != n:
         raise ValueError("size mismatch")
-    classes = h1_elements(*induced_lattice_action(spec))
+    classes = h1_elements(*induced_lattice_action(spec), cap=cap)
     return H1Classes(
         structure=classes.structure,
         representatives=tuple(_diagonal(c) for c in classes.representatives),
@@ -323,9 +331,9 @@ def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> Lis
             for t in types]
 
 
-def sl_local_types(n: int, spec: InvolutionSpec) -> List[LocalType]:
+def sl_local_types(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> List[LocalType]:
     """Orbits of H^1(Gamma, T) under W^gamma with monomial-lift twists."""
-    return sl_types_of_classes(n, spec, sl_torus_h1(n, spec))
+    return sl_types_of_classes(n, spec, sl_torus_h1(n, spec, cap=cap))
 
 
 # ---------------------------------------------------------------------------

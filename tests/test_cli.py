@@ -106,6 +106,25 @@ def test_types_diagram_needs_lifts(capsys):
     assert code == 2 and "lift" in err.lower()
 
 
+def test_types_diagram_e6_at_e20_reaches_the_h1_refusal(capsys):
+    # 40,000 classes from the sigma-orbit sums, where the grid of 20^6 points
+    # exceeded the cap (exit 3 before the orbit-sum listing)
+    code, out, err = run_cli(capsys, "types", "--group", "E6", "--order", "20",
+                             "--action", "diagram", "--perm", "6,2,5,4,3,1")
+    assert (code, out) == (2, "")
+    assert "needs Weyl-lift data" in err
+
+
+def test_types_sl_involution_honours_the_cap(capsys):
+    code, out, err = run_cli(capsys, "types", "--group", "A3", "--order", "2",
+                             "--action", "sl-J", "--cap", "1")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: H^1 classes from sigma-orbit sums: 2 exceeds cap 1\n"
+    code, out, _ = run_cli(capsys, "types", "--group", "A3", "--order", "2",
+                           "--action", "sl-J", "--cap", "2")
+    assert (code, out.splitlines()[-1]) == (0, "types: 1")
+
+
 def test_types_perm_needs_a_diagram_action(capsys):
     for action in (("--action", "sl-J"), ("--action", "trivial"), ()):
         code, out, err = run_cli(capsys, "types", "--group", "A2", "--order", "2",

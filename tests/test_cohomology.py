@@ -10,7 +10,6 @@ from parahoric.alcove import as_point, point_from_root_values, simple_root_value
 from parahoric.cohomology import (
     GammaAction,
     _burnside_table,
-    _trivial_orbit_partition,
     burnside_type_count,
     classes_equal,
     cocycle_of,
@@ -42,6 +41,7 @@ from parahoric.rootdata import (
     weyl_elements,
 )
 
+from .references import class_orbits
 from .test_rootdata import flip
 
 
@@ -428,7 +428,6 @@ def full_weyl_types(datum, action, lift):
     """Reference: the orbits under every element of the fixed subgroup, found
     by filtering W (all of W for the identity), each applied as
     t -> w^-1(t) + lift(w)."""
-    from parahoric.cohomology import class_orbits
     from parahoric.exactalg import ImageMembership, mat_mul
 
     A = action.matrix
@@ -601,5 +600,6 @@ def test_packed_orbit_partition_matches_the_tuple_reference():
             values = tuple(F(rng.randint(-2 * e, 2 * e), e) for _ in range(rank))
             bases.append(point_from_root_values(datum, values))
             for base in bases:
-                assert _trivial_orbit_partition(datum, e, base) \
+                got = local_types(datum, trivial_action(rank, e), base=base)
+                assert [(t.orbit_representative, t.orbit_size) for t in got] \
                     == trivial_orbit_partition_reference(datum, e, base), (label, rank, e, base)

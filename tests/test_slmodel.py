@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from parahoric.cohomology import class_orbits, cocycle_numerators
+from parahoric.cohomology import cocycle_numerators
 from parahoric.exactalg import ImageMembership, identity_matrix, mat_sub, qz_vector
 from parahoric.slmodel import (
     MonomialMatrix,
@@ -31,6 +31,8 @@ from parahoric.slmodel import (
     torus_action_matrix,
     variant_involution,
 )
+
+from .references import class_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +451,32 @@ def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):
         calls.clear()
         sl_torus_h1(6, spec)
         assert len(calls) == 1
+
+
+def test_the_sl_flip_is_built_once_per_n(monkeypatch):
+    import parahoric.rootdata as rootdata
+    import parahoric.slmodel as slmodel
+
+    first = {spec.kind: sl_local_types(6, spec) for spec in specs_of(6)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the A5 flip must not be rebuilt")
+
+    monkeypatch.setattr(slmodel, "build_root_datum", refuse)
+    monkeypatch.setattr(slmodel, "diagram_automorphism", refuse)
+    monkeypatch.setattr(rootdata, "_cartan_matrix", refuse)
+    for spec in specs_of(6):
+        assert sl_local_types(6, spec) == first[spec.kind]
+    assert rootdata.build_root_datum("a", 5) is slmodel.induced_lattice_action(spec)[0]
+
+
+def test_sl_torus_h1_honours_the_cap():
+    from parahoric.rootdata import EnumerationCapError
+
+    for spec in specs_of(6):
+        assert len(sl_torus_h1(6, spec, cap=2).representatives) == 2
+        with pytest.raises(EnumerationCapError, match="2 exceeds cap 1$"):
+            sl_local_types(6, spec, cap=1)
 
 
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
