@@ -231,17 +231,15 @@ def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
     return _kills(norm, *_numerators(t))
 
 
-def _class_values(action: GammaAction) -> List[List[Fraction]]:
-    """For a permutation action, the values each node takes on the least
-    class representatives: s_O = j |O| / e for j < e/|O| on the largest node
-    of each sigma-orbit O, and 0 on every other node.  The digit j of a node
-    indexes its list; a node other than the largest has the one digit 0."""
-    e = action.e
-    values = [[Fraction(0)] for _ in range(action.rank)]
+def _radices(action: GammaAction) -> List[int]:
+    """For a permutation action, the number of digits j each node takes on
+    the least class representatives: e/|O| on the largest node of each
+    sigma-orbit O, which carries s_O = j |O| / e = j / (e/|O|), and 1 (the
+    digit 0, value 0) on every other node."""
+    radices = [1] * action.rank
     for orbit in action.automorphism.node_orbits:
-        m = len(orbit)
-        values[orbit[-1]] = [Fraction(j * m, e) for j in range(e // m)]
-    return values
+        radices[orbit[-1]] = action.e // len(orbit)
+    return radices
 
 
 def _grid_classes(action: GammaAction, cap: int) -> Tuple[QZVector, ...]:
@@ -264,8 +262,9 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
 
     For a permutation action the classes are listed from their sigma-orbit
     sums (see the module docstring): the representative of the digits j_O
-    carries j_O |O| / e on the largest node of O, so the product of the
-    per-node values of :func:`_class_values` is the list, already sorted.
+    carries j_O / (e/|O|) on the largest node of O, so the product of the
+    per-node values j / n for j < n, n in :func:`_radices`, is the list,
+    already sorted.
     A count prod_O e/|O| above ``cap`` is refused before the listing; the
     trivial action, whose count is e^r, is refused as a torsion grid.  Any
     other automorphism sorts the norm-killed vectors of the e^r grid into
@@ -284,7 +283,8 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
             if count > cap:
                 raise EnumerationCapError(
                     f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
-        reps = tuple(itertools.product(*_class_values(action)))
+        reps = tuple(itertools.product(
+            *([Fraction(j, n) for j in range(n)] for n in _radices(action))))
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
@@ -370,10 +370,9 @@ Row = Tuple[int, int, Sequence[Tuple[int, int]]]
 
 
 def _packed_orbits(radices: Sequence[int],
-                   generators: Sequence[Sequence[Row]]) -> List[Tuple[List[int], int]]:
+                   generators: Sequence[Sequence[Row]]) -> List[Tuple[int, int]]:
     """Orbits of the digit vectors d (d_k in [0, radices[k])) under affine
-    maps, as (digits of the least member, size) in the order of the least
-    members.
+    maps, as (packed index of the least member, size) in increasing order.
 
     A generator is a list of rows (k, constant, terms): digit k of the image
     is constant + sum c d_j over the (j, c) in ``terms``, mod radices[k],
@@ -381,24 +380,17 @@ def _packed_orbits(radices: Sequence[int],
     A vector is packed into the index sum_k d_k w_k, with w_k the product
     of the radices after k, so the index order is the lexicographic order
     and the first index a scan in increasing order has not reached is the
-    least member of its orbit.  A generator of one row (each simple
-    reflection, and each w_J whose twist has orbit sums only on J) is the
-    O(terms) update of one digit and of the index; a twist with orbit sums
-    on other orbits adds rows that only translate those digits, and such a
-    generator is applied row by row to a copy of the digits.
+    least member of its orbit.  Each row moves the index by the change of
+    its digit times w_k; the digits of an image are copied and read back
+    off its index only when the image is new.
     """
     r = len(radices)
     weights = [prod(radices[k + 1:]) for k in range(r)]
-    # (k, own coefficient, constant, radix, weight, other terms) per row
-    simple, compound = [], []
-    for rows in generators:
-        packed = [(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
-                   [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
-                  for k, constant, terms in rows]
-        if len(packed) == 1:
-            simple += packed
-        elif packed:
-            compound.append(packed)
+    # per generator, (k, own coefficient, constant, radix, weight, other terms) per row
+    packed = [[(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
+                [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
+               for k, constant, terms in rows]
+              for rows in generators if rows]
     seen = bytearray(prod(radices))
     out = []
     start = seen.find(0)
@@ -414,34 +406,23 @@ def _packed_orbits(radices: Sequence[int],
         while frontier:
             nxt = []
             for index, tau in frontier:
-                for i, own, constant, radix, weight, terms in simple:
-                    old = tau[i]
-                    new = own * old + constant
-                    for j, c in terms:
-                        new += c * tau[j]
-                    new %= radix
-                    image = index + (new - old) * weight
+                for rows in packed:
+                    image = index
+                    for i, own, constant, radix, weight, terms in rows:
+                        old = tau[i]
+                        new = own * old + constant
+                        for j, c in terms:
+                            new += c * tau[j]
+                        image += (new % radix - old) * weight
                     if not seen[image]:
                         seen[image] = 1
                         count += 1
                         moved = tau.copy()
-                        moved[i] = new
-                        nxt.append((image, moved))
-                for rows in compound:
-                    image, moved = index, tau.copy()
-                    for i, own, constant, radix, weight, terms in rows:
-                        new = own * tau[i] + constant
-                        for j, c in terms:
-                            new += c * tau[j]
-                        new %= radix
-                        image += (new - tau[i]) * weight
-                        moved[i] = new
-                    if not seen[image]:
-                        seen[image] = 1
-                        count += 1
+                        for i, _, _, radix, weight, _ in rows:
+                            moved[i] = image // weight % radix
                         nxt.append((image, moved))
             frontier = nxt
-        out.append((digits, count))
+        out.append((start, count))
         start = seen.find(0, start)
     return out
 
@@ -460,7 +441,7 @@ def _reflection_rows(datum: RootDatum, e: int,
 
 def _twisted_rows(action: GammaAction, W: IntMatrix, twist: QZVector) -> List[Row]:
     """The map t -> W t + twist of a permutation action on the digits j_O
-    of the classes (see :func:`_class_values`), one row per digit it moves.
+    of the classes (see :func:`_radices`), one row per digit it moves.
 
     The image of the representative has orbit sums
     s'_O = sum_O' L[O][O'] s_O' + c_O, with L[O][O'] = sum_{i in O} W[i][q]
@@ -514,8 +495,10 @@ def types_of_classes(
     action has no general recipe for t_w, so ``lift_provider`` is called
     once per generator, the only elements consulted, and must return the
     twist of a lift of it.  Either way the orbits run on the digits of the
-    classes in :func:`_packed_orbits`, one packed index per class, and the
-    orbit sizes must add up to the class count.
+    classes in :func:`_packed_orbits`, whose packed index of a class is its
+    position in ``classes.representatives``, so each type is represented by
+    the class at the index of its least member.  The orbit sizes must add
+    up to the class count.
     """
     if action.matrix == identity_matrix(action.rank):
         if lift_provider is not None:
@@ -528,12 +511,11 @@ def types_of_classes(
             raise ValueError("base twists are only defined for the trivial action")
         generators = [_twisted_rows(action, w.matrix, qz_vector(lift_provider(w)))
                       for w in fixed_weyl_generators(datum, action.automorphism)]
-    values = _class_values(action)
-    keyed = _packed_orbits([len(v) for v in values], generators)
-    if sum(size for _, size in keyed) != len(classes.representatives):
+    reps = classes.representatives
+    keyed = _packed_orbits(_radices(action), generators)
+    if sum(size for _, size in keyed) != len(reps):
         raise AssertionError("orbit sizes must add up to the class count")
-    return _numbered([(tuple(v[d] for v, d in zip(values, digits)), size)
-                      for digits, size in keyed])
+    return _numbered([(reps[start], size) for start, size in keyed])
 
 
 def local_types(

@@ -1,113 +1,16 @@
 """Reference models that the library no longer runs, kept as oracles.
 
-* :func:`grid_h1_indices` is the grid element model of H^1: it sorts
-  every vector of the (1/e)-grid that the norm kills into classes modulo
-  the image of (A - 1), for any finite-order automorphism A.
-* :func:`class_orbits` is the orbit computation over the generic
-  ``orbit_partition`` on ``Fraction`` vectors, matching each image to its
-  class through the coset invariant of ``ImageMembership``.
+:func:`class_orbits` is the orbit computation over the generic
+``orbit_partition`` on ``Fraction`` vectors, matching each image to its
+class through the coset invariant of ``ImageMembership``.  The grid element
+model of H^1 that it runs on is the library's own ``_grid_classes``, which
+still serves the automorphisms that are not permutations.
 """
 
-from fractions import Fraction as F
-from array import array
-from itertools import chain, compress, product
-from math import gcd
-from operator import attrgetter, not_
 from typing import Callable, Sequence
 
 from parahoric.cohomology import LocalType
-from parahoric.exactalg import ImageMembership
 from parahoric.rootdata import orbit_partition
-
-
-def _grid_bytes(row, e):
-    """The values mod e (e < 256) of an integer row on the grid points tau
-    in [0, e)^r, one byte per point in lexicographic order of tau.
-
-    Coordinate by coordinate, point p of the shorter grid becomes the points
-    p e + a, so the next bytes interleave the e translations
-    v -> v + a c mod e of the last ones."""
-    values = bytes(1)
-    for c in row:
-        out = bytearray(len(values) * e)
-        for a in range(e):
-            out[a::e] = values.translate(bytes((v + a * c) % e for v in range(256)))
-        values = bytes(out)
-    return values
-
-
-def _slots(columns, n):
-    """At most eight byte columns of length n, laid out point by point in
-    eight bytes per point."""
-    assert len(columns) <= 8
-    buf = bytearray(8 * n)
-    for j, column in enumerate(columns):
-        buf[j::8] = column
-    return bytes(buf)
-
-
-def _words(columns, n):
-    """:func:`_slots` read as one 64-bit integer per point."""
-    return memoryview(_slots(columns, n)).cast("Q").tolist()
-
-
-def grid_h1_indices(action):
-    """The lexicographic indices of the least norm-killed vector t = tau / e
-    of each class on the (1/e)-grid, sorted.
-
-    A grid point is killed by the norm N exactly when N tau = 0 mod e, and
-    its class is the coset invariant of ``ImageMembership``: the entries of
-    U t mod 1 at the zero diagonal entries of the Smith form
-    U (A - 1) V = D, here U tau mod e.  The first index of each class is its
-    least.
-    """
-    e, r = action.e, action.rank
-    assert e < 256
-    member = ImageMembership(action.coboundary_matrix())
-    norm_rows = [row for row in action.norm_matrix() if any(c % e for c in row)]
-    invariant_rows = [member.U[i] for i in member._zero_rows]
-    indices = range(e ** r)
-    keys = _words([_grid_bytes(row, e) for row in invariant_rows], e ** r)
-    if norm_rows:
-        killed = list(map(not_, _words([_grid_bytes(row, e) for row in norm_rows], e ** r)))
-        indices, keys = list(compress(indices, killed)), list(compress(keys, killed))
-    # walked from the back, the least index of each class is stored last
-    least = dict(zip(reversed(keys), reversed(indices)))
-    return sorted(least.values())
-
-
-def grid_h1_fraction_bytes(action):
-    """The numerators and the denominators of the reduced coordinates
-    tau_j / e of the vectors of :func:`grid_h1_indices`, laid out as
-    :func:`fraction_bytes` lays them out."""
-    e, r = action.e, action.rank
-    coordinates = [_grid_bytes([int(i == j) for i in range(r)], e) for j in range(r)]
-    selected = grid_h1_indices(action)
-    out = []
-    for part in (lambda a: a // gcd(a, e), lambda a: e // gcd(a, e)):
-        table = bytes(part(a) if a < e else 0 for a in range(256))
-        words = _words([column.translate(table) for column in coordinates], e ** r)
-        out.append(array("Q", [words[i] for i in selected]).tobytes())
-    return out
-
-
-def fraction_bytes(reps):
-    """The numerators and the denominators (each below 256) of the Fraction
-    coordinates of the vectors ``reps``, eight bytes per vector."""
-    r = len(reps[0])
-    flat = list(chain.from_iterable(reps))
-    out = []
-    for slot in ("_numerator", "_denominator"):
-        values = bytes(map(attrgetter(slot), flat))
-        out.append(_slots([values[j::r] for j in range(r)], len(reps)))
-    return out
-
-
-def grid_h1_representatives(action):
-    """The vectors of :func:`grid_h1_indices` as Fractions."""
-    e, r = action.e, action.rank
-    grid = list(product([F(a, e) for a in range(e)], repeat=r))
-    return tuple(grid[i] for i in grid_h1_indices(action))
 
 
 def _norm_kills(norm, t):
