@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import (
@@ -37,6 +39,7 @@ from .alcove import (
 )
 from .cohomology import (
     GammaAction,
+    H1Classes,
     LocalType,
     cocycle_numerators,
     h1_elements,
@@ -45,7 +48,7 @@ from .cohomology import (
     trivial_action,
     types_of_classes,
 )
-from .exactalg import QZVector
+from .exactalg import IntVector, QZVector
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -96,9 +99,21 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
     return tuple(parse_fraction(p) for p in parts)
 
 
+def _json_list(items: List[str], newline: str) -> str:
+    """The JSON list of already written items, one level below ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
-    report: dicts with str keys, lists, str, int, bool and None.
+    report: dicts with str keys, lists, str, int, bool and None, and the
+    two values of a ``types`` report that write themselves, a
+    :class:`CocycleTable` (as the dict of row index to list of strings) and
+    the class representatives' :class:`Vectors` (as a list of lists of
+    strings).
 
     With ``indent`` set the standard library runs its pure-Python encoder;
     this writer quotes the strings with the C ``encode_basestring_ascii``
@@ -108,20 +123,17 @@ def json_text(value, newline: str = "\n") -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = newline + "  "
-    separator = "," + inner
     if isinstance(value, list):
-        if not value:
-            return "[]"
         try:
-            body = separator.join(map(encode_basestring_ascii, value))
+            items = list(map(encode_basestring_ascii, value))
         except TypeError:  # not a list of strings only
-            body = separator.join([json_text(x, inner) for x in value])
-        return "[" + inner + body + newline + "]"
+            items = [json_text(x, inner) for x in value]
+        return _json_list(items, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = separator.join([encode_basestring_ascii(key) + ": " + json_text(value[key], inner)
-                               for key in sorted(value)])
+        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + json_text(value[key], inner)
+                                   for key in sorted(value)])
         return "{" + inner + body + newline + "}"
     if value is None:
         return "null"
@@ -131,6 +143,8 @@ def json_text(value, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, (CocycleTable, Vectors)):
+        return value.json(newline)
     raise TypeError(f"cannot write {value!r} into a report")
 
 
@@ -141,6 +155,117 @@ def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
     else:
         for line in render(report):
             print(line)
+
+
+# ---------------------------------------------------------------------------
+# the parts of a `types` report that are written only when it is
+# ---------------------------------------------------------------------------
+
+class _Rows(dict):
+    """The text of each row of numerators, made on its first lookup."""
+
+    def __init__(self, make: Callable[[IntVector], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, row: IntVector) -> str:
+        text = self[row] = self.make(row)
+        return text
+
+
+class TableStrings:
+    """The strings the cocycle tables of one report share, each made once:
+    a/d for each denominator d, the keys 0..e-1 of a table, and the text of
+    each distinct row of numerators over d in each layout (JSON at one
+    indentation, or text)."""
+
+    def __init__(self, e: int):
+        self.e = e
+        self._values: Dict[int, List[str]] = {}
+        self._rows: Dict[Tuple[Optional[str], int], _Rows] = {}
+
+    @functools.cached_property
+    def json_keys(self) -> Tuple[List[str], List[int]]:
+        """The JSON key texts of a table in string order ("10" before "2"),
+        and the row index of each."""
+        order = sorted(range(self.e), key=str)
+        return [f'"{i}": ' for i in order], order
+
+    @functools.cached_property
+    def text_keys(self) -> List[str]:
+        return [f"{i}: " for i in range(self.e)]
+
+    def rows(self, d: int, newline: Optional[str]) -> _Rows:
+        """The row texts over d: the JSON list one level below ``newline``,
+        or the text list when ``newline`` is None."""
+        rows = self._rows.get((newline, d))
+        if rows is None:
+            values = self._values.get(d)
+            if values is None:
+                values = self._values[d] = [str(Fraction(a, d)) for a in range(d)]
+            if newline is None:
+                rows = _Rows(lambda row: _list_text(list(map(values.__getitem__, row))))
+            else:
+                quoted = list(map(encode_basestring_ascii, values))
+                inner = newline + "  "
+                rows = _Rows(lambda row: _json_list(list(map(quoted.__getitem__, row)), inner))
+            self._rows[(newline, d)] = rows
+        return rows
+
+
+class CocycleTable:
+    """The cocycle gamma_0^i -> row i, i < e, of one type: the denominator d
+    and the integer rows of :func:`cocycle_numerators`.  It is written as
+    the dict of i to the list of a/d over the row; each distinct row is made
+    into text once per report, and rows repeat (for the trivial action row
+    i is row i mod d)."""
+
+    __slots__ = ("d", "rows", "strings")
+
+    def __init__(self, d: int, rows: List[IntVector], strings: TableStrings):
+        self.d = d
+        self.rows = rows
+        self.strings = strings
+
+    def json(self, newline: str) -> str:
+        keys, order = self.strings.json_keys
+        rows = self.strings.rows(self.d, newline)
+        inner = newline + "  "
+        body = ("," + inner).join(
+            map(add, keys, map(rows.__getitem__, map(self.rows.__getitem__, order))))
+        return "{" + inner + body + newline + "}"
+
+    def text(self) -> str:
+        rows = self.strings.rows(self.d, None)
+        return "{" + ", ".join(
+            map(add, self.strings.text_keys, map(rows.__getitem__, self.rows))) + "}"
+
+
+class Vectors:
+    """Rational vectors of a report (the class representatives), written
+    as the list of lists of their strings.  Each distinct entry object is
+    made into a string once: the class lists share their entries."""
+
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: Sequence[Sequence[Fraction]]):
+        self.vectors = vectors
+
+    def _texts(self, write: Callable[[str], str]) -> Dict[int, str]:
+        # keyed by id: the vectors hold every entry alive while this is used
+        flat = list(itertools.chain.from_iterable(self.vectors))
+        return {key: write(str(x)) for key, x in dict(zip(map(id, flat), flat)).items()}
+
+    def json(self, newline: str) -> str:
+        texts = self._texts(encode_basestring_ascii)
+        inner = newline + "  "
+        return _json_list([_json_list(list(map(texts.__getitem__, map(id, v))), inner)
+                           for v in self.vectors], newline)
+
+    def text(self) -> str:
+        texts = self._texts(str)
+        return ", ".join([_list_text(list(map(texts.__getitem__, map(id, v))))
+                          for v in self.vectors]) or "(none)"
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +337,7 @@ def split_types(datum: RootDatum, order: int, values: Sequence[Fraction], cap: i
     return action, base, classes, types_of_classes(datum, action, classes, base=base)
 
 
-def compute_types(
+def types_parts(
     label: str,
     rank: int,
     order: int,
@@ -220,9 +345,10 @@ def compute_types(
     perm: Optional[Tuple[int, ...]] = None,
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
-) -> dict:
-    """Full type report for one branch point; raises ValueError (UsageError
-    among them) on invalid specs and EnumerationCapError on cap breaches."""
+) -> Tuple[GammaAction, H1Classes, List[LocalType], dict]:
+    """Action, H^1 classes, local types and the action-specific report
+    entries of one branch point; raises ValueError (UsageError among them)
+    on invalid specs and EnumerationCapError on cap breaches."""
     datum = build_root_datum(label, rank)
     values = point_or_default(point, rank, order)
     if point is not None and action_kind != "trivial":
@@ -270,18 +396,29 @@ def compute_types(
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
 
-    keys = [str(i) for i in range(action.e)]
-    texts: Dict[int, List[str]] = {}
+    return action, classes, types, extra
 
-    def cocycle_json(t: LocalType) -> dict:
-        # one string per numerator over each denominator d, which divides e
-        # here: the report shares one string per value
-        d, rows = cocycle_numerators(t.orbit_representative, action)
-        text = texts.get(d)
-        if text is None:
-            text = texts[d] = [str(Fraction(a, d)) for a in range(d)]
-        return {key: list(map(text.__getitem__, row)) for key, row in zip(keys, rows)}
 
+def compute_types(
+    label: str,
+    rank: int,
+    order: int,
+    action_kind: str,
+    perm: Optional[Tuple[int, ...]] = None,
+    point: Optional[Tuple[Fraction, ...]] = None,
+    cap: int = DEFAULT_CAP,
+) -> dict:
+    """Full type report for one branch point (see :func:`types_parts` for
+    the errors).  Its ``class_representatives`` entry is a :class:`Vectors`
+    value and each type's ``cocycle`` a :class:`CocycleTable`, made into
+    strings only when the report is written, so the report can be written
+    only through :func:`json_text` or :func:`types_text` (``json.dumps``
+    refuses those two values); a caller that wants the data takes it from
+    :func:`types_parts`.  Each table's numerators, and with them the norm
+    check of its representative, are computed here."""
+    action, classes, types, extra = types_parts(
+        label, rank, order, action_kind, perm=perm, point=point, cap=cap)
+    strings = TableStrings(action.e)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
@@ -297,13 +434,14 @@ def compute_types(
             "invariant_factors": list(classes.structure.invariant_factors),
             "gamma0": classes.gamma0_choice,
         },
-        "class_representatives": [vec_str(t) for t in classes.representatives],
+        "class_representatives": Vectors(classes.representatives),
         "types": [
             {
                 "index": t.index,
                 "representative": vec_str(t.orbit_representative),
                 "orbit_size": t.orbit_size,
-                "cocycle": cocycle_json(t),
+                "cocycle": CocycleTable(
+                    *cocycle_numerators(t.orbit_representative, action), strings),
             }
             for t in types
         ],
@@ -340,17 +478,11 @@ def types_text(report: dict) -> List[str]:
         f"H1(Gamma, T): order {report['torus_h1']['order']}, "
         f"invariant factors {inv if inv else '[]'}"
     )
-    lines.append(
-        "classes: " + (", ".join(
-            _list_text(rep) for rep in report["class_representatives"]
-        ) if report["class_representatives"] else "(none)")
-    )
+    lines.append("classes: " + report["class_representatives"].text())
     for t in report["types"]:
-        table = t["cocycle"]
-        cocycle = ", ".join([f"{i}: " + _list_text(table[i]) for i in sorted(table, key=int)])
         lines.append(
             f"type {t['index']}: rep " + _list_text(t["representative"])
-            + f", orbit size {t['orbit_size']}, cocycle {{{cocycle}}}"
+            + f", orbit size {t['orbit_size']}, cocycle " + t["cocycle"].text()
         )
     lines.append(f"types: {report['type_count']}")
     return lines

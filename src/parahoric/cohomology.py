@@ -170,9 +170,19 @@ class LocalType:
 # ---------------------------------------------------------------------------
 
 def h1_structural(datum: RootDatum, action: GammaAction) -> FiniteAbelianGroup:
-    """Invariant factors of ker(A - 1) / N_A Z^r (isomorphic to H^1)."""
+    """Invariant factors of ker(A - 1) / N_A Z^r (isomorphic to H^1).
+
+    The ranks are checked on every call; the quotient depends on the action
+    alone and is computed once per action and process
+    (:func:`_h1_structure`)."""
     if datum.rank != action.rank:
         raise ValueError("rank mismatch between datum and action")
+    return _h1_structure(action)
+
+
+@lru_cache(maxsize=None)
+def _h1_structure(action: GammaAction) -> FiniteAbelianGroup:
+    """The part of :func:`h1_structural` after the rank check."""
     r = action.rank
     fixed = kernel_basis(action.coboundary_matrix())
     k = len(fixed)
@@ -276,7 +286,7 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     if orbits is None:
         reps = _grid_classes(action, cap)
     else:
-        if len(orbits) == action.rank:
+        if action.automorphism.is_identity:
             require_grid_size(action.rank, action.e, cap)
         else:
             count = prod(action.e // len(orbit) for orbit in orbits)
@@ -322,7 +332,7 @@ def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[In
     d, power = _require_norm_killed(rep, action)
     e = action.e
     A = action.matrix
-    if A == identity_matrix(action.rank):
+    if action.automorphism.is_identity:
         columns = [[i * p % d for i in range(e)] for p in power]
         return d, list(zip(*columns))
     rows: List[IntVector] = []
@@ -500,7 +510,7 @@ def types_of_classes(
     the class at the index of its least member.  The orbit sizes must add
     up to the class count.
     """
-    if action.matrix == identity_matrix(action.rank):
+    if action.automorphism.is_identity:
         if lift_provider is not None:
             raise ValueError("lift_provider applies only to a nontrivial action")
         generators = _reflection_rows(datum, action.e, base)

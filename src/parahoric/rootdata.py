@@ -380,6 +380,13 @@ class LatticeAutomorphism:
             orbits.add(tuple(sorted(orbit)))
         return tuple(sorted(orbits, key=max))
 
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether the matrix is the identity: a permutation matrix whose
+        node orbits are all singletons."""
+        orbits = self.node_orbits
+        return orbits is not None and len(orbits) == len(self.matrix)
+
 
 def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
     n = len(M)

@@ -5,11 +5,21 @@
 class through the coset invariant of ``ImageMembership``.  The grid element
 model of H^1 that it runs on is the library's own ``_grid_classes``, which
 still serves the automorphisms that are not permutations.
+
+:func:`dict_types_report` and :func:`dict_types_text` are the ``types``
+report as a dict of lists and strings, one ``str`` per entry, and its text
+lines read off that dict: the writer that the CLI replaced by the
+self-writing :class:`parahoric.cli.CocycleTable` and
+:class:`parahoric.cli.Vectors` values.  Passed through
+``json.dumps(indent=2, sort_keys=True)`` and through
+:func:`dict_types_text`, they are what the CLI must print.
 """
 
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Dict, List, Sequence
 
-from parahoric.cohomology import LocalType
+from parahoric.cli import SCHEMA_VERSION, action_spec, types_parts
+from parahoric.cohomology import LocalType, cocycle_numerators
 from parahoric.rootdata import orbit_partition
 
 
@@ -48,3 +58,90 @@ def class_orbits(
     keyed = sorted((min(reps[i] for (i,) in orbit), len(orbit)) for orbit in orbits)
     return [LocalType(orbit_representative=rep, orbit_size=size, index=i)
             for i, (rep, size) in enumerate(keyed)]
+
+
+def dict_types_report(label, rank, order, action_kind, **options) -> dict:
+    """The report of ``cli.compute_types`` as plain dicts, lists and strings."""
+    action, classes, types, extra = types_parts(label, rank, order, action_kind, **options)
+    keys = [str(i) for i in range(action.e)]
+    texts: Dict[int, List[str]] = {}
+
+    def cocycle_json(t: LocalType) -> dict:
+        d, rows = cocycle_numerators(t.orbit_representative, action)
+        text = texts.get(d)
+        if text is None:
+            text = texts[d] = [str(Fraction(a, d)) for a in range(d)]
+        return {key: list(map(text.__getitem__, row)) for key, row in zip(keys, rows)}
+
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "types",
+        "group": {"label": label, "rank": rank},
+        "order": order,
+        "action": action_spec(
+            action_kind if not action_kind.startswith("sl-") else "sl-involution",
+            variant={"sl-J": "J", "sl-Jprime": "J-prime"}.get(action_kind),
+            perm=options.get("perm"),
+        ),
+        "torus_h1": {
+            "order": classes.structure.order,
+            "invariant_factors": list(classes.structure.invariant_factors),
+            "gamma0": classes.gamma0_choice,
+        },
+        "class_representatives": [list(map(str, t)) for t in classes.representatives],
+        "types": [
+            {
+                "index": t.index,
+                "representative": list(map(str, t.orbit_representative)),
+                "orbit_size": t.orbit_size,
+                "cocycle": cocycle_json(t),
+            }
+            for t in types
+        ],
+        "type_count": len(types),
+    }
+    report.update(extra)
+    return report
+
+
+def _list_text(values: Sequence[str]) -> str:
+    return "[" + ", ".join(values) + "]"
+
+
+def _action_text(action: dict) -> str:
+    kind = action["kind"]
+    if kind == "sl-involution":
+        return f"sl-involution {action.get('variant')}"
+    if kind == "diagram":
+        return "diagram " + ",".join(str(p) for p in action.get("permutation", []))
+    return kind
+
+
+def dict_types_text(report: dict) -> List[str]:
+    """The text lines of a :func:`dict_types_report`."""
+    g = report["group"]
+    lines = [f"group: {g['label']}{g['rank']}", f"order: {report['order']}",
+             f"action: {_action_text(report['action'])}"]
+    if "base_point" in report:
+        lines.append(
+            "base point (root values): " + _list_text(report["base_point"]["root_values"])
+        )
+    inv = report["torus_h1"]["invariant_factors"]
+    lines.append(
+        f"H1(Gamma, T): order {report['torus_h1']['order']}, "
+        f"invariant factors {inv if inv else '[]'}"
+    )
+    lines.append(
+        "classes: " + (", ".join(
+            _list_text(rep) for rep in report["class_representatives"]
+        ) if report["class_representatives"] else "(none)")
+    )
+    for t in report["types"]:
+        table = t["cocycle"]
+        cocycle = ", ".join([f"{i}: " + _list_text(table[i]) for i in sorted(table, key=int)])
+        lines.append(
+            f"type {t['index']}: rep " + _list_text(t["representative"])
+            + f", orbit size {t['orbit_size']}, cocycle {{{cocycle}}}"
+        )
+    lines.append(f"types: {report['type_count']}")
+    return lines

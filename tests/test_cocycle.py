@@ -9,9 +9,11 @@ import pytest
 import parahoric.cohomology as cohomology
 from parahoric.cohomology import (
     GammaAction,
+    cocycle_numerators,
     cocycle_of,
     h1_elements,
     trivial_action,
+    types_of_classes,
 )
 from parahoric.exactalg import (
     identity_matrix,
@@ -21,7 +23,7 @@ from parahoric.exactalg import (
     qz_add,
     qz_zero,
 )
-from parahoric.rootdata import build_root_datum, diagram_automorphism
+from parahoric.rootdata import LatticeAutomorphism, build_root_datum, diagram_automorphism
 from parahoric.slmodel import diagonal_action, sl_torus_h1, standard_involution, variant_involution
 
 
@@ -150,3 +152,21 @@ def test_norm_cache_leaves_equality_and_hashing_alone():
         "e", "automorphism", "char_exclusion"]
     assert trivial_action(2, 3) != trivial_action(2, 4)
     assert len({fresh, used, trivial_action(4, 4)}) == 2
+
+
+def test_the_identity_is_read_once_per_automorphism(monkeypatch):
+    assert trivial_action(3, 4).automorphism.is_identity
+    assert LatticeAutomorphism(identity_matrix(2), 2).is_identity
+    assert not diagram_action("A", 4, (3, 2, 1, 0), 2)[1].automorphism.is_identity
+    assert not LatticeAutomorphism(((0, -1), (1, -1)), 3).is_identity
+    datum, action = build_root_datum("B", 3), trivial_action(3, 4)
+    classes = h1_elements(datum, action)
+    tables = [cocycle_numerators(t.orbit_representative, action)
+              for t in types_of_classes(datum, action, classes)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity is tested by building a matrix")
+
+    monkeypatch.setattr(cohomology, "identity_matrix", refuse)
+    types = types_of_classes(datum, action, classes)
+    assert [cocycle_numerators(t.orbit_representative, action) for t in types] == tables

@@ -10,6 +10,7 @@ from parahoric.alcove import as_point, point_from_root_values, simple_root_value
 from parahoric.cohomology import (
     GammaAction,
     _burnside_table,
+    _h1_structure,
     burnside_type_count,
     classes_equal,
     cocycle_of,
@@ -301,6 +302,30 @@ def test_burnside_warm_table_needs_no_closure_and_no_smith_form(monkeypatch):
     monkeypatch.setattr(parahoric.cohomology, "weyl_elements", refuse)
     monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", refuse)
     assert burnside_type_count(d5, 3, base=base) == expected
+
+
+def test_h1_structural_warm_runs_no_smith_form_and_still_checks(monkeypatch):
+    _h1_structure.cache_clear()
+    datum, action = flip_action(5, e=4)
+    cold = h1_structural(datum, action)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the warm structure must not be recomputed")
+
+    monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", refuse)
+    monkeypatch.setattr(parahoric.cohomology, "kernel_basis", refuse)
+    # an equal action built anew finds the same entry
+    _, again = flip_action(5, e=4)
+    assert h1_structural(datum, again) == cold
+    # the rank check runs on every call
+    with pytest.raises(ValueError, match="rank mismatch"):
+        h1_structural(build_root_datum("A", 4), action)
+    # the element list must still match the warm count
+    assert len(h1_elements(datum, action).representatives) == cold.order
+    monkeypatch.setattr(parahoric.cohomology, "_radices",
+                        lambda a: [1] * a.rank)
+    with pytest.raises(AssertionError, match="element model found 1 classes"):
+        h1_elements(datum, action)
 
 
 def test_burnside_weyl_cap_refuses_whether_the_table_is_cold_or_warm():
