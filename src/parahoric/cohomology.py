@@ -82,6 +82,7 @@ from .rootdata import (
     WeylElement,
     fixed_weyl_generators,
     identity_automorphism,
+    weyl_classes,
     weyl_elements,
     weyl_order,
 )
@@ -547,24 +548,33 @@ def _burnside_table(
     """The part of :func:`burnside_type_count` that depends on the datum
     alone, built once per datum and process: (rows, signatures).
 
-    For each w in W the Smith form U (w - 1) V = D gives P = U (1 - w) and
-    the diagonal |d_i|.  ``rows`` holds each distinct row of every P once.
-    The signature of w is its tuple of pairs (index of row i of P in
-    ``rows``, |d_i|) over the i with |d_i| != 1, as a unit divisor poses
-    no condition; ``signatures`` lists each distinct signature with the
-    number of elements that share it, so the multiplicities add up to |W|.
+    The fixed-point count of w is a class function (see
+    :func:`burnside_type_count`), so the table runs over the conjugacy
+    classes of W (:func:`weyl_classes`, |W| * r conjugations) with one
+    Smith form per class.  For the representative w of a class the Smith
+    form U (w - 1) V = D gives P = U (1 - w) and the diagonal |d_i|.
+    ``rows`` holds each distinct row of every P once.  The signature of w is
+    its tuple of pairs (index of row i of P in ``rows``, |d_i|) over the i
+    with |d_i| != 1, as a unit divisor poses no condition; ``signatures``
+    lists each distinct signature with the number of elements of W whose
+    class representative has it.  The class sizes must add up to |W|.
     """
     r = datum.rank
     one = identity_matrix(r)
     index: Dict[IntVector, int] = {}
     signatures: Dict[Tuple[Tuple[int, int], ...], int] = {}
     # the caller has already held |W| to its cap
-    for w in weyl_elements(datum, cap=inf):
+    classes = weyl_classes(datum, weyl_elements(datum, cap=inf))
+    order = weyl_order(datum, cap=inf)
+    if sum(size for _, size in classes) != order:
+        raise AssertionError(
+            f"conjugacy classes of W({datum.name}) do not add up to |W| = {order}")
+    for w, size in classes:
         U, D, _ = smith_normal_form(mat_sub(w.matrix, one))
         P = mat_mul(U, mat_sub(one, w.matrix))
         signature = tuple((index.setdefault(row, len(index)), abs(D[i][i]))
                           for i, row in enumerate(P) if abs(D[i][i]) != 1)
-        signatures[signature] = signatures.get(signature, 0) + 1
+        signatures[signature] = signatures.get(signature, 0) + size
     return tuple(index), tuple(signatures.items())
 
 
@@ -581,12 +591,19 @@ def burnside_type_count(
     equation reads d_i y_i = c_i (mod e) for c = U e (b - w b), and each
     congruence contributes gcd(d_i, e) solutions when solvable and zero
     otherwise.
+    The count Fix_b(w) is a class function of w.  A grid base b has root
+    values in (1/e)Z, so it lies in (1/e)P^v, and the fixed points of the
+    map are those of w on X_b = (b + (1/e)Q^v)/Q^v.  W acts trivially on
+    P^v/Q^v, so g X_b = X_b for every g in W, and g carries the fixed
+    points of w on X_b to those of g w g^-1.  Hence the sum over W is the
+    sum over the conjugacy classes C of |C| Fix_b(w_C).
     The twist runs on the numerators B of b = B / N, as c = P B e / N for
     P = U (1 - w), and every row of every P must give an integer there.
     The Smith forms depend on the datum alone, so they come from one table
-    per datum (:func:`_burnside_table`), built once per process; a call
-    evaluates each distinct row of the P once.  An order |W| above
-    ``weyl_cap`` is refused on every call, before the table is consulted.
+    per datum (:func:`_burnside_table`), built once per process at the cost
+    of |W| * r conjugations and one Smith form per class; a call evaluates
+    each distinct row of the P once.  An order |W| above ``weyl_cap`` is
+    refused on every call, before the table is consulted.
     """
     if e < 1:
         raise ValueError("the order of Gamma must be positive")

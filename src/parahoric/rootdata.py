@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -32,7 +31,6 @@ from .exactalg import (
     identity_matrix,
     mat_mul,
     mat_pow,
-    mat_vec,
     matrix,
 )
 
@@ -177,12 +175,6 @@ class RootDatum:
         """The coroot of the highest root."""
         return self.coroot(self.highest_root)
 
-    def pairing(self, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
-        """<beta, x> for a root beta (simple-root coefficients) and coweight x."""
-        return Fraction(sum(
-            c * Fraction(x) for c, x in zip(self.root_row(root), coweight) if c
-        ))
-
     def coroot(self, root: Sequence[int]) -> IntVector:
         """Coroot of a root, in simple-coroot coordinates."""
         d = self.symmetrizers
@@ -198,10 +190,6 @@ class RootDatum:
                 raise AssertionError("coroot coordinates must be integral")
             out.append(int(x))
         return tuple(out)
-
-    def all_coroots(self) -> Tuple[IntVector, ...]:
-        plus = [self.coroot(r) for r in self.positive_roots]
-        return tuple(plus) + tuple(tuple(-x for x in v) for v in plus)
 
 
 def build_root_datum(label: str, rank: int) -> RootDatum:
@@ -240,9 +228,6 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash(self.matrix)
 
-    def apply(self, coweight: Sequence[Fraction]) -> tuple:
-        return mat_vec(self.matrix, coweight)
-
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
     """s_i on the coroot lattice: v -> v - <alpha_i, v> alpha_i_coroot."""
@@ -264,14 +249,29 @@ def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
+def _reflected_row(datum: RootDatum) -> Callable[[IntMatrix, int], IntVector]:
+    """``row(M, i)`` is row i of s_i M, the only row that differs from M:
+    sum_b (delta_ib - c_ib) M_b over the b with c_ib != 0."""
+    n = datum.rank
+    terms = [[(b, int(b == i) - c) for b, c in enumerate(row) if c]
+             for i, row in enumerate(datum.cartan)]
+
+    def row(M: IntMatrix, i: int) -> IntVector:
+        out = [0] * n
+        for b, k in terms[i]:
+            for j, v in enumerate(M[b]):
+                if v:
+                    out[j] += k * v
+        return tuple(out)
+
+    return row
+
+
 def _left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optional[IntVector]]:
     """The O(r) step w -> s_i w: ``step(seen, key, i)`` maps the key v of w to
     v_j - <alpha_j, alpha_i_coroot> v_i and, if that key is new to ``seen``,
     stores the matrix of s_i w (that of w with row i rebuilt) and returns it."""
-    # row i of s_i M is sum_b (delta_ib - c_ib) M_b over the b with c_ib != 0
-    supports = [[b for b, c in enumerate(row) if c] for row in datum.cartan]
-    coefficients = [[int(b == i) - datum.cartan[i][b] for b in support]
-                    for i, support in enumerate(supports)]
+    row = _reflected_row(datum)
     columns = list(zip(*datum.cartan))
 
     def step(seen: Dict[IntVector, IntMatrix], key: IntVector, i: int) -> Optional[IntVector]:
@@ -280,12 +280,79 @@ def _left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optio
         if image in seen:
             return None
         M = seen[key]
-        row = tuple(sum(map(mul, coefficients[i], column))
-                    for column in zip(*[M[b] for b in supports[i]]))
-        seen[image] = M[:i] + (row,) + M[i + 1:]
+        seen[image] = M[:i] + (row(M, i),) + M[i + 1:]
         return image
 
     return step
+
+
+def _conjugator(datum: RootDatum) -> Callable[[IntMatrix, int], IntMatrix]:
+    """The O(r * deg) step M -> s_i M s_i.  Row i is rebuilt as in
+    :func:`_left_multiplier`; then each row k with M_ki != 0 loses M_ki
+    times row i of the Cartan matrix, on the support of that Cartan row,
+    which is right multiplication by s_i (the identity but for row i,
+    e_i - c_i)."""
+    row = _reflected_row(datum)
+    supports = [[(j, c) for j, c in enumerate(cartan_row) if c]
+                for cartan_row in datum.cartan]
+
+    def conjugate(M: IntMatrix, i: int) -> IntMatrix:
+        rows = list(M)
+        rows[i] = row(M, i)
+        for k, r in enumerate(rows):
+            x = r[i]
+            if x:
+                r = list(r)
+                for j, c in supports[i]:
+                    r[j] -= x * c
+                rows[k] = tuple(r)
+        return tuple(rows)
+
+    return conjugate
+
+
+def weyl_classes(
+    datum: RootDatum, elements: Sequence[WeylElement]
+) -> List[Tuple[WeylElement, int]]:
+    """The conjugacy classes of W as (representative, class size) pairs.
+
+    ``elements`` is the whole of W, as :func:`weyl_elements` lists it.  Each
+    class is closed breadth-first under the conjugations M -> s_i M s_i of
+    :func:`_conjugator`, which generate conjugation by W, so the classes
+    take |W| * r conjugations together.  A class is represented by its
+    first member in the order of ``elements``, and the classes are listed
+    in the order of their representatives.  A conjugate outside
+    ``elements``, or in a class already closed, is a hard error.
+    """
+    conjugate = _conjugator(datum)
+    gens = range(datum.rank)
+    # the class number of each element, None while it is unassigned
+    owner: Dict[IntMatrix, Optional[int]] = dict.fromkeys(w.matrix for w in elements)
+    classes = []
+    for w in elements:
+        if owner[w.matrix] is not None:
+            continue
+        label = len(classes)
+        owner[w.matrix] = label
+        frontier = [w.matrix]
+        size = 1
+        while frontier:
+            nxt = []
+            for M in frontier:
+                for i in gens:
+                    image = conjugate(M, i)
+                    held = owner.get(image, -1)
+                    if held is None:
+                        owner[image] = label
+                        nxt.append(image)
+                    elif held != label:
+                        raise AssertionError(
+                            f"a conjugate of {M} in {datum.name} is not in W "
+                            f"or lies in another class")
+            size += len(nxt)
+            frontier = nxt
+        classes.append((w, size))
+    return classes
 
 
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[WeylElement]:
@@ -348,9 +415,6 @@ class LatticeAutomorphism:
         if mat_pow(self.matrix, self.order) != identity_matrix(len(self.matrix)):
             raise ValueError("matrix does not have the declared order")
 
-    def apply(self, coweight: Sequence[Fraction]) -> tuple:
-        return mat_vec(self.matrix, coweight)
-
     @cached_property
     def node_permutation(self) -> Optional[Tuple[int, ...]]:
         """The permutation sigma of the nodes with A e_j = e_sigma(j) when
@@ -389,13 +453,18 @@ class LatticeAutomorphism:
 
 
 def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
-    n = len(M)
+    """The least k <= ``cap`` with M^k = 1; none is refused with
+    :class:`EnumerationCapError`."""
+    one = identity_matrix(len(M))
     P = M
     for k in range(1, cap + 1):
-        if P == identity_matrix(n):
+        if P == one:
             return k
         P = mat_mul(P, M)
-    raise EnumerationCapError(f"matrix order exceeds {cap}")
+    raise EnumerationCapError(
+        f"order of a lattice automorphism: no power up to {cap} is the identity, "
+        f"exceeds cap {cap}"
+    )
 
 
 def identity_automorphism(rank: int) -> LatticeAutomorphism:

@@ -13,6 +13,11 @@ self-writing :class:`parahoric.cli.CocycleTable` and
 :class:`parahoric.cli.Vectors` values.  Passed through
 ``json.dumps(indent=2, sort_keys=True)`` and through
 :func:`dict_types_text`, they are what the CLI must print.
+
+:func:`pairing`, :func:`all_coroots` and :func:`apply` are the root-datum
+and Weyl-element conveniences that no library code calls: the pairing of
+a root with a coweight through the integer root row, every coroot, and a
+lattice matrix applied to a coweight.
 """
 
 from fractions import Fraction
@@ -20,7 +25,26 @@ from typing import Callable, Dict, List, Sequence
 
 from parahoric.cli import SCHEMA_VERSION, action_spec, types_parts
 from parahoric.cohomology import LocalType, cocycle_numerators
-from parahoric.rootdata import orbit_partition
+from parahoric.exactalg import mat_vec
+from parahoric.rootdata import RootDatum, orbit_partition
+
+
+def pairing(datum: RootDatum, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
+    """<beta, x> for a root beta (simple-root coefficients) and coweight x."""
+    return Fraction(sum(
+        c * Fraction(x) for c, x in zip(datum.root_row(root), coweight) if c
+    ))
+
+
+def all_coroots(datum: RootDatum) -> tuple:
+    """The coroots of the positive roots, then their negatives."""
+    plus = [datum.coroot(r) for r in datum.positive_roots]
+    return tuple(plus) + tuple(tuple(-x for x in v) for v in plus)
+
+
+def apply(element, coweight: Sequence[Fraction]) -> tuple:
+    """A Weyl element or lattice automorphism applied to a coweight."""
+    return mat_vec(element.matrix, coweight)
 
 
 def _norm_kills(norm, t):

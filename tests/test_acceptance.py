@@ -41,6 +41,8 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
+from .references import pairing
+
 
 def report(n, text):
     print(f"criterion {n}: PASS - {text}")
@@ -215,7 +217,7 @@ def test_criterion_8_geometry_properties():
         again, word = reduce_to_alcove(datum, x0)
         assert again == x0 and word == ()
         i = rng.randint(0, r - 1)
-        value = datum.pairing(tuple(1 if k == i else 0 for k in range(r)), x)
+        value = pairing(datum, tuple(1 if k == i else 0 for k in range(r)), x)
         reflected = tuple(c - (value if k == i else 0) for k, c in enumerate(x))
         assert reduce_to_alcove(datum, reflected)[0] == x0
         mu = tuple(rng.randint(-2, 2) for _ in range(r))

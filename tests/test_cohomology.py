@@ -42,7 +42,7 @@ from parahoric.rootdata import (
     weyl_elements,
 )
 
-from .references import class_orbits
+from .references import class_orbits, pairing
 from .test_rootdata import flip
 
 
@@ -304,6 +304,52 @@ def test_burnside_warm_table_needs_no_closure_and_no_smith_form(monkeypatch):
     assert burnside_type_count(d5, 3, base=base) == expected
 
 
+@pytest.mark.parametrize("label,rank,classes", [("D", 5, 18), ("F", 4, 25)])
+def test_burnside_cold_table_runs_one_smith_form_per_class(monkeypatch, label, rank, classes):
+    _burnside_table.cache_clear()
+    datum = build_root_datum(label, rank)
+    expected = len(local_types(datum, trivial_action(rank, 2)))
+    calls = []
+    snf = parahoric.cohomology.smith_normal_form
+
+    def counted(M):
+        calls.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", counted)
+    assert burnside_type_count(datum, 2) == expected
+    assert len(calls) == classes
+
+
+def test_burnside_class_sizes_must_add_up_to_the_weyl_order(monkeypatch):
+    _burnside_table.cache_clear()
+    weyl_classes = parahoric.cohomology.weyl_classes
+    monkeypatch.setattr(parahoric.cohomology, "weyl_classes",
+                        lambda datum, elements: weyl_classes(datum, elements)[1:])
+    with pytest.raises(AssertionError, match="do not add up to \\|W\\| = 8"):
+        burnside_type_count(build_root_datum("B", 2), 2)
+    assert _burnside_table.cache_info().currsize == 0
+
+
+def test_burnside_count_is_invariant_under_w_and_coroot_shifts():
+    # b lies in (1/e) P^v and W acts trivially on P^v / Q^v, so w b + lambda / e
+    # gives the same set (b + (1/e) Q^v) / Q^v and the same orbit count
+    rng = random.Random(71)
+    for label, rank in rank_range(4):
+        datum = build_root_datum(label, rank)
+        elements = weyl_elements(datum)
+        for e in range(1, 6):
+            for base in _burnside_bases(datum, e, rng):
+                b = as_point(base) if base is not None else (F(0),) * rank
+                expected = burnside_type_count(datum, e, base=b)
+                for _ in range(2):
+                    w = rng.choice(elements)
+                    shift = [rng.randint(-4, 4) for _ in range(rank)]
+                    moved = tuple(x + F(m, e) for x, m in zip(mat_vec(w.matrix, b), shift))
+                    assert burnside_type_count(datum, e, base=moved) == expected, \
+                        (label, rank, e, b, w.matrix, shift)
+
+
 def test_h1_structural_warm_runs_no_smith_form_and_still_checks(monkeypatch):
     _h1_structure.cache_clear()
     datum, action = flip_action(5, e=4)
@@ -380,7 +426,7 @@ def test_local_types_rejects_off_grid_base():
 def grid_point_reference(datum, base, e):
     """The check the single simple-root check replaced: every positive root
     value, paired as a Fraction, lies in (1/e)Z."""
-    return all((datum.pairing(root, base) * e).denominator == 1
+    return all((pairing(datum, root, base) * e).denominator == 1
                for root in datum.positive_roots)
 
 
@@ -602,7 +648,7 @@ def trivial_orbit_partition_reference(datum, e, base):
     numerator tuples, one tuple reflection per generator application."""
     r = datum.rank
     b = tuple(F(x) for x in base) if base is not None else (F(0),) * r
-    shifts = [int(datum.pairing(tuple(int(k == i) for k in range(r)), b) * e)
+    shifts = [int(pairing(datum, tuple(int(k == i) for k in range(r)), b) * e)
               for i in range(r)]
 
     def reflect(i, tau):

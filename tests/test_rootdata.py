@@ -19,14 +19,18 @@ from parahoric.rootdata import (
     diagram_automorphism,
     fixed_weyl_generators,
     identity_automorphism,
+    matrix_order,
     orbit_partition,
     rank_range,
     simple_reflection,
+    weyl_classes,
     weyl_element_automorphism,
     weyl_elements,
     weyl_generators,
     weyl_order,
 )
+
+from .references import all_coroots, apply, pairing
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
@@ -83,7 +87,7 @@ def test_cartan_pairing_is_cartan_matrix():
         root = tuple(1 if k == i else 0 for k in range(n))
         for j in range(n):
             coroot = tuple(1 if k == j else 0 for k in range(n))
-            assert datum.pairing(root, coroot) == datum.cartan[i][j]
+            assert pairing(datum, root, coroot) == datum.cartan[i][j]
 
 
 def pairing_reference(datum, root, coweight):
@@ -102,7 +106,7 @@ def test_pairing_matches_the_fraction_sum():
         for _ in range(2):
             x = tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rank))
             for root in roots:
-                value = datum.pairing(root, x)
+                value = pairing(datum, root, x)
                 assert type(value) is F
                 assert value == pairing_reference(datum, root, x)
         assert datum.root_row(datum.highest_root) == datum.root_rows[datum.highest_root]
@@ -118,10 +122,10 @@ def test_invalid_labels_rejected():
 def test_simple_reflection_examples():
     d1 = build_root_datum("A", 1)
     s = simple_reflection(d1, 1)
-    assert s.apply((1,)) == (-1,)
+    assert apply(s, (1,)) == (-1,)
     d2 = build_root_datum("A", 2)
     s1 = simple_reflection(d2, 1)
-    assert s1.apply((0, 1)) == (1, 1)
+    assert apply(s1, (0, 1)) == (1, 1)
     with pytest.raises(ValueError):
         simple_reflection(d2, 3)
 
@@ -217,12 +221,69 @@ def test_weyl_elements_refuses_over_cap_before_closure(monkeypatch):
     assert str(info.value) == "Weyl closure for E6: |W| = 51840 exceeds cap 1000"
 
 
+# Carter, Conjugacy classes in the Weyl group (Compositio Math. 1972)
+WEYL_CLASS_COUNTS = {
+    ("A", 1): 2, ("A", 2): 3, ("A", 3): 5, ("A", 4): 7, ("A", 5): 11,
+    ("B", 2): 5, ("B", 3): 10, ("B", 4): 20, ("B", 5): 36,
+    ("C", 2): 5, ("C", 3): 10, ("C", 4): 20, ("C", 5): 36,
+    ("D", 4): 13, ("D", 5): 18, ("G", 2): 6, ("F", 4): 25,
+}
+
+
+@pytest.mark.parametrize("label,rank", sorted(WEYL_CLASS_COUNTS))
+def test_weyl_classes_match_the_known_class_counts(label, rank):
+    datum = build_root_datum(label, rank)
+    elements = weyl_elements(datum)
+    classes = weyl_classes(datum, elements)
+    assert len(classes) == WEYL_CLASS_COUNTS[label, rank]
+    order = weyl_order(datum)
+    assert sum(size for _, size in classes) == order
+    assert all(order % size == 0 for _, size in classes)
+    # each class, closed anew under s_i M s_i by plain matrix products,
+    # has the size given and starts at its representative; together the
+    # classes are W
+    gens = [s.matrix for s in weyl_generators(datum)]
+    covered = set()
+    reps = []
+    for w, size in classes:
+        members = {w.matrix}
+        frontier = [w.matrix]
+        while frontier:
+            images = {mat_mul(mat_mul(s, M), s) for M in frontier for s in gens}
+            frontier = images - members
+            members |= frontier
+        assert len(members) == size and min(members) == w.matrix
+        assert not members & covered
+        covered |= members
+        reps.append(w.matrix)
+    assert covered == {w.matrix for w in elements}
+    assert reps == sorted(reps)
+
+
+def test_weyl_classes_refuse_a_list_that_is_not_w():
+    datum = build_root_datum("A", 2)
+    elements = weyl_elements(datum)
+    with pytest.raises(AssertionError, match="in A2 is not in W"):
+        weyl_classes(datum, elements[:-1])
+
+
+def test_matrix_order_names_the_stage_and_the_cap():
+    assert matrix_order(((0, -1), (1, -1))) == 3
+    assert matrix_order(identity_matrix(2)) == 1
+    with pytest.raises(EnumerationCapError) as info:
+        matrix_order(((1, 1), (0, 1)), cap=50)
+    assert str(info.value) == ("order of a lattice automorphism: no power up to 50 "
+                               "is the identity, exceeds cap 50")
+    with pytest.raises(EnumerationCapError, match="exceeds cap 2$"):
+        matrix_order(((0, -1), (1, -1)), cap=2)
+
+
 def test_weyl_matrices_permute_coroots():
     for label, rank in [("A", 2), ("B", 2), ("G", 2), ("C", 3)]:
         datum = build_root_datum(label, rank)
-        coroots = set(datum.all_coroots())
+        coroots = set(all_coroots(datum))
         for w in weyl_elements(datum):
-            assert {tuple(w.apply(c)) for c in coroots} == coroots
+            assert {tuple(apply(w, c)) for c in coroots} == coroots
 
 
 def test_longest_element_negates_positive_roots():
@@ -232,7 +293,7 @@ def test_longest_element_negates_positive_roots():
         plus = [datum.coroot(r) for r in datum.positive_roots]
         found = False
         for w in weyl_elements(datum):
-            if all(tuple(-x for x in w.apply(c)) in set(plus) for c in plus):
+            if all(tuple(-x for x in apply(w, c)) in set(plus) for c in plus):
                 found = True
                 break
         assert found, f"no longest element found for {label}{rank}"
@@ -244,8 +305,8 @@ def test_diagram_automorphisms():
     assert ident.matrix == identity_matrix(3) and ident.order == 1
     flip = diagram_automorphism(d3, (2, 1, 0))
     assert flip.order == 2
-    assert flip.apply((1, 0, 0)) == (0, 0, 1)
-    assert flip.apply((0, 1, 0)) == (0, 1, 0)
+    assert apply(flip, (1, 0, 0)) == (0, 0, 1)
+    assert apply(flip, (0, 1, 0)) == (0, 1, 0)
     d4 = build_root_datum("D", 4)
     tri = diagram_automorphism(d4, (2, 1, 3, 0))
     assert tri.order == 3
@@ -423,7 +484,7 @@ def test_orbit_partition_a2_two_torsion():
     d2 = build_root_datum("A", 2)
     pts = [(F(a, 2), F(b, 2)) for a in range(2) for b in range(2)]
     maps = [
-        (lambda p, w=w: tuple(x % 1 for x in w.apply(p)))
+        (lambda p, w=w: tuple(x % 1 for x in apply(w, p)))
         for w in weyl_generators(d2)
     ]
     orbits = orbit_partition(pts, maps)
@@ -432,7 +493,7 @@ def test_orbit_partition_a2_two_torsion():
     fixed_total = 0
     for w in weyl_elements(d2):
         fixed_total += sum(
-            1 for p in pts if tuple(x % 1 for x in w.apply(p)) == p
+            1 for p in pts if tuple(x % 1 for x in apply(w, p)) == p
         )
     assert fixed_total // 6 == len(orbits) == 2
 
@@ -441,7 +502,7 @@ def test_orbit_partition_order_independent():
     d2 = build_root_datum("A", 2)
     pts = [(F(a, 3), F(b, 3)) for a in range(3) for b in range(3)]
     maps = [
-        (lambda p, w=w: tuple(x % 1 for x in w.apply(p)))
+        (lambda p, w=w: tuple(x % 1 for x in apply(w, p)))
         for w in weyl_generators(d2)
     ]
     rng = random.Random(5)
@@ -460,9 +521,9 @@ def test_orbit_partition_accepts_weyl_elements_and_twists():
     pts = [(F(k, 5),) for k in range(5)]
     s = simple_reflection(d1, 1)
     # the Weyl element mod 1: plain inversion, floor((5+2)/2) = 3 orbits
-    assert len(orbit_partition(pts, [lambda p: tuple(x % 1 for x in s.apply(p))])) == 3
+    assert len(orbit_partition(pts, [lambda p: tuple(x % 1 for x in apply(s, p))])) == 3
     # twisted: t -> -t - 1/5, the worked-example action, 3 orbits
-    twisted = orbit_partition(pts, [lambda p: tuple((x - F(1, 5)) % 1 for x in s.apply(p))])
+    twisted = orbit_partition(pts, [lambda p: tuple((x - F(1, 5)) % 1 for x in apply(s, p))])
     assert len(twisted) == 3
     assert twisted[0] == ((F(0),), (F(4, 5),))
 
