@@ -9,7 +9,7 @@ cohomological and the building-theoretic descriptions.
 Layers:
 
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
-  normal form, lattice quotients, solvability mod Z);
+  normal form, lattice quotients, membership in a lattice image mod Z);
 * :mod:`parahoric.rootdata` - root data, Weyl groups, diagram
   automorphisms, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus in two
@@ -28,7 +28,6 @@ from .exactalg import (
     qz_vector,
     quotient_structure,
     smith_normal_form,
-    solve_mod_z,
 )
 from .rootdata import (
     LatticeAutomorphism,
@@ -46,7 +45,6 @@ from .cohomology import (
     H1Classes,
     LocalType,
     burnside_type_count,
-    classes_equal,
     cocycle_of,
     h1_elements,
     h1_structural,

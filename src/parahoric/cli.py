@@ -387,9 +387,9 @@ def types_parts(
         classes = h1_elements(datum, action, cap=cap)
         if classes.structure.order != 1:
             raise UsageError(
-                "type enumeration for a pinned diagram action needs Weyl-lift "
-                "data that has no general recipe; use an sl involution for "
-                "type A, or a trivial action"
+                f"types of a diagram action are reported only when H^1 = 0, "
+                f"and here H^1 has order {classes.structure.order}; use an sl "
+                f"involution for type A, or a trivial action"
             )
         types = [LocalType(classes.representatives[0], 1, 0)]
         extra = {}
@@ -682,14 +682,23 @@ def cmd_data(args) -> int:
     return EXIT_OK
 
 
+def _config_integer(value, field: str) -> int:
+    """A JSON integer of a config (``true`` and ``false`` are none), else a
+    usage error naming the field."""
+    if type(value) is not int:
+        raise UsageError(f"branch point {field} must be an integer, not {value!r}")
+    return value
+
+
 def _branch_point_types(bp: dict, cap: int) -> dict:
     try:
         group = bp["group"]
         label = str(group["label"]).upper()
-        rank = int(group["rank"])
-        order = int(bp["order"])
+        rank, order = group["rank"], bp["order"]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed branch point {bp!r}") from exc
+    rank = _config_integer(rank, "rank")
+    order = _config_integer(order, "order")
     action = bp.get("action", {"kind": "trivial"})
     if not isinstance(action, dict):
         raise UsageError(f"branch point action must be an object, not {action!r}")
@@ -705,10 +714,7 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         perm_in = action.get("permutation")
         if not isinstance(perm_in, list):
             raise UsageError("diagram action needs a permutation list")
-        try:
-            perm = tuple(int(p) - 1 for p in perm_in)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"malformed permutation {perm_in!r}") from exc
+        perm = tuple(_config_integer(p, "permutation entry") - 1 for p in perm_in)
     elif kind != "trivial":
         raise UsageError(f"unknown action kind {kind!r}")
     if "point" in bp:

@@ -34,15 +34,18 @@ numerators of t over e.  Any other automorphism sorts the norm-killed
 vectors of the (1/e)-grid into classes.
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
-acting by twisted conjugation t -> w^-1(t) + t_w.  For the trivial action
-(A the identity) the twist t_w is zero for the standard base point; a
-nonzero hyperspecial base point b contributes t_w = (w^-1 - 1)(b), i.e. the
-plain W-action conjugated by the translation with offset b.  This is what
-reconciles the alcove-side orbit counts with the cohomology side for every
-base point on the (1/e)-grid.  For a diagram automorphism sigma only the
-generators w_J of W^sigma act, each an involution: t -> w_J(t) + t_w.
-Either way each generator is an affine map of the digits, and the orbits
-run on the digit vectors packed into integer indices.
+W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
+sigma the Tits section is sigma-equivariant (Tits, Normalisateurs de
+tores, 1966), so t_w = 0 at the standard base point, and a base point b
+fixed by sigma contributes t_w = (w^-1 - 1)(b): the linear action
+conjugated by the translation with offset b.  This reconciles the
+alcove-side orbit counts with the cohomology side for every base point on
+the (1/e)-grid, and it covers the SL_n involution J = eps^-1 J' as the
+flip with a base point.  Only the generators w_J of W^sigma act, one per
+sigma-orbit J of the nodes (the simple reflections for the identity),
+each an involution: t -> w_J(t + b) - b.  w_J lies in W_J, so each
+generator is one affine map of the digit of J, and the orbits run on the
+digit vectors packed into integer indices.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, lcm, prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, require_characteristic, simple_root_values
 from .exactalg import (
@@ -68,8 +71,6 @@ from .exactalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    qz_sub,
-    qz_vector,
     qz_zero,
     quotient_structure,
     smith_normal_form,
@@ -79,7 +80,6 @@ from .rootdata import (
     EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
-    WeylElement,
     fixed_weyl_generators,
     identity_automorphism,
     weyl_classes,
@@ -238,10 +238,6 @@ def _kills(norm: IntMatrix, d: int, numerators: Sequence[int]) -> bool:
     return all(sum(a * b for a, b in zip(row, numerators)) % d == 0 for row in norm)
 
 
-def _norm_kills(norm: IntMatrix, t: QZVector) -> bool:
-    return _kills(norm, *_numerators(t))
-
-
 def _radices(action: GammaAction) -> List[int]:
     """For a permutation action, the number of digits j each node takes on
     the least class representatives: e/|O| on the largest node of each
@@ -262,7 +258,7 @@ def _grid_classes(action: GammaAction, cap: int) -> Tuple[QZVector, ...]:
     invariant = ImageMembership(action.coboundary_matrix()).invariant
     least: Dict[QZVector, QZVector] = {}
     for t in _torsion_grid(action.rank, action.e, cap):
-        if _norm_kills(norm, t):
+        if _kills(norm, *_numerators(t)):
             least.setdefault(invariant(t), t)
     return tuple(sorted(least.values()))
 
@@ -312,14 +308,6 @@ def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[i
     if not _kills(action.norm_matrix(), d, numerators):
         raise ValueError(f"vector {t} is not killed by the norm")
     return d, numerators
-
-
-def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
-    """Whether t1 and t2 give the same class, i.e. t1 - t2 is a coboundary."""
-    _require_norm_killed(t1, action)
-    _require_norm_killed(t2, action)
-    member = ImageMembership(action.coboundary_matrix())
-    return member.contains(qz_sub(t1, t2))
 
 
 def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
@@ -380,57 +368,46 @@ def require_root_values_on_grid(values: Sequence[Fraction], e: int) -> None:
 Row = Tuple[int, int, Sequence[Tuple[int, int]]]
 
 
-def _packed_orbits(radices: Sequence[int],
-                   generators: Sequence[Sequence[Row]]) -> List[Tuple[int, int]]:
+def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[int, int]]:
     """Orbits of the digit vectors d (d_k in [0, radices[k])) under affine
     maps, as (packed index of the least member, size) in increasing order.
 
-    A generator is a list of rows (k, constant, terms): digit k of the image
-    is constant + sum c d_j over the (j, c) in ``terms``, mod radices[k],
-    read off the digits before the map; a digit without a row stays put.
-    A vector is packed into the index sum_k d_k w_k, with w_k the product
-    of the radices after k, so the index order is the lexicographic order
-    and the first index a scan in increasing order has not reached is the
-    least member of its orbit.  Each row moves the index by the change of
-    its digit times w_k; the digits of an image are copied and read back
-    off its index only when the image is new.
+    Each map is one row (k, constant, terms): digit k of the image is
+    constant + sum c d_j over the (j, c) in ``terms``, mod radices[k], and
+    every other digit stays put; rows on a digit of radix 1 are dropped.  A
+    vector is packed into the index sum_k d_k w_k, with w_k the product of
+    the radices after k, so the index order is the lexicographic order and
+    the first index a scan has not reached is the least member of its
+    orbit.  A row moves the index by the change of its digit times w_k.
     """
     r = len(radices)
     weights = [prod(radices[k + 1:]) for k in range(r)]
-    # per generator, (k, own coefficient, constant, radix, weight, other terms) per row
-    packed = [[(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
-                [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
-               for k, constant, terms in rows]
-              for rows in generators if rows]
+    # per row: (k, own coefficient, constant, radix, weight, other terms)
+    packed = [(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
+               [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
+              for k, constant, terms in rows if radices[k] > 1]
     seen = bytearray(prod(radices))
     out = []
     start = seen.find(0)
     while start >= 0:
         seen[start] = 1
-        digits = []
-        rest = start
-        for w in weights:
-            k, rest = divmod(rest, w)
-            digits.append(k)
-        frontier = [(start, digits)]
+        frontier = [(start, [start // w % n for w, n in zip(weights, radices)])]
         count = 1
         while frontier:
             nxt = []
             for index, tau in frontier:
-                for rows in packed:
-                    image = index
-                    for i, own, constant, radix, weight, terms in rows:
-                        old = tau[i]
-                        new = own * old + constant
-                        for j, c in terms:
-                            new += c * tau[j]
-                        image += (new % radix - old) * weight
+                for k, own, constant, radix, weight, terms in packed:
+                    old = tau[k]
+                    new = own * old + constant
+                    for j, c in terms:
+                        new += c * tau[j]
+                    new %= radix
+                    image = index + (new - old) * weight
                     if not seen[image]:
                         seen[image] = 1
                         count += 1
                         moved = tau.copy()
-                        for i, _, _, radix, weight, _ in rows:
-                            moved[i] = image // weight % radix
+                        moved[k] = new
                         nxt.append((image, moved))
             frontier = nxt
         out.append((start, count))
@@ -438,107 +415,88 @@ def _packed_orbits(radices: Sequence[int],
     return out
 
 
-def _reflection_rows(datum: RootDatum, e: int,
-                     base: Optional[Sequence[Fraction]]) -> List[List[Row]]:
-    """The simple reflections t -> s_i(t + b) - b of the trivial action on
-    the numerators tau of t over e: only tau_i moves, to
-    -tau_i - sum_{j != i} c_ij tau_j - e <alpha_i, b> mod e, as c_ii = 2."""
+@lru_cache(maxsize=None)
+def _generator_parts(datum: RootDatum, automorphism: LatticeAutomorphism) -> tuple:
+    """(q, twist, terms) per generator w_J of :func:`fixed_weyl_generators`,
+    built once per pair and process: q is the largest node of J, ``terms``
+    pairs the largest node of each sigma-orbit O with sum_{k in O} W[q][k]
+    where nonzero, and ``twist`` pairs each j in J with the integer
+    K_j = (w_J(x_j) - x_j)_q of the fundamental coweight x_j = adj(C)_j /
+    det(C).  w_J fixes every other x_k, so (w_J(b) - b)_q is
+    sum_j K_j <alpha_j, b>."""
+    generators = fixed_weyl_generators(datum, automorphism)
+    orbits = automorphism.node_orbits
+    adj, det = datum.cartan_inverse
+    parts = []
+    for J, w in zip(sorted(orbits), generators):
+        q = J[-1]
+        row = w.matrix[q]
+        twist = tuple((j, sum((c - (k == q)) * adj[k][j] for k, c in enumerate(row)) // det)
+                      for j in J)
+        terms = tuple((orbit[-1], s) for orbit in orbits
+                      for s in (sum(row[k] for k in orbit),) if s)
+        parts.append((q, twist, terms))
+    return tuple(parts)
+
+
+def _generator_rows(datum: RootDatum, action: GammaAction,
+                    base: Optional[Sequence[Fraction]]) -> List[Row]:
+    """The maps t -> w_J(t + b) - b of the generators of W^sigma on the
+    digits of :func:`_radices`, one row per generator: w_J lies in W_J and
+    commutes with sigma, so only j_J moves, to
+    sum_O (sum_{k in O} W[q][k]) j_O + e (w_J(b) - b)_q.  The base b
+    (default 0) must have sigma-invariant root values in (1/e)Z, else
+    ValueError."""
+    parts = _generator_parts(datum, action.automorphism)
     values = simple_root_values(datum, base if base is not None else qz_zero(datum.rank))
-    require_root_values_on_grid(values, e)
-    # e <alpha_i, b>, an integer on the (1/e)-grid
-    return [[(i, -int(v * e), [(j, (i == j) - c) for j, c in enumerate(row) if c])]
-            for i, (v, row) in enumerate(zip(values, datum.cartan))]
-
-
-def _twisted_rows(action: GammaAction, W: IntMatrix, twist: QZVector) -> List[Row]:
-    """The map t -> W t + twist of a permutation action on the digits j_O
-    of the classes (see :func:`_radices`), one row per digit it moves.
-
-    The image of the representative has orbit sums
-    s'_O = sum_O' L[O][O'] s_O' + c_O, with L[O][O'] = sum_{i in O} W[i][q]
-    at the largest node q of O' and c_O = sum_{i in O} twist_i, so
-    j'_O = sum_O' L[O][O'] |O'|/|O| j_O' + c_O e/|O|.  Every coefficient of
-    a digit that can be nonzero, and the constant, must be an integer, or
-    some image leaves the norm kernel: a hard error.
-    """
-    e = action.e
-    orbits = action.automorphism.node_orbits
-    rows = []
-    for orbit in orbits:
-        m, k = len(orbit), orbit[-1]
-        constant = sum((twist[i] for i in orbit), Fraction(0)) * e / m
-        if constant.denominator != 1:
-            raise AssertionError("twisted action left the norm kernel")
-        terms = []
-        for other in orbits:
-            numerator = sum(W[i][other[-1]] for i in orbit) * len(other)
-            # a digit of radix e/|O'| = 1 is always 0
-            if numerator and e > len(other):
-                if numerator % m:
-                    raise AssertionError("twisted action left the norm kernel")
-                terms.append((other[-1], numerator // m))
-        if e > m and (terms != [(k, 1)] or constant % (e // m)):
-            rows.append((k, int(constant), terms))
-    return rows
-
-
-def _numbered(keyed: Sequence[Tuple[QZVector, int]]) -> List[LocalType]:
-    return [
-        LocalType(orbit_representative=rep, orbit_size=size, index=i)
-        for i, (rep, size) in enumerate(keyed)
-    ]
+    perm = action.automorphism.node_permutation
+    if any(values[perm[i]] != v for i, v in enumerate(values)):
+        raise ValueError(
+            f"base point with root values {tuple(map(str, values))} is not fixed by "
+            f"the diagram automorphism {tuple(p + 1 for p in perm)}")
+    require_root_values_on_grid(values, action.e)
+    scaled = [int(v * action.e) for v in values]
+    return [(q, sum(K * scaled[j] for j, K in twist), terms) for q, twist, terms in parts]
 
 
 def types_of_classes(
     datum: RootDatum,
     action: GammaAction,
     classes: H1Classes,
-    lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
 ) -> List[LocalType]:
     """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
-    Weyl action t -> w^-1(t) + t_w, neutral type first.
+    Weyl action t -> w(t + b) - b of W^sigma, neutral type first.
 
-    When A is the identity the simple reflections act, twisted by the base
-    point (default the origin).  Otherwise A must be a diagram automorphism
-    sigma and only the generators w_J of W^sigma (see
-    :func:`fixed_weyl_generators`) act, each as t -> w_J(t) + t_w.  A pinned
-    action has no general recipe for t_w, so ``lift_provider`` is called
-    once per generator, the only elements consulted, and must return the
-    twist of a lift of it.  Either way the orbits run on the digits of the
-    classes in :func:`_packed_orbits`, whose packed index of a class is its
-    position in ``classes.representatives``, so each type is represented by
-    the class at the index of its least member.  The orbit sizes must add
-    up to the class count.
+    A must permute the nodes by a diagram symmetry sigma (the identity
+    included), else ValueError.  Only the generators w_J of W^sigma act
+    (:func:`fixed_weyl_generators`; the simple reflections for the
+    identity), each twisted by w_J(b) - b for the base point b (default
+    the origin), which must be fixed by sigma and lie on the
+    (1/e)-grid.  Each generator is one affine row on the digits of the
+    classes (:func:`_generator_rows`), and the orbits run in
+    :func:`_packed_orbits`, whose packed index of a class is its position in
+    ``classes.representatives``, so each type is represented by the class
+    at the index of its least member.  The orbit sizes must add up to the
+    class count.
     """
-    if action.automorphism.is_identity:
-        if lift_provider is not None:
-            raise ValueError("lift_provider applies only to a nontrivial action")
-        generators = _reflection_rows(datum, action.e, base)
-    else:
-        if lift_provider is None:
-            raise ValueError("lift_provider is required for a nontrivial action")
-        if base is not None:
-            raise ValueError("base twists are only defined for the trivial action")
-        generators = [_twisted_rows(action, w.matrix, qz_vector(lift_provider(w)))
-                      for w in fixed_weyl_generators(datum, action.automorphism)]
+    rows = _generator_rows(datum, action, base)
     reps = classes.representatives
-    keyed = _packed_orbits(_radices(action), generators)
+    keyed = _packed_orbits(_radices(action), rows)
     if sum(size for _, size in keyed) != len(reps):
         raise AssertionError("orbit sizes must add up to the class count")
-    return _numbered([(reps[start], size) for start, size in keyed])
+    return [LocalType(reps[start], size, i) for i, (start, size) in enumerate(keyed)]
 
 
 def local_types(
     datum: RootDatum,
     action: GammaAction,
-    lift_provider: Optional[Callable[[WeylElement], QZVector]] = None,
     base: Optional[Sequence[Fraction]] = None,
     cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
     """Orbits of H^1 classes under the twisted Weyl action, neutral type first."""
     classes = h1_elements(datum, action, cap=cap)
-    return types_of_classes(datum, action, classes, lift_provider=lift_provider, base=base)
+    return types_of_classes(datum, action, classes, base=base)
 
 
 @lru_cache(maxsize=None)

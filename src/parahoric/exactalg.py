@@ -132,21 +132,8 @@ def qz_vector(xs: Iterable) -> QZVector:
     return tuple(qz(x) for x in xs)
 
 
-def qz_add(u: QZVector, v: QZVector) -> QZVector:
-    return tuple(qz(a + b) for a, b in zip(u, v))
-
-
-def qz_sub(u: QZVector, v: QZVector) -> QZVector:
-    return tuple(qz(a - b) for a, b in zip(u, v))
-
-
 def qz_zero(n: int) -> QZVector:
     return (Fraction(0),) * n
-
-
-def mat_vec_qz(M: IntMatrix, v: Sequence[Fraction]) -> QZVector:
-    """Image of a Q/Z vector under an integer matrix, canonicalized."""
-    return qz_vector(mat_vec(M, v))
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +294,6 @@ def quotient_structure(rank: int, generators: Sequence[IntVector]) -> FiniteAbel
         tuple(d for d in nonzero if d > 1),
         free_rank=rank - len(nonzero),
     )
-
-
-def solve_mod_z(M: IntMatrix, v: Sequence[Fraction]) -> Optional[QZVector]:
-    """Some x in (Q/Z)^cols with M x = v (mod Z^rows), or None if unsolvable.
-
-    Solvability is decided through the Smith form: writing U M V = D, the
-    transformed right-hand side U v must be integral against every zero
-    diagonal entry.
-    """
-    rows, cols = mat_shape(M)
-    if len(v) != rows:
-        raise ValueError("dimension mismatch in solve_mod_z")
-    U, D, V = smith_normal_form(M)
-    w = mat_vec(U, tuple(Fraction(x) for x in v))
-    y = [Fraction(0)] * cols
-    for i in range(rows):
-        d = D[i][i] if i < cols else 0
-        if d != 0:
-            y[i] = w[i] / d
-        elif qz(w[i]) != 0:
-            return None
-    return qz_vector(mat_vec(V, tuple(y)))
 
 
 class ImageMembership:

@@ -494,10 +494,6 @@ def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> L
     return LatticeAutomorphism(M, matrix_order(M))
 
 
-def weyl_element_automorphism(w: WeylElement, cap: int = 1000) -> LatticeAutomorphism:
-    return LatticeAutomorphism(w.matrix, matrix_order(w.matrix, cap=cap))
-
-
 def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[WeylElement]:
     """Generators of W^sigma, the Weyl elements commuting with the diagram
     automorphism ``aut`` of a node permutation sigma (else ValueError): the
@@ -512,10 +508,11 @@ def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[We
     if perm is None or len(perm) != n or not _preserves_cartan(datum, perm):
         raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
     step = _left_multiplier(datum)
+    one = identity_matrix(n)
     gens = []
     for J in sorted(aut.node_orbits):
         key = (1,) * n
-        seen = {key: identity_matrix(n)}
+        seen = {key: one}
         while any(key[j] > 0 for j in J):
             key = step(seen, key, min(j for j in J if key[j] > 0))
         gens.append(WeylElement(seen[key]))

@@ -8,10 +8,13 @@ gamma(w).
 
 H^1(Gamma, T) and its twisted orbits under the fixed Weyl subgroup run on
 the lattice path of :mod:`parahoric.cohomology`: the involution acts on
-the coroot lattice as the A_(n-1) diagram flip, and each generator of
-W^gamma is twisted by t_w of the monomial lift of its permutation.
-Representatives are reported as sum-zero diagonals t, which correspond to
-coroot coordinates c by c_i = t_1 + ... + t_i and t_j = c_j - c_(j-1).
+the coroot lattice as the A_(n-1) diagram flip.  J' is pinned, and so is
+J for odd n, so the Tits section is equivariant and the generators w_J of
+W^gamma act untwisted; J = eps^-1 J' for even n is the flip twisted by the
+base point b with root value -1/2 at the middle node, so w_J gets the
+twist w_J(b) - b (:func:`_sl_base`).  Representatives are reported as sum-zero
+diagonals t, which correspond to coroot coordinates c by
+c_i = t_1 + ... + t_i and t_j = c_j - c_(j-1).
 
 The hermitian forms of the special-vertex cases are derived symbolically
 (valuation + sign per entry) from the lattice basis, not hard-coded; see
@@ -21,12 +24,13 @@ The hermitian forms of the special-vertex cases are derived symbolically
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
+from .alcove import point_from_root_values
 from .exactalg import QZVector, qz, qz_vector, qz_zero
 from .cohomology import (
     GammaAction,
@@ -40,7 +44,6 @@ from .rootdata import (
     EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
-    WeylElement,
     build_root_datum,
     diagram_automorphism,
 )
@@ -262,28 +265,24 @@ def _sl_flip(n: int) -> Tuple[RootDatum, GammaAction]:
     return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
 
 
-def _coroot_coordinates(t: Sequence[Fraction]) -> QZVector:
-    """A sum-zero diagonal in the simple-coroot coordinates of SL_n:
-    c_i = t_1 + ... + t_i for i < n."""
-    return qz_vector(itertools.accumulate(t[:-1]))
-
-
-def _differences(c: Sequence) -> tuple:
-    """t_j = c_j - c_(j-1) with c_0 = c_n = 0, the inverse of
-    :func:`_coroot_coordinates` before reduction mod 1."""
-    padded = (0,) + tuple(c) + (0,)
-    return tuple(b - a for a, b in zip(padded, padded[1:]))
-
-
 def _diagonal(c: Sequence[Fraction]) -> QZVector:
-    return qz_vector(_differences(c))
+    """The sum-zero diagonal t_j = c_j - c_(j-1), c_0 = c_n = 0, of the
+    coroot coordinates c."""
+    padded = (0,) + tuple(c) + (0,)
+    return qz_vector(b - a for a, b in zip(padded, padded[1:]))
 
 
-def _permutation(w: WeylElement) -> Tuple[int, ...]:
-    """The permutation sigma with w(e_j) = e_sigma(j) of a Weyl element of
-    A_(n-1), read off the images e_sigma(j) - e_sigma(j+1) of its coroots."""
-    images = [_differences(column) for column in zip(*w.matrix)]
-    return tuple(image.index(1) for image in images) + (images[-1].index(-1),)
+@lru_cache(maxsize=None)
+def _sl_base(n: int, kind: str) -> Tuple[Fraction, ...]:
+    """The base point of the involution ``kind`` on the coroot lattice of
+    SL_n: 0 for the pinned J' and odd n; for n = 2m, J = eps^-1 J' with
+    eps = diag((-1)^(m), 1^(m)) has root value -1/2 at node m, else 0."""
+    if kind not in ("J", "J-prime"):
+        raise ValueError(f"unknown involution kind {kind!r}")
+    values = [Fraction(0)] * (n - 1)
+    if kind == "J" and n % 2 == 0:
+        values[n // 2 - 1] = Fraction(-1, 2)
+    return point_from_root_values(_sl_flip(n)[0], values)
 
 
 def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
@@ -307,32 +306,21 @@ def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Class
 
 
 def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> List[LocalType]:
-    """Orbits of the classes of :func:`sl_torus_h1` under W^gamma with
-    monomial-lift twists, neutral type first.
-
-    The classes go to coroot coordinates (c_i = t_1 + ... + t_i) and
-    through :func:`types_of_classes` on the induced action, whose n // 2
-    generators each get the twist t_w of the monomial lift of their
-    permutation; the orbit representatives come back as diagonals.
-    """
+    """Orbits of the classes of :func:`sl_torus_h1` under W^gamma, neutral
+    type first: :func:`types_of_classes` on the flip with the base point b
+    of :func:`_sl_base`, whose n // 2 generators w_J each get the twist
+    w_J(b) - b.  The orbits read only the positions of the classes, so the
+    diagonals go in as they are."""
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds the cap "
             f"n <= {SL_WEYL_ENUMERATION_CAP}"
         )
-    lattice = replace(classes, representatives=tuple(
-        _coroot_coordinates(t) for t in classes.representatives))
-    types = types_of_classes(
-        *induced_lattice_action(spec), lattice,
-        lift_provider=lambda w: _coroot_coordinates(
-            t_w(lift_of_permutation(_permutation(w)), spec)),
-    )
-    return [replace(t, orbit_representative=_diagonal(t.orbit_representative))
-            for t in types]
+    return types_of_classes(*_sl_flip(n), classes, base=_sl_base(n, spec.kind))
 
 
 def sl_local_types(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> List[LocalType]:
-    """Orbits of H^1(Gamma, T) under W^gamma with monomial-lift twists."""
+    """Orbits of H^1(Gamma, T) under W^gamma, from :func:`sl_torus_h1`."""
     return sl_types_of_classes(n, spec, sl_torus_h1(n, spec, cap=cap))
 
 

@@ -17,16 +17,105 @@ self-writing :class:`parahoric.cli.CocycleTable` and
 :func:`pairing`, :func:`all_coroots` and :func:`apply` are the root-datum
 and Weyl-element conveniences that no library code calls: the pairing of
 a root with a coweight through the integer root row, every coroot, and a
-lattice matrix applied to a coweight.
+lattice matrix applied to a coweight.  So are the mod-Z helpers
+:func:`qz_add`, :func:`qz_sub`, :func:`mat_vec_qz` and
+:func:`solve_mod_z`, the automorphism :func:`weyl_element_automorphism` of
+a Weyl element, and :func:`classes_equal`, the Fraction twin of the class
+invariant.
+
+:func:`monomial_lift_twist` and :func:`monomial_lift_sl_types` are the SL_n
+types as the library computed them before the involutions became the
+A_(n-1) flip with a base point: each generator of W^gamma is twisted by
+t_w of the monomial lift of its permutation, read back into coroot
+coordinates (:func:`coroot_coordinates`, the inverse of
+``slmodel._diagonal``).
 """
 
+import itertools
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from parahoric.cli import SCHEMA_VERSION, action_spec, types_parts
-from parahoric.cohomology import LocalType, cocycle_numerators
-from parahoric.exactalg import mat_vec
-from parahoric.rootdata import RootDatum, orbit_partition
+from parahoric.cohomology import (
+    GammaAction,
+    H1Classes,
+    LocalType,
+    _require_norm_killed,
+    cocycle_numerators,
+    h1_elements,
+)
+from parahoric.exactalg import (
+    ImageMembership,
+    IntMatrix,
+    QZVector,
+    mat_shape,
+    mat_vec,
+    qz,
+    qz_vector,
+    smith_normal_form,
+)
+from parahoric.rootdata import (
+    LatticeAutomorphism,
+    RootDatum,
+    WeylElement,
+    fixed_weyl_generators,
+    matrix_order,
+    orbit_partition,
+)
+from parahoric.slmodel import (
+    InvolutionSpec,
+    _diagonal,
+    _sl_flip,
+    lift_of_permutation,
+    t_w,
+)
+
+
+def qz_add(u: QZVector, v: QZVector) -> QZVector:
+    return tuple(qz(a + b) for a, b in zip(u, v))
+
+
+def qz_sub(u: QZVector, v: QZVector) -> QZVector:
+    return tuple(qz(a - b) for a, b in zip(u, v))
+
+
+def mat_vec_qz(M: IntMatrix, v: Sequence[Fraction]) -> QZVector:
+    """Image of a Q/Z vector under an integer matrix, canonicalized."""
+    return qz_vector(mat_vec(M, v))
+
+
+def solve_mod_z(M: IntMatrix, v: Sequence[Fraction]) -> Optional[QZVector]:
+    """Some x in (Q/Z)^cols with M x = v (mod Z^rows), or None if unsolvable.
+
+    Solvability is decided through the Smith form: writing U M V = D, the
+    transformed right-hand side U v must be integral against every zero
+    diagonal entry.
+    """
+    rows, cols = mat_shape(M)
+    if len(v) != rows:
+        raise ValueError("dimension mismatch in solve_mod_z")
+    U, D, V = smith_normal_form(M)
+    w = mat_vec(U, tuple(Fraction(x) for x in v))
+    y = [Fraction(0)] * cols
+    for i in range(rows):
+        d = D[i][i] if i < cols else 0
+        if d != 0:
+            y[i] = w[i] / d
+        elif qz(w[i]) != 0:
+            return None
+    return qz_vector(mat_vec(V, tuple(y)))
+
+
+def weyl_element_automorphism(w: WeylElement, cap: int = 1000) -> LatticeAutomorphism:
+    return LatticeAutomorphism(w.matrix, matrix_order(w.matrix, cap=cap))
+
+
+def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
+    """Whether t1 and t2 give the same class, i.e. t1 - t2 is a coboundary."""
+    _require_norm_killed(t1, action)
+    _require_norm_killed(t2, action)
+    member = ImageMembership(action.coboundary_matrix())
+    return member.contains(qz_sub(t1, t2))
 
 
 def pairing(datum: RootDatum, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
@@ -169,3 +258,42 @@ def dict_types_text(report: dict) -> List[str]:
         )
     lines.append(f"types: {report['type_count']}")
     return lines
+
+
+def coroot_coordinates(t: Sequence[Fraction]) -> QZVector:
+    """A sum-zero diagonal in the simple-coroot coordinates of SL_n:
+    c_i = t_1 + ... + t_i for i < n."""
+    return qz_vector(itertools.accumulate(t[:-1]))
+
+
+def weyl_permutation(w: WeylElement) -> tuple:
+    """The permutation sigma with w(e_j) = e_sigma(j) of a Weyl element of
+    A_(n-1), read off the images e_sigma(j) - e_sigma(j+1) of its coroots."""
+    images = [tuple(b - a for a, b in zip((0,) + column, column + (0,)))
+              for column in zip(*w.matrix)]
+    return tuple(image.index(1) for image in images) + (images[-1].index(-1),)
+
+
+def monomial_lift_twist(w: WeylElement, spec: InvolutionSpec) -> QZVector:
+    """t_w of the monomial lift of the permutation of w, in coroot
+    coordinates."""
+    return coroot_coordinates(t_w(lift_of_permutation(weyl_permutation(w)), spec))
+
+
+def monomial_lift_sl_types(n: int, spec: InvolutionSpec,
+                           classes: Optional[H1Classes] = None) -> List[LocalType]:
+    """The SL_n types of the monomial-lift calculus: the orbits of the
+    coroot-coordinate classes of the A_(n-1) flip under the generators w_J
+    of W^gamma, each applied as t -> w_J(t) + t_w of its monomial lift,
+    reported as diagonals.  ``classes`` (diagonals, as from
+    ``sl_torus_h1``) are checked against the coroot classes when given."""
+    datum, action = _sl_flip(n)
+    lattice = h1_elements(datum, action).representatives
+    if classes is not None and classes.representatives != tuple(map(_diagonal, lattice)):
+        raise AssertionError("the diagonal classes are not those of the flip")
+    maps = [lambda t, M=w.matrix, c=monomial_lift_twist(w, spec): qz_add(mat_vec_qz(M, t), c)
+            for w in fixed_weyl_generators(datum, action.automorphism)]
+    member = ImageMembership(action.coboundary_matrix())
+    types = class_orbits(lattice, action.norm_matrix(), member.invariant, maps)
+    return [LocalType(_diagonal(t.orbit_representative), t.orbit_size, t.index)
+            for t in types]

@@ -27,7 +27,6 @@ from parahoric.cohomology import (
 from parahoric.rootdata import (
     build_root_datum,
     rank_range,
-    weyl_element_automorphism,
     weyl_elements,
     weyl_order,
 )
@@ -41,7 +40,7 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
-from .references import pairing
+from .references import pairing, weyl_element_automorphism
 
 
 def report(n, text):

@@ -100,10 +100,11 @@ def test_types_diagram_trivial_h1(capsys):
 
 
 def test_types_diagram_needs_lifts(capsys):
-    # the A3 flip has H^1 of order 2; types need lift data the CLI lacks
+    # the A3 flip has H^1 of order 2; the CLI reports diagram types only
+    # when H^1 = 0
     code, _, err = run_cli(capsys, "types", "--group", "A3", "--order", "2",
                            "--action", "diagram", "--perm", "3,2,1")
-    assert code == 2 and "lift" in err.lower()
+    assert code == 2 and "reported only when H^1 = 0" in err
 
 
 def test_types_diagram_e6_at_e20_reaches_the_h1_refusal(capsys):
@@ -112,7 +113,7 @@ def test_types_diagram_e6_at_e20_reaches_the_h1_refusal(capsys):
     code, out, err = run_cli(capsys, "types", "--group", "E6", "--order", "20",
                              "--action", "diagram", "--perm", "6,2,5,4,3,1")
     assert (code, out) == (2, "")
-    assert "needs Weyl-lift data" in err
+    assert "reported only when H^1 = 0, and here H^1 has order 40000" in err
 
 
 def test_types_sl_involution_honours_the_cap(capsys):
@@ -349,12 +350,41 @@ def test_text_output_deterministic(capsys):
     {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 2},
                         "order": 2, "action": {"kind": "diagram",
                                                "permutation": [None, 1]}}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1},
+                        "order": 2.5}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1.9},
+                        "order": 2}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": True},
+                        "order": 2}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 2},
+                        "order": 2, "action": {"kind": "diagram",
+                                               "permutation": [2.7, 1]}}]},
 ], ids=["non-object-branch-point", "string-action", "non-list-point",
-        "non-integer-permutation"])
+        "non-integer-permutation", "fractional-order", "fractional-rank",
+        "boolean-rank", "fractional-permutation-entry"])
 def test_global_rejects_malformed_branch_point(capsys, tmp_path, config):
     code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("group,order,perm,message", [
+    ({"label": "A", "rank": 1}, 2.5, None, "branch point order must be an integer, not 2.5"),
+    ({"label": "A", "rank": 1}, "2", None, "branch point order must be an integer, not '2'"),
+    ({"label": "A", "rank": 1.9}, 2, None, "branch point rank must be an integer, not 1.9"),
+    ({"label": "A", "rank": True}, 2, None, "branch point rank must be an integer, not True"),
+    ({"label": "A", "rank": 2}, 2, [2.7, 1],
+     "branch point permutation entry must be an integer, not 2.7"),
+], ids=["fractional-order", "string-order", "fractional-rank", "boolean-rank",
+        "fractional-permutation-entry"])
+def test_global_names_the_field_that_is_no_integer(capsys, tmp_path, group, order, perm,
+                                                   message):
+    bp = {"name": "x0", "group": group, "order": order}
+    if perm is not None:
+        bp["action"] = {"kind": "diagram", "permutation": perm}
+    config = {"branch_points": [bp]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,12 +19,12 @@ from parahoric.exactalg import (
     identity_matrix,
     mat_add,
     mat_pow,
-    mat_vec_qz,
-    qz_add,
     qz_zero,
 )
 from parahoric.rootdata import LatticeAutomorphism, build_root_datum, diagram_automorphism
 from parahoric.slmodel import diagonal_action, sl_torus_h1, standard_involution, variant_involution
+
+from .references import mat_vec_qz, qz_add
 
 
 def reference_cocycle(rep, action):

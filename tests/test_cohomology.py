@@ -12,7 +12,6 @@ from parahoric.cohomology import (
     _burnside_table,
     _h1_structure,
     burnside_type_count,
-    classes_equal,
     cocycle_of,
     h1_elements,
     h1_structural,
@@ -26,8 +25,6 @@ from parahoric.exactalg import (
     identity_matrix,
     mat_sub,
     mat_vec,
-    mat_vec_qz,
-    qz_add,
     qz_vector,
     smith_normal_form,
 )
@@ -38,11 +35,18 @@ from parahoric.rootdata import (
     orbit_partition,
     rank_range,
     simple_reflection,
-    weyl_element_automorphism,
     weyl_elements,
 )
 
-from .references import class_orbits, pairing
+from .references import (
+    class_orbits,
+    classes_equal,
+    mat_vec_qz,
+    pairing,
+    qz_add,
+    qz_sub,
+    weyl_element_automorphism,
+)
 from .test_rootdata import flip
 
 
@@ -456,32 +460,37 @@ def test_simple_root_grid_check_matches_the_all_roots_check():
             assert decisions == {True, False}
 
 
-def test_lattice_mode_requires_lifts():
-    datum, act = flip_action(3)
-    with pytest.raises(ValueError):
-        local_types(datum, act)
-
-
 def test_lattice_mode_with_explicit_zero_lifts():
-    # with t_w = 0 for every fixed Weyl element the two SL4-flip classes
-    # stay separate (this is the J' situation, reproduced lattice-side)
+    # with the zero base every generator of W^sigma acts untwisted and the
+    # two SL4-flip classes stay separate (the J' situation, lattice-side)
     datum, act = flip_action(3)
-    types = local_types(datum, act, lift_provider=lambda w: (F(0),) * 3)
+    types = local_types(datum, act, base=(F(0),) * 3)
     assert len(types) == 2
+    assert local_types(datum, act) == types
 
 
 def test_lattice_types_reject_mismatched_arguments():
-    # lifts only for a nontrivial action, a base only for the trivial one,
-    # and a nontrivial action only through a diagram symmetry
-    d2 = build_root_datum("A", 2)
-    with pytest.raises(ValueError, match="lift_provider"):
-        local_types(d2, trivial_action(2, 2), lift_provider=lambda w: (F(0),) * 2)
+    # a base must be fixed by sigma and lie on the (1/e)-grid, and a
+    # nontrivial action must come from a diagram symmetry
     datum, act = flip_action(3)
-    with pytest.raises(ValueError, match="base"):
-        local_types(datum, act, lift_provider=lambda w: (F(0),) * 3, base=(F(0),) * 3)
+    classes = h1_elements(datum, act)
+    not_fixed = point_from_root_values(datum, (F(1, 2), F(0), F(0)))
+    with pytest.raises(ValueError, match="is not fixed by the diagram automorphism"):
+        local_types(datum, act, base=not_fixed)
+    with pytest.raises(ValueError, match="is not fixed by the diagram automorphism"):
+        types_of_classes(datum, act, classes, base=not_fixed)
+    off_grid = point_from_root_values(datum, (F(1, 3), F(0), F(1, 3)))
+    with pytest.raises(ValueError, match="must lie on the \\(1/2\\)-grid"):
+        local_types(datum, act, base=off_grid)
+    with pytest.raises(ValueError, match="must lie on the \\(1/2\\)-grid"):
+        types_of_classes(datum, act, classes, base=off_grid)
+    # the fixed base with root value 1/2 on both ends is accepted
+    assert local_types(datum, act, base=point_from_root_values(datum, (F(1, 2), F(0), F(1, 2))))
+    d2 = build_root_datum("A", 2)
     aut = weyl_element_automorphism(simple_reflection(d2, 1))
-    with pytest.raises(ValueError):
-        local_types(d2, GammaAction(aut.order, aut), lift_provider=lambda w: (F(0),) * 2)
+    action = GammaAction(aut.order, aut)
+    with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
+        types_of_classes(d2, action, h1_elements(d2, action))
 
 
 def _integer_inverse(M):
@@ -498,7 +507,7 @@ def _integer_inverse(M):
 def full_weyl_types(datum, action, lift):
     """Reference: the orbits under every element of the fixed subgroup, found
     by filtering W (all of W for the identity), each applied as
-    t -> w^-1(t) + lift(w)."""
+    t -> w^-1(t) + lift(w); the lift w^-1(c) - c is the base point c."""
     from parahoric.exactalg import ImageMembership, mat_mul
 
     A = action.matrix
@@ -517,22 +526,24 @@ def full_weyl_types(datum, action, lift):
     ("A", 3, None, 2), ("A", 3, None, 4), ("A", 4, None, 4), ("A", 5, None, 2),
     ("D", 4, (2, 1, 3, 0), 3), ("D", 4, (2, 1, 3, 0), 6), ("D", 4, None, 4)])
 def test_lattice_types_match_the_full_weyl_path(label, rank, perm, e):
-    from parahoric.exactalg import mat_pow, mat_vec, qz_sub
+    from parahoric.exactalg import mat_pow
 
     datum = build_root_datum(label, rank)
     aut = diagram_automorphism(datum, perm) if perm else flip(datum)
     action = GammaAction(e, aut)
-    # zero lifts, and the lifts w^-1(c) - c, which conjugate the linear
-    # action by the translation by c, for c = 1/e on the sigma-orbit of node 1
+    # the zero base against zero lifts, and the base c = 1/e on the
+    # sigma-orbit of node 1 against the lifts w^-1(c) - c, which conjugate
+    # the linear action by the translation by c
     powers = [mat_pow(aut.matrix, k) for k in range(aut.order)]
     c = tuple(F(int(any(P[i][0] for P in powers)), e) for i in range(rank))
     assert mat_vec(aut.matrix, c) == c
-    lifts = [lambda w: (F(0),) * rank,
-             lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)),
-                              qz_vector(c))]
-    for lift in lifts:
-        got = local_types(datum, action, lift_provider=lift)
-        assert got == full_weyl_types(datum, action, lift)
+    zero = local_types(datum, action)
+    assert zero == full_weyl_types(datum, action, lambda w: (F(0),) * rank)
+
+    def lift(w):
+        return qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)), qz_vector(c))
+
+    assert local_types(datum, action, base=c) == full_weyl_types(datum, action, lift)
 
 
 @pytest.mark.parametrize("label,rank,e,count", [
@@ -540,10 +551,13 @@ def test_lattice_types_match_the_full_weyl_path(label, rank, perm, e):
 def test_lattice_type_counts_with_zero_lifts(label, rank, e, count):
     datum = build_root_datum(label, rank)
     action = GammaAction(e, flip(datum))
-    assert len(local_types(datum, action, lift_provider=lambda w: (F(0),) * rank)) == count
+    assert len(local_types(datum, action)) == count
 
 
 def test_lattice_types_consult_only_the_generators(monkeypatch):
+    # W^sigma is never enumerated: each generator w_J, one per sigma-orbit of
+    # the nodes (the simple reflections for the identity), reaches the orbit
+    # engine as exactly one row, on the digit of the largest node of J
     import parahoric.cohomology as cohomology
     import parahoric.rootdata as rootdata
 
@@ -552,28 +566,31 @@ def test_lattice_types_consult_only_the_generators(monkeypatch):
 
     monkeypatch.setattr(rootdata, "weyl_elements", refuse)
     monkeypatch.setattr(cohomology, "weyl_elements", refuse)
-    for label, rank, perm, e, orbits in [("A", 5, None, 2, 3),
-                                         ("D", 4, (2, 1, 3, 0), 3, 2),
-                                         ("E", 6, None, 4, 4)]:
+    engine = cohomology._packed_orbits
+    for label, rank, perm, e in [("A", 5, None, 2), ("D", 4, (2, 1, 3, 0), 3),
+                                 ("E", 6, None, 4), ("E", 6, tuple(range(6)), 3),
+                                 ("B", 4, tuple(range(4)), 2)]:
         datum = build_root_datum(label, rank)
         action = GammaAction(e, diagram_automorphism(datum, perm) if perm else flip(datum))
         calls = []
 
-        def lift(w, rank=rank):
-            calls.append(w)
-            return (F(0),) * rank
+        def recorded(radices, rows):
+            calls.append(list(rows))
+            return engine(radices, rows)
 
-        assert local_types(datum, action, lift_provider=lift)
-        # one call per sigma-orbit of the nodes
-        assert len(calls) == orbits
+        monkeypatch.setattr(cohomology, "_packed_orbits", recorded)
+        for base in (None, (F(0),) * rank):
+            assert local_types(datum, action, base=base)
+        orbits = sorted(action.automorphism.node_orbits)
+        assert len(calls) == 2
+        for rows in calls:
+            assert [k for k, _, _ in rows] == [J[-1] for J in orbits], (label, rank, perm)
 
 
 def test_trivial_engine_matches_generic_lattice_engine():
     # the integer orbit engine of the trivial action must produce the same
     # partition as the generic Fraction engine run over every element of W,
     # each as t -> w^-1(t) + w^-1(b) - b
-    from parahoric.exactalg import mat_vec, qz_sub
-
     for label, rank, emax in [("A", 1, 4), ("A", 2, 3), ("C", 2, 3)]:
         datum = build_root_datum(label, rank)
         for e in range(1, emax + 1):

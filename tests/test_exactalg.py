@@ -12,14 +12,14 @@ from parahoric.exactalg import (
     lcm_many,
     mat_mul,
     mat_vec,
-    mat_vec_qz,
     matrix,
     qz,
     qz_vector,
     quotient_structure,
     smith_normal_form,
-    solve_mod_z,
 )
+
+from .references import mat_vec_qz, solve_mod_z
 
 
 def snf_checks(M):

@@ -17,15 +17,8 @@ from parahoric.cohomology import (
     local_types,
     types_of_classes,
 )
-from parahoric.exactalg import (
-    ImageMembership,
-    mat_pow,
-    mat_vec,
-    mat_vec_qz,
-    qz_add,
-    qz_sub,
-    qz_vector,
-)
+from parahoric.alcove import point_from_root_values, simple_root_values
+from parahoric.exactalg import ImageMembership, mat_pow, mat_vec, qz_vector
 from parahoric.rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -36,7 +29,7 @@ from parahoric.rootdata import (
 )
 from parahoric.slmodel import sl_local_types, standard_involution, variant_involution
 
-from .references import class_orbits
+from .references import class_orbits, mat_vec_qz, qz_add, qz_sub
 from .test_cohomology import _integer_inverse
 from .test_rootdata import flip
 
@@ -103,15 +96,19 @@ def test_orbit_sum_classes_equal_the_grid_classes(label, rank):
             (label, rank, aut.matrix, e)
 
 
-def _lifts(aut, rank, e):
-    """Zero lifts, and the lifts w^-1(c) - c for c = 1/e on the sigma-orbit
-    of node 1 (as in ``test_lattice_types_match_the_full_weyl_path``)."""
+def _bases(aut, rank, e):
+    """The zero base and c = 1/e on the sigma-orbit of node 1 (as in
+    ``test_lattice_types_match_the_full_weyl_path``), each with its lifts
+    w^-1(c) - c."""
     powers = [mat_pow(aut.matrix, k) for k in range(aut.order)]
     c = tuple(F(int(any(P[i][0] for P in powers)), e) for i in range(rank))
     assert mat_vec(aut.matrix, c) == c
-    return [lambda w: (F(0),) * rank,
-            lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)),
-                             qz_vector(c))]
+    return [(None, lambda w: (F(0),) * rank), (c, _base_lift(c))]
+
+
+def _base_lift(c):
+    """The lifts w^-1(c) - c of the base point c."""
+    return lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)), qz_vector(c))
 
 
 def _reference_types(datum, action, lift):
@@ -134,8 +131,8 @@ def test_packed_types_equal_the_class_orbits_reference(label, rank):
     datum = build_root_datum(label, rank)
     for _, _, aut, e in [c for c in PACKED_CASES if c[:2] == (label, rank)]:
         action = GammaAction(e, aut)
-        for lift in _lifts(aut, rank, e):
-            got = local_types(datum, action, lift_provider=lift)
+        for base, lift in _bases(aut, rank, e):
+            got = local_types(datum, action, base=base)
             assert got == _reference_types(datum, action, lift), (label, rank, aut.matrix, e)
 
 
@@ -149,16 +146,16 @@ def test_types_are_read_off_the_passed_classes():
     # so classes that carry their own positions give the least indices back
     datum = build_root_datum("A", 3)
     action = GammaAction(4, flip(datum))
-    lift = _lifts(action.automorphism, 3, 4)[1]
+    base = _bases(action.automorphism, 3, 4)[1][0]
     classes = h1_elements(datum, action)
-    types = types_of_classes(datum, action, classes, lift_provider=lift)
+    types = types_of_classes(datum, action, classes, base=base)
     positions = replace(classes, representatives=tuple(range(len(classes.representatives))))
     assert [t.orbit_representative
-            for t in types_of_classes(datum, action, positions, lift_provider=lift)] \
+            for t in types_of_classes(datum, action, positions, base=base)] \
         == [classes.representatives.index(t.orbit_representative) for t in types]
     fewer = replace(classes, representatives=classes.representatives[:-1])
     with pytest.raises(AssertionError, match="orbit sizes must add up to the class count"):
-        types_of_classes(datum, action, fewer, lift_provider=lift)
+        types_of_classes(datum, action, fewer, base=base)
 
 
 def test_permutation_actions_never_build_the_grid(monkeypatch):
@@ -171,7 +168,7 @@ def test_permutation_actions_never_build_the_grid(monkeypatch):
         for spec in specs:
             assert sl_local_types(n, spec)
     e6 = build_root_datum("E", 6)
-    types = local_types(e6, GammaAction(6, flip(e6)), lift_provider=lambda w: (F(0),) * 6)
+    types = local_types(e6, GammaAction(6, flip(e6)))
     assert len(types) == 9
 
 
@@ -194,31 +191,27 @@ def test_the_permutation_cap_counts_classes_not_grid_points():
         h1_elements(d4, action, cap=11)
 
 
-def test_a_twist_off_the_norm_kernel_is_a_hard_error():
-    datum = build_root_datum("A", 3)
-    action = GammaAction(2, flip(datum))
-    # a twist of 1/4 on node 1 puts the orbit sum of {0, 2} off (1/e)Z
-    with pytest.raises(AssertionError, match="twisted action left the norm kernel"):
-        local_types(datum, action, lift_provider=lambda w: (F(1, 4), F(0), F(0)))
-
-
 @pytest.mark.parametrize("label,rank,perm,e", [
     ("A", 3, None, 4), ("A", 5, None, 4), ("D", 4, (2, 1, 3, 0), 6), ("D", 5, None, 2),
     ("E", 6, None, 2)])
-def test_twists_on_other_orbits_match_the_class_orbits_reference(label, rank, perm, e):
-    # each generator gets a twist with orbit sums on every orbit, so the
-    # generators also translate the digits their linear part leaves alone
+def test_random_fixed_bases_match_the_class_orbits_reference(label, rank, perm, e):
+    # random sigma-fixed bases on the (1/e)-grid, root values constant on
+    # each sigma-orbit, against the lifts w^-1(b) - b on the grid classes
     datum = build_root_datum(label, rank)
     aut = diagram_automorphism(datum, perm) if perm else flip(datum)
     action = GammaAction(e, aut)
     rng = random.Random(rank * e)
-    twists = {}
-    for w in fixed_weyl_generators(datum, aut):
-        twist = [F(0)] * rank
+    twisted = 0
+    for _ in range(4):
+        values = [F(0)] * rank
         for orbit in aut.node_orbits:
-            twist[orbit[-1]] = F(rng.randrange(e // len(orbit)) * len(orbit), e)
-        twists[w.matrix] = tuple(twist)
-    rows = [cohomology._twisted_rows(action, M, t) for M, t in twists.items()]
-    assert any(len(r) > 1 for r in rows)
-    got = local_types(datum, action, lift_provider=lambda w: twists[w.matrix])
-    assert got == _reference_types(datum, action, lambda w: twists[w.matrix])
+            value = F(rng.randint(-2 * e, 2 * e), e)
+            for i in orbit:
+                values[i] = value
+        base = point_from_root_values(datum, values)
+        assert mat_vec(aut.matrix, base) == base
+        assert simple_root_values(datum, base) == tuple(values)
+        twisted += any(row[1] for row in cohomology._generator_rows(datum, action, base))
+        got = local_types(datum, action, base=base)
+        assert got == _reference_types(datum, action, _base_lift(base)), (values, e)
+    assert twisted

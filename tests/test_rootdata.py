@@ -24,13 +24,12 @@ from parahoric.rootdata import (
     rank_range,
     simple_reflection,
     weyl_classes,
-    weyl_element_automorphism,
     weyl_elements,
     weyl_generators,
     weyl_order,
 )
 
-from .references import all_coroots, apply, pairing
+from .references import all_coroots, apply, pairing, weyl_element_automorphism
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,

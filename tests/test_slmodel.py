@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from parahoric.alcove import simple_root_values
 from parahoric.cohomology import cocycle_numerators
 from parahoric.exactalg import ImageMembership, identity_matrix, mat_sub, qz_vector
 from parahoric.slmodel import (
@@ -32,7 +33,7 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
-from .references import class_orbits
+from .references import class_orbits, monomial_lift_sl_types
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +481,60 @@ def test_sl_torus_h1_honours_the_cap():
 
 
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
+    # the n // 2 generators of W^gamma act through the base point alone:
+    # neither W^gamma nor a monomial lift is ever built
     import parahoric.slmodel as slmodel
 
     n = 8
     for spec in specs_of(n):
         classes = sl_torus_h1(n, spec)
-        calls = []
-        original = slmodel.involution_apply
+        want = monomial_lift_sl_types(n, spec, classes)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def refuse(*args):
+            raise AssertionError("no monomial calculus on the types path")
 
         def no_scan(*args):
             raise AssertionError("W^gamma must not be enumerated")
 
         with monkeypatch.context() as patch:
-            patch.setattr(slmodel, "involution_apply", counted)
+            for name in ("involution_apply", "lift_of_permutation", "t_w", "mm_mul"):
+                patch.setattr(slmodel, name, refuse)
             patch.setattr(slmodel, "reversal_fixed_permutations", no_scan)
-            slmodel.sl_types_of_classes(n, spec, classes)
-        assert 0 < len(calls) <= n // 2
+            assert slmodel.sl_types_of_classes(n, spec, classes) == want
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_base_path_matches_the_monomial_lift_reference(n, monkeypatch):
+    # the flip with the base point of J = eps^-1 J' (root value -1/2 at the
+    # middle node for sl-J at even n, else 0) against the twists t_w of the
+    # monomial lifts, read into coroot coordinates
+    import parahoric.slmodel as slmodel
+
+    monkeypatch.setattr(slmodel, "SL_WEYL_ENUMERATION_CAP", 12)
+    for spec in specs_of(n):
+        classes = sl_torus_h1(n, spec)
+        assert sl_types_of_classes(n, spec, classes) == monomial_lift_sl_types(n, spec, classes)
+    root_values = {spec.kind: simple_root_values(slmodel._sl_flip(n)[0],
+                                                 slmodel._sl_base(n, spec.kind))
+                   for spec in specs_of(n)}
+    want = [F(-1, 2) if n % 2 == 0 and i == n // 2 - 1 else F(0) for i in range(n - 1)]
+    assert list(root_values["J"]) == want
+    assert set(root_values.get("J-prime", (F(0),))) == {F(0)}
+
+
+def test_su_cases_match_the_monomial_lift_reference():
+    for n in range(3, 9):
+        for case in (("odd-A", "odd-B") if n % 2 else ("even-Lm", "even-L0")):
+            spec = variant_involution(n) if case == "even-Lm" else standard_involution(n)
+            assert su_special_vertex_types(n, case).type_count \
+                == len(monomial_lift_sl_types(n, spec)), (n, case)
+
+
+def test_sl_base_refuses_an_unknown_involution_kind():
+    import parahoric.slmodel as slmodel
+
+    with pytest.raises(ValueError, match="unknown involution kind 'K'"):
+        slmodel._sl_base(4, "K")
 
 
 def test_sl_types_of_classes_refuse_n_over_the_cap():
