@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, common_numerators, lcm_many
+from .exactalg import QZVector, common_numerators, det_int, lcm_many
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -311,28 +311,18 @@ class VertexPrimeData:
 def vertex_prime_data(label: str, rank: int) -> VertexPrimeData:
     """Primes of the marks, the quoted affine-diagram automorphism orders
     (untwisted A_n: 2(n+1); twisted: 2 for odd n, 1 for even n; absent for
-    the other types), and the excluded characteristics."""
+    the other types), and the excluded characteristics, read off the root
+    datum: 2, the primes of the marks (the bad primes) and the primes of
+    det(C) = |pi_1|."""
     datum = build_root_datum(label, rank)
     mark_primes = frozenset().union(*(prime_divisors(m) for m in datum.marks))
-    label = datum.label
-    if label == "A":
-        affine_aut = 2 * (rank + 1)
-        twisted_aut = 2 if rank % 2 == 1 else 1
-        excluded = frozenset({2}) | prime_divisors(rank + 1)
-    else:
-        affine_aut = None
-        twisted_aut = None
-        if label in ("B", "C", "D"):
-            excluded = frozenset({2})
-        elif label == "E" and rank == 8:
-            excluded = frozenset({2, 3, 5})
-        else:  # E6, E7, F4, G2
-            excluded = frozenset({2, 3})
+    type_a = datum.label == "A"
     return VertexPrimeData(
-        label=label,
+        label=datum.label,
         rank=rank,
         mark_primes=mark_primes,
-        affine_aut_order=affine_aut,
-        twisted_affine_aut_order=twisted_aut,
-        excluded_characteristics=excluded,
+        affine_aut_order=2 * (rank + 1) if type_a else None,
+        twisted_affine_aut_order=(2 if rank % 2 == 1 else 1) if type_a else None,
+        excluded_characteristics=frozenset({2}) | mark_primes
+        | prime_divisors(det_int(datum.cartan)),
     )

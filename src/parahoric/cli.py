@@ -690,6 +690,16 @@ def _config_integer(value, field: str) -> int:
     return value
 
 
+def _config_rational(value) -> str:
+    """A root value of a config as a JSON string or integer (``true`` and
+    ``false`` are none), else a usage error: a JSON float would be read
+    through its binary value."""
+    if type(value) is not int and not isinstance(value, str):
+        raise UsageError(
+            f"branch point point entry must be a string or an integer, not {value!r}")
+    return str(value)
+
+
 def _branch_point_types(bp: dict, cap: int) -> dict:
     try:
         group = bp["group"]
@@ -720,7 +730,7 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
     if "point" in bp:
         if not isinstance(bp["point"], list):
             raise UsageError("branch point 'point' must be a list of root values")
-        point = tuple(parse_fraction(str(x)) for x in bp["point"])
+        point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
     return compute_types(label, rank, order, kind, perm=perm, point=point, cap=cap)

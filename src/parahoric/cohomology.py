@@ -475,12 +475,18 @@ def types_of_classes(
     the origin), which must be fixed by sigma and lie on the
     (1/e)-grid.  Each generator is one affine row on the digits of the
     classes (:func:`_generator_rows`), and the orbits run in
-    :func:`_packed_orbits`, whose packed index of a class is its position in
+    :func:`_packed_orbits` (:func:`_orbit_types`).
+    """
+    return _orbit_types(_generator_rows(datum, action, base), action, classes)
+
+
+def _orbit_types(rows: Sequence[Row], action: GammaAction,
+                 classes: H1Classes) -> List[LocalType]:
+    """The orbits of the generator ``rows`` on the classes, as local types.
+    The packed index of a class in :func:`_packed_orbits` is its position in
     ``classes.representatives``, so each type is represented by the class
     at the index of its least member.  The orbit sizes must add up to the
-    class count.
-    """
-    rows = _generator_rows(datum, action, base)
+    class count."""
     reps = classes.representatives
     keyed = _packed_orbits(_radices(action), rows)
     if sum(size for _, size in keyed) != len(reps):
@@ -494,9 +500,11 @@ def local_types(
     base: Optional[Sequence[Fraction]] = None,
     cap: int = DEFAULT_CAP,
 ) -> List[LocalType]:
-    """Orbits of H^1 classes under the twisted Weyl action, neutral type first."""
-    classes = h1_elements(datum, action, cap=cap)
-    return types_of_classes(datum, action, classes, base=base)
+    """Orbits of H^1 classes under the twisted Weyl action, neutral type
+    first (:func:`types_of_classes`).  The automorphism and the base point
+    are checked before :func:`h1_elements` lists a class."""
+    rows = _generator_rows(datum, action, base)
+    return _orbit_types(rows, action, h1_elements(datum, action, cap=cap))
 
 
 @lru_cache(maxsize=None)
@@ -540,7 +548,7 @@ def burnside_type_count(
     datum: RootDatum,
     e: int,
     base: Optional[Sequence[Fraction]] = None,
-    weyl_cap: int = 10 ** 4,
+    cap: int = DEFAULT_CAP,
 ) -> int:
     """Independent orbit count over W on the e-torsion by Burnside's lemma.
 
@@ -560,15 +568,16 @@ def burnside_type_count(
     The Smith forms depend on the datum alone, so they come from one table
     per datum (:func:`_burnside_table`), built once per process at the cost
     of |W| * r conjugations and one Smith form per class; a call evaluates
-    each distinct row of the P once.  An order |W| above ``weyl_cap`` is
-    refused on every call, before the table is consulted.
+    each distinct row of the P once.  An order |W| above ``cap``, the
+    default cap of every other stage, is refused on every call, before the
+    table is consulted.
     """
     if e < 1:
         raise ValueError("the order of Gamma must be positive")
     base_vec = as_point(base) if base is not None else qz_zero(datum.rank)
     require_root_values_on_grid(simple_root_values(datum, base_vec), e)
     N, B = common_numerators(base_vec)
-    order = weyl_order(datum, cap=weyl_cap)
+    order = weyl_order(datum, cap=cap)
     rows, signatures = _burnside_table(datum)
     values = [sum(p * b for p, b in zip(row, B) if p) * e for row in rows]
     if any(v % N for v in values):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -30,7 +30,6 @@ from .exactalg import (
     det_int,
     identity_matrix,
     mat_mul,
-    mat_pow,
     matrix,
 )
 
@@ -404,16 +403,18 @@ def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:
 
 @dataclass(frozen=True)
 class LatticeAutomorphism:
-    """Finite-order automorphism of the coroot lattice."""
+    """Finite-order automorphism of the coroot lattice, given by its matrix
+    alone; equality and hashing are those of the matrix."""
 
     matrix: IntMatrix
-    order: int
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        if mat_pow(self.matrix, self.order) != identity_matrix(len(self.matrix)):
-            raise ValueError("matrix does not have the declared order")
+    @cached_property
+    def order(self) -> int:
+        """The least k with A^k = 1: for a permutation matrix the lcm of the
+        lengths of :attr:`node_orbits`, with no matrix product; otherwise
+        :func:`matrix_order`, which refuses an order above its cap."""
+        orbits = self.node_orbits
+        return lcm(*map(len, orbits)) if orbits is not None else matrix_order(self.matrix)
 
     @cached_property
     def node_permutation(self) -> Optional[Tuple[int, ...]]:
@@ -468,7 +469,7 @@ def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
 
 
 def identity_automorphism(rank: int) -> LatticeAutomorphism:
-    return LatticeAutomorphism(identity_matrix(rank), 1)
+    return LatticeAutomorphism(identity_matrix(rank))
 
 
 def _preserves_cartan(datum: RootDatum, perm: Sequence[int]) -> bool:
@@ -488,10 +489,8 @@ def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> L
         raise ValueError("node_permutation is not a permutation of the nodes")
     if not _preserves_cartan(datum, perm):
         raise ValueError("permutation is not a Dynkin-diagram symmetry")
-    M = tuple(
-        tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)
-    )
-    return LatticeAutomorphism(M, matrix_order(M))
+    return LatticeAutomorphism(tuple(
+        tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)))
 
 
 def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[WeylElement]:

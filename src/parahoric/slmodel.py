@@ -227,39 +227,26 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
 # torus cohomology on the coroot lattice, read as diagonals
 # ---------------------------------------------------------------------------
 
-def torus_action_matrix(spec: InvolutionSpec):
-    """gamma on additive diagonal vectors: (Gz)_j = -z_{rho(j)}.
-
-    Conjugating a diagonal matrix by any monomial matrix permutes the
-    entries by its underlying permutation; the entry values cancel.  Hence
-    the torus action depends only on spec.J.perm.
-    """
-    n = spec.n
-    return tuple(
-        tuple(-1 if k == spec.J.perm[j] else 0 for k in range(n)) for j in range(n)
-    )
-
-
+@lru_cache(maxsize=None)
 def diagonal_action(spec: InvolutionSpec) -> GammaAction:
-    """The involution on additive diagonal vectors, as an order-2 action;
-    it supplies the norm 1 + gamma and the cocycles of the diagonal
-    representatives."""
-    return GammaAction(2, LatticeAutomorphism(torus_action_matrix(spec), 2))
+    """The involution on additive diagonal vectors, (Gz)_j = -z_{rho(j)} for
+    the permutation rho of J, as an order-2 action; it supplies the norm
+    1 + gamma and the cocycles of the diagonal representatives.
 
-
-def induced_lattice_action(spec: InvolutionSpec) -> Tuple[RootDatum, GammaAction]:
-    """The root datum A_(n-1) of SL_n and the same involution on its
-    coroot lattice.
-
-    gamma(alpha_i_coroot) = alpha_{n-i}_coroot, independently of the entries
-    of J; only the underlying reversal enters, so the pair depends on n
-    alone and is built once per n and process.
-    """
-    return _sl_flip(spec.n)
+    Conjugating a diagonal matrix by a monomial matrix permutes the entries
+    by its permutation and the entry values cancel, so the action depends on
+    spec.J.perm alone.  It is built once per involution and process, so its
+    norm is built once too."""
+    rho, n = spec.J.perm, spec.n
+    return GammaAction(2, LatticeAutomorphism(tuple(
+        tuple(-1 if k == rho[j] else 0 for k in range(n)) for j in range(n))))
 
 
 @lru_cache(maxsize=None)
 def _sl_flip(n: int) -> Tuple[RootDatum, GammaAction]:
+    """The root datum A_(n-1) of SL_n and the involution on its coroot
+    lattice, gamma(alpha_i_coroot) = alpha_{n-i}_coroot for J and J' alike
+    (only the reversal enters), built once per n and process."""
     datum = build_root_datum("A", n - 1)
     flip = tuple(n - 2 - i for i in range(n - 1))
     return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
@@ -288,8 +275,8 @@ def _sl_base(n: int, kind: str) -> Tuple[Fraction, ...]:
 def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
     """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
 
-    The classes are those of :func:`h1_elements` on the induced action on
-    the coroot lattice (which checks the element model against the
+    The classes are those of :func:`h1_elements` on the flip of the coroot
+    lattice, :func:`_sl_flip` (which checks the element model against the
     structural one, and refuses more than ``cap`` classes), converted to
     diagonals by t_j = c_j - c_(j-1).
     """
@@ -297,7 +284,7 @@ def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Class
         raise ValueError("the worked involutions need n >= 3")
     if spec.n != n:
         raise ValueError("size mismatch")
-    classes = h1_elements(*induced_lattice_action(spec), cap=cap)
+    classes = h1_elements(*_sl_flip(n), cap=cap)
     return H1Classes(
         structure=classes.structure,
         representatives=tuple(_diagonal(c) for c in classes.representatives),

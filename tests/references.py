@@ -59,7 +59,6 @@ from parahoric.rootdata import (
     RootDatum,
     WeylElement,
     fixed_weyl_generators,
-    matrix_order,
     orbit_partition,
 )
 from parahoric.slmodel import (
@@ -106,8 +105,8 @@ def solve_mod_z(M: IntMatrix, v: Sequence[Fraction]) -> Optional[QZVector]:
     return qz_vector(mat_vec(V, tuple(y)))
 
 
-def weyl_element_automorphism(w: WeylElement, cap: int = 1000) -> LatticeAutomorphism:
-    return LatticeAutomorphism(w.matrix, matrix_order(w.matrix, cap=cap))
+def weyl_element_automorphism(w: WeylElement) -> LatticeAutomorphism:
+    return LatticeAutomorphism(w.matrix)
 
 
 def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:

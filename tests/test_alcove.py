@@ -414,6 +414,26 @@ def test_apartment_count_equals_cohomology_count(label, rank, emax):
             assert ap == co, (label, rank, e, base)
 
 
+# the excluded characteristics of every type up to rank 12, as the per-type
+# rule gave them: {2} | primes(n + 1) for A_n, {2} for B, C and D, {2, 3, 5}
+# for E8 and {2, 3} for E6, E7, F4 and G2
+EXCLUDED_CHARACTERISTICS = {
+    ("A", 1): {2}, ("A", 2): {2, 3}, ("A", 3): {2}, ("A", 4): {2, 5},
+    ("A", 5): {2, 3}, ("A", 6): {2, 7}, ("A", 7): {2}, ("A", 8): {2, 3},
+    ("A", 9): {2, 5}, ("A", 10): {2, 11}, ("A", 11): {2, 3}, ("A", 12): {2, 13},
+    **{(label, rank): {2} for label in "BC" for rank in range(2, 13)},
+    **{("D", rank): {2} for rank in range(4, 13)},
+    ("E", 6): {2, 3}, ("E", 7): {2, 3}, ("E", 8): {2, 3, 5},
+    ("F", 4): {2, 3}, ("G", 2): {2, 3},
+}
+
+
+def test_excluded_characteristics_are_read_off_the_root_datum():
+    assert sorted(EXCLUDED_CHARACTERISTICS) == sorted(rank_range(12))
+    for (label, rank), excluded in EXCLUDED_CHARACTERISTICS.items():
+        assert vertex_prime_data(label, rank).excluded_characteristics == excluded
+
+
 def test_vertex_prime_data():
     e8 = vertex_prime_data("E", 8)
     assert e8.mark_primes == frozenset({2, 3, 5})

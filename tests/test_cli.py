@@ -282,6 +282,15 @@ def test_global_with_point_override(capsys, tmp_path):
     assert parsed["pi0"] == 6
 
 
+def test_global_reads_integer_point_entries_as_their_strings(capsys, tmp_path):
+    runs = []
+    for point in ([0], ["0"]):
+        cfg = write_config(tmp_path, {"branch_points": [
+            {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 4, "point": point}]})
+        runs.append(run_cli(capsys, "global", "--config", cfg))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_twist_and_global_json_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "twist", "--group", "A1", "--order", "5",
                            "--point", "1/5", "--format", "json")
@@ -359,29 +368,45 @@ def test_text_output_deterministic(capsys):
     {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 2},
                         "order": 2, "action": {"kind": "diagram",
                                                "permutation": [2.7, 1]}}]},
+    # a JSON float is read through its binary value, so it is refused
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1},
+                        "order": 2, "point": [0.5000000000000000001]}]},
+    {"branch_points": [{"name": "x0", "group": {"label": "A", "rank": 1},
+                        "order": 4, "point": [0.25]}]},
 ], ids=["non-object-branch-point", "string-action", "non-list-point",
         "non-integer-permutation", "fractional-order", "fractional-rank",
-        "boolean-rank", "fractional-permutation-entry"])
+        "boolean-rank", "fractional-permutation-entry", "float-point-entry",
+        "binary-float-point-entry"])
 def test_global_rejects_malformed_branch_point(capsys, tmp_path, config):
     code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("group,order,perm,message", [
-    ({"label": "A", "rank": 1}, 2.5, None, "branch point order must be an integer, not 2.5"),
-    ({"label": "A", "rank": 1}, "2", None, "branch point order must be an integer, not '2'"),
-    ({"label": "A", "rank": 1.9}, 2, None, "branch point rank must be an integer, not 1.9"),
-    ({"label": "A", "rank": True}, 2, None, "branch point rank must be an integer, not True"),
-    ({"label": "A", "rank": 2}, 2, [2.7, 1],
+@pytest.mark.parametrize("group,order,perm,point,message", [
+    ({"label": "A", "rank": 1}, 2.5, None, None,
+     "branch point order must be an integer, not 2.5"),
+    ({"label": "A", "rank": 1}, "2", None, None,
+     "branch point order must be an integer, not '2'"),
+    ({"label": "A", "rank": 1.9}, 2, None, None,
+     "branch point rank must be an integer, not 1.9"),
+    ({"label": "A", "rank": True}, 2, None, None,
+     "branch point rank must be an integer, not True"),
+    ({"label": "A", "rank": 2}, 2, [2.7, 1], None,
      "branch point permutation entry must be an integer, not 2.7"),
+    ({"label": "A", "rank": 1}, 2, None, [0.5000000000000000001],
+     "branch point point entry must be a string or an integer, not 0.5"),
+    ({"label": "A", "rank": 1}, 2, None, [True],
+     "branch point point entry must be a string or an integer, not True"),
 ], ids=["fractional-order", "string-order", "fractional-rank", "boolean-rank",
-        "fractional-permutation-entry"])
+        "fractional-permutation-entry", "float-point-entry", "boolean-point-entry"])
 def test_global_names_the_field_that_is_no_integer(capsys, tmp_path, group, order, perm,
-                                                   message):
+                                                   point, message):
     bp = {"name": "x0", "group": group, "order": order}
     if perm is not None:
         bp["action"] = {"kind": "diagram", "permutation": perm}
+    if point is not None:
+        bp["point"] = point
     config = {"branch_points": [bp]}
     code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -156,9 +156,9 @@ def test_norm_cache_leaves_equality_and_hashing_alone():
 
 def test_the_identity_is_read_once_per_automorphism(monkeypatch):
     assert trivial_action(3, 4).automorphism.is_identity
-    assert LatticeAutomorphism(identity_matrix(2), 2).is_identity
+    assert LatticeAutomorphism(identity_matrix(2)).is_identity
     assert not diagram_action("A", 4, (3, 2, 1, 0), 2)[1].automorphism.is_identity
-    assert not LatticeAutomorphism(((0, -1), (1, -1)), 3).is_identity
+    assert not LatticeAutomorphism(((0, -1), (1, -1))).is_identity
     datum, action = build_root_datum("B", 3), trivial_action(3, 4)
     classes = h1_elements(datum, action)
     tables = [cocycle_numerators(t.orbit_representative, action)

@@ -56,6 +56,44 @@ def flip_action(n_nodes, e=2):
     return datum, GammaAction(e, diagram_automorphism(datum, flip))
 
 
+def test_permutation_orders_take_no_matrix_product(monkeypatch):
+    import parahoric.rootdata as rootdata
+
+    e6, d4 = build_root_datum("E", 6), build_root_datum("D", 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order of a permutation matrix needs no matrix product")
+
+    monkeypatch.setattr(rootdata, "mat_mul", refuse)
+    monkeypatch.setattr(rootdata, "matrix_order", refuse)
+    assert trivial_action(8, 2).automorphism.order == 1
+    e6_flip = diagram_automorphism(e6, (5, 1, 4, 3, 2, 0))
+    assert e6_flip.order == 2
+    assert GammaAction(4, e6_flip).automorphism.order == 2
+    triality = GammaAction(3, diagram_automorphism(d4, (2, 1, 3, 0)))
+    assert triality.automorphism.order == 3
+    with pytest.raises(ValueError, match="must divide"):
+        GammaAction(3, diagram_automorphism(e6, (5, 1, 4, 3, 2, 0)))
+
+
+def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("H^1 must not be listed before the input is checked")
+
+    monkeypatch.setattr(parahoric.cohomology, "h1_elements", refuse)
+    e6 = build_root_datum("E", 6)
+    # a Weyl element of order 2 is no diagram symmetry
+    reflection = GammaAction(10, weyl_element_automorphism(simple_reflection(e6, 1)))
+    with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
+        local_types(e6, reflection)
+    # the root value 1/2 at node 1 against 0 at node 6
+    half = point_from_root_values(e6, (F(1, 2),) + (F(0),) * 5)
+    with pytest.raises(ValueError, match="is not fixed by the diagram automorphism"):
+        local_types(e6, GammaAction(2, flip(e6)), base=half)
+    with pytest.raises(ValueError, match=r"must lie on the \(1/9\)-grid"):
+        local_types(e6, trivial_action(6, 9), base=half)
+
+
 def test_gamma_action_validation():
     with pytest.raises(ValueError):
         # order-2 flip cannot act through a group of odd order
@@ -383,12 +421,18 @@ def test_burnside_weyl_cap_refuses_whether_the_table_is_cold_or_warm():
     d5 = build_root_datum("D", 5)
     message = "Weyl closure for D5: \\|W\\| = 1920 exceeds cap 100"
     with pytest.raises(EnumerationCapError, match=message):
-        burnside_type_count(d5, 2, weyl_cap=100)
+        burnside_type_count(d5, 2, cap=100)
     # refused before the closure: no table was built
     assert _burnside_table.cache_info().currsize == 0
     assert burnside_type_count(d5, 2) == 4
     with pytest.raises(EnumerationCapError, match=message):
-        burnside_type_count(d5, 2, weyl_cap=100)
+        burnside_type_count(d5, 2, cap=100)
+
+
+def test_burnside_refuses_e7_at_the_default_cap():
+    with pytest.raises(EnumerationCapError) as info:
+        burnside_type_count(build_root_datum("E", 7), 2)
+    assert str(info.value) == "Weyl closure for E7: |W| = 2903040 exceeds cap 1000000"
 
 
 def test_burnside_tables_of_equal_weyl_order_stay_apart():

@@ -316,6 +316,22 @@ def test_diagram_automorphisms():
         diagram_automorphism(d3, (0, 0, 1))  # not a permutation
 
 
+def test_the_order_is_read_off_the_matrix():
+    # the lcm of the node-orbit lengths for a permutation matrix, the least
+    # power that is the identity for any other matrix
+    from parahoric.rootdata import LatticeAutomorphism
+
+    matrices = [aut.matrix for label, rank in rank_range(6)
+                for aut in diagram_symmetries(build_root_datum(label, rank))]
+    matrices += [w.matrix for label, rank in rank_range(4)
+                 for w in weyl_elements(build_root_datum(label, rank))]
+    matrices += [tuple(tuple(-x for x in row) for row in identity_matrix(r))
+                 for r in range(1, 9)]
+    for M in matrices:
+        assert LatticeAutomorphism(M).order == matrix_order(M), M
+    assert {matrix_order(M) for M in matrices} == {1, 2, 3, 4, 5, 6, 8, 12}
+
+
 def fixed_weyl_subgroup(datum, aut):
     """Reference: every w in W commuting with the automorphism."""
     A = aut.matrix
@@ -452,12 +468,12 @@ def test_fixed_weyl_generators_reject_non_diagram_automorphisms():
                 fixed_weyl_generators(d3, weyl_element_automorphism(w))
             assert str(err.value) == message
     minus_one = LatticeAutomorphism(tuple(tuple(-x for x in row)
-                                          for row in identity_matrix(3)), 2)
+                                          for row in identity_matrix(3)))
     with pytest.raises(ValueError) as err:
         fixed_weyl_generators(d3, minus_one)
     assert str(err.value) == message
     # a permutation of the coroots that is not a diagram symmetry
-    swap = LatticeAutomorphism(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 2)
+    swap = LatticeAutomorphism(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     with pytest.raises(ValueError) as err:
         fixed_weyl_generators(d3, swap)
     assert str(err.value) == message

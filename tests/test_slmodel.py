@@ -29,7 +29,6 @@ from parahoric.slmodel import (
     standard_involution,
     su_special_vertex_types,
     t_w,
-    torus_action_matrix,
     variant_involution,
 )
 
@@ -45,7 +44,7 @@ def sl_membership(spec):
     """Membership test for the coboundary image (1 - gamma) T(k) inside the
     SL torus: solve (1 - gamma) x = delta with the sum-zero constraint."""
     n = spec.n
-    coboundary = mat_sub(identity_matrix(n), torus_action_matrix(spec))
+    coboundary = mat_sub(identity_matrix(n), diagonal_action(spec).matrix)
     return ImageMembership(tuple(coboundary) + ((1,) * n,))
 
 
@@ -239,10 +238,20 @@ def test_t_w_class_independent_of_lift():
     assert orbit_map(w) == orbit_map(w_alt)
 
 
-def test_torus_action_matrix_ignores_entries():
-    assert torus_action_matrix(standard_involution(4)) == torus_action_matrix(
+def test_diagonal_action_is_built_once_per_involution():
+    from parahoric.rootdata import LatticeAutomorphism, matrix_order
+
+    for n in range(3, 13):
+        for spec, again in zip(specs_of(n), specs_of(n)):
+            assert diagonal_action(spec) is diagonal_action(again)
+            M = diagonal_action(spec).matrix
+            assert LatticeAutomorphism(M).order == matrix_order(M) == 2
+
+
+def test_diagonal_action_ignores_entries():
+    assert diagonal_action(standard_involution(4)).matrix == diagonal_action(
         variant_involution(4)
-    )
+    ).matrix
 
 
 def closure(gens, n):
@@ -468,7 +477,7 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
     monkeypatch.setattr(rootdata, "_cartan_matrix", refuse)
     for spec in specs_of(6):
         assert sl_local_types(6, spec) == first[spec.kind]
-    assert rootdata.build_root_datum("a", 5) is slmodel.induced_lattice_action(spec)[0]
+    assert rootdata.build_root_datum("a", 5) is slmodel._sl_flip(spec.n)[0]
 
 
 def test_sl_torus_h1_honours_the_cap():
