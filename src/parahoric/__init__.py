@@ -9,7 +9,7 @@ cohomological and the building-theoretic descriptions.
 Layers:
 
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
-  normal form, lattice quotients, membership in a lattice image mod Z);
+  normal form, lattice quotients);
 * :mod:`parahoric.rootdata` - root data, Weyl groups, diagram
   automorphisms, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus in two
@@ -37,7 +37,6 @@ from .rootdata import (
     diagram_automorphism,
     fixed_weyl_generators,
     orbit_partition,
-    simple_reflection,
     weyl_order,
 )
 from .cohomology import (
@@ -57,7 +56,6 @@ from .slmodel import (
     MonomialMatrix,
     involution_apply,
     mm_diag,
-    mm_identity,
     mm_inv,
     mm_mul,
     mm_transpose,

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, common_numerators, det_int, lcm_many
+from .exactalg import QZVector, common_numerators, det_int
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -164,7 +164,7 @@ def min_split_degree(
     whether the excluded characteristic (0 or a prime) misses that degree."""
     require_characteristic(p_exclusion)
     D, _, values = _root_numerators(datum, x)
-    degree = lcm_many(D // gcd(v, D) for v in values)
+    degree = lcm(*(D // gcd(v, D) for v in values))
     return degree, p_exclusion == 0 or degree % p_exclusion != 0
 
 
@@ -214,7 +214,7 @@ def apartment_orbit_types(
     cartan = datum.cartan
     base, _ = reduce_to_alcove(datum, a)
     # x = X / (D e) with integer X; X mod D names the coset x + (1/e) Q_coroot
-    D = lcm_many((x * e).denominator for x in base)
+    D = lcm(*((x * e).denominator for x in base))
     start = tuple(int(x * e * D) % D for x in base)
     cosets = {start}
     frontier = [start]

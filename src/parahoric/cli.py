@@ -5,7 +5,7 @@ Subcommands: ``types``, ``twist``, ``split-degree``, ``orbit``, ``data``,
 (``--format json``); rationals serialize as "num/den" strings so no float
 ever appears.  Exit codes: 0 success, 2 usage or validation error, 3
 enumeration cap exceeded.  ``--cap`` overrides the default enumeration
-cap.
+cap and must be a positive integer.
 
 Points are given and reported by their simple-root values
 ``<alpha_1, x>, ..., <alpha_r, x>``; for the rank-one worked example this is
@@ -755,7 +755,9 @@ def cmd_global(args) -> int:
     for i, bp in enumerate(points):
         if not isinstance(bp, dict):
             raise UsageError(f"branch point {i} is not an object: {bp!r}")
-        name = str(bp.get("name", f"x{i}"))
+        name = bp.get("name", f"x{i}")
+        if not isinstance(name, str):
+            raise UsageError(f"branch point name must be a string, not {name!r}")
         if name in names:
             raise UsageError(f"duplicate branch point name {name!r}")
         names.add(name)
@@ -871,6 +873,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     args.product_cap = min(args.cap, DEFAULT_PRODUCT_CAP)
     try:
+        if args.cap < 1:
+            raise UsageError("--cap must be a positive integer")
         return args.func(args)
     except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -8,8 +8,7 @@ finite group; for cyclic Gamma, Tate periodicity then identifies H^1 with
 ker(norm)/image(augmentation ideal) on the torsion.  Over a residue field
 of characteristic p only the prime-to-p torsion exists; since the cover is
 tame (p does not divide e) every class has a representative of denominator
-dividing e, so the p-part never enters and the exclusion is enforced by a
-validity check rather than by filtering.
+dividing e, so the p-part never enters.
 
 For Gamma cyclic of order e acting through a finite-order lattice
 automorphism A, the cohomology is
@@ -30,8 +29,8 @@ exactly when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
 O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
 order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
-numerators of t over e.  Any other automorphism sorts the norm-killed
-vectors of the (1/e)-grid into classes.
+numerators of t over e.  Every action that the package lists classes for
+is of this kind.
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
@@ -54,13 +53,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .alcove import as_point, require_characteristic, simple_root_values
+from .alcove import as_point, simple_root_values
 from .exactalg import (
     FiniteAbelianGroup,
-    ImageMembership,
     IntMatrix,
     IntVector,
     QZVector,
@@ -92,27 +90,19 @@ from .rootdata import (
 class GammaAction:
     """Cyclic group of order e acting through a lattice automorphism.
 
-    ``char_exclusion`` is the residue characteristic p (0 for none): the
-    torsion model only carries prime-to-p torsion, so tameness demands
-    gcd(e, p) = 1 and every representative automatically has prime-to-p
-    denominator.
+    The torsion model carries no residue characteristic: tameness (p prime
+    to e) is a property of the cover, checked where a point and a
+    characteristic are given (:func:`parahoric.alcove.min_split_degree`).
     """
 
     e: int
     automorphism: LatticeAutomorphism
-    char_exclusion: int = 0
 
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("the order of Gamma must be positive")
         if self.e % self.automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
-        require_characteristic(self.char_exclusion)
-        if self.char_exclusion and self.e % self.char_exclusion == 0:
-            raise ValueError(
-                f"tameness requires the order {self.e} to be prime to the "
-                f"excluded characteristic {self.char_exclusion}"
-            )
 
     @property
     def rank(self) -> int:
@@ -221,19 +211,6 @@ def require_grid_size(rank: int, e: int, cap: int) -> None:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
 
 
-def _torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
-    """All of T[e] = ((1/e)Z/Z)^rank, in lexicographic order."""
-    require_grid_size(rank, e, cap)
-    values = [Fraction(a, e) for a in range(e)]
-    return list(itertools.product(values, repeat=rank))
-
-
-def _numerators(t: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
-    """The common denominator d of t and the numerators of t over d, mod d."""
-    d = lcm(*(x.denominator for x in t))
-    return d, tuple(x.numerator * (d // x.denominator) % d for x in t)
-
-
 def _kills(norm: IntMatrix, d: int, numerators: Sequence[int]) -> bool:
     return all(sum(a * b for a, b in zip(row, numerators)) % d == 0 for row in norm)
 
@@ -249,20 +226,6 @@ def _radices(action: GammaAction) -> List[int]:
     return radices
 
 
-def _grid_classes(action: GammaAction, cap: int) -> Tuple[QZVector, ...]:
-    """The least norm-killed vector of each class on the (1/e)-grid, for an
-    automorphism that is not a permutation."""
-    # the grid is in lexicographic order, so the first norm-killed vector of
-    # each class is its least
-    norm = action.norm_matrix()
-    invariant = ImageMembership(action.coboundary_matrix()).invariant
-    least: Dict[QZVector, QZVector] = {}
-    for t in _torsion_grid(action.rank, action.e, cap):
-        if _kills(norm, *_numerators(t)):
-            least.setdefault(invariant(t), t)
-    return tuple(sorted(least.values()))
-
-
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
     """Element-model H^1: the least (1/e)-grid vector of each class, in
     lexicographic order.
@@ -272,26 +235,25 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     carries j_O / (e/|O|) on the largest node of O, so the product of the
     per-node values j / n for j < n, n in :func:`_radices`, is the list,
     already sorted.
-    A count prod_O e/|O| above ``cap`` is refused before the listing; the
-    trivial action, whose count is e^r, is refused as a torsion grid.  Any
-    other automorphism sorts the norm-killed vectors of the e^r grid into
-    classes modulo the image of (A - 1).  The class count is checked
-    against the structural computation and a mismatch is a hard error.
+    An automorphism that does not permute the nodes is refused with
+    ValueError before any work.  A count prod_O e/|O| above ``cap`` is
+    refused before the listing; the trivial action, whose count is e^r, is
+    refused as a torsion grid.  The class count is checked against the
+    structural computation and a mismatch is a hard error.
     """
-    structure = h1_structural(datum, action)
     orbits = action.automorphism.node_orbits
     if orbits is None:
-        reps = _grid_classes(action, cap)
+        raise ValueError("H^1 classes are listed only for actions that permute the nodes")
+    structure = h1_structural(datum, action)
+    if action.automorphism.is_identity:
+        require_grid_size(action.rank, action.e, cap)
     else:
-        if action.automorphism.is_identity:
-            require_grid_size(action.rank, action.e, cap)
-        else:
-            count = prod(action.e // len(orbit) for orbit in orbits)
-            if count > cap:
-                raise EnumerationCapError(
-                    f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
-        reps = tuple(itertools.product(
-            *([Fraction(j, n) for j in range(n)] for n in _radices(action))))
+        count = prod(action.e // len(orbit) for orbit in orbits)
+        if count > cap:
+            raise EnumerationCapError(
+                f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
+    reps = tuple(itertools.product(
+        *([Fraction(j, n) for j in range(n)] for n in _radices(action))))
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
@@ -302,9 +264,10 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
 
 
 def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[int, ...]]:
-    """The denominator and numerators of t (see :func:`_numerators`), once
-    the norm is checked to kill t."""
-    d, numerators = _numerators(t)
+    """The common denominator d of t and the numerators of t over d, mod d,
+    once the norm is checked to kill t."""
+    d, numerators = common_numerators(t)
+    numerators = tuple(a % d for a in numerators)
     if not _kills(action.norm_matrix(), d, numerators):
         raise ValueError(f"vector {t} is not killed by the norm")
     return d, numerators

@@ -6,8 +6,7 @@ immutable tuples of tuples of ints, vectors over Q/Z are tuples of
 Fractions canonicalized to [0, 1).
 
 The workhorse is Smith normal form with unimodular transforms, from which
-kernels, lattice quotients and solvability of ``M x = v (mod Z^r)`` all
-follow.
+kernels and lattice quotients follow.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -67,14 +66,6 @@ def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 def mat_add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_pow(M: IntMatrix, k: int) -> IntMatrix:
-    n = len(M)
-    R = identity_matrix(n)
-    for _ in range(k):
-        R = mat_mul(R, M)
-    return R
 
 
 def det_int(M: IntMatrix) -> int:
@@ -164,11 +155,6 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def __str__(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        parts += ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -294,39 +280,6 @@ def quotient_structure(rank: int, generators: Sequence[IntVector]) -> FiniteAbel
         tuple(d for d in nonzero if d > 1),
         free_rank=rank - len(nonzero),
     )
-
-
-class ImageMembership:
-    """Reusable 'is t in M * (Q/Z)^cols (mod Z^rows)' test for a fixed M.
-
-    Precomputes the Smith form once; membership then only requires checking
-    the components of U t against the zero diagonal entries.  The per-class
-    invariant returned by :meth:`invariant` is a complete coset invariant of
-    (Q/Z)^rows modulo the image of M.
-    """
-
-    def __init__(self, M: IntMatrix):
-        self.M = M
-        rows, cols = mat_shape(M)
-        self.U, D, self.V = smith_normal_form(M)
-        self._zero_rows = tuple(
-            i for i in range(rows) if (D[i][i] if i < cols else 0) == 0
-        )
-
-    def invariant(self, t: Sequence[Fraction]) -> QZVector:
-        w = mat_vec(self.U, tuple(Fraction(x) for x in t))
-        return tuple(qz(w[i]) for i in self._zero_rows)
-
-    def contains(self, t: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.invariant(t))
-
-
-def lcm_many(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        if x:
-            out = out * x // gcd(out, x)
-    return out
 
 
 def common_numerators(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:

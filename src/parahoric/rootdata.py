@@ -132,10 +132,6 @@ def _symmetrizers(cartan: IntMatrix) -> Tuple[Fraction, ...]:
     return tuple(d)  # type: ignore[arg-type]
 
 
-def _root_row(cartan: IntMatrix, root: Sequence[int]) -> IntVector:
-    return tuple(sum(b * c for b, c in zip(root, column)) for column in zip(*cartan))
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Simply-connected root datum of one simple type."""
@@ -151,18 +147,6 @@ class RootDatum:
     @property
     def name(self) -> str:
         return f"{self.label}{self.rank}"
-
-    @cached_property
-    def root_rows(self) -> Dict[IntVector, IntVector]:
-        """:meth:`root_row` of each positive root, the highest root among them."""
-        return {root: _root_row(self.cartan, root) for root in self.positive_roots}
-
-    def root_row(self, root: Sequence[int]) -> IntVector:
-        """The integer row sum_i beta_i c_ij of a root beta, so that
-        <beta, x> = sum_j row_j x_j; kept in :attr:`root_rows` for the
-        positive roots."""
-        row = self.root_rows.get(tuple(root))
-        return row if row is not None else _root_row(self.cartan, root)
 
     @cached_property
     def cartan_inverse(self) -> Tuple[IntMatrix, int]:
@@ -223,29 +207,6 @@ class WeylElement:
     """An element of W as an integer matrix on the coroot lattice."""
 
     matrix: IntMatrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-
-def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
-    """s_i on the coroot lattice: v -> v - <alpha_i, v> alpha_i_coroot."""
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"reflection index {i} out of range")
-    k = i - 1
-    rows = []
-    for a in range(datum.rank):
-        if a != k:
-            rows.append(tuple(1 if b == a else 0 for b in range(datum.rank)))
-        else:
-            rows.append(
-                tuple((1 if b == k else 0) - datum.cartan[k][b] for b in range(datum.rank))
-            )
-    return WeylElement(tuple(rows))
-
-
-def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
-    return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
 def _reflected_row(datum: RootDatum) -> Callable[[IntMatrix, int], IntVector]:
@@ -560,21 +521,3 @@ def orbit_partition(
     orbits.sort(key=lambda o: o[0])
     return orbits
 
-
-def rank_range(max_rank: int) -> List[Tuple[str, int]]:
-    """All valid (label, rank) pairs with rank at most ``max_rank``."""
-    out: List[Tuple[str, int]] = []
-    for r in range(1, max_rank + 1):
-        out.append(("A", r))
-        if r >= 2:
-            out.append(("B", r))
-            out.append(("C", r))
-        if r >= 4:
-            out.append(("D", r))
-        if r in (6, 7, 8):
-            out.append(("E", r))
-        if r == 4:
-            out.append(("F", r))
-        if r == 2:
-            out.append(("G", r))
-    return out

@@ -101,10 +101,6 @@ class MonomialMatrix:
         return self.entries
 
 
-def mm_identity(n: int) -> MonomialMatrix:
-    return MonomialMatrix(n, tuple(range(n)), qz_zero(n))
-
-
 def mm_diag(entries: Sequence[Fraction]) -> MonomialMatrix:
     return MonomialMatrix(len(entries), tuple(range(len(entries))), qz_vector(entries))
 

@@ -1,10 +1,15 @@
 """Reference models that the library no longer runs, kept as oracles.
 
+:func:`grid_h1_elements` is the grid element model of H^1: it sorts the
+norm-killed vectors of the (1/e)-grid (:func:`torsion_grid`) into classes
+through the coset invariant of :class:`ImageMembership` (:func:`grid_classes`)
+and checks the class count against ``h1_structural``.  The library lists
+classes only for actions that permute the nodes, from their orbit sums; the
+grid model serves any finite-order automorphism (-1, Weyl elements, the
+SL torus action), and checks the orbit-sum lists.
 :func:`class_orbits` is the orbit computation over the generic
 ``orbit_partition`` on ``Fraction`` vectors, matching each image to its
-class through the coset invariant of ``ImageMembership``.  The grid element
-model of H^1 that it runs on is the library's own ``_grid_classes``, which
-still serves the automorphisms that are not permutations.
+class through the same invariant.
 
 :func:`dict_types_report` and :func:`dict_types_text` are the ``types``
 report as a dict of lists and strings, one ``str`` per entry, and its text
@@ -20,8 +25,10 @@ a root with a coweight through the integer root row, every coroot, and a
 lattice matrix applied to a coweight.  So are the mod-Z helpers
 :func:`qz_add`, :func:`qz_sub`, :func:`mat_vec_qz` and
 :func:`solve_mod_z`, the automorphism :func:`weyl_element_automorphism` of
-a Weyl element, and :func:`classes_equal`, the Fraction twin of the class
-invariant.
+a Weyl element, :func:`classes_equal`, the Fraction twin of the class
+invariant, :func:`root_row`, :func:`mat_pow`, the simple reflections
+(:func:`simple_reflection`, :func:`weyl_generators`) and the list
+:func:`rank_range` of the simple types.
 
 :func:`monomial_lift_twist` and :func:`monomial_lift_sl_types` are the SL_n
 types as the library computed them before the involutions became the
@@ -33,7 +40,7 @@ coordinates (:func:`coroot_coordinates`, the inverse of
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from parahoric.cli import SCHEMA_VERSION, action_spec, types_parts
 from parahoric.cohomology import (
@@ -43,11 +50,15 @@ from parahoric.cohomology import (
     _require_norm_killed,
     cocycle_numerators,
     h1_elements,
+    h1_structural,
+    require_grid_size,
 )
 from parahoric.exactalg import (
-    ImageMembership,
     IntMatrix,
+    IntVector,
     QZVector,
+    identity_matrix,
+    mat_mul,
     mat_shape,
     mat_vec,
     qz,
@@ -55,6 +66,7 @@ from parahoric.exactalg import (
     smith_normal_form,
 )
 from parahoric.rootdata import (
+    DEFAULT_CAP,
     LatticeAutomorphism,
     RootDatum,
     WeylElement,
@@ -105,6 +117,76 @@ def solve_mod_z(M: IntMatrix, v: Sequence[Fraction]) -> Optional[QZVector]:
     return qz_vector(mat_vec(V, tuple(y)))
 
 
+def mat_pow(M: IntMatrix, k: int) -> IntMatrix:
+    n = len(M)
+    R = identity_matrix(n)
+    for _ in range(k):
+        R = mat_mul(R, M)
+    return R
+
+
+class ImageMembership:
+    """Reusable 'is t in M * (Q/Z)^cols (mod Z^rows)' test for a fixed M.
+
+    Precomputes the Smith form once; membership then only requires checking
+    the components of U t against the zero diagonal entries.  The per-class
+    invariant returned by :meth:`invariant` is a complete coset invariant of
+    (Q/Z)^rows modulo the image of M.
+    """
+
+    def __init__(self, M: IntMatrix):
+        self.M = M
+        rows, cols = mat_shape(M)
+        self.U, D, self.V = smith_normal_form(M)
+        self._zero_rows = tuple(
+            i for i in range(rows) if (D[i][i] if i < cols else 0) == 0
+        )
+
+    def invariant(self, t: Sequence[Fraction]) -> QZVector:
+        w = mat_vec(self.U, tuple(Fraction(x) for x in t))
+        return tuple(qz(w[i]) for i in self._zero_rows)
+
+    def contains(self, t: Sequence[Fraction]) -> bool:
+        return all(x == 0 for x in self.invariant(t))
+
+
+def torsion_grid(rank: int, e: int, cap: int) -> List[QZVector]:
+    """All of T[e] = ((1/e)Z/Z)^rank, in lexicographic order."""
+    require_grid_size(rank, e, cap)
+    values = [Fraction(a, e) for a in range(e)]
+    return list(itertools.product(values, repeat=rank))
+
+
+def grid_classes(action: GammaAction, cap: int = DEFAULT_CAP) -> tuple:
+    """The least norm-killed vector of each class on the (1/e)-grid, sorted,
+    for any finite-order automorphism."""
+    # the grid is in lexicographic order, so the first norm-killed vector of
+    # each class is its least
+    norm = action.norm_matrix()
+    invariant = ImageMembership(action.coboundary_matrix()).invariant
+    least: Dict[QZVector, QZVector] = {}
+    for t in torsion_grid(action.rank, action.e, cap):
+        if _norm_kills(norm, t):
+            least.setdefault(invariant(t), t)
+    return tuple(sorted(least.values()))
+
+
+def grid_h1_elements(datum: RootDatum, action: GammaAction,
+                     cap: int = DEFAULT_CAP) -> H1Classes:
+    """Element-model H^1 of any finite-order automorphism from the e^r grid
+    (:func:`grid_classes`), with the class count checked against
+    ``h1_structural``; a mismatch is a hard error."""
+    structure = h1_structural(datum, action)
+    reps = grid_classes(action, cap)
+    if len(reps) != structure.order:
+        raise AssertionError(
+            f"element model found {len(reps)} classes but the lattice quotient "
+            f"has order {structure.order}"
+        )
+    return H1Classes(structure=structure, representatives=reps,
+                     gamma0_choice=action.gamma0_record())
+
+
 def weyl_element_automorphism(w: WeylElement) -> LatticeAutomorphism:
     return LatticeAutomorphism(w.matrix)
 
@@ -117,11 +199,56 @@ def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
     return member.contains(qz_sub(t1, t2))
 
 
+def root_row(datum: RootDatum, root: Sequence[int]) -> IntVector:
+    """The integer row sum_i beta_i c_ij of a root beta, so that
+    <beta, x> = sum_j row_j x_j."""
+    return tuple(sum(b * c for b, c in zip(root, column)) for column in zip(*datum.cartan))
+
+
 def pairing(datum: RootDatum, root: Sequence[int], coweight: Sequence[Fraction]) -> Fraction:
     """<beta, x> for a root beta (simple-root coefficients) and coweight x."""
     return Fraction(sum(
-        c * Fraction(x) for c, x in zip(datum.root_row(root), coweight) if c
+        c * Fraction(x) for c, x in zip(root_row(datum, root), coweight) if c
     ))
+
+
+def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
+    """s_i on the coroot lattice: v -> v - <alpha_i, v> alpha_i_coroot."""
+    if not 1 <= i <= datum.rank:
+        raise ValueError(f"reflection index {i} out of range")
+    k = i - 1
+    rows = []
+    for a in range(datum.rank):
+        if a != k:
+            rows.append(tuple(1 if b == a else 0 for b in range(datum.rank)))
+        else:
+            rows.append(
+                tuple((1 if b == k else 0) - datum.cartan[k][b] for b in range(datum.rank))
+            )
+    return WeylElement(tuple(rows))
+
+
+def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
+    return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
+
+
+def rank_range(max_rank: int) -> List[Tuple[str, int]]:
+    """All valid (label, rank) pairs with rank at most ``max_rank``."""
+    out: List[Tuple[str, int]] = []
+    for r in range(1, max_rank + 1):
+        out.append(("A", r))
+        if r >= 2:
+            out.append(("B", r))
+            out.append(("C", r))
+        if r >= 4:
+            out.append(("D", r))
+        if r in (6, 7, 8):
+            out.append(("E", r))
+        if r == 4:
+            out.append(("F", r))
+        if r == 2:
+            out.append(("G", r))
+    return out
 
 
 def all_coroots(datum: RootDatum) -> tuple:

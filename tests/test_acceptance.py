@@ -26,7 +26,6 @@ from parahoric.cohomology import (
 )
 from parahoric.rootdata import (
     build_root_datum,
-    rank_range,
     weyl_elements,
     weyl_order,
 )
@@ -40,7 +39,7 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
-from .references import pairing, weyl_element_automorphism
+from .references import grid_h1_elements, pairing, rank_range, weyl_element_automorphism
 
 
 def report(n, text):
@@ -129,7 +128,9 @@ def test_criterion_5_oracle_equivalence():
             e = aut.order * rng.randint(1, 6 // aut.order)
             action = GammaAction(e, aut)
         structural = h1_structural(datum, action).order
-        elements = len(h1_elements(datum, action).representatives)
+        # the library lists classes for permutation actions only
+        listing = grid_h1_elements if kind == "weyl" else h1_elements
+        elements = len(listing(datum, action).representatives)
         assert structural == elements
         checked += 1
 

@@ -25,12 +25,10 @@ from parahoric.cohomology import local_types, trivial_action
 from parahoric.rootdata import (
     build_root_datum,
     orbit_partition,
-    rank_range,
     weyl_elements,
-    weyl_generators,
 )
 
-from .references import apply, pairing
+from .references import apply, pairing, rank_range, weyl_generators
 
 
 def rv_point(datum, *values):

@@ -423,6 +423,46 @@ def test_rejects_nonpositive_order(capsys, argv):
     assert err == "error: --order must be a positive integer\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("types", "--group", "A1", "--order", "3", "--cap", "-5"),
+    ("types", "--group", "A1", "--order", "3", "--cap", "0"),
+    ("twist", "--group", "A1", "--order", "3", "--cap", "0"),
+    ("split-degree", "--group", "A1", "--point", "1/2", "--cap", "-1"),
+    ("orbit", "--group", "A1", "--order", "3", "--cap", "0"),
+    ("data", "--group", "A1", "--cap", "-1"),
+    ("data", "--group", "A1", "--cap", "0"),
+])
+def test_rejects_caps_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --cap must be a positive integer\n")
+
+
+def test_global_rejects_a_cap_below_one(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"branch_points": []})
+    code, out, err = run_cli(capsys, "global", "--config", cfg, "--cap", "0")
+    assert (code, out, err) == (2, "", "error: --cap must be a positive integer\n")
+    assert run_cli(capsys, "data", "--group", "A1", "--cap", "1")[0] == 0
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, None, 7, ["x0"], True],
+                         ids=["object", "null", "integer", "list", "boolean"])
+def test_global_refuses_branch_point_names_that_are_not_strings(capsys, tmp_path, name):
+    config = {"branch_points": [
+        {"name": name, "group": {"label": "A", "rank": 1}, "order": 2}]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (
+        2, "", f"error: branch point name must be a string, not {name!r}\n")
+
+
+def test_global_names_a_nameless_branch_point_by_its_position(capsys, tmp_path):
+    config = {"branch_points": [
+        {"name": "None", "group": {"label": "A", "rank": 1}, "order": 2},
+        {"group": {"label": "A", "rank": 1}, "order": 3}]}
+    code, out, _ = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert code == 0
+    assert "point None: A1" in out and "point x1: A1" in out
+
+
 def test_alcove_reduction_step_cap(capsys, monkeypatch):
     monkeypatch.setattr("parahoric.alcove.MAX_REDUCTION_STEPS", 50)
     code, out, err = run_cli(capsys, "orbit", "--group", "A1", "--order", "1",

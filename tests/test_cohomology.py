@@ -30,21 +30,25 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     EnumerationCapError,
+    LatticeAutomorphism,
     build_root_datum,
     diagram_automorphism,
     orbit_partition,
-    rank_range,
-    simple_reflection,
     weyl_elements,
 )
 
 from .references import (
+    ImageMembership,
     class_orbits,
     classes_equal,
+    grid_h1_elements,
+    mat_pow,
     mat_vec_qz,
     pairing,
     qz_add,
     qz_sub,
+    rank_range,
+    simple_reflection,
     weyl_element_automorphism,
 )
 from .test_rootdata import flip
@@ -94,28 +98,30 @@ def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
         local_types(e6, trivial_action(6, 9), base=half)
 
 
+def test_h1_elements_refuses_non_permutation_actions_before_any_work(monkeypatch):
+    a2 = build_root_datum("A", 2)
+    minus_one = GammaAction(2, LatticeAutomorphism(((-1, 0), (0, -1))))
+    reflection = GammaAction(4, weyl_element_automorphism(simple_reflection(a2, 1)))
+    # the grid oracle lists 1 and 2 classes for them
+    assert len(grid_h1_elements(a2, minus_one).representatives) == 1
+    assert len(grid_h1_elements(a2, reflection).representatives) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start for a refused action")
+
+    monkeypatch.setattr(parahoric.cohomology, "h1_structural", refuse)
+    for action in (minus_one, reflection):
+        with pytest.raises(ValueError, match="only for actions that permute the nodes"):
+            h1_elements(a2, action)
+        with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
+            local_types(a2, action)
+
+
 def test_gamma_action_validation():
     with pytest.raises(ValueError):
         # order-2 flip cannot act through a group of odd order
         datum, _ = flip_action(2)
         GammaAction(3, diagram_automorphism(datum, (1, 0)))
-
-
-def test_char_exclusion_tameness():
-    from parahoric.rootdata import identity_automorphism
-
-    with pytest.raises(ValueError):
-        GammaAction(4, identity_automorphism(1), char_exclusion=2)
-    act = GammaAction(3, identity_automorphism(1), char_exclusion=2)
-    d1 = build_root_datum("A", 1)
-    # the prime-to-p model carries exactly the usual e-torsion classes
-    assert len(h1_elements(d1, act).representatives) == 3
-    # a residue characteristic is 0 or a prime
-    for p in (1, 4, 9, -1, -3):
-        with pytest.raises(ValueError, match="0 or a prime"):
-            GammaAction(5, identity_automorphism(1), char_exclusion=p)
-    for p in (0, 2, 7, 101):
-        assert GammaAction(3, identity_automorphism(1), char_exclusion=p)
 
 
 def test_h1_trivial_is_e_to_the_rank():
@@ -534,7 +540,7 @@ def test_lattice_types_reject_mismatched_arguments():
     aut = weyl_element_automorphism(simple_reflection(d2, 1))
     action = GammaAction(aut.order, aut)
     with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
-        types_of_classes(d2, action, h1_elements(d2, action))
+        types_of_classes(d2, action, grid_h1_elements(d2, action))
 
 
 def _integer_inverse(M):
@@ -552,7 +558,7 @@ def full_weyl_types(datum, action, lift):
     """Reference: the orbits under every element of the fixed subgroup, found
     by filtering W (all of W for the identity), each applied as
     t -> w^-1(t) + lift(w); the lift w^-1(c) - c is the base point c."""
-    from parahoric.exactalg import ImageMembership, mat_mul
+    from parahoric.exactalg import mat_mul
 
     A = action.matrix
     maps = []
@@ -570,8 +576,6 @@ def full_weyl_types(datum, action, lift):
     ("A", 3, None, 2), ("A", 3, None, 4), ("A", 4, None, 4), ("A", 5, None, 2),
     ("D", 4, (2, 1, 3, 0), 3), ("D", 4, (2, 1, 3, 0), 6), ("D", 4, None, 4)])
 def test_lattice_types_match_the_full_weyl_path(label, rank, perm, e):
-    from parahoric.exactalg import mat_pow
-
     datum = build_root_datum(label, rank)
     aut = diagram_automorphism(datum, perm) if perm else flip(datum)
     action = GammaAction(e, aut)
@@ -681,7 +685,9 @@ def test_oracle_equivalence_randomized():
             mult = rng.randint(1, 6 // aut.order)
             e = aut.order * mult
             action = GammaAction(e, aut)
-        classes = h1_elements(datum, action)
+        # the library lists classes for permutation actions only
+        listing = grid_h1_elements if kind == "weyl" else h1_elements
+        classes = listing(datum, action)
         assert len(classes.representatives) == h1_structural(datum, action).order
         checked += 1
     assert checked == 200

@@ -1,6 +1,6 @@
 """The orbit-sum model of H^1 and the packed orbit engine against the grid
-model that the library keeps for other automorphisms and the
-``class_orbits`` reference of :mod:`tests.references`."""
+model ``grid_classes`` and the ``class_orbits`` reference of
+:mod:`tests.references`."""
 
 import itertools
 import random
@@ -18,18 +18,25 @@ from parahoric.cohomology import (
     types_of_classes,
 )
 from parahoric.alcove import point_from_root_values, simple_root_values
-from parahoric.exactalg import ImageMembership, mat_pow, mat_vec, qz_vector
+from parahoric.exactalg import mat_vec, qz_vector
 from parahoric.rootdata import (
-    DEFAULT_CAP,
     EnumerationCapError,
     build_root_datum,
     diagram_automorphism,
     fixed_weyl_generators,
-    rank_range,
 )
 from parahoric.slmodel import sl_local_types, standard_involution, variant_involution
 
-from .references import class_orbits, mat_vec_qz, qz_add, qz_sub
+from .references import (
+    ImageMembership,
+    class_orbits,
+    grid_classes,
+    mat_pow,
+    mat_vec_qz,
+    qz_add,
+    qz_sub,
+    rank_range,
+)
 from .test_cohomology import _integer_inverse
 from .test_rootdata import flip
 
@@ -92,7 +99,7 @@ def test_orbit_sum_classes_equal_the_grid_classes(label, rank):
     for _, _, aut, e in [c for c in GRID_CASES if c[:2] == (label, rank)]:
         action = GammaAction(e, aut)
         classes = h1_elements(datum, action)
-        assert classes.representatives == cohomology._grid_classes(action, DEFAULT_CAP), \
+        assert classes.representatives == grid_classes(action), \
             (label, rank, aut.matrix, e)
 
 
@@ -117,7 +124,7 @@ def _reference_types(datum, action, lift):
     maps = [lambda t, M=w.matrix, t_w=qz_vector(lift(w)): qz_add(mat_vec_qz(M, t), t_w)
             for w in fixed_weyl_generators(datum, action.automorphism)]
     member = ImageMembership(action.coboundary_matrix())
-    return class_orbits(cohomology._grid_classes(action, DEFAULT_CAP), action.norm_matrix(),
+    return class_orbits(grid_classes(action), action.norm_matrix(),
                         member.invariant, maps)
 
 
@@ -159,10 +166,11 @@ def test_types_are_read_off_the_passed_classes():
 
 
 def test_permutation_actions_never_build_the_grid(monkeypatch):
+    # only the identity, whose classes are the whole grid, sizes a grid
     def refuse(*args, **kwargs):
-        raise AssertionError("the torsion grid must not be built")
+        raise AssertionError("the torsion grid must not be sized")
 
-    monkeypatch.setattr(cohomology, "_torsion_grid", refuse)
+    monkeypatch.setattr(cohomology, "require_grid_size", refuse)
     for n in range(3, 9):
         specs = [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
         for spec in specs:

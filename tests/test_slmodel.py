@@ -6,7 +6,7 @@ import pytest
 
 from parahoric.alcove import simple_root_values
 from parahoric.cohomology import cocycle_numerators
-from parahoric.exactalg import ImageMembership, identity_matrix, mat_sub, qz_vector
+from parahoric.exactalg import identity_matrix, mat_sub, qz_vector, qz_zero
 from parahoric.slmodel import (
     MonomialMatrix,
     diagonal_action,
@@ -16,7 +16,6 @@ from parahoric.slmodel import (
     involution_apply,
     lift_of_permutation,
     mm_diag,
-    mm_identity,
     mm_inv,
     mm_mul,
     mm_transpose,
@@ -32,7 +31,11 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
-from .references import class_orbits, monomial_lift_sl_types
+from .references import ImageMembership, class_orbits, monomial_lift_sl_types
+
+
+def mm_identity(n):
+    return MonomialMatrix(n, tuple(range(n)), qz_zero(n))
 
 
 # ---------------------------------------------------------------------------
