@@ -10,12 +10,15 @@ Layers:
 
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
   normal form, lattice quotients);
-* :mod:`parahoric.rootdata` - root data, Weyl groups, diagram
-  automorphisms, orbit closure;
+* :mod:`parahoric.rootdata` - root data (built under a cap), Weyl groups,
+  diagram automorphisms, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus in two
-  independent models, twisted Weyl orbits, Burnside oracle;
-* :mod:`parahoric.slmodel` - exact monomial-matrix calculus for the SL_n
-  and SU_n worked examples;
+  independent models, twisted Weyl orbits, Burnside oracle; every action
+  the package lists classes for permutes the nodes;
+* :mod:`parahoric.slmodel` - the SL_n involutions J and J' as the
+  A_(n-1) diagram flip with a base point, their sum-zero diagonal
+  coordinates, the SU_n special vertices, and the exact monomial-matrix
+  calculus of the worked examples;
 * :mod:`parahoric.alcove` - alcove reduction, facets, splitting degrees,
   apartment orbits;
 * :mod:`parahoric.cli` - the `parahoric` command-line tool.
@@ -61,7 +64,6 @@ from .slmodel import (
     mm_transpose,
     sl_local_types,
     sl_torus_h1,
-    sl_types_of_classes,
     standard_involution,
     su_special_vertex_types,
     t_w,

@@ -308,13 +308,13 @@ class VertexPrimeData:
     excluded_characteristics: FrozenSet[int]
 
 
-def vertex_prime_data(label: str, rank: int) -> VertexPrimeData:
+def vertex_prime_data(label: str, rank: int, cap: int = DEFAULT_CAP) -> VertexPrimeData:
     """Primes of the marks, the quoted affine-diagram automorphism orders
     (untwisted A_n: 2(n+1); twisted: 2 for odd n, 1 for even n; absent for
     the other types), and the excluded characteristics, read off the root
-    datum: 2, the primes of the marks (the bad primes) and the primes of
-    det(C) = |pi_1|."""
-    datum = build_root_datum(label, rank)
+    datum (built under ``cap``): 2, the primes of the marks (the bad primes)
+    and the primes of det(C) = |pi_1|."""
+    datum = build_root_datum(label, rank, cap)
     mark_primes = frozenset().union(*(prime_divisors(m) for m in datum.marks))
     type_a = datum.label == "A"
     return VertexPrimeData(

@@ -55,17 +55,14 @@ from .rootdata import (
     RootDatum,
     build_root_datum,
     diagram_automorphism,
+    positive_root_count,
 )
-from .slmodel import (
-    diagonal_action,
-    sl_torus_h1,
-    sl_types_of_classes,
-    standard_involution,
-    variant_involution,
-)
+from .slmodel import sl_diagonal, sl_involution
 
 SCHEMA_VERSION = "1"
 DEFAULT_PRODUCT_CAP = 10 ** 4
+# the SL_n involution of each --action, by its name in reports and configs
+SL_VARIANTS = {"sl-J": "J", "sl-Jprime": "J-prime"}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -323,20 +320,6 @@ def point_or_default(
     return point
 
 
-def split_types(datum: RootDatum, order: int, values: Sequence[Fraction], cap: int):
-    """Action, alcove-reduced base point, H^1 classes and local types of the
-    split (trivial) action at the point with the given root values.
-
-    The grid cap and the grid condition are checked before the fold into the
-    alcove, whose cost grows with the distance of the point."""
-    action = trivial_action(datum.rank, order)
-    require_grid_size(datum.rank, order, cap)
-    require_root_values_on_grid(values, order)
-    base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
-    classes = h1_elements(datum, action, cap=cap)
-    return action, base, classes, types_of_classes(datum, action, classes, base=base)
-
-
 def types_parts(
     label: str,
     rank: int,
@@ -345,11 +328,20 @@ def types_parts(
     perm: Optional[Tuple[int, ...]] = None,
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
-) -> Tuple[GammaAction, H1Classes, List[LocalType], dict]:
-    """Action, H^1 classes, local types and the action-specific report
-    entries of one branch point; raises ValueError (UsageError among them)
-    on invalid specs and EnumerationCapError on cap breaches."""
-    datum = build_root_datum(label, rank)
+) -> Tuple[RootDatum, GammaAction, Optional[Tuple[Fraction, ...]], H1Classes,
+           List[LocalType]]:
+    """Root datum, action, base point, H^1 classes and local types of one
+    branch point, in coroot coordinates; raises ValueError (UsageError among
+    them) on invalid specs and EnumerationCapError on cap breaches.
+
+    Each action kind picks the datum, the action and the base point, and
+    :func:`h1_elements` and :func:`types_of_classes` run on them.  The
+    trivial action takes the alcove-reduced point of the given root values
+    (the grid cap and the grid condition are checked before the datum is
+    built and the point folded); an SL involution is the A_(n-1) flip with
+    its base point (:func:`sl_involution`); a diagram action takes the base
+    0 and is reported only when H^1 = 0.  A bad label or rank comes first."""
+    positive_root_count(label, rank)
     values = point_or_default(point, rank, order)
     if point is not None and action_kind != "trivial":
         raise UsageError("--point applies only to trivial actions")
@@ -357,46 +349,38 @@ def types_parts(
         raise UsageError("--perm applies only to diagram actions")
 
     if action_kind == "trivial":
-        action, base, classes, types = split_types(datum, order, values, cap)
-        extra = {
-            "base_point": {
-                "root_values": vec_str(simple_root_values(datum, base)),
-                "coroot_coordinates": vec_str(base),
-            }
-        }
-    elif action_kind in ("sl-J", "sl-Jprime"):
+        require_grid_size(rank, order, cap)
+        require_root_values_on_grid(values, order)
+        datum = build_root_datum(label, rank, cap)
+        action = trivial_action(rank, order)
+        base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
+    elif action_kind in SL_VARIANTS:
         if label != "A":
             raise UsageError("sl involutions are only defined for type A")
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
-        n = rank + 1
-        spec = standard_involution(n) if action_kind == "sl-J" else variant_involution(n)
-        action = diagonal_action(spec)
-        classes = sl_torus_h1(n, spec, cap)
-        types = sl_types_of_classes(n, spec, classes)
-        extra = {"matrix_size": n}
+        datum, action, base = sl_involution(rank + 1, SL_VARIANTS[action_kind])
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError("--perm is required for a diagram action")
+        datum = build_root_datum(label, rank, cap)
         aut = diagram_automorphism(datum, perm)
         if order % aut.order != 0:
             raise UsageError(
                 f"the permutation has order {aut.order}, which must divide --order"
             )
-        action = GammaAction(order, aut)
-        classes = h1_elements(datum, action, cap=cap)
-        if classes.structure.order != 1:
-            raise UsageError(
-                f"types of a diagram action are reported only when H^1 = 0, "
-                f"and here H^1 has order {classes.structure.order}; use an sl "
-                f"involution for type A, or a trivial action"
-            )
-        types = [LocalType(classes.representatives[0], 1, 0)]
-        extra = {}
+        action, base = GammaAction(order, aut), None
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
 
-    return action, classes, types, extra
+    classes = h1_elements(datum, action, cap=cap)
+    if action_kind == "diagram" and classes.structure.order != 1:
+        raise UsageError(
+            f"types of a diagram action are reported only when H^1 = 0, "
+            f"and here H^1 has order {classes.structure.order}; use an sl "
+            f"involution for type A, or a trivial action"
+        )
+    return datum, action, base, classes, types_of_classes(datum, action, classes, base=base)
 
 
 def compute_types(
@@ -415,39 +399,59 @@ def compute_types(
     only through :func:`json_text` or :func:`types_text` (``json.dumps``
     refuses those two values); a caller that wants the data takes it from
     :func:`types_parts`.  Each table's numerators, and with them the norm
-    check of its representative, are computed here."""
-    action, classes, types, extra = types_parts(
+    check of its representative, are computed here.
+
+    The report writes the vectors of an SL involution, and the numerator
+    rows of their cocycle tables, as sum-zero diagonals
+    (:func:`sl_diagonal`); every other report writes coroot coordinates."""
+    datum, action, base, classes, types = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
+    variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
+
+    def written(vector: QZVector) -> QZVector:
+        return sl_diagonal(vector) if variant else vector
+
+    def cocycle(rep: QZVector) -> CocycleTable:
+        d, rows = cocycle_numerators(rep, action)
+        return CocycleTable(d, [sl_diagonal(row, d) for row in rows] if variant else rows,
+                            strings)
+
+    reps = classes.representatives
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
         "group": {"label": label, "rank": rank},
         "order": order,
-        "action": action_spec(
-            action_kind if not action_kind.startswith("sl-") else "sl-involution",
-            variant={"sl-J": "J", "sl-Jprime": "J-prime"}.get(action_kind),
-            perm=perm,
-        ),
+        "action": action_spec("sl-involution" if variant else action_kind,
+                              variant=variant, perm=perm),
         "torus_h1": {
             "order": classes.structure.order,
             "invariant_factors": list(classes.structure.invariant_factors),
-            "gamma0": classes.gamma0_choice,
+            "gamma0": (f"gamma_0 = the involution {variant} on SL_{rank + 1}" if variant else
+                       f"gamma_0 = the generator matching the fixed primitive root of "
+                       f"unity zeta_{action.e}; lattice action of order "
+                       f"{action.automorphism.order}"),
         },
-        "class_representatives": Vectors(classes.representatives),
+        "class_representatives": Vectors(tuple(map(sl_diagonal, reps)) if variant else reps),
         "types": [
             {
                 "index": t.index,
-                "representative": vec_str(t.orbit_representative),
+                "representative": vec_str(written(t.orbit_representative)),
                 "orbit_size": t.orbit_size,
-                "cocycle": CocycleTable(
-                    *cocycle_numerators(t.orbit_representative, action), strings),
+                "cocycle": cocycle(t.orbit_representative),
             }
             for t in types
         ],
         "type_count": len(types),
     }
-    report.update(extra)
+    if action_kind == "trivial":
+        report["base_point"] = {
+            "root_values": vec_str(simple_root_values(datum, base)),
+            "coroot_coordinates": vec_str(base),
+        }
+    elif variant is not None:
+        report["matrix_size"] = rank + 1
     return report
 
 
@@ -577,11 +581,10 @@ def cmd_twist(args) -> int:
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
-    datum = build_root_datum(label, rank)
-    point = point_or_default(
-        parse_point(args.point, rank) if args.point else None, rank, args.order
-    )
-    _, base, classes, types = split_types(datum, args.order, point, args.cap)
+    positive_root_count(label, rank)  # a bad label or rank before a bad point
+    point = parse_point(args.point, rank) if args.point else None
+    datum, _, base, classes, types = types_parts(
+        label, rank, args.order, "trivial", point=point, cap=args.cap)
 
     def twist_row(rep: QZVector) -> dict:
         reduced, facet = type_to_alcove(datum, rep, args.order, base)
@@ -613,7 +616,7 @@ def cmd_twist(args) -> int:
         "command": "twist",
         "group": {"label": label, "rank": rank},
         "order": args.order,
-        "base_point": {"root_values": vec_str(point)},
+        "base_point": {"root_values": vec_str(point_or_default(point, rank, args.order))},
         "twists": rows,
         "type_count": len(types),
     }
@@ -623,13 +626,13 @@ def cmd_twist(args) -> int:
 
 def cmd_split_degree(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    datum = build_root_datum(label, rank)
+    datum = build_root_datum(label, rank, args.cap)
     if not args.point:
         raise UsageError("--point is required for split-degree")
     point = parse_point(args.point, rank)
     x = point_from_root_values(datum, point)
     degree, tame = min_split_degree(datum, x, args.char)
-    data = vertex_prime_data(label, rank)
+    data = vertex_prime_data(label, rank, args.cap)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "split-degree",
@@ -647,7 +650,7 @@ def cmd_split_degree(args) -> int:
 
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    datum = build_root_datum(label, rank)
+    datum = build_root_datum(label, rank, args.cap)
     point = point_or_default(
         parse_point(args.point, rank) if args.point else None, rank, args.order
     )
@@ -668,7 +671,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_data(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    data = vertex_prime_data(label, rank)
+    data = vertex_prime_data(label, rank, args.cap)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "data",
@@ -717,9 +720,9 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
     point = None
     if kind == "sl-involution":
         variant = action.get("variant", "J")
-        if variant not in ("J", "J-prime"):
+        kind = next((k for k, v in SL_VARIANTS.items() if v == variant), None)
+        if kind is None:
             raise UsageError(f"unknown sl-involution variant {variant!r}")
-        kind = "sl-J" if variant == "J" else "sl-Jprime"
     elif kind == "diagram":
         perm_in = action.get("permutation")
         if not isinstance(perm_in, list):

@@ -88,7 +88,9 @@ from .rootdata import (
 
 @dataclass(frozen=True)
 class GammaAction:
-    """Cyclic group of order e acting through a lattice automorphism.
+    """Cyclic group of order e acting through a lattice automorphism, whose
+    order must divide e.  The library reads that order off a permutation of
+    the nodes (:attr:`LatticeAutomorphism.order`).
 
     The torsion model carries no residue characteristic: tameness (p prime
     to e) is a property of the cover, checked where a point and a
@@ -131,12 +133,6 @@ class GammaAction:
     def coboundary_matrix(self) -> IntMatrix:
         return mat_sub(self.matrix, identity_matrix(self.rank))
 
-    def gamma0_record(self) -> str:
-        return (
-            f"gamma_0 = the generator matching the fixed primitive root of unity "
-            f"zeta_{self.e}; lattice action of order {self.automorphism.order}"
-        )
-
 
 def trivial_action(rank: int, e: int) -> GammaAction:
     return GammaAction(e=e, automorphism=identity_automorphism(rank))
@@ -146,7 +142,6 @@ def trivial_action(rank: int, e: int) -> GammaAction:
 class H1Classes:
     structure: FiniteAbelianGroup
     representatives: Tuple[QZVector, ...]
-    gamma0_choice: str
 
 
 @dataclass(frozen=True)
@@ -259,8 +254,7 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
             f"element model found {len(reps)} classes but the lattice quotient "
             f"has order {structure.order}"
         )
-    return H1Classes(structure=structure, representatives=reps,
-                     gamma0_choice=action.gamma0_record())
+    return H1Classes(structure=structure, representatives=reps)
 
 
 def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[int, ...]]:

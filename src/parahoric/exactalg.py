@@ -95,19 +95,32 @@ def det_int(M: IntMatrix) -> int:
 
 
 def adjugate_int(M: IntMatrix) -> IntMatrix:
-    """Integer adjugate by cofactors, so that adj(M) M = det(M) I."""
+    """Integer adjugate of a nonsingular M, so that adj(M) M = det(M) I, by
+    one fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] in
+    O(n^3) exact divisions.
+
+    Each step clears the pivot column in every other row, a <- (p a - f
+    a_k) / p_prev, and the division is exact.  The elimination ends at
+    [d I | R] with R M = d I and d = +-det(M), so adj(M) = det(M) M^-1 is
+    R times the sign of the row swaps.  A singular M raises ValueError.
+    """
     n = len(M)
-
-    def minor(i: int, j: int) -> IntMatrix:
-        return tuple(
-            tuple(x for c, x in enumerate(row) if c != j)
-            for r, row in enumerate(M) if r != i
-        )
-
-    return tuple(
-        tuple((-1) ** (i + j) * det_int(minor(j, i)) for j in range(n))
-        for i in range(n)
-    )
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                raise ValueError("the adjugate is computed only for a nonsingular matrix")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 # ---------------------------------------------------------------------------

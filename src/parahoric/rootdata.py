@@ -8,11 +8,14 @@ Conventions (Bourbaki numbering throughout):
 * roots are stored by their coefficients on the simple roots;
 * ``cartan[i][j] = <alpha_i, alpha_j_coroot>``.
 
-Weyl elements are integer matrices acting on the coroot lattice; the group
-is only ever materialized by breadth-first closure of the generators, with
-a configurable cap that is checked against the order |W| before the
-closure starts.  The subgroup W^sigma fixed by a diagram automorphism is
-only ever given by its generators, never enumerated.
+A root datum is built by closing the simple roots under the simple
+reflections, with a configurable cap checked against the closed-form size
+|Phi^+| * r^2 of that closure before it starts.  Weyl elements are integer
+matrices acting on the coroot lattice; the group is only ever materialized
+by breadth-first closure of the generators, with a configurable cap that is
+checked against the order |W| before the closure starts.  The subgroup
+W^sigma fixed by a diagram automorphism is only ever given by its
+generators, never enumerated.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .exactalg import (
     adjugate_int,
     det_int,
     identity_matrix,
-    mat_mul,
     matrix,
 )
 
@@ -40,7 +42,33 @@ class EnumerationCapError(RuntimeError):
     """An enumeration would exceed the configured cap."""
 
 
+# per label: the valid ranks, as a test and as the text of its refusal, and
+# the closed form of |Phi^+|
+_SIMPLE_TYPES = {
+    "A": (lambda r: r >= 1, "n >= 1", lambda r: r * (r + 1) // 2),
+    "B": (lambda r: r >= 2, "n >= 2", lambda r: r * r),
+    "C": (lambda r: r >= 2, "n >= 2", lambda r: r * r),
+    "D": (lambda r: r >= 4, "n >= 4", lambda r: r * (r - 1)),
+    "E": (lambda r: r in (6, 7, 8), "n in {6, 7, 8}", lambda r: {6: 36, 7: 63, 8: 120}[r]),
+    "F": (lambda r: r == 4, "n = 4", lambda r: 24),
+    "G": (lambda r: r == 2, "n = 2", lambda r: 6),
+}
+
+
+def positive_root_count(label: str, rank: int) -> int:
+    """|Phi^+| of the simple type ``label`` of rank ``rank`` from its closed
+    form; a label or rank that names no simple type raises ValueError."""
+    if label not in _SIMPLE_TYPES:
+        raise ValueError(f"unknown label {label!r}")
+    valid, ranks, count = _SIMPLE_TYPES[label]
+    if not valid(rank):
+        raise ValueError(f"{label}_n needs {ranks}")
+    return count(rank)
+
+
 def _cartan_matrix(label: str, rank: int) -> IntMatrix:
+    """The Cartan matrix of a simple type that :func:`positive_root_count`
+    accepts."""
     n = rank
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -49,47 +77,31 @@ def _cartan_matrix(label: str, rank: int) -> IntMatrix:
         c[j][i] = b
 
     if label == "A":
-        if n < 1:
-            raise ValueError("A_n needs n >= 1")
         for i in range(n - 1):
             bond(i, i + 1)
     elif label == "B":
-        if n < 2:
-            raise ValueError("B_n needs n >= 2")
         for i in range(n - 2):
             bond(i, i + 1)
         bond(n - 2, n - 1, -2, -1)  # alpha_n short
     elif label == "C":
-        if n < 2:
-            raise ValueError("C_n needs n >= 2")
         for i in range(n - 2):
             bond(i, i + 1)
         bond(n - 2, n - 1, -1, -2)  # alpha_n long
     elif label == "D":
-        if n < 4:
-            raise ValueError("D_n needs n >= 4")
         for i in range(n - 2):
             bond(i, i + 1)
         bond(n - 3, n - 1)
     elif label == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
         bond(0, 2)
         bond(1, 3)
         for i in range(2, n - 1):
             bond(i, i + 1)
     elif label == "F":
-        if n != 4:
-            raise ValueError("F_n needs n = 4")
         bond(0, 1)
         bond(1, 2, -2, -1)
         bond(2, 3)
-    elif label == "G":
-        if n != 2:
-            raise ValueError("G_n needs n = 2")
+    else:  # G2
         bond(0, 1, -1, -3)  # alpha_1 short
-    else:
-        raise ValueError(f"unknown label {label!r}")
     return matrix(c)
 
 
@@ -175,18 +187,36 @@ class RootDatum:
         return tuple(out)
 
 
-def build_root_datum(label: str, rank: int) -> RootDatum:
+def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum:
     """The root datum of a simple type, built once per (label, rank) and
-    process; a :class:`RootDatum` is frozen, so every caller shares it."""
-    return _root_datum(label.upper(), rank)
+    process; a :class:`RootDatum` is frozen, so every caller shares it.
+
+    A bad label or rank raises ValueError (:func:`positive_root_count`).
+    The closure of the positive roots applies r simple reflections of r
+    entries to each of the |Phi^+| roots, so an estimate |Phi^+| * r^2
+    above ``cap`` is refused with :class:`EnumerationCapError` before it
+    starts."""
+    label = label.upper()
+    estimate = positive_root_count(label, rank) * rank ** 2
+    if estimate > cap:
+        raise EnumerationCapError(
+            f"root closure for {label}{rank}: |Phi+| * r^2 = {estimate} exceeds cap {cap}")
+    return _root_datum(label, rank)
 
 
 @lru_cache(maxsize=None)
 def _root_datum(label: str, rank: int) -> RootDatum:
+    """The part of :func:`build_root_datum` after the checks; a closure that
+    misses the closed-form count of :func:`positive_root_count` is a hard
+    error."""
     cartan = _cartan_matrix(label, rank)
     positives = _positive_roots(cartan)
+    count = positive_root_count(label, rank)
+    if len(positives) != count:
+        raise AssertionError(f"root closure for {label}{rank} has {len(positives)} "
+                             f"positive roots, the closed form gives {count}")
     highest = max(positives, key=lambda r: (sum(r), r))
-    datum = RootDatum(
+    return RootDatum(
         label=label,
         rank=rank,
         cartan=cartan,
@@ -195,7 +225,6 @@ def _root_datum(label: str, rank: int) -> RootDatum:
         marks=highest,
         symmetrizers=_symmetrizers(cartan),
     )
-    return datum
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +400,14 @@ class LatticeAutomorphism:
 
     @cached_property
     def order(self) -> int:
-        """The least k with A^k = 1: for a permutation matrix the lcm of the
-        lengths of :attr:`node_orbits`, with no matrix product; otherwise
-        :func:`matrix_order`, which refuses an order above its cap."""
+        """The least k with A^k = 1, for a permutation matrix: the lcm of
+        the lengths of :attr:`node_orbits`, with no matrix product.  The
+        order of any other matrix is not read, and raises ValueError."""
         orbits = self.node_orbits
-        return lcm(*map(len, orbits)) if orbits is not None else matrix_order(self.matrix)
+        if orbits is None:
+            raise ValueError("the order of a lattice automorphism is read only off "
+                             "a permutation of the nodes")
+        return lcm(*map(len, orbits))
 
     @cached_property
     def node_permutation(self) -> Optional[Tuple[int, ...]]:
@@ -412,21 +444,6 @@ class LatticeAutomorphism:
         node orbits are all singletons."""
         orbits = self.node_orbits
         return orbits is not None and len(orbits) == len(self.matrix)
-
-
-def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
-    """The least k <= ``cap`` with M^k = 1; none is refused with
-    :class:`EnumerationCapError`."""
-    one = identity_matrix(len(M))
-    P = M
-    for k in range(1, cap + 1):
-        if P == one:
-            return k
-        P = mat_mul(P, M)
-    raise EnumerationCapError(
-        f"order of a lattice automorphism: no power up to {cap} is the identity, "
-        f"exceeds cap {cap}"
-    )
 
 
 def identity_automorphism(rank: int) -> LatticeAutomorphism:

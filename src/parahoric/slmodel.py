@@ -1,24 +1,25 @@
-"""Exact monomial-matrix calculus for SL_n torsion elements.
+"""The SL_n involutions as flip instances, and the exact monomial-matrix
+calculus of the worked special-unitary examples.
+
+Both involutions gamma(A) = J^-1 (A^t)^-1 J, for the antidiagonal J and
+the variant J' = eps J, act on the coroot lattice of SL_n as the A_(n-1)
+diagram flip.  J' is pinned, and so is J for odd n, so the Tits section
+is equivariant and their base point is 0; J = eps^-1 J' for even n only
+moves the base point, to the root value -1/2 at the middle node
+(:func:`_sl_base`).  So H^1(Gamma, T), its twisted orbits under W^gamma
+and the cocycles all run on the lattice path of
+:mod:`parahoric.cohomology`, on the triple of :func:`sl_involution`.
+Vectors are written as sum-zero diagonals t_j = c_j - c_(j-1) of the
+coroot coordinates c by the one function :func:`sl_diagonal`, which also
+writes the numerator rows of a cocycle table.
 
 A monomial matrix is a permutation together with one nonzero entry per
 column; entries are roots of unity recorded additively in Q/Z (so -1 is
-1/2).  This is enough to move the worked special-unitary examples entirely
-into exact arithmetic: Weyl lifts and the twisting elements t_w = w^-1
-gamma(w).
-
-H^1(Gamma, T) and its twisted orbits under the fixed Weyl subgroup run on
-the lattice path of :mod:`parahoric.cohomology`: the involution acts on
-the coroot lattice as the A_(n-1) diagram flip.  J' is pinned, and so is
-J for odd n, so the Tits section is equivariant and the generators w_J of
-W^gamma act untwisted; J = eps^-1 J' for even n is the flip twisted by the
-base point b with root value -1/2 at the middle node, so w_J gets the
-twist w_J(b) - b (:func:`_sl_base`).  Representatives are reported as sum-zero
-diagonals t, which correspond to coroot coordinates c by
-c_i = t_1 + ... + t_i and t_j = c_j - c_(j-1).
-
-The hermitian forms of the special-vertex cases are derived symbolically
-(valuation + sign per entry) from the lattice basis, not hard-coded; see
-:func:`hermitian_gram` and :func:`su_special_vertex_types`.
+1/2): enough for Weyl lifts and the twisting elements t_w = w^-1 gamma(w)
+in exact arithmetic.  The hermitian forms of the special-vertex cases are
+derived symbolically (valuation + sign per entry) from the lattice basis,
+not hard-coded; see :func:`hermitian_gram` and
+:func:`su_special_vertex_types`.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .cohomology import (
     H1Classes,
     LocalType,
     h1_elements,
-    types_of_classes,
+    local_types,
 )
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
-    LatticeAutomorphism,
     RootDatum,
     build_root_datum,
     diagram_automorphism,
@@ -224,35 +224,30 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def diagonal_action(spec: InvolutionSpec) -> GammaAction:
-    """The involution on additive diagonal vectors, (Gz)_j = -z_{rho(j)} for
-    the permutation rho of J, as an order-2 action; it supplies the norm
-    1 + gamma and the cocycles of the diagonal representatives.
-
-    Conjugating a diagonal matrix by a monomial matrix permutes the entries
-    by its permutation and the entry values cancel, so the action depends on
-    spec.J.perm alone.  It is built once per involution and process, so its
-    norm is built once too."""
-    rho, n = spec.J.perm, spec.n
-    return GammaAction(2, LatticeAutomorphism(tuple(
-        tuple(-1 if k == rho[j] else 0 for k in range(n)) for j in range(n))))
-
-
-@lru_cache(maxsize=None)
 def _sl_flip(n: int) -> Tuple[RootDatum, GammaAction]:
     """The root datum A_(n-1) of SL_n and the involution on its coroot
     lattice, gamma(alpha_i_coroot) = alpha_{n-i}_coroot for J and J' alike
-    (only the reversal enters), built once per n and process."""
+    (only the reversal enters), built once per n and process; n < 3 raises
+    ValueError."""
+    if n < 3:
+        raise ValueError("the worked involutions need n >= 3")
     datum = build_root_datum("A", n - 1)
     flip = tuple(n - 2 - i for i in range(n - 1))
     return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
 
 
-def _diagonal(c: Sequence[Fraction]) -> QZVector:
+def sl_diagonal(c: Sequence, modulus=1) -> tuple:
     """The sum-zero diagonal t_j = c_j - c_(j-1), c_0 = c_n = 0, of the
-    coroot coordinates c."""
+    coroot coordinates c, mod ``modulus``: a class in (Q/Z)^n for the
+    default 1, or, for integer numerators over a denominator d and
+    ``modulus`` d, the numerators of the diagonal over d.
+
+    The map intertwines the flip with the involution of the diagonals,
+    diag(flip(c)) = (-z o rho)(diag(c)) for the reversal rho, and it is
+    integral, so it carries the cocycle row sum_{j<i} flip^j c mod 1 to the
+    row of the diagonal class, numerator by numerator mod d."""
     padded = (0,) + tuple(c) + (0,)
-    return qz_vector(b - a for a, b in zip(padded, padded[1:]))
+    return tuple((b - a) % modulus for a, b in zip(padded, padded[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -268,43 +263,49 @@ def _sl_base(n: int, kind: str) -> Tuple[Fraction, ...]:
     return point_from_root_values(_sl_flip(n)[0], values)
 
 
-def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
-    """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
+def sl_involution(n: int, kind: str) -> Tuple[RootDatum, GammaAction, Tuple[Fraction, ...]]:
+    """The involution ``kind`` ("J" or "J-prime") of SL_n as the root datum
+    A_(n-1), the flip on its coroot lattice (:func:`_sl_flip`) and the base
+    point of ``kind`` (:func:`_sl_base`), on which the types are counted.
 
-    The classes are those of :func:`h1_elements` on the flip of the coroot
-    lattice, :func:`_sl_flip` (which checks the element model against the
-    structural one, and refuses more than ``cap`` classes), converted to
-    diagonals by t_j = c_j - c_(j-1).
-    """
-    if n < 3:
-        raise ValueError("the worked involutions need n >= 3")
-    if spec.n != n:
-        raise ValueError("size mismatch")
-    classes = h1_elements(*_sl_flip(n), cap=cap)
-    return H1Classes(
-        structure=classes.structure,
-        representatives=tuple(_diagonal(c) for c in classes.representatives),
-        gamma0_choice=f"gamma_0 = the involution {spec.kind} on SL_{n}",
-    )
-
-
-def sl_types_of_classes(n: int, spec: InvolutionSpec, classes: H1Classes) -> List[LocalType]:
-    """Orbits of the classes of :func:`sl_torus_h1` under W^gamma, neutral
-    type first: :func:`types_of_classes` on the flip with the base point b
-    of :func:`_sl_base`, whose n // 2 generators w_J each get the twist
-    w_J(b) - b.  The orbits read only the positions of the classes, so the
-    diagonals go in as they are."""
+    J' needs even n, and n must be at least 3 (ValueError); an n above
+    :data:`SL_WEYL_ENUMERATION_CAP` is refused with
+    :class:`EnumerationCapError` before the root datum is built."""
+    if kind == "J-prime" and n % 2:
+        raise ValueError("the variant involution needs even size")
     if n > SL_WEYL_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds the cap "
             f"n <= {SL_WEYL_ENUMERATION_CAP}"
         )
-    return types_of_classes(*_sl_flip(n), classes, base=_sl_base(n, spec.kind))
+    return (*_sl_flip(n), _sl_base(n, kind))
+
+
+def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
+    """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
+
+    The classes are those of :func:`h1_elements` on the flip of the coroot
+    lattice, :func:`_sl_flip` (which checks the element model against the
+    structural one, and refuses more than ``cap`` classes), written as
+    diagonals by :func:`sl_diagonal`.
+    """
+    datum, action = _sl_flip(n)
+    if spec.n != n:
+        raise ValueError("size mismatch")
+    classes = h1_elements(datum, action, cap=cap)
+    return H1Classes(classes.structure, tuple(map(sl_diagonal, classes.representatives)))
 
 
 def sl_local_types(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> List[LocalType]:
-    """Orbits of H^1(Gamma, T) under W^gamma, from :func:`sl_torus_h1`."""
-    return sl_types_of_classes(n, spec, sl_torus_h1(n, spec, cap=cap))
+    """Orbits of H^1(Gamma, T) under W^gamma, neutral type first, with
+    sum-zero diagonal representatives: :func:`local_types` on the flip with
+    the base point of the involution (:func:`sl_involution`), whose n // 2
+    generators w_J each get the twist w_J(b) - b."""
+    if spec.n != n:
+        raise ValueError("size mismatch")
+    datum, action, base = sl_involution(n, spec.kind)
+    return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
+            for t in local_types(datum, action, base=base, cap=cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +447,12 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
             "underlying reversal, so the torus computation matches case A"
         )
 
-    torus = sl_torus_h1(n, spec)
-    order = torus.structure.order or 1
-    if order == 1:
-        count = 1
-    else:
-        count = len(sl_types_of_classes(n, spec, torus))
+    types = sl_local_types(n, spec)
     return SUVertexReport(
         n=n,
         case=key,
         involution_kind=spec.kind,
-        torus_h1_order=order,
-        type_count=count,
+        torus_h1_order=sum(t.orbit_size for t in types),
+        type_count=len(types),
         derivation=derivation,
     )

@@ -6,14 +6,22 @@ through the coset invariant of :class:`ImageMembership` (:func:`grid_classes`)
 and checks the class count against ``h1_structural``.  The library lists
 classes only for actions that permute the nodes, from their orbit sums; the
 grid model serves any finite-order automorphism (-1, Weyl elements, the
-SL torus action), and checks the orbit-sum lists.
+action -rho on the diagonals of SL_n), and checks the orbit-sum lists.
+The library reads the order of an automorphism only off a permutation of
+the nodes; :class:`MatrixAutomorphism` reads any other order off the
+powers of its matrix (:func:`matrix_order`), and
+:func:`weyl_element_automorphism` and :func:`diagonal_action` build their
+automorphisms with it.  :func:`diagonal_action` is -rho, the involution of
+the sum-zero diagonals that the SL_n reports write, so it is the oracle
+of the diagonal cocycle tables.
 :func:`class_orbits` is the orbit computation over the generic
 ``orbit_partition`` on ``Fraction`` vectors, matching each image to its
 class through the same invariant.
 
 :func:`dict_types_report` and :func:`dict_types_text` are the ``types``
-report as a dict of lists and strings, one ``str`` per entry, and its text
-lines read off that dict: the writer that the CLI replaced by the
+report as a dict of lists and strings, one ``str`` per entry (with the
+cocycles of an SL_n report computed under -rho), and its text lines read
+off that dict: the writer that the CLI replaced by the
 self-writing :class:`parahoric.cli.CocycleTable` and
 :class:`parahoric.cli.Vectors` values.  Passed through
 ``json.dumps(indent=2, sort_keys=True)`` and through
@@ -27,22 +35,26 @@ lattice matrix applied to a coweight.  So are the mod-Z helpers
 :func:`solve_mod_z`, the automorphism :func:`weyl_element_automorphism` of
 a Weyl element, :func:`classes_equal`, the Fraction twin of the class
 invariant, :func:`root_row`, :func:`mat_pow`, the simple reflections
-(:func:`simple_reflection`, :func:`weyl_generators`) and the list
-:func:`rank_range` of the simple types.
+(:func:`simple_reflection`, :func:`weyl_generators`), the list
+:func:`rank_range` of the simple types, and the adjugate by cofactors
+(:func:`cofactor_adjugate`), the oracle of the elimination in
+``exactalg.adjugate_int``.
 
 :func:`monomial_lift_twist` and :func:`monomial_lift_sl_types` are the SL_n
 types as the library computed them before the involutions became the
 A_(n-1) flip with a base point: each generator of W^gamma is twisted by
 t_w of the monomial lift of its permutation, read back into coroot
 coordinates (:func:`coroot_coordinates`, the inverse of
-``slmodel._diagonal``).
+``slmodel.sl_diagonal``).
 """
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from parahoric.cli import SCHEMA_VERSION, action_spec, types_parts
+from parahoric.alcove import simple_root_values
+from parahoric.cli import SCHEMA_VERSION, SL_VARIANTS, action_spec, types_parts
 from parahoric.cohomology import (
     GammaAction,
     H1Classes,
@@ -57,6 +69,7 @@ from parahoric.exactalg import (
     IntMatrix,
     IntVector,
     QZVector,
+    det_int,
     identity_matrix,
     mat_mul,
     mat_shape,
@@ -67,6 +80,7 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     DEFAULT_CAP,
+    EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
     WeylElement,
@@ -75,10 +89,12 @@ from parahoric.rootdata import (
 )
 from parahoric.slmodel import (
     InvolutionSpec,
-    _diagonal,
     _sl_flip,
     lift_of_permutation,
+    sl_diagonal,
+    standard_involution,
     t_w,
+    variant_involution,
 )
 
 
@@ -183,12 +199,66 @@ def grid_h1_elements(datum: RootDatum, action: GammaAction,
             f"element model found {len(reps)} classes but the lattice quotient "
             f"has order {structure.order}"
         )
-    return H1Classes(structure=structure, representatives=reps,
-                     gamma0_choice=action.gamma0_record())
+    return H1Classes(structure=structure, representatives=reps)
+
+
+def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
+    """The least k <= ``cap`` with M^k = 1; none is refused with
+    ``EnumerationCapError``."""
+    one = identity_matrix(len(M))
+    P = M
+    for k in range(1, cap + 1):
+        if P == one:
+            return k
+        P = mat_mul(P, M)
+    raise EnumerationCapError(
+        f"order of a lattice automorphism: no power up to {cap} is the identity, "
+        f"exceeds cap {cap}"
+    )
+
+
+class MatrixAutomorphism(LatticeAutomorphism):
+    """A lattice automorphism of any finite order, read off the powers of its
+    matrix (:func:`matrix_order`): the library reads the order only off a
+    permutation of the nodes."""
+
+    @cached_property
+    def order(self) -> int:
+        return matrix_order(self.matrix)
 
 
 def weyl_element_automorphism(w: WeylElement) -> LatticeAutomorphism:
-    return LatticeAutomorphism(w.matrix)
+    return MatrixAutomorphism(w.matrix)
+
+
+def diagonal_action(spec: InvolutionSpec) -> GammaAction:
+    """The involution on additive diagonal vectors, (Gz)_j = -z_{rho(j)} for
+    the permutation rho of J, as an order-2 action: -rho, the oracle of the
+    sum-zero diagonal coordinates of ``slmodel.sl_diagonal``.
+
+    Conjugating a diagonal matrix by a monomial matrix permutes the entries
+    by its permutation and the entry values cancel, so the action depends on
+    spec.J.perm alone."""
+    rho, n = spec.J.perm, spec.n
+    return GammaAction(2, MatrixAutomorphism(tuple(
+        tuple(-1 if k == rho[j] else 0 for k in range(n)) for j in range(n))))
+
+
+def cofactor_adjugate(M: IntMatrix) -> IntMatrix:
+    """Integer adjugate by cofactors, so that adj(M) M = det(M) I: r^2
+    determinants of the (r-1)-minors."""
+    n = len(M)
+
+    def minor(i: int, j: int) -> IntMatrix:
+        return tuple(
+            tuple(x for c, x in enumerate(row) if c != j)
+            for r, row in enumerate(M) if r != i
+        )
+
+    return tuple(
+        tuple((-1) ** (i + j) * det_int(minor(j, i)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
@@ -300,13 +370,29 @@ def class_orbits(
 
 
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:
-    """The report of ``cli.compute_types`` as plain dicts, lists and strings."""
-    action, classes, types, extra = types_parts(label, rank, order, action_kind, **options)
+    """The report of ``cli.compute_types`` as plain dicts, lists and strings.
+    An SL involution writes its vectors as sum-zero diagonals, whose
+    cocycles are those of the diagonal action -rho
+    (:func:`diagonal_action`)."""
+    datum, action, base, classes, types = types_parts(
+        label, rank, order, action_kind, **options)
+    variant = SL_VARIANTS.get(action_kind)
     keys = [str(i) for i in range(action.e)]
     texts: Dict[int, List[str]] = {}
+    reps, type_reps = classes.representatives, [t.orbit_representative for t in types]
+    if variant is None:
+        gamma0 = (f"gamma_0 = the generator matching the fixed primitive root of unity "
+                  f"zeta_{action.e}; lattice action of order {action.automorphism.order}")
+        table_action = action
+    else:
+        gamma0 = f"gamma_0 = the involution {variant} on SL_{rank + 1}"
+        reps, type_reps = [list(map(sl_diagonal, vs)) for vs in (reps, type_reps)]
+        n = rank + 1
+        table_action = diagonal_action(
+            standard_involution(n) if variant == "J" else variant_involution(n))
 
-    def cocycle_json(t: LocalType) -> dict:
-        d, rows = cocycle_numerators(t.orbit_representative, action)
+    def cocycle_json(rep: QZVector) -> dict:
+        d, rows = cocycle_numerators(rep, table_action)
         text = texts.get(d)
         if text is None:
             text = texts[d] = [str(Fraction(a, d)) for a in range(d)]
@@ -317,29 +403,30 @@ def dict_types_report(label, rank, order, action_kind, **options) -> dict:
         "command": "types",
         "group": {"label": label, "rank": rank},
         "order": order,
-        "action": action_spec(
-            action_kind if not action_kind.startswith("sl-") else "sl-involution",
-            variant={"sl-J": "J", "sl-Jprime": "J-prime"}.get(action_kind),
-            perm=options.get("perm"),
-        ),
+        "action": action_spec("sl-involution" if variant else action_kind,
+                              variant=variant, perm=options.get("perm")),
         "torus_h1": {
             "order": classes.structure.order,
             "invariant_factors": list(classes.structure.invariant_factors),
-            "gamma0": classes.gamma0_choice,
+            "gamma0": gamma0,
         },
-        "class_representatives": [list(map(str, t)) for t in classes.representatives],
+        "class_representatives": [list(map(str, t)) for t in reps],
         "types": [
             {
                 "index": t.index,
-                "representative": list(map(str, t.orbit_representative)),
+                "representative": list(map(str, rep)),
                 "orbit_size": t.orbit_size,
-                "cocycle": cocycle_json(t),
+                "cocycle": cocycle_json(rep),
             }
-            for t in types
+            for t, rep in zip(types, type_reps)
         ],
         "type_count": len(types),
     }
-    report.update(extra)
+    if action_kind == "trivial":
+        report["base_point"] = {"root_values": list(map(str, simple_root_values(datum, base))),
+                                "coroot_coordinates": list(map(str, base))}
+    elif variant is not None:
+        report["matrix_size"] = rank + 1
     return report
 
 
@@ -415,11 +502,11 @@ def monomial_lift_sl_types(n: int, spec: InvolutionSpec,
     ``sl_torus_h1``) are checked against the coroot classes when given."""
     datum, action = _sl_flip(n)
     lattice = h1_elements(datum, action).representatives
-    if classes is not None and classes.representatives != tuple(map(_diagonal, lattice)):
+    if classes is not None and classes.representatives != tuple(map(sl_diagonal, lattice)):
         raise AssertionError("the diagonal classes are not those of the flip")
     maps = [lambda t, M=w.matrix, c=monomial_lift_twist(w, spec): qz_add(mat_vec_qz(M, t), c)
             for w in fixed_weyl_generators(datum, action.automorphism)]
     member = ImageMembership(action.coboundary_matrix())
     types = class_orbits(lattice, action.norm_matrix(), member.invariant, maps)
-    return [LocalType(_diagonal(t.orbit_representative), t.orbit_size, t.index)
+    return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
             for t in types]

@@ -495,21 +495,59 @@ def test_huge_order_refused_by_the_grid_cap(capsys, command):
 
 def test_sl_types_compute_h1_once(capsys, monkeypatch):
     import parahoric.cli
+    import parahoric.cohomology
     import parahoric.slmodel
 
     calls = []
-    original = parahoric.slmodel.sl_torus_h1
+    original = parahoric.cohomology.h1_elements
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(parahoric.cli, "sl_torus_h1", counted)
-    monkeypatch.setattr(parahoric.slmodel, "sl_torus_h1", counted)
+    for module in (parahoric.cli, parahoric.cohomology, parahoric.slmodel):
+        monkeypatch.setattr(module, "h1_elements", counted)
     code, out, _ = run_cli(capsys, "types", "--group", "A3", "--order", "2",
                            "--action", "sl-Jprime")
     assert (code, out.splitlines()[-1]) == (0, "types: 2")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("data", "--group", "A100"),
+    ("split-degree", "--group", "A120", "--point", ",".join(["0"] * 120)),
+    ("orbit", "--group", "D40", "--order", "1"),
+    ("types", "--group", "A120", "--order", "1"),
+    ("types", "--group", "A120", "--order", "2", "--action", "sl-J"),
+    ("types", "--group", "B40", "--order", "2", "--action", "diagram",
+     "--perm", ",".join(map(str, range(1, 41)))),
+    ("twist", "--group", "C40", "--order", "1"),
+])
+def test_large_ranks_are_refused_before_the_root_closure(capsys, monkeypatch, argv):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the root closure must not start")
+
+    monkeypatch.setattr("parahoric.rootdata._positive_roots", no_closure)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: ") and " exceeds " in err
+
+
+def test_the_root_closure_takes_the_cap(capsys, tmp_path):
+    # E8 closes 120 positive roots under 8 reflections: |Phi+| r^2 = 7680
+    code, out, err = run_cli(capsys, "data", "--group", "E8", "--cap", "7679")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: root closure for E8: |Phi+| * r^2 = 7680 exceeds cap 7679\n"
+    assert run_cli(capsys, "data", "--group", "E8", "--cap", "7680")[0] == 0
+    cfg = write_config(tmp_path, {"branch_points": [
+        {"group": {"label": "E", "rank": 8}, "order": 1}]})
+    code, out, err = run_cli(capsys, "global", "--config", cfg, "--cap", "7679")
+    assert (code, out) == (3, "")
+    assert "root closure for E8" in err
+    # a bad label or rank keeps its exit 2 and message under any cap
+    for cap in ("1", "1000000"):
+        code, _, err = run_cli(capsys, "types", "--group", "D3", "--order", "5", "--cap", cap)
+        assert (code, err) == (2, "error: D_n needs n >= 4\n")
 
 
 FAR_OFF_GRID_E8 = "--point=999,5/11,-7/3,999,13/4,2/9,-1000/7,-512"

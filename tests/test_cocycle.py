@@ -21,9 +21,9 @@ from parahoric.exactalg import (
     qz_zero,
 )
 from parahoric.rootdata import LatticeAutomorphism, build_root_datum, diagram_automorphism
-from parahoric.slmodel import diagonal_action, sl_torus_h1, standard_involution, variant_involution
+from parahoric.slmodel import sl_torus_h1, standard_involution, variant_involution
 
-from .references import mat_pow, mat_vec_qz, qz_add
+from .references import diagonal_action, mat_pow, mat_vec_qz, qz_add
 
 
 def reference_cocycle(rep, action):

@@ -30,7 +30,6 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     EnumerationCapError,
-    LatticeAutomorphism,
     build_root_datum,
     diagram_automorphism,
     orbit_partition,
@@ -39,6 +38,7 @@ from parahoric.rootdata import (
 
 from .references import (
     ImageMembership,
+    MatrixAutomorphism,
     class_orbits,
     classes_equal,
     grid_h1_elements,
@@ -61,15 +61,13 @@ def flip_action(n_nodes, e=2):
 
 
 def test_permutation_orders_take_no_matrix_product(monkeypatch):
-    import parahoric.rootdata as rootdata
-
     e6, d4 = build_root_datum("E", 6), build_root_datum("D", 4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the order of a permutation matrix needs no matrix product")
 
-    monkeypatch.setattr(rootdata, "mat_mul", refuse)
-    monkeypatch.setattr(rootdata, "matrix_order", refuse)
+    monkeypatch.setattr("parahoric.exactalg.mat_mul", refuse)
+    monkeypatch.setattr("parahoric.cohomology.mat_mul", refuse)
     assert trivial_action(8, 2).automorphism.order == 1
     e6_flip = diagram_automorphism(e6, (5, 1, 4, 3, 2, 0))
     assert e6_flip.order == 2
@@ -100,7 +98,7 @@ def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
 
 def test_h1_elements_refuses_non_permutation_actions_before_any_work(monkeypatch):
     a2 = build_root_datum("A", 2)
-    minus_one = GammaAction(2, LatticeAutomorphism(((-1, 0), (0, -1))))
+    minus_one = GammaAction(2, MatrixAutomorphism(((-1, 0), (0, -1))))
     reflection = GammaAction(4, weyl_element_automorphism(simple_reflection(a2, 1)))
     # the grid oracle lists 1 and 2 classes for them
     assert len(grid_h1_elements(a2, minus_one).representatives) == 1

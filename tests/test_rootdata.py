@@ -18,17 +18,20 @@ from parahoric.rootdata import (
     diagram_automorphism,
     fixed_weyl_generators,
     identity_automorphism,
-    matrix_order,
     orbit_partition,
+    positive_root_count,
     weyl_classes,
     weyl_elements,
     weyl_order,
 )
 
 from .references import (
+    MatrixAutomorphism,
     all_coroots,
     apply,
+    cofactor_adjugate,
     mat_pow,
+    matrix_order,
     pairing,
     rank_range,
     simple_reflection,
@@ -122,6 +125,55 @@ def test_invalid_labels_rejected():
             build_root_datum(label, rank)
 
 
+@pytest.mark.parametrize("label,rank", rank_range(8))
+def test_the_closed_form_count_is_the_closure(label, rank):
+    datum = build_root_datum(label, rank)
+    assert positive_root_count(label, rank) == len(datum.positive_roots)
+    if (label, rank) in POSITIVE_ROOT_COUNTS:
+        assert positive_root_count(label, rank) == POSITIVE_ROOT_COUNTS[(label, rank)]
+
+
+def test_bad_labels_and_ranks_keep_their_messages():
+    cases = {("A", 0): "A_n needs n >= 1", ("B", 1): "B_n needs n >= 2",
+             ("C", 1): "C_n needs n >= 2", ("D", 3): "D_n needs n >= 4",
+             ("E", 9): "E_n needs n in {6, 7, 8}", ("F", 3): "F_n needs n = 4",
+             ("G", 3): "G_n needs n = 2", ("H", 2): "unknown label 'H'"}
+    for (label, rank), message in cases.items():
+        for cap in (1, 10 ** 6):
+            with pytest.raises(ValueError) as err:
+                build_root_datum(label, rank, cap)
+            assert str(err.value) == message
+
+
+def test_root_closure_refused_over_the_cap_before_it_starts(monkeypatch):
+    assert build_root_datum("E", 8, cap=7680) is build_root_datum("E", 8)
+    with pytest.raises(EnumerationCapError) as err:
+        build_root_datum("E", 8, cap=7679)
+    assert str(err.value) == "root closure for E8: |Phi+| * r^2 = 7680 exceeds cap 7679"
+
+    def no_closure(cartan):
+        raise AssertionError("the root closure must not start")
+
+    monkeypatch.setattr(rootdata, "_positive_roots", no_closure)
+    # |Phi^+| r^2 just above the default cap, in each infinite family
+    for label, rank, estimate in (("A", 38, 741 * 38 ** 2), ("B", 32, 32 ** 4),
+                                  ("C", 32, 32 ** 4), ("D", 32, 32 * 31 * 32 ** 2)):
+        with pytest.raises(EnumerationCapError) as err:
+            build_root_datum(label, rank)
+        assert str(err.value) == (f"root closure for {label}{rank}: |Phi+| * r^2 = "
+                                  f"{estimate} exceeds cap 1000000")
+    # one rank lower each fits under the cap
+    for label, rank in (("A", 37), ("B", 31), ("C", 31), ("D", 31)):
+        assert positive_root_count(label, rank) * rank ** 2 <= 10 ** 6
+
+
+def test_a_closure_that_misses_the_closed_form_is_a_hard_error(monkeypatch):
+    closure = rootdata._positive_roots
+    monkeypatch.setattr(rootdata, "_positive_roots", lambda cartan: closure(cartan)[1:])
+    with pytest.raises(AssertionError, match="B3 has 8 positive roots, the closed form gives 9"):
+        rootdata._root_datum.__wrapped__("B", 3)
+
+
 def test_simple_reflection_examples():
     d1 = build_root_datum("A", 1)
     s = simple_reflection(d1, 1)
@@ -155,6 +207,27 @@ def test_reflections_are_involutions_and_braid_orders(label, rank):
 def test_weyl_orders(label, rank):
     datum = build_root_datum(label, rank)
     assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
+
+
+def test_adjugate_matches_the_cofactor_oracle():
+    pairs = rank_range(8) + [(label, r) for r in range(9, 21) for label in "ABCD"]
+    for label, rank in pairs:
+        cartan = build_root_datum(label, rank).cartan
+        adj = adjugate_int(cartan)
+        assert adj == cofactor_adjugate(cartan), (label, rank)
+        assert mat_mul(adj, cartan) == tuple(
+            tuple(det_int(cartan) * x for x in row) for row in identity_matrix(rank))
+    rng = random.Random(17)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 6)
+        M = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if det_int(M) == 0:
+            with pytest.raises(ValueError, match="nonsingular"):
+                adjugate_int(M)
+            continue
+        assert adjugate_int(M) == cofactor_adjugate(M), M
+        checked += 1
 
 
 def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
@@ -320,20 +393,31 @@ def test_diagram_automorphisms():
         diagram_automorphism(d3, (0, 0, 1))  # not a permutation
 
 
-def test_the_order_is_read_off_the_matrix():
-    # the lcm of the node-orbit lengths for a permutation matrix, the least
-    # power that is the identity for any other matrix
+def test_the_order_is_read_off_the_matrix(monkeypatch):
+    # the lcm of the node-orbit lengths for a permutation matrix; the order
+    # of any other matrix is refused before any matrix product, and the
+    # reference reads it off the powers of the matrix
     from parahoric.rootdata import LatticeAutomorphism
 
-    matrices = [aut.matrix for label, rank in rank_range(6)
-                for aut in diagram_symmetries(build_root_datum(label, rank))]
-    matrices += [w.matrix for label, rank in rank_range(4)
-                 for w in weyl_elements(build_root_datum(label, rank))]
-    matrices += [tuple(tuple(-x for x in row) for row in identity_matrix(r))
-                 for r in range(1, 9)]
-    for M in matrices:
+    permutations = [aut.matrix for label, rank in rank_range(6)
+                    for aut in diagram_symmetries(build_root_datum(label, rank))]
+    others = [w.matrix for label, rank in rank_range(4)
+              for w in weyl_elements(build_root_datum(label, rank))
+              if LatticeAutomorphism(w.matrix).node_permutation is None]
+    others += [tuple(tuple(-x for x in row) for row in identity_matrix(r))
+               for r in range(1, 9)]
+    for M in permutations:
         assert LatticeAutomorphism(M).order == matrix_order(M), M
-    assert {matrix_order(M) for M in matrices} == {1, 2, 3, 4, 5, 6, 8, 12}
+    assert {matrix_order(M) for M in permutations} == {1, 2, 3}
+    assert {MatrixAutomorphism(M).order for M in others} == {2, 3, 4, 5, 6, 8, 12}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no matrix product for the order")
+
+    monkeypatch.setattr("parahoric.exactalg.mat_mul", refuse)
+    for M in others:
+        with pytest.raises(ValueError, match="read only off a permutation of the nodes"):
+            LatticeAutomorphism(M).order
 
 
 def fixed_weyl_subgroup(datum, aut):

@@ -5,11 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from parahoric.alcove import simple_root_values
-from parahoric.cohomology import cocycle_numerators
+from parahoric.cohomology import LocalType, cocycle_numerators, h1_elements, types_of_classes
 from parahoric.exactalg import identity_matrix, mat_sub, qz_vector, qz_zero
 from parahoric.slmodel import (
     MonomialMatrix,
-    diagonal_action,
+    _sl_base,
+    _sl_flip,
     gram_conjugate,
     gram_unit_part,
     hermitian_gram,
@@ -22,16 +23,24 @@ from parahoric.slmodel import (
     perm_sign,
     reversal,
     reversal_fixed_permutations,
+    sl_diagonal,
+    sl_involution,
     sl_local_types,
     sl_torus_h1,
-    sl_types_of_classes,
     standard_involution,
     su_special_vertex_types,
     t_w,
     variant_involution,
 )
 
-from .references import ImageMembership, class_orbits, monomial_lift_sl_types
+from .references import (
+    ImageMembership,
+    MatrixAutomorphism,
+    class_orbits,
+    diagonal_action,
+    matrix_order,
+    monomial_lift_sl_types,
+)
 
 
 def mm_identity(n):
@@ -40,8 +49,22 @@ def mm_identity(n):
 
 # ---------------------------------------------------------------------------
 # the diagonal model of H^1 and its twisted orbits, the reference for the
-# lattice path of sl_torus_h1 and sl_types_of_classes
+# lattice path: types_of_classes on the flip with the base point of the
+# involution, written as diagonals
 # ---------------------------------------------------------------------------
+
+def sl_types_of_classes(n, spec, classes=None):
+    """The types of :func:`types_of_classes` on the triple of
+    ``sl_involution``, written as diagonals, the path of the ``sl-J`` and
+    ``sl-Jprime`` reports.  ``classes`` (diagonals, as from
+    ``sl_torus_h1``) are checked against the coroot classes when given."""
+    datum, action, base = sl_involution(n, spec.kind)
+    lattice = h1_elements(datum, action)
+    if classes is not None:
+        assert classes.representatives == tuple(map(sl_diagonal, lattice.representatives))
+    return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
+            for t in types_of_classes(datum, action, lattice, base=base)]
+
 
 def sl_membership(spec):
     """Membership test for the coboundary image (1 - gamma) T(k) inside the
@@ -241,14 +264,17 @@ def test_t_w_class_independent_of_lift():
     assert orbit_map(w) == orbit_map(w_alt)
 
 
-def test_diagonal_action_is_built_once_per_involution():
-    from parahoric.rootdata import LatticeAutomorphism, matrix_order
+def test_diagonal_action_has_order_two_read_off_its_powers():
+    from parahoric.rootdata import LatticeAutomorphism
 
     for n in range(3, 13):
-        for spec, again in zip(specs_of(n), specs_of(n)):
-            assert diagonal_action(spec) is diagonal_action(again)
+        for spec in specs_of(n):
             M = diagonal_action(spec).matrix
-            assert LatticeAutomorphism(M).order == matrix_order(M) == 2
+            assert type(diagonal_action(spec).automorphism) is MatrixAutomorphism
+            assert diagonal_action(spec).automorphism.order == matrix_order(M) == 2
+            # -rho permutes no nodes, so the library does not read its order
+            with pytest.raises(ValueError, match="only off a permutation"):
+                LatticeAutomorphism(M).order
 
 
 def test_diagonal_action_ignores_entries():
@@ -449,6 +475,22 @@ def test_lattice_path_matches_the_diagonal_model(n, monkeypatch):
                     == [cocycle_numerators(t, action) for t in ref])
 
 
+@pytest.mark.parametrize("n", range(3, 21))
+def test_diagonal_coordinates_intertwine_the_flip_with_minus_rho(n):
+    # diag o flip = (-rho) o diag, so the cocycle rows of a diagonal class
+    # under -rho are the diagonals of the coroot rows under the flip, mod
+    # the same denominator d; past the SL cap, on the flip itself
+    datum, flip = _sl_flip(n)
+    classes = h1_elements(datum, flip)
+    for spec in specs_of(n):
+        minus_rho = diagonal_action(spec)
+        types = types_of_classes(datum, flip, classes, base=_sl_base(n, spec.kind))
+        for c in list(classes.representatives) + [t.orbit_representative for t in types]:
+            d, rows = cocycle_numerators(c, flip)
+            assert cocycle_numerators(sl_diagonal(c), minus_rho) == (
+                d, [sl_diagonal(row, d) for row in rows])
+
+
 def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):
     import parahoric.slmodel as slmodel
 
@@ -512,7 +554,8 @@ def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
             for name in ("involution_apply", "lift_of_permutation", "t_w", "mm_mul"):
                 patch.setattr(slmodel, name, refuse)
             patch.setattr(slmodel, "reversal_fixed_permutations", no_scan)
-            assert slmodel.sl_types_of_classes(n, spec, classes) == want
+            assert sl_types_of_classes(n, spec, classes) == want
+            assert sl_local_types(n, spec) == want
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -555,24 +598,46 @@ def test_sl_types_of_classes_refuse_n_over_the_cap():
 
     n = SL_WEYL_ENUMERATION_CAP + 1
     spec = standard_involution(n)
-    with pytest.raises(EnumerationCapError) as err:
-        sl_types_of_classes(n, spec, sl_torus_h1(n, spec))
-    assert str(err.value) == (f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds "
-                              f"the cap n <= {SL_WEYL_ENUMERATION_CAP}")
+    for refused in (lambda: sl_types_of_classes(n, spec, sl_torus_h1(n, spec)),
+                    lambda: sl_local_types(n, spec)):
+        with pytest.raises(EnumerationCapError) as err:
+            refused()
+        assert str(err.value) == (f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds "
+                                  f"the cap n <= {SL_WEYL_ENUMERATION_CAP}")
+
+
+def test_sl_involution_checks_before_it_builds(monkeypatch):
+    import parahoric.slmodel as slmodel
+    from parahoric.rootdata import EnumerationCapError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no root datum for a refused involution")
+
+    monkeypatch.setattr(slmodel, "build_root_datum", refuse)
+    with pytest.raises(EnumerationCapError, match="SL_121: n = 121 exceeds the cap n <= 8$"):
+        sl_involution(121, "J")
+    with pytest.raises(ValueError, match="the variant involution needs even size"):
+        sl_involution(121, "J-prime")
+    with pytest.raises(ValueError, match="the worked involutions need n >= 3"):
+        sl_involution(2, "J")
 
 
 def test_su_special_vertex_types_compute_h1_once(monkeypatch):
     import parahoric.slmodel as slmodel
 
+    import parahoric.cohomology as cohomology
+
     calls = []
-    original = slmodel.sl_torus_h1
+    original = cohomology.h1_elements
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(slmodel, "sl_torus_h1", counted)
-    assert slmodel.su_special_vertex_types(4, "even-Lm").type_count == 2
+    monkeypatch.setattr(slmodel, "h1_elements", counted)
+    monkeypatch.setattr(cohomology, "h1_elements", counted)
+    report = slmodel.su_special_vertex_types(4, "even-Lm")
+    assert (report.torus_h1_order, report.type_count) == (2, 2)
     assert len(calls) == 1
 
 
@@ -621,3 +686,37 @@ def test_su_reports_carry_derivations():
     report = su_special_vertex_types(5, "odd-B")
     assert "reversal" in report.derivation
     assert report.torus_h1_order == 1
+
+
+def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_path):
+    # every action of a `types` branch point permutes the nodes: the -rho
+    # model is a test oracle only, so its reference order is never read
+    import parahoric.rootdata as rootdata
+    from parahoric.cli import types_parts
+
+    from . import references
+    from .test_golden_cli import load_cases, run_case
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order read off matrix powers")
+
+    built = []
+    init = rootdata.LatticeAutomorphism.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(references, "matrix_order", refuse)
+    monkeypatch.setattr(rootdata.LatticeAutomorphism, "__init__", recorded)
+    cases = [("A", 3, 4, "trivial", {}), ("B", 2, 4, "trivial", {"point": (F(1, 2), F(0))}),
+             ("A", 4, 2, "diagram", {"perm": (3, 2, 1, 0)})]
+    cases += [("A", n - 1, 2, kind, {}) for n in range(3, 9)
+              for kind in ("sl-J", "sl-Jprime") if kind == "sl-J" or n % 2 == 0]
+    for label, rank, order, kind, options in cases:
+        _, action, *_ = types_parts(label, rank, order, kind, **options)
+        assert action.automorphism.node_permutation is not None
+    for case in load_cases():
+        if case["argv"][0] == "global":
+            assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
+    assert built and all(aut.node_permutation is not None for aut in built)
