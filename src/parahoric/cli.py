@@ -409,9 +409,6 @@ def compute_types(
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
 
-    def written(vector: QZVector) -> QZVector:
-        return sl_diagonal(vector) if variant else vector
-
     def cocycle(rep: QZVector) -> CocycleTable:
         d, rows = cocycle_numerators(rep, action)
         return CocycleTable(d, [sl_diagonal(row, d) for row in rows] if variant else rows,
@@ -437,7 +434,8 @@ def compute_types(
         "types": [
             {
                 "index": t.index,
-                "representative": vec_str(written(t.orbit_representative)),
+                "representative": vec_str(sl_diagonal(t.orbit_representative) if variant
+                                          else t.orbit_representative),
                 "orbit_size": t.orbit_size,
                 "cocycle": cocycle(t.orbit_representative),
             }
@@ -581,7 +579,7 @@ def cmd_twist(args) -> int:
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
-    positive_root_count(label, rank)  # a bad label or rank before a bad point
+    positive_root_count(label, rank)  # a bad label or rank, then a bad point
     point = parse_point(args.point, rank) if args.point else None
     datum, _, base, classes, types = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
@@ -626,10 +624,11 @@ def cmd_twist(args) -> int:
 
 def cmd_split_degree(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    datum = build_root_datum(label, rank, args.cap)
+    positive_root_count(label, rank)  # a bad label or rank, a bad point, then the cap
     if not args.point:
         raise UsageError("--point is required for split-degree")
     point = parse_point(args.point, rank)
+    datum = build_root_datum(label, rank, args.cap)
     x = point_from_root_values(datum, point)
     degree, tame = min_split_degree(datum, x, args.char)
     data = vertex_prime_data(label, rank, args.cap)
@@ -650,10 +649,11 @@ def cmd_split_degree(args) -> int:
 
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    datum = build_root_datum(label, rank, args.cap)
+    positive_root_count(label, rank)  # a bad label or rank, a bad point, then the cap
     point = point_or_default(
         parse_point(args.point, rank) if args.point else None, rank, args.order
     )
+    datum = build_root_datum(label, rank, args.cap)
     a = point_from_root_values(datum, point)
     reps = apartment_orbit_types(datum, a, args.order, cap=args.cap)
     report = {
