@@ -308,13 +308,17 @@ def action_spec(kind: str, variant: Optional[str] = None,
 # the types computation shared by `types`, `twist` and `global`
 # ---------------------------------------------------------------------------
 
+def require_order(order: int) -> None:
+    if order < 1:
+        raise UsageError("--order must be a positive integer")
+
+
 def point_or_default(
     point: Optional[Tuple[Fraction, ...]], rank: int, order: int
 ) -> Tuple[Fraction, ...]:
     """The given root values, or the equidistant default <alpha_i, x> = 1/e;
     a nonpositive order is rejected first."""
-    if order < 1:
-        raise UsageError("--order must be a positive integer")
+    require_order(order)
     if point is None:
         return tuple(Fraction(1, order) for _ in range(rank))
     return point
@@ -338,11 +342,12 @@ def types_parts(
     :func:`h1_elements` and :func:`types_of_classes` run on them.  The
     trivial action takes the alcove-reduced point of the given root values
     (the grid cap and the grid condition are checked before the datum is
-    built and the point folded); an SL involution is the A_(n-1) flip with
+    built, and the datum before the default point is made and folded, so
+    no work grows with the rank before a cap is checked); an SL involution is the A_(n-1) flip with
     its base point (:func:`sl_involution`); a diagram action takes the base
     0 and is reported only when H^1 = 0.  A bad label or rank comes first."""
     positive_root_count(label, rank)
-    values = point_or_default(point, rank, order)
+    require_order(order)
     if point is not None and action_kind != "trivial":
         raise UsageError("--point applies only to trivial actions")
     if perm is not None and action_kind != "diagram":
@@ -350,9 +355,11 @@ def types_parts(
 
     if action_kind == "trivial":
         require_grid_size(rank, order, cap)
-        require_root_values_on_grid(values, order)
+        if point is not None:  # the default 1/e is on the grid
+            require_root_values_on_grid(point, order)
         datum = build_root_datum(label, rank, cap)
         action = trivial_action(rank, order)
+        values = point_or_default(point, rank, order)
         base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
     elif action_kind in SL_VARIANTS:
         if label != "A":
@@ -650,10 +657,10 @@ def cmd_split_degree(args) -> int:
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
     positive_root_count(label, rank)  # a bad label or rank, a bad point, then the cap
-    point = point_or_default(
-        parse_point(args.point, rank) if args.point else None, rank, args.order
-    )
+    point = parse_point(args.point, rank) if args.point else None
+    require_order(args.order)
     datum = build_root_datum(label, rank, args.cap)
+    point = point_or_default(point, rank, args.order)
     a = point_from_root_values(datum, point)
     reps = apartment_orbit_types(datum, a, args.order, cap=args.cap)
     report = {

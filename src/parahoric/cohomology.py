@@ -201,8 +201,10 @@ def _h1_structure(action: GammaAction) -> FiniteAbelianGroup:
 
 
 def require_grid_size(rank: int, e: int, cap: int) -> None:
-    """Refuse a torsion grid T[e] of more than ``cap`` points."""
-    if e ** rank > cap:
+    """Refuse a torsion grid T[e] of more than ``cap`` points.  For e >= 2
+    and a rank of at least the bit length of the integer ``cap``, e^r >= 2^r
+    exceeds the cap without computing e^r."""
+    if (e > 1 and rank >= cap.bit_length()) or e ** rank > cap:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
 
 

@@ -533,6 +533,28 @@ def test_large_ranks_are_refused_before_the_root_closure(capsys, monkeypatch, ar
     assert err.startswith("cap exceeded: ") and " exceeds " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("types", "--group", "A1000000000000", "--order", "1"),
+    ("types", "--group", "A1000000", "--order", "2"),
+    ("types", "--group", "A1000000000000", "--order", "2", "--action", "sl-J"),
+    ("twist", "--group", "D1000000000000", "--order", "1"),
+    ("orbit", "--group", "B1000000000000", "--order", "1"),
+    ("data", "--group", "C1000000000000"),
+])
+def test_huge_ranks_are_refused_before_any_work_of_their_size(capsys, monkeypatch, argv):
+    # the default point, the only list of rank entries the program makes
+    # itself, is made only after every cap has passed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point of the rank was made before the cap")
+
+    monkeypatch.setattr("parahoric.cli.point_or_default", refuse)
+    monkeypatch.setattr("parahoric.rootdata._cartan_matrix", refuse)
+    monkeypatch.setattr("parahoric.rootdata._positive_roots", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: ")
+
+
 def test_the_root_closure_takes_the_cap(capsys, tmp_path):
     # E8 closes 120 positive roots under 8 reflections: |Phi+| r^2 = 7680
     code, out, err = run_cli(capsys, "data", "--group", "E8", "--cap", "7679")
