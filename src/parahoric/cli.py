@@ -269,16 +269,23 @@ class Vectors:
 # group spec handling
 # ---------------------------------------------------------------------------
 
-def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
+def parse_group(group: str, rank: Optional[int], check: bool = True) -> Tuple[str, int]:
+    """The label and rank of ``--group`` (and ``--rank``), checked by
+    :func:`positive_root_count` unless ``check`` is false: `types` reads its
+    point and permutation first (:func:`types_parts` checks the label then),
+    and `twist` its action."""
     g = group.strip()
     if len(g) > 1 and g[1:].isdigit():
         label, r = g[0].upper(), int(g[1:])
         if rank is not None and rank != r:
             raise UsageError(f"--group {group} conflicts with --rank {rank}")
-        return label, r
-    if rank is None:
+    elif rank is None:
         raise UsageError("--rank is required when --group is a bare letter")
-    return g.upper(), rank
+    else:
+        label, r = g.upper(), rank
+    if check:
+        positive_root_count(label, r)
+    return label, r
 
 
 def parse_perm(s: str, rank: int) -> Tuple[int, ...]:
@@ -316,12 +323,21 @@ def require_order(order: int) -> None:
 def point_or_default(
     point: Optional[Tuple[Fraction, ...]], rank: int, order: int
 ) -> Tuple[Fraction, ...]:
-    """The given root values, or the equidistant default <alpha_i, x> = 1/e;
-    a nonpositive order is rejected first."""
-    require_order(order)
+    """The given root values, or the equidistant default <alpha_i, x> = 1/e,
+    for an order that :func:`require_order` has passed."""
     if point is None:
         return tuple(Fraction(1, order) for _ in range(rank))
     return point
+
+
+def _as_coroots(vectors: Sequence, modulus=1) -> Sequence:
+    """The writer of every action but an SL involution (:func:`types_parts`)."""
+    return vectors
+
+
+def _as_diagonals(vectors: Sequence, modulus=1) -> List[tuple]:
+    """The writer of an SL involution (:func:`types_parts`, :func:`sl_diagonal`)."""
+    return [sl_diagonal(v, modulus) for v in vectors]
 
 
 def types_parts(
@@ -333,10 +349,15 @@ def types_parts(
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
 ) -> Tuple[RootDatum, GammaAction, Optional[Tuple[Fraction, ...]], H1Classes,
-           List[LocalType]]:
+           List[LocalType], Callable]:
     """Root datum, action, base point, H^1 classes and local types of one
-    branch point, in coroot coordinates; raises ValueError (UsageError among
-    them) on invalid specs and EnumerationCapError on cap breaches.
+    branch point, in coroot coordinates, and the writer of its vectors;
+    raises ValueError (UsageError among them) on invalid specs and
+    EnumerationCapError on cap breaches.
+
+    ``write(vectors, modulus=1)`` gives the coordinates a report shows (for
+    numerator rows over d, ``modulus`` d): sum-zero diagonals for an SL
+    involution, the coroot coordinates as they are for every other action.
 
     Each action kind picks the datum, the action and the base point, and
     :func:`h1_elements` and :func:`types_of_classes` run on them.  The
@@ -353,6 +374,7 @@ def types_parts(
     if perm is not None and action_kind != "diagram":
         raise UsageError("--perm applies only to diagram actions")
 
+    write = _as_coroots
     if action_kind == "trivial":
         require_grid_size(rank, order, cap)
         if point is not None:  # the default 1/e is on the grid
@@ -367,6 +389,7 @@ def types_parts(
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
         datum, action, base = sl_involution(rank + 1, SL_VARIANTS[action_kind])
+        write = _as_diagonals
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError("--perm is required for a diagram action")
@@ -387,7 +410,8 @@ def types_parts(
             f"and here H^1 has order {classes.structure.order}; use an sl "
             f"involution for type A, or a trivial action"
         )
-    return datum, action, base, classes, types_of_classes(datum, action, classes, base=base)
+    return (datum, action, base, classes, types_of_classes(datum, action, classes, base=base),
+            write)
 
 
 def compute_types(
@@ -408,20 +432,17 @@ def compute_types(
     :func:`types_parts`.  Each table's numerators, and with them the norm
     check of its representative, are computed here.
 
-    The report writes the vectors of an SL involution, and the numerator
-    rows of their cocycle tables, as sum-zero diagonals
-    (:func:`sl_diagonal`); every other report writes coroot coordinates."""
-    datum, action, base, classes, types = types_parts(
+    The vectors, and the numerator rows of their cocycle tables, are
+    written by the writer of :func:`types_parts`."""
+    datum, action, base, classes, types, write = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
 
     def cocycle(rep: QZVector) -> CocycleTable:
         d, rows = cocycle_numerators(rep, action)
-        return CocycleTable(d, [sl_diagonal(row, d) for row in rows] if variant else rows,
-                            strings)
+        return CocycleTable(d, write(rows, d), strings)
 
-    reps = classes.representatives
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
@@ -437,16 +458,15 @@ def compute_types(
                        f"unity zeta_{action.e}; lattice action of order "
                        f"{action.automorphism.order}"),
         },
-        "class_representatives": Vectors(tuple(map(sl_diagonal, reps)) if variant else reps),
+        "class_representatives": Vectors(write(classes.representatives)),
         "types": [
             {
                 "index": t.index,
-                "representative": vec_str(sl_diagonal(t.orbit_representative) if variant
-                                          else t.orbit_representative),
+                "representative": vec_str(rep),
                 "orbit_size": t.orbit_size,
                 "cocycle": cocycle(t.orbit_representative),
             }
-            for t in types
+            for t, rep in zip(types, write([t.orbit_representative for t in types]))
         ],
         "type_count": len(types),
     }
@@ -572,7 +592,7 @@ def global_text(report: dict) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_types(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
+    label, rank = parse_group(args.group, args.rank, check=False)
     point = parse_point(args.point, rank) if args.point else None
     perm = parse_perm(args.perm, rank) if args.perm else None
     report = compute_types(
@@ -583,12 +603,12 @@ def cmd_types(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
+    label, rank = parse_group(args.group, args.rank, check=False)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     positive_root_count(label, rank)  # a bad label or rank, then a bad point
     point = parse_point(args.point, rank) if args.point else None
-    datum, _, base, classes, types = types_parts(
+    datum, _, base, classes, types, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
 
     def twist_row(rep: QZVector) -> dict:
@@ -631,7 +651,6 @@ def cmd_twist(args) -> int:
 
 def cmd_split_degree(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    positive_root_count(label, rank)  # a bad label or rank, a bad point, then the cap
     if not args.point:
         raise UsageError("--point is required for split-degree")
     point = parse_point(args.point, rank)
@@ -656,9 +675,8 @@ def cmd_split_degree(args) -> int:
 
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    positive_root_count(label, rank)  # a bad label or rank, a bad point, then the cap
     point = parse_point(args.point, rank) if args.point else None
-    require_order(args.order)
+    require_order(args.order)  # a bad point, a bad order, then the cap
     datum = build_root_datum(label, rank, args.cap)
     point = point_or_default(point, rank, args.order)
     a = point_from_root_values(datum, point)

@@ -39,6 +39,7 @@ from .cohomology import (
     LocalType,
     h1_elements,
     local_types,
+    types_of_classes,
 )
 from .rootdata import (
     DEFAULT_CAP,
@@ -394,6 +395,11 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
     involution on the diagonal torus is still z -> reversed inverses,
     identical to case A.  The torus cohomology is therefore computed with
     that reversal action, and its vanishing already forces a single type.
+
+    H^1 is listed once, on the flip (:func:`_sl_flip`).  Only a nontrivial
+    H^1 runs the twisted orbits, on the triple of :func:`sl_involution`,
+    which refuses n above :data:`SL_WEYL_ENUMERATION_CAP`; a trivial one
+    (every odd n) is one type at any n.
     """
     key = _CASE_ALIASES.get(case.lower(), case)
     if key not in ("odd-A", "odd-B", "even-Lm", "even-L0"):
@@ -447,12 +453,18 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
             "underlying reversal, so the torus computation matches case A"
         )
 
-    types = sl_local_types(n, spec)
+    classes = h1_elements(*_sl_flip(n))
+    order = len(classes.representatives)
+    if order == 1:
+        count = 1
+    else:
+        datum, action, base = sl_involution(n, spec.kind)
+        count = len(types_of_classes(datum, action, classes, base=base))
     return SUVertexReport(
         n=n,
         case=key,
         involution_kind=spec.kind,
-        torus_h1_order=sum(t.orbit_size for t in types),
-        type_count=len(types),
+        torus_h1_order=order,
+        type_count=count,
         derivation=derivation,
     )

@@ -371,22 +371,23 @@ def class_orbits(
 
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:
     """The report of ``cli.compute_types`` as plain dicts, lists and strings.
-    An SL involution writes its vectors as sum-zero diagonals, whose
-    cocycles are those of the diagonal action -rho
-    (:func:`diagonal_action`)."""
-    datum, action, base, classes, types = types_parts(
+    The vectors are written by the writer of ``cli.types_parts``; for an SL
+    involution the cocycles of the written diagonals are recomputed on the
+    diagonal action -rho (:func:`diagonal_action`), not converted row by
+    row as ``compute_types`` does."""
+    datum, action, base, classes, types, write = types_parts(
         label, rank, order, action_kind, **options)
     variant = SL_VARIANTS.get(action_kind)
     keys = [str(i) for i in range(action.e)]
     texts: Dict[int, List[str]] = {}
-    reps, type_reps = classes.representatives, [t.orbit_representative for t in types]
+    reps = write(classes.representatives)
+    type_reps = write([t.orbit_representative for t in types])
     if variant is None:
         gamma0 = (f"gamma_0 = the generator matching the fixed primitive root of unity "
                   f"zeta_{action.e}; lattice action of order {action.automorphism.order}")
         table_action = action
     else:
         gamma0 = f"gamma_0 = the involution {variant} on SL_{rank + 1}"
-        reps, type_reps = [list(map(sl_diagonal, vs)) for vs in (reps, type_reps)]
         n = rank + 1
         table_action = diagonal_action(
             standard_involution(n) if variant == "J" else variant_involution(n))

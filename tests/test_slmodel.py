@@ -652,6 +652,19 @@ def test_su_special_vertex_types():
     assert su_special_vertex_types(7, "odd-B").type_count == 1
 
 
+def test_su_special_vertex_types_past_the_sl_cap():
+    from parahoric.rootdata import EnumerationCapError
+    from parahoric.slmodel import SL_WEYL_ENUMERATION_CAP
+
+    # H^1 = 0 for odd n is one type at any n; a nontrivial H^1 runs the orbits
+    for n, case in ((9, "odd-A"), (11, "odd-B"), (13, "odd-A")):
+        report = su_special_vertex_types(n, case)
+        assert (report.torus_h1_order, report.type_count) == (1, 1), (n, case)
+    n = SL_WEYL_ENUMERATION_CAP + 2
+    with pytest.raises(EnumerationCapError, match=f"SL_{n}: n = {n} exceeds the cap"):
+        su_special_vertex_types(n, "even-Lm")
+
+
 def test_su_case_validation():
     with pytest.raises(ValueError):
         su_special_vertex_types(4, "odd-A")
