@@ -25,7 +25,6 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import (
@@ -41,14 +40,14 @@ from .cohomology import (
     GammaAction,
     H1Classes,
     LocalType,
-    cocycle_numerators,
+    cocycle_columns,
     h1_elements,
     require_grid_size,
     require_root_values_on_grid,
     trivial_action,
     types_of_classes,
 )
-from .exactalg import IntVector, QZVector
+from .exactalg import QZVector
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -96,21 +95,14 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
     return tuple(parse_fraction(p) for p in parts)
 
 
-def _json_list(items: List[str], newline: str) -> str:
-    """The JSON list of already written items, one level below ``newline``."""
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
-
-
 def json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
     report: dicts with str keys, lists, str, int, bool and None, and the
     two values of a ``types`` report that write themselves, a
-    :class:`CocycleTable` (as the dict of row index to list of strings) and
-    the class representatives' :class:`Vectors` (as a list of lists of
-    strings).
+    :class:`CocycleTable` (as the dict of row index to list of strings,
+    joined from its integer columns) and the class representatives'
+    :class:`Vectors` (as a list of lists of strings, joined from the product
+    of the strings of each node, or from the listed SL diagonals).
 
     With ``indent`` set the standard library runs its pure-Python encoder;
     this writer quotes the strings with the C ``encode_basestring_ascii``
@@ -125,7 +117,7 @@ def json_text(value, newline: str = "\n") -> str:
             items = list(map(encode_basestring_ascii, value))
         except TypeError:  # not a list of strings only
             items = [json_text(x, inner) for x in value]
-        return _json_list(items, newline)
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -147,122 +139,103 @@ def json_text(value, newline: str = "\n") -> str:
 
 def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
     """Print the report as JSON, or as the text lines ``render`` makes of it."""
-    if fmt == "json":
-        print(json_text(report))
-    else:
-        for line in render(report):
-            print(line)
+    print(json_text(report) if fmt == "json" else "\n".join(render(report)))
 
 
 # ---------------------------------------------------------------------------
 # the parts of a `types` report that are written only when it is
 # ---------------------------------------------------------------------------
 
-class _Rows(dict):
-    """The text of each row of numerators, made on its first lookup."""
-
-    def __init__(self, make: Callable[[IntVector], str]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, row: IntVector) -> str:
-        text = self[row] = self.make(row)
-        return text
-
-
 class TableStrings:
     """The strings the cocycle tables of one report share, each made once:
-    a/d for each denominator d, the keys 0..e-1 of a table, and the text of
-    each distinct row of numerators over d in each layout (JSON at one
-    indentation, or text)."""
+    the values a/d over each denominator d, and the pieces a table of each
+    layout (JSON at one indentation, or text) puts around its values.  The
+    string of a rational needs no JSON escaping, so the quotes around a JSON
+    value belong to the pieces."""
 
     def __init__(self, e: int):
         self.e = e
         self._values: Dict[int, List[str]] = {}
-        self._rows: Dict[Tuple[Optional[str], int], _Rows] = {}
+        self._layouts: Dict[Optional[str], tuple] = {}
 
-    @functools.cached_property
-    def json_keys(self) -> Tuple[List[str], List[int]]:
-        """The JSON key texts of a table in string order ("10" before "2"),
-        and the row index of each."""
-        order = sorted(range(self.e), key=str)
-        return [f'"{i}": ' for i in order], order
+    def values(self, d: int) -> List[str]:
+        """The strings of a/d for a < d."""
+        values = self._values.get(d)
+        if values is None:
+            values = self._values[d] = [str(Fraction(a, d)) for a in range(d)]
+        return values
 
-    @functools.cached_property
-    def text_keys(self) -> List[str]:
-        return [f"{i}: " for i in range(self.e)]
-
-    def rows(self, d: int, newline: Optional[str]) -> _Rows:
-        """The row texts over d: the JSON list one level below ``newline``,
-        or the text list when ``newline`` is None."""
-        rows = self._rows.get((newline, d))
-        if rows is None:
-            values = self._values.get(d)
-            if values is None:
-                values = self._values[d] = [str(Fraction(a, d)) for a in range(d)]
+    def layout(self, newline: Optional[str]) -> Tuple[Sequence[int], List[str], str, str]:
+        """(order, openings, separator, close) of the rows of a JSON table one
+        level below ``newline``, or of a text table when ``newline`` is None:
+        the order of the rows (JSON keys sort as strings, "10" before "2"),
+        the opening of each row in that order, with its key and the
+        separator from the row before, the separator of two values and the
+        close of a row."""
+        layout = self._layouts.get(newline)
+        if layout is None:
             if newline is None:
-                rows = _Rows(lambda row: _list_text(list(map(values.__getitem__, row))))
+                order, between, opening, separator, close = range(self.e), ", ", "{}: [", ", ", "]"
             else:
-                quoted = list(map(encode_basestring_ascii, values))
                 inner = newline + "  "
-                rows = _Rows(lambda row: _json_list(list(map(quoted.__getitem__, row)), inner))
-            self._rows[(newline, d)] = rows
-        return rows
+                entry = inner + "  "
+                order, between = sorted(range(self.e), key=str), "," + inner
+                opening, separator, close = '"{}": [' + entry + '"', '",' + entry + '"', '"' + inner + "]"
+            openings = [opening.format(i) for i in order]
+            openings[1:] = [between + text for text in openings[1:]]
+            layout = self._layouts[newline] = (order, openings, separator, close)
+        return layout
 
 
 class CocycleTable:
     """The cocycle gamma_0^i -> row i, i < e, of one type: the denominator d
-    and the integer rows of :func:`cocycle_numerators`.  It is written as
-    the dict of i to the list of a/d over the row; each distinct row is made
-    into text once per report, and rows repeat (for the trivial action row
-    i is row i mod d)."""
+    and the integer columns of :func:`cocycle_columns`.  It is written as the
+    dict of i to the list of a/d over the row: the strings of the columns,
+    in key order, interleaved with the pieces of the layout in one join."""
 
-    __slots__ = ("d", "rows", "strings")
+    __slots__ = ("d", "columns", "strings")
 
-    def __init__(self, d: int, rows: List[IntVector], strings: TableStrings):
+    def __init__(self, d: int, columns: Sequence[Sequence[int]], strings: TableStrings):
         self.d = d
-        self.rows = rows
+        self.columns = columns
         self.strings = strings
 
+    def _join(self, newline: Optional[str]) -> str:
+        order, openings, separator, close = self.strings.layout(newline)
+        values = self.strings.values(self.d).__getitem__
+        first, *rest = [map(values, map(column.__getitem__, order)) for column in self.columns]
+        pieces = [openings, first]
+        for column in rest:
+            pieces += [itertools.repeat(separator), column]
+        return "".join(itertools.chain.from_iterable(zip(*pieces, itertools.repeat(close))))
+
     def json(self, newline: str) -> str:
-        keys, order = self.strings.json_keys
-        rows = self.strings.rows(self.d, newline)
-        inner = newline + "  "
-        body = ("," + inner).join(
-            map(add, keys, map(rows.__getitem__, map(self.rows.__getitem__, order))))
-        return "{" + inner + body + newline + "}"
+        return "{" + newline + "  " + self._join(newline) + newline + "}"
 
     def text(self) -> str:
-        rows = self.strings.rows(self.d, None)
-        return "{" + ", ".join(
-            map(add, self.strings.text_keys, map(rows.__getitem__, self.rows))) + "}"
+        return "{" + self._join(None) + "}"
 
 
 class Vectors:
-    """Rational vectors of a report (the class representatives), written
-    as the list of lists of their strings.  Each distinct entry object is
-    made into a string once: the class lists share their entries."""
+    """Rational vectors of a report (the class representatives) as tuples of
+    their strings, written as the list of lists of those strings in one
+    join; the quotes of the JSON values belong to the separators, as in
+    :class:`TableStrings`."""
 
     __slots__ = ("vectors",)
 
-    def __init__(self, vectors: Sequence[Sequence[Fraction]]):
+    def __init__(self, vectors: Sequence[Sequence[str]]):
         self.vectors = vectors
 
-    def _texts(self, write: Callable[[str], str]) -> Dict[int, str]:
-        # keyed by id: the vectors hold every entry alive while this is used
-        flat = list(itertools.chain.from_iterable(self.vectors))
-        return {key: write(str(x)) for key, x in dict(zip(map(id, flat), flat)).items()}
-
     def json(self, newline: str) -> str:
-        texts = self._texts(encode_basestring_ascii)
         inner = newline + "  "
-        return _json_list([_json_list(list(map(texts.__getitem__, map(id, v))), inner)
-                           for v in self.vectors], newline)
+        entry = inner + "  "
+        body = ('"' + inner + "]," + inner + "[" + entry + '"').join(
+            map(('",' + entry + '"').join, self.vectors))
+        return f'[{inner}[{entry}"{body}"{inner}]{newline}]' if self.vectors else "[]"
 
     def text(self) -> str:
-        texts = self._texts(str)
-        return ", ".join([_list_text(list(map(texts.__getitem__, map(id, v))))
-                          for v in self.vectors]) or "(none)"
+        return "[" + "], [".join(map(", ".join, self.vectors)) + "]" if self.vectors else "(none)"
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +402,30 @@ def compute_types(
     strings only when the report is written, so the report can be written
     only through :func:`json_text` or :func:`types_text` (``json.dumps``
     refuses those two values); a caller that wants the data takes it from
-    :func:`types_parts`.  Each table's numerators, and with them the norm
-    check of its representative, are computed here.
+    :func:`types_parts`.  Each table's integer columns, and with them the
+    norm check of its representative, are computed here.
 
-    The vectors, and the numerator rows of their cocycle tables, are
-    written by the writer of :func:`types_parts`."""
+    The classes of a trivial or diagram action are kept as the strings of
+    each node's values (``H1Classes.node_values``), whose product the
+    writer joins.  An SL involution writes its classes, type
+    representatives and the rows of its tables as sum-zero diagonals (the
+    writer of :func:`types_parts`); its classes are listed as string
+    tuples and its tables are the columns of the diagonal rows."""
     datum, action, base, classes, types, write = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
 
     def cocycle(rep: QZVector) -> CocycleTable:
-        d, rows = cocycle_numerators(rep, action)
-        return CocycleTable(d, write(rows, d), strings)
+        d, columns = cocycle_columns(rep, action)
+        if variant is not None:  # the columns of the diagonal rows
+            columns = list(zip(*write(zip(*columns), d)))
+        return CocycleTable(d, columns, strings)
+
+    if variant is None:  # the classes are the product of their node values
+        class_strings = list(itertools.product(*map(vec_str, classes.node_values)))
+    else:
+        class_strings = list(map(vec_str, write(classes.representatives)))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -458,7 +442,7 @@ def compute_types(
                        f"unity zeta_{action.e}; lattice action of order "
                        f"{action.automorphism.order}"),
         },
-        "class_representatives": Vectors(write(classes.representatives)),
+        "class_representatives": Vectors(class_strings),
         "types": [
             {
                 "index": t.index,
@@ -593,8 +577,8 @@ def global_text(report: dict) -> List[str]:
 
 def cmd_types(args) -> int:
     label, rank = parse_group(args.group, args.rank, check=False)
-    point = parse_point(args.point, rank) if args.point else None
-    perm = parse_perm(args.perm, rank) if args.perm else None
+    point = parse_point(args.point, rank) if args.point is not None else None
+    perm = parse_perm(args.perm, rank) if args.perm is not None else None
     report = compute_types(
         label, rank, args.order, args.action, perm=perm, point=point, cap=args.cap
     )
@@ -607,7 +591,7 @@ def cmd_twist(args) -> int:
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     positive_root_count(label, rank)  # a bad label or rank, then a bad point
-    point = parse_point(args.point, rank) if args.point else None
+    point = parse_point(args.point, rank) if args.point is not None else None
     datum, _, base, classes, types, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
 
@@ -675,7 +659,7 @@ def cmd_split_degree(args) -> int:
 
 def cmd_orbit(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    point = parse_point(args.point, rank) if args.point else None
+    point = parse_point(args.point, rank) if args.point is not None else None
     require_order(args.order)  # a bad point, a bad order, then the cap
     datum = build_root_datum(label, rank, args.cap)
     point = point_or_default(point, rank, args.order)

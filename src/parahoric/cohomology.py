@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, prod
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, simple_root_values
@@ -140,8 +141,13 @@ def trivial_action(rank: int, e: int) -> GammaAction:
 
 @dataclass(frozen=True)
 class H1Classes:
+    """H^1 as its structure and one representative per class.  A listing of
+    :func:`h1_elements` also keeps ``node_values``, the values each node
+    takes on the classes: ``representatives`` is their product, in
+    lexicographic order, so a writer can take the product of their strings."""
     structure: FiniteAbelianGroup
     representatives: Tuple[QZVector, ...]
+    node_values: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def require_grid_size(rank: int, e: int, cap: int) -> None:
 
 
 def _kills(norm: IntMatrix, d: int, numerators: Sequence[int]) -> bool:
-    return all(sum(a * b for a, b in zip(row, numerators)) % d == 0 for row in norm)
+    return all(sum(map(mul, row, numerators)) % d == 0 for row in norm)
 
 
 def _radices(action: GammaAction) -> List[int]:
@@ -249,54 +255,54 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
         if count > cap:
             raise EnumerationCapError(
                 f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
-    reps = tuple(itertools.product(
-        *([Fraction(j, n) for j in range(n)] for n in _radices(action))))
+    values = tuple(tuple(Fraction(j, n) for j in range(n)) for n in _radices(action))
+    reps = tuple(itertools.product(*values))
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
             f"has order {structure.order}"
         )
-    return H1Classes(structure=structure, representatives=reps)
+    return H1Classes(structure=structure, representatives=reps, node_values=values)
 
 
 def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[int, ...]]:
     """The common denominator d of t and the numerators of t over d, mod d,
     once the norm is checked to kill t."""
     d, numerators = common_numerators(t)
-    numerators = tuple(a % d for a in numerators)
+    numerators = tuple(map(d.__rmod__, numerators))
     if not _kills(action.norm_matrix(), d, numerators):
         raise ValueError(f"vector {t} is not killed by the norm")
     return d, numerators
 
 
-def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
+def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Sequence[int]]]:
     """The denominator d of a class rep and the cocycle table of
-    :func:`cocycle_of` as integer numerators over d: row i holds
-    sum_{j<i} A^j rep mod 1, times d.
+    :func:`cocycle_of` as its r columns of integer numerators over d: entry
+    i of column k is coordinate k of sum_{j<i} A^j rep mod 1, times d.
 
-    For the identity A row i is i * rep mod 1, built column by column;
-    otherwise the walk applies A as an integer matrix mod d.
+    For the identity that sum is i * rep, so column k is i p_k mod d for the
+    numerator p_k of rep; otherwise the walk applies A as an integer matrix
+    mod d, one row at a time, and the columns are read off the rows.
     """
     d, power = _require_norm_killed(rep, action)
     e = action.e
-    A = action.matrix
     if action.automorphism.is_identity:
-        columns = [[i * p % d for i in range(e)] for p in power]
-        return d, list(zip(*columns))
+        return d, [list(map(d.__rmod__, range(0, e * p, p))) if p else [0] * e for p in power]
+    A = action.matrix
     rows: List[IntVector] = []
     acc = (0,) * action.rank
     for _ in range(e):
         rows.append(acc)
         acc = tuple((a + p) % d for a, p in zip(acc, power))
         power = tuple(sum(a * p for a, p in zip(row, power)) % d for row in A)
-    return d, rows
+    return d, list(zip(*rows))
 
 
 def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
     """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep,
-    read off :func:`cocycle_numerators`; each distinct numerator becomes one
-    Fraction."""
-    d, rows = cocycle_numerators(rep, action)
+    read off the rows of :func:`cocycle_columns`; each distinct numerator
+    becomes one Fraction."""
+    d, columns = cocycle_columns(rep, action)
     values: Dict[int, Fraction] = {}
 
     def value(a: int) -> Fraction:
@@ -305,7 +311,7 @@ def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
             x = values[a] = Fraction(a, d)
         return x
 
-    return {i: tuple(value(a) for a in row) for i, row in enumerate(rows)}
+    return {i: tuple(value(a) for a in row) for i, row in enumerate(zip(*columns))}
 
 
 # ---------------------------------------------------------------------------

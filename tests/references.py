@@ -23,9 +23,12 @@ report as a dict of lists and strings, one ``str`` per entry (with the
 cocycles of an SL_n report computed under -rho), and its text lines read
 off that dict: the writer that the CLI replaced by the
 self-writing :class:`parahoric.cli.CocycleTable` and
-:class:`parahoric.cli.Vectors` values.  Passed through
-``json.dumps(indent=2, sort_keys=True)`` and through
-:func:`dict_types_text`, they are what the CLI must print.
+:class:`parahoric.cli.Vectors` values, which join their strings from
+integer columns and from the product of the strings of each node.  Passed
+through ``json.dumps(indent=2, sort_keys=True)`` and through
+:func:`dict_types_text`, they are what the CLI must print.  Their cocycle
+rows come from :func:`cocycle_numerators`, the rows of the library's
+integer columns.
 
 :func:`pairing`, :func:`all_coroots` and :func:`apply` are the root-datum
 and Weyl-element conveniences that no library code calls: the pairing of
@@ -60,7 +63,7 @@ from parahoric.cohomology import (
     H1Classes,
     LocalType,
     _require_norm_killed,
-    cocycle_numerators,
+    cocycle_columns,
     h1_elements,
     h1_structural,
     require_grid_size,
@@ -367,6 +370,13 @@ def class_orbits(
     keyed = sorted((min(reps[i] for (i,) in orbit), len(orbit)) for orbit in orbits)
     return [LocalType(orbit_representative=rep, orbit_size=size, index=i)
             for i, (rep, size) in enumerate(keyed)]
+
+
+def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
+    """The cocycle table of ``cohomology.cocycle_columns`` as its e rows:
+    row i holds the numerators of sum_{j<i} A^j rep mod 1 over d."""
+    d, columns = cocycle_columns(rep, action)
+    return d, list(zip(*columns))
 
 
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:

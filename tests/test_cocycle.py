@@ -9,7 +9,6 @@ import pytest
 import parahoric.cohomology as cohomology
 from parahoric.cohomology import (
     GammaAction,
-    cocycle_numerators,
     cocycle_of,
     h1_elements,
     trivial_action,
@@ -23,7 +22,7 @@ from parahoric.exactalg import (
 from parahoric.rootdata import LatticeAutomorphism, build_root_datum, diagram_automorphism
 from parahoric.slmodel import sl_torus_h1, standard_involution, variant_involution
 
-from .references import diagonal_action, mat_pow, mat_vec_qz, qz_add
+from .references import cocycle_numerators, diagonal_action, mat_pow, mat_vec_qz, qz_add
 
 
 def reference_cocycle(rep, action):

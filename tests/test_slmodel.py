@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from parahoric.alcove import simple_root_values
-from parahoric.cohomology import LocalType, cocycle_numerators, h1_elements, types_of_classes
+from parahoric.cohomology import LocalType, h1_elements, types_of_classes
 from parahoric.exactalg import identity_matrix, mat_sub, qz_vector, qz_zero
 from parahoric.slmodel import (
     MonomialMatrix,
@@ -37,6 +37,7 @@ from .references import (
     ImageMembership,
     MatrixAutomorphism,
     class_orbits,
+    cocycle_numerators,
     diagonal_action,
     matrix_order,
     monomial_lift_sl_types,

@@ -1,17 +1,22 @@
-"""The `types` report written from integer rows against the dict-built report.
+"""The `types` report written from columns and node strings against the
+dict-built report.
 
 The CLI writes the class representatives and the cocycle tables of a
-`types` report from :class:`parahoric.cli.CocycleTable` and
-:class:`parahoric.cli.Vectors` values.  Its stdout must
-equal, byte for byte, the report of ``tests/references.py`` built as dicts
-of lists of strings, passed through ``json.dumps(indent=2, sort_keys=True)``
-(JSON) and through the old text renderer (text).
+`types` report from :class:`parahoric.cli.Vectors` values (the product of
+the strings of each node, or the listed SL diagonals, joined once) and
+:class:`parahoric.cli.CocycleTable` values (integer columns over d, joined
+with the pieces of the layout in key order).  Its stdout must equal, byte
+for byte, the report of ``tests/references.py`` built as dicts of lists of
+strings from the rows of each table, passed through
+``json.dumps(indent=2, sort_keys=True)`` (JSON) and through the old text
+renderer (text).
 """
 
 import contextlib
 import io
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +92,28 @@ def test_diagram_types_equal_the_dict_built_report(fmt):
     assert_matches_reference(argv, fmt, "A", 4, 2, "diagram", perm=(3, 2, 1, 0))
 
 
+# the orders of the census beyond the Hypothesis range: three-digit keys,
+# which sort as strings ("100" before "11"), and tables whose rows repeat
+LARGE_CASES = [("A1", e) for e in (1, 99, 100, 101, 200)] + [("A2", 34), ("G2", 34)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("hyperspecial", [False, True], ids=["default-point", "point-0"])
+@pytest.mark.parametrize("group,e", LARGE_CASES)
+def test_large_orders_equal_the_dict_built_report(group, e, hyperspecial, fmt):
+    rank = int(group[1:])
+    point = (Fraction(0),) * rank if hyperspecial else None
+    argv = ["types", "--group", group, "--order", str(e)]
+    if hyperspecial:
+        argv.append("--point=" + ",".join(["0"] * rank))
+        # at the origin some types have tables over a denominator d < e
+        report = dict_types_report(group[0], rank, e, "trivial", point=point)
+        denominators = [lcm(*(Fraction(x).denominator for x in t["representative"]))
+                        for t in report["types"]]
+        assert e == 1 or min(denominators) < e
+    assert_matches_reference(argv, fmt, group[0], rank, e, "trivial", point=point)
+
+
 @pytest.mark.parametrize("e", [1, 2, 10, 11, 12, 100])
 def test_table_keys_sort_as_strings_in_json_and_as_numbers_in_text(e):
     code, out = stdout_of(["types", "--group", "A1", "--order", str(e), "--format", "json"])
@@ -105,8 +132,9 @@ def test_global_writes_no_table(case, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("global wrote a table it throws away")
 
-    # the row writer of every cocycle table, and the class representatives
-    monkeypatch.setattr(cli.TableStrings, "rows", refuse)
+    # the join of every cocycle table, in either layout, and the writers of
+    # the class representatives
+    monkeypatch.setattr(cli.CocycleTable, "_join", refuse)
     monkeypatch.setattr(cli.Vectors, "json", refuse)
     monkeypatch.setattr(cli.Vectors, "text", refuse)
     assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
