@@ -11,10 +11,10 @@ Layers:
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
   normal form, lattice quotients);
 * :mod:`parahoric.rootdata` - root data (built under a cap), Weyl groups,
-  diagram automorphisms, orbit closure;
-* :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus in two
-  independent models, twisted Weyl orbits, Burnside oracle; every action
-  the package lists classes for permutes the nodes;
+  lattice automorphisms as node permutations, orbit closure;
+* :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus from
+  sigma-orbit sums, checked against the lattice quotient, cocycles read
+  off sigma-cycles, twisted Weyl orbits, Burnside oracle;
 * :mod:`parahoric.slmodel` - the SL_n involutions J and J' as the
   A_(n-1) diagram flip with a base point, their sum-zero diagonal
   coordinates, the SU_n special vertices, and the exact monomial-matrix

@@ -34,8 +34,6 @@ from .rootdata import (
 
 AlcovePoint = Tuple[Fraction, ...]
 
-MAX_REDUCTION_STEPS = 10 ** 6
-
 
 def as_point(coords: Sequence) -> AlcovePoint:
     return tuple(Fraction(x) for x in coords)
@@ -68,7 +66,7 @@ def point_from_root_values(datum: RootDatum, values: Sequence[Fraction]) -> Alco
 
 
 def reduce_to_alcove(
-    datum: RootDatum, x: Sequence[Fraction]
+    datum: RootDatum, x: Sequence[Fraction], cap: int = DEFAULT_CAP
 ) -> Tuple[AlcovePoint, Tuple[int, ...]]:
     """Fold x into the closed fundamental alcove; the word lists the walls
     (0 for the theta-wall, i for the i-th simple wall) in reflection order.
@@ -79,8 +77,20 @@ def reduce_to_alcove(
     reflection changes: s_i lowers X_i by V_i and V_j by c_ji V_i, the
     theta-reflection subtracts its excess times the theta-coroot, and
     <theta, x> = sum_i m_i V_i / D for the marks m.
+
+    Each reflection crosses one separating wall, so the word has one letter
+    per affine root hyperplane strictly between x and the alcove: sum over
+    alpha > 0 of ceil(<alpha, x>) - 1 if <alpha, x> > 1, -floor(<alpha, x>)
+    if < 0.  A count above ``cap`` is refused with EnumerationCapError
+    before the first reflection; a word of another length is a hard error.
     """
     D, X, values = _root_numerators(datum, x)
+    root_values = [0]  # D <alpha, x> per positive root, up the root ladder
+    for k, i in datum.root_ladder:
+        root_values.append(root_values[k] + values[i])
+    count = sum((v - 1) // D if v > 0 else -(v // D) for v in root_values)
+    if count > cap:
+        raise EnumerationCapError(f"alcove reduction of {count} reflections exceeds cap {cap}")
     X = list(X)
     r = datum.rank
     cartan = datum.cartan
@@ -90,7 +100,7 @@ def reduce_to_alcove(
     theta_coroot = datum.theta_coroot
     theta_values = [sum(c * t for c, t in zip(row, theta_coroot)) for row in cartan]
     word: List[int] = []
-    for _ in range(MAX_REDUCTION_STEPS):
+    for _ in range(count + 1):
         for i, v in enumerate(values):
             if v < 0:
                 X[i] -= v
@@ -101,15 +111,15 @@ def reduce_to_alcove(
         else:
             excess = sum(m * v for m, v in zip(marks, values)) - D
             if excess <= 0:
-                return tuple(Fraction(a, D) for a in X), tuple(word)
+                break
             for j in range(r):
                 X[j] -= excess * theta_coroot[j]
                 values[j] -= excess * theta_values[j]
             word.append(0)
-    raise EnumerationCapError(
-        f"alcove reduction: {len(word)} reflections reached the step cap "
-        f"{MAX_REDUCTION_STEPS} before the point entered the alcove"
-    )
+    if len(word) != count:
+        raise AssertionError(f"alcove reduction made {len(word)} reflections, but "
+                             f"{count} walls separate the point from the alcove")
+    return tuple(Fraction(a, D) for a in X), tuple(word)
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,7 @@ def type_to_alcove(
     rep: QZVector,
     e: int,
     base: Sequence[Fraction],
+    cap: int = DEFAULT_CAP,
 ) -> Tuple[AlcovePoint, FacetDescriptor]:
     """Alcove point and facet of the twisted stabilizer attached to a class.
 
@@ -181,7 +192,7 @@ def type_to_alcove(
     by its coroot coordinates.
     """
     x = tuple(Fraction(b) + Fraction(t) for b, t in zip(base, rep))
-    reduced, _ = reduce_to_alcove(datum, x)
+    reduced, _ = reduce_to_alcove(datum, x, cap)
     return reduced, facet_of(datum, reduced)
 
 
@@ -212,7 +223,7 @@ def apartment_orbit_types(
         )
     r = datum.rank
     cartan = datum.cartan
-    base, _ = reduce_to_alcove(datum, a)
+    base, _ = reduce_to_alcove(datum, a, cap)
     # x = X / (D e) with integer X; X mod D names the coset x + (1/e) Q_coroot
     D = lcm(*((x * e).denominator for x in base))
     start = tuple(int(x * e * D) % D for x in base)

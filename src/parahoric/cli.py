@@ -242,11 +242,9 @@ class Vectors:
 # group spec handling
 # ---------------------------------------------------------------------------
 
-def parse_group(group: str, rank: Optional[int], check: bool = True) -> Tuple[str, int]:
+def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
     """The label and rank of ``--group`` (and ``--rank``), checked by
-    :func:`positive_root_count` unless ``check`` is false: `types` reads its
-    point and permutation first (:func:`types_parts` checks the label then),
-    and `twist` its action."""
+    :func:`positive_root_count`."""
     g = group.strip()
     if len(g) > 1 and g[1:].isdigit():
         label, r = g[0].upper(), int(g[1:])
@@ -256,8 +254,7 @@ def parse_group(group: str, rank: Optional[int], check: bool = True) -> Tuple[st
         raise UsageError("--rank is required when --group is a bare letter")
     else:
         label, r = g.upper(), rank
-    if check:
-        positive_root_count(label, r)
+    positive_root_count(label, r)
     return label, r
 
 
@@ -355,7 +352,7 @@ def types_parts(
         datum = build_root_datum(label, rank, cap)
         action = trivial_action(rank, order)
         values = point_or_default(point, rank, order)
-        base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
+        base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values), cap)
     elif action_kind in SL_VARIANTS:
         if label != "A":
             raise UsageError("sl involutions are only defined for type A")
@@ -576,7 +573,7 @@ def global_text(report: dict) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_types(args) -> int:
-    label, rank = parse_group(args.group, args.rank, check=False)
+    label, rank = parse_group(args.group, args.rank)
     point = parse_point(args.point, rank) if args.point is not None else None
     perm = parse_perm(args.perm, rank) if args.perm is not None else None
     report = compute_types(
@@ -587,16 +584,15 @@ def cmd_types(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    label, rank = parse_group(args.group, args.rank, check=False)
+    label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
-    positive_root_count(label, rank)  # a bad label or rank, then a bad point
     point = parse_point(args.point, rank) if args.point is not None else None
     datum, _, base, classes, types, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
 
     def twist_row(rep: QZVector) -> dict:
-        reduced, facet = type_to_alcove(datum, rep, args.order, base)
+        reduced, facet = type_to_alcove(datum, rep, args.order, base, args.cap)
         return {
             "representative": vec_str(rep),
             "point_root_values": vec_str(simple_root_values(datum, reduced)),
@@ -737,9 +733,13 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         if not isinstance(perm_in, list):
             raise UsageError("diagram action needs a permutation list")
         perm = tuple(_config_integer(p, "permutation entry") - 1 for p in perm_in)
+        if len(perm) != rank or sorted(perm) != list(range(len(perm))):
+            raise UsageError("branch point 'permutation' is not a permutation of the nodes")
     elif kind != "trivial":
         raise UsageError(f"unknown action kind {kind!r}")
     if "point" in bp:
+        if kind != "trivial":
+            raise UsageError("branch point 'point' applies only to trivial actions")
         if not isinstance(bp["point"], list):
             raise UsageError("branch point 'point' must be a list of root values")
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])

@@ -10,27 +10,28 @@ of characteristic p only the prime-to-p torsion exists; since the cover is
 tame (p does not divide e) every class has a representative of denominator
 dividing e, so the p-part never enters.
 
-For Gamma cyclic of order e acting through a finite-order lattice
-automorphism A, the cohomology is
+For Gamma cyclic of order e acting through a lattice automorphism A that
+permutes the simple coroots by a node permutation sigma (the identity, a
+diagram symmetry, or the A_(n-1) flip of the SL_n involutions), the
+cohomology is
 
     H^1 = ker(N_A on (Q/Z)^r) / image(A - 1),      N_A = 1 + A + ... + A^(e-1),
 
 computed in two independent ways: as the finite lattice quotient
-``ker(A - 1) / N_A Z^r`` (structural), and by listing one representative
-per class (element model).  The two must agree; a mismatch is a hard error.
+``ker(A - 1) / N_A Z^r`` (structural, on the matrix of A), and by listing
+one representative per class from the sigma-orbit sums (element model).
+The two must agree; a mismatch is a hard error.
 
-When A permutes the coordinates by a node permutation sigma of order k
-(the identity, or a diagram automorphism), the element model needs no
-grid.  The class of t is fixed by its sigma-orbit sums s_O = sum_{i in O}
-t_i, as image(A - 1) is exactly the vectors whose orbit sums all vanish;
-the norm acts on orbit O as multiplication of s_O by e/|O|, so it kills t
-exactly when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
+The class of t is fixed by its sigma-orbit sums s_O = sum_{i in O} t_i, as
+image(A - 1) is exactly the vectors whose orbit sums all vanish; the norm
+acts on orbit O as multiplication of s_O by e/|O|, so it kills t exactly
+when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
 (1/e)-grid vector of a class puts s_O = j_O |O| / e on the largest node of
 O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
 order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
-numerators of t over e.  Every action that the package lists classes for
-is of this kind.
+numerators of t over e.  The cocycle of a class is read off the same
+orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, prod
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcove import as_point, simple_root_values
@@ -89,9 +89,9 @@ from .rootdata import (
 
 @dataclass(frozen=True)
 class GammaAction:
-    """Cyclic group of order e acting through a lattice automorphism, whose
-    order must divide e.  The library reads that order off a permutation of
-    the nodes (:attr:`LatticeAutomorphism.order`).
+    """Cyclic group of order e acting through a lattice automorphism, a
+    node permutation whose order (:attr:`LatticeAutomorphism.order`) must
+    divide e.
 
     The torsion model carries no residue characteristic: tameness (p prime
     to e) is a property of the cover, checked where a point and a
@@ -109,11 +109,7 @@ class GammaAction:
 
     @property
     def rank(self) -> int:
-        return len(self.automorphism.matrix)
-
-    @property
-    def matrix(self) -> IntMatrix:
-        return self.automorphism.matrix
+        return self.automorphism.rank
 
     def norm_matrix(self) -> IntMatrix:
         return self._norm
@@ -127,12 +123,12 @@ class GammaAction:
         acc = identity_matrix(n)
         power = identity_matrix(n)
         for _ in range(order - 1):
-            power = mat_mul(power, self.matrix)
+            power = mat_mul(power, self.automorphism.matrix)
             acc = mat_add(acc, power)
         return tuple(tuple(self.e // order * x for x in row) for row in acc)
 
     def coboundary_matrix(self) -> IntMatrix:
-        return mat_sub(self.matrix, identity_matrix(self.rank))
+        return mat_sub(self.automorphism.matrix, identity_matrix(self.rank))
 
 
 def trivial_action(rank: int, e: int) -> GammaAction:
@@ -214,15 +210,11 @@ def require_grid_size(rank: int, e: int, cap: int) -> None:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
 
 
-def _kills(norm: IntMatrix, d: int, numerators: Sequence[int]) -> bool:
-    return all(sum(map(mul, row, numerators)) % d == 0 for row in norm)
-
-
 def _radices(action: GammaAction) -> List[int]:
-    """For a permutation action, the number of digits j each node takes on
-    the least class representatives: e/|O| on the largest node of each
-    sigma-orbit O, which carries s_O = j |O| / e = j / (e/|O|), and 1 (the
-    digit 0, value 0) on every other node."""
+    """The number of digits j each node takes on the least class
+    representatives: e/|O| on the largest node of each sigma-orbit O, which
+    carries s_O = j |O| / e = j / (e/|O|), and 1 (the digit 0, value 0) on
+    every other node."""
     radices = [1] * action.rank
     for orbit in action.automorphism.node_orbits:
         radices[orbit[-1]] = action.e // len(orbit)
@@ -233,28 +225,22 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     """Element-model H^1: the least (1/e)-grid vector of each class, in
     lexicographic order.
 
-    For a permutation action the classes are listed from their sigma-orbit
-    sums (see the module docstring): the representative of the digits j_O
-    carries j_O / (e/|O|) on the largest node of O, so the product of the
-    per-node values j / n for j < n, n in :func:`_radices`, is the list,
-    already sorted.
-    An automorphism that does not permute the nodes is refused with
-    ValueError before any work.  A count prod_O e/|O| above ``cap`` is
-    refused before the listing; the trivial action, whose count is e^r, is
-    refused as a torsion grid.  The class count is checked against the
-    structural computation and a mismatch is a hard error.
+    The classes are listed from their sigma-orbit sums (see the module
+    docstring): the representative of the digits j_O carries j_O / (e/|O|)
+    on the largest node of O, so the product of the per-node values j / n
+    for j < n, n in :func:`_radices`, is the list, already sorted.
+    The count prod_O e/|O| is multiplied orbit by orbit and refused as soon
+    as it passes ``cap``, before any other work (no e^r for the identity).
+    The class count is checked against the structural computation and a
+    mismatch is a hard error.
     """
-    orbits = action.automorphism.node_orbits
-    if orbits is None:
-        raise ValueError("H^1 classes are listed only for actions that permute the nodes")
-    structure = h1_structural(datum, action)
-    if action.automorphism.is_identity:
-        require_grid_size(action.rank, action.e, cap)
-    else:
-        count = prod(action.e // len(orbit) for orbit in orbits)
+    count = 1
+    for orbit in action.automorphism.node_orbits:
+        count *= action.e // len(orbit)
         if count > cap:
             raise EnumerationCapError(
                 f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
+    structure = h1_structural(datum, action)
     values = tuple(tuple(Fraction(j, n) for j in range(n)) for n in _radices(action))
     reps = tuple(itertools.product(*values))
     if len(reps) != structure.order:
@@ -265,37 +251,44 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     return H1Classes(structure=structure, representatives=reps, node_values=values)
 
 
-def _require_norm_killed(t: QZVector, action: GammaAction) -> Tuple[int, Tuple[int, ...]]:
-    """The common denominator d of t and the numerators of t over d, mod d,
-    once the norm is checked to kill t."""
-    d, numerators = common_numerators(t)
-    numerators = tuple(map(d.__rmod__, numerators))
-    if not _kills(action.norm_matrix(), d, numerators):
-        raise ValueError(f"vector {t} is not killed by the norm")
-    return d, numerators
-
-
 def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Sequence[int]]]:
     """The denominator d of a class rep and the cocycle table of
     :func:`cocycle_of` as its r columns of integer numerators over d: entry
     i of column k is coordinate k of sum_{j<i} A^j rep mod 1, times d.
 
-    For the identity that sum is i * rep, so column k is i p_k mod d for the
-    numerator p_k of rep; otherwise the walk applies A as an integer matrix
-    mod d, one row at a time, and the columns are read off the rows.
+    Coordinate k of A^j rep is that of node sigma^-j(k), so column k sums
+    the numerators p of rep along the sigma^-1-cycle through k: with S_O
+    their sum over the orbit O and prefix_t the sum of the first t along
+    the cycle, the entries at i = q |O| + t are prefix_t + q S_O mod d (for
+    a fixed node, i p_k).  The norm kills rep exactly when (e/|O|) S_O = 0
+    mod d on every orbit; else ValueError.
     """
-    d, power = _require_norm_killed(rep, action)
+    d, numerators = common_numerators(rep)
+    p = [a % d for a in numerators]
     e = action.e
-    if action.automorphism.is_identity:
-        return d, [list(map(d.__rmod__, range(0, e * p, p))) if p else [0] * e for p in power]
-    A = action.matrix
-    rows: List[IntVector] = []
-    acc = (0,) * action.rank
-    for _ in range(e):
-        rows.append(acc)
-        acc = tuple((a + p) % d for a, p in zip(acc, power))
-        power = tuple(sum(a * p for a, p in zip(row, power)) % d for row in A)
-    return d, list(zip(*rows))
+    perm = action.automorphism.node_permutation
+    columns: List[Sequence[int]] = [()] * len(p)
+    for orbit in action.automorphism.node_orbits:
+        laps = e // len(orbit)
+        total = sum(p[k] for k in orbit)
+        if laps * total % d:
+            raise ValueError(f"vector {rep} is not killed by the norm")
+        if len(orbit) == 1:
+            columns[orbit[0]] = list(map(d.__rmod__, range(0, e * total, total))) if total else [0] * e
+            continue
+        cycle = [orbit[0]]  # the sigma^-1-cycle from the least node
+        for _ in orbit[1:]:
+            cycle.append(perm.index(cycle[-1]))
+        walk = [p[k] for k in cycle] * 2
+        for start, k in enumerate(cycle):
+            column = [0] * e
+            prefix = 0
+            for t in range(len(cycle)):
+                column[t::len(cycle)] = (map(d.__rmod__, range(prefix, prefix + laps * total, total))
+                                         if total else [prefix] * laps)
+                prefix += walk[start + t]
+            columns[k] = column
+    return d, columns
 
 
 def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:

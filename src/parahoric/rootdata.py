@@ -13,9 +13,9 @@ reflections, with a configurable cap checked against the closed-form size
 |Phi^+| * r^2 of that closure before it starts.  Weyl elements are integer
 matrices acting on the coroot lattice; the group is only ever materialized
 by breadth-first closure of the generators, with a configurable cap that is
-checked against the order |W| before the closure starts.  The subgroup
-W^sigma fixed by a diagram automorphism is only ever given by its
-generators, never enumerated.
+checked against the order |W| before the closure starts.  A lattice
+automorphism is a node permutation sigma; the subgroup W^sigma fixed by a
+diagram automorphism is only ever given by its generators.
 """
 
 from __future__ import annotations
@@ -164,6 +164,15 @@ class RootDatum:
     def cartan_inverse(self) -> Tuple[IntMatrix, int]:
         """(adj(C), det(C)), so that C^-1 = adj(C) / det(C)."""
         return adjugate_int(self.cartan), det_int(self.cartan)
+
+    @cached_property
+    def root_ladder(self) -> Tuple[Tuple[int, int], ...]:
+        """(k, i) per positive root: alpha_i plus the positive root of index
+        k - 1 (alpha_i itself for k = 0), a root of lower height."""
+        index = {root: k for k, root in enumerate(self.positive_roots, 1)}
+        return tuple(max((index.get(root[:i] + (b - 1,) + root[i + 1:], 0), i)
+                         for i, b in enumerate(root) if b)
+                     for root in self.positive_roots)
 
     @cached_property
     def theta_coroot(self) -> IntVector:
@@ -393,42 +402,40 @@ def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:
 
 @dataclass(frozen=True)
 class LatticeAutomorphism:
-    """Finite-order automorphism of the coroot lattice, given by its matrix
-    alone; equality and hashing are those of the matrix."""
+    """Automorphism A e_j = e_sigma(j) of the coroot lattice, held as the
+    node permutation sigma (0-indexed); anything but a permutation of
+    0, ..., r - 1, r >= 1, is refused with ValueError."""
 
-    matrix: IntMatrix
+    node_permutation: Tuple[int, ...]
+
+    def __post_init__(self):
+        perm = tuple(self.node_permutation)
+        if (not perm or any(type(p) is not int for p in perm)
+                or set(perm) != set(range(len(perm)))):
+            raise ValueError(f"{perm} is not a permutation of the nodes")
+        object.__setattr__(self, "node_permutation", perm)
+
+    @property
+    def rank(self) -> int:
+        return len(self.node_permutation)
+
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        """The matrix of A, for the lattice quotient of H^1 and the norm."""
+        perm, n = self.node_permutation, self.rank
+        return tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
 
     @cached_property
     def order(self) -> int:
-        """The least k with A^k = 1, for a permutation matrix: the lcm of
-        the lengths of :attr:`node_orbits`, with no matrix product.  The
-        order of any other matrix is not read, and raises ValueError."""
-        orbits = self.node_orbits
-        if orbits is None:
-            raise ValueError("the order of a lattice automorphism is read only off "
-                             "a permutation of the nodes")
-        return lcm(*map(len, orbits))
+        """The least k with sigma^k = 1: the lcm of the lengths of
+        :attr:`node_orbits`."""
+        return lcm(*map(len, self.node_orbits))
 
     @cached_property
-    def node_permutation(self) -> Optional[Tuple[int, ...]]:
-        """The permutation sigma of the nodes with A e_j = e_sigma(j) when
-        the matrix A is a permutation matrix, else None."""
-        n = len(self.matrix)
-        unit = [0] * (n - 1) + [1]
-        columns = list(zip(*self.matrix))
-        if any(sorted(column) != unit for column in columns):
-            return None
-        perm = tuple(column.index(1) for column in columns)
-        return perm if sorted(perm) == list(range(n)) else None
-
-    @cached_property
-    def node_orbits(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """The orbits of :attr:`node_permutation`, each sorted, in the order
-        of their largest nodes; None when the matrix is not a permutation
-        matrix."""
+    def node_orbits(self) -> Tuple[Tuple[int, ...], ...]:
+        """The orbits of sigma, each sorted, in the order of their largest
+        nodes."""
         perm = self.node_permutation
-        if perm is None:
-            return None
         orbits = set()
         for node in range(len(perm)):
             orbit, i = [node], perm[node]
@@ -438,22 +445,15 @@ class LatticeAutomorphism:
             orbits.add(tuple(sorted(orbit)))
         return tuple(sorted(orbits, key=max))
 
-    @cached_property
-    def is_identity(self) -> bool:
-        """Whether the matrix is the identity: a permutation matrix whose
-        node orbits are all singletons."""
-        orbits = self.node_orbits
-        return orbits is not None and len(orbits) == len(self.matrix)
-
 
 def identity_automorphism(rank: int) -> LatticeAutomorphism:
-    return LatticeAutomorphism(identity_matrix(rank))
+    return LatticeAutomorphism(tuple(range(rank)))
 
 
 def _preserves_cartan(datum: RootDatum, perm: Sequence[int]) -> bool:
     n = datum.rank
-    return all(datum.cartan[perm[i]][perm[j]] == datum.cartan[i][j]
-               for i in range(n) for j in range(n))
+    return len(perm) == n and all(datum.cartan[perm[i]][perm[j]] == datum.cartan[i][j]
+                                  for i in range(n) for j in range(n))
 
 
 def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> LatticeAutomorphism:
@@ -461,14 +461,10 @@ def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> L
 
     ``node_permutation`` maps node i to node_permutation[i], 0-indexed.
     """
-    n = datum.rank
-    perm = tuple(node_permutation)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("node_permutation is not a permutation of the nodes")
-    if not _preserves_cartan(datum, perm):
+    aut = LatticeAutomorphism(node_permutation)
+    if not _preserves_cartan(datum, aut.node_permutation):
         raise ValueError("permutation is not a Dynkin-diagram symmetry")
-    return LatticeAutomorphism(tuple(
-        tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)))
+    return aut
 
 
 def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[WeylElement]:
@@ -481,8 +477,7 @@ def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[We
     from the key (1, ..., 1), apply s_i for i in J while v_i > 0.
     """
     n = datum.rank
-    perm = aut.node_permutation
-    if perm is None or len(perm) != n or not _preserves_cartan(datum, perm):
+    if not _preserves_cartan(datum, aut.node_permutation):
         raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
     step = _left_multiplier(datum)
     one = identity_matrix(n)

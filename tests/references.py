@@ -4,16 +4,18 @@
 norm-killed vectors of the (1/e)-grid (:func:`torsion_grid`) into classes
 through the coset invariant of :class:`ImageMembership` (:func:`grid_classes`)
 and checks the class count against ``h1_structural``.  The library lists
-classes only for actions that permute the nodes, from their orbit sums; the
-grid model serves any finite-order automorphism (-1, Weyl elements, the
-action -rho on the diagonals of SL_n), and checks the orbit-sum lists.
-The library reads the order of an automorphism only off a permutation of
-the nodes; :class:`MatrixAutomorphism` reads any other order off the
-powers of its matrix (:func:`matrix_order`), and
-:func:`weyl_element_automorphism` and :func:`diagonal_action` build their
-automorphisms with it.  :func:`diagonal_action` is -rho, the involution of
-the sum-zero diagonals that the SL_n reports write, so it is the oracle
-of the diagonal cocycle tables.
+classes from the orbit sums of a node permutation, the only automorphism
+it builds; the grid model serves any finite-order automorphism (-1, Weyl
+elements, the action -rho on the diagonals of SL_n), and checks the
+orbit-sum lists.  :class:`MatrixAutomorphism` is such an automorphism as
+its matrix, with its order read off the powers of the matrix
+(:func:`matrix_order`); :func:`weyl_element_automorphism` and
+:func:`diagonal_action` build it.  :func:`diagonal_action` is -rho, the
+involution of the sum-zero diagonals that the SL_n reports write, so it is
+the oracle of the diagonal cocycle tables.
+:func:`cocycle_numerators` is the cocycle table by the matrix walk, for any
+finite-order automorphism: the oracle of the sigma-cycle columns of
+``cohomology.cocycle_columns``.
 :func:`class_orbits` is the orbit computation over the generic
 ``orbit_partition`` on ``Fraction`` vectors, matching each image to its
 class through the same invariant.
@@ -27,8 +29,7 @@ self-writing :class:`parahoric.cli.CocycleTable` and
 integer columns and from the product of the strings of each node.  Passed
 through ``json.dumps(indent=2, sort_keys=True)`` and through
 :func:`dict_types_text`, they are what the CLI must print.  Their cocycle
-rows come from :func:`cocycle_numerators`, the rows of the library's
-integer columns.
+rows come from the matrix walk of :func:`cocycle_numerators`.
 
 :func:`pairing`, :func:`all_coroots` and :func:`apply` are the root-datum
 and Weyl-element conveniences that no library code calls: the pairing of
@@ -52,6 +53,7 @@ coordinates (:func:`coroot_coordinates`, the inverse of
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,8 +64,6 @@ from parahoric.cohomology import (
     GammaAction,
     H1Classes,
     LocalType,
-    _require_norm_killed,
-    cocycle_columns,
     h1_elements,
     h1_structural,
     require_grid_size,
@@ -72,6 +72,7 @@ from parahoric.exactalg import (
     IntMatrix,
     IntVector,
     QZVector,
+    common_numerators,
     det_int,
     identity_matrix,
     mat_mul,
@@ -84,7 +85,6 @@ from parahoric.exactalg import (
 from parahoric.rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
-    LatticeAutomorphism,
     RootDatum,
     WeylElement,
     fixed_weyl_generators,
@@ -220,17 +220,25 @@ def matrix_order(M: IntMatrix, cap: int = 1000) -> int:
     )
 
 
-class MatrixAutomorphism(LatticeAutomorphism):
-    """A lattice automorphism of any finite order, read off the powers of its
-    matrix (:func:`matrix_order`): the library reads the order only off a
-    permutation of the nodes."""
+@dataclass(frozen=True)
+class MatrixAutomorphism:
+    """A lattice automorphism of any finite order as its matrix, with the
+    order read off the powers of that matrix (:func:`matrix_order`): the
+    value that ``GammaAction``, ``h1_structural`` and the grid model read of
+    an automorphism.  The library's automorphisms permute the nodes."""
+
+    matrix: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
 
     @cached_property
     def order(self) -> int:
         return matrix_order(self.matrix)
 
 
-def weyl_element_automorphism(w: WeylElement) -> LatticeAutomorphism:
+def weyl_element_automorphism(w: WeylElement) -> MatrixAutomorphism:
     return MatrixAutomorphism(w.matrix)
 
 
@@ -266,8 +274,8 @@ def cofactor_adjugate(M: IntMatrix) -> IntMatrix:
 
 def classes_equal(t1: QZVector, t2: QZVector, action: GammaAction) -> bool:
     """Whether t1 and t2 give the same class, i.e. t1 - t2 is a coboundary."""
-    _require_norm_killed(t1, action)
-    _require_norm_killed(t2, action)
+    norm_killed_numerators(t1, action)
+    norm_killed_numerators(t2, action)
     member = ImageMembership(action.coboundary_matrix())
     return member.contains(qz_sub(t1, t2))
 
@@ -372,11 +380,31 @@ def class_orbits(
             for i, (rep, size) in enumerate(keyed)]
 
 
+def norm_killed_numerators(t: QZVector, action: GammaAction) -> Tuple[int, IntVector]:
+    """The common denominator d of t and the numerators of t over d, mod d,
+    once the norm matrix is checked to kill t; else ValueError."""
+    d, numerators = common_numerators(t)
+    numerators = tuple(a % d for a in numerators)
+    if any(sum(a * p for a, p in zip(row, numerators)) % d for row in action.norm_matrix()):
+        raise ValueError(f"vector {t} is not killed by the norm")
+    return d, numerators
+
+
 def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
-    """The cocycle table of ``cohomology.cocycle_columns`` as its e rows:
-    row i holds the numerators of sum_{j<i} A^j rep mod 1 over d."""
-    d, columns = cocycle_columns(rep, action)
-    return d, list(zip(*columns))
+    """The cocycle table of ``cohomology.cocycle_columns`` as its e rows, by
+    the matrix walk: row i holds the numerators of sum_{j<i} A^j rep mod 1
+    over d, and the walk applies A as an integer matrix mod d, one row at a
+    time.  It serves any finite-order automorphism."""
+    d, power = norm_killed_numerators(rep, action)
+    # the nonzero entries of each row of A
+    support = [[(j, a) for j, a in enumerate(row) if a] for row in action.automorphism.matrix]
+    rows: List[IntVector] = []
+    acc = (0,) * action.rank
+    for _ in range(action.e):
+        rows.append(acc)
+        acc = tuple((a + p) % d for a, p in zip(acc, power))
+        power = tuple(sum(a * power[j] for j, a in row) % d for row in support)
+    return d, rows
 
 
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:

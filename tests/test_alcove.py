@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -23,6 +24,7 @@ from parahoric.alcove import (
 )
 from parahoric.cohomology import local_types, trivial_action
 from parahoric.rootdata import (
+    EnumerationCapError,
     build_root_datum,
     orbit_partition,
     weyl_elements,
@@ -148,6 +150,52 @@ def test_reduce_to_alcove_properties(case):
     assert reduce_to_alcove(datum, reflected)[0] == x0
     translated = tuple(c + m for c, m in zip(x, mu))
     assert reduce_to_alcove(datum, translated)[0] == x0
+
+
+def separating_walls(datum, x):
+    """The affine root hyperplanes alpha = k that strictly separate x from
+    the fundamental alcove, counted with Fractions from every positive
+    root."""
+    count = 0
+    for root in datum.positive_roots:
+        value = pairing(datum, root, x)
+        if value > 1:
+            count += math.ceil(value) - 1
+        elif value < 0:
+            count -= math.floor(value)
+    return count
+
+
+@st.composite
+def reduction_points(draw):
+    datum = draw(st.sampled_from([build_root_datum(*lr) for lr in rank_range(4)]))
+    return datum, tuple(F(draw(st.integers(-40, 40)), draw(st.integers(1, 9)))
+                        for _ in range(datum.rank))
+
+
+@settings(database=None, max_examples=150, deadline=None)
+@given(reduction_points())
+def test_reduction_word_length_is_the_number_of_separating_walls(case):
+    datum, x = case
+    count = separating_walls(datum, x)
+    _, word = reduce_to_alcove(datum, x)
+    assert len(word) == count
+    # the count is the cap's boundary: at the count the fold runs, one below it is refused
+    assert reduce_to_alcove(datum, x, cap=count)[1] == word
+    if count:
+        with pytest.raises(EnumerationCapError,
+                           match=f"^alcove reduction of {count} reflections exceeds cap {count - 1}$"):
+            reduce_to_alcove(datum, x, cap=count - 1)
+
+
+def test_reduction_beyond_the_cap_reflects_nothing(monkeypatch):
+    # the fold reads the theta-coroot before its first reflection
+    e8 = build_root_datum("E", 8)
+    x = point_from_root_values(e8, (F(10 ** 40),) * 8)
+    monkeypatch.setattr(parahoric.rootdata.RootDatum, "theta_coroot",
+                        property(lambda self: pytest.fail("a reflection ran")))
+    with pytest.raises(EnumerationCapError, match="reflections exceeds cap 1000000$"):
+        reduce_to_alcove(e8, x)
 
 
 def test_facets_a1():

@@ -464,12 +464,46 @@ def test_global_names_a_nameless_branch_point_by_its_position(capsys, tmp_path):
 
 
 def test_alcove_reduction_step_cap(capsys, monkeypatch):
-    monkeypatch.setattr("parahoric.alcove.MAX_REDUCTION_STEPS", 50)
+    # the 9999999 walls between the point and the alcove are counted and
+    # refused before the fold reads the theta-coroot for its first reflection
+    import parahoric.rootdata
+
+    monkeypatch.setattr(parahoric.rootdata.RootDatum, "theta_coroot",
+                        property(lambda self: pytest.fail("a reflection ran")))
     code, out, err = run_cli(capsys, "orbit", "--group", "A1", "--order", "1",
-                             "--point", "10000000")
+                             "--point", "10000000", "--cap", "50")
+    assert (code, out, err) == (
+        3, "", "cap exceeded: alcove reduction of 9999999 reflections exceeds cap 50\n")
+    code, out, err = run_cli(capsys, "types", "--group", "A1", "--order", "3",
+                             "--point", "1e30")
     assert (code, out) == (3, "")
-    assert err.startswith("cap exceeded: alcove reduction: 50 reflections")
-    assert "step cap 50" in err
+    assert err == (f"cap exceeded: alcove reduction of {10 ** 30 - 1} reflections "
+                   f"exceeds cap 1000000\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["types", "--group", "Z2", "--order", "2", "--point", "1"], "unknown label 'Z'"),
+    (["types", "--group", "A0", "--order", "2", "--point", "1"], "A_n needs n >= 1"),
+    (["types", "--group", "D3", "--order", "2", "--action", "diagram", "--perm", "1"],
+     "D_n needs n >= 4"),
+], ids=["label", "rank", "perm"])
+def test_a_bad_group_is_named_before_the_point_and_the_permutation(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("action,extra,message", [
+    ({"kind": "sl-involution"}, {"point": ["1"]},
+     "branch point 'point' applies only to trivial actions"),
+    ({"kind": "diagram", "permutation": [1, 1]}, {},
+     "branch point 'permutation' is not a permutation of the nodes"),
+    ({"kind": "diagram", "permutation": [2, 1, 3]}, {},
+     "branch point 'permutation' is not a permutation of the nodes"),
+], ids=["point-on-an-involution", "repeated-entry", "wrong-length"])
+def test_global_names_its_own_config_fields(capsys, tmp_path, action, extra, message):
+    config = {"branch_points": [
+        dict({"group": {"label": "A", "rank": 2}, "order": 2, "action": action}, **extra)]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):

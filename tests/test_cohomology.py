@@ -30,8 +30,10 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     EnumerationCapError,
+    LatticeAutomorphism,
     build_root_datum,
     diagram_automorphism,
+    fixed_weyl_generators,
     orbit_partition,
     weyl_elements,
 )
@@ -84,10 +86,10 @@ def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
 
     monkeypatch.setattr(parahoric.cohomology, "h1_elements", refuse)
     e6 = build_root_datum("E", 6)
-    # a Weyl element of order 2 is no diagram symmetry
-    reflection = GammaAction(10, weyl_element_automorphism(simple_reflection(e6, 1)))
+    # swapping the nodes 1 and 2 is no diagram symmetry
+    swap = GammaAction(10, LatticeAutomorphism((1, 0, 2, 3, 4, 5)))
     with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
-        local_types(e6, reflection)
+        local_types(e6, swap)
     # the root value 1/2 at node 1 against 0 at node 6
     half = point_from_root_values(e6, (F(1, 2),) + (F(0),) * 5)
     with pytest.raises(ValueError, match="is not fixed by the diagram automorphism"):
@@ -96,23 +98,38 @@ def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
         local_types(e6, trivial_action(6, 9), base=half)
 
 
-def test_h1_elements_refuses_non_permutation_actions_before_any_work(monkeypatch):
+def test_non_permutation_actions_are_refused_at_construction():
+    # -1 and a reflection are no lattice automorphisms of the library, which
+    # keeps only node permutations; the grid oracle lists their H^1
     a2 = build_root_datum("A", 2)
-    minus_one = GammaAction(2, MatrixAutomorphism(((-1, 0), (0, -1))))
-    reflection = GammaAction(4, weyl_element_automorphism(simple_reflection(a2, 1)))
-    # the grid oracle lists 1 and 2 classes for them
-    assert len(grid_h1_elements(a2, minus_one).representatives) == 1
-    assert len(grid_h1_elements(a2, reflection).representatives) == 2
+    minus_one = ((-1, 0), (0, -1))
+    reflection = simple_reflection(a2, 1).matrix
+    assert len(grid_h1_elements(a2, GammaAction(2, MatrixAutomorphism(minus_one)))
+               .representatives) == 1
+    assert len(grid_h1_elements(a2, GammaAction(4, MatrixAutomorphism(reflection)))
+               .representatives) == 2
+    for matrix in (minus_one, reflection):
+        with pytest.raises(ValueError, match="is not a permutation of the nodes"):
+            LatticeAutomorphism(matrix)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("no work may start for a refused action")
 
-    monkeypatch.setattr(parahoric.cohomology, "h1_structural", refuse)
-    for action in (minus_one, reflection):
-        with pytest.raises(ValueError, match="only for actions that permute the nodes"):
-            h1_elements(a2, action)
+@pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1, 3), (), (1, True, 0), (0.0, 1)],
+                         ids=["repeated-entry", "out-of-range", "empty", "boolean", "float"])
+def test_lattice_automorphisms_are_permutations(perm):
+    with pytest.raises(ValueError, match="is not a permutation of the nodes"):
+        LatticeAutomorphism(perm)
+
+
+def test_a_permutation_of_the_wrong_length_is_no_diagram_symmetry():
+    a3 = build_root_datum("A", 3)
+    for perm in ((1, 0), (3, 2, 1, 0, 4)):
+        aut = LatticeAutomorphism(perm)
         with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
-            local_types(a2, action)
+            diagram_automorphism(a3, perm)
+        with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
+            fixed_weyl_generators(a3, aut)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            h1_elements(a3, GammaAction(2, aut))
 
 
 def test_gamma_action_validation():
@@ -237,7 +254,7 @@ def test_cocycle_identity():
                     lhs = table[(i + j) % e]
                     acted = table[j]
                     for _ in range(i):
-                        acted = mat_vec_qz(act.matrix, acted)
+                        acted = mat_vec_qz(act.automorphism.matrix, acted)
                     assert lhs == qz_add(table[i], acted)
 
 
@@ -534,11 +551,9 @@ def test_lattice_types_reject_mismatched_arguments():
         types_of_classes(datum, act, classes, base=off_grid)
     # the fixed base with root value 1/2 on both ends is accepted
     assert local_types(datum, act, base=point_from_root_values(datum, (F(1, 2), F(0), F(1, 2))))
-    d2 = build_root_datum("A", 2)
-    aut = weyl_element_automorphism(simple_reflection(d2, 1))
-    action = GammaAction(aut.order, aut)
+    action = GammaAction(2, LatticeAutomorphism((1, 0, 2)))  # no diagram symmetry
     with pytest.raises(ValueError, match="not a Dynkin-diagram symmetry"):
-        types_of_classes(d2, action, grid_h1_elements(d2, action))
+        types_of_classes(datum, action, grid_h1_elements(datum, action))
 
 
 def _integer_inverse(M):
@@ -558,7 +573,7 @@ def full_weyl_types(datum, action, lift):
     t -> w^-1(t) + lift(w); the lift w^-1(c) - c is the base point c."""
     from parahoric.exactalg import mat_mul
 
-    A = action.matrix
+    A = action.automorphism.matrix
     maps = []
     for w in weyl_elements(datum):
         if mat_mul(A, w.matrix) == mat_mul(w.matrix, A):

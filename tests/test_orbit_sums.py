@@ -166,7 +166,7 @@ def test_types_are_read_off_the_passed_classes():
 
 
 def test_permutation_actions_never_build_the_grid(monkeypatch):
-    # only the identity, whose classes are the whole grid, sizes a grid
+    # the classes are listed from orbit sums, and no listing sizes a grid
     def refuse(*args, **kwargs):
         raise AssertionError("the torsion grid must not be sized")
 

@@ -35,7 +35,6 @@ from .references import (
     pairing,
     rank_range,
     simple_reflection,
-    weyl_element_automorphism,
     weyl_generators,
 )
 
@@ -393,31 +392,34 @@ def test_diagram_automorphisms():
         diagram_automorphism(d3, (0, 0, 1))  # not a permutation
 
 
-def test_the_order_is_read_off_the_matrix(monkeypatch):
-    # the lcm of the node-orbit lengths for a permutation matrix; the order
-    # of any other matrix is refused before any matrix product, and the
-    # reference reads it off the powers of the matrix
+def test_the_order_is_read_off_the_permutation(monkeypatch):
+    # the lcm of the node-orbit lengths, which is the order of the
+    # permutation matrix; Weyl elements and -1 are no lattice automorphisms
+    # of the library, and the reference reads their orders off the powers of
+    # their matrices
     from parahoric.rootdata import LatticeAutomorphism
 
-    permutations = [aut.matrix for label, rank in rank_range(6)
+    permutations = [aut for label, rank in rank_range(6)
                     for aut in diagram_symmetries(build_root_datum(label, rank))]
     others = [w.matrix for label, rank in rank_range(4)
               for w in weyl_elements(build_root_datum(label, rank))
-              if LatticeAutomorphism(w.matrix).node_permutation is None]
+              if w.matrix != identity_matrix(rank)]
     others += [tuple(tuple(-x for x in row) for row in identity_matrix(r))
                for r in range(1, 9)]
-    for M in permutations:
-        assert LatticeAutomorphism(M).order == matrix_order(M), M
-    assert {matrix_order(M) for M in permutations} == {1, 2, 3}
+    for aut in permutations:
+        assert aut.order == matrix_order(aut.matrix), aut
+    assert {aut.order for aut in permutations} == {1, 2, 3}
     assert {MatrixAutomorphism(M).order for M in others} == {2, 3, 4, 5, 6, 8, 12}
+    for M in others:
+        with pytest.raises(ValueError, match="is not a permutation of the nodes"):
+            LatticeAutomorphism(M)
 
     def refuse(*args, **kwargs):
         raise AssertionError("no matrix product for the order")
 
     monkeypatch.setattr("parahoric.exactalg.mat_mul", refuse)
-    for M in others:
-        with pytest.raises(ValueError, match="read only off a permutation of the nodes"):
-            LatticeAutomorphism(M).order
+    for aut in permutations:
+        assert LatticeAutomorphism(aut.node_permutation).order == aut.order
 
 
 def fixed_weyl_subgroup(datum, aut):
@@ -550,21 +552,13 @@ def test_fixed_weyl_generators_reject_non_diagram_automorphisms():
 
     message = "the automorphism is not a Dynkin-diagram symmetry"
     d3 = build_root_datum("A", 3)
-    for w in weyl_elements(d3):
-        if w.matrix != identity_matrix(3):
-            with pytest.raises(ValueError) as err:
-                fixed_weyl_generators(d3, weyl_element_automorphism(w))
-            assert str(err.value) == message
-    minus_one = LatticeAutomorphism(tuple(tuple(-x for x in row)
-                                          for row in identity_matrix(3)))
-    with pytest.raises(ValueError) as err:
-        fixed_weyl_generators(d3, minus_one)
-    assert str(err.value) == message
-    # a permutation of the coroots that is not a diagram symmetry
-    swap = LatticeAutomorphism(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-    with pytest.raises(ValueError) as err:
-        fixed_weyl_generators(d3, swap)
-    assert str(err.value) == message
+    # the permutations of the coroots that are no diagram symmetry, and
+    # permutations of another number of nodes
+    others = [p for p in permutations(range(3)) if p not in ((0, 1, 2), (2, 1, 0))]
+    for perm in others + [(1, 0), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError) as err:
+            fixed_weyl_generators(d3, LatticeAutomorphism(perm))
+        assert str(err.value) == message
 
 
 def _inverse_in(mats, w):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from parahoric.alcove import simple_root_values
-from parahoric.cohomology import LocalType, h1_elements, types_of_classes
+from parahoric.cohomology import LocalType, cocycle_columns, h1_elements, types_of_classes
 from parahoric.exactalg import identity_matrix, mat_sub, qz_vector, qz_zero
 from parahoric.slmodel import (
     MonomialMatrix,
@@ -71,7 +71,7 @@ def sl_membership(spec):
     """Membership test for the coboundary image (1 - gamma) T(k) inside the
     SL torus: solve (1 - gamma) x = delta with the sum-zero constraint."""
     n = spec.n
-    coboundary = mat_sub(identity_matrix(n), diagonal_action(spec).matrix)
+    coboundary = mat_sub(identity_matrix(n), diagonal_action(spec).automorphism.matrix)
     return ImageMembership(tuple(coboundary) + ((1,) * n,))
 
 
@@ -270,18 +270,17 @@ def test_diagonal_action_has_order_two_read_off_its_powers():
 
     for n in range(3, 13):
         for spec in specs_of(n):
-            M = diagonal_action(spec).matrix
+            M = diagonal_action(spec).automorphism.matrix
             assert type(diagonal_action(spec).automorphism) is MatrixAutomorphism
             assert diagonal_action(spec).automorphism.order == matrix_order(M) == 2
-            # -rho permutes no nodes, so the library does not read its order
-            with pytest.raises(ValueError, match="only off a permutation"):
-                LatticeAutomorphism(M).order
+            # -rho permutes no nodes, so it is no lattice automorphism of the library
+            with pytest.raises(ValueError, match="is not a permutation of the nodes"):
+                LatticeAutomorphism(M)
 
 
 def test_diagonal_action_ignores_entries():
-    assert diagonal_action(standard_involution(4)).matrix == diagonal_action(
-        variant_involution(4)
-    ).matrix
+    assert diagonal_action(standard_involution(4)).automorphism \
+        == diagonal_action(variant_involution(4)).automorphism
 
 
 def closure(gens, n):
@@ -487,9 +486,9 @@ def test_diagonal_coordinates_intertwine_the_flip_with_minus_rho(n):
         minus_rho = diagonal_action(spec)
         types = types_of_classes(datum, flip, classes, base=_sl_base(n, spec.kind))
         for c in list(classes.representatives) + [t.orbit_representative for t in types]:
-            d, rows = cocycle_numerators(c, flip)
+            d, columns = cocycle_columns(c, flip)
             assert cocycle_numerators(sl_diagonal(c), minus_rho) == (
-                d, [sl_diagonal(row, d) for row in rows])
+                d, [sl_diagonal(row, d) for row in zip(*columns)])
 
 
 def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):
@@ -729,8 +728,8 @@ def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_
               for kind in ("sl-J", "sl-Jprime") if kind == "sl-J" or n % 2 == 0]
     for label, rank, order, kind, options in cases:
         _, action, *_ = types_parts(label, rank, order, kind, **options)
-        assert action.automorphism.node_permutation is not None
+        assert type(action.automorphism) is rootdata.LatticeAutomorphism
     for case in load_cases():
         if case["argv"][0] == "global":
             assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
-    assert built and all(aut.node_permutation is not None for aut in built)
+    assert built and all(type(aut) is rootdata.LatticeAutomorphism for aut in built)
