@@ -229,17 +229,15 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     docstring): the representative of the digits j_O carries j_O / (e/|O|)
     on the largest node of O, so the product of the per-node values j / n
     for j < n, n in :func:`_radices`, is the list, already sorted.
-    The count prod_O e/|O| is multiplied orbit by orbit and refused as soon
-    as it passes ``cap``, before any other work (no e^r for the identity).
-    The class count is checked against the structural computation and a
-    mismatch is a hard error.
+    The count prod_O e/|O|, one factor per sigma-orbit, is formed in full
+    and refused when it passes ``cap``, before any other work (no e^r for
+    the identity), so the refusal names the whole count.  The class count is checked against the
+    structural computation and a mismatch is a hard error.
     """
-    count = 1
-    for orbit in action.automorphism.node_orbits:
-        count *= action.e // len(orbit)
-        if count > cap:
-            raise EnumerationCapError(
-                f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
+    count = prod(action.e // len(orbit) for orbit in action.automorphism.node_orbits)
+    if count > cap:
+        raise EnumerationCapError(
+            f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
     structure = h1_structural(datum, action)
     values = tuple(tuple(Fraction(j, n) for j in range(n)) for n in _radices(action))
     reps = tuple(itertools.product(*values))
@@ -474,8 +472,11 @@ def _burnside_table(
 
     The fixed-point count of w is a class function (see
     :func:`burnside_type_count`), so the table runs over the conjugacy
-    classes of W (:func:`weyl_classes`, |W| * r conjugations) with one
-    Smith form per class.  For the representative w of a class the Smith
+    classes of W with one Smith form per class.  W is closed, and its
+    classes are found, on packed root-value keys (:func:`weyl_elements`,
+    :func:`weyl_classes`: |W| * r conjugations of a few big-integer
+    operations each, no matrix product), and a class is represented by an
+    element of least length.  For the representative w of a class the Smith
     form U (w - 1) V = D gives P = U (1 - w) and the diagonal |d_i|.
     ``rows`` holds each distinct row of every P once.  The signature of w is
     its tuple of pairs (index of row i of P in ``rows``, |d_i|) over the i
@@ -525,7 +526,8 @@ def burnside_type_count(
     P = U (1 - w), and every row of every P must give an integer there.
     The Smith forms depend on the datum alone, so they come from one table
     per datum (:func:`_burnside_table`), built once per process at the cost
-    of |W| * r conjugations and one Smith form per class; a call evaluates
+    of |W| * r conjugations on packed root-value keys and one Smith form
+    per class; a call evaluates
     each distinct row of the P once.  An order |W| above ``cap``, the
     default cap of every other stage, is refused on every call, before the
     table is consulted.

@@ -12,8 +12,9 @@ A root datum is built by closing the simple roots under the simple
 reflections, with a configurable cap checked against the closed-form size
 |Phi^+| * r^2 of that closure before it starts.  Weyl elements are integer
 matrices acting on the coroot lattice; the group is only ever materialized
-by breadth-first closure of the generators, with a configurable cap that is
-checked against the order |W| before the closure starts.  A lattice
+by breadth-first closure of the generators on packed integer keys, with a
+configurable cap that is checked against the order |W| before the closure
+starts, and its conjugacy classes are found on the same keys.  A lattice
 automorphism is a node permutation sigma; the subgroup W^sigma fixed by a
 diagram automorphism is only ever given by its generators.
 """
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg import (
     IntMatrix,
@@ -284,29 +286,56 @@ def _left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optio
     return step
 
 
-def _conjugator(datum: RootDatum) -> Callable[[IntMatrix, int], IntMatrix]:
-    """The O(r * deg) step M -> s_i M s_i.  Row i is rebuilt as in
-    :func:`_left_multiplier`; then each row k with M_ki != 0 loses M_ki
-    times row i of the Cartan matrix, on the support of that Cartan row,
-    which is right multiplication by s_i (the identity but for row i,
-    e_i - c_i)."""
-    row = _reflected_row(datum)
-    supports = [[(j, c) for j, c in enumerate(cartan_row) if c]
-                for cartan_row in datum.cartan]
+class _PackedKeys(NamedTuple):
+    """W in integers, for :func:`weyl_elements` and :func:`weyl_classes`.
 
-    def conjugate(M: IntMatrix, i: int) -> IntMatrix:
-        rows = list(M)
-        rows[i] = row(M, i)
-        for k, r in enumerate(rows):
-            x = r[i]
-            if x:
-                r = list(r)
-                for j, c in supports[i]:
-                    r[j] -= x * c
-                rows[k] = tuple(r)
-        return tuple(rows)
+    An element w is keyed by its root values v_j = <alpha_j, w x0>, where
+    x0 is the regular coweight with <alpha_i, x0> = 1 for every i.  Since
+    <alpha_j, w x0> = <w^-1 alpha_j, x0> is the height of the root
+    w^-1 alpha_j, |v_j| <= ht(theta); so the key packs v_j + ``offset``,
+    with ``offset`` a power of two above ht(theta), into the field of
+    ``width`` bits at bit ``width * j`` of one int.  A packed vector is
+    linear in its fields, so a signed vector is subtracted field by field
+    whenever every field of the result is a root value again.
+    """
 
-    return conjugate
+    coroots: Tuple[IntVector, ...]  # every coroot, the simple ones first
+    index: Dict[IntVector, int]  # a coroot -> its place in ``coroots``
+    reflect: Tuple[Tuple[int, ...], ...]  # [i][c]: the place of s_i of coroot c
+    values: Tuple[int, ...]  # [c]: the packed signed root values <alpha_j, c>
+    width: int
+    offset: int
+    zero: int  # the key of the root values 0: the offset in every field
+    start: int  # the key of the identity: every v_j = 1
+
+
+@lru_cache(maxsize=None)
+def _packed_keys(datum: RootDatum) -> _PackedKeys:
+    """The coroots by integer closure of the simple coroots under
+    s_i(c) = c - <alpha_i, c> alpha_i^v, with <alpha_i, c> = sum_k c_ik c_k,
+    and the key layout of :class:`_PackedKeys`; built once per datum and
+    process.  A closure that misses 2 |Phi^+| coroots is a hard error."""
+    n, cartan = datum.rank, datum.cartan
+    coroots = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    index = {c: k for k, c in enumerate(coroots)}
+    reflect: List[List[int]] = [[] for _ in range(n)]
+    for c in coroots:  # grows while it is read: a breadth-first closure
+        for i in range(n):
+            image = c[:i] + (c[i] - sum(map(mul, cartan[i], c)),) + c[i + 1:]
+            if image not in index:
+                index[image] = len(coroots)
+                coroots.append(image)
+            reflect[i].append(index[image])
+    if len(coroots) != 2 * len(datum.positive_roots):
+        raise AssertionError(f"coroot closure for {datum.name} has {len(coroots)} coroots, "
+                             f"not 2 |Phi+| = {2 * len(datum.positive_roots)}")
+    width = sum(datum.highest_root).bit_length() + 1
+    values = tuple(sum(sum(map(mul, row, c)) << width * j for j, row in enumerate(cartan))
+                   for c in coroots)
+    offset = 1 << width - 1
+    zero = sum(offset << width * j for j in range(n))
+    return _PackedKeys(tuple(coroots), index, tuple(map(tuple, reflect)), values,
+                       width, offset, zero, zero + sum(1 << width * j for j in range(n)))
 
 
 def weyl_classes(
@@ -315,37 +344,64 @@ def weyl_classes(
     """The conjugacy classes of W as (representative, class size) pairs.
 
     ``elements`` is the whole of W, as :func:`weyl_elements` lists it.  Each
-    class is closed breadth-first under the conjugations M -> s_i M s_i of
-    :func:`_conjugator`, which generate conjugation by W, so the classes
-    take |W| * r conjugations together.  A class is represented by its
-    first member in the order of ``elements``, and the classes are listed
-    in the order of their representatives.  A conjugate outside
-    ``elements``, or in a class already closed, is a hard error.
+    element is read as its packed key and the coroots w(alpha_k^v), the
+    columns of its matrix (:class:`_PackedKeys`).  Since s_i x0 = x0 -
+    alpha_i^v, w s_i has the key of w less the root values of
+    w(alpha_i^v), so s_i w s_i is one left step of that key and one
+    lookup.  Each class is closed breadth-first under these conjugations,
+    which generate conjugation by W, so the classes take |W| * r
+    conjugations of O(1) big-integer operations together, and no matrix
+    is formed.  A class is represented by its first member in the order
+    of ``elements`` (for :func:`weyl_elements`, an element of least
+    length), and the classes are listed in the order of their
+    representatives.  A column that is no coroot, a key met twice, a
+    conjugate outside ``elements``, or one in a class already closed, is a
+    hard error.
     """
-    conjugate = _conjugator(datum)
-    gens = range(datum.rank)
-    # the class number of each element, None while it is unassigned
-    owner: Dict[IntMatrix, Optional[int]] = dict.fromkeys(w.matrix for w in elements)
-    classes = []
+    keys = _packed_keys(datum)
+    values, width = keys.values, keys.width
+    adj, det = datum.cartan_inverse
+    # x0 = adj(C) (1, ..., 1) / det(C) on the simple coroots and a key is
+    # linear in its fields, so det(C) (key - zero) = sum_k u_k values[w(alpha_k^v)]
+    u = [sum(row) for row in adj]
+    zero = keys.zero
+    packed, images = [], []
     for w in elements:
-        if owner[w.matrix] is not None:
+        try:
+            image = tuple(map(keys.index.__getitem__, zip(*w.matrix)))
+        except KeyError:
+            raise AssertionError(f"{w.matrix} in {datum.name} is not in W") from None
+        packed.append(zero + sum(map(mul, u, map(values.__getitem__, image))) // det)
+        images.append(image)
+    place = {key: k for k, key in enumerate(packed)}
+    if len(place) != len(packed):
+        raise AssertionError(f"an element of W({datum.name}) is listed twice")
+    mask, offset = (1 << width) - 1, keys.offset
+    steps = [(i, width * i, values[i]) for i in range(datum.rank)]
+    # the class number of each element, None while it is unassigned
+    owner: List[Optional[int]] = [None] * len(packed)
+    classes = []
+    for start, w in enumerate(elements):
+        if owner[start] is not None:
             continue
         label = len(classes)
-        owner[w.matrix] = label
-        frontier = [w.matrix]
+        owner[start] = label
+        frontier = [start]
         size = 1
         while frontier:
             nxt = []
-            for M in frontier:
-                for i in gens:
-                    image = conjugate(M, i)
-                    held = owner.get(image, -1)
+            for k in frontier:
+                key, image = packed[k], images[k]
+                for i, shift, column in steps:
+                    right = key - values[image[i]]  # w s_i
+                    conjugate = place.get(right - ((right >> shift & mask) - offset) * column)
+                    held = owner[conjugate] if conjugate is not None else -1
                     if held is None:
-                        owner[image] = label
-                        nxt.append(image)
+                        owner[conjugate] = label
+                        nxt.append(conjugate)
                     elif held != label:
                         raise AssertionError(
-                            f"a conjugate of {M} in {datum.name} is not in W "
+                            f"a conjugate of {w.matrix} in {datum.name} is not in W "
                             f"or lies in another class")
             size += len(nxt)
             frontier = nxt
@@ -354,32 +410,46 @@ def weyl_classes(
 
 
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[WeylElement]:
-    """The whole Weyl group by breadth-first closure, sorted by matrix.
+    """The whole Weyl group by breadth-first closure, in order of length.
 
-    An element w is keyed by the root values of w(x0), where
-    <alpha_i, x0> = 1 for every i; x0 is regular, so the key determines w.
-    Left multiplication by s_i is the O(r) step of :func:`_left_multiplier`.
-    Since x0 is dominant, s_i w is longer than w exactly when v_i > 0, so
-    each breadth-first level holds the elements of one length and a step
-    with v_i < 0 is skipped.  An order above ``cap`` is refused before the
-    closure starts, and the closure must reach exactly the order of
+    An element w is walked as its packed key (:class:`_PackedKeys`: one
+    field per node for the root value v_j = <alpha_j, w x0>, the height of
+    the root w^-1 alpha_j, so |v_j| <= ht(theta)) and the coroots
+    w(alpha_k^v), as places in the coroot list.  Left multiplication by s_i
+    maps the root values v of w to v_j - <alpha_j, alpha_i^v> v_i, which is
+    the key less v_i times the packed root values of alpha_i^v, and maps
+    each coroot c to s_i(c), a table lookup.  Since
+    x0 is dominant, s_i w is longer than w exactly when v_i > 0, so each
+    breadth-first level holds the elements of one length and a step with
+    v_i < 0 is skipped.  The matrix of w has the coroots w(alpha_k^v) as
+    its columns.  An order above ``cap`` is refused before the closure
+    starts, and the closure must reach exactly the order of
     :func:`weyl_order`.
     """
     order = weyl_order(datum, cap=cap)
-    n = datum.rank
-    step = _left_multiplier(datum)
-    start = (1,) * n
-    seen: Dict[IntVector, IntMatrix] = {start: identity_matrix(n)}
-    frontier = [start]
-    while frontier:
-        images = (step(seen, key, i) for key in frontier for i in range(n) if key[i] > 0)
-        frontier = [image for image in images if image is not None]
-    if len(seen) != order:
+    keys = _packed_keys(datum)
+    values, reflect, width = keys.values, keys.reflect, keys.width
+    mask, offset = (1 << width) - 1, keys.offset
+    steps = [(width * i, values[i], reflect[i].__getitem__) for i in range(datum.rank)]
+    packed = [keys.start]
+    images = [tuple(range(datum.rank))]
+    seen = {keys.start}
+    for key, image in zip(packed, images):  # both grow while they are read
+        for shift, column, reflected in steps:
+            vi = (key >> shift & mask) - offset
+            if vi > 0:
+                left = key - vi * column
+                if left not in seen:
+                    seen.add(left)
+                    packed.append(left)
+                    images.append(tuple(map(reflected, image)))
+    if len(packed) != order:
         raise AssertionError(
-            f"Weyl closure for {datum.name} has {len(seen)} elements, "
+            f"Weyl closure for {datum.name} has {len(packed)} elements, "
             f"the order formula gives {order}"
         )
-    return [WeylElement(M) for M in sorted(seen.values())]
+    coroot = keys.coroots.__getitem__
+    return [WeylElement(tuple(zip(*map(coroot, image)))) for image in images]
 
 
 def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:

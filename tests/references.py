@@ -44,6 +44,12 @@ invariant, :func:`root_row`, :func:`mat_pow`, the simple reflections
 (:func:`cofactor_adjugate`), the oracle of the elimination in
 ``exactalg.adjugate_int``.
 
+:func:`weyl_elements_by_rows` and :func:`weyl_classes_by_conjugation` are
+W and its conjugacy classes as the library computed them before it walked
+W on packed root-value keys: the closure carries a matrix per element and
+rebuilds one row per step, and each class is closed under the O(r * deg)
+matrix conjugations M -> s_i M s_i of :func:`conjugator`.
+
 :func:`monomial_lift_twist` and :func:`monomial_lift_sl_types` are the SL_n
 types as the library computed them before the involutions became the
 A_(n-1) flip with a base point: each generator of W^gamma is twisted by
@@ -56,7 +62,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from parahoric.alcove import simple_root_values
 from parahoric.cli import SCHEMA_VERSION, SL_VARIANTS, action_spec, types_parts
@@ -87,6 +93,8 @@ from parahoric.rootdata import (
     EnumerationCapError,
     RootDatum,
     WeylElement,
+    _left_multiplier,
+    _reflected_row,
     fixed_weyl_generators,
     orbit_partition,
 )
@@ -311,6 +319,74 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
 
 def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
+
+
+def weyl_elements_by_rows(datum: RootDatum) -> List[WeylElement]:
+    """W as the library closed it before its packed keys: each element is
+    keyed by the tuple of root values of w(x0) and carries its matrix, with
+    row i rebuilt for s_i w (``rootdata._left_multiplier``); sorted by
+    matrix."""
+    n = datum.rank
+    step = _left_multiplier(datum)
+    start = (1,) * n
+    seen: Dict[IntVector, IntMatrix] = {start: identity_matrix(n)}
+    frontier = [start]
+    while frontier:
+        images = (step(seen, key, i) for key in frontier for i in range(n) if key[i] > 0)
+        frontier = [image for image in images if image is not None]
+    return [WeylElement(M) for M in sorted(seen.values())]
+
+
+def conjugator(datum: RootDatum) -> Callable[[IntMatrix, int], IntMatrix]:
+    """The O(r * deg) step M -> s_i M s_i.  Row i is rebuilt as in
+    ``rootdata._left_multiplier``; then each row k with M_ki != 0 loses M_ki
+    times row i of the Cartan matrix, on the support of that Cartan row,
+    which is right multiplication by s_i (the identity but for row i,
+    e_i - c_i)."""
+    row = _reflected_row(datum)
+    supports = [[(j, c) for j, c in enumerate(cartan_row) if c]
+                for cartan_row in datum.cartan]
+
+    def conjugate(M: IntMatrix, i: int) -> IntMatrix:
+        rows = list(M)
+        rows[i] = row(M, i)
+        for k, r in enumerate(rows):
+            x = r[i]
+            if x:
+                r = list(r)
+                for j, c in supports[i]:
+                    r[j] -= x * c
+                rows[k] = tuple(r)
+        return tuple(rows)
+
+    return conjugate
+
+
+def weyl_classes_by_conjugation(datum: RootDatum,
+                                elements: Sequence[WeylElement]) -> List[FrozenSet[IntMatrix]]:
+    """The conjugacy classes of W as sets of matrices, as the library found
+    them before its packed keys: each class closed breadth-first under the
+    matrix conjugations of :func:`conjugator`, in the order of their first
+    members in ``elements``.  A conjugate outside ``elements`` is an
+    error."""
+    conjugate = conjugator(datum)
+    listed = {w.matrix for w in elements}
+    covered: set = set()
+    classes = []
+    for w in elements:
+        if w.matrix in covered:
+            continue
+        members = {w.matrix}
+        frontier = [w.matrix]
+        while frontier:
+            images = {conjugate(M, i) for M in frontier for i in range(datum.rank)}
+            if not images <= listed:
+                raise AssertionError(f"a conjugate of {w.matrix} in {datum.name} is not in W")
+            frontier = images - members
+            members |= frontier
+        covered |= members
+        classes.append(frozenset(members))
+    return classes
 
 
 def rank_range(max_rank: int) -> List[Tuple[str, int]]:

@@ -301,6 +301,16 @@ def test_burnside_oracle_with_base_twist():
                 assert got == burnside_type_count(datum, e, base=base)
 
 
+def test_burnside_oracle_on_e6():
+    # the cold E6 table is reached under the default cap
+    rng = random.Random(6)
+    datum = build_root_datum("E", 6)
+    for e in (2, 3):
+        for base in (None, _burnside_bases(datum, e, rng)[2]):
+            got = len(local_types(datum, trivial_action(6, e), base=base))
+            assert got == burnside_type_count(datum, e, base=base), (e, base)
+
+
 def _equidistant_base(datum, e):
     from parahoric.alcove import point_from_root_values, reduce_to_alcove
 

@@ -15,6 +15,7 @@ from parahoric.cohomology import (
     h1_elements,
     h1_structural,
     local_types,
+    trivial_action,
     types_of_classes,
 )
 from parahoric.alcove import point_from_root_values, simple_root_values
@@ -197,6 +198,15 @@ def test_the_permutation_cap_counts_classes_not_grid_points():
     with pytest.raises(EnumerationCapError,
                        match="^H\\^1 classes from sigma-orbit sums: 12 exceeds cap 11$"):
         h1_elements(d4, action, cap=11)
+
+
+def test_the_permutation_cap_names_the_whole_class_count():
+    # the count is formed over every orbit before the check: 10^7 on each
+    # of the three nodes of A3, not the 10^7 of the first node
+    with pytest.raises(EnumerationCapError) as info:
+        h1_elements(build_root_datum("A", 3), trivial_action(3, 10 ** 7))
+    assert str(info.value) == ("H^1 classes from sigma-orbit sums: "
+                               "1000000000000000000000 exceeds cap 1000000")
 
 
 @pytest.mark.parametrize("label,rank,perm,e", [

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -14,6 +16,7 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     EnumerationCapError,
+    WeylElement,
     build_root_datum,
     diagram_automorphism,
     fixed_weyl_generators,
@@ -35,6 +38,8 @@ from .references import (
     pairing,
     rank_range,
     simple_reflection,
+    weyl_classes_by_conjugation,
+    weyl_elements_by_rows,
     weyl_generators,
 )
 
@@ -173,6 +178,13 @@ def test_a_closure_that_misses_the_closed_form_is_a_hard_error(monkeypatch):
         rootdata._root_datum.__wrapped__("B", 3)
 
 
+def test_a_coroot_closure_that_misses_2_phi_plus_is_a_hard_error():
+    datum = build_root_datum("B", 3)
+    short = replace(datum, positive_roots=datum.positive_roots[1:])
+    with pytest.raises(AssertionError, match="B3 has 18 coroots, not 2 \\|Phi\\+\\| = 16"):
+        rootdata._packed_keys.__wrapped__(short)
+
+
 def test_simple_reflection_examples():
     d1 = build_root_datum("A", 1)
     s = simple_reflection(d1, 1)
@@ -276,21 +288,56 @@ def weyl_matrices_by_products(datum):
 
 
 def test_weyl_elements_match_the_matrix_product_closure():
+    # the elements as sets of matrices, against the product closure and the
+    # matrix-row engine; the classes as sets of sets of matrices: each class
+    # of weyl_classes is the oracle class of its representative, of the
+    # same size, and every oracle class is met once
     checked = []
     for label, rank in rank_range(8):
         datum = build_root_datum(label, rank)
-        if weyl_order(datum, cap=ORDER_CAP) <= 2000:
-            got = [w.matrix for w in weyl_elements(datum)]
-            assert got == weyl_matrices_by_products(datum), datum.name
-            checked.append(datum.name)
+        if weyl_order(datum, cap=ORDER_CAP) > 2000:
+            continue
+        elements = weyl_elements(datum)
+        oracle = weyl_elements_by_rows(datum)
+        products = weyl_matrices_by_products(datum)
+        assert sorted(w.matrix for w in elements) == products, datum.name
+        assert [w.matrix for w in oracle] == products, datum.name
+        expected = weyl_classes_by_conjugation(datum, oracle)
+        owner = {M: members for members in expected for M in members}
+        got = [(owner[w.matrix], size) for w, size in weyl_classes(datum, elements)]
+        assert all(len(members) == size for members, size in got), datum.name
+        assert {members for members, _ in got} == set(expected), datum.name
+        assert len(got) == len(expected), datum.name
+        checked.append(datum.name)
     assert len(checked) == 15 and {"F4", "D5"} <= set(checked)
+
+
+def test_weyl_elements_are_listed_by_length():
+    # the breadth-first levels of the closure: the length of w is its word
+    # length in the s_i, found level by level by left products of matrices
+    for label, rank in [("A", 3), ("B", 3), ("G", 2), ("D", 4), ("F", 4)]:
+        datum = build_root_datum(label, rank)
+        gens = [s.matrix for s in weyl_generators(datum)]
+        length = {identity_matrix(rank): 0}
+        frontier = [identity_matrix(rank)]
+        while frontier:
+            nxt = []
+            for M in frontier:
+                for s in gens:
+                    sM = mat_mul(s, M)
+                    if sM not in length:
+                        length[sM] = length[M] + 1
+                        nxt.append(sM)
+            frontier = nxt
+        lengths = [length[w.matrix] for w in weyl_elements(datum)]
+        assert lengths == sorted(lengths) and len(lengths) == len(length)
 
 
 def test_weyl_elements_refuses_over_cap_before_closure(monkeypatch):
     def no_closure(datum):
         raise AssertionError("the closure must not start")
 
-    monkeypatch.setattr(rootdata, "_left_multiplier", no_closure)
+    monkeypatch.setattr(rootdata, "_packed_keys", no_closure)
     with pytest.raises(EnumerationCapError) as info:
         weyl_elements(build_root_datum("E", 6), cap=1000)
     assert str(info.value) == "Weyl closure for E6: |W| = 51840 exceeds cap 1000"
@@ -302,7 +349,13 @@ WEYL_CLASS_COUNTS = {
     ("B", 2): 5, ("B", 3): 10, ("B", 4): 20, ("B", 5): 36,
     ("C", 2): 5, ("C", 3): 10, ("C", 4): 20, ("C", 5): 36,
     ("D", 4): 13, ("D", 5): 18, ("G", 2): 6, ("F", 4): 25,
+    ("E", 6): 25,
 }
+
+# The class sizes of W(E6), as sympy's PermutationGroup.conjugacy_classes
+# gives them for W acting on the 72 coroots (about 15 s, so not rerun here).
+E6_CLASS_SIZES = [1, 36, 45, 80, 240, 270, 480, 540, 540, 540, 720, 1440, 1440, 1440,
+                  1440, 1620, 2160, 3240, 4320, 4320, 4320, 5184, 5184, 5760, 6480]
 
 
 @pytest.mark.parametrize("label,rank", sorted(WEYL_CLASS_COUNTS))
@@ -314,12 +367,18 @@ def test_weyl_classes_match_the_known_class_counts(label, rank):
     order = weyl_order(datum)
     assert sum(size for _, size in classes) == order
     assert all(order % size == 0 for _, size in classes)
+    position = {w.matrix: k for k, w in enumerate(elements)}
+    reps = [position[w.matrix] for w, _ in classes]
+    assert reps == sorted(reps)
+    if (label, rank) == ("E", 6):
+        # 51840 * 6 conjugations by matrix products would take minutes
+        assert sorted(size for _, size in classes) == E6_CLASS_SIZES
+        return
     # each class, closed anew under s_i M s_i by plain matrix products,
     # has the size given and starts at its representative; together the
     # classes are W
     gens = [s.matrix for s in weyl_generators(datum)]
     covered = set()
-    reps = []
     for w, size in classes:
         members = {w.matrix}
         frontier = [w.matrix]
@@ -327,12 +386,10 @@ def test_weyl_classes_match_the_known_class_counts(label, rank):
             images = {mat_mul(mat_mul(s, M), s) for M in frontier for s in gens}
             frontier = images - members
             members |= frontier
-        assert len(members) == size and min(members) == w.matrix
+        assert len(members) == size and min(members, key=position.get) == w.matrix
         assert not members & covered
         covered |= members
-        reps.append(w.matrix)
-    assert covered == {w.matrix for w in elements}
-    assert reps == sorted(reps)
+    assert covered == set(position)
 
 
 def test_weyl_classes_refuse_a_list_that_is_not_w():
@@ -340,6 +397,11 @@ def test_weyl_classes_refuse_a_list_that_is_not_w():
     elements = weyl_elements(datum)
     with pytest.raises(AssertionError, match="in A2 is not in W"):
         weyl_classes(datum, elements[:-1])
+    with pytest.raises(AssertionError, match="element of W\\(A2\\) is listed twice"):
+        weyl_classes(datum, elements + elements[:1])
+    # a column that is no coroot
+    with pytest.raises(AssertionError, match=re.escape("((2, 0), (0, 1)) in A2 is not in W")):
+        weyl_classes(datum, elements[1:] + [WeylElement(((2, 0), (0, 1)))])
 
 
 def test_matrix_order_names_the_stage_and_the_cap():
