@@ -35,7 +35,6 @@ from .exactalg import (
 from .rootdata import (
     LatticeAutomorphism,
     RootDatum,
-    WeylElement,
     build_root_datum,
     diagram_automorphism,
     fixed_weyl_generators,

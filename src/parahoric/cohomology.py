@@ -373,20 +373,20 @@ def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[in
 
 @lru_cache(maxsize=None)
 def _generator_parts(datum: RootDatum, automorphism: LatticeAutomorphism) -> tuple:
-    """(q, twist, terms) per generator w_J of :func:`fixed_weyl_generators`,
-    built once per pair and process: q is the largest node of J, ``terms``
-    pairs the largest node of each sigma-orbit O with sum_{k in O} W[q][k]
-    where nonzero, and ``twist`` pairs each j in J with the integer
-    K_j = (w_J(x_j) - x_j)_q of the fundamental coweight x_j = adj(C)_j /
-    det(C).  w_J fixes every other x_k, so (w_J(b) - b)_q is
-    sum_j K_j <alpha_j, b>."""
+    """(q, twist, terms) per generator matrix W of w_J from
+    :func:`fixed_weyl_generators`, built once per pair and process: q is
+    the largest node of J, ``terms`` pairs the largest node of each
+    sigma-orbit O with sum_{k in O} W[q][k] where nonzero, and ``twist``
+    pairs each j in J with the integer K_j = (w_J(x_j) - x_j)_q of the
+    fundamental coweight x_j = adj(C)_j / det(C).  w_J fixes every other
+    x_k, so (w_J(b) - b)_q is sum_j K_j <alpha_j, b>."""
     generators = fixed_weyl_generators(datum, automorphism)
     orbits = automorphism.node_orbits
     adj, det = datum.cartan_inverse
     parts = []
     for J, w in zip(sorted(orbits), generators):
         q = J[-1]
-        row = w.matrix[q]
+        row = w[q]
         twist = tuple((j, sum((c - (k == q)) * adj[k][j] for k, c in enumerate(row)) // det)
                       for j in J)
         terms = tuple((orbit[-1], s) for orbit in orbits
@@ -475,9 +475,10 @@ def _burnside_table(
     classes of W with one Smith form per class.  W is closed, and its
     classes are found, on packed root-value keys (:func:`weyl_elements`,
     :func:`weyl_classes`: |W| * r conjugations of a few big-integer
-    operations each, no matrix product), and a class is represented by an
-    element of least length.  For the representative w of a class the Smith
-    form U (w - 1) V = D gives P = U (1 - w) and the diagonal |d_i|.
+    operations each, no matrix product), and a class is represented by the
+    matrix of an element of least length, the only matrices formed.  For
+    the representative w of a class the Smith form U (w - 1) V = D gives
+    P = U (1 - w) and the diagonal |d_i|.
     ``rows`` holds each distinct row of every P once.  The signature of w is
     its tuple of pairs (index of row i of P in ``rows``, |d_i|) over the i
     with |d_i| != 1, as a unit divisor poses no condition; ``signatures``
@@ -495,8 +496,8 @@ def _burnside_table(
         raise AssertionError(
             f"conjugacy classes of W({datum.name}) do not add up to |W| = {order}")
     for w, size in classes:
-        U, D, _ = smith_normal_form(mat_sub(w.matrix, one))
-        P = mat_mul(U, mat_sub(one, w.matrix))
+        U, D, _ = smith_normal_form(mat_sub(w, one))
+        P = mat_mul(U, mat_sub(one, w))
         signature = tuple((index.setdefault(row, len(index)), abs(D[i][i]))
                           for i, row in enumerate(P) if abs(D[i][i]) != 1)
         signatures[signature] = signatures.get(signature, 0) + size

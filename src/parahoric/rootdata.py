@@ -10,13 +10,16 @@ Conventions (Bourbaki numbering throughout):
 
 A root datum is built by closing the simple roots under the simple
 reflections, with a configurable cap checked against the closed-form size
-|Phi^+| * r^2 of that closure before it starts.  Weyl elements are integer
-matrices acting on the coroot lattice; the group is only ever materialized
-by breadth-first closure of the generators on packed integer keys, with a
-configurable cap that is checked against the order |W| before the closure
-starts, and its conjugacy classes are found on the same keys.  A lattice
-automorphism is a node permutation sigma; the subgroup W^sigma fixed by a
-diagram automorphism is only ever given by its generators.
+|Phi^+| * r^2 of that closure before it starts.  The Weyl group is only
+ever materialized by one breadth-first closure of the generators, each
+element held as a packed integer key of its root values and the places of
+the coroots it maps the simple coroots to, with a configurable cap that is
+checked against the order |W| before the closure starts; its conjugacy
+classes are found on the same keys.  An integer matrix on the coroot
+lattice is formed only for a class representative and for a generator of
+the subgroup W^sigma fixed by a diagram automorphism, which is only ever
+given by its generators.  A lattice automorphism is a node permutation
+sigma.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg import (
     IntMatrix,
@@ -242,50 +245,6 @@ def _root_datum(label: str, rank: int) -> RootDatum:
 # Weyl elements and lattice automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylElement:
-    """An element of W as an integer matrix on the coroot lattice."""
-
-    matrix: IntMatrix
-
-
-def _reflected_row(datum: RootDatum) -> Callable[[IntMatrix, int], IntVector]:
-    """``row(M, i)`` is row i of s_i M, the only row that differs from M:
-    sum_b (delta_ib - c_ib) M_b over the b with c_ib != 0."""
-    n = datum.rank
-    terms = [[(b, int(b == i) - c) for b, c in enumerate(row) if c]
-             for i, row in enumerate(datum.cartan)]
-
-    def row(M: IntMatrix, i: int) -> IntVector:
-        out = [0] * n
-        for b, k in terms[i]:
-            for j, v in enumerate(M[b]):
-                if v:
-                    out[j] += k * v
-        return tuple(out)
-
-    return row
-
-
-def _left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optional[IntVector]]:
-    """The O(r) step w -> s_i w: ``step(seen, key, i)`` maps the key v of w to
-    v_j - <alpha_j, alpha_i_coroot> v_i and, if that key is new to ``seen``,
-    stores the matrix of s_i w (that of w with row i rebuilt) and returns it."""
-    row = _reflected_row(datum)
-    columns = list(zip(*datum.cartan))
-
-    def step(seen: Dict[IntVector, IntMatrix], key: IntVector, i: int) -> Optional[IntVector]:
-        vi = key[i]
-        image = tuple(v - c * vi for v, c in zip(key, columns[i]))
-        if image in seen:
-            return None
-        M = seen[key]
-        seen[image] = M[:i] + (row(M, i),) + M[i + 1:]
-        return image
-
-    return step
-
-
 class _PackedKeys(NamedTuple):
     """W in integers, for :func:`weyl_elements` and :func:`weyl_classes`.
 
@@ -300,12 +259,10 @@ class _PackedKeys(NamedTuple):
     """
 
     coroots: Tuple[IntVector, ...]  # every coroot, the simple ones first
-    index: Dict[IntVector, int]  # a coroot -> its place in ``coroots``
     reflect: Tuple[Tuple[int, ...], ...]  # [i][c]: the place of s_i of coroot c
     values: Tuple[int, ...]  # [c]: the packed signed root values <alpha_j, c>
     width: int
     offset: int
-    zero: int  # the key of the root values 0: the offset in every field
     start: int  # the key of the identity: every v_j = 1
 
 
@@ -333,55 +290,42 @@ def _packed_keys(datum: RootDatum) -> _PackedKeys:
     values = tuple(sum(sum(map(mul, row, c)) << width * j for j, row in enumerate(cartan))
                    for c in coroots)
     offset = 1 << width - 1
-    zero = sum(offset << width * j for j in range(n))
-    return _PackedKeys(tuple(coroots), index, tuple(map(tuple, reflect)), values,
-                       width, offset, zero, zero + sum(1 << width * j for j in range(n)))
+    return _PackedKeys(tuple(coroots), tuple(map(tuple, reflect)), values, width, offset,
+                       sum(offset + 1 << width * j for j in range(n)))
 
 
 def weyl_classes(
-    datum: RootDatum, elements: Sequence[WeylElement]
-) -> List[Tuple[WeylElement, int]]:
-    """The conjugacy classes of W as (representative, class size) pairs.
+    datum: RootDatum, elements: Sequence[Tuple[int, IntVector]]
+) -> List[Tuple[IntMatrix, int]]:
+    """The conjugacy classes of W as (representative matrix, class size)
+    pairs.
 
-    ``elements`` is the whole of W, as :func:`weyl_elements` lists it.  Each
-    element is read as its packed key and the coroots w(alpha_k^v), the
-    columns of its matrix (:class:`_PackedKeys`).  Since s_i x0 = x0 -
-    alpha_i^v, w s_i has the key of w less the root values of
-    w(alpha_i^v), so s_i w s_i is one left step of that key and one
-    lookup.  Each class is closed breadth-first under these conjugations,
-    which generate conjugation by W, so the classes take |W| * r
-    conjugations of O(1) big-integer operations together, and no matrix
-    is formed.  A class is represented by its first member in the order
-    of ``elements`` (for :func:`weyl_elements`, an element of least
-    length), and the classes are listed in the order of their
-    representatives.  A column that is no coroot, a key met twice, a
-    conjugate outside ``elements``, or one in a class already closed, is a
-    hard error.
+    ``elements`` is the whole of W as :func:`weyl_elements` walks it: per
+    element w its packed key and the places of the coroots w(alpha_k^v)
+    (:class:`_PackedKeys`).  Since s_i x0 = x0 - alpha_i^v, w s_i has the
+    key of w less the root values of w(alpha_i^v), so s_i w s_i is one left
+    step of that key and one lookup.  Each class is closed breadth-first
+    under these conjugations, which generate conjugation by W, so the
+    classes take |W| * r conjugations of O(1) big-integer operations
+    together.  A class is represented by its first member in the order of
+    ``elements`` (for :func:`weyl_elements`, an element of least length),
+    and the classes are listed in the order of their representatives.  Only
+    a representative's matrix is formed, with the coroots w(alpha_k^v) as
+    its columns.  A key met twice is a hard error, and so is a conjugate
+    outside ``elements`` or in a class already closed; that error names the
+    element conjugated and the conjugate by their root values.
     """
     keys = _packed_keys(datum)
     values, width = keys.values, keys.width
-    adj, det = datum.cartan_inverse
-    # x0 = adj(C) (1, ..., 1) / det(C) on the simple coroots and a key is
-    # linear in its fields, so det(C) (key - zero) = sum_k u_k values[w(alpha_k^v)]
-    u = [sum(row) for row in adj]
-    zero = keys.zero
-    packed, images = [], []
-    for w in elements:
-        try:
-            image = tuple(map(keys.index.__getitem__, zip(*w.matrix)))
-        except KeyError:
-            raise AssertionError(f"{w.matrix} in {datum.name} is not in W") from None
-        packed.append(zero + sum(map(mul, u, map(values.__getitem__, image))) // det)
-        images.append(image)
-    place = {key: k for k, key in enumerate(packed)}
-    if len(place) != len(packed):
+    place = {key: k for k, (key, _) in enumerate(elements)}
+    if len(place) != len(elements):
         raise AssertionError(f"an element of W({datum.name}) is listed twice")
     mask, offset = (1 << width) - 1, keys.offset
     steps = [(i, width * i, values[i]) for i in range(datum.rank)]
     # the class number of each element, None while it is unassigned
-    owner: List[Optional[int]] = [None] * len(packed)
+    owner: List[Optional[int]] = [None] * len(elements)
     classes = []
-    for start, w in enumerate(elements):
+    for start in range(len(elements)):
         if owner[start] is not None:
             continue
         label = len(classes)
@@ -391,65 +335,66 @@ def weyl_classes(
         while frontier:
             nxt = []
             for k in frontier:
-                key, image = packed[k], images[k]
+                key, image = elements[k]
                 for i, shift, column in steps:
                     right = key - values[image[i]]  # w s_i
-                    conjugate = place.get(right - ((right >> shift & mask) - offset) * column)
+                    conjugate_key = right - ((right >> shift & mask) - offset) * column
+                    conjugate = place.get(conjugate_key)
                     held = owner[conjugate] if conjugate is not None else -1
                     if held is None:
                         owner[conjugate] = label
                         nxt.append(conjugate)
                     elif held != label:
+                        w, conjugated = (tuple((x >> width * j & mask) - offset
+                                               for j in range(datum.rank))
+                                         for x in (key, conjugate_key))
                         raise AssertionError(
-                            f"a conjugate of {w.matrix} in {datum.name} is not in W "
-                            f"or lies in another class")
+                            f"s{i + 1} w s{i + 1} for w with root values {w} in {datum.name} "
+                            f"has root values {conjugated}: not in W or in another class")
             size += len(nxt)
             frontier = nxt
-        classes.append((w, size))
+        classes.append((tuple(zip(*map(keys.coroots.__getitem__, elements[start][1]))), size))
     return classes
 
 
-def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[WeylElement]:
-    """The whole Weyl group by breadth-first closure, in order of length.
+def weyl_elements(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[Tuple[int, IntVector]]:
+    """The whole Weyl group by breadth-first closure, in order of length, as
+    one (packed key, coroot places) pair per element.
 
     An element w is walked as its packed key (:class:`_PackedKeys`: one
     field per node for the root value v_j = <alpha_j, w x0>, the height of
-    the root w^-1 alpha_j, so |v_j| <= ht(theta)) and the coroots
-    w(alpha_k^v), as places in the coroot list.  Left multiplication by s_i
-    maps the root values v of w to v_j - <alpha_j, alpha_i^v> v_i, which is
-    the key less v_i times the packed root values of alpha_i^v, and maps
-    each coroot c to s_i(c), a table lookup.  Since
-    x0 is dominant, s_i w is longer than w exactly when v_i > 0, so each
-    breadth-first level holds the elements of one length and a step with
-    v_i < 0 is skipped.  The matrix of w has the coroots w(alpha_k^v) as
-    its columns.  An order above ``cap`` is refused before the closure
-    starts, and the closure must reach exactly the order of
-    :func:`weyl_order`.
+    the root w^-1 alpha_j, so |v_j| <= ht(theta)) and the places of the
+    coroots w(alpha_k^v) in the coroot list, the columns of the matrix of
+    w; no matrix is formed.  Left multiplication by s_i maps the root values
+    v of w to v_j - <alpha_j, alpha_i^v> v_i, which is the key less v_i
+    times the packed root values of alpha_i^v, and maps each coroot c to
+    s_i(c), a table lookup.  Since x0 is dominant, s_i w is longer than w
+    exactly when v_i > 0, so each breadth-first level holds the elements of
+    one length and a step with v_i < 0 is skipped.  An order above ``cap``
+    is refused before the closure starts, and the closure must reach
+    exactly the order of :func:`weyl_order`.
     """
     order = weyl_order(datum, cap=cap)
     keys = _packed_keys(datum)
     values, reflect, width = keys.values, keys.reflect, keys.width
     mask, offset = (1 << width) - 1, keys.offset
     steps = [(width * i, values[i], reflect[i].__getitem__) for i in range(datum.rank)]
-    packed = [keys.start]
-    images = [tuple(range(datum.rank))]
+    elements = [(keys.start, tuple(range(datum.rank)))]
     seen = {keys.start}
-    for key, image in zip(packed, images):  # both grow while they are read
+    for key, image in elements:  # grows while it is read
         for shift, column, reflected in steps:
             vi = (key >> shift & mask) - offset
             if vi > 0:
                 left = key - vi * column
                 if left not in seen:
                     seen.add(left)
-                    packed.append(left)
-                    images.append(tuple(map(reflected, image)))
-    if len(packed) != order:
+                    elements.append((left, tuple(map(reflected, image))))
+    if len(elements) != order:
         raise AssertionError(
-            f"Weyl closure for {datum.name} has {len(packed)} elements, "
+            f"Weyl closure for {datum.name} has {len(elements)} elements, "
             f"the order formula gives {order}"
         )
-    coroot = keys.coroots.__getitem__
-    return [WeylElement(tuple(zip(*map(coroot, image)))) for image in images]
+    return elements
 
 
 def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:
@@ -537,27 +482,41 @@ def diagram_automorphism(datum: RootDatum, node_permutation: Sequence[int]) -> L
     return aut
 
 
-def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[WeylElement]:
+def fixed_weyl_generators(datum: RootDatum, aut: LatticeAutomorphism) -> List[IntMatrix]:
     """Generators of W^sigma, the Weyl elements commuting with the diagram
-    automorphism ``aut`` of a node permutation sigma (else ValueError): the
-    longest element w_J of the parabolic subgroup W_J of each sigma-orbit J
-    of the nodes, in the order of the least node of J (Steinberg,
-    Endomorphisms of linear algebraic groups, 1968).  Each w_J is an
-    involution, reached by the root-value descent of :func:`weyl_elements`:
-    from the key (1, ..., 1), apply s_i for i in J while v_i > 0.
+    automorphism ``aut`` of a node permutation sigma (else ValueError), as
+    matrices on the coroot lattice: the longest element w_J of the
+    parabolic subgroup W_J of each sigma-orbit J of the nodes, in the order
+    of the least node of J (Steinberg, Endomorphisms of linear algebraic
+    groups, 1968).  Each w_J is an involution, reached by the root-value
+    descent of :func:`weyl_elements` on one element: from the root values
+    (1, ..., 1) of the identity, apply s_i for the least i in J with
+    v_i > 0 while there is one.  The step s_i takes v_i times column i of
+    the Cartan matrix off the root values and rebuilds row i of the matrix,
+    the only row of s_i M that differs from M, as
+    sum_b (delta_ib - c_ib) M_b.
     """
-    n = datum.rank
     if not _preserves_cartan(datum, aut.node_permutation):
         raise ValueError("the automorphism is not a Dynkin-diagram symmetry")
-    step = _left_multiplier(datum)
-    one = identity_matrix(n)
+    cartan = datum.cartan
+    # row i of s_i M: the (b, delta_ib - c_ib) with c_ib != 0
+    terms = [[(b, int(b == i) - c) for b, c in enumerate(row) if c]
+             for i, row in enumerate(cartan)]
+    one = identity_matrix(datum.rank)
     gens = []
     for J in sorted(aut.node_orbits):
-        key = (1,) * n
-        seen = {key: one}
-        while any(key[j] > 0 for j in J):
-            key = step(seen, key, min(j for j in J if key[j] > 0))
-        gens.append(WeylElement(seen[key]))
+        values, rows = [1] * datum.rank, one
+        while any(values[j] > 0 for j in J):
+            i = min(j for j in J if values[j] > 0)
+            vi = values[i]
+            values = [v - c_j[i] * vi for v, c_j in zip(values, cartan)]
+            row = [0] * datum.rank
+            for b, k in terms[i]:
+                for j, x in enumerate(rows[b]):
+                    if x:
+                        row[j] += k * x
+            rows = rows[:i] + (tuple(row),) + rows[i + 1:]
+        gens.append(rows)
     return gens
 
 

@@ -9,8 +9,8 @@ it builds; the grid model serves any finite-order automorphism (-1, Weyl
 elements, the action -rho on the diagonals of SL_n), and checks the
 orbit-sum lists.  :class:`MatrixAutomorphism` is such an automorphism as
 its matrix, with its order read off the powers of the matrix
-(:func:`matrix_order`); :func:`weyl_element_automorphism` and
-:func:`diagonal_action` build it.  :func:`diagonal_action` is -rho, the
+(:func:`matrix_order`), such as the matrix of a Weyl element;
+:func:`diagonal_action` builds one.  :func:`diagonal_action` is -rho, the
 involution of the sum-zero diagonals that the SL_n reports write, so it is
 the oracle of the diagonal cocycle tables.
 :func:`cocycle_numerators` is the cocycle table by the matrix walk, for any
@@ -31,24 +31,28 @@ through ``json.dumps(indent=2, sort_keys=True)`` and through
 :func:`dict_types_text`, they are what the CLI must print.  Their cocycle
 rows come from the matrix walk of :func:`cocycle_numerators`.
 
-:func:`pairing`, :func:`all_coroots` and :func:`apply` are the root-datum
-and Weyl-element conveniences that no library code calls: the pairing of
-a root with a coweight through the integer root row, every coroot, and a
-lattice matrix applied to a coweight.  So are the mod-Z helpers
+:func:`pairing` and :func:`all_coroots` are the root-datum conveniences
+that no library code calls: the pairing of a root with a coweight through
+the integer root row, and every coroot.  So are the mod-Z helpers
 :func:`qz_add`, :func:`qz_sub`, :func:`mat_vec_qz` and
-:func:`solve_mod_z`, the automorphism :func:`weyl_element_automorphism` of
-a Weyl element, :func:`classes_equal`, the Fraction twin of the class
+:func:`solve_mod_z`, :func:`classes_equal`, the Fraction twin of the class
 invariant, :func:`root_row`, :func:`mat_pow`, the simple reflections
 (:func:`simple_reflection`, :func:`weyl_generators`), the list
 :func:`rank_range` of the simple types, and the adjugate by cofactors
 (:func:`cofactor_adjugate`), the oracle of the elimination in
-``exactalg.adjugate_int``.
+``exactalg.adjugate_int``.  A Weyl element is its integer matrix on the
+coroot lattice; :func:`weyl_matrices` forms the matrix of every element of
+``rootdata.weyl_elements`` from its coroot places, in the order of the
+closure.
 
-:func:`weyl_elements_by_rows` and :func:`weyl_classes_by_conjugation` are
-W and its conjugacy classes as the library computed them before it walked
-W on packed root-value keys: the closure carries a matrix per element and
-rebuilds one row per step, and each class is closed under the O(r * deg)
-matrix conjugations M -> s_i M s_i of :func:`conjugator`.
+:func:`weyl_elements_by_rows`, :func:`weyl_classes_by_conjugation` and
+:func:`fixed_weyl_generators_by_rows` are W, its conjugacy classes and the
+generators w_J of W^sigma as the library computed them before it walked W
+on packed root-value keys: the row descent of :func:`left_multiplier`
+carries a matrix per element in a dict keyed by the tuple of root values
+and rebuilds one row per step (:func:`reflected_row`), and each class is
+closed under the O(r * deg) matrix conjugations M -> s_i M s_i of
+:func:`conjugator`.
 
 :func:`monomial_lift_twist` and :func:`monomial_lift_sl_types` are the SL_n
 types as the library computed them before the involutions became the
@@ -91,12 +95,12 @@ from parahoric.exactalg import (
 from parahoric.rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
+    LatticeAutomorphism,
     RootDatum,
-    WeylElement,
-    _left_multiplier,
-    _reflected_row,
+    _packed_keys,
     fixed_weyl_generators,
     orbit_partition,
+    weyl_elements,
 )
 from parahoric.slmodel import (
     InvolutionSpec,
@@ -246,10 +250,6 @@ class MatrixAutomorphism:
         return matrix_order(self.matrix)
 
 
-def weyl_element_automorphism(w: WeylElement) -> MatrixAutomorphism:
-    return MatrixAutomorphism(w.matrix)
-
-
 def diagonal_action(spec: InvolutionSpec) -> GammaAction:
     """The involution on additive diagonal vectors, (Gz)_j = -z_{rho(j)} for
     the permutation rho of J, as an order-2 action: -rho, the oracle of the
@@ -301,7 +301,7 @@ def pairing(datum: RootDatum, root: Sequence[int], coweight: Sequence[Fraction])
     ))
 
 
-def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
+def simple_reflection(datum: RootDatum, i: int) -> IntMatrix:
     """s_i on the coroot lattice: v -> v - <alpha_i, v> alpha_i_coroot."""
     if not 1 <= i <= datum.rank:
         raise ValueError(f"reflection index {i} out of range")
@@ -314,36 +314,97 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
             rows.append(
                 tuple((1 if b == k else 0) - datum.cartan[k][b] for b in range(datum.rank))
             )
-    return WeylElement(tuple(rows))
+    return tuple(rows)
 
 
-def weyl_generators(datum: RootDatum) -> Tuple[WeylElement, ...]:
+def weyl_generators(datum: RootDatum) -> Tuple[IntMatrix, ...]:
     return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
 
 
-def weyl_elements_by_rows(datum: RootDatum) -> List[WeylElement]:
+def weyl_matrices(datum: RootDatum, cap: int = DEFAULT_CAP) -> List[IntMatrix]:
+    """The matrix of every element of W, in the order of
+    ``rootdata.weyl_elements``: its columns are the coroots w(alpha_k^v) at
+    the coroot places of the element."""
+    coroot = _packed_keys(datum).coroots.__getitem__
+    return [tuple(zip(*map(coroot, places))) for _, places in weyl_elements(datum, cap=cap)]
+
+
+def reflected_row(datum: RootDatum) -> Callable[[IntMatrix, int], IntVector]:
+    """``row(M, i)`` is row i of s_i M, the only row that differs from M:
+    sum_b (delta_ib - c_ib) M_b over the b with c_ib != 0."""
+    n = datum.rank
+    terms = [[(b, int(b == i) - c) for b, c in enumerate(row) if c]
+             for i, row in enumerate(datum.cartan)]
+
+    def row(M: IntMatrix, i: int) -> IntVector:
+        out = [0] * n
+        for b, k in terms[i]:
+            for j, v in enumerate(M[b]):
+                if v:
+                    out[j] += k * v
+        return tuple(out)
+
+    return row
+
+
+def left_multiplier(datum: RootDatum) -> Callable[[Dict, IntVector, int], Optional[IntVector]]:
+    """The O(r) step w -> s_i w: ``step(seen, key, i)`` maps the key v of w to
+    v_j - <alpha_j, alpha_i_coroot> v_i and, if that key is new to ``seen``,
+    stores the matrix of s_i w (that of w with row i rebuilt) and returns it."""
+    row = reflected_row(datum)
+    columns = list(zip(*datum.cartan))
+
+    def step(seen: Dict[IntVector, IntMatrix], key: IntVector, i: int) -> Optional[IntVector]:
+        vi = key[i]
+        image = tuple(v - c * vi for v, c in zip(key, columns[i]))
+        if image in seen:
+            return None
+        M = seen[key]
+        seen[image] = M[:i] + (row(M, i),) + M[i + 1:]
+        return image
+
+    return step
+
+
+def weyl_elements_by_rows(datum: RootDatum) -> List[IntMatrix]:
     """W as the library closed it before its packed keys: each element is
     keyed by the tuple of root values of w(x0) and carries its matrix, with
-    row i rebuilt for s_i w (``rootdata._left_multiplier``); sorted by
-    matrix."""
+    row i rebuilt for s_i w (:func:`left_multiplier`); sorted."""
     n = datum.rank
-    step = _left_multiplier(datum)
+    step = left_multiplier(datum)
     start = (1,) * n
     seen: Dict[IntVector, IntMatrix] = {start: identity_matrix(n)}
     frontier = [start]
     while frontier:
         images = (step(seen, key, i) for key in frontier for i in range(n) if key[i] > 0)
         frontier = [image for image in images if image is not None]
-    return [WeylElement(M) for M in sorted(seen.values())]
+    return sorted(seen.values())
+
+
+def fixed_weyl_generators_by_rows(datum: RootDatum,
+                                  aut: LatticeAutomorphism) -> List[IntMatrix]:
+    """The matrices w_J of ``rootdata.fixed_weyl_generators`` by the row
+    descent of :func:`left_multiplier`: from the key (1, ..., 1), apply s_i
+    for the least i in J with v_i > 0 while there is one."""
+    n = datum.rank
+    step = left_multiplier(datum)
+    gens = []
+    for J in sorted(aut.node_orbits):
+        key = (1,) * n
+        seen = {key: identity_matrix(n)}
+        while any(key[j] > 0 for j in J):
+            key = step(seen, key, min(j for j in J if key[j] > 0))
+        gens.append(seen[key])
+    return gens
 
 
 def conjugator(datum: RootDatum) -> Callable[[IntMatrix, int], IntMatrix]:
     """The O(r * deg) step M -> s_i M s_i.  Row i is rebuilt as in
-    ``rootdata._left_multiplier``; then each row k with M_ki != 0 loses M_ki
+    :func:`left_multiplier`; then each row k with M_ki != 0 loses M_ki
     times row i of the Cartan matrix, on the support of that Cartan row,
     which is right multiplication by s_i (the identity but for row i,
     e_i - c_i)."""
-    row = _reflected_row(datum)
+    row = reflected_row(datum)
     supports = [[(j, c) for j, c in enumerate(cartan_row) if c]
                 for cartan_row in datum.cartan]
 
@@ -363,25 +424,25 @@ def conjugator(datum: RootDatum) -> Callable[[IntMatrix, int], IntMatrix]:
 
 
 def weyl_classes_by_conjugation(datum: RootDatum,
-                                elements: Sequence[WeylElement]) -> List[FrozenSet[IntMatrix]]:
+                                elements: Sequence[IntMatrix]) -> List[FrozenSet[IntMatrix]]:
     """The conjugacy classes of W as sets of matrices, as the library found
     them before its packed keys: each class closed breadth-first under the
     matrix conjugations of :func:`conjugator`, in the order of their first
     members in ``elements``.  A conjugate outside ``elements`` is an
     error."""
     conjugate = conjugator(datum)
-    listed = {w.matrix for w in elements}
+    listed = set(elements)
     covered: set = set()
     classes = []
     for w in elements:
-        if w.matrix in covered:
+        if w in covered:
             continue
-        members = {w.matrix}
-        frontier = [w.matrix]
+        members = {w}
+        frontier = [w]
         while frontier:
             images = {conjugate(M, i) for M in frontier for i in range(datum.rank)}
             if not images <= listed:
-                raise AssertionError(f"a conjugate of {w.matrix} in {datum.name} is not in W")
+                raise AssertionError(f"a conjugate of {w} in {datum.name} is not in W")
             frontier = images - members
             members |= frontier
         covered |= members
@@ -412,11 +473,6 @@ def all_coroots(datum: RootDatum) -> tuple:
     """The coroots of the positive roots, then their negatives."""
     plus = [datum.coroot(r) for r in datum.positive_roots]
     return tuple(plus) + tuple(tuple(-x for x in v) for v in plus)
-
-
-def apply(element, coweight: Sequence[Fraction]) -> tuple:
-    """A Weyl element or lattice automorphism applied to a coweight."""
-    return mat_vec(element.matrix, coweight)
 
 
 def _norm_kills(norm, t):
@@ -594,15 +650,15 @@ def coroot_coordinates(t: Sequence[Fraction]) -> QZVector:
     return qz_vector(itertools.accumulate(t[:-1]))
 
 
-def weyl_permutation(w: WeylElement) -> tuple:
+def weyl_permutation(w: IntMatrix) -> tuple:
     """The permutation sigma with w(e_j) = e_sigma(j) of a Weyl element of
     A_(n-1), read off the images e_sigma(j) - e_sigma(j+1) of its coroots."""
     images = [tuple(b - a for a, b in zip((0,) + column, column + (0,)))
-              for column in zip(*w.matrix)]
+              for column in zip(*w)]
     return tuple(image.index(1) for image in images) + (images[-1].index(-1),)
 
 
-def monomial_lift_twist(w: WeylElement, spec: InvolutionSpec) -> QZVector:
+def monomial_lift_twist(w: IntMatrix, spec: InvolutionSpec) -> QZVector:
     """t_w of the monomial lift of the permutation of w, in coroot
     coordinates."""
     return coroot_coordinates(t_w(lift_of_permutation(weyl_permutation(w)), spec))
@@ -619,7 +675,7 @@ def monomial_lift_sl_types(n: int, spec: InvolutionSpec,
     lattice = h1_elements(datum, action).representatives
     if classes is not None and classes.representatives != tuple(map(sl_diagonal, lattice)):
         raise AssertionError("the diagonal classes are not those of the flip")
-    maps = [lambda t, M=w.matrix, c=monomial_lift_twist(w, spec): qz_add(mat_vec_qz(M, t), c)
+    maps = [lambda t, M=w, c=monomial_lift_twist(w, spec): qz_add(mat_vec_qz(M, t), c)
             for w in fixed_weyl_generators(datum, action.automorphism)]
     member = ImageMembership(action.coboundary_matrix())
     types = class_orbits(lattice, action.norm_matrix(), member.invariant, maps)

@@ -26,7 +26,6 @@ from parahoric.cohomology import (
 )
 from parahoric.rootdata import (
     build_root_datum,
-    weyl_elements,
     weyl_order,
 )
 from parahoric.slmodel import (
@@ -39,7 +38,13 @@ from parahoric.slmodel import (
     variant_involution,
 )
 
-from .references import grid_h1_elements, pairing, rank_range, weyl_element_automorphism
+from .references import (
+    MatrixAutomorphism,
+    grid_h1_elements,
+    pairing,
+    rank_range,
+    weyl_matrices,
+)
 
 
 def report(n, text):
@@ -121,8 +126,7 @@ def test_criterion_5_oracle_equivalence():
             e = aut.order * rng.randint(1, 6 // aut.order)
             action = GammaAction(e, aut)
         else:
-            w = rng.choice(weyl_elements(datum, cap=10 ** 4))
-            aut = weyl_element_automorphism(w)
+            aut = MatrixAutomorphism(rng.choice(weyl_matrices(datum, cap=10 ** 4)))
             if aut.order > 6:
                 continue
             e = aut.order * rng.randint(1, 6 // aut.order)

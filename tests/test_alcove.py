@@ -23,14 +23,14 @@ from parahoric.alcove import (
     vertex_prime_data,
 )
 from parahoric.cohomology import local_types, trivial_action
+from parahoric.exactalg import mat_vec
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
     orbit_partition,
-    weyl_elements,
 )
 
-from .references import apply, pairing, rank_range, weyl_generators
+from .references import pairing, rank_range, weyl_generators, weyl_matrices
 
 
 def rv_point(datum, *values):
@@ -316,8 +316,8 @@ def orbit_types_reference(datum, a, e):
     """The |W| * e^r enumeration: reduce every distinct w(a) + mu/e, for w in
     W and mu in {0..e-1}^r, into the alcove and deduplicate."""
     candidates = set()
-    for w in weyl_elements(datum):
-        wa = apply(w, tuple(F(x) for x in a))
+    for w in weyl_matrices(datum):
+        wa = mat_vec(w, tuple(F(x) for x in a))
         for mu in product(range(e), repeat=datum.rank):
             candidates.add(tuple(x + F(m, e) for x, m in zip(wa, mu)))
     return sorted({reduce_to_alcove(datum, c)[0] for c in candidates})
@@ -409,7 +409,7 @@ def grid_orbit_count_bruteforce(datum, a, e):
     grid = [tuple(F(v, D) for v in combo) for combo in product(range(D), repeat=r)]
     gens = []
     for w in weyl_generators(datum):
-        gens.append(lambda p, w=w: tuple(x % 1 for x in apply(w, p)))
+        gens.append(lambda p, w=w: tuple(x % 1 for x in mat_vec(w, p)))
     for j in range(r):
         gens.append(
             lambda p, j=j: tuple(

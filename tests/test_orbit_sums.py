@@ -116,13 +116,13 @@ def _bases(aut, rank, e):
 
 def _base_lift(c):
     """The lifts w^-1(c) - c of the base point c."""
-    return lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w.matrix), c)), qz_vector(c))
+    return lambda w: qz_sub(qz_vector(mat_vec(_integer_inverse(w), c)), qz_vector(c))
 
 
 def _reference_types(datum, action, lift):
     """The orbits under the generators of W^sigma by ``class_orbits`` on the
     grid classes, each generator applied as t -> w(t) + lift(w)."""
-    maps = [lambda t, M=w.matrix, t_w=qz_vector(lift(w)): qz_add(mat_vec_qz(M, t), t_w)
+    maps = [lambda t, M=w, t_w=qz_vector(lift(w)): qz_add(mat_vec_qz(M, t), t_w)
             for w in fixed_weyl_generators(datum, action.automorphism)]
     member = ImageMembership(action.coboundary_matrix())
     return class_orbits(grid_classes(action), action.norm_matrix(),

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
@@ -16,7 +17,6 @@ from parahoric.exactalg import (
 )
 from parahoric.rootdata import (
     EnumerationCapError,
-    WeylElement,
     build_root_datum,
     diagram_automorphism,
     fixed_weyl_generators,
@@ -31,8 +31,8 @@ from parahoric.rootdata import (
 from .references import (
     MatrixAutomorphism,
     all_coroots,
-    apply,
     cofactor_adjugate,
+    fixed_weyl_generators_by_rows,
     mat_pow,
     matrix_order,
     pairing,
@@ -41,6 +41,7 @@ from .references import (
     weyl_classes_by_conjugation,
     weyl_elements_by_rows,
     weyl_generators,
+    weyl_matrices,
 )
 
 POSITIVE_ROOT_COUNTS = {
@@ -188,10 +189,10 @@ def test_a_coroot_closure_that_misses_2_phi_plus_is_a_hard_error():
 def test_simple_reflection_examples():
     d1 = build_root_datum("A", 1)
     s = simple_reflection(d1, 1)
-    assert apply(s, (1,)) == (-1,)
+    assert mat_vec(s, (1,)) == (-1,)
     d2 = build_root_datum("A", 2)
     s1 = simple_reflection(d2, 1)
-    assert apply(s1, (0, 1)) == (1, 1)
+    assert mat_vec(s1, (0, 1)) == (1, 1)
     with pytest.raises(ValueError):
         simple_reflection(d2, 3)
 
@@ -202,11 +203,11 @@ def test_reflections_are_involutions_and_braid_orders(label, rank):
     datum = build_root_datum(label, rank)
     gens = weyl_generators(datum)
     for i, si in enumerate(gens):
-        assert mat_pow(si.matrix, 2) == identity_matrix(rank)
+        assert mat_pow(si, 2) == identity_matrix(rank)
         for j, sj in enumerate(gens):
             if i == j:
                 continue
-            prod = mat_mul(si.matrix, sj.matrix)
+            prod = mat_mul(si, sj)
             # braid order from the product of off-diagonal Cartan entries
             m = {0: 2, 1: 3, 2: 4, 3: 6}[datum.cartan[i][j] * datum.cartan[j][i]]
             assert mat_pow(prod, m) == identity_matrix(rank)
@@ -272,7 +273,7 @@ def test_weyl_order_formula_matches_the_closure():
 def weyl_matrices_by_products(datum):
     """Reference closure: right-multiply by the generator matrices until no
     new matrix appears; sorted."""
-    gens = [g.matrix for g in weyl_generators(datum)]
+    gens = weyl_generators(datum)
     seen = {identity_matrix(datum.rank)}
     frontier = list(seen)
     while frontier:
@@ -300,11 +301,11 @@ def test_weyl_elements_match_the_matrix_product_closure():
         elements = weyl_elements(datum)
         oracle = weyl_elements_by_rows(datum)
         products = weyl_matrices_by_products(datum)
-        assert sorted(w.matrix for w in elements) == products, datum.name
-        assert [w.matrix for w in oracle] == products, datum.name
+        assert sorted(weyl_matrices(datum)) == products, datum.name
+        assert oracle == products, datum.name
         expected = weyl_classes_by_conjugation(datum, oracle)
         owner = {M: members for members in expected for M in members}
-        got = [(owner[w.matrix], size) for w, size in weyl_classes(datum, elements)]
+        got = [(owner[w], size) for w, size in weyl_classes(datum, elements)]
         assert all(len(members) == size for members, size in got), datum.name
         assert {members for members, _ in got} == set(expected), datum.name
         assert len(got) == len(expected), datum.name
@@ -317,7 +318,7 @@ def test_weyl_elements_are_listed_by_length():
     # length in the s_i, found level by level by left products of matrices
     for label, rank in [("A", 3), ("B", 3), ("G", 2), ("D", 4), ("F", 4)]:
         datum = build_root_datum(label, rank)
-        gens = [s.matrix for s in weyl_generators(datum)]
+        gens = weyl_generators(datum)
         length = {identity_matrix(rank): 0}
         frontier = [identity_matrix(rank)]
         while frontier:
@@ -329,7 +330,7 @@ def test_weyl_elements_are_listed_by_length():
                         length[sM] = length[M] + 1
                         nxt.append(sM)
             frontier = nxt
-        lengths = [length[w.matrix] for w in weyl_elements(datum)]
+        lengths = [length[w] for w in weyl_matrices(datum)]
         assert lengths == sorted(lengths) and len(lengths) == len(length)
 
 
@@ -367,8 +368,8 @@ def test_weyl_classes_match_the_known_class_counts(label, rank):
     order = weyl_order(datum)
     assert sum(size for _, size in classes) == order
     assert all(order % size == 0 for _, size in classes)
-    position = {w.matrix: k for k, w in enumerate(elements)}
-    reps = [position[w.matrix] for w, _ in classes]
+    position = {w: k for k, w in enumerate(weyl_matrices(datum))}
+    reps = [position[w] for w, _ in classes]
     assert reps == sorted(reps)
     if (label, rank) == ("E", 6):
         # 51840 * 6 conjugations by matrix products would take minutes
@@ -377,31 +378,52 @@ def test_weyl_classes_match_the_known_class_counts(label, rank):
     # each class, closed anew under s_i M s_i by plain matrix products,
     # has the size given and starts at its representative; together the
     # classes are W
-    gens = [s.matrix for s in weyl_generators(datum)]
+    gens = weyl_generators(datum)
     covered = set()
     for w, size in classes:
-        members = {w.matrix}
-        frontier = [w.matrix]
+        members = {w}
+        frontier = [w]
         while frontier:
             images = {mat_mul(mat_mul(s, M), s) for M in frontier for s in gens}
             frontier = images - members
             members |= frontier
-        assert len(members) == size and min(members, key=position.get) == w.matrix
+        assert len(members) == size and min(members, key=position.get) == w
         assert not members & covered
         covered |= members
     assert covered == set(position)
 
 
+def test_the_class_sweep_forms_no_matrix_per_element():
+    # W(B5) has 3840 elements; a 5 x 5 matrix formed for each of them lifts
+    # the traced peak of the closure and the class sweep to about 3 MB
+    datum = build_root_datum("B", 5)
+    rootdata._packed_keys.cache_clear()
+    tracemalloc.start()
+    try:
+        classes = weyl_classes(datum, weyl_elements(datum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == WEYL_CLASS_COUNTS["B", 5]
+    assert peak < 1.5 * 10 ** 6, peak
+
+
 def test_weyl_classes_refuse_a_list_that_is_not_w():
     datum = build_root_datum("A", 2)
     elements = weyl_elements(datum)
-    with pytest.raises(AssertionError, match="in A2 is not in W"):
+    # without the longest element, root values (-1, -1): s2 s1 s2 is it
+    with pytest.raises(AssertionError, match=re.escape(
+            "s2 w s2 for w with root values (-1, 2) in A2 has root values (-1, -1): "
+            "not in W or in another class")):
         weyl_classes(datum, elements[:-1])
     with pytest.raises(AssertionError, match="element of W\\(A2\\) is listed twice"):
         weyl_classes(datum, elements + elements[:1])
-    # a column that is no coroot
-    with pytest.raises(AssertionError, match=re.escape("((2, 0), (0, 1)) in A2 is not in W")):
-        weyl_classes(datum, elements[1:] + [WeylElement(((2, 0), (0, 1)))])
+    # the identity's places under the key of root values (2, 1)
+    start, places = elements[0]
+    with pytest.raises(AssertionError, match=re.escape(
+            "s1 w s1 for w with root values (2, 1) in A2 has root values (0, 2): "
+            "not in W or in another class")):
+        weyl_classes(datum, elements[1:] + [(start + 1, places)])
 
 
 def test_matrix_order_names_the_stage_and_the_cap():
@@ -419,8 +441,8 @@ def test_weyl_matrices_permute_coroots():
     for label, rank in [("A", 2), ("B", 2), ("G", 2), ("C", 3)]:
         datum = build_root_datum(label, rank)
         coroots = set(all_coroots(datum))
-        for w in weyl_elements(datum):
-            assert {tuple(apply(w, c)) for c in coroots} == coroots
+        for w in weyl_matrices(datum):
+            assert {tuple(mat_vec(w, c)) for c in coroots} == coroots
 
 
 def test_longest_element_negates_positive_roots():
@@ -429,8 +451,8 @@ def test_longest_element_negates_positive_roots():
         datum = build_root_datum(label, rank)
         plus = [datum.coroot(r) for r in datum.positive_roots]
         found = False
-        for w in weyl_elements(datum):
-            if all(tuple(-x for x in apply(w, c)) in set(plus) for c in plus):
+        for w in weyl_matrices(datum):
+            if all(tuple(-x for x in mat_vec(w, c)) in set(plus) for c in plus):
                 found = True
                 break
         assert found, f"no longest element found for {label}{rank}"
@@ -442,8 +464,8 @@ def test_diagram_automorphisms():
     assert ident.matrix == identity_matrix(3) and ident.order == 1
     flip = diagram_automorphism(d3, (2, 1, 0))
     assert flip.order == 2
-    assert apply(flip, (1, 0, 0)) == (0, 0, 1)
-    assert apply(flip, (0, 1, 0)) == (0, 1, 0)
+    assert mat_vec(flip.matrix, (1, 0, 0)) == (0, 0, 1)
+    assert mat_vec(flip.matrix, (0, 1, 0)) == (0, 1, 0)
     d4 = build_root_datum("D", 4)
     tri = diagram_automorphism(d4, (2, 1, 3, 0))
     assert tri.order == 3
@@ -463,9 +485,9 @@ def test_the_order_is_read_off_the_permutation(monkeypatch):
 
     permutations = [aut for label, rank in rank_range(6)
                     for aut in diagram_symmetries(build_root_datum(label, rank))]
-    others = [w.matrix for label, rank in rank_range(4)
-              for w in weyl_elements(build_root_datum(label, rank))
-              if w.matrix != identity_matrix(rank)]
+    others = [w for label, rank in rank_range(4)
+              for w in weyl_matrices(build_root_datum(label, rank))
+              if w != identity_matrix(rank)]
     others += [tuple(tuple(-x for x in row) for row in identity_matrix(r))
                for r in range(1, 9)]
     for aut in permutations:
@@ -487,8 +509,7 @@ def test_the_order_is_read_off_the_permutation(monkeypatch):
 def fixed_weyl_subgroup(datum, aut):
     """Reference: every w in W commuting with the automorphism."""
     A = aut.matrix
-    return [w for w in weyl_elements(datum)
-            if mat_mul(A, w.matrix) == mat_mul(w.matrix, A)]
+    return [w for w in weyl_matrices(datum) if mat_mul(A, w) == mat_mul(w, A)]
 
 
 def regular_coweight(datum):
@@ -502,7 +523,7 @@ def generated_orbit(gens, x):
     seen = {x}
     frontier = [x]
     while frontier:
-        frontier = list({mat_vec(g.matrix, y) for y in frontier for g in gens} - seen)
+        frontier = list({mat_vec(g, y) for y in frontier for g in gens} - seen)
         seen.update(frontier)
     return seen
 
@@ -516,15 +537,15 @@ def test_fixed_weyl_subgroup():
     flip = diagram_automorphism(d3, (2, 1, 0))
     fixed = fixed_weyl_subgroup(d3, flip)
     assert len(fixed) == 8
-    mats = {w.matrix for w in fixed}
+    mats = set(fixed)
     for a in fixed:
         assert _inverse_in(mats, a)
         for b in fixed:
-            assert mat_mul(a.matrix, b.matrix) in mats
+            assert mat_mul(a, b) in mats
     assert len(full) % len(fixed) == 0
     x = regular_coweight(d3)
     assert generated_orbit(fixed_weyl_generators(d3, flip), x) \
-        == {mat_vec(w.matrix, x) for w in fixed}
+        == {mat_vec(w, x) for w in fixed}
     # the identity has one orbit per node: the simple reflections
     assert fixed_weyl_generators(d3, identity_automorphism(3)) == list(weyl_generators(d3))
     # A2 folds to A1: fixed subgroup of order 2
@@ -554,7 +575,7 @@ def test_fixed_weyl_generators_close_to_the_fixed_subgroup():
             continue
         x = regular_coweight(datum)
         for aut in diagram_symmetries(datum):
-            reference = {mat_vec(w.matrix, x) for w in fixed_weyl_subgroup(datum, aut)}
+            reference = {mat_vec(w, x) for w in fixed_weyl_subgroup(datum, aut)}
             assert generated_orbit(fixed_weyl_generators(datum, aut), x) == reference, \
                 (datum.name, aut.matrix)
             checked += 1
@@ -576,18 +597,24 @@ def flip(datum):
 
 @pytest.mark.parametrize("label,rank,order", [("E", 6, 1152), ("D", 6, 3840),
                                               ("A", 6, 48), ("A", 7, 384),
-                                              ("A", 8, 384)])
+                                              ("A", 8, 384), ("E", 7, None),
+                                              ("E", 8, None)])
 def test_fixed_weyl_generators_of_large_flips(label, rank, order):
-    # the folded types F4, B5, B3, B4 and B4
+    # the folded types F4, B5, B3, B4 and B4; E7 and E8 have no flip and run
+    # under the identity, where W^sigma is all of W, too large to orbit
     datum = build_root_datum(label, rank)
-    aut = flip(datum)
+    aut = flip(datum) if order else identity_automorphism(rank)
     A = aut.matrix
     gens = fixed_weyl_generators(datum, aut)
+    assert gens == fixed_weyl_generators_by_rows(datum, aut)
     assert len(gens) == len({frozenset((i, A[i].index(1))) for i in range(rank)})
     for g in gens:
-        assert mat_mul(g.matrix, g.matrix) == identity_matrix(rank)
-        assert mat_mul(A, g.matrix) == mat_mul(g.matrix, A)
-    assert len(generated_orbit(gens, regular_coweight(datum))) == order
+        assert mat_mul(g, g) == identity_matrix(rank)
+        assert mat_mul(A, g) == mat_mul(g, A)
+    if order:
+        assert len(generated_orbit(gens, regular_coweight(datum))) == order
+    else:
+        assert gens == list(weyl_generators(datum))
 
 
 def permutation_of(w, n):
@@ -595,7 +622,7 @@ def permutation_of(w, n):
     in the Weyl group of A_(n-1), whose coroots are e_(k-1) - e_k."""
     x = tuple(n - 1 - 2 * j for j in range(n))  # distinct entries, sum 0
     coroot = tuple(sum(x[:k]) for k in range(1, n))
-    c = (0,) + mat_vec(w.matrix, coroot) + (0,)
+    c = (0,) + mat_vec(w, coroot) + (0,)
     y = tuple(c[j + 1] - c[j] for j in range(n))
     return tuple(y.index(v) for v in x)
 
@@ -624,12 +651,12 @@ def test_fixed_weyl_generators_reject_non_diagram_automorphisms():
 
 
 def _inverse_in(mats, w):
-    n = len(w.matrix)
-    p = w.matrix
+    n = len(w)
+    p = w
     for _ in range(100):
         if p == identity_matrix(n):
             return True
-        p = mat_mul(p, w.matrix)
+        p = mat_mul(p, w)
     return False
 
 
@@ -643,16 +670,16 @@ def test_orbit_partition_a2_two_torsion():
     d2 = build_root_datum("A", 2)
     pts = [(F(a, 2), F(b, 2)) for a in range(2) for b in range(2)]
     maps = [
-        (lambda p, w=w: tuple(x % 1 for x in apply(w, p)))
+        (lambda p, w=w: tuple(x % 1 for x in mat_vec(w, p)))
         for w in weyl_generators(d2)
     ]
     orbits = orbit_partition(pts, maps)
     assert sorted(len(o) for o in orbits) == [1, 3]
     # Burnside over S3: (4 + 3*2 + 2*1) / 6 = 2
     fixed_total = 0
-    for w in weyl_elements(d2):
+    for w in weyl_matrices(d2):
         fixed_total += sum(
-            1 for p in pts if tuple(x % 1 for x in apply(w, p)) == p
+            1 for p in pts if tuple(x % 1 for x in mat_vec(w, p)) == p
         )
     assert fixed_total // 6 == len(orbits) == 2
 
@@ -661,7 +688,7 @@ def test_orbit_partition_order_independent():
     d2 = build_root_datum("A", 2)
     pts = [(F(a, 3), F(b, 3)) for a in range(3) for b in range(3)]
     maps = [
-        (lambda p, w=w: tuple(x % 1 for x in apply(w, p)))
+        (lambda p, w=w: tuple(x % 1 for x in mat_vec(w, p)))
         for w in weyl_generators(d2)
     ]
     rng = random.Random(5)
@@ -680,9 +707,9 @@ def test_orbit_partition_accepts_weyl_elements_and_twists():
     pts = [(F(k, 5),) for k in range(5)]
     s = simple_reflection(d1, 1)
     # the Weyl element mod 1: plain inversion, floor((5+2)/2) = 3 orbits
-    assert len(orbit_partition(pts, [lambda p: tuple(x % 1 for x in apply(s, p))])) == 3
+    assert len(orbit_partition(pts, [lambda p: tuple(x % 1 for x in mat_vec(s, p))])) == 3
     # twisted: t -> -t - 1/5, the worked-example action, 3 orbits
-    twisted = orbit_partition(pts, [lambda p: tuple((x - F(1, 5)) % 1 for x in apply(s, p))])
+    twisted = orbit_partition(pts, [lambda p: tuple((x - F(1, 5)) % 1 for x in mat_vec(s, p))])
     assert len(twisted) == 3
     assert twisted[0] == ((F(0),), (F(4, 5),))
 
