@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, common_numerators, det_int
+from .exactalg import QZVector, common_numerators, det_int, grid_numerators
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -70,13 +70,26 @@ def reduce_to_alcove(
 ) -> Tuple[AlcovePoint, Tuple[int, ...]]:
     """Fold x into the closed fundamental alcove; the word lists the walls
     (0 for the theta-wall, i for the i-th simple wall) in reflection order.
+    The fold runs on the numerators of x over its least common denominator
+    (:func:`fold_numerators`), whose cap and checks apply."""
+    D, X, values = _root_numerators(datum, x)
+    X, _, word = fold_numerators(datum, D, list(X), values, cap)
+    return tuple(Fraction(a, D) for a in X), tuple(word)
+
+
+def fold_numerators(
+    datum: RootDatum, D: int, X: List[int], values: List[int], cap: int = DEFAULT_CAP
+) -> Tuple[List[int], List[int], List[int]]:
+    """Fold the point X / D, whose root values are ``values`` / D (values =
+    C X), into the closed fundamental alcove, in place: (X, values, word)
+    after the fold, the word as in :func:`reduce_to_alcove`.
 
     Each step reflects across the first simple wall with a negative root
-    value, or else across the theta-wall when <theta, x> > 1.  The fold runs
-    on the numerators X and V = C X over the denominator D of x, which no
-    reflection changes: s_i lowers X_i by V_i and V_j by c_ji V_i, the
-    theta-reflection subtracts its excess times the theta-coroot, and
-    <theta, x> = sum_i m_i V_i / D for the marks m.
+    value, or else across the theta-wall when <theta, x> > 1.  No reflection
+    changes the denominator D, which need not be the least one: s_i lowers
+    X_i by V_i and V_j by c_ji V_i, the theta-reflection subtracts its
+    excess times the theta-coroot, and <theta, x> = sum_i m_i V_i / D for
+    the marks m.
 
     Each reflection crosses one separating wall, so the word has one letter
     per affine root hyperplane strictly between x and the alcove: sum over
@@ -84,14 +97,12 @@ def reduce_to_alcove(
     if < 0.  A count above ``cap`` is refused with EnumerationCapError
     before the first reflection; a word of another length is a hard error.
     """
-    D, X, values = _root_numerators(datum, x)
     root_values = [0]  # D <alpha, x> per positive root, up the root ladder
     for k, i in datum.root_ladder:
         root_values.append(root_values[k] + values[i])
     count = sum((v - 1) // D if v > 0 else -(v // D) for v in root_values)
     if count > cap:
         raise EnumerationCapError(f"alcove reduction of {count} reflections exceeds cap {cap}")
-    X = list(X)
     r = datum.rank
     cartan = datum.cartan
     marks = datum.marks
@@ -119,7 +130,7 @@ def reduce_to_alcove(
     if len(word) != count:
         raise AssertionError(f"alcove reduction made {len(word)} reflections, but "
                              f"{count} walls separate the point from the alcove")
-    return tuple(Fraction(a, D) for a in X), tuple(word)
+    return X, values, word
 
 
 @dataclass(frozen=True)
@@ -143,12 +154,20 @@ class FacetDescriptor:
 
 
 def facet_of(datum: RootDatum, x0: Sequence[Fraction]) -> FacetDescriptor:
-    """Walls through a point of the closed alcove and its speciality.
+    """Walls through a point of the closed alcove and its speciality
+    (:func:`facet_of_numerators`)."""
+    D, _, values = _root_numerators(datum, x0)
+    return facet_of_numerators(datum, D, values)
+
+
+def facet_of_numerators(datum: RootDatum, D: int, values: Sequence[int]) -> FacetDescriptor:
+    """Walls through the point of the closed alcove whose root values are
+    ``values`` / D, and its speciality; a point outside the alcove is a
+    ValueError.
 
     The point is special when every root value is an integer; every root is
     an integer combination of the simple roots, so the simple ones decide.
     """
-    D, _, values = _root_numerators(datum, x0)
     theta_value = sum(m * v for m, v in zip(datum.marks, values))
     if any(v < 0 for v in values) or theta_value > D:
         raise ValueError("point is not reduced to the fundamental alcove")
@@ -185,15 +204,39 @@ def type_to_alcove(
     base: Sequence[Fraction],
     cap: int = DEFAULT_CAP,
 ) -> Tuple[AlcovePoint, FacetDescriptor]:
-    """Alcove point and facet of the twisted stabilizer attached to a class.
+    """Alcove point and facet of the twisted stabilizer attached to a class
+    (:func:`fold_type`).
 
     Only meaningful when the group action on the reductive quotient is the
     split untwisted one; the class representative acts as the translation
     by its coroot coordinates.
     """
-    x = tuple(Fraction(b) + Fraction(t) for b, t in zip(base, rep))
-    reduced, _ = reduce_to_alcove(datum, x, cap)
-    return reduced, facet_of(datum, reduced)
+    D, X, values = fold_type(datum, as_point(rep), e, common_numerators(as_point(base)), cap)
+    return tuple(Fraction(a, D) for a in X), facet_of_numerators(datum, D, values)
+
+
+def fold_type(
+    datum: RootDatum,
+    rep: QZVector,
+    e: int,
+    base_numerators: Tuple[int, Sequence[int]],
+    cap: int = DEFAULT_CAP,
+) -> Tuple[int, List[int], List[int]]:
+    """(D, X, V): the point b + t folded into the closed alcove as X / D,
+    with root values V / D, for the base b = B / N given as (N, B) and a
+    class rep t in (1/e)Z^r (:func:`fold_numerators`).  D = lcm(N, e) and
+    the numerators of b + t over it are those of b times D / N plus those of
+    t over e times D / e.  A t outside (1/e)Z^r, which the norm e of the
+    split action does not kill, is a ValueError."""
+    if len(rep) != datum.rank:
+        raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(rep)}")
+    N, B = base_numerators
+    D = lcm(N, e)
+    scale, step = D // N, D // e
+    X = [b * scale + a * step for b, a in zip(B, grid_numerators(rep, e))]
+    values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
+    X, values, _ = fold_numerators(datum, D, X, values, cap)
+    return D, X, values
 
 
 def apartment_orbit_types(

@@ -29,11 +29,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alcove import (
     apartment_orbit_types,
+    facet_of_numerators,
+    fold_type,
     min_split_degree,
     point_from_root_values,
     reduce_to_alcove,
     simple_root_values,
-    type_to_alcove,
     vertex_prime_data,
 )
 from .cohomology import (
@@ -47,7 +48,7 @@ from .cohomology import (
     trivial_action,
     types_of_classes,
 )
-from .exactalg import QZVector
+from .exactalg import QZVector, common_numerators, grid_numerators
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -100,7 +101,7 @@ def json_text(value, newline: str = "\n") -> str:
     report: dicts with str keys, lists, str, int, bool and None, and the
     two values of a ``types`` report that write themselves, a
     :class:`CocycleTable` (as the dict of row index to list of strings,
-    joined from its integer columns) and the class representatives'
+    joined from its columns) and the class representatives'
     :class:`Vectors` (as a list of lists of strings, joined from the product
     of the strings of each node, or from the listed SL diagonals).
 
@@ -148,15 +149,20 @@ def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
 
 class TableStrings:
     """The strings the cocycle tables of one report share, each made once:
-    the values a/d over each denominator d, and the pieces a table of each
-    layout (JSON at one indentation, or text) puts around its values.  The
-    string of a rational needs no JSON escaping, so the quotes around a JSON
-    value belong to the pieces."""
+    the values a/d over each denominator d, the pieces a table of each
+    layout (JSON at one indentation, or text) puts around its values, and
+    the column of each digit a of a node that sigma fixes, in the row order
+    of each layout.  Such a column is the progression i -> (i a mod e)/e
+    (:func:`cocycle_columns`), so a report holds at most e of them per
+    layout, whatever its number of types.  The string of a rational needs no
+    JSON escaping, so the quotes around a JSON value belong to the pieces,
+    and each column serves every position in a row."""
 
     def __init__(self, e: int):
         self.e = e
         self._values: Dict[int, List[str]] = {}
         self._layouts: Dict[Optional[str], tuple] = {}
+        self._progressions: Dict[Tuple[int, Optional[str]], List[str]] = {}
 
     def values(self, d: int) -> List[str]:
         """The strings of a/d for a < d."""
@@ -186,24 +192,47 @@ class TableStrings:
             layout = self._layouts[newline] = (order, openings, separator, close)
         return layout
 
+    def progression(self, a: int, newline: Optional[str]) -> List[str]:
+        """The strings of (i a mod e)/e, i < e, in the row order of the
+        layout of ``newline``."""
+        column = self._progressions.get((a, newline))
+        if column is None:
+            order = self.layout(newline)[0]
+            column = self._progressions[a, newline] = list(map(
+                self.values(self.e).__getitem__, map(self.e.__rmod__, map(a.__mul__, order))))
+        return column
+
 
 class CocycleTable:
-    """The cocycle gamma_0^i -> row i, i < e, of one type: the denominator d
-    and the integer columns of :func:`cocycle_columns`.  It is written as the
-    dict of i to the list of a/d over the row: the strings of the columns,
-    in key order, interleaved with the pieces of the layout in one join."""
+    """The cocycle gamma_0^i -> row i, i < e, of one type, written as the
+    dict of i to the list of the row's values: one join of the row openings
+    with the strings of its r columns, in key order, and the separators and
+    row closes of the layout.
 
-    __slots__ = ("d", "columns", "strings")
+    A split action fixes every node, so its table is given by the digits
+    a_k = e t_k of its representative, and its columns are the shared
+    progressions of :meth:`TableStrings.progression`.  Any other action
+    gives the denominator ``d`` and the integer columns of
+    :func:`cocycle_columns` (or of the SL diagonals), whose entries are
+    written through the strings of a/d."""
 
-    def __init__(self, d: int, columns: Sequence[Sequence[int]], strings: TableStrings):
+    __slots__ = ("strings", "digits", "d", "columns")
+
+    def __init__(self, strings: TableStrings, digits: Sequence[int] = (), d: int = 1,
+                 columns: Sequence[Sequence[int]] = ()):
+        self.strings = strings
+        self.digits = digits
         self.d = d
         self.columns = columns
-        self.strings = strings
 
     def _join(self, newline: Optional[str]) -> str:
         order, openings, separator, close = self.strings.layout(newline)
-        values = self.strings.values(self.d).__getitem__
-        first, *rest = [map(values, map(column.__getitem__, order)) for column in self.columns]
+        if self.digits:
+            progression = self.strings.progression
+            first, *rest = [progression(a, newline) for a in self.digits]
+        else:
+            values = self.strings.values(self.d).__getitem__
+            first, *rest = [map(values, map(column.__getitem__, order)) for column in self.columns]
         pieces = [openings, first]
         for column in rest:
             pieces += [itertools.repeat(separator), column]
@@ -399,8 +428,13 @@ def compute_types(
     strings only when the report is written, so the report can be written
     only through :func:`json_text` or :func:`types_text` (``json.dumps``
     refuses those two values); a caller that wants the data takes it from
-    :func:`types_parts`.  Each table's integer columns, and with them the
-    norm check of its representative, are computed here.
+    :func:`types_parts`.  The norm check of each representative runs here.
+    A split action fixes every node, so the norm is e and kills exactly the
+    vectors of (1/e)Z^r: a table keeps the digits e t_k of its
+    representative (:func:`grid_numerators`), which pick the shared columns
+    of :meth:`TableStrings.progression`, and no integer column is built.
+    Any other action keeps the integer columns of :func:`cocycle_columns`,
+    which checks the norm on every sigma-orbit.
 
     The classes of a trivial or diagram action are kept as the strings of
     each node's values (``H1Classes.node_values``), whose product the
@@ -414,10 +448,12 @@ def compute_types(
     strings = TableStrings(action.e)
 
     def cocycle(rep: QZVector) -> CocycleTable:
+        if action_kind == "trivial":
+            return CocycleTable(strings, digits=[a % action.e for a in grid_numerators(rep, action.e)])
         d, columns = cocycle_columns(rep, action)
         if variant is not None:  # the columns of the diagonal rows
             columns = list(zip(*write(zip(*columns), d)))
-        return CocycleTable(d, columns, strings)
+        return CocycleTable(strings, d=d, columns=columns)
 
     if variant is None:  # the classes are the product of their node values
         class_strings = list(itertools.product(*map(vec_str, classes.node_values)))
@@ -584,19 +620,30 @@ def cmd_types(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    """Each row folds b + t once, on the integer numerators of
+    :func:`fold_type` over D = lcm(den b, e), the same D for every row; the
+    facet and the strings of the root values V / D and the coroot
+    coordinates X / D are read off that fold, each distinct string made
+    once per report."""
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     point = parse_point(args.point, rank) if args.point is not None else None
     datum, _, base, classes, types, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
+    base_numerators = common_numerators(base)
+    texts: Dict[int, str] = {}  # a -> the string of a / D, for the one D of every row
+
+    def strings(D: int, numerators: Sequence[int]) -> List[str]:
+        return [texts.get(a) or texts.setdefault(a, str(Fraction(a, D))) for a in numerators]
 
     def twist_row(rep: QZVector) -> dict:
-        reduced, facet = type_to_alcove(datum, rep, args.order, base, args.cap)
+        D, X, values = fold_type(datum, rep, args.order, base_numerators, args.cap)
+        facet = facet_of_numerators(datum, D, values)
         return {
             "representative": vec_str(rep),
-            "point_root_values": vec_str(simple_root_values(datum, reduced)),
-            "point_coroot_coordinates": vec_str(reduced),
+            "point_root_values": strings(D, values),
+            "point_coroot_coordinates": strings(D, X),
             "facet": {
                 "vanishing_walls": sorted(facet.vanishing_walls),
                 "classification": facet.classification,

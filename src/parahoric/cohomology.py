@@ -257,9 +257,12 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
     Coordinate k of A^j rep is that of node sigma^-j(k), so column k sums
     the numerators p of rep along the sigma^-1-cycle through k: with S_O
     their sum over the orbit O and prefix_t the sum of the first t along
-    the cycle, the entries at i = q |O| + t are prefix_t + q S_O mod d (for
-    a fixed node, i p_k).  The norm kills rep exactly when (e/|O|) S_O = 0
-    mod d on every orbit; else ValueError.
+    the cycle, the entries at i = q |O| + t are prefix_t + q S_O mod d.
+    The norm kills rep exactly when (e/|O|) S_O = 0 mod d on every orbit;
+    else ValueError.  A fixed node has the entries i p_k, and e p_k = 0 mod
+    d, so its column is the progression i -> (i a_k mod e)/e of the digit
+    a_k = e t_k alone: the tables of a split action share their columns
+    (``cli.TableStrings``).
     """
     d, numerators = common_numerators(rep)
     p = [a % d for a in numerators]

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -300,3 +300,11 @@ def common_numerators(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     Fractions) and their numerators over d, so that x_i = numerators_i / d."""
     d = lcm(*(x.denominator for x in xs))
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
+
+
+def grid_numerators(xs: Sequence[Fraction], e: int) -> List[int]:
+    """The numerators e x_i of a vector of (1/e)Z^r (ints or Fractions);
+    an entry outside (1/e)Z is a ValueError."""
+    if any(e % x.denominator for x in xs):
+        raise ValueError(f"vector {tuple(map(str, xs))} is not in (1/{e})Z^{len(xs)}")
+    return [x.numerator * (e // x.denominator) for x in xs]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm, prod
+from math import factorial, inf, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -313,7 +313,10 @@ def weyl_classes(
     a representative's matrix is formed, with the coroots w(alpha_k^v) as
     its columns.  A key met twice is a hard error, and so is a conjugate
     outside ``elements`` or in a class already closed; that error names the
-    element conjugated and the conjugate by their root values.
+    element conjugated and the conjugate by their root values.  After the
+    sweep the class sizes must add up to |W| (:func:`weyl_order`), else a
+    hard error names both totals: a list that lacks whole classes, such as
+    the identity or a central w0, passes the sweep.
     """
     keys = _packed_keys(datum)
     values, width = keys.values, keys.width
@@ -354,6 +357,10 @@ def weyl_classes(
             size += len(nxt)
             frontier = nxt
         classes.append((tuple(zip(*map(keys.coroots.__getitem__, elements[start][1]))), size))
+    total, order = sum(size for _, size in classes), weyl_order(datum, cap=inf)
+    if total != order:
+        raise AssertionError(
+            f"the conjugacy classes of W({datum.name}) add up to {total}, not |W| = {order}")
     return classes
 
 

@@ -26,10 +26,17 @@ cocycles of an SL_n report computed under -rho), and its text lines read
 off that dict: the writer that the CLI replaced by the
 self-writing :class:`parahoric.cli.CocycleTable` and
 :class:`parahoric.cli.Vectors` values, which join their strings from
-integer columns and from the product of the strings of each node.  Passed
+shared or integer columns and from the product of the strings of each
+node.  Passed
 through ``json.dumps(indent=2, sort_keys=True)`` and through
 :func:`dict_types_text`, they are what the CLI must print.  Their cocycle
 rows come from the matrix walk of :func:`cocycle_numerators`.
+
+:func:`dict_twist_report` and :func:`dict_twist_text` are the ``twist``
+report built the same way, row by row from the Fraction API of
+``parahoric.alcove`` (:func:`type_to_alcove`, :func:`simple_root_values`,
+:func:`facet_of`) with one ``str`` per entry, where the CLI folds each row
+once on integer numerators and makes each distinct string once.
 
 :func:`pairing` and :func:`all_coroots` are the root-datum conveniences
 that no library code calls: the pairing of a root with a coweight through
@@ -68,8 +75,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from parahoric.alcove import simple_root_values
-from parahoric.cli import SCHEMA_VERSION, SL_VARIANTS, action_spec, types_parts
+from parahoric.alcove import facet_of, simple_root_values, type_to_alcove
+from parahoric.cli import (
+    SCHEMA_VERSION,
+    SL_VARIANTS,
+    action_spec,
+    point_or_default,
+    types_parts,
+)
 from parahoric.cohomology import (
     GammaAction,
     H1Classes,
@@ -641,6 +654,56 @@ def dict_types_text(report: dict) -> List[str]:
             + f", orbit size {t['orbit_size']}, cocycle {{{cocycle}}}"
         )
     lines.append(f"types: {report['type_count']}")
+    return lines
+
+
+def dict_twist_report(label, rank, order, point=None, class_index=None) -> dict:
+    """The report of ``cli.cmd_twist`` built row by row from Fractions: each
+    row's point from :func:`type_to_alcove`, its root values from
+    :func:`simple_root_values` and its facet from :func:`facet_of`, every
+    entry made into a string on its own."""
+    datum, _, base, classes, types, _ = types_parts(label, rank, order, "trivial", point=point)
+
+    def row(rep: QZVector) -> dict:
+        reduced, _ = type_to_alcove(datum, rep, order, base)
+        facet = facet_of(datum, reduced)
+        return {
+            "representative": list(map(str, rep)),
+            "point_root_values": list(map(str, simple_root_values(datum, reduced))),
+            "point_coroot_coordinates": list(map(str, reduced)),
+            "facet": {
+                "vanishing_walls": sorted(facet.vanishing_walls),
+                "classification": facet.classification,
+                "special": facet.special,
+            },
+            "facet_text": facet.describe(),
+        }
+
+    if class_index is None:
+        rows = [dict(row(t.orbit_representative), type_index=t.index) for t in types]
+    else:
+        rows = [dict(row(classes.representatives[class_index]), class_index=class_index)]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "twist",
+        "group": {"label": label, "rank": rank},
+        "order": order,
+        "base_point": {"root_values": list(map(str, point_or_default(point, rank, order)))},
+        "twists": rows,
+        "type_count": len(types),
+    }
+
+
+def dict_twist_text(report: dict) -> List[str]:
+    """The text lines of a :func:`dict_twist_report`."""
+    g = report["group"]
+    lines = [f"group: {g['label']}{g['rank']}", f"order: {report['order']}",
+             "base point (root values): " + _list_text(report["base_point"]["root_values"])]
+    for row in report["twists"]:
+        tag = (f"class {row['class_index']}" if "class_index" in row
+               else f"type {row['type_index']}")
+        lines.append(f"{tag}: point " + _list_text(row["point_root_values"])
+                     + f", facet: {row['facet_text']}")
     return lines
 
 

@@ -578,3 +578,24 @@ def test_integer_fold_matches_the_fraction_fold(label, rank):
         assert min_split_degree(datum, x)[0] == facet_and_degree_reference(datum, x)[2]
         assert simple_root_values(datum, x) == tuple(
             pairing(datum, tuple(int(k == i) for k in range(rank)), x) for i in range(rank))
+
+
+@pytest.mark.parametrize("label,rank", rank_range(6))
+def test_type_fold_over_lcm_matches_the_fraction_fold(label, rank):
+    # type_to_alcove folds b + t over D = lcm(den b, e), which need not be
+    # the least denominator of b + t; the point, its facet and the cap are
+    # those of the Fraction fold of b + t
+    datum = build_root_datum(label, rank)
+    rng = random.Random(f"type {label}{rank}")
+    for e in (1, 2, 6):
+        for x in fold_test_points(rng, datum):
+            base = reduce_to_alcove(datum, x)[0]
+            rep = tuple(F(rng.randrange(e), e) for _ in range(rank))
+            twisted = tuple(b + t for b, t in zip(base, rep))
+            point, word = reduce_to_alcove_reference(datum, twisted)
+            assert type_to_alcove(datum, rep, e, base) == (point, facet_of(datum, point))
+            if word:
+                with pytest.raises(EnumerationCapError, match=f"of {len(word)} reflections"):
+                    type_to_alcove(datum, rep, e, base, cap=len(word) - 1)
+    with pytest.raises(ValueError, match=r"is not in \(1/2\)Z"):
+        type_to_alcove(datum, (F(1, 3),) + (F(0),) * (rank - 1), 2, (F(0),) * rank)

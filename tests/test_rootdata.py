@@ -426,6 +426,20 @@ def test_weyl_classes_refuse_a_list_that_is_not_w():
         weyl_classes(datum, elements[1:] + [(start + 1, places)])
 
 
+@pytest.mark.parametrize("label,rank,cut,total,order", [
+    ("A", 2, slice(1, None), 5, 6),  # no identity
+    ("B", 3, slice(1, None), 47, 48),  # no identity
+    ("B", 3, slice(None, -1), 47, 48),  # no w0 = -1, which is central
+])
+def test_weyl_classes_refuse_a_list_that_lacks_whole_classes(label, rank, cut, total, order):
+    # a missing singleton class leaves no conjugate outside the list, so
+    # the sweep passes and only the class sizes show it
+    datum = build_root_datum(label, rank)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"the conjugacy classes of W({label}{rank}) add up to {total}, not |W| = {order}")):
+        weyl_classes(datum, weyl_elements(datum)[cut])
+
+
 def test_matrix_order_names_the_stage_and_the_cap():
     assert matrix_order(((0, -1), (1, -1))) == 3
     assert matrix_order(identity_matrix(2)) == 1

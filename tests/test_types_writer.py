@@ -4,12 +4,14 @@ dict-built report.
 The CLI writes the class representatives and the cocycle tables of a
 `types` report from :class:`parahoric.cli.Vectors` values (the product of
 the strings of each node, or the listed SL diagonals, joined once) and
-:class:`parahoric.cli.CocycleTable` values (integer columns over d, joined
-with the pieces of the layout in key order).  Its stdout must equal, byte
-for byte, the report of ``tests/references.py`` built as dicts of lists of
-strings from the rows of each table, passed through
-``json.dumps(indent=2, sort_keys=True)`` (JSON) and through the old text
-renderer (text).
+:class:`parahoric.cli.CocycleTable` values (for a split action the shared
+column of each digit, else integer columns over d, joined with the pieces
+of the layout in key order).  Its stdout must equal, byte for byte, the
+report of ``tests/references.py`` built as dicts of lists of strings from
+the rows of each table, passed through ``json.dumps(indent=2,
+sort_keys=True)`` (JSON) and through the old text renderer (text).  The
+`twist` report, folded on integer numerators, must equal the one built row
+by row from the Fraction API of ``parahoric.alcove``.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 import parahoric.cli as cli
 from parahoric.cli import main
 
-from .references import dict_types_report, dict_types_text
+from .references import dict_twist_report, dict_twist_text, dict_types_report, dict_types_text
 from .test_golden_cli import load_cases, run_case
 
 # groups of rank <= 4, with the largest order e <= 30 whose grid e^r the
@@ -124,6 +126,83 @@ def test_table_keys_sort_as_strings_in_json_and_as_numbers_in_text(e):
     cocycle = out.splitlines()[-2].split("cocycle ")[1]
     assert [part.split(":")[0] for part in cocycle[1:].split("], ")] == [
         str(i) for i in range(e)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("group", ["A1", "A2"])
+def test_split_tables_whose_entries_reduce_equal_the_dict_built_report(group, fmt):
+    # at e = 12 the digits 2, 3, 4, 6, 8, 9, 10 share a factor with e, so
+    # a shared column holds entries such as 3/12 = 1/4, and some types have
+    # a representative over a denominator d < e
+    rank = int(group[1:])
+    report = dict_types_report(group[0], rank, 12, "trivial", point=(Fraction(0),) * rank)
+    assert {Fraction(x) for t in report["types"] for x in t["representative"]} >= {
+        Fraction(1, 4), Fraction(1, 2)}
+    argv = ["types", "--group", group, "--order", "12", "--point=" + ",".join(["0"] * rank)]
+    assert_matches_reference(argv, fmt, group[0], rank, 12, "trivial",
+                             point=(Fraction(0),) * rank)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_split_column_is_made_once_per_layout(fmt, monkeypatch):
+    # A2 at e = 30 has 166 types, 332 columns, but its tables share the
+    # columns of the digits: at most e lists of strings per layout, each
+    # made once and handed to every table that has its digit
+    made = []
+    progression = cli.TableStrings.progression
+
+    def counted(self, a, newline):
+        column = progression(self, a, newline)
+        made.append((newline, a, column))  # holds each list, so no id is reused
+        return column
+
+    monkeypatch.setattr(cli.TableStrings, "progression", counted)
+    code, out = stdout_of(["types", "--group", "A2", "--order", "30", "--format", fmt])
+    assert code == 0
+    assert len(made) == 2 * 166
+    assert len({newline for newline, _, _ in made}) == 1
+    digits = {a for _, a, _ in made}
+    lists = {id(column) for _, _, column in made}
+    assert len({(a, id(column)) for _, a, column in made}) == len(lists) == len(digits) <= 30
+    monkeypatch.undo()
+    assert out == expected(fmt, "A", 2, 30, "trivial")
+
+
+@st.composite
+def twist_cases(draw):
+    """A group and order of ``GROUPS``, a base point (the default, root
+    values k/e with 0 <= k <= e, or those moved by up to 5 in each root) and
+    either every type or one class."""
+    group = draw(st.sampled_from(sorted(GROUPS)))
+    rank = int(group[1:])
+    e = draw(st.integers(1, GROUPS[group]))
+    band = draw(st.sampled_from(("default", "near", "far")))
+    point = None
+    if band != "default":
+        bound = 5 if band == "far" else 0
+        numerators = draw(st.lists(st.integers(0, e), min_size=rank, max_size=rank))
+        shifts = draw(st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank))
+        point = tuple(Fraction(k, e) + s for k, s in zip(numerators, shifts))
+    class_index = draw(st.none() | st.integers(0, e ** rank - 1))
+    return group, rank, e, point, class_index
+
+
+@settings(database=None, max_examples=60, deadline=None)
+@given(twist_cases(), st.sampled_from(("json", "text")))
+def test_twist_equals_the_fraction_built_report(case, fmt):
+    group, rank, e, point, class_index = case
+    argv = ["twist", "--group", group, "--order", str(e), "--format", fmt]
+    if point is not None:
+        argv.append("--point=" + ",".join(map(str, point)))
+    if class_index is not None:
+        argv += ["--class", str(class_index)]
+    code, out = stdout_of(argv)
+    assert code == 0
+    report = dict_twist_report(group[0], rank, e, point=point, class_index=class_index)
+    if fmt == "json":
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == "\n".join(dict_twist_text(report)) + "\n"
 
 
 @pytest.mark.parametrize("case", [c for c in load_cases() if c["argv"][0] == "global"],
