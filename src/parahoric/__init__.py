@@ -9,12 +9,14 @@ cohomological and the building-theoretic descriptions.
 Layers:
 
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
-  normal form, lattice quotients);
+  normal form, lattice quotients, the adjugate and determinant from one
+  elimination);
 * :mod:`parahoric.rootdata` - root data (built under a cap), Weyl groups,
   lattice automorphisms as node permutations, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus from
-  sigma-orbit sums, checked against the lattice quotient, cocycles read
-  off sigma-cycles, twisted Weyl orbits, Burnside oracle;
+  sigma-orbit sums, checked against the lattice quotient of one Smith form
+  of the norm, cocycles read off sigma-cycles, twisted Weyl orbits,
+  Burnside oracle;
 * :mod:`parahoric.slmodel` - the SL_n involutions J and J' as the
   A_(n-1) diagram flip with a base point, their sum-zero diagonal
   coordinates, the SU_n special vertices, and the exact monomial-matrix
@@ -26,7 +28,6 @@ Layers:
 
 from .exactalg import (
     FiniteAbelianGroup,
-    kernel_basis,
     qz,
     qz_vector,
     quotient_structure,

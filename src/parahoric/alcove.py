@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, common_numerators, det_int, grid_numerators
+from .exactalg import QZVector, common_numerators, grid_numerators
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -378,5 +378,5 @@ def vertex_prime_data(label: str, rank: int, cap: int = DEFAULT_CAP) -> VertexPr
         affine_aut_order=2 * (rank + 1) if type_a else None,
         twisted_affine_aut_order=(2 if rank % 2 == 1 else 1) if type_a else None,
         excluded_characteristics=frozenset({2}) | mark_primes
-        | prime_divisors(det_int(datum.cartan)),
+        | prime_divisors(datum.cartan_inverse[1]),
     )

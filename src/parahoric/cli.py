@@ -22,6 +22,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -65,6 +66,7 @@ DEFAULT_PRODUCT_CAP = 10 ** 4
 SL_VARIANTS = {"sl-J": "J", "sl-Jprime": "J-prime"}
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
@@ -83,7 +85,11 @@ def vec_str(v: Sequence[Fraction]) -> List[str]:
 
 
 def parse_fraction(s: str) -> Fraction:
+    """A rational from its string.  An underscore is refused on every Python:
+    ``Fraction`` reads one between digits from Python 3.11 on only."""
     try:
+        if "_" in s:
+            raise ValueError("underscore in a rational")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {s!r}") from exc
@@ -934,7 +940,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.cap < 1:
             raise UsageError("--cap must be a positive integer")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit does not fail again (the SIGPIPE note of the Python
+        # docs for the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

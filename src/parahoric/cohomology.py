@@ -18,9 +18,10 @@ cohomology is
     H^1 = ker(N_A on (Q/Z)^r) / image(A - 1),      N_A = 1 + A + ... + A^(e-1),
 
 computed in two independent ways: as the finite lattice quotient
-``ker(A - 1) / N_A Z^r`` (structural, on the matrix of A), and by listing
-one representative per class from the sigma-orbit sums (element model).
-The two must agree; a mismatch is a hard error.
+``ker(A - 1) / N_A Z^r``, read off one Smith form of the matrix N_A as the
+torsion of ``Z^r / N_A Z^r`` (structural, on the matrix of A), and by
+listing one representative per class from the sigma-orbit sums (element
+model).  The two must agree; a mismatch is a hard error.
 
 The class of t is fixed by its sigma-orbit sums s_O = sum_{i in O} t_i, as
 image(A - 1) is exactly the vectors whose orbit sums all vanish; the norm
@@ -53,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, inf, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,11 +66,9 @@ from .exactalg import (
     QZVector,
     common_numerators,
     identity_matrix,
-    kernel_basis,
     mat_add,
     mat_mul,
     mat_sub,
-    mat_vec,
     qz_zero,
     quotient_structure,
     smith_normal_form,
@@ -112,16 +111,10 @@ class GammaAction:
         return self.automorphism.rank
 
     def norm_matrix(self) -> IntMatrix:
-        return self._norm
-
-    @cached_property
-    def _norm(self) -> IntMatrix:
-        """N_A = 1 + A + ... + A^(e-1), built once per action as
-        (e/m)(1 + A + ... + A^(m-1)) for the order m of A, which divides e."""
-        n = self.rank
+        """N_A = 1 + A + ... + A^(e-1), formed as (e/m)(1 + A + ... +
+        A^(m-1)) for the order m of A, which divides e."""
         order = self.automorphism.order
-        acc = identity_matrix(n)
-        power = identity_matrix(n)
+        acc = power = identity_matrix(self.rank)
         for _ in range(order - 1):
             power = mat_mul(power, self.automorphism.matrix)
             acc = mat_add(acc, power)
@@ -158,11 +151,11 @@ class LocalType:
 # ---------------------------------------------------------------------------
 
 def h1_structural(datum: RootDatum, action: GammaAction) -> FiniteAbelianGroup:
-    """Invariant factors of ker(A - 1) / N_A Z^r (isomorphic to H^1).
+    """Invariant factors of ker(A - 1) / N_A Z^r (isomorphic to H^1), the
+    torsion of Z^r / N_A Z^r (:func:`_h1_structure`).
 
     The ranks are checked on every call; the quotient depends on the action
-    alone and is computed once per action and process
-    (:func:`_h1_structure`)."""
+    alone and is computed once per action and process."""
     if datum.rank != action.rank:
         raise ValueError("rank mismatch between datum and action")
     return _h1_structure(action)
@@ -170,36 +163,18 @@ def h1_structural(datum: RootDatum, action: GammaAction) -> FiniteAbelianGroup:
 
 @lru_cache(maxsize=None)
 def _h1_structure(action: GammaAction) -> FiniteAbelianGroup:
-    """The part of :func:`h1_structural` after the rank check."""
-    r = action.rank
-    fixed = kernel_basis(action.coboundary_matrix())
-    k = len(fixed)
-    if k == 0:
-        return FiniteAbelianGroup(())
-    # express the norm images of the standard basis in the fixed basis
-    K = tuple(tuple(fixed[j][i] for j in range(k)) for i in range(r))  # r x k
-    U, D, _V = smith_normal_form(K)
-    V = _V
+    """The torsion of Z^r / N_A Z^r, from one Smith form of the norm.
+
+    (A - 1) N_A = A^e - 1 = 0, so N_A Z^r lies in the saturated lattice
+    ker(A - 1), on which N_A acts as e: the two lattices have the same rank.
+    So ker(A - 1) / N_A Z^r is the torsion of Z^r / N_A Z^r, and Z^r /
+    ker(A - 1) is its free part.  A norm that A - 1 does not kill is a hard
+    error."""
     norm = action.norm_matrix()
-    cols = []
-    for j in range(r):
-        b = tuple(norm[i][j] for i in range(r))
-        w = mat_vec(U, b)
-        y = [Fraction(0)] * k
-        for i in range(r):
-            d = D[i][i] if i < k else 0
-            if d != 0:
-                y[i] = Fraction(w[i], d)
-            elif w[i] != 0:
-                raise AssertionError("norm image must lie in the fixed sublattice")
-        coords = mat_vec(V, tuple(y))
-        if any(x.denominator != 1 for x in coords):
-            raise AssertionError("norm image has non-integral fixed coordinates")
-        cols.append(tuple(int(x) for x in coords))
-    group = quotient_structure(k, cols)
-    if group.free_rank != 0:
-        raise AssertionError("H^1 of a finite cyclic group on a torus is finite")
-    return group
+    if any(any(row) for row in mat_mul(action.coboundary_matrix(), norm)):
+        raise AssertionError("(A - 1) N_A is not zero: the norm image must lie in ker(A - 1)")
+    columns = tuple(zip(*norm))
+    return FiniteAbelianGroup(quotient_structure(action.rank, columns).invariant_factors)
 
 
 def require_grid_size(rank: int, e: int, cap: int) -> None:

@@ -6,7 +6,7 @@ immutable tuples of tuples of ints, vectors over Q/Z are tuples of
 Fractions canonicalized to [0, 1).
 
 The workhorse is Smith normal form with unimodular transforms, from which
-kernels and lattice quotients follow.
+lattice quotients follow.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     )
 
 
-def mat_vec(M: IntMatrix, v: Sequence) -> tuple:
-    rows, cols = mat_shape(M)
-    if cols != len(v):
-        raise ValueError("dimension mismatch in mat_vec")
-    return tuple(sum(M[i][j] * v[j] for j in range(cols)) for i in range(rows))
-
-
 def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
@@ -68,41 +61,16 @@ def mat_add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def det_int(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n, m = mat_shape(M)
-    if n != m:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def adjugate_int(M: IntMatrix) -> IntMatrix:
-    """Integer adjugate of a nonsingular M, so that adj(M) M = det(M) I, by
-    one fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] in
-    O(n^3) exact divisions.
+def adjugate_int(M: IntMatrix) -> Tuple[IntMatrix, int]:
+    """(adj(M), det(M)) of a nonsingular integer M, so that adj(M) M =
+    det(M) I, by one fraction-free (Bareiss) Gauss-Jordan elimination of
+    [M | I] in O(n^3) exact divisions.
 
     Each step clears the pivot column in every other row, a <- (p a - f
     a_k) / p_prev, and the division is exact.  The elimination ends at
-    [d I | R] with R M = d I and d = +-det(M), so adj(M) = det(M) M^-1 is
-    R times the sign of the row swaps.  A singular M raises ValueError.
+    [d I | R] with R M = d I, where the last pivot d is the determinant of
+    M with its rows swapped; so det(M) is d and adj(M) = det(M) M^-1 is R,
+    each times the sign of the row swaps.  A singular M raises ValueError.
     """
     n = len(M)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
@@ -120,7 +88,7 @@ def adjugate_int(M: IntMatrix) -> IntMatrix:
                 f = a[i][k]
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = pivot
-    return tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +234,6 @@ def snf_diagonal(M: IntMatrix) -> Tuple[int, ...]:
     _, D, _ = smith_normal_form(M)
     rows, cols = mat_shape(M)
     return tuple(D[i][i] for i in range(min(rows, cols)))
-
-
-def kernel_basis(M: IntMatrix) -> Tuple[IntVector, ...]:
-    """Z-basis of the integer kernel {x : M x = 0}, as column vectors."""
-    rows, cols = mat_shape(M)
-    _, D, V = smith_normal_form(M)
-    basis = []
-    for j in range(cols):
-        d = D[j][j] if j < rows else 0
-        if d == 0:
-            basis.append(tuple(V[i][j] for i in range(cols)))
-    return tuple(basis)
 
 
 def quotient_structure(rank: int, generators: Sequence[IntVector]) -> FiniteAbelianGroup:

@@ -35,7 +35,6 @@ from .exactalg import (
     IntMatrix,
     IntVector,
     adjugate_int,
-    det_int,
     identity_matrix,
     matrix,
 )
@@ -168,7 +167,7 @@ class RootDatum:
     @cached_property
     def cartan_inverse(self) -> Tuple[IntMatrix, int]:
         """(adj(C), det(C)), so that C^-1 = adj(C) / det(C)."""
-        return adjugate_int(self.cartan), det_int(self.cartan)
+        return adjugate_int(self.cartan)
 
     @cached_property
     def root_ladder(self) -> Tuple[Tuple[int, int], ...]:
@@ -443,7 +442,8 @@ class LatticeAutomorphism:
 
     @cached_property
     def matrix(self) -> IntMatrix:
-        """The matrix of A, for the lattice quotient of H^1 and the norm."""
+        """The matrix of A, from which :func:`parahoric.cohomology.h1_structural`
+        forms the norm N_A and the coboundary A - 1."""
         perm, n = self.node_permutation, self.rank
         return tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
 

@@ -1,5 +1,13 @@
 """Reference models that the library no longer runs, kept as oracles.
 
+:func:`h1_structure_three_step` is the structural H^1 as the library
+computed it before it read the group off one Smith form of the norm: a
+kernel basis of A - 1 (:func:`kernel_basis`), a Fraction solve for the
+norm columns in it, and a second lattice quotient.  :func:`det_int` is the
+determinant by fraction-free elimination, the oracle of the determinant
+that ``exactalg.adjugate_int`` returns, and :func:`mat_vec` is the integer
+matrix-vector product that only the tests apply.
+
 :func:`grid_h1_elements` is the grid element model of H^1: it sorts the
 norm-killed vectors of the (1/e)-grid (:func:`torsion_grid`) into classes
 through the coset invariant of :class:`ImageMembership` (:func:`grid_classes`)
@@ -92,17 +100,17 @@ from parahoric.cohomology import (
     require_grid_size,
 )
 from parahoric.exactalg import (
+    FiniteAbelianGroup,
     IntMatrix,
     IntVector,
     QZVector,
     common_numerators,
-    det_int,
     identity_matrix,
     mat_mul,
     mat_shape,
-    mat_vec,
     qz,
     qz_vector,
+    quotient_structure,
     smith_normal_form,
 )
 from parahoric.rootdata import (
@@ -124,6 +132,86 @@ from parahoric.slmodel import (
     t_w,
     variant_involution,
 )
+
+
+def mat_vec(M: IntMatrix, v: Sequence) -> tuple:
+    rows, cols = mat_shape(M)
+    if cols != len(v):
+        raise ValueError("dimension mismatch in mat_vec")
+    return tuple(sum(M[i][j] * v[j] for j in range(cols)) for i in range(rows))
+
+
+def det_int(M: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n, m = mat_shape(M)
+    if n != m:
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def kernel_basis(M: IntMatrix) -> Tuple[IntVector, ...]:
+    """Z-basis of the integer kernel {x : M x = 0}, as column vectors."""
+    rows, cols = mat_shape(M)
+    _, D, V = smith_normal_form(M)
+    basis = []
+    for j in range(cols):
+        d = D[j][j] if j < rows else 0
+        if d == 0:
+            basis.append(tuple(V[i][j] for i in range(cols)))
+    return tuple(basis)
+
+
+def h1_structure_three_step(action: GammaAction) -> FiniteAbelianGroup:
+    """ker(A - 1) / N_A Z^r in three Smith forms: a Z-basis of ker(A - 1)
+    (:func:`kernel_basis`), the coordinates of each norm column in that
+    basis by a Fraction solve, and the quotient of Z^k by those columns.
+    The oracle of ``cohomology.h1_structural``, which reads the same group
+    off one Smith form of N_A."""
+    r = action.rank
+    fixed = kernel_basis(action.coboundary_matrix())
+    k = len(fixed)
+    if k == 0:
+        return FiniteAbelianGroup(())
+    # express the norm images of the standard basis in the fixed basis
+    K = tuple(tuple(fixed[j][i] for j in range(k)) for i in range(r))  # r x k
+    U, D, V = smith_normal_form(K)
+    norm = action.norm_matrix()
+    cols = []
+    for j in range(r):
+        w = mat_vec(U, tuple(norm[i][j] for i in range(r)))
+        y = [Fraction(0)] * k
+        for i in range(r):
+            d = D[i][i] if i < k else 0
+            if d != 0:
+                y[i] = Fraction(w[i], d)
+            elif w[i] != 0:
+                raise AssertionError("norm image must lie in the fixed sublattice")
+        coords = mat_vec(V, tuple(y))
+        if any(x.denominator != 1 for x in coords):
+            raise AssertionError("norm image has non-integral fixed coordinates")
+        cols.append(tuple(int(x) for x in coords))
+    group = quotient_structure(k, cols)
+    if group.free_rank != 0:
+        raise AssertionError("H^1 of a finite cyclic group on a torus is finite")
+    return group
 
 
 def qz_add(u: QZVector, v: QZVector) -> QZVector:

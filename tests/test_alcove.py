@@ -23,14 +23,13 @@ from parahoric.alcove import (
     vertex_prime_data,
 )
 from parahoric.cohomology import local_types, trivial_action
-from parahoric.exactalg import mat_vec
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
     orbit_partition,
 )
 
-from .references import pairing, rank_range, weyl_generators, weyl_matrices
+from .references import mat_vec, pairing, rank_range, weyl_generators, weyl_matrices
 
 
 def rv_point(datum, *values):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +293,32 @@ def test_global_reads_integer_point_entries_as_their_strings(capsys, tmp_path):
             {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 4, "point": point}]})
         runs.append(run_cli(capsys, "global", "--config", cfg))
     assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_an_underscore_in_a_rational_is_refused_on_every_python(capsys, tmp_path):
+    # Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it before
+    code, out, err = run_cli(capsys, "types", "--group", "A1", "--order", "3", "--point", "1_0")
+    assert (code, out) == (2, "") and "not a rational number: '1_0'" in err
+    cfg = write_config(tmp_path, {"branch_points": [
+        {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 3, "point": ["1_0"]}]})
+    code, out, err = run_cli(capsys, "global", "--config", cfg)
+    assert (code, out) == (2, "") and "not a rational number: '1_0'" in err
+
+
+def test_a_closed_output_pipe_exits_1_without_a_traceback():
+    # types A2 at e = 100 writes about 3.4 MB, far more than a pipe holds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parahoric.cli", "types", "--group", "A2", "--order", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no traceback, nor any other message
 
 
 def test_twist_and_global_json_roundtrip(capsys, tmp_path):

@@ -154,7 +154,6 @@ def test_cached_norm_matrix_is_the_sum_of_powers(label, rank, perm, e):
     for j in range(1, e):
         expected = mat_add(expected, mat_pow(action.automorphism.matrix, j))
     assert action.norm_matrix() == expected
-    assert action.norm_matrix() is action.norm_matrix()
 
 
 def test_norm_cache_leaves_equality_and_hashing_alone():

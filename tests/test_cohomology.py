@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import parahoric.cohomology
+import parahoric.exactalg
 from parahoric.alcove import as_point, point_from_root_values, simple_root_values
 from parahoric.cohomology import (
     GammaAction,
@@ -24,7 +25,6 @@ from parahoric.exactalg import (
     common_numerators,
     identity_matrix,
     mat_sub,
-    mat_vec,
     qz_vector,
     smith_normal_form,
 )
@@ -43,7 +43,9 @@ from .references import (
     class_orbits,
     classes_equal,
     grid_h1_elements,
+    h1_structure_three_step,
     mat_pow,
+    mat_vec,
     mat_vec_qz,
     pairing,
     qz_add,
@@ -52,6 +54,7 @@ from .references import (
     simple_reflection,
     weyl_matrices,
 )
+from .test_reach import defined_functions
 from .test_rootdata import flip
 
 
@@ -431,7 +434,7 @@ def test_h1_structural_warm_runs_no_smith_form_and_still_checks(monkeypatch):
         raise AssertionError("the warm structure must not be recomputed")
 
     monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", refuse)
-    monkeypatch.setattr(parahoric.cohomology, "kernel_basis", refuse)
+    monkeypatch.setattr(parahoric.exactalg, "smith_normal_form", refuse)
     # an equal action built anew finds the same entry
     _, again = flip_action(5, e=4)
     assert h1_structural(datum, again) == cold
@@ -444,6 +447,48 @@ def test_h1_structural_warm_runs_no_smith_form_and_still_checks(monkeypatch):
                         lambda a: [1] * a.rank)
     with pytest.raises(AssertionError, match="element model found 1 classes"):
         h1_elements(datum, action)
+
+
+def test_a_cold_h1_structure_runs_one_smith_form_of_the_norm(monkeypatch):
+    _h1_structure.cache_clear()
+    datum, action = flip_action(5, e=4)
+    forms = []
+
+    def counted(M, snf=smith_normal_form):
+        forms.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(parahoric.exactalg, "smith_normal_form", counted)
+    monkeypatch.setattr(parahoric.cohomology, "smith_normal_form", counted)
+    # sigma-orbits {1, 5}, {2, 4} and {3}: e/|O| = 2, 2 and 4
+    assert h1_structural(datum, action).invariant_factors == (2, 2, 4)
+    assert forms == [action.norm_matrix()]
+    # the three-step path (kernel basis, Fraction solve, second quotient)
+    # and its helpers live in the tests
+    names = {name for _, name in defined_functions().values()}
+    assert not names & {"kernel_basis", "mat_vec", "det_int"}
+
+
+def test_a_norm_that_a_minus_one_does_not_kill_is_a_hard_error(monkeypatch):
+    _h1_structure.cache_clear()
+    datum, action = flip_action(3, e=2)
+    monkeypatch.setattr(GammaAction, "norm_matrix", lambda self: identity_matrix(self.rank))
+    with pytest.raises(AssertionError, match="\\(A - 1\\) N_A is not zero"):
+        h1_structural(datum, action)
+    assert _h1_structure.cache_info().currsize == 0
+
+
+def test_h1_structural_of_weyl_elements_matches_the_three_step_quotient():
+    # a Weyl element is no node permutation, and its norm is not symmetric
+    for label, rank in (("B", 3), ("G", 2), ("A", 3)):
+        datum = build_root_datum(label, rank)
+        for w in weyl_matrices(datum):
+            aut = MatrixAutomorphism(w)
+            for e in (aut.order, 2 * aut.order):
+                action = GammaAction(e, aut)
+                got = h1_structural(datum, action)
+                assert got.invariant_factors == h1_structure_three_step(action).invariant_factors
+                assert got.free_rank == 0
 
 
 def test_burnside_weyl_cap_refuses_whether_the_table_is_cold_or_warm():

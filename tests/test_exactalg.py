@@ -5,11 +5,8 @@ import pytest
 
 from parahoric.exactalg import (
     FiniteAbelianGroup,
-    det_int,
     identity_matrix,
-    kernel_basis,
     mat_mul,
-    mat_vec,
     matrix,
     qz,
     qz_vector,
@@ -17,7 +14,14 @@ from parahoric.exactalg import (
     smith_normal_form,
 )
 
-from .references import ImageMembership, mat_vec_qz, solve_mod_z
+from .references import (
+    ImageMembership,
+    det_int,
+    kernel_basis,
+    mat_vec,
+    mat_vec_qz,
+    solve_mod_z,
+)
 
 
 def snf_checks(M):

@@ -19,20 +19,22 @@ from parahoric.cohomology import (
     types_of_classes,
 )
 from parahoric.alcove import point_from_root_values, simple_root_values
-from parahoric.exactalg import mat_vec, qz_vector
+from parahoric.exactalg import qz_vector
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
     diagram_automorphism,
     fixed_weyl_generators,
 )
-from parahoric.slmodel import sl_local_types, standard_involution, variant_involution
+from parahoric.slmodel import _sl_flip, sl_local_types, standard_involution, variant_involution
 
 from .references import (
     ImageMembership,
     class_orbits,
     grid_classes,
+    h1_structure_three_step,
     mat_pow,
+    mat_vec,
     mat_vec_qz,
     qz_add,
     qz_sub,
@@ -76,6 +78,29 @@ SWEEP = sweep_cases()
 
 def test_the_sweep_has_372_cases():
     assert len(SWEEP) == 372
+
+
+def structure_cases():
+    """(datum, action) for every symmetry of :func:`_symmetries` at every
+    e <= 40 that is a multiple of its order, then the SL_n flips of
+    ``slmodel`` for n = 3..12."""
+    cases = []
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        for aut in _symmetries(datum):
+            cases += [(datum, GammaAction(e, aut)) for e in range(aut.order, 41, aut.order)]
+    return cases + [_sl_flip(n) for n in range(3, 13)]
+
+
+def test_h1_structural_matches_the_three_step_quotient():
+    cases = structure_cases()
+    assert len(cases) == 1606 + 10
+    for datum, action in cases:
+        got = h1_structural(datum, action)
+        expected = h1_structure_three_step(action)
+        assert got.invariant_factors == expected.invariant_factors, \
+            (datum.name, action.automorphism.node_permutation, action.e)
+        assert got.free_rank == expected.free_rank == 0
 
 
 # The grid model walks all e^r grid points as Fraction vectors and takes
