@@ -11,7 +11,8 @@ Layers:
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
   normal form, lattice quotients, the adjugate and determinant from one
   elimination);
-* :mod:`parahoric.rootdata` - root data (built under a cap), Weyl groups,
+* :mod:`parahoric.rootdata` - root data (built under a cap by one integer
+  closure that gives every positive root its coroot), Weyl groups,
   lattice automorphisms as node permutations, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus from
   sigma-orbit sums, checked against the lattice quotient of one Smith form

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactalg import QZVector, common_numerators, grid_numerators
+from .exactalg import QZVector, common_numerators, grid_numerators, require_positive_order
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -209,8 +209,9 @@ def type_to_alcove(
 
     Only meaningful when the group action on the reductive quotient is the
     split untwisted one; the class representative acts as the translation
-    by its coroot coordinates.
+    by its coroot coordinates.  An order e < 1 is a ValueError.
     """
+    require_positive_order(e)
     D, X, values = fold_type(datum, as_point(rep), e, common_numerators(as_point(base)), cap)
     return tuple(Fraction(a, D) for a in X), facet_of_numerators(datum, D, values)
 
@@ -226,8 +227,9 @@ def fold_type(
     with root values V / D, for the base b = B / N given as (N, B) and a
     class rep t in (1/e)Z^r (:func:`fold_numerators`).  D = lcm(N, e) and
     the numerators of b + t over it are those of b times D / N plus those of
-    t over e times D / e.  A t outside (1/e)Z^r, which the norm e of the
-    split action does not kill, is a ValueError."""
+    t over e times D / e.  An order e < 1, or a t outside (1/e)Z^r, which
+    the norm e of the split action does not kill, is a ValueError."""
+    require_positive_order(e)
     if len(rep) != datum.rank:
         raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(rep)}")
     N, B = base_numerators
@@ -258,7 +260,9 @@ def apartment_orbit_types(
     n = C mu must satisfy adj(C) n = 0 mod det(C).  The cost is cosets times
     alcove lattice points, but the size |W| * e^r of the orbit enumeration
     is still checked against ``cap`` first, so the refusals do not move.
+    An order e < 1 is a ValueError, before any cap.
     """
+    require_positive_order(e)
     order = weyl_order(datum, cap=cap)
     if order * e ** datum.rank > cap:
         raise EnumerationCapError(

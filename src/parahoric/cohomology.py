@@ -71,6 +71,7 @@ from .exactalg import (
     mat_sub,
     qz_zero,
     quotient_structure,
+    require_positive_order,
     smith_normal_form,
 )
 from .rootdata import (
@@ -101,8 +102,7 @@ class GammaAction:
     automorphism: LatticeAutomorphism
 
     def __post_init__(self):
-        if self.e < 1:
-            raise ValueError("the order of Gamma must be positive")
+        require_positive_order(self.e)
         if self.e % self.automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
 
@@ -272,15 +272,8 @@ def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
     read off the rows of :func:`cocycle_columns`; each distinct numerator
     becomes one Fraction."""
     d, columns = cocycle_columns(rep, action)
-    values: Dict[int, Fraction] = {}
-
-    def value(a: int) -> Fraction:
-        x = values.get(a)
-        if x is None:
-            x = values[a] = Fraction(a, d)
-        return x
-
-    return {i: tuple(value(a) for a in row) for i, row in enumerate(zip(*columns))}
+    value = {a: Fraction(a, d) for a in set().union(*columns)}.__getitem__
+    return {i: tuple(map(value, row)) for i, row in enumerate(zip(*columns))}
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +504,7 @@ def burnside_type_count(
     default cap of every other stage, is refused on every call, before the
     table is consulted.
     """
-    if e < 1:
-        raise ValueError("the order of Gamma must be positive")
+    require_positive_order(e)
     base_vec = as_point(base) if base is not None else qz_zero(datum.rank)
     require_root_values_on_grid(simple_root_values(datum, base_vec), e)
     N, B = common_numerators(base_vec)

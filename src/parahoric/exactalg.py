@@ -258,9 +258,16 @@ def common_numerators(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
+def require_positive_order(e: int) -> None:
+    """Refuse an order e < 1 of the cyclic group Gamma with ValueError."""
+    if e < 1:
+        raise ValueError("the order of Gamma must be positive")
+
+
 def grid_numerators(xs: Sequence[Fraction], e: int) -> List[int]:
     """The numerators e x_i of a vector of (1/e)Z^r (ints or Fractions);
-    an entry outside (1/e)Z is a ValueError."""
+    an order e < 1 or an entry outside (1/e)Z is a ValueError."""
+    require_positive_order(e)
     if any(e % x.denominator for x in xs):
         raise ValueError(f"vector {tuple(map(str, xs))} is not in (1/{e})Z^{len(xs)}")
     return [x.numerator * (e // x.denominator) for x in xs]

@@ -5,27 +5,28 @@ Conventions (Bourbaki numbering throughout):
 * the cocharacter lattice is expressed in the basis of simple coroots
   (simply-connected normalization), so a coweight is an integer or rational
   coordinate vector of length ``rank``;
-* roots are stored by their coefficients on the simple roots;
+* roots are stored by their coefficients on the simple roots, coroots by
+  theirs on the simple coroots;
 * ``cartan[i][j] = <alpha_i, alpha_j_coroot>``.
 
-A root datum is built by closing the simple roots under the simple
-reflections, with a configurable cap checked against the closed-form size
+A root datum is built by closing the pairs (alpha_i, alpha_i^v) under the
+simple reflections, which carry each positive root with its coroot, all in
+ints, with a configurable cap checked against the closed-form size
 |Phi^+| * r^2 of that closure before it starts.  The Weyl group is only
 ever materialized by one breadth-first closure of the generators, each
-element held as a packed integer key of its root values and the places of
-the coroots it maps the simple coroots to, with a configurable cap that is
-checked against the order |W| before the closure starts; its conjugacy
-classes are found on the same keys.  An integer matrix on the coroot
-lattice is formed only for a class representative and for a generator of
-the subgroup W^sigma fixed by a diagram automorphism, which is only ever
-given by its generators.  A lattice automorphism is a node permutation
-sigma.
+element held as a packed integer key of its root values and the places,
+among the coroots of the datum, of the coroots it maps the simple coroots
+to, with a configurable cap that is checked against the order |W| before
+the closure starts; its conjugacy classes are found on the same keys.  An
+integer matrix on the coroot lattice is formed only for a class
+representative and for a generator of the subgroup W^sigma fixed by a
+diagram automorphism, which is only ever given by its generators.  A
+lattice automorphism is a node permutation sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, inf, lcm, prod
 from operator import mul
@@ -109,43 +110,33 @@ def _cartan_matrix(label: str, rank: int) -> IntMatrix:
     return matrix(c)
 
 
-def _positive_roots(cartan: IntMatrix) -> Tuple[IntVector, ...]:
-    """Close the simple roots under simple reflections, keeping positives."""
+def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[IntVector, IntVector], ...]:
+    """Every positive root with its coroot, as (root, coroot) pairs in
+    (height, root) order.
+
+    The pairs (alpha_i, alpha_i^v) are closed under the simple reflections,
+    which move a root and its coroot together (Bourbaki, Lie groups and Lie
+    algebras, ch. VI, 1.1): s_i(beta) = beta - <beta, alpha_i^v> alpha_i and
+    s_i(beta^v) = beta^v - <alpha_i, beta^v> alpha_i^v, all in ints.  A
+    positive root beta that is not simple has some <beta, alpha_i^v> > 0,
+    and then s_i(beta) is a positive root of lower height, so every
+    positive root is reached from a simple one by the steps that raise the
+    height, <beta, alpha_i^v> < 0; the closure takes only those."""
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(n):
-                pairing = sum(beta[j] * cartan[j][i] for j in range(n))
-                image = tuple(
-                    beta[j] - (pairing if j == i else 0) for j in range(n)
-                )
-                if all(x >= 0 for x in image) and image not in seen:
+    # per i, the nonzero <alpha_j, alpha_i^v> = c_ji
+    columns = [[(j, c) for j, c in enumerate(column) if c] for column in zip(*cartan)]
+    pairs = [(simple, simple) for simple in identity_matrix(n)]
+    seen = {root for root, _ in pairs}
+    for beta, coroot in pairs:  # grows while it is read
+        for i in range(n):
+            p = sum(beta[j] * c for j, c in columns[i])
+            if p < 0:
+                image = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                if image not in seen:
                     seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
-
-
-def _symmetrizers(cartan: IntMatrix) -> Tuple[Fraction, ...]:
-    """Rational d_i proportional to half the squared root lengths, so that
-    (alpha_i, alpha_j) = c_ij d_j is symmetric."""
-    n = len(cartan)
-    d: List[Optional[Fraction]] = [None] * n
-    d[0] = Fraction(1)
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
-                frontier.append(j)
-    if any(x is None for x in d):
-        raise ValueError("Dynkin diagram is not connected")
-    return tuple(d)  # type: ignore[arg-type]
+                    q = sum(map(mul, cartan[i], coroot))
+                    pairs.append((image, coroot[:i] + (coroot[i] - q,) + coroot[i + 1:]))
+    return tuple(sorted(pairs, key=lambda pair: (sum(pair[0]), pair[0])))
 
 
 @dataclass(frozen=True)
@@ -156,9 +147,9 @@ class RootDatum:
     rank: int
     cartan: IntMatrix
     positive_roots: Tuple[IntVector, ...]
+    positive_coroots: Tuple[IntVector, ...]  # the coroot of each positive root
     highest_root: IntVector
     marks: IntVector
-    symmetrizers: Tuple[Fraction, ...]
 
     @property
     def name(self) -> str:
@@ -180,24 +171,8 @@ class RootDatum:
 
     @cached_property
     def theta_coroot(self) -> IntVector:
-        """The coroot of the highest root."""
-        return self.coroot(self.highest_root)
-
-    def coroot(self, root: Sequence[int]) -> IntVector:
-        """Coroot of a root, in simple-coroot coordinates."""
-        d = self.symmetrizers
-        half_norm = sum(
-            Fraction(root[i] * root[j]) * self.cartan[i][j] * d[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        ) / 2
-        out = []
-        for j in range(self.rank):
-            x = Fraction(root[j]) * d[j] / half_norm
-            if x.denominator != 1:
-                raise AssertionError("coroot coordinates must be integral")
-            out.append(int(x))
-        return tuple(out)
+        """The coroot of the highest root, the last positive root."""
+        return self.positive_coroots[-1]
 
 
 def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum:
@@ -205,10 +180,10 @@ def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum
     process; a :class:`RootDatum` is frozen, so every caller shares it.
 
     A bad label or rank raises ValueError (:func:`positive_root_count`).
-    The closure of the positive roots applies r simple reflections of r
-    entries to each of the |Phi^+| roots, so an estimate |Phi^+| * r^2
-    above ``cap`` is refused with :class:`EnumerationCapError` before it
-    starts."""
+    The closure of the positive roots with their coroots
+    (:func:`_positive_roots`) applies r simple reflections of r entries to
+    each of the |Phi^+| roots, so an estimate |Phi^+| * r^2 above ``cap``
+    is refused with :class:`EnumerationCapError` before it starts."""
     label = label.upper()
     estimate = positive_root_count(label, rank) * rank ** 2
     if estimate > cap:
@@ -220,23 +195,28 @@ def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum
 @lru_cache(maxsize=None)
 def _root_datum(label: str, rank: int) -> RootDatum:
     """The part of :func:`build_root_datum` after the checks; a closure that
-    misses the closed-form count of :func:`positive_root_count` is a hard
-    error."""
+    misses the closed-form count of :func:`positive_root_count`, or pairs a
+    root beta with a coroot of <beta, beta^v> != 2, is a hard error."""
     cartan = _cartan_matrix(label, rank)
-    positives = _positive_roots(cartan)
+    pairs = _positive_roots(cartan)
     count = positive_root_count(label, rank)
-    if len(positives) != count:
-        raise AssertionError(f"root closure for {label}{rank} has {len(positives)} "
+    if len(pairs) != count:
+        raise AssertionError(f"root closure for {label}{rank} has {len(pairs)} "
                              f"positive roots, the closed form gives {count}")
-    highest = max(positives, key=lambda r: (sum(r), r))
+    for root, coroot in pairs:
+        length = sum(b * sum(map(mul, row, coroot)) for b, row in zip(root, cartan) if b)
+        if length != 2:
+            raise AssertionError(f"root closure for {label}{rank} pairs the root {root} with "
+                                 f"{coroot}: <beta, beta^v> = {length}, not 2")
+    roots, coroots = map(tuple, zip(*pairs))
     return RootDatum(
         label=label,
         rank=rank,
         cartan=cartan,
-        positive_roots=positives,
-        highest_root=highest,
-        marks=highest,
-        symmetrizers=_symmetrizers(cartan),
+        positive_roots=roots,
+        positive_coroots=coroots,
+        highest_root=roots[-1],
+        marks=roots[-1],
     )
 
 
@@ -267,29 +247,31 @@ class _PackedKeys(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _packed_keys(datum: RootDatum) -> _PackedKeys:
-    """The coroots by integer closure of the simple coroots under
-    s_i(c) = c - <alpha_i, c> alpha_i^v, with <alpha_i, c> = sum_k c_ik c_k,
-    and the key layout of :class:`_PackedKeys`; built once per datum and
-    process.  A closure that misses 2 |Phi^+| coroots is a hard error."""
+    """The coroots of the datum and the negatives of them, the simple ones
+    first in node order, with the table of s_i(c) = c - <alpha_i, c> alpha_i^v,
+    <alpha_i, c> = sum_k c_ik c_k, on them and the key layout of
+    :class:`_PackedKeys`; built once per datum and process.  A list that is
+    not 2 |Phi^+| distinct coroots closed under the s_i is a hard error."""
     n, cartan = datum.rank, datum.cartan
-    coroots = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    # (height, root) order lists the simple coroots first, in reverse node order
+    plus = datum.positive_coroots[n - 1::-1] + datum.positive_coroots[n:]
+    coroots = plus + tuple(tuple(-x for x in c) for c in plus)
     index = {c: k for k, c in enumerate(coroots)}
-    reflect: List[List[int]] = [[] for _ in range(n)]
-    for c in coroots:  # grows while it is read: a breadth-first closure
-        for i in range(n):
-            image = c[:i] + (c[i] - sum(map(mul, cartan[i], c)),) + c[i + 1:]
-            if image not in index:
-                index[image] = len(coroots)
-                coroots.append(image)
-            reflect[i].append(index[image])
-    if len(coroots) != 2 * len(datum.positive_roots):
-        raise AssertionError(f"coroot closure for {datum.name} has {len(coroots)} coroots, "
+    if len(index) != 2 * len(datum.positive_roots):
+        raise AssertionError(f"the coroot list of {datum.name} has {len(index)} coroots, "
                              f"not 2 |Phi+| = {2 * len(datum.positive_roots)}")
+    pairings = [[sum(map(mul, row, c)) for row in cartan] for c in coroots]  # <alpha_j, c>
+    reflect = []
+    for i in range(n):
+        images = tuple(index.get(c[:i] + (c[i] - v[i],) + c[i + 1:])
+                       for c, v in zip(coroots, pairings))
+        if None in images:
+            raise AssertionError(f"the coroot list of {datum.name} is not closed under s{i + 1}")
+        reflect.append(images)
     width = sum(datum.highest_root).bit_length() + 1
-    values = tuple(sum(sum(map(mul, row, c)) << width * j for j, row in enumerate(cartan))
-                   for c in coroots)
+    values = tuple(sum(x << width * j for j, x in enumerate(v)) for v in pairings)
     offset = 1 << width - 1
-    return _PackedKeys(tuple(coroots), tuple(map(tuple, reflect)), values, width, offset,
+    return _PackedKeys(coroots, tuple(reflect), values, width, offset,
                        sum(offset + 1 << width * j for j in range(n)))
 
 

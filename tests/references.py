@@ -46,6 +46,11 @@ report built the same way, row by row from the Fraction API of
 :func:`facet_of`) with one ``str`` per entry, where the CLI folds each row
 once on integer numerators and makes each distinct string once.
 
+:func:`coroots_by_lengths` are the coroots 2 beta / (beta, beta) from the
+Fraction squared lengths of :func:`length_symmetrizers`, as the library
+computed them before the root closure carried each coroot: the oracle of
+``RootDatum.positive_coroots``.
+
 :func:`pairing` and :func:`all_coroots` are the root-datum conveniences
 that no library code calls: the pairing of a root with a coweight through
 the integer root row, and every coroot.  So are the mod-Z helpers
@@ -78,6 +83,7 @@ coordinates (:func:`coroot_coordinates`, the inverse of
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -572,8 +578,46 @@ def rank_range(max_rank: int) -> List[Tuple[str, int]]:
 
 def all_coroots(datum: RootDatum) -> tuple:
     """The coroots of the positive roots, then their negatives."""
-    plus = [datum.coroot(r) for r in datum.positive_roots]
-    return tuple(plus) + tuple(tuple(-x for x in v) for v in plus)
+    plus = datum.positive_coroots
+    return plus + tuple(tuple(-x for x in v) for v in plus)
+
+
+def length_symmetrizers(cartan: IntMatrix) -> Tuple[Fraction, ...]:
+    """Rational d_i proportional to half the squared root lengths, so that
+    (alpha_i, alpha_j) = c_ij d_j is symmetric."""
+    n = len(cartan)
+    d: List[Optional[Fraction]] = [None] * n
+    d[0] = Fraction(1)
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                frontier.append(j)
+    if any(x is None for x in d):
+        raise ValueError("Dynkin diagram is not connected")
+    return tuple(d)  # type: ignore[arg-type]
+
+
+def coroots_by_lengths(datum: RootDatum) -> Tuple[IntVector, ...]:
+    """The coroot 2 beta / (beta, beta) of each positive root, in
+    simple-coroot coordinates, from the squared lengths of
+    :func:`length_symmetrizers` (scaled to integers by the lcm of their
+    denominators): the oracle of ``RootDatum.positive_coroots``."""
+    d = length_symmetrizers(datum.cartan)
+    scale = math.lcm(*(x.denominator for x in d))
+    d = [int(x * scale) for x in d]
+    bonds = [(i, j, c * d[j]) for i, row in enumerate(datum.cartan)
+             for j, c in enumerate(row) if c]
+    out = []
+    for root in datum.positive_roots:
+        norm = sum(root[i] * root[j] * x for i, j, x in bonds)  # scale * (beta, beta)
+        coroot = [divmod(2 * b * x, norm) for b, x in zip(root, d)]
+        if any(rem for _, rem in coroot):
+            raise AssertionError("coroot coordinates must be integral")
+        out.append(tuple(q for q, _ in coroot))
+    return tuple(out)
 
 
 def _norm_kills(norm, t):

@@ -15,6 +15,7 @@ import parahoric.rootdata
 from parahoric.alcove import (
     apartment_orbit_types,
     facet_of,
+    fold_type,
     min_split_degree,
     point_from_root_values,
     reduce_to_alcove,
@@ -195,6 +196,22 @@ def test_reduction_beyond_the_cap_reflects_nothing(monkeypatch):
                         property(lambda self: pytest.fail("a reflection ran")))
     with pytest.raises(EnumerationCapError, match="reflections exceeds cap 1000000$"):
         reduce_to_alcove(e8, x)
+
+
+@pytest.mark.parametrize("e", [0, -3])
+def test_a_nonpositive_order_is_refused_before_any_work(monkeypatch, e):
+    # e = 0 divided by zero; e = -3 gave no apartment types, and the folds
+    # answered as if e = 3
+    datum, zero = build_root_datum("A", 2), (F(0), F(0))
+    monkeypatch.setattr(parahoric.alcove, "weyl_order",
+                        lambda *args, **kwargs: pytest.fail("the cap was checked first"))
+    monkeypatch.setattr(parahoric.alcove, "common_numerators",
+                        lambda *args, **kwargs: pytest.fail("a point was read first"))
+    for call in (lambda: apartment_orbit_types(datum, zero, e),
+                 lambda: type_to_alcove(datum, zero, e, zero),
+                 lambda: fold_type(datum, zero, e, (1, (0, 0)))):
+        with pytest.raises(ValueError, match="^the order of Gamma must be positive$"):
+            call()
 
 
 def test_facets_a1():
@@ -513,7 +530,7 @@ def reduce_to_alcove_reference(datum, x):
     the theta-wall while <theta, x> > 1, with r^2 pairings per step."""
     point = [F(c) for c in x]
     theta = datum.highest_root
-    theta_coroot = datum.coroot(theta)
+    theta_coroot = datum.positive_coroots[datum.positive_roots.index(theta)]
     word = []
     while True:
         for i in range(datum.rank):

@@ -148,7 +148,7 @@ def test_not_norm_killed_is_rejected():
 
 
 @pytest.mark.parametrize("label,rank,perm,e", DIAGRAM)
-def test_cached_norm_matrix_is_the_sum_of_powers(label, rank, perm, e):
+def test_norm_matrix_is_the_sum_of_powers(label, rank, perm, e):
     datum, action = diagram_action(label, rank, perm, e)
     expected = identity_matrix(rank)
     for j in range(1, e):
@@ -156,7 +156,7 @@ def test_cached_norm_matrix_is_the_sum_of_powers(label, rank, perm, e):
     assert action.norm_matrix() == expected
 
 
-def test_norm_cache_leaves_equality_and_hashing_alone():
+def test_gamma_action_equality_and_hashing_read_only_e_and_the_automorphism():
     datum, fresh = diagram_action("A", 4, (3, 2, 1, 0), 4)
     _, used = diagram_action("A", 4, (3, 2, 1, 0), 4)
     used.norm_matrix()

@@ -5,6 +5,7 @@ import pytest
 
 from parahoric.exactalg import (
     FiniteAbelianGroup,
+    grid_numerators,
     identity_matrix,
     mat_mul,
     matrix,
@@ -113,6 +114,15 @@ def test_quotient_structure_examples():
     assert g.invariant_factors == (e, e)
     g = quotient_structure(1, [])
     assert g.free_rank == 1 and g.order is None
+
+
+@pytest.mark.parametrize("e", [0, -3])
+def test_grid_numerators_refuse_a_nonpositive_order(e):
+    # e = 0 gave zeros for any vector
+    for xs in ((F(1, 2), F(1)), (F(0),), ()):
+        with pytest.raises(ValueError, match="^the order of Gamma must be positive$"):
+            grid_numerators(xs, e)
+    assert grid_numerators((F(1, 2), F(1)), 4) == [2, 4]
 
 
 def test_quotient_order_equals_index():

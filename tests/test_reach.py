@@ -29,7 +29,6 @@ PACKAGE = Path(parahoric.__file__).resolve().parent
 # stops wrapping them (ROADMAP item 1); no command calls them.
 UNREACHED_ALLOWED = {
     ("cohomology.py", "cocycle_of"),
-    ("cohomology.py", "value"),  # the memo inside cocycle_of
     ("rootdata.py", "orbit_partition"),
     ("slmodel.py", "reversal_fixed_permutations"),
 }

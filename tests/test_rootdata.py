@@ -30,6 +30,7 @@ from .references import (
     MatrixAutomorphism,
     all_coroots,
     cofactor_adjugate,
+    coroots_by_lengths,
     det_int,
     fixed_weyl_generators_by_rows,
     mat_pow,
@@ -181,9 +182,41 @@ def test_a_closure_that_misses_the_closed_form_is_a_hard_error(monkeypatch):
 
 def test_a_coroot_closure_that_misses_2_phi_plus_is_a_hard_error():
     datum = build_root_datum("B", 3)
-    short = replace(datum, positive_roots=datum.positive_roots[1:])
-    with pytest.raises(AssertionError, match="B3 has 18 coroots, not 2 \\|Phi\\+\\| = 16"):
+    short = replace(datum, positive_coroots=datum.positive_coroots[1:])
+    with pytest.raises(AssertionError, match="B3 has 16 coroots, not 2 \\|Phi\\+\\| = 18"):
         rootdata._packed_keys.__wrapped__(short)
+
+
+def test_a_coroot_list_not_closed_under_the_reflections_is_a_hard_error():
+    datum = build_root_datum("B", 3)
+    doubled = tuple(2 * x for x in datum.theta_coroot)  # in place of theta^v
+    bad = replace(datum, positive_coroots=datum.positive_coroots[:-1] + (doubled,))
+    with pytest.raises(AssertionError, match="^the coroot list of B3 is not closed under s2$"):
+        rootdata._packed_keys.__wrapped__(bad)
+
+
+def test_a_root_paired_with_a_wrong_coroot_is_a_hard_error(monkeypatch):
+    closure = rootdata._positive_roots
+
+    def doubled_theta_coroot(cartan):
+        pairs = closure(cartan)
+        theta, coroot = pairs[-1]
+        return pairs[:-1] + ((theta, tuple(2 * x for x in coroot)),)
+
+    monkeypatch.setattr(rootdata, "_positive_roots", doubled_theta_coroot)
+    with pytest.raises(AssertionError, match=re.escape(
+            "root closure for B3 pairs the root (1, 2, 2) with (2, 4, 2): "
+            "<beta, beta^v> = 4, not 2")):
+        rootdata._root_datum.__wrapped__("B", 3)
+
+
+def test_positive_coroots_match_the_length_formula():
+    pairs = rank_range(8) + [(label, r) for r in range(9, 21) for label in "ABCD"]
+    for label, rank in pairs:
+        datum = build_root_datum(label, rank)
+        assert datum.positive_coroots == coroots_by_lengths(datum), (label, rank)
+        for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
+            assert pairing(datum, root, coroot) == 2, (label, rank, root)
 
 
 def test_simple_reflection_examples():
@@ -250,7 +283,9 @@ def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
         assert mat_mul(adj, datum.cartan) == tuple(
             tuple(det * x for x in row) for row in identity_matrix(rank))
         assert datum.cartan_inverse is datum.cartan_inverse
-        assert datum.theta_coroot == datum.coroot(datum.highest_root)
+        assert datum.theta_coroot == datum.positive_coroots[
+            datum.positive_roots.index(datum.highest_root)]
+        assert datum.theta_coroot is datum.theta_coroot
         assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
 
 
@@ -463,7 +498,7 @@ def test_longest_element_negates_positive_roots():
     # the longest element maps the positive coroots to the negative ones
     for label, rank in [("A", 2), ("B", 2), ("C", 3), ("G", 2), ("A", 4)]:
         datum = build_root_datum(label, rank)
-        plus = [datum.coroot(r) for r in datum.positive_roots]
+        plus = datum.positive_coroots
         found = False
         for w in weyl_matrices(datum):
             if all(tuple(-x for x in mat_vec(w, c)) in set(plus) for c in plus):
