@@ -39,19 +39,24 @@ def as_point(coords: Sequence) -> AlcovePoint:
     return tuple(Fraction(x) for x in coords)
 
 
-def _root_numerators(
+def require_coordinates(datum: RootDatum, x: Sequence) -> None:
+    """Refuse a point x whose number of coordinates is not the rank."""
+    if len(x) != datum.rank:
+        raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(x)}")
+
+
+def root_numerators(
     datum: RootDatum, x: Sequence
 ) -> Tuple[int, Tuple[int, ...], List[int]]:
     """(D, X, V): x = X / D over the least common denominator D, and
     V = C X, so that <alpha_i, x> = V_i / D."""
-    if len(x) != datum.rank:
-        raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(x)}")
+    require_coordinates(datum, x)
     D, X = common_numerators(as_point(x))
     return D, X, [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
 
 
 def simple_root_values(datum: RootDatum, x: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    D, _, values = _root_numerators(datum, x)
+    D, _, values = root_numerators(datum, x)
     return tuple(Fraction(v, D) for v in values)
 
 
@@ -72,7 +77,7 @@ def reduce_to_alcove(
     (0 for the theta-wall, i for the i-th simple wall) in reflection order.
     The fold runs on the numerators of x over its least common denominator
     (:func:`fold_numerators`), whose cap and checks apply."""
-    D, X, values = _root_numerators(datum, x)
+    D, X, values = root_numerators(datum, x)
     X, _, word = fold_numerators(datum, D, list(X), values, cap)
     return tuple(Fraction(a, D) for a in X), tuple(word)
 
@@ -156,7 +161,7 @@ class FacetDescriptor:
 def facet_of(datum: RootDatum, x0: Sequence[Fraction]) -> FacetDescriptor:
     """Walls through a point of the closed alcove and its speciality
     (:func:`facet_of_numerators`)."""
-    D, _, values = _root_numerators(datum, x0)
+    D, _, values = root_numerators(datum, x0)
     return facet_of_numerators(datum, D, values)
 
 
@@ -192,7 +197,7 @@ def min_split_degree(
     roots, whose integer combinations the other roots are); tameness records
     whether the excluded characteristic (0 or a prime) misses that degree."""
     require_characteristic(p_exclusion)
-    D, _, values = _root_numerators(datum, x)
+    D, _, values = root_numerators(datum, x)
     degree = lcm(*(D // gcd(v, D) for v in values))
     return degree, p_exclusion == 0 or degree % p_exclusion != 0
 
@@ -209,7 +214,8 @@ def type_to_alcove(
 
     Only meaningful when the group action on the reductive quotient is the
     split untwisted one; the class representative acts as the translation
-    by its coroot coordinates.  An order e < 1 is a ValueError.
+    by its coroot coordinates.  An order e < 1, or a rep or base without
+    one coordinate per node, is a ValueError, raised before the fold.
     """
     require_positive_order(e)
     D, X, values = fold_type(datum, as_point(rep), e, common_numerators(as_point(base)), cap)
@@ -227,12 +233,13 @@ def fold_type(
     with root values V / D, for the base b = B / N given as (N, B) and a
     class rep t in (1/e)Z^r (:func:`fold_numerators`).  D = lcm(N, e) and
     the numerators of b + t over it are those of b times D / N plus those of
-    t over e times D / e.  An order e < 1, or a t outside (1/e)Z^r, which
-    the norm e of the split action does not kill, is a ValueError."""
+    t over e times D / e.  An order e < 1, a rep or B without one
+    coordinate per node, or a t outside (1/e)Z^r, which the norm e of the
+    split action does not kill, is a ValueError."""
     require_positive_order(e)
-    if len(rep) != datum.rank:
-        raise ValueError(f"{datum.name} needs {datum.rank} coordinates, not {len(rep)}")
     N, B = base_numerators
+    require_coordinates(datum, rep)
+    require_coordinates(datum, B)
     D = lcm(N, e)
     scale, step = D // N, D // e
     X = [b * scale + a * step for b, a in zip(B, grid_numerators(rep, e))]

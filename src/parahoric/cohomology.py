@@ -46,19 +46,25 @@ flip with a base point.  Only the generators w_J of W^sigma act, one per
 sigma-orbit J of the nodes (the simple reflections for the identity),
 each an involution: t -> w_J(t + b) - b.  w_J lies in W_J, so each
 generator is one affine map of the digit of J, and the orbits run on the
-digit vectors packed into integer indices.
+digit vectors packed into integer indices.  Each map reads a window of
+consecutive digits (at most 4 for a simple reflection in the Bourbaki
+numbering, 3 outside D and E) and becomes one move table over them, the
+change of the index for each value of the window: the search walks plain
+ints, and the tables of one search hold at most r N entries for N classes
+(:func:`_packed_orbits`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .alcove import as_point, simple_root_values
+from .alcove import as_point, root_numerators, simple_root_values
 from .exactalg import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -214,7 +220,10 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
         raise EnumerationCapError(
             f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
     structure = h1_structural(datum, action)
-    values = tuple(tuple(Fraction(j, n) for j in range(n)) for n in _radices(action))
+    radices = _radices(action)
+    # the values j / n of each radix n once, shared by its nodes
+    per_radix = {n: tuple(Fraction(j, n) for j in range(n)) for n in set(radices)}
+    values = tuple(per_radix[n] for n in radices)
     reps = tuple(itertools.product(*values))
     if len(reps) != structure.order:
         raise AssertionError(
@@ -237,8 +246,12 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
     else ValueError.  A fixed node has the entries i p_k, and e p_k = 0 mod
     d, so its column is the progression i -> (i a_k mod e)/e of the digit
     a_k = e t_k alone: the tables of a split action share their columns
-    (``cli.TableStrings``).
+    (``cli.TableStrings``).  A rep without one coordinate per node is a
+    ValueError.
     """
+    if len(rep) != action.rank:
+        raise ValueError(f"a rank-{action.rank} action needs {action.rank} coordinates, "
+                         f"not {len(rep)}")
     d, numerators = common_numerators(rep)
     p = [a % d for a in numerators]
     e = action.e
@@ -305,41 +318,97 @@ def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[in
     vector is packed into the index sum_k d_k w_k, with w_k the product of
     the radices after k, so the index order is the lexicographic order and
     the first index a scan has not reached is the least member of its
-    orbit.  A row moves the index by the change of its digit times w_k.
+    orbit.
+
+    A row moves the index by the change of its digit times w_k, and that
+    change depends only on the window of digits the row reads
+    (:func:`_row_window`), so each row becomes one move table over the
+    packed sub-index of its window (:func:`_move_table`), and the search
+    walks plain ints: the image of i is i + moves[i // w % span], for the
+    weight w of the last window digit and the product ``span`` of the
+    window radices.  A window spans at most the whole grid, so a call holds
+    at most r N table entries for r rows and N vectors; a simple reflection
+    in the Bourbaki numbering reads at most 4 consecutive digits (3 outside
+    D and E), so at most e^4 entries per row at rank >= 3 for a trivial
+    action of order e.
     """
-    r = len(radices)
-    weights = [prod(radices[k + 1:]) for k in range(r)]
-    # per row: (k, own coefficient, constant, radix, weight, other terms)
-    packed = [(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
-               [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
+    key = tuple(radices)
+    tables = [_move_table(key, k, constant, terms)
               for k, constant, terms in rows if radices[k] > 1]
     seen = bytearray(prod(radices))
     out = []
     start = seen.find(0)
     while start >= 0:
         seen[start] = 1
-        frontier = [(start, [start // w % n for w, n in zip(weights, radices)])]
-        count = 1
-        while frontier:
-            nxt = []
-            for index, tau in frontier:
-                for k, own, constant, radix, weight, terms in packed:
-                    old = tau[k]
-                    new = own * old + constant
-                    for j, c in terms:
-                        new += c * tau[j]
-                    new %= radix
-                    image = index + (new - old) * weight
-                    if not seen[image]:
-                        seen[image] = 1
-                        count += 1
-                        moved = tau.copy()
-                        moved[k] = new
-                        nxt.append((image, moved))
-            frontier = nxt
-        out.append((start, count))
+        orbit = [start]
+        for index in orbit:  # the orbit grows while it is walked
+            for weight, span, moves in tables:
+                image = index + moves[index // weight % span]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        out.append((start, len(orbit)))
         start = seen.find(0, start)
     return out
+
+
+@lru_cache(maxsize=64)
+def _row_window(radices: Tuple[int, ...], k: int, terms: Tuple[Tuple[int, int], ...]) -> tuple:
+    """The window of a row (k, constant, terms) of :func:`_packed_orbits`:
+    (w, span, outer, line, step, laps, stride, w_k), kept per (radices, k,
+    terms) and process, as it does not depend on the constant.
+
+    The row reads digit k and each digit j of radix above 1 whose summed
+    coefficient is not 0 mod radix = radices[k].  Its window is the run of
+    digits from the first to the last of them: ``span`` is the product of
+    their radices, w the weight of the last, ``stride`` the weight of digit
+    k inside the window and w_k its weight in the index.  Coefficients are
+    taken in (-radix/2, radix/2].  ``outer`` holds the terms c x, x in
+    range(m), of each window digit but the last; the last, of radix n, has
+    the coefficient ``step`` (radix in place of 0, which only digit k can
+    have), and ``line`` = step n.  ``laps`` copies of range(radix) hold
+    every (constant mod radix) + sum c d_j over the window as an index of
+    its value mod radix, a negative one read from the end."""
+    radix = radices[k]
+    coefficients = [0] * len(radices)
+    for j, c in terms:
+        coefficients[j] += c
+    read = [j for j, c in enumerate(coefficients) if j == k or (c % radix and radices[j] > 1)]
+    lo, hi = read[0], read[-1]
+    half = radix // 2
+    window = [(coefficients[j] + half) % radix - half for j in range(lo, hi + 1)]
+    n, step = radices[hi], window[-1] or radix
+    reach = radix + abs(step) * (n - 1)
+    outer = []
+    for c, m in zip(window, radices[lo:hi]):
+        outer.append(tuple(c * x for x in range(m)))
+        reach += abs(c) * (m - 1)
+    w, w_k = prod(radices[hi + 1:]), prod(radices[k + 1:])
+    return (w, prod(radices[lo:hi + 1]), tuple(outer), step * n, step, reach // radix + 1,
+            w_k // w, w_k)
+
+
+def _move_table(radices: Tuple[int, ...], k: int, constant: int,
+                terms: Sequence[Tuple[int, int]]) -> Tuple[int, int, List[int]]:
+    """(w, span, moves) of one row of :func:`_packed_orbits`, over its
+    window (:func:`_row_window`): entry s of ``moves`` is the change
+    (new d_k - old d_k) w_k of the packed index for the window digits with
+    packed sub-index s, taken from one shared list of the 2 radix - 1
+    possible changes.  The new digits run along the last window digit, one
+    range per line of it, and the old digit k is the pattern of each value
+    repeated ``stride`` times, cycled: the table is built by maps alone."""
+    w, span, outer, line, step, laps, stride, w_k = _row_window(radices, k, tuple(terms))
+    radix = radices[k]
+    cycle = list(range(radix)) * laps
+    # the change x w_k at position x + radix - 1, for x in (-radix, radix)
+    shared = list(map(w_k.__mul__, range(1 - radix, radix)))
+    starts = list(map((constant % radix).__add__, map(sum, itertools.product(*outer))))
+    new = map(cycle.__getitem__, itertools.chain.from_iterable(
+        map(range, starts, map(line.__add__, starts), itertools.repeat(step))))
+    # radix - 1 - old d_k, so that new + it is the position of the change
+    old = itertools.cycle(itertools.chain.from_iterable(
+        map(itertools.repeat, range(radix - 1, -1, -1), itertools.repeat(stride))))
+    return w, span, list(map(shared.__getitem__, map(operator.add, new, old)))
 
 
 @lru_cache(maxsize=None)
@@ -375,14 +444,17 @@ def _generator_rows(datum: RootDatum, action: GammaAction,
     (default 0) must have sigma-invariant root values in (1/e)Z, else
     ValueError."""
     parts = _generator_parts(datum, action.automorphism)
-    values = simple_root_values(datum, base if base is not None else qz_zero(datum.rank))
+    # the root values V / D, on integers; Fractions only name a refusal
+    D, _, V = root_numerators(datum, base if base is not None else qz_zero(datum.rank))
     perm = action.automorphism.node_permutation
-    if any(values[perm[i]] != v for i, v in enumerate(values)):
+    if any(V[perm[i]] != v for i, v in enumerate(V)):
         raise ValueError(
-            f"base point with root values {tuple(map(str, values))} is not fixed by "
-            f"the diagram automorphism {tuple(p + 1 for p in perm)}")
-    require_root_values_on_grid(values, action.e)
-    scaled = [int(v * action.e) for v in values]
+            f"base point with root values {tuple(str(Fraction(v, D)) for v in V)} is not "
+            f"fixed by the diagram automorphism {tuple(p + 1 for p in perm)}")
+    e = action.e
+    if any(v * e % D for v in V):
+        require_root_values_on_grid([Fraction(v, D) for v in V], e)
+    scaled = [v * e // D for v in V]
     return [(q, sum(K * scaled[j] for j, K in twist), terms) for q, twist, terms in parts]
 
 

@@ -24,6 +24,10 @@ the oracle of the diagonal cocycle tables.
 :func:`cocycle_numerators` is the cocycle table by the matrix walk, for any
 finite-order automorphism: the oracle of the sigma-cycle columns of
 ``cohomology.cocycle_columns``.
+:func:`packed_orbits_by_digits` is the orbit engine of
+``cohomology._packed_orbits`` as the library ran it before move tables:
+each vector in the search carries its digit list, and each map reads its
+digits, sums its terms, and copies the list for every new member.
 :func:`class_orbits` is the orbit computation over the generic
 ``orbit_partition`` on ``Fraction`` vectors, matching each image to its
 class through the same invariant.
@@ -655,6 +659,50 @@ def class_orbits(
     keyed = sorted((min(reps[i] for (i,) in orbit), len(orbit)) for orbit in orbits)
     return [LocalType(orbit_representative=rep, orbit_size=size, index=i)
             for i, (rep, size) in enumerate(keyed)]
+
+
+def packed_orbits_by_digits(radices: Sequence[int],
+                            rows: Sequence[Tuple[int, int, Sequence[Tuple[int, int]]]]
+                            ) -> List[Tuple[int, int]]:
+    """The (packed index of the least member, size) of each orbit of the
+    digit vectors under the affine rows of ``cohomology._packed_orbits``,
+    by a breadth-first search that carries the digit list of each vector:
+    a row (k, constant, terms) sets digit k to constant + sum c d_j mod
+    radices[k], and moves the index by the change of the digit times the
+    weight of k."""
+    r = len(radices)
+    weights = [math.prod(radices[k + 1:]) for k in range(r)]
+    # per row: (k, own coefficient, constant, radix, weight, other terms)
+    packed = [(k, sum(c for j, c in terms if j == k), constant, radices[k], weights[k],
+               [(j, c) for j, c in terms if c and j != k and radices[j] > 1])
+              for k, constant, terms in rows if radices[k] > 1]
+    seen = bytearray(math.prod(radices))
+    out = []
+    start = seen.find(0)
+    while start >= 0:
+        seen[start] = 1
+        frontier = [(start, [start // w % n for w, n in zip(weights, radices)])]
+        count = 1
+        while frontier:
+            nxt = []
+            for index, tau in frontier:
+                for k, own, constant, radix, weight, terms in packed:
+                    old = tau[k]
+                    new = own * old + constant
+                    for j, c in terms:
+                        new += c * tau[j]
+                    new %= radix
+                    image = index + (new - old) * weight
+                    if not seen[image]:
+                        seen[image] = 1
+                        count += 1
+                        moved = tau.copy()
+                        moved[k] = new
+                        nxt.append((image, moved))
+            frontier = nxt
+        out.append((start, count))
+        start = seen.find(0, start)
+    return out
 
 
 def norm_killed_numerators(t: QZVector, action: GammaAction) -> Tuple[int, IntVector]:

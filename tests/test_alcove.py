@@ -24,6 +24,7 @@ from parahoric.alcove import (
     vertex_prime_data,
 )
 from parahoric.cohomology import local_types, trivial_action
+from parahoric.exactalg import common_numerators
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
@@ -266,6 +267,19 @@ def test_wrong_length_coweight_is_refused(x):
     for entry in (simple_root_values, reduce_to_alcove, facet_of, min_split_degree):
         with pytest.raises(ValueError, match=message):
             entry(d2, x)
+
+
+@pytest.mark.parametrize("wrong", [(F(1, 2),), (F(1, 2), 0, 0)])
+def test_wrong_length_rep_or_base_of_a_type_is_refused(wrong):
+    # a base of the wrong length used to be cut short by zip (length 3) or
+    # to fail inside the fold (length 1)
+    d2 = build_root_datum("A", 2)
+    message = f"A2 needs 2 coordinates, not {len(wrong)}"
+    for rep, base in [(wrong, (0, 0)), ((0, F(1, 2)), wrong)]:
+        with pytest.raises(ValueError, match=message):
+            type_to_alcove(d2, rep, 2, base)
+        with pytest.raises(ValueError, match=message):
+            fold_type(d2, rep, 2, common_numerators(base))
 
 
 def test_is_prime_matches_sympy():

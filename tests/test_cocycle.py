@@ -147,6 +147,17 @@ def test_not_norm_killed_is_rejected():
         cocycle_of((F(1, 3), F(0)), action)
 
 
+@pytest.mark.parametrize("rep", [(F(1, 2),), (F(1, 2), 0, 0)])
+def test_wrong_length_rep_is_refused(rep):
+    # a rep of the wrong length used to fail with IndexError (length 1) or
+    # to give a table with an empty third column (length 3)
+    action = trivial_action(2, 2)
+    message = f"a rank-2 action needs 2 coordinates, not {len(rep)}"
+    for entry in (cocycle_columns, cocycle_of):
+        with pytest.raises(ValueError, match=message):
+            entry(rep, action)
+
+
 @pytest.mark.parametrize("label,rank,perm,e", DIAGRAM)
 def test_norm_matrix_is_the_sum_of_powers(label, rank, perm, e):
     datum, action = diagram_action(label, rank, perm, e)
