@@ -22,6 +22,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -320,6 +321,21 @@ def action_spec(kind: str, variant: Optional[str] = None,
 # the types computation shared by `types`, `twist` and `global`
 # ---------------------------------------------------------------------------
 
+def _point_entries(label: str, rank: int, order: int, action_kind: str,
+                  perm: Optional[Tuple[int, ...]], types: Sequence[LocalType]) -> dict:
+    """The ``group``, ``order``, ``action`` and ``type_count`` entries of a
+    branch point, shared by a ``types`` report and a ``global`` one; an SL
+    involution is named ``sl-involution``, with its variant."""
+    variant = SL_VARIANTS.get(action_kind)
+    return {
+        "group": {"label": label, "rank": rank},
+        "order": order,
+        "action": action_spec("sl-involution" if variant else action_kind,
+                              variant=variant, perm=perm),
+        "type_count": len(types),
+    }
+
+
 def require_order(order: int) -> None:
     if order < 1:
         raise UsageError("--order must be a positive integer")
@@ -469,10 +485,7 @@ def compute_types(
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
-        "group": {"label": label, "rank": rank},
-        "order": order,
-        "action": action_spec("sl-involution" if variant else action_kind,
-                              variant=variant, perm=perm),
+        **_point_entries(label, rank, order, action_kind, perm, types),
         "torus_h1": {
             "order": classes.structure.order,
             "invariant_factors": list(classes.structure.invariant_factors),
@@ -491,7 +504,6 @@ def compute_types(
             }
             for t, rep in zip(types, write([t.orbit_representative for t in types]))
         ],
-        "type_count": len(types),
     }
     if action_kind == "trivial":
         report["base_point"] = {
@@ -762,20 +774,23 @@ def _config_rational(value) -> str:
 
 
 def _branch_point_types(bp: dict, cap: int) -> dict:
+    """The ``global`` entry of one branch point: those of :func:`_point_entries`
+    and ``types``, the type representatives as :func:`types_parts` writes them."""
     try:
         group = bp["group"]
-        label = str(group["label"]).upper()
-        rank, order = group["rank"], bp["order"]
-    except (KeyError, TypeError, ValueError) as exc:
+        label, rank, order = group["label"], group["rank"], bp["order"]
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed branch point {bp!r}") from exc
+    if not isinstance(label, str):
+        raise UsageError(f"branch point label must be a string, not {label!r}")
+    label = label.upper()
     rank = _config_integer(rank, "rank")
     order = _config_integer(order, "order")
     action = bp.get("action", {"kind": "trivial"})
     if not isinstance(action, dict):
         raise UsageError(f"branch point action must be an object, not {action!r}")
     kind = action.get("kind", "trivial")
-    perm = None
-    point = None
+    perm = point = None
     if kind == "sl-involution":
         variant = action.get("variant", "J")
         kind = next((k for k, v in SL_VARIANTS.items() if v == variant), None)
@@ -798,7 +813,9 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
-    return compute_types(label, rank, order, kind, perm=perm, point=point, cap=cap)
+    *_, types, write = types_parts(label, rank, order, kind, perm=perm, point=point, cap=cap)
+    return dict(_point_entries(label, rank, order, kind, perm, types),
+                types=list(map(vec_str, write([t.orbit_representative for t in types]))))
 
 
 def cmd_global(args) -> int:
@@ -815,7 +832,7 @@ def cmd_global(args) -> int:
     if not isinstance(points, list):
         raise UsageError("branch_points must be a list")
 
-    per_point = []
+    branch_points = []
     names = set()
     for i, bp in enumerate(points):
         if not isinstance(bp, dict):
@@ -826,39 +843,22 @@ def cmd_global(args) -> int:
         if name in names:
             raise UsageError(f"duplicate branch point name {name!r}")
         names.add(name)
-        per_point.append((name, _branch_point_types(bp, args.cap)))
+        branch_points.append(dict(_branch_point_types(bp, args.cap), name=name))
 
-    pi0 = 1
-    for _, sub in per_point:
-        pi0 *= sub["type_count"]
-
+    counts = [range(bp["type_count"]) for bp in branch_points]
+    pi0 = math.prod(map(len, counts))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "global",
-        "branch_points": [
-            {
-                "name": name,
-                "group": sub["group"],
-                "order": sub["order"],
-                "action": sub["action"],
-                "type_count": sub["type_count"],
-                "types": [t["representative"] for t in sub["types"]],
-            }
-            for name, sub in per_point
-        ],
+        "branch_points": branch_points,
         "pi0": pi0,
     }
     capped = pi0 > args.product_cap
     if not capped:
-        tuples = [[]]
-        for _, sub in per_point:
-            tuples = [t + [i] for t in tuples for i in range(sub["type_count"])]
-        report["tuples"] = tuples
+        report["tuples"] = list(map(list, itertools.product(*counts)))
     else:
-        report["tuples"] = None
-        report["tuples_omitted"] = (
-            f"product {pi0} exceeds the output cap {args.product_cap}"
-        )
+        report.update(tuples=None,
+                      tuples_omitted=f"product {pi0} exceeds the output cap {args.product_cap}")
     emit(report, args.format, global_text)
     return EXIT_CAP if capped else EXIT_OK
 

@@ -243,11 +243,11 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
     their sum over the orbit O and prefix_t the sum of the first t along
     the cycle, the entries at i = q |O| + t are prefix_t + q S_O mod d.
     The norm kills rep exactly when (e/|O|) S_O = 0 mod d on every orbit;
-    else ValueError.  A fixed node has the entries i p_k, and e p_k = 0 mod
-    d, so its column is the progression i -> (i a_k mod e)/e of the digit
-    a_k = e t_k alone: the tables of a split action share their columns
-    (``cli.TableStrings``).  A rep without one coordinate per node is a
-    ValueError.
+    else ValueError.  A fixed node is a cycle of one node and e laps, with
+    the entries i p_k, and e p_k = 0 mod d, so its column is the
+    progression i -> (i a_k mod e)/e of the digit a_k = e t_k alone: the
+    tables of a split action share their columns (``cli.TableStrings``).
+    A rep without one coordinate per node is a ValueError.
     """
     if len(rep) != action.rank:
         raise ValueError(f"a rank-{action.rank} action needs {action.rank} coordinates, "
@@ -262,9 +262,6 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
         total = sum(p[k] for k in orbit)
         if laps * total % d:
             raise ValueError(f"vector {rep} is not killed by the norm")
-        if len(orbit) == 1:
-            columns[orbit[0]] = list(map(d.__rmod__, range(0, e * total, total))) if total else [0] * e
-            continue
         cycle = [orbit[0]]  # the sigma^-1-cycle from the least node
         for _ in orbit[1:]:
             cycle.append(perm.index(cycle[-1]))

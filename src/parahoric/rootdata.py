@@ -148,7 +148,6 @@ class RootDatum:
     cartan: IntMatrix
     positive_roots: Tuple[IntVector, ...]
     positive_coroots: Tuple[IntVector, ...]  # the coroot of each positive root
-    highest_root: IntVector
     marks: IntVector
 
     @property
@@ -215,7 +214,6 @@ def _root_datum(label: str, rank: int) -> RootDatum:
         cartan=cartan,
         positive_roots=roots,
         positive_coroots=coroots,
-        highest_root=roots[-1],
         marks=roots[-1],
     )
 
@@ -268,7 +266,7 @@ def _packed_keys(datum: RootDatum) -> _PackedKeys:
         if None in images:
             raise AssertionError(f"the coroot list of {datum.name} is not closed under s{i + 1}")
         reflect.append(images)
-    width = sum(datum.highest_root).bit_length() + 1
+    width = sum(datum.marks).bit_length() + 1
     values = tuple(sum(x << width * j for j, x in enumerate(v)) for v in pairings)
     offset = 1 << width - 1
     return _PackedKeys(coroots, tuple(reflect), values, width, offset,

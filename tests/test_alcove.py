@@ -543,7 +543,7 @@ def reduce_to_alcove_reference(datum, x):
     """The Fraction fold: the first simple wall with a negative value, else
     the theta-wall while <theta, x> > 1, with r^2 pairings per step."""
     point = [F(c) for c in x]
-    theta = datum.highest_root
+    theta = datum.marks  # the highest root
     theta_coroot = datum.positive_coroots[datum.positive_roots.index(theta)]
     word = []
     while True:
@@ -567,7 +567,7 @@ def facet_and_degree_reference(datum, x):
     values = [pairing(datum, tuple(int(k == i) for k in range(datum.rank)), x)
               for i in range(datum.rank)]
     walls = {i + 1 for i, v in enumerate(values) if v == 0}
-    if pairing(datum, datum.highest_root, x) == 1:
+    if pairing(datum, datum.marks, x) == 1:
         walls.add(0)
     special = all(pairing(datum, root, x).denominator == 1
                   for root in datum.positive_roots)

@@ -428,8 +428,12 @@ def test_global_rejects_malformed_branch_point(capsys, tmp_path, config):
      "branch point point entry must be a string or an integer, not 0.5"),
     ({"label": "A", "rank": 1}, 2, None, [True],
      "branch point point entry must be a string or an integer, not True"),
+    ({"label": None, "rank": 1}, 2, None, None, "branch point label must be a string, not None"),
+    ({"label": True, "rank": 1}, 2, None, None, "branch point label must be a string, not True"),
+    ({"label": 5, "rank": 1}, 2, None, None, "branch point label must be a string, not 5"),
 ], ids=["fractional-order", "string-order", "fractional-rank", "boolean-rank",
-        "fractional-permutation-entry", "float-point-entry", "boolean-point-entry"])
+        "fractional-permutation-entry", "float-point-entry", "boolean-point-entry",
+        "null-label", "boolean-label", "integer-label"])
 def test_global_names_the_field_that_is_no_integer(capsys, tmp_path, group, order, perm,
                                                    point, message):
     bp = {"name": "x0", "group": group, "order": order}

@@ -90,7 +90,6 @@ def test_positive_root_counts(label, rank):
 def test_marks(label, rank):
     datum = build_root_datum(label, rank)
     assert datum.marks == MARKS[(label, rank)]
-    assert datum.highest_root == datum.marks
 
 
 def test_cartan_pairing_is_cartan_matrix():
@@ -114,8 +113,8 @@ def test_pairing_matches_the_fraction_sum():
     rng = random.Random(88)
     for label, rank in rank_range(8):
         datum = build_root_datum(label, rank)
-        roots = list(datum.positive_roots) + [datum.highest_root]
-        roots.append(tuple(-c for c in datum.highest_root))  # not a positive root
+        roots = list(datum.positive_roots) + [datum.marks]
+        roots.append(tuple(-c for c in datum.marks))  # not a positive root
         for _ in range(2):
             x = tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rank))
             for root in roots:
@@ -284,7 +283,7 @@ def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
             tuple(det * x for x in row) for row in identity_matrix(rank))
         assert datum.cartan_inverse is datum.cartan_inverse
         assert datum.theta_coroot == datum.positive_coroots[
-            datum.positive_roots.index(datum.highest_root)]
+            datum.positive_roots.index(datum.marks)]
         assert datum.theta_coroot is datum.theta_coroot
         assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
 

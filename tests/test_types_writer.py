@@ -11,21 +11,25 @@ report of ``tests/references.py`` built as dicts of lists of strings from
 the rows of each table, passed through ``json.dumps(indent=2,
 sort_keys=True)`` (JSON) and through the old text renderer (text).  The
 `twist` report, folded on integer numerators, must equal the one built row
-by row from the Fraction API of ``parahoric.alcove``.
+by row from the Fraction API of ``parahoric.alcove``.  Each `global`
+branch point must carry the entries of the `types` report of the same
+point, and `global` must build no `types` report or table.
 """
 
 import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parahoric.cli as cli
-from parahoric.cli import main
+from parahoric.cli import compute_types, main
 
 from .references import dict_twist_report, dict_twist_text, dict_types_report, dict_types_text
 from .test_golden_cli import load_cases, run_case
@@ -209,13 +213,64 @@ def test_twist_equals_the_fraction_built_report(case, fmt):
                          ids=lambda c: " ".join(c["argv"]))
 def test_global_writes_no_table(case, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("global wrote a table it throws away")
+        raise AssertionError("global built a report it throws away")
 
-    # the join of every cocycle table, in either layout, and the writers of
-    # the class representatives
-    monkeypatch.setattr(cli.CocycleTable, "_join", refuse)
-    monkeypatch.setattr(cli.Vectors, "json", refuse)
-    monkeypatch.setattr(cli.Vectors, "text", refuse)
+    # the `types` report, the cocycle tables and class representatives it is
+    # made of, and their writers in either layout
+    for owner, name in [(cli, "compute_types"), (cli.CocycleTable, "__init__"),
+                        (cli.CocycleTable, "_join"), (cli.Vectors, "__init__"),
+                        (cli.Vectors, "json"), (cli.Vectors, "text")]:
+        monkeypatch.setattr(owner, name, refuse)
     assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
+    # `types` still builds a table, so the refusals are on its path
+    monkeypatch.setattr(cli, "compute_types", compute_types)
     with pytest.raises(AssertionError, match="throws away"):
         stdout_of(["types", "--group", "A1", "--order", "3"])
+
+
+@st.composite
+def branch_points(draw):
+    """A `global` branch point and the `types` options of the same point:
+    trivial A1-A3 with or without a point, an SL_n involution J (n <= 8) or
+    J' (n even), or the flip of A4."""
+    kind = draw(st.sampled_from(("trivial", "sl-involution", "diagram")))
+    if kind == "trivial":
+        rank = draw(st.integers(1, 3))
+        order = draw(st.integers(1, (12, 6, 4)[rank - 1]))
+        bp = {"group": {"label": "A", "rank": rank}, "order": order}
+        argv = ["--group", f"A{rank}", "--order", str(order)]
+        if draw(st.booleans()):
+            bp["point"] = [f"{draw(st.integers(-2 * order, 2 * order))}/{order}"
+                           for _ in range(rank)]
+            argv.append("--point=" + ",".join(bp["point"]))
+    elif kind == "sl-involution":
+        variant = draw(st.sampled_from(("J", "J-prime")))
+        n = draw(st.sampled_from(range(3, 9) if variant == "J" else (4, 6, 8)))
+        bp = {"group": {"label": "A", "rank": n - 1}, "order": 2,
+              "action": {"kind": kind, "variant": variant}}
+        argv = ["--group", f"A{n - 1}", "--order", "2", "--action",
+                {"J": "sl-J", "J-prime": "sl-Jprime"}[variant]]
+    else:
+        bp = {"group": {"label": "A", "rank": 4}, "order": 2,
+              "action": {"kind": kind, "permutation": [4, 3, 2, 1]}}
+        argv = ["--group", "A4", "--order", "2", "--action", "diagram", "--perm", "4,3,2,1"]
+    return bp, argv
+
+
+@settings(database=None, max_examples=40, deadline=None)
+@given(st.lists(branch_points(), min_size=1, max_size=3))
+def test_global_entries_are_those_of_the_types_reports(points):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"branch_points": [bp for bp, _ in points]}))
+        code, out = stdout_of(["global", "--config", str(config), "--format", "json"])
+    assert code == 0
+    entries = json.loads(out)["branch_points"]
+    assert [entry["name"] for entry in entries] == [f"x{i}" for i in range(len(points))]
+    for entry, (_, argv) in zip(entries, points):
+        code, out = stdout_of(["types", *argv, "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        for key in ("group", "order", "action", "type_count"):
+            assert entry[key] == report[key]
+        assert entry["types"] == [t["representative"] for t in report["types"]]
