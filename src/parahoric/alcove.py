@@ -35,10 +35,6 @@ from .rootdata import (
 AlcovePoint = Tuple[Fraction, ...]
 
 
-def as_point(coords: Sequence) -> AlcovePoint:
-    return tuple(Fraction(x) for x in coords)
-
-
 def require_coordinates(datum: RootDatum, x: Sequence) -> None:
     """Refuse a point x whose number of coordinates is not the rank."""
     if len(x) != datum.rank:
@@ -51,7 +47,7 @@ def root_numerators(
     """(D, X, V): x = X / D over the least common denominator D, and
     V = C X, so that <alpha_i, x> = V_i / D."""
     require_coordinates(datum, x)
-    D, X = common_numerators(as_point(x))
+    D, X = common_numerators(x)
     return D, X, [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
 
 
@@ -66,7 +62,7 @@ def point_from_root_values(datum: RootDatum, values: Sequence[Fraction]) -> Alco
     if len(values) != datum.rank:
         raise ValueError(f"{datum.name} needs {datum.rank} root values, not {len(values)}")
     adj, det = datum.cartan_inverse
-    D, V = common_numerators(as_point(values))
+    D, V = common_numerators(values)
     return tuple(Fraction(sum(a * v for a, v in zip(row, V) if a), det * D) for row in adj)
 
 
@@ -218,7 +214,7 @@ def type_to_alcove(
     one coordinate per node, is a ValueError, raised before the fold.
     """
     require_positive_order(e)
-    D, X, values = fold_type(datum, as_point(rep), e, common_numerators(as_point(base)), cap)
+    D, X, values = fold_type(datum, rep, e, common_numerators(base), cap)
     return tuple(Fraction(a, D) for a in X), facet_of_numerators(datum, D, values)
 
 

@@ -824,7 +824,7 @@ def cmd_global(args) -> int:
             config = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or "branch_points" not in config:
         raise UsageError("config must be an object with a branch_points list")

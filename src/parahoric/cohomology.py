@@ -64,7 +64,7 @@ from functools import lru_cache
 from math import gcd, inf, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .alcove import as_point, root_numerators, simple_root_values
+from .alcove import root_numerators
 from .exactalg import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -574,9 +574,9 @@ def burnside_type_count(
     table is consulted.
     """
     require_positive_order(e)
-    base_vec = as_point(base) if base is not None else qz_zero(datum.rank)
-    require_root_values_on_grid(simple_root_values(datum, base_vec), e)
-    N, B = common_numerators(base_vec)
+    N, B, V = root_numerators(datum, base if base is not None else qz_zero(datum.rank))
+    if any(v * e % N for v in V):
+        require_root_values_on_grid([Fraction(v, N) for v in V], e)
     order = weyl_order(datum, cap=cap)
     rows, signatures = _burnside_table(datum)
     values = [sum(p * b for p, b in zip(row, B) if p) * e for row in rows]

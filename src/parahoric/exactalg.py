@@ -253,8 +253,13 @@ def quotient_structure(rank: int, generators: Sequence[IntVector]) -> FiniteAbel
 
 def common_numerators(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     """The least common denominator d of the rationals xs (ints or
-    Fractions) and their numerators over d, so that x_i = numerators_i / d."""
-    d = lcm(*(x.denominator for x in xs))
+    Fractions) and their numerators over d, so that x_i = numerators_i / d.
+    Any other value, a float or a str say, is a TypeError that names it."""
+    try:
+        d = lcm(*(x.denominator for x in xs))
+    except AttributeError:
+        inexact = next(x for x in xs if not hasattr(x, "denominator"))
+        raise TypeError(f"{inexact!r} is not an int or a Fraction") from None
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 

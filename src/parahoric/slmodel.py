@@ -16,10 +16,10 @@ writes the numerator rows of a cocycle table.
 A monomial matrix is a permutation together with one nonzero entry per
 column; entries are roots of unity recorded additively in Q/Z (so -1 is
 1/2): enough for Weyl lifts and the twisting elements t_w = w^-1 gamma(w)
-in exact arithmetic.  The hermitian forms of the special-vertex cases are
-derived symbolically (valuation + sign per entry) from the lattice basis,
-not hard-coded; see :func:`hermitian_gram` and
-:func:`su_special_vertex_types`.
+in exact arithmetic.  Each special-vertex case of SU_n is one row of
+:data:`_SU_CASES`.  The hermitian Gram matrices that reduce it to J or J'
+(:func:`hermitian_gram`, valuation and sign per entry) are derived in the
+tests and printed by the unitary demo, not on each call.
 """
 
 from __future__ import annotations
@@ -378,23 +378,32 @@ _CASE_ALIASES = {
 }
 
 
+# each canonical case: the parity of n it needs, its involution and why
+_SU_CASES = {
+    "odd-A": ("odd", "J",
+              "self-dual lattice; hermitian form is the antidiagonal, "
+              "involution A -> J^-1 (A^t)^-1 J"),
+    "odd-B": ("odd", "J",
+              "Gram matrix is monomial with mixed valuations (no unit "
+              "normalization); the induced torus involution only sees the "
+              "underlying reversal, so the torus computation matches case A"),
+    "even-Lm": ("even", "J-prime",
+                "Gram matrix in the lattice basis is (unit) * pi^-1 with unit "
+                "part eps J; scalars cancel, leaving the involution by J'"),
+    "even-L0": ("even", "J",
+                "self-dual lattice with antidiagonal form; the even-size twist "
+                "t_w of the central transposition merges the two torus classes"),
+}
+
+
 def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
     """Type counts at the special vertices of ramified SU_n, via the
-    reduction of each case to an explicit involution on SL_n.
-
-    odd-A and even-L0 reduce to the plain antidiagonal form J.  even-Lm
-    reduces to J' = eps J, derived here from the hermitian form in the
-    lattice basis (the Gram matrix has constant valuation -1 and unit part
-    eps J up to the scalar -1/pi, which cancels in the conjugation).
-
-    odd-B is the lattice with exponents (1,...,1,0,...,0) and m ones for
-    n = 2m+1.  Its Gram matrix is monomial with mixed valuations (-1 off
-    the center, 0 at the center), so no unit normalization of the form
-    exists; but conjugation of a *diagonal* matrix by a monomial matrix
-    permutes the entries regardless of their values, so the induced
-    involution on the diagonal torus is still z -> reversed inverses,
-    identical to case A.  The torus cohomology is therefore computed with
-    that reversal action, and its vanishing already forces a single type.
+    reduction of each case to an involution on SL_n, J or J' = eps J
+    (:data:`_SU_CASES`).  The reductions come from the hermitian Gram
+    matrix in each case's lattice basis (:func:`hermitian_gram`): a constant
+    valuation leaves a unit part J or J' up to sign, and the mixed
+    valuations of odd-B leave only the reversal on the diagonal torus, as
+    for J.
 
     H^1 is listed once, on the flip (:func:`_sl_flip`).  Only a nontrivial
     H^1 runs the twisted orbits, on the triple of :func:`sl_involution`,
@@ -402,69 +411,18 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
     (every odd n) is one type at any n.
     """
     key = _CASE_ALIASES.get(case.lower(), case)
-    if key not in ("odd-A", "odd-B", "even-Lm", "even-L0"):
+    if key not in _SU_CASES:
         raise ValueError(f"unknown case {case!r}")
-    if key.startswith("odd") and n % 2 == 0:
-        raise ValueError(f"case {key} needs odd n")
-    if key.startswith("even") and n % 2 != 0:
-        raise ValueError(f"case {key} needs even n")
+    parity, kind, derivation = _SU_CASES[key]
+    if n % 2 != (parity == "odd"):
+        raise ValueError(f"case {key} needs {parity} n")
     if n < 3:
         raise ValueError("need n >= 3")
-
-    if key == "odd-A":
-        spec = standard_involution(n)
-        derivation = (
-            "self-dual lattice; hermitian form is the antidiagonal, "
-            "involution A -> J^-1 (A^t)^-1 J"
-        )
-    elif key == "even-L0":
-        spec = standard_involution(n)
-        derivation = (
-            "self-dual lattice with antidiagonal form; the even-size twist "
-            "t_w of the central transposition merges the two torus classes"
-        )
-    elif key == "even-Lm":
-        m = n // 2
-        gram = gram_conjugate(hermitian_gram(n, (1,) * m + (0,) * m))
-        unit = gram_unit_part(gram)
-        if unit is None:
-            raise AssertionError("even-Lm Gram matrix must have constant valuation")
-        spec = variant_involution(n)
-        scaled = qz_vector(x + Fraction(1, 2) for x in unit.entries)
-        if unit.perm != spec.J.perm or (
-            unit.entries != spec.J.entries and scaled != spec.J.entries
-        ):
-            raise AssertionError("derived unit part must agree with J' up to sign")
-        derivation = (
-            "Gram matrix in the lattice basis is (unit) * pi^-1 with unit "
-            "part eps J; scalars cancel, leaving the involution by J'"
-        )
-    else:  # odd-B
-        m = (n - 1) // 2
-        gram = hermitian_gram(n, (1,) * m + (0,) * (m + 1))
-        if gram.perm != reversal(n):
-            raise AssertionError("odd-B Gram matrix must be antidiagonal-shaped")
-        if len(set(gram.valuations)) == 1:
-            raise AssertionError("odd-B valuations are mixed by construction")
-        spec = standard_involution(n)
-        derivation = (
-            "Gram matrix is monomial with mixed valuations (no unit "
-            "normalization); the induced torus involution only sees the "
-            "underlying reversal, so the torus computation matches case A"
-        )
-
     classes = h1_elements(*_sl_flip(n))
     order = len(classes.representatives)
     if order == 1:
         count = 1
     else:
-        datum, action, base = sl_involution(n, spec.kind)
+        datum, action, base = sl_involution(n, kind)
         count = len(types_of_classes(datum, action, classes, base=base))
-    return SUVertexReport(
-        n=n,
-        case=key,
-        involution_kind=spec.kind,
-        torus_h1_order=order,
-        type_count=count,
-        derivation=derivation,
-    )
+    return SUVertexReport(n, key, kind, order, count, derivation)

@@ -282,6 +282,23 @@ def test_wrong_length_rep_or_base_of_a_type_is_refused(wrong):
             fold_type(d2, rep, 2, common_numerators(base))
 
 
+@pytest.mark.parametrize("inexact", [0.1, "1/3"])
+def test_a_value_that_is_no_exact_rational_is_refused(inexact):
+    # a float or a str used to be read through Fraction(...): (0.1,) reduced
+    # to 3602879701896397/36028797018963968 and the root value "1/3" to 1/6
+    from parahoric.alcove import root_numerators
+    from parahoric.cohomology import burnside_type_count
+
+    d1 = build_root_datum("A", 1)
+    for entry in (lambda: root_numerators(d1, (inexact,)),
+                  lambda: reduce_to_alcove(d1, (inexact,)),
+                  lambda: point_from_root_values(d1, (inexact,)),
+                  lambda: type_to_alcove(d1, (F(1, 2),), 2, (inexact,)),
+                  lambda: burnside_type_count(d1, 2, base=(inexact,))):
+        with pytest.raises(TypeError, match=f"^{inexact!r} is not an int or a Fraction$"):
+            entry()
+
+
 def test_is_prime_matches_sympy():
     from sympy import isprime, prevprime
 

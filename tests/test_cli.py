@@ -355,9 +355,13 @@ def test_global_product_cap(capsys, tmp_path):
 
 def test_global_rejects_bad_config(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "global", "--config", str(path))
-    assert code == 2
+    # a 100,000-deep array used to end in a RecursionError traceback and exit 1
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "global", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config is not valid JSON: ")
+        assert "Traceback" not in err
     cfg = write_config(tmp_path, {"schema_version": "1"})
     code, _, err = run_cli(capsys, "global", "--config", cfg)
     assert code == 2

@@ -695,6 +695,68 @@ def test_hermitian_gram_odd_case_has_mixed_valuations():
     assert gram_unit_part(gram) is None
 
 
+# the lattice exponents c of each special-vertex case, g_i = pi^(-c_i) f_i
+SU_LATTICE_EXPONENTS = {
+    "odd-A": lambda n: (0,) * n,
+    "odd-B": lambda n: (1,) * (n // 2) + (0,) * (n - n // 2),
+    "even-Lm": lambda n: (1,) * (n // 2) + (0,) * (n // 2),
+    "even-L0": lambda n: (0,) * n,
+}
+
+
+def gram_involution_kind(n, exponents):
+    """The involution of SL_n that the hermitian form of the lattice with
+    ``exponents`` induces: a constant valuation leaves a unit part, which
+    must be J or J' up to the sign of the scalar that cancels; mixed
+    valuations on the antidiagonal leave only the reversal, which acts on
+    the diagonal torus as J does."""
+    gram = gram_conjugate(hermitian_gram(n, exponents))
+    assert gram.perm == reversal(n)
+    unit = gram_unit_part(gram)
+    if unit is None:
+        return "J"
+    negated = qz_vector(x + F(1, 2) for x in unit.entries)
+    specs = [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
+    kinds = [spec.kind for spec in specs
+             if spec.J.perm == unit.perm and spec.J.entries in (unit.entries, negated)]
+    assert len(kinds) == 1, (n, exponents, unit)
+    return kinds[0]
+
+
+@pytest.mark.parametrize("n,case", [(n, case) for n in range(3, 13)
+                                    for case in SU_LATTICE_EXPONENTS
+                                    if case.startswith("odd") == (n % 2 == 1)])
+def test_su_case_involutions_are_derived_from_their_gram_matrices(n, case):
+    import parahoric.slmodel as slmodel
+
+    derived = gram_involution_kind(n, SU_LATTICE_EXPONENTS[case](n))
+    if n % 2 == 0 and n > slmodel.SL_WEYL_ENUMERATION_CAP:  # its orbits are refused
+        assert slmodel._SU_CASES[case][1] == derived
+    else:
+        assert su_special_vertex_types(n, case).involution_kind == derived
+
+
+def test_su_cases_need_no_per_call_construction(monkeypatch):
+    import parahoric.slmodel as slmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a special-vertex case is a row of the case table")
+
+    for name in ("hermitian_gram", "gram_conjugate", "gram_unit_part",
+                 "standard_involution", "variant_involution"):
+        monkeypatch.setattr(slmodel, name, refuse)
+    counts = {}
+    for n in range(3, 9):
+        for case in (("odd-A", "odd-B") if n % 2 else ("even-Lm", "even-L0")):
+            report = slmodel.su_special_vertex_types(n, case)
+            counts[n, case] = (report.involution_kind, report.type_count)
+    assert counts == {
+        **{(n, case): ("J", 1) for n in (3, 5, 7) for case in ("odd-A", "odd-B")},
+        **{(n, "even-Lm"): ("J-prime", 2) for n in (4, 6, 8)},
+        **{(n, "even-L0"): ("J", 1) for n in (4, 6, 8)},
+    }
+
+
 def test_su_reports_carry_derivations():
     report = su_special_vertex_types(5, "odd-B")
     assert "reversal" in report.derivation
