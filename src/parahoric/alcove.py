@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactalg import QZVector, common_numerators, grid_numerators, require_positive_order
@@ -266,7 +266,7 @@ def apartment_orbit_types(
     An order e < 1 is a ValueError, before any cap.
     """
     require_positive_order(e)
-    order = weyl_order(datum, cap=cap)
+    order = weyl_order(datum, cap=inf)
     if order * e ** datum.rank > cap:
         raise EnumerationCapError(
             f"apartment orbit of size {order}*{e}^{datum.rank} exceeds cap {cap}"

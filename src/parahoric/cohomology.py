@@ -238,16 +238,14 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
     :func:`cocycle_of` as its r columns of integer numerators over d: entry
     i of column k is coordinate k of sum_{j<i} A^j rep mod 1, times d.
 
-    Coordinate k of A^j rep is that of node sigma^-j(k), so column k sums
-    the numerators p of rep along the sigma^-1-cycle through k: with S_O
-    their sum over the orbit O and prefix_t the sum of the first t along
-    the cycle, the entries at i = q |O| + t are prefix_t + q S_O mod d.
-    The norm kills rep exactly when (e/|O|) S_O = 0 mod d on every orbit;
-    else ValueError.  A fixed node is a cycle of one node and e laps, with
-    the entries i p_k, and e p_k = 0 mod d, so its column is the
-    progression i -> (i a_k mod e)/e of the digit a_k = e t_k alone: the
-    tables of a split action share their columns (``cli.TableStrings``).
-    A rep without one coordinate per node is a ValueError.
+    Coordinate k of A^j rep is that of node sigma^-j(k), so column k is a
+    walk of e steps along sigma^-1 from k, each adding the numerator p of
+    the node it leaves.  The norm kills rep exactly when (e/|O|) sum_O p = 0
+    mod d on every sigma-orbit O; else ValueError.  A fixed node has the
+    entries i p_k, and e p_k = 0 mod d, so its column is the progression
+    i -> (i a_k mod e)/e of the digit a_k = e t_k alone: the tables of a
+    split action share their columns (``cli.TableStrings``).  A rep without
+    one coordinate per node is a ValueError.
     """
     if len(rep) != action.rank:
         raise ValueError(f"a rank-{action.rank} action needs {action.rank} coordinates, "
@@ -255,25 +253,19 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
     d, numerators = common_numerators(rep)
     p = [a % d for a in numerators]
     e = action.e
-    perm = action.automorphism.node_permutation
-    columns: List[Sequence[int]] = [()] * len(p)
     for orbit in action.automorphism.node_orbits:
-        laps = e // len(orbit)
-        total = sum(p[k] for k in orbit)
-        if laps * total % d:
+        if e // len(orbit) * sum(p[k] for k in orbit) % d:
             raise ValueError(f"vector {rep} is not killed by the norm")
-        cycle = [orbit[0]]  # the sigma^-1-cycle from the least node
-        for _ in orbit[1:]:
-            cycle.append(perm.index(cycle[-1]))
-        walk = [p[k] for k in cycle] * 2
-        for start, k in enumerate(cycle):
-            column = [0] * e
-            prefix = 0
-            for t in range(len(cycle)):
-                column[t::len(cycle)] = (map(d.__rmod__, range(prefix, prefix + laps * total, total))
-                                         if total else [prefix] * laps)
-                prefix += walk[start + t]
-            columns[k] = column
+    # sigma^-1 as a list: node i goes to the k with sigma(k) = i
+    inverse = sorted(range(len(p)), key=action.automorphism.node_permutation.__getitem__)
+    columns: List[Sequence[int]] = []
+    for node in range(len(p)):
+        column, prefix = [], 0
+        for _ in range(e):
+            column.append(prefix % d)
+            prefix += p[node]
+            node = inverse[node]
+        columns.append(column)
     return d, columns
 
 

@@ -271,8 +271,14 @@ def require_positive_order(e: int) -> None:
 
 def grid_numerators(xs: Sequence[Fraction], e: int) -> List[int]:
     """The numerators e x_i of a vector of (1/e)Z^r (ints or Fractions);
-    an order e < 1 or an entry outside (1/e)Z is a ValueError."""
+    an order e < 1 or an entry outside (1/e)Z is a ValueError, and any
+    other value a TypeError, as in :func:`common_numerators`."""
     require_positive_order(e)
-    if any(e % x.denominator for x in xs):
+    try:
+        off_grid = any(e % x.denominator for x in xs)
+    except AttributeError:
+        common_numerators(xs)  # raises the TypeError that names the value
+        raise
+    if off_grid:
         raise ValueError(f"vector {tuple(map(str, xs))} is not in (1/{e})Z^{len(xs)}")
     return [x.numerator * (e // x.denominator) for x in xs]

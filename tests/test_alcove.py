@@ -24,7 +24,7 @@ from parahoric.alcove import (
     vertex_prime_data,
 )
 from parahoric.cohomology import local_types, trivial_action
-from parahoric.exactalg import common_numerators
+from parahoric.exactalg import common_numerators, grid_numerators
 from parahoric.rootdata import (
     EnumerationCapError,
     build_root_datum,
@@ -294,7 +294,11 @@ def test_a_value_that_is_no_exact_rational_is_refused(inexact):
                   lambda: reduce_to_alcove(d1, (inexact,)),
                   lambda: point_from_root_values(d1, (inexact,)),
                   lambda: type_to_alcove(d1, (F(1, 2),), 2, (inexact,)),
-                  lambda: burnside_type_count(d1, 2, base=(inexact,))):
+                  lambda: burnside_type_count(d1, 2, base=(inexact,)),
+                  # a class representative reaches grid_numerators, not
+                  # common_numerators: it raised AttributeError
+                  lambda: type_to_alcove(d1, (inexact,), 2, (0,)),
+                  lambda: grid_numerators((inexact,), 2)):
         with pytest.raises(TypeError, match=f"^{inexact!r} is not an int or a Fraction$"):
             entry()
 

@@ -557,6 +557,15 @@ def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
                    "exceeds cap 1000000\n")
 
 
+@pytest.mark.parametrize("group,order", [("E7", 2903040), ("E8", 696729600)])
+def test_orbit_refusal_names_the_apartment_orbit_not_the_weyl_closure(capsys, group, order):
+    # |W| alone passes the cap at e = 1; orbit never closes W, so its refusal
+    # names its own stage
+    code, out, err = run_cli(capsys, "orbit", "--group", group, "--order", "1")
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: apartment orbit of size {order}*1^{group[1]} exceeds cap 1000000\n"
+
+
 @pytest.mark.parametrize("command", ["types", "twist"])
 def test_huge_order_refused_by_the_grid_cap(capsys, command):
     # the norm 1 + A + ... + A^(e-1) is summed over one period of A, not e terms

@@ -6,6 +6,8 @@ from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import parahoric.cohomology as cohomology
 from parahoric.cohomology import (
@@ -256,3 +258,38 @@ def test_sl_flip_columns_match_the_matrix_walk(n):
     reps = list(h1_elements(datum, flip).representatives)
     for rep in reps + list(norm_killed_samples(flip, rng, 20)):
         assert walk_rows(rep, flip) == cocycle_numerators(rep, flip)
+
+
+@st.composite
+def free_permutation_actions(draw):
+    """An action of a node permutation of rank <= 7 that need not be a
+    Dynkin symmetry, at e = k |sigma| for k in {1, 2, 3}."""
+    rank = draw(st.integers(1, 7))
+    aut = LatticeAutomorphism(tuple(draw(st.permutations(range(rank)))))
+    return GammaAction(draw(st.sampled_from((1, 2, 3))) * aut.order, aut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_permutation_actions(), st.randoms(use_true_random=False))
+# cycle types 3+2, 4, 5 and 3+3, which no diagram symmetry has
+@example(GammaAction(6, LatticeAutomorphism((1, 2, 0, 4, 3))), random.Random(0))
+@example(GammaAction(8, LatticeAutomorphism((3, 0, 1, 2))), random.Random(0))
+@example(GammaAction(15, LatticeAutomorphism((2, 3, 4, 0, 1))), random.Random(0))
+@example(GammaAction(3, LatticeAutomorphism((1, 2, 0, 5, 3, 4))), random.Random(0))
+def test_free_permutation_columns_match_the_matrix_walk(action, rng):
+    # sigma and sigma^-1 differ only on cycles longer than 2, and among the
+    # diagram symmetries only triality has one; classes beyond 200 are
+    # sampled
+    datum = build_root_datum("A", action.rank)
+    reps = list(h1_elements(datum, action).representatives)
+    if len(reps) > 200:
+        reps = rng.sample(reps, 200)
+    for rep in reps + list(norm_killed_samples(action, rng, 10)):
+        assert walk_rows(rep, action) == cocycle_numerators(rep, action), rep
+    # 1/d on one node of an orbit O, d > e: (e/|O|)/d is not an integer
+    orbit = rng.choice(action.automorphism.node_orbits)
+    d = action.e * rng.choice((2, 3))
+    killed_not = tuple(F(int(k == orbit[-1]), d) for k in range(action.rank))
+    for entry in (cocycle_columns, cocycle_numerators):
+        with pytest.raises(ValueError, match="is not killed by the norm"):
+            entry(killed_not, action)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from parahoric.cohomology import (
     _generator_rows,
+    _move_table,
     _packed_orbits,
     _radices,
     _row_window,
@@ -55,6 +56,23 @@ def test_move_tables_match_the_digit_engine(case):
     spans = [_row_window(tuple(radices), k, tuple(terms))[1]
              for k, _, terms in rows if radices[k] > 1]
     assert sum(spans) <= len(rows) * prod(radices)
+    # each table entry against every grid index, decoded into its digits,
+    # at the entry's window sub-index: (new d_k - old d_k) w_k, with new d_k
+    # the row's constant + sum c d_j mod radices[k]; every sub-index is reached
+    weights = [prod(radices[j + 1:]) for j in range(len(radices))]
+    for k, constant, terms in rows:
+        if radices[k] == 1:
+            continue
+        w, span, moves = _move_table(tuple(radices), k, constant, terms)
+        assert len(moves) == span
+        reached = set()
+        for index in range(prod(radices)):
+            digits = [index // weight % radix for weight, radix in zip(weights, radices)]
+            new = (constant + sum(c * digits[j] for j, c in terms)) % radices[k]
+            sub = index // w % span
+            assert moves[sub] == (new - digits[k]) * weights[k], (k, digits)
+            reached.add(sub)
+        assert reached == set(range(span))
 
 
 @pytest.mark.parametrize("label,rank", rank_range(8))
