@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -87,13 +88,27 @@ def vec_str(v: Sequence[Fraction]) -> List[str]:
 
 def parse_fraction(s: str) -> Fraction:
     """A rational from its string.  An underscore is refused on every Python:
-    ``Fraction`` reads one between digits from Python 3.11 on only."""
+    ``Fraction`` reads one between digits from Python 3.11 on only.  So is
+    a rational such as "1e4400" with a numerator or denominator of more
+    digits than ``sys.get_int_max_str_digits()`` lets an int be written
+    with (a limit of 0, or a Python without the limit, refuses none), as
+    reports and refusals write the values they are given.  An int of at
+    most 3 * limit bits has fewer digits than any limit Python allows (640
+    or more), so only a longer one is written to be checked."""
     try:
         if "_" in s:
             raise ValueError("underscore in a rational")
-        return Fraction(s)
+        value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {s!r}") from exc
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(value.numerator), value.denominator).bit_length() > 3 * limit:
+        try:
+            str(value.numerator), str(value.denominator)
+        except ValueError as exc:
+            raise UsageError(f"the rational {s!r} has more digits than the limit of "
+                             f"{limit} for writing an int as a string") from exc
+    return value
 
 
 def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
@@ -106,11 +121,12 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
 def json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
     report: dicts with str keys, lists, str, int, bool and None, and the
-    two values of a ``types`` report that write themselves, a
+    values of a ``types`` report that write themselves: a
     :class:`CocycleTable` (as the dict of row index to list of strings,
-    joined from its columns) and the class representatives'
-    :class:`Vectors` (as a list of lists of strings, joined from the product
-    of the strings of each node, or from the listed SL diagonals).
+    joined from its columns), the class representatives' :class:`Vectors`
+    (as a list of lists of strings, joined from the product of the strings
+    of each node, or from the listed SL diagonals) and the
+    :class:`TypeEntries` of the types (as the list of their dicts).
 
     With ``indent`` set the standard library runs its pure-Python encoder;
     this writer quotes the strings with the C ``encode_basestring_ascii``
@@ -119,19 +135,21 @@ def json_text(value, newline: str = "\n") -> str:
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, (CocycleTable, Vectors, TypeEntries)):
+        return value.json(newline)
     inner = newline + "  "
     if isinstance(value, list):
         try:
             items = list(map(encode_basestring_ascii, value))
         except TypeError:  # not a list of strings only
             items = [json_text(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         body = ("," + inner).join([encode_basestring_ascii(key) + ": " + json_text(value[key], inner)
                                    for key in sorted(value)])
-        return "{" + inner + body + newline + "}"
+        return f"{{{inner}{body}{newline}}}"
     if value is None:
         return "null"
     if value is True:
@@ -140,8 +158,6 @@ def json_text(value, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (CocycleTable, Vectors)):
-        return value.json(newline)
     raise TypeError(f"cannot write {value!r} into a report")
 
 
@@ -169,52 +185,67 @@ class TableStrings:
         self.e = e
         self._values: Dict[int, List[str]] = {}
         self._layouts: Dict[Optional[str], tuple] = {}
-        self._progressions: Dict[Tuple[int, Optional[str]], List[str]] = {}
+        self._progressions: Dict[Tuple[int, Optional[str]], Sequence[str]] = {}
 
     def values(self, d: int) -> List[str]:
-        """The strings of a/d for a < d."""
+        """The strings of a/d for a < d, as ``str(Fraction(a, d))`` writes
+        them: "0", and "n/m" in lowest terms, m > 1, for 0 < a < d."""
         values = self._values.get(d)
         if values is None:
-            values = self._values[d] = [str(Fraction(a, d)) for a in range(d)]
+            values = self._values[d] = ["0"] + [f"{a // g}/{d // g}" for a in range(1, d)
+                                                for g in (math.gcd(a, d),)]
         return values
 
-    def layout(self, newline: Optional[str]) -> Tuple[Sequence[int], List[str], str, str]:
-        """(order, openings, separator, close) of the rows of a JSON table one
-        level below ``newline``, or of a text table when ``newline`` is None:
-        the order of the rows (JSON keys sort as strings, "10" before "2"),
-        the opening of each row in that order, with its key and the
-        separator from the row before, the separator of two values and the
-        close of a row."""
+    def layout(self, newline: Optional[str]) -> Tuple[Optional[Callable], List[str], str, str]:
+        """(gather, openings, separator, close) of a JSON table one level
+        below ``newline``, or of a text table when ``newline`` is None.
+        The rows run in key order: JSON keys sort as strings ("10" before
+        "2"), and ``gather`` takes a column from row index order to that
+        order (None when the orders agree, as in text and for e <= 10).
+        The opening of a row carries the opening brace of the table or the
+        close of the row before, and its key; ``separator`` goes between two
+        values, and ``close`` ends the last row and the table."""
         layout = self._layouts.get(newline)
         if layout is None:
+            order = list(range(self.e))
             if newline is None:
-                order, between, opening, separator, close = range(self.e), ", ", "{}: [", ", ", "]"
+                first, between, opening, separator, close = "{", "], ", "{}: [", ", ", "]}"
             else:
                 inner = newline + "  "
                 entry = inner + "  "
-                order, between = sorted(range(self.e), key=str), "," + inner
-                opening, separator, close = '"{}": [' + entry + '"', '",' + entry + '"', '"' + inner + "]"
-            openings = [opening.format(i) for i in order]
-            openings[1:] = [between + text for text in openings[1:]]
-            layout = self._layouts[newline] = (order, openings, separator, close)
+                order.sort(key=str)
+                first, between = "{" + inner, '"' + inner + "]," + inner
+                opening, separator = '"{}": [' + entry + '"', '",' + entry + '"'
+                close = '"' + inner + "]" + newline + "}"
+            openings = [between + opening.format(i) for i in order]
+            openings[0] = first + opening.format(order[0])
+            gather = None if order == sorted(order) else operator.itemgetter(*order)
+            layout = self._layouts[newline] = (gather, openings, separator, close)
         return layout
 
-    def progression(self, a: int, newline: Optional[str]) -> List[str]:
+    def progression(self, a: int, newline: Optional[str]) -> Sequence[str]:
         """The strings of (i a mod e)/e, i < e, in the row order of the
-        layout of ``newline``."""
+        layout of ``newline``: the multiples of a below a e, mod e, gathered
+        into the key order of that layout."""
         column = self._progressions.get((a, newline))
         if column is None:
-            order = self.layout(newline)[0]
-            column = self._progressions[a, newline] = list(map(
-                self.values(self.e).__getitem__, map(self.e.__rmod__, map(a.__mul__, order))))
+            e = self.e
+            values = self.values(e)
+            column = [values[i % e] for i in range(0, a * e, a)] if a else [values[0]] * e
+            gather = self.layout(newline)[0]
+            if gather is not None:
+                column = gather(column)
+            self._progressions[a, newline] = column
         return column
 
 
 class CocycleTable:
     """The cocycle gamma_0^i -> row i, i < e, of one type, written as the
-    dict of i to the list of the row's values: one join of the row openings
-    with the strings of its r columns, in key order, and the separators and
-    row closes of the layout.
+    dict of i to the list of the row's values, from one list of the
+    pieces of its rows: each row is its opening in the layout and its r
+    values with a separator between two of them.  The list starts as the
+    separator repeated; one slice assignment puts in the openings and one
+    each the r columns, and one join writes it.
 
     A split action fixes every node, so its table is given by the digits
     a_k = e t_k of its representative, and its columns are the shared
@@ -233,23 +264,27 @@ class CocycleTable:
         self.columns = columns
 
     def _join(self, newline: Optional[str]) -> str:
-        order, openings, separator, close = self.strings.layout(newline)
+        gather, openings, separator, close = self.strings.layout(newline)
         if self.digits:
             progression = self.strings.progression
-            first, *rest = [progression(a, newline) for a in self.digits]
+            columns = [progression(a, newline) for a in self.digits]
         else:
             values = self.strings.values(self.d).__getitem__
-            first, *rest = [map(values, map(column.__getitem__, order)) for column in self.columns]
-        pieces = [openings, first]
-        for column in rest:
-            pieces += [itertools.repeat(separator), column]
-        return "".join(itertools.chain.from_iterable(zip(*pieces, itertools.repeat(close))))
+            columns = [map(values, gather(column) if gather else column)
+                       for column in self.columns]
+        n = 2 * len(columns)
+        pieces = [separator] * (n * self.strings.e)
+        pieces[::n] = openings
+        for k, column in enumerate(columns):
+            pieces[2 * k + 1::n] = column
+        pieces.append(close)
+        return "".join(pieces)
 
     def json(self, newline: str) -> str:
-        return "{" + newline + "  " + self._join(newline) + newline + "}"
+        return self._join(newline)
 
     def text(self) -> str:
-        return "{" + self._join(None) + "}"
+        return self._join(None)
 
 
 class Vectors:
@@ -272,6 +307,31 @@ class Vectors:
 
     def text(self) -> str:
         return "[" + "], [".join(map(", ".join, self.vectors)) + "]" if self.vectors else "(none)"
+
+
+class TypeEntries(list):
+    """The ``types`` list of a report: one dict per type, of its
+    ``cocycle`` (a :class:`CocycleTable`), ``index``, ``orbit_size`` and
+    ``representative`` (the strings of a vector of length r >= 1), read as
+    they are by :func:`types_text` and written in JSON by one format of
+    those four keys, in that sorted order, per entry."""
+
+    __slots__ = ()
+
+    def json(self, newline: str) -> str:
+        if not self:
+            return "[]"
+        inner = newline + "  "
+        key = inner + "  "
+        entry = key + "  "
+        form = ("{" + key + '"cocycle": %s,' + key + '"index": %d,' + key + '"orbit_size": %d,'
+                + key + '"representative": [' + entry + '"%s"' + key + "]" + inner + "}")
+        between = ('",' + entry + '"').join
+        body = ("," + inner).join([
+            form % (t["cocycle"].json(key), t["index"], t["orbit_size"],
+                    between(t["representative"]))
+            for t in self])
+        return f"[{inner}{body}{newline}]"
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +509,9 @@ def compute_types(
     value and each type's ``cocycle`` a :class:`CocycleTable`, made into
     strings only when the report is written, so the report can be written
     only through :func:`json_text` or :func:`types_text` (``json.dumps``
-    refuses those two values); a caller that wants the data takes it from
+    refuses those two values); its ``types`` list is a :class:`TypeEntries`,
+    which :func:`json_text` writes in one format per entry.  A caller that
+    wants the data takes it from
     :func:`types_parts`.  The norm check of each representative runs here.
     A split action fixes every node, so the norm is e and kills exactly the
     vectors of (1/e)Z^r: a table keeps the digits e t_k of its
@@ -495,7 +557,7 @@ def compute_types(
                        f"{action.automorphism.order}"),
         },
         "class_representatives": Vectors(class_strings),
-        "types": [
+        "types": TypeEntries(
             {
                 "index": t.index,
                 "representative": vec_str(rep),
@@ -503,7 +565,7 @@ def compute_types(
                 "cocycle": cocycle(t.orbit_representative),
             }
             for t, rep in zip(types, write([t.orbit_representative for t in types]))
-        ],
+        ),
     }
     if action_kind == "trivial":
         report["base_point"] = {

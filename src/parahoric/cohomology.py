@@ -322,7 +322,7 @@ def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[in
     action of order e.
     """
     key = tuple(radices)
-    tables = [_move_table(key, k, constant, terms)
+    tables = [_move_table(key, k, constant, tuple(terms))
               for k, constant, terms in rows if radices[k] > 1]
     seen = bytearray(prod(radices))
     out = []
@@ -377,16 +377,20 @@ def _row_window(radices: Tuple[int, ...], k: int, terms: Tuple[Tuple[int, int], 
             w_k // w, w_k)
 
 
+@lru_cache(maxsize=64)
 def _move_table(radices: Tuple[int, ...], k: int, constant: int,
-                terms: Sequence[Tuple[int, int]]) -> Tuple[int, int, List[int]]:
+                terms: Tuple[Tuple[int, int], ...]) -> Tuple[int, int, Tuple[int, ...]]:
     """(w, span, moves) of one row of :func:`_packed_orbits`, over its
-    window (:func:`_row_window`): entry s of ``moves`` is the change
-    (new d_k - old d_k) w_k of the packed index for the window digits with
-    packed sub-index s, taken from one shared list of the 2 radix - 1
-    possible changes.  The new digits run along the last window digit, one
-    range per line of it, and the old digit k is the pattern of each value
-    repeated ``stride`` times, cycled: the table is built by maps alone."""
-    w, span, outer, line, step, laps, stride, w_k = _row_window(radices, k, tuple(terms))
+    window (:func:`_row_window`), kept per row and process for the last 64
+    rows, so a group and order asked again reuse their tables (each holds
+    at most the grid's number of entries): entry s of ``moves`` is the
+    change (new d_k - old d_k) w_k of the packed index for the window
+    digits with packed sub-index s, taken from one shared list of the
+    2 radix - 1 possible changes.  The new digits run along the last window
+    digit, one range per line of it, and the old digit k is the pattern of
+    each value repeated ``stride`` times, cycled: the table is built by maps
+    alone."""
+    w, span, outer, line, step, laps, stride, w_k = _row_window(radices, k, terms)
     radix = radices[k]
     cycle = list(range(radix)) * laps
     # the change x w_k at position x + radix - 1, for x in (-radix, radix)
@@ -397,7 +401,7 @@ def _move_table(radices: Tuple[int, ...], k: int, constant: int,
     # radix - 1 - old d_k, so that new + it is the position of the change
     old = itertools.cycle(itertools.chain.from_iterable(
         map(itertools.repeat, range(radix - 1, -1, -1), itertools.repeat(stride))))
-    return w, span, list(map(shared.__getitem__, map(operator.add, new, old)))
+    return w, span, tuple(map(shared.__getitem__, map(operator.add, new, old)))
 
 
 @lru_cache(maxsize=None)

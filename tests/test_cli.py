@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahoric.cli import json_text, main
+from parahoric.cli import json_text, main, parse_fraction
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +303,50 @@ def test_an_underscore_in_a_rational_is_refused_on_every_python(capsys, tmp_path
         {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 3, "point": ["1_0"]}]})
     code, out, err = run_cli(capsys, "global", "--config", cfg)
     assert (code, out) == (2, "") and "not a rational number: '1_0'" in err
+
+
+# Fraction reads "1e4400" as 10**4400 without writing it, but its 4,401
+# digits are more than Python writes an int with by default (4,300), so no
+# report or refusal could name it; "1e4000" still reaches the alcove cap
+TOO_LONG = "1e4400"
+INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < INT_STR_LIMIT < 4401,
+                    reason="this interpreter writes an int of 4,401 digits")
+@pytest.mark.parametrize("command", [
+    ["types", "--group", "A1", "--order", "2"],
+    ["orbit", "--group", "A1", "--order", "2"],
+    ["twist", "--group", "A1", "--order", "2"],
+    ["split-degree", "--group", "A1"],
+    "global",
+], ids=lambda c: c if isinstance(c, str) else c[0])
+def test_a_rational_too_long_to_write_is_a_usage_error(capsys, tmp_path, command):
+    if command == "global":
+        argv = ["global", "--config", write_config(tmp_path, {"branch_points": [
+            {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 2,
+             "point": [TOO_LONG]}]})]
+    else:
+        argv = command + [f"--point={TOO_LONG}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"'{TOO_LONG}'" in err and str(INT_STR_LIMIT) in err
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+    if command != "global" and command[0] != "split-degree":
+        code, out, err = run_cli(capsys, *command, "--point=1e4000")
+        assert (code, out) == (3, "") and "cap exceeded: alcove reduction" in err
+
+
+def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
+    # a limit of 0, or a Python without the limit, refuses nothing
+    if INT_STR_LIMIT:
+        try:
+            sys.set_int_max_str_digits(0)
+            assert parse_fraction(TOO_LONG) == 10 ** 4400
+        finally:
+            sys.set_int_max_str_digits(INT_STR_LIMIT)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert parse_fraction("-" + TOO_LONG) == -10 ** 4400
 
 
 def test_a_closed_output_pipe_exits_1_without_a_traceback():

@@ -64,6 +64,8 @@ def test_move_tables_match_the_digit_engine(case):
         if radices[k] == 1:
             continue
         w, span, moves = _move_table(tuple(radices), k, constant, terms)
+        # the kept table is the one a fresh build gives
+        assert (w, span, moves) == _move_table.__wrapped__(tuple(radices), k, constant, terms)
         assert len(moves) == span
         reached = set()
         for index in range(prod(radices)):
@@ -73,6 +75,19 @@ def test_move_tables_match_the_digit_engine(case):
             assert moves[sub] == (new - digits[k]) * weights[k], (k, digits)
             reached.add(sub)
         assert reached == set(range(span))
+
+
+def test_move_tables_are_kept_per_row():
+    # a second orbit search on the same rows builds no table
+    datum = build_root_datum("B", 3)
+    action = trivial_action(3, 5)
+    radices = tuple(_radices(action))
+    rows = _generator_rows(datum, action, None)
+    _move_table.cache_clear()
+    orbits = _packed_orbits(radices, rows)
+    assert _move_table.cache_info().misses == len(rows) == 3
+    assert _packed_orbits(radices, rows) == orbits
+    assert _move_table.cache_info()[:2] == (len(rows), len(rows))  # (hits, misses)
 
 
 @pytest.mark.parametrize("label,rank", rank_range(8))

@@ -133,7 +133,7 @@ def test_table_keys_sort_as_strings_in_json_and_as_numbers_in_text(e):
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("group", ["A1", "A2"])
+@pytest.mark.parametrize("group", ["A1", "A2", "G2"])
 def test_split_tables_whose_entries_reduce_equal_the_dict_built_report(group, fmt):
     # at e = 12 the digits 2, 3, 4, 6, 8, 9, 10 share a factor with e, so
     # a shared column holds entries such as 3/12 = 1/4, and some types have
@@ -145,6 +145,24 @@ def test_split_tables_whose_entries_reduce_equal_the_dict_built_report(group, fm
     argv = ["types", "--group", group, "--order", "12", "--point=" + ",".join(["0"] * rank)]
     assert_matches_reference(argv, fmt, group[0], rank, 12, "trivial",
                              point=(Fraction(0),) * rank)
+
+
+# the edge orders of the table writer: one row (e = 1) and two, whose
+# tables include the constant column of the digit a = 0, and a rank-6
+# table; (group, e, base point), None for the default 1/e
+EDGE_CASES = [("A1", 1, None), ("B2", 1, None), ("A1", 2, None), ("A1", 2, 0),
+              ("G2", 2, None), ("E6", 3, None)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("group,e,base", EDGE_CASES, ids=str)
+def test_edge_orders_equal_the_dict_built_report(group, e, base, fmt):
+    rank = int(group[1:])
+    point = None if base is None else (Fraction(base),) * rank
+    argv = ["types", "--group", group, "--order", str(e)]
+    if point is not None:
+        argv.append("--point=" + ",".join(map(str, point)))
+    assert_matches_reference(argv, fmt, group[0], rank, e, "trivial", point=point)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
