@@ -28,6 +28,7 @@ from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
     RootDatum,
+    _count_text,
     build_root_datum,
     weyl_order,
 )
@@ -103,7 +104,8 @@ def fold_numerators(
         root_values.append(root_values[k] + values[i])
     count = sum((v - 1) // D if v > 0 else -(v // D) for v in root_values)
     if count > cap:
-        raise EnumerationCapError(f"alcove reduction of {count} reflections exceeds cap {cap}")
+        raise EnumerationCapError(
+            f"alcove reduction of {_count_text(count)} reflections exceeds cap {cap}")
     r = datum.rank
     cartan = datum.cartan
     marks = datum.marks

@@ -888,6 +888,8 @@ def cmd_global(args) -> int:
         raise UsageError(f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise UsageError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits(), or not UTF-8
+        raise UsageError(f"config cannot be read: {exc}") from exc
     if not isinstance(config, dict) or "branch_points" not in config:
         raise UsageError("config must be an object with a branch_points list")
     points = config["branch_points"]

@@ -49,15 +49,14 @@ generator is one affine map of the digit of J, and the orbits run on the
 digit vectors packed into integer indices.  Each map reads a window of
 consecutive digits (at most 4 for a simple reflection in the Bourbaki
 numbering, 3 outside D and E) and becomes one move table over them, the
-change of the index for each value of the window: the search walks plain
-ints, and the tables of one search hold at most r N entries for N classes
-(:func:`_packed_orbits`).
+change of the index for each value of the window, built by one walk over
+the window digits: the search walks plain ints, and the tables of one
+search hold at most r N entries for N classes (:func:`_packed_orbits`).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +84,7 @@ from .rootdata import (
     EnumerationCapError,
     LatticeAutomorphism,
     RootDatum,
+    _count_text,
     fixed_weyl_generators,
     identity_automorphism,
     weyl_classes,
@@ -218,7 +218,7 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     count = prod(action.e // len(orbit) for orbit in action.automorphism.node_orbits)
     if count > cap:
         raise EnumerationCapError(
-            f"H^1 classes from sigma-orbit sums: {count} exceeds cap {cap}")
+            f"H^1 classes from sigma-orbit sums: {_count_text(count)} exceeds cap {cap}")
     structure = h1_structural(datum, action)
     radices = _radices(action)
     # the values j / n of each radix n once, shared by its nodes
@@ -310,16 +310,16 @@ def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[in
     orbit.
 
     A row moves the index by the change of its digit times w_k, and that
-    change depends only on the window of digits the row reads
-    (:func:`_row_window`), so each row becomes one move table over the
-    packed sub-index of its window (:func:`_move_table`), and the search
-    walks plain ints: the image of i is i + moves[i // w % span], for the
-    weight w of the last window digit and the product ``span`` of the
-    window radices.  A window spans at most the whole grid, so a call holds
-    at most r N table entries for r rows and N vectors; a simple reflection
-    in the Bourbaki numbering reads at most 4 consecutive digits (3 outside
-    D and E), so at most e^4 entries per row at rank >= 3 for a trivial
-    action of order e.
+    change depends only on the window of digits the row reads, so each
+    row becomes one move table over the packed sub-index of its window,
+    built by one walk over the window digits (:func:`_move_table`), and
+    the search walks plain ints: the image of i is
+    i + moves[i // w % span], for the weight w of the last window digit
+    and the product ``span`` of the window radices.  A window spans at
+    most the whole grid, so a call holds at most r N table entries for r
+    rows and N vectors; a simple reflection in the Bourbaki numbering
+    reads at most 4 consecutive digits (3 outside D and E), so at most e^4
+    entries per row at rank >= 3 for a trivial action of order e.
     """
     key = tuple(radices)
     tables = [_move_table(key, k, constant, tuple(terms))
@@ -342,66 +342,36 @@ def _packed_orbits(radices: Sequence[int], rows: Sequence[Row]) -> List[Tuple[in
 
 
 @lru_cache(maxsize=64)
-def _row_window(radices: Tuple[int, ...], k: int, terms: Tuple[Tuple[int, int], ...]) -> tuple:
-    """The window of a row (k, constant, terms) of :func:`_packed_orbits`:
-    (w, span, outer, line, step, laps, stride, w_k), kept per (radices, k,
-    terms) and process, as it does not depend on the constant.
+def _move_table(radices: Tuple[int, ...], k: int, constant: int,
+                terms: Tuple[Tuple[int, int], ...]) -> Tuple[int, int, Tuple[int, ...]]:
+    """(w, span, moves) of one row (k, constant, terms) of
+    :func:`_packed_orbits`, kept per row and process for the last 64 rows,
+    so a group and order asked again reuse their tables (each holds at most
+    the grid's number of entries).
 
     The row reads digit k and each digit j of radix above 1 whose summed
-    coefficient is not 0 mod radix = radices[k].  Its window is the run of
-    digits from the first to the last of them: ``span`` is the product of
-    their radices, w the weight of the last, ``stride`` the weight of digit
-    k inside the window and w_k its weight in the index.  Coefficients are
-    taken in (-radix/2, radix/2].  ``outer`` holds the terms c x, x in
-    range(m), of each window digit but the last; the last, of radix n, has
-    the coefficient ``step`` (radix in place of 0, which only digit k can
-    have), and ``line`` = step n.  ``laps`` copies of range(radix) hold
-    every (constant mod radix) + sum c d_j over the window as an index of
-    its value mod radix, a negative one read from the end."""
+    coefficient is not 0 mod radix = radices[k]; its window is the run of
+    digits from the first to the last of them, ``span`` the product of
+    their radices and w the weight of the last.  Entry s of ``moves`` is the
+    change (new d_k - old d_k) w_k of the packed index for the window
+    digits with packed sub-index s: one walk over the window digits, the
+    last fastest, adds c d_j to the row's constant for each value d_j, and
+    the old d_k runs through range(radix), each value repeated for the
+    w_k / w sub-indices below digit k."""
     radix = radices[k]
     coefficients = [0] * len(radices)
     for j, c in terms:
         coefficients[j] += c
     read = [j for j, c in enumerate(coefficients) if j == k or (c % radix and radices[j] > 1)]
     lo, hi = read[0], read[-1]
-    half = radix // 2
-    window = [(coefficients[j] + half) % radix - half for j in range(lo, hi + 1)]
-    n, step = radices[hi], window[-1] or radix
-    reach = radix + abs(step) * (n - 1)
-    outer = []
-    for c, m in zip(window, radices[lo:hi]):
-        outer.append(tuple(c * x for x in range(m)))
-        reach += abs(c) * (m - 1)
+    new = [constant % radix]
+    for c, m in zip(coefficients[lo:hi + 1], radices[lo:hi + 1]):
+        steps = [c % radix * x for x in range(m)]
+        new = [v + s for v in new for s in steps]
     w, w_k = prod(radices[hi + 1:]), prod(radices[k + 1:])
-    return (w, prod(radices[lo:hi + 1]), tuple(outer), step * n, step, reach // radix + 1,
-            w_k // w, w_k)
-
-
-@lru_cache(maxsize=64)
-def _move_table(radices: Tuple[int, ...], k: int, constant: int,
-                terms: Tuple[Tuple[int, int], ...]) -> Tuple[int, int, Tuple[int, ...]]:
-    """(w, span, moves) of one row of :func:`_packed_orbits`, over its
-    window (:func:`_row_window`), kept per row and process for the last 64
-    rows, so a group and order asked again reuse their tables (each holds
-    at most the grid's number of entries): entry s of ``moves`` is the
-    change (new d_k - old d_k) w_k of the packed index for the window
-    digits with packed sub-index s, taken from one shared list of the
-    2 radix - 1 possible changes.  The new digits run along the last window
-    digit, one range per line of it, and the old digit k is the pattern of
-    each value repeated ``stride`` times, cycled: the table is built by maps
-    alone."""
-    w, span, outer, line, step, laps, stride, w_k = _row_window(radices, k, terms)
-    radix = radices[k]
-    cycle = list(range(radix)) * laps
-    # the change x w_k at position x + radix - 1, for x in (-radix, radix)
-    shared = list(map(w_k.__mul__, range(1 - radix, radix)))
-    starts = list(map((constant % radix).__add__, map(sum, itertools.product(*outer))))
-    new = map(cycle.__getitem__, itertools.chain.from_iterable(
-        map(range, starts, map(line.__add__, starts), itertools.repeat(step))))
-    # radix - 1 - old d_k, so that new + it is the position of the change
-    old = itertools.cycle(itertools.chain.from_iterable(
-        map(itertools.repeat, range(radix - 1, -1, -1), itertools.repeat(stride))))
-    return w, span, tuple(map(shared.__getitem__, map(operator.add, new, old)))
+    old = [x * w_k for x in range(radix) for _ in range(w_k // w)]
+    old *= len(new) // len(old)
+    return w, len(new), tuple([v % radix * w_k - o for v, o in zip(new, old)])
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, inf, lcm, prod
+from math import factorial, inf, lcm, log10, prod
 from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,6 +45,19 @@ DEFAULT_CAP = 10 ** 6
 
 class EnumerationCapError(RuntimeError):
     """An enumeration would exceed the configured cap."""
+
+
+def _count_text(n: int) -> str:
+    """A positive count n for a cap refusal: its digits, or "10^(D-1) or
+    more" for its digit count D when it has more digits than
+    ``sys.get_int_max_str_digits()`` lets an int be written with, so that
+    every refusal can be written."""
+    try:
+        return str(n)
+    except ValueError:
+        power = int(log10(n))  # D - 1 = floor(log10 n), up to one rounding step
+        power += (10 ** (power + 1) <= n) - (10 ** power > n)
+        return f"10^{power} or more"
 
 
 # per label: the valid ranks, as a test and as the text of its refusal, and
@@ -187,7 +200,8 @@ def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum
     estimate = positive_root_count(label, rank) * rank ** 2
     if estimate > cap:
         raise EnumerationCapError(
-            f"root closure for {label}{rank}: |Phi+| * r^2 = {estimate} exceeds cap {cap}")
+            f"root closure for {label}{rank}: |Phi+| * r^2 = {_count_text(estimate)} "
+            f"exceeds cap {cap}")
     return _root_datum(label, rank)
 
 

@@ -349,6 +349,28 @@ def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
     assert parse_fraction("-" + TOO_LONG) == -10 ** 4400
 
 
+@pytest.mark.skipif(not 0 < INT_STR_LIMIT < 4301,
+                    reason="this interpreter writes an int of 4,301 digits")
+@pytest.mark.parametrize("argv,stage", [
+    # 4,301-digit reflection counts of alcove.fold_numerators
+    (["orbit", "--group", "A2", "--order", "1", "--point=9e4299,9e4299"],
+     "alcove reduction of 10^4300 or more reflections"),
+    (["twist", "--group", "A2", "--order", "1", "--point=9e4299,9e4299"],
+     "alcove reduction of 10^4300 or more reflections"),
+    # a 6,001-digit class count of h1_elements
+    (["types", "--group", "E6", "--order", "2" + "0" * 1500,
+      "--action", "diagram", "--perm", "6,2,5,4,3,1"],
+     "H^1 classes from sigma-orbit sums: 10^6000 or more"),
+    # a 4,400-digit |Phi+| r^2 estimate of build_root_datum
+    (["data", "--group", "A", "--rank", "1" + "0" * 1100],
+     "root closure for A1" + "0" * 1100 + ": |Phi+| * r^2 = 10^4399 or more"),
+], ids=["orbit", "twist", "types", "data"])
+def test_a_count_too_long_to_write_is_a_cap_refusal(capsys, argv, stage):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: {stage} exceeds cap 1000000\n"
+
+
 def test_a_closed_output_pipe_exits_1_without_a_traceback():
     # types A2 at e = 100 writes about 3.4 MB, far more than a pipe holds
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -405,6 +427,14 @@ def test_global_rejects_bad_config(capsys, tmp_path):
         code, out, err = run_cli(capsys, "global", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: config is not valid JSON: ")
+        assert "Traceback" not in err
+    if 0 < INT_STR_LIMIT < 4401:
+        # json.load refuses an int it cannot write with a plain ValueError
+        path.write_text('{"branch_points": [{"group": {"label": "A", "rank": 1}, '
+                        '"order": 2, "point": [1' + "0" * 4400 + ']}]}')
+        code, out, err = run_cli(capsys, "global", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config cannot be read: ")
         assert "Traceback" not in err
     cfg = write_config(tmp_path, {"schema_version": "1"})
     code, _, err = run_cli(capsys, "global", "--config", cfg)

@@ -14,14 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parahoric.cohomology import (
+    GammaAction,
     _generator_rows,
     _move_table,
     _packed_orbits,
     _radices,
-    _row_window,
     trivial_action,
 )
-from parahoric.rootdata import build_root_datum
+from parahoric.rootdata import build_root_datum, diagram_automorphism
+from parahoric.slmodel import sl_involution
 
 from .references import packed_orbits_by_digits, rank_range
 
@@ -39,6 +40,16 @@ def engine_inputs(draw):
     return radices, draw(st.lists(row, max_size=4))
 
 
+def generator_case(datum, action, base=None):
+    """The radices and generator rows the engine is given for an action."""
+    return _radices(action), _generator_rows(datum, action, base)
+
+
+def diagram_case(label, rank, perm, e):
+    datum = build_root_datum(label, rank)
+    return generator_case(datum, GammaAction(e, diagram_automorphism(datum, perm)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(engine_inputs())
 # radix-1 digits inside a window, one of them with a coefficient
@@ -49,11 +60,17 @@ def engine_inputs(draw):
 @example(([3, 4], [(1, 1, ((0, 1), (1, 4))), (1, 0, ((0, 2),))]))
 # windows that are the whole grid
 @example(([3, 2, 4], [(0, 0, ((0, -1), (2, 1))), (2, 1, ((0, 1), (2, -1)))]))
+# real generator rows, with radix-1 digits inside their windows: D4 triality
+# at e = 6 (radices [1, 6, 1, 2]), the E6 flip at e = 4 ([1, 4, 1, 4, 2, 2])
+# and SL_8 J with its base point
+@example(diagram_case("D", 4, (2, 1, 3, 0), 6))
+@example(diagram_case("E", 6, (5, 1, 4, 3, 2, 0), 4))
+@example(generator_case(*sl_involution(8, "J")))
 def test_move_tables_match_the_digit_engine(case):
     radices, rows = case
     assert _packed_orbits(radices, rows) == packed_orbits_by_digits(radices, rows)
     # a table spans at most the whole grid
-    spans = [_row_window(tuple(radices), k, tuple(terms))[1]
+    spans = [_move_table(tuple(radices), k, 0, tuple(terms))[1]
              for k, _, terms in rows if radices[k] > 1]
     assert sum(spans) <= len(rows) * prod(radices)
     # each table entry against every grid index, decoded into its digits,
@@ -103,7 +120,7 @@ def test_simple_reflections_read_at_most_four_consecutive_digits(label, rank):
     for k, _, terms in _generator_rows(datum, action, None):
         read = [j for j, c in terms if c] + [k]
         widths.append(max(read) - min(read) + 1)
-        assert _row_window(radices, k, terms)[1] == e ** widths[-1]
+        assert _move_table(radices, k, 0, terms)[1] == e ** widths[-1]
     assert max(widths) <= (4 if label in "DE" else 3)
     if label in "DE":
         assert max(widths) == 4
