@@ -14,6 +14,7 @@ from parahoric import (
     apartment_orbit_types,
     build_root_datum,
     burnside_type_count,
+    h1_elements,
     local_types,
     point_from_root_values,
     simple_root_values,
@@ -24,6 +25,9 @@ from parahoric import (
 datum = build_root_datum("A", 1)
 
 for e in range(1, 13):
+    # H^1 of the trivial action is all of T[e]: the classes j/e, in order
+    assert h1_elements(datum, trivial_action(1, e)).representatives == tuple(
+        (F(j, e),) for j in range(e))
     base = point_from_root_values(datum, (F(1, e),))
     types = local_types(datum, trivial_action(1, e), base=base)
     burnside = burnside_type_count(datum, e, base=base)

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .alcove import (
     apartment_orbit_types,
     facet_of_numerators,
-    fold_type,
+    fold_numerators,
     min_split_degree,
     point_from_root_values,
     reduce_to_alcove,
@@ -43,15 +43,15 @@ from .alcove import (
 from .cohomology import (
     GammaAction,
     H1Classes,
-    LocalType,
+    _generator_rows,
+    _orbit_indices,
     cocycle_columns,
     h1_elements,
     require_grid_size,
     require_root_values_on_grid,
     trivial_action,
-    types_of_classes,
 )
-from .exactalg import QZVector, common_numerators, grid_numerators
+from .exactalg import common_numerators, grid_numerators
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -382,7 +382,7 @@ def action_spec(kind: str, variant: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 def _point_entries(label: str, rank: int, order: int, action_kind: str,
-                  perm: Optional[Tuple[int, ...]], types: Sequence[LocalType]) -> dict:
+                  perm: Optional[Tuple[int, ...]], types: Sequence) -> dict:
     """The ``group``, ``order``, ``action`` and ``type_count`` entries of a
     branch point, shared by a ``types`` report and a ``global`` one; an SL
     involution is named ``sl-involution``, with its variant."""
@@ -411,14 +411,20 @@ def point_or_default(
     return point
 
 
-def _as_coroots(vectors: Sequence, modulus=1) -> Sequence:
-    """The writer of every action but an SL involution (:func:`types_parts`)."""
-    return vectors
-
-
 def _as_diagonals(vectors: Sequence, modulus=1) -> List[tuple]:
     """The writer of an SL involution (:func:`types_parts`, :func:`sl_diagonal`)."""
     return [sl_diagonal(v, modulus) for v in vectors]
+
+
+def _type_strings(classes: H1Classes, keys: Sequence[Tuple[int, int]],
+                  write: Optional[Callable], strings: TableStrings) -> List[Sequence[str]]:
+    """The strings of each type's class: the node strings (the table strings
+    of each radix) at its digits, or the diagonal ``write`` makes of it."""
+    reps = classes.representatives
+    if write is not None:
+        return list(map(vec_str, write([reps[start] for start, _ in keys])))
+    nodes = [strings.values(len(values)) for values in classes.node_values]
+    return [[node[j] for node, j in zip(nodes, reps.digits(start))] for start, _ in keys]
 
 
 def types_parts(
@@ -430,18 +436,17 @@ def types_parts(
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
 ) -> Tuple[RootDatum, GammaAction, Optional[Tuple[Fraction, ...]], H1Classes,
-           List[LocalType], Callable]:
+           List[Tuple[int, int]], Optional[Callable]]:
     """Root datum, action, base point, H^1 classes and local types of one
-    branch point, in coroot coordinates, and the writer of its vectors;
-    raises ValueError (UsageError among them) on invalid specs and
-    EnumerationCapError on cap breaches.
-
-    ``write(vectors, modulus=1)`` gives the coordinates a report shows (for
-    numerator rows over d, ``modulus`` d): sum-zero diagonals for an SL
-    involution, the coroot coordinates as they are for every other action.
+    branch point, each type as the (index of its least class, orbit size)
+    of the orbit engine, and the writer of its vectors; raises ValueError
+    (UsageError among them) on invalid specs and EnumerationCapError on cap
+    breaches.  ``write(vectors, modulus=1)`` gives the sum-zero diagonals
+    of an SL involution (for numerator rows over d, ``modulus`` d); it is
+    None for every other action, whose report shows coroot coordinates.
 
     Each action kind picks the datum, the action and the base point, and
-    :func:`h1_elements` and :func:`types_of_classes` run on them.  The
+    :func:`h1_elements` and the orbits of :func:`types_of_classes` run on them.  The
     trivial action takes the alcove-reduced point of the given root values
     (the grid cap and the grid condition are checked before the datum is
     built, and the datum before the default point is made and folded, so
@@ -455,7 +460,7 @@ def types_parts(
     if perm is not None and action_kind != "diagram":
         raise UsageError("--perm applies only to diagram actions")
 
-    write = _as_coroots
+    write = None
     if action_kind == "trivial":
         require_grid_size(rank, order, cap)
         if point is not None:  # the default 1/e is on the grid
@@ -491,8 +496,8 @@ def types_parts(
             f"and here H^1 has order {classes.structure.order}; use an sl "
             f"involution for type A, or a trivial action"
         )
-    return (datum, action, base, classes, types_of_classes(datum, action, classes, base=base),
-            write)
+    keys = _orbit_indices(_generator_rows(datum, action, base), action, classes)
+    return datum, action, base, classes, keys, write
 
 
 def compute_types(
@@ -505,49 +510,46 @@ def compute_types(
     cap: int = DEFAULT_CAP,
 ) -> dict:
     """Full type report for one branch point (see :func:`types_parts` for
-    the errors).  Its ``class_representatives`` entry is a :class:`Vectors`
-    value and each type's ``cocycle`` a :class:`CocycleTable`, made into
-    strings only when the report is written, so the report can be written
-    only through :func:`json_text` or :func:`types_text` (``json.dumps``
-    refuses those two values); its ``types`` list is a :class:`TypeEntries`,
-    which :func:`json_text` writes in one format per entry.  A caller that
-    wants the data takes it from
-    :func:`types_parts`.  The norm check of each representative runs here.
-    A split action fixes every node, so the norm is e and kills exactly the
-    vectors of (1/e)Z^r: a table keeps the digits e t_k of its
-    representative (:func:`grid_numerators`), which pick the shared columns
-    of :meth:`TableStrings.progression`, and no integer column is built.
-    Any other action keeps the integer columns of :func:`cocycle_columns`,
-    which checks the norm on every sigma-orbit.
-
-    The classes of a trivial or diagram action are kept as the strings of
-    each node's values (``H1Classes.node_values``), whose product the
-    writer joins.  An SL involution writes its classes, type
-    representatives and the rows of its tables as sum-zero diagonals (the
-    writer of :func:`types_parts`); its classes are listed as string
-    tuples and its tables are the columns of the diagonal rows."""
-    datum, action, base, classes, types, write = types_parts(
+    the errors), to be written only through :func:`json_text` or
+    :func:`types_text` (``json.dumps`` refuses it): its classes are a
+    :class:`Vectors` value, its ``types`` a :class:`TypeEntries` and each
+    ``cocycle`` a :class:`CocycleTable`, made into strings when written.
+    A split action has the norm e, which kills exactly (1/e)Z^r: it is
+    checked once per node value (:func:`grid_numerators`), so for every
+    class, and a table keeps the digits e t_k of its class, read by divmod
+    from its index, which pick the columns of
+    :meth:`TableStrings.progression`.  Any other action keeps the integer
+    columns of :func:`cocycle_columns`, which checks the norm on each
+    sigma-orbit.  Classes and type representatives are written from the
+    strings of the node values (the table strings of each radix), or as
+    the sum-zero diagonals of an SL involution (the writer of
+    :func:`types_parts`), whose tables are the columns of the diagonal rows."""
+    datum, action, base, classes, keys, write = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
+    reps = classes.representatives
+    if action_kind == "trivial":  # every node takes the values j/e, checked once
+        numerators = grid_numerators(tuple(classes.node_values[0]), action.e)
 
-    def cocycle(rep: QZVector) -> CocycleTable:
+    def cocycle(start: int) -> CocycleTable:
         if action_kind == "trivial":
-            return CocycleTable(strings, digits=[a % action.e for a in grid_numerators(rep, action.e)])
-        d, columns = cocycle_columns(rep, action)
+            return CocycleTable(strings, digits=[numerators[j] for j in reps.digits(start)])
+        d, columns = cocycle_columns(reps[start], action)
         if variant is not None:  # the columns of the diagonal rows
             columns = list(zip(*write(zip(*columns), d)))
         return CocycleTable(strings, d=d, columns=columns)
 
-    if variant is None:  # the classes are the product of their node values
-        class_strings = list(itertools.product(*map(vec_str, classes.node_values)))
+    if variant is None:  # the classes are the product of their node strings
+        class_strings = list(itertools.product(
+            *[strings.values(len(values)) for values in classes.node_values]))
     else:
-        class_strings = list(map(vec_str, write(classes.representatives)))
+        class_strings = list(map(vec_str, write(reps)))
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "types",
-        **_point_entries(label, rank, order, action_kind, perm, types),
+        **_point_entries(label, rank, order, action_kind, perm, keys),
         "torus_h1": {
             "order": classes.structure.order,
             "invariant_factors": list(classes.structure.invariant_factors),
@@ -558,13 +560,9 @@ def compute_types(
         },
         "class_representatives": Vectors(class_strings),
         "types": TypeEntries(
-            {
-                "index": t.index,
-                "representative": vec_str(rep),
-                "orbit_size": t.orbit_size,
-                "cocycle": cocycle(t.orbit_representative),
-            }
-            for t, rep in zip(types, write([t.orbit_representative for t in types]))
+            {"index": i, "representative": rep, "orbit_size": size, "cocycle": cocycle(start)}
+            for i, ((start, size), rep) in enumerate(
+                zip(keys, _type_strings(classes, keys, write, strings)))
         ),
     }
     if action_kind == "trivial":
@@ -700,30 +698,36 @@ def cmd_types(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    """Each row folds b + t once, on the integer numerators of
-    :func:`fold_type` over D = lcm(den b, e), the same D for every row; the
-    facet and the strings of the root values V / D and the coroot
-    coordinates X / D are read off that fold, each distinct string made
-    once per report."""
+    """Each row folds b + t once (:func:`fold_numerators`) on the integer
+    numerators over D = lcm(den b, e), the same D for every row: those of
+    b = B / N times D / N plus the digits of the class (read by divmod from
+    its index) times D / e.  The facet and the strings of the root values
+    V / D and the coroot coordinates X / D are read off that fold, each
+    distinct string made once per report."""
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     point = parse_point(args.point, rank) if args.point is not None else None
-    datum, _, base, classes, types, _ = types_parts(
+    datum, _, base, classes, keys, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
-    base_numerators = common_numerators(base)
+    N, B = common_numerators(base)
+    D = math.lcm(N, args.order)
+    node = TableStrings(args.order).values(args.order)  # the values j/e of every node
     texts: Dict[int, str] = {}  # a -> the string of a / D, for the one D of every row
 
-    def strings(D: int, numerators: Sequence[int]) -> List[str]:
+    def strings(numerators: Sequence[int]) -> List[str]:
         return [texts.get(a) or texts.setdefault(a, str(Fraction(a, D))) for a in numerators]
 
-    def twist_row(rep: QZVector) -> dict:
-        D, X, values = fold_type(datum, rep, args.order, base_numerators, args.cap)
+    def twist_row(start: int) -> dict:
+        digits = classes.representatives.digits(start)
+        X = [b * (D // N) + a * (D // args.order) for b, a in zip(B, digits)]
+        values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
+        X, values, _ = fold_numerators(datum, D, X, values, args.cap)
         facet = facet_of_numerators(datum, D, values)
         return {
-            "representative": vec_str(rep),
-            "point_root_values": strings(D, values),
-            "point_coroot_coordinates": strings(D, X),
+            "representative": [node[j] for j in digits],
+            "point_root_values": strings(values),
+            "point_coroot_coordinates": strings(X),
             "facet": {
                 "vanishing_walls": sorted(facet.vanishing_walls),
                 "classification": facet.classification,
@@ -734,14 +738,10 @@ def cmd_twist(args) -> int:
 
     if args.class_index is not None:
         if not 0 <= args.class_index < len(classes.representatives):
-            raise UsageError(
-                f"--class must be in 0..{len(classes.representatives) - 1}"
-            )
-        rep = classes.representatives[args.class_index]
-        rows = [dict(twist_row(rep), class_index=args.class_index)]
+            raise UsageError(f"--class must be in 0..{len(classes.representatives) - 1}")
+        rows = [dict(twist_row(args.class_index), class_index=args.class_index)]
     else:
-        rows = [dict(twist_row(t.orbit_representative), type_index=t.index)
-                for t in types]
+        rows = [dict(twist_row(start), type_index=i) for i, (start, _) in enumerate(keys)]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -750,7 +750,7 @@ def cmd_twist(args) -> int:
         "order": args.order,
         "base_point": {"root_values": vec_str(point_or_default(point, rank, args.order))},
         "twists": rows,
-        "type_count": len(types),
+        "type_count": len(keys),
     }
     emit(report, args.format, twist_text)
     return EXIT_OK
@@ -875,9 +875,9 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
-    *_, types, write = types_parts(label, rank, order, kind, perm=perm, point=point, cap=cap)
-    return dict(_point_entries(label, rank, order, kind, perm, types),
-                types=list(map(vec_str, write([t.orbit_representative for t in types]))))
+    *_, classes, keys, write = types_parts(label, rank, order, kind, perm=perm, point=point, cap=cap)
+    return dict(_point_entries(label, rank, order, kind, perm, keys),
+                types=_type_strings(classes, keys, write, TableStrings(order)))
 
 
 def cmd_global(args) -> int:

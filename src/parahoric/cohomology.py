@@ -31,7 +31,9 @@ when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
 O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
 order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
-numerators of t over e.  The cocycle of a class is read off the same
+numerators of t over e.  No class is kept as a tuple: class k is read
+from the digits of k by divmod, and the writers of the CLI work from k
+(:class:`ClassSequence`).  The cocycle of a class is read off the same
 orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
@@ -57,7 +59,7 @@ search hold at most r N entries for N classes (:func:`_packed_orbits`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, prod
@@ -134,15 +136,77 @@ def trivial_action(rank: int, e: int) -> GammaAction:
     return GammaAction(e=e, automorphism=identity_automorphism(rank))
 
 
+class NodeValues(Sequence):
+    """The values j/n, j < n, of a node of radix n, made when they are read:
+    one by index, or all of them, afresh, by iteration."""
+
+    def __init__(self, radix: int):
+        self.radix = radix
+
+    def __len__(self) -> int:
+        return self.radix
+
+    def __getitem__(self, j: int) -> Fraction:
+        return Fraction(range(self.radix)[j], self.radix)
+
+    def __iter__(self):  # as the Sequence mixin does, without its generator
+        return map(self.__getitem__, range(self.radix))
+
+
+# made once per process: the node values of a radix n, and the value j/n of
+# a digit j of a class read by index (only such values are kept)
+_node_values, _digit_value = lru_cache(maxsize=None)(NodeValues), lru_cache(maxsize=None)(Fraction)
+
+
+class ClassSequence(Sequence):
+    """The classes of :func:`h1_elements` in lexicographic order, a read-only
+    sequence over ``node_values`` that keeps no class: class k is the tuple
+    of the values of its :meth:`digits`, and iteration runs itertools.product."""
+
+    def __init__(self, radices: Tuple[int, ...]):
+        self.radices, self._count = radices, prod(radices)
+        self.node_values = tuple(map(_node_values, radices))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def digits(self, k: int) -> List[int]:
+        """The digits of class k in the radices, the last fastest, by divmod."""
+        digits = list(self.radices)
+        for i in range(len(digits) - 1, -1, -1):
+            k, digits[i] = divmod(k, digits[i])
+        return digits
+
+    def __getitem__(self, k):
+        k = range(self._count)[k]  # a negative k, a slice, or IndexError, as for a tuple
+        if type(k) is range:
+            return tuple(map(self.__getitem__, k))
+        values = []  # the loop of digits(), inline: local_types reads a class per type
+        for n in reversed(self.radices):
+            k, j = divmod(k, n)
+            values.append(_digit_value(j, n))
+        return tuple(reversed(values))
+
+    def __iter__(self):  # the values of a radix made once, as its nodes share them
+        values = {n: tuple(_node_values(n)) for n in set(self.radices)}
+        return itertools.product(*[values[n] for n in self.radices])
+
+    def __eq__(self, other):  # equal to the tuple of its classes
+        if not isinstance(other, (tuple, ClassSequence)):
+            return NotImplemented
+        return len(other) == self._count and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class H1Classes:
     """H^1 as its structure and one representative per class.  A listing of
     :func:`h1_elements` also keeps ``node_values``, the values each node
     takes on the classes: ``representatives`` is their product, in
-    lexicographic order, so a writer can take the product of their strings."""
+    lexicographic order (:class:`ClassSequence`).  The hash reads the
+    structure alone."""
     structure: FiniteAbelianGroup
-    representatives: Tuple[QZVector, ...]
-    node_values: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+    representatives: Sequence[QZVector] = field(hash=False)
+    node_values: Optional[Tuple[Sequence[Fraction], ...]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -191,7 +255,8 @@ def require_grid_size(rank: int, e: int, cap: int) -> None:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
 
 
-def _radices(action: GammaAction) -> List[int]:
+@lru_cache(maxsize=None)
+def _radices(action: GammaAction) -> Tuple[int, ...]:
     """The number of digits j each node takes on the least class
     representatives: e/|O| on the largest node of each sigma-orbit O, which
     carries s_O = j |O| / e = j / (e/|O|), and 1 (the digit 0, value 0) on
@@ -199,7 +264,7 @@ def _radices(action: GammaAction) -> List[int]:
     radices = [1] * action.rank
     for orbit in action.automorphism.node_orbits:
         radices[orbit[-1]] = action.e // len(orbit)
-    return radices
+    return tuple(radices)
 
 
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
@@ -209,28 +274,26 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     The classes are listed from their sigma-orbit sums (see the module
     docstring): the representative of the digits j_O carries j_O / (e/|O|)
     on the largest node of O, so the product of the per-node values j / n
-    for j < n, n in :func:`_radices`, is the list, already sorted.
+    for j < n, n in :func:`_radices`, is the list, already sorted, kept as
+    that product (:class:`ClassSequence`), not as tuples.
     The count prod_O e/|O|, one factor per sigma-orbit, is formed in full
     and refused when it passes ``cap``, before any other work (no e^r for
     the identity), so the refusal names the whole count.  The class count is checked against the
     structural computation and a mismatch is a hard error.
     """
-    count = prod(action.e // len(orbit) for orbit in action.automorphism.node_orbits)
+    radices = _radices(action)
+    count = prod(radices)
     if count > cap:
         raise EnumerationCapError(
             f"H^1 classes from sigma-orbit sums: {_count_text(count)} exceeds cap {cap}")
     structure = h1_structural(datum, action)
-    radices = _radices(action)
-    # the values j / n of each radix n once, shared by its nodes
-    per_radix = {n: tuple(Fraction(j, n) for j in range(n)) for n in set(radices)}
-    values = tuple(per_radix[n] for n in radices)
-    reps = tuple(itertools.product(*values))
+    reps = ClassSequence(radices)
     if len(reps) != structure.order:
         raise AssertionError(
             f"element model found {len(reps)} classes but the lattice quotient "
             f"has order {structure.order}"
         )
-    return H1Classes(structure=structure, representatives=reps, node_values=values)
+    return H1Classes(structure=structure, representatives=reps, node_values=reps.node_values)
 
 
 def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Sequence[int]]]:
@@ -444,16 +507,23 @@ def types_of_classes(
 
 def _orbit_types(rows: Sequence[Row], action: GammaAction,
                  classes: H1Classes) -> List[LocalType]:
-    """The orbits of the generator ``rows`` on the classes, as local types.
-    The packed index of a class in :func:`_packed_orbits` is its position in
-    ``classes.representatives``, so each type is represented by the class
-    at the index of its least member.  The orbit sizes must add up to the
-    class count."""
+    """The orbits of :func:`_orbit_indices` as local types, each represented
+    by the class at the index of its least member."""
     reps = classes.representatives
+    return [LocalType(reps[start], size, i)
+            for i, (start, size) in enumerate(_orbit_indices(rows, action, classes))]
+
+
+def _orbit_indices(rows: Sequence[Row], action: GammaAction,
+                   classes: H1Classes) -> List[Tuple[int, int]]:
+    """(index of the least class, size) of each orbit of the generator
+    ``rows`` on the classes (:func:`_packed_orbits`): the packed index of a
+    class is its position in ``classes.representatives``.  The orbit sizes
+    must add up to the class count."""
     keyed = _packed_orbits(_radices(action), rows)
-    if sum(size for _, size in keyed) != len(reps):
+    if sum(size for _, size in keyed) != len(classes.representatives):
         raise AssertionError("orbit sizes must add up to the class count")
-    return [LocalType(reps[start], size, i) for i, (start, size) in enumerate(keyed)]
+    return keyed
 
 
 def local_types(

@@ -167,6 +167,9 @@ class RootDatum:
     def name(self) -> str:
         return f"{self.label}{self.rank}"
 
+    def __hash__(self) -> int:  # a memo key: equal data share (label, rank), no root is hashed
+        return hash((self.label, self.rank))
+
     @cached_property
     def cartan_inverse(self) -> Tuple[IntMatrix, int]:
         """(adj(C), det(C)), so that C^-1 = adj(C) / det(C)."""

@@ -108,6 +108,7 @@ from parahoric.cohomology import (
     h1_elements,
     h1_structural,
     require_grid_size,
+    types_of_classes,
 )
 from parahoric.exactalg import (
     FiniteAbelianGroup,
@@ -734,12 +735,17 @@ def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[In
 
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:
     """The report of ``cli.compute_types`` as plain dicts, lists and strings.
-    The vectors are written by the writer of ``cli.types_parts``; for an SL
-    involution the cocycles of the written diagonals are recomputed on the
-    diagonal action -rho (:func:`diagonal_action`), not converted row by
-    row as ``compute_types`` does."""
-    datum, action, base, classes, types, write = types_parts(
+    The types come from :func:`types_of_classes` as ``LocalType`` values,
+    not from the class indices ``cli.types_parts`` passes to the writer.
+    The vectors of an SL involution are written by the writer of
+    ``cli.types_parts``, and the cocycles of the written diagonals are
+    recomputed on the diagonal action -rho (:func:`diagonal_action`), not
+    converted row by row as ``compute_types`` does; every other action
+    shows its coroot coordinates as they are."""
+    datum, action, base, classes, _, write = types_parts(
         label, rank, order, action_kind, **options)
+    types = types_of_classes(datum, action, classes, base=base)
+    write = write or (lambda vectors: vectors)
     variant = SL_VARIANTS.get(action_kind)
     keys = [str(i) for i in range(action.e)]
     texts: Dict[int, List[str]] = {}
@@ -842,7 +848,8 @@ def dict_twist_report(label, rank, order, point=None, class_index=None) -> dict:
     row's point from :func:`type_to_alcove`, its root values from
     :func:`simple_root_values` and its facet from :func:`facet_of`, every
     entry made into a string on its own."""
-    datum, _, base, classes, types, _ = types_parts(label, rank, order, "trivial", point=point)
+    datum, action, base, classes, _, _ = types_parts(label, rank, order, "trivial", point=point)
+    types = types_of_classes(datum, action, classes, base=base)
 
     def row(rep: QZVector) -> dict:
         reduced, _ = type_to_alcove(datum, rep, order, base)

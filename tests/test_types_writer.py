@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import parahoric.cli as cli
 from parahoric.cli import compute_types, main
+from parahoric.cohomology import types_of_classes
 
 from .references import dict_twist_report, dict_twist_text, dict_types_report, dict_types_text
 from .test_golden_cli import load_cases, run_case
@@ -225,6 +226,21 @@ def test_twist_equals_the_fraction_built_report(case, fmt):
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         assert out == "\n".join(dict_twist_text(report)) + "\n"
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_each_type_is_written_from_the_index_of_its_representative(group):
+    # the writers take a type's class index from the orbit engine, and its
+    # digits by divmod: both must give the representative of the LocalType
+    rank = int(group[1:])
+    for e in range(1, 5):
+        datum, action, base, classes, keys, _ = cli.types_parts(group[0], rank, e, "trivial")
+        reps = classes.representatives
+        types = types_of_classes(datum, action, classes, base=base)
+        assert [(reps[start], size) for start, size in keys] \
+            == [(t.orbit_representative, t.orbit_size) for t in types]
+        assert [tuple(Fraction(j, e) for j in reps.digits(start)) for start, _ in keys] \
+            == [t.orbit_representative for t in types]
 
 
 @pytest.mark.parametrize("case", [c for c in load_cases() if c["argv"][0] == "global"],
