@@ -212,35 +212,35 @@ def type_to_alcove(
 
     Only meaningful when the group action on the reductive quotient is the
     split untwisted one; the class representative acts as the translation
-    by its coroot coordinates.  An order e < 1, or a rep or base without
-    one coordinate per node, is a ValueError, raised before the fold.
+    by its coroot coordinates.  An order e < 1, a rep or base without one
+    coordinate per node, or a rep outside (1/e)Z^r, which the norm e of the
+    split action does not kill, is a ValueError, raised before the fold.
     """
     require_positive_order(e)
-    D, X, values = fold_type(datum, rep, e, common_numerators(base), cap)
+    D, X, values = fold_type(datum, grid_numerators(rep, e), e, common_numerators(base), cap)
     return tuple(Fraction(a, D) for a in X), facet_of_numerators(datum, D, values)
 
 
 def fold_type(
     datum: RootDatum,
-    rep: QZVector,
+    digits: Sequence[int],
     e: int,
     base_numerators: Tuple[int, Sequence[int]],
     cap: int = DEFAULT_CAP,
 ) -> Tuple[int, List[int], List[int]]:
     """(D, X, V): the point b + t folded into the closed alcove as X / D,
     with root values V / D, for the base b = B / N given as (N, B) and a
-    class rep t in (1/e)Z^r (:func:`fold_numerators`).  D = lcm(N, e) and
-    the numerators of b + t over it are those of b times D / N plus those of
-    t over e times D / e.  An order e < 1, a rep or B without one
-    coordinate per node, or a t outside (1/e)Z^r, which the norm e of the
-    split action does not kill, is a ValueError."""
+    class t = digits / e in (1/e)Z^r (:func:`fold_numerators`).  D = lcm(N, e)
+    and the numerators of b + t over it are those of b times D / N plus the
+    digits times D / e.  An order e < 1, or digits or B without one
+    coordinate per node, is a ValueError."""
     require_positive_order(e)
     N, B = base_numerators
-    require_coordinates(datum, rep)
+    require_coordinates(datum, digits)
     require_coordinates(datum, B)
     D = lcm(N, e)
     scale, step = D // N, D // e
-    X = [b * scale + a * step for b, a in zip(B, grid_numerators(rep, e))]
+    X = [b * scale + a * step for b, a in zip(B, digits)]
     values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
     X, values, _ = fold_numerators(datum, D, X, values, cap)
     return D, X, values

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .alcove import (
     apartment_orbit_types,
     facet_of_numerators,
-    fold_numerators,
+    fold_type,
     min_split_degree,
     point_from_root_values,
     reduce_to_alcove,
@@ -416,17 +416,6 @@ def _as_diagonals(vectors: Sequence, modulus=1) -> List[tuple]:
     return [sl_diagonal(v, modulus) for v in vectors]
 
 
-def _type_strings(classes: H1Classes, keys: Sequence[Tuple[int, int]],
-                  write: Optional[Callable], strings: TableStrings) -> List[Sequence[str]]:
-    """The strings of each type's class: the node strings (the table strings
-    of each radix) at its digits, or the diagonal ``write`` makes of it."""
-    reps = classes.representatives
-    if write is not None:
-        return list(map(vec_str, write([reps[start] for start, _ in keys])))
-    nodes = [strings.values(len(values)) for values in classes.node_values]
-    return [[node[j] for node, j in zip(nodes, reps.digits(start))] for start, _ in keys]
-
-
 def types_parts(
     label: str,
     rank: int,
@@ -520,21 +509,22 @@ def compute_types(
     from its index, which pick the columns of
     :meth:`TableStrings.progression`.  Any other action keeps the integer
     columns of :func:`cocycle_columns`, which checks the norm on each
-    sigma-orbit.  Classes and type representatives are written from the
-    strings of the node values (the table strings of each radix), or as
-    the sum-zero diagonals of an SL involution (the writer of
-    :func:`types_parts`), whose tables are the columns of the diagonal rows."""
+    sigma-orbit.  The classes are written from the strings of the node
+    values (the table strings of each radix), or as the sum-zero diagonals
+    of an SL involution (the writer of :func:`types_parts`), whose tables
+    are the columns of the diagonal rows; a type shows the strings of its
+    class, at its index."""
     datum, action, base, classes, keys, write = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
     reps = classes.representatives
     if action_kind == "trivial":  # every node takes the values j/e, checked once
-        numerators = grid_numerators(tuple(classes.node_values[0]), action.e)
+        grid_numerators(tuple(classes.node_values[0]), action.e)
 
     def cocycle(start: int) -> CocycleTable:
         if action_kind == "trivial":
-            return CocycleTable(strings, digits=[numerators[j] for j in reps.digits(start)])
+            return CocycleTable(strings, digits=reps.digits(start))
         d, columns = cocycle_columns(reps[start], action)
         if variant is not None:  # the columns of the diagonal rows
             columns = list(zip(*write(zip(*columns), d)))
@@ -560,9 +550,9 @@ def compute_types(
         },
         "class_representatives": Vectors(class_strings),
         "types": TypeEntries(
-            {"index": i, "representative": rep, "orbit_size": size, "cocycle": cocycle(start)}
-            for i, ((start, size), rep) in enumerate(
-                zip(keys, _type_strings(classes, keys, write, strings)))
+            {"index": i, "representative": class_strings[start], "orbit_size": size,
+             "cocycle": cocycle(start)}
+            for i, (start, size) in enumerate(keys)
         ),
     }
     if action_kind == "trivial":
@@ -698,36 +688,32 @@ def cmd_types(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    """Each row folds b + t once (:func:`fold_numerators`) on the integer
-    numerators over D = lcm(den b, e), the same D for every row: those of
-    b = B / N times D / N plus the digits of the class (read by divmod from
-    its index) times D / e.  The facet and the strings of the root values
-    V / D and the coroot coordinates X / D are read off that fold, each
-    distinct string made once per report."""
+    """Each row folds b + t once, on the integer numerators of
+    :func:`fold_type` over D = lcm(den b, e), the same D for every row, for
+    the digits of its class, read by divmod from its index; the facet and
+    the strings of the root values V / D and the coroot coordinates X / D
+    are read off that fold, each distinct string made once per report."""
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     point = parse_point(args.point, rank) if args.point is not None else None
     datum, _, base, classes, keys, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
-    N, B = common_numerators(base)
-    D = math.lcm(N, args.order)
+    base_numerators = common_numerators(base)
     node = TableStrings(args.order).values(args.order)  # the values j/e of every node
     texts: Dict[int, str] = {}  # a -> the string of a / D, for the one D of every row
 
-    def strings(numerators: Sequence[int]) -> List[str]:
+    def strings(D: int, numerators: Sequence[int]) -> List[str]:
         return [texts.get(a) or texts.setdefault(a, str(Fraction(a, D))) for a in numerators]
 
     def twist_row(start: int) -> dict:
         digits = classes.representatives.digits(start)
-        X = [b * (D // N) + a * (D // args.order) for b, a in zip(B, digits)]
-        values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
-        X, values, _ = fold_numerators(datum, D, X, values, args.cap)
+        D, X, values = fold_type(datum, digits, args.order, base_numerators, args.cap)
         facet = facet_of_numerators(datum, D, values)
         return {
             "representative": [node[j] for j in digits],
-            "point_root_values": strings(values),
-            "point_coroot_coordinates": strings(X),
+            "point_root_values": strings(D, values),
+            "point_coroot_coordinates": strings(D, X),
             "facet": {
                 "vanishing_walls": sorted(facet.vanishing_walls),
                 "classification": facet.classification,
@@ -876,8 +862,14 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
     *_, classes, keys, write = types_parts(label, rank, order, kind, perm=perm, point=point, cap=cap)
-    return dict(_point_entries(label, rank, order, kind, perm, keys),
-                types=_type_strings(classes, keys, write, TableStrings(order)))
+    reps = classes.representatives
+    if write is None:  # the node strings (the table strings of each radix) at its digits
+        strings = TableStrings(order)
+        nodes = [strings.values(len(values)) for values in classes.node_values]
+        types = [[node[j] for node, j in zip(nodes, reps.digits(start))] for start, _ in keys]
+    else:
+        types = list(map(vec_str, write([reps[start] for start, _ in keys])))
+    return dict(_point_entries(label, rank, order, kind, perm, keys), types=types)
 
 
 def cmd_global(args) -> int:

@@ -31,10 +31,9 @@ when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
 O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
 order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
-numerators of t over e.  No class is kept as a tuple: class k is read
-from the digits of k by divmod, and the writers of the CLI work from k
-(:class:`ClassSequence`).  The cocycle of a class is read off the same
-orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
+numerators of t over e.  No class is kept: class k is read from the
+digits of k by divmod (:class:`ClassSequence`), and its cocycle off the
+same orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
@@ -137,8 +136,7 @@ def trivial_action(rank: int, e: int) -> GammaAction:
 
 
 class NodeValues(Sequence):
-    """The values j/n, j < n, of a node of radix n, made when they are read:
-    one by index, or all of them, afresh, by iteration."""
+    """The values j/n, j < n, of a node of radix n, each made when read."""
 
     def __init__(self, radix: int):
         self.radix = radix
@@ -149,23 +147,14 @@ class NodeValues(Sequence):
     def __getitem__(self, j: int) -> Fraction:
         return Fraction(range(self.radix)[j], self.radix)
 
-    def __iter__(self):  # as the Sequence mixin does, without its generator
-        return map(self.__getitem__, range(self.radix))
-
-
-# made once per process: the node values of a radix n, and the value j/n of
-# a digit j of a class read by index (only such values are kept)
-_node_values, _digit_value = lru_cache(maxsize=None)(NodeValues), lru_cache(maxsize=None)(Fraction)
-
 
 class ClassSequence(Sequence):
-    """The classes of :func:`h1_elements` in lexicographic order, a read-only
-    sequence over ``node_values`` that keeps no class: class k is the tuple
-    of the values of its :meth:`digits`, and iteration runs itertools.product."""
+    """The classes of :func:`h1_elements` in lexicographic order, read-only,
+    over ``node_values``: class k by its :meth:`digits`, all by itertools.product."""
 
-    def __init__(self, radices: Tuple[int, ...]):
+    def __init__(self, radices: Sequence[int]):
         self.radices, self._count = radices, prod(radices)
-        self.node_values = tuple(map(_node_values, radices))
+        self.node_values = tuple(map(NodeValues, radices))
 
     def __len__(self) -> int:
         return self._count
@@ -181,14 +170,10 @@ class ClassSequence(Sequence):
         k = range(self._count)[k]  # a negative k, a slice, or IndexError, as for a tuple
         if type(k) is range:
             return tuple(map(self.__getitem__, k))
-        values = []  # the loop of digits(), inline: local_types reads a class per type
-        for n in reversed(self.radices):
-            k, j = divmod(k, n)
-            values.append(_digit_value(j, n))
-        return tuple(reversed(values))
+        return tuple(map(Fraction, self.digits(k), self.radices))
 
     def __iter__(self):  # the values of a radix made once, as its nodes share them
-        values = {n: tuple(_node_values(n)) for n in set(self.radices)}
+        values = {n: tuple(map(Fraction, range(n), [n] * n)) for n in set(self.radices)}
         return itertools.product(*[values[n] for n in self.radices])
 
     def __eq__(self, other):  # equal to the tuple of its classes
@@ -202,8 +187,7 @@ class H1Classes:
     """H^1 as its structure and one representative per class.  A listing of
     :func:`h1_elements` also keeps ``node_values``, the values each node
     takes on the classes: ``representatives`` is their product, in
-    lexicographic order (:class:`ClassSequence`).  The hash reads the
-    structure alone."""
+    lexicographic order (:class:`ClassSequence`); the hash reads ``structure``."""
     structure: FiniteAbelianGroup
     representatives: Sequence[QZVector] = field(hash=False)
     node_values: Optional[Tuple[Sequence[Fraction], ...]] = field(default=None, compare=False)
@@ -255,8 +239,7 @@ def require_grid_size(rank: int, e: int, cap: int) -> None:
         raise EnumerationCapError(f"torsion grid of size {e}^{rank} exceeds cap {cap}")
 
 
-@lru_cache(maxsize=None)
-def _radices(action: GammaAction) -> Tuple[int, ...]:
+def _radices(action: GammaAction) -> List[int]:
     """The number of digits j each node takes on the least class
     representatives: e/|O| on the largest node of each sigma-orbit O, which
     carries s_O = j |O| / e = j / (e/|O|), and 1 (the digit 0, value 0) on
@@ -264,7 +247,7 @@ def _radices(action: GammaAction) -> Tuple[int, ...]:
     radices = [1] * action.rank
     for orbit in action.automorphism.node_orbits:
         radices[orbit[-1]] = action.e // len(orbit)
-    return tuple(radices)
+    return radices
 
 
 def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -> H1Classes:
@@ -275,10 +258,10 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     docstring): the representative of the digits j_O carries j_O / (e/|O|)
     on the largest node of O, so the product of the per-node values j / n
     for j < n, n in :func:`_radices`, is the list, already sorted, kept as
-    that product (:class:`ClassSequence`), not as tuples.
-    The count prod_O e/|O|, one factor per sigma-orbit, is formed in full
-    and refused when it passes ``cap``, before any other work (no e^r for
-    the identity), so the refusal names the whole count.  The class count is checked against the
+    that product (:class:`ClassSequence`).  The count prod_O e/|O|, one
+    factor per sigma-orbit, is formed in full and refused when it passes
+    ``cap``, before any other work (no e^r for the identity), so the
+    refusal names the whole count.  The class count is checked against the
     structural computation and a mismatch is a hard error.
     """
     radices = _radices(action)
@@ -508,18 +491,20 @@ def types_of_classes(
 def _orbit_types(rows: Sequence[Row], action: GammaAction,
                  classes: H1Classes) -> List[LocalType]:
     """The orbits of :func:`_orbit_indices` as local types, each represented
-    by the class at the index of its least member."""
-    reps = classes.representatives
-    return [LocalType(reps[start], size, i)
-            for i, (start, size) in enumerate(_orbit_indices(rows, action, classes))]
+    by its least class, picked out of one walk over the classes."""
+    keyed = _orbit_indices(rows, action, classes)
+    least = bytearray(len(classes.representatives))
+    for start, _ in keyed:
+        least[start] = 1
+    reps = itertools.compress(classes.representatives, least)
+    return [LocalType(rep, size, i) for i, (rep, (_, size)) in enumerate(zip(reps, keyed))]
 
 
 def _orbit_indices(rows: Sequence[Row], action: GammaAction,
                    classes: H1Classes) -> List[Tuple[int, int]]:
     """(index of the least class, size) of each orbit of the generator
-    ``rows`` on the classes (:func:`_packed_orbits`): the packed index of a
-    class is its position in ``classes.representatives``.  The orbit sizes
-    must add up to the class count."""
+    ``rows`` on the classes (:func:`_packed_orbits`), whose sizes must add
+    up to the class count."""
     keyed = _packed_orbits(_radices(action), rows)
     if sum(size for _, size in keyed) != len(classes.representatives):
         raise AssertionError("orbit sizes must add up to the class count")

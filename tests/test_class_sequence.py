@@ -9,6 +9,7 @@ and a listing must hold no list of tuples: its memory does not grow with
 the class count.
 """
 
+import gc
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahoric.cohomology import GammaAction, h1_elements, trivial_action
+from parahoric.cohomology import GammaAction, _move_table, h1_elements, local_types, trivial_action
 from parahoric.rootdata import build_root_datum, diagram_automorphism
 
 MAX_CLASSES = 2 * 10 ** 4
@@ -102,3 +103,24 @@ def test_a_listing_keeps_no_class_tuple():
     assert len(classes.representatives) == 360000
     assert peak < 10 ** 6, f"h1_elements peaked at {peak} bytes"
     assert classes.representatives[-1] == (Fraction(599, 600), Fraction(599, 600))
+
+
+def test_local_types_keeps_nothing_after_the_call():
+    # the representatives of 50,001 types are read from a listing of 10^5
+    # classes, about 10 MB of results; once they are dropped, no value read
+    # stays behind (the move tables the orbit engine keeps per row are
+    # cleared with their memo, and the free lists by a collection)
+    datum, action = build_root_datum("A", 1), trivial_action(1, 10 ** 5)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        types = local_types(datum, action)
+        count, last = len(types), types[-1].orbit_representative
+        del types
+        _move_table.cache_clear()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 50001 and last == (Fraction(1, 2),)
+    assert after - before < 10 ** 6, f"local_types left {after - before} bytes behind"
