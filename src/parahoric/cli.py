@@ -51,7 +51,7 @@ from .cohomology import (
     require_root_values_on_grid,
     trivial_action,
 )
-from .exactalg import common_numerators, grid_numerators
+from .exactalg import common_numerators
 from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -121,12 +121,13 @@ def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
 def json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
     report: dicts with str keys, lists, str, int, bool and None, and the
-    values of a ``types`` report that write themselves: a
+    values that write themselves: of a ``types`` report, a
     :class:`CocycleTable` (as the dict of row index to list of strings,
     joined from its columns), the class representatives' :class:`Vectors`
     (as a list of lists of strings, joined from the product of the strings
     of each node, or from the listed SL diagonals) and the
-    :class:`TypeEntries` of the types (as the list of their dicts).
+    :class:`TypeEntries` of the types (as the list of their dicts), and
+    the :class:`TwistRows` of ``twist`` and :class:`Tuples` of ``global``.
 
     With ``indent`` set the standard library runs its pure-Python encoder;
     this writer quotes the strings with the C ``encode_basestring_ascii``
@@ -135,7 +136,7 @@ def json_text(value, newline: str = "\n") -> str:
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if isinstance(value, (CocycleTable, Vectors, TypeEntries)):
+    if isinstance(value, (CocycleTable, Vectors, TypeEntries, TwistRows, Tuples)):
         return value.json(newline)
     inner = newline + "  "
     if isinstance(value, list):
@@ -186,6 +187,7 @@ class TableStrings:
         self._values: Dict[int, List[str]] = {}
         self._layouts: Dict[Optional[str], tuple] = {}
         self._progressions: Dict[Tuple[int, Optional[str]], Sequence[str]] = {}
+        self._cycled: List[str] = []  # the strings of j/e repeated, made by the first column
 
     def values(self, d: int) -> List[str]:
         """The strings of a/d for a < d, as ``str(Fraction(a, d))`` writes
@@ -225,13 +227,20 @@ class TableStrings:
 
     def progression(self, a: int, newline: Optional[str]) -> Sequence[str]:
         """The strings of (i a mod e)/e, i < e, in the row order of the
-        layout of ``newline``: the multiples of a below a e, mod e, gathered
-        into the key order of that layout."""
+        layout of ``newline``, gathered into the key order of that layout:
+        for a > 0, about a / sqrt(e) stepped slices ``cycled[p : p + n a : a]``
+        of the strings of j/e repeated about sqrt(e) times, each as long as
+        the list allows and starting where the one before left off, mod e."""
         column = self._progressions.get((a, newline))
         if column is None:
             e = self.e
-            values = self.values(e)
-            column = [values[i % e] for i in range(0, a * e, a)] if a else [values[0]] * e
+            cycled = self._cycled = self._cycled or self.values(e) * (math.isqrt(e) + 1)
+            column = cycled[:1] * e  # the column of a = 0, filled in place for a > 0
+            i = p = 0
+            while a and i < e:
+                part = cycled[p:p + (e - i) * a:a]
+                column[i:i + len(part)] = part
+                i, p = i + len(part), (p + len(part) * a) % e
             gather = self.layout(newline)[0]
             if gather is not None:
                 column = gather(column)
@@ -332,6 +341,49 @@ class TypeEntries(list):
                     between(t["representative"]))
             for t in self])
         return f"[{inner}{body}{newline}]"
+
+
+class TwistRows(list):
+    """The ``twists`` of a report, the dicts :func:`twist_text` reads, each
+    written in JSON by one format of its keys in sorted order: ``class_index``
+    first or ``type_index`` last, around the facet, its text and the strings
+    of the coroot coordinates, root values and representative (r >= 1 each)."""
+
+    __slots__ = ()
+
+    def json(self, newline: str) -> str:
+        inner, key, entry = newline + "  ", newline + "    ", newline + "      "
+        strings, walls = ('",' + entry + '"').join, ("," + entry + "  ").join
+        vector = "[" + entry + '"%s"' + key + "]"
+        form = ("{" + key + '%s"facet": {' + entry + '"classification": %s,' + entry
+                + '"special": %s,' + entry + '"vanishing_walls": %s' + key + "},"
+                + key + '"facet_text": %s,' + key + '"point_coroot_coordinates": ' + vector
+                + "," + key + '"point_root_values": ' + vector + "," + key
+                + '"representative": ' + vector + "%s" + inner + "}")
+        body = ("," + inner).join([
+            form % (f'"class_index": {row["class_index"]},{key}' if "class_index" in row else "",
+                    encode_basestring_ascii(facet["classification"]),
+                    "true" if facet["special"] else "false",
+                    f"[{entry}  {walls(map(str, facet['vanishing_walls']))}{entry}]"
+                    if facet["vanishing_walls"] else "[]",
+                    encode_basestring_ascii(row["facet_text"]),
+                    strings(row["point_coroot_coordinates"]), strings(row["point_root_values"]),
+                    strings(row["representative"]),
+                    f',{key}"type_index": {row["type_index"]}' if "type_index" in row else "")
+            for row in self for facet in (row["facet"],)])
+        return f"[{inner}{body}{newline}]" if self else "[]"
+
+
+class Tuples(list):
+    """The ``tuples`` of a ``global`` report, read as they are by
+    :func:`global_text`; in JSON each is a list, one join of ``map(str, t)``."""
+
+    __slots__ = ()
+
+    def json(self, newline: str) -> str:
+        inner, entry = newline + "  ", newline + "    "
+        items = [f"[{entry}{(',' + entry).join(map(str, t))}{inner}]" if t else "[]" for t in self]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -504,23 +556,24 @@ def compute_types(
     :class:`Vectors` value, its ``types`` a :class:`TypeEntries` and each
     ``cocycle`` a :class:`CocycleTable`, made into strings when written.
     A split action has the norm e, which kills exactly (1/e)Z^r: it is
-    checked once per node value (:func:`grid_numerators`), so for every
-    class, and a table keeps the digits e t_k of its class, read by divmod
-    from its index, which pick the columns of
-    :meth:`TableStrings.progression`.  Any other action keeps the integer
-    columns of :func:`cocycle_columns`, which checks the norm on each
-    sigma-orbit.  The classes are written from the strings of the node
-    values (the table strings of each radix), or as the sum-zero diagonals
-    of an SL involution (the writer of :func:`types_parts`), whose tables
-    are the columns of the diagonal rows; a type shows the strings of its
-    class, at its index."""
+    checked in integers, once per node, as e divisible by the radix n of
+    the values j/n the node takes, so for every class, and a table keeps
+    the digits e t_k of its class, read by divmod from its index, which
+    pick the columns of :meth:`TableStrings.progression`.  Any other action
+    keeps the integer columns of :func:`cocycle_columns`, which checks the
+    norm on each sigma-orbit.  The classes are written from the strings of
+    the node values (the table strings of each radix), or as the sum-zero
+    diagonals of an SL involution (the writer of :func:`types_parts`),
+    whose tables are the columns of the diagonal rows; a type shows the
+    strings of its class, at its index."""
     datum, action, base, classes, keys, write = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
     reps = classes.representatives
-    if action_kind == "trivial":  # every node takes the values j/e, checked once
-        grid_numerators(tuple(classes.node_values[0]), action.e)
+    if action_kind == "trivial" and any(action.e % n for n in reps.radices):
+        raise ValueError(f"the norm {action.e} does not kill the classes over the radices "
+                         f"{reps.radices}")
 
     def cocycle(start: int) -> CocycleTable:
         if action_kind == "trivial":
@@ -667,8 +720,7 @@ def global_text(report: dict) -> List[str]:
     if report["tuples"] is None:
         lines.append(f"tuples omitted: {report['tuples_omitted']}")
     else:
-        lines += ["tuple: (" + ", ".join(str(i) for i in t) + ")"
-                  for t in report["tuples"]]
+        lines += ["tuple: (" + ", ".join(map(str, t)) + ")" for t in report["tuples"]]
     return lines
 
 
@@ -692,7 +744,8 @@ def cmd_twist(args) -> int:
     :func:`fold_type` over D = lcm(den b, e), the same D for every row, for
     the digits of its class, read by divmod from its index; the facet and
     the strings of the root values V / D and the coroot coordinates X / D
-    are read off that fold, each distinct string made once per report."""
+    are read off that fold, each distinct string made once per report.
+    The rows are :class:`TwistRows`, written in JSON by one format each."""
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
@@ -725,9 +778,9 @@ def cmd_twist(args) -> int:
     if args.class_index is not None:
         if not 0 <= args.class_index < len(classes.representatives):
             raise UsageError(f"--class must be in 0..{len(classes.representatives) - 1}")
-        rows = [dict(twist_row(args.class_index), class_index=args.class_index)]
+        rows = TwistRows([dict(twist_row(args.class_index), class_index=args.class_index)])
     else:
-        rows = [dict(twist_row(start), type_index=i) for i, (start, _) in enumerate(keys)]
+        rows = TwistRows(dict(twist_row(start), type_index=i) for i, (start, _) in enumerate(keys))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -873,6 +926,8 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
 
 
 def cmd_global(args) -> int:
+    """The entries of each branch point, pi0 and, up to the product cap, the
+    tuples of type indices as :class:`Tuples`; past the cap exit 3, tuples null."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -911,7 +966,7 @@ def cmd_global(args) -> int:
     }
     capped = pi0 > args.product_cap
     if not capped:
-        report["tuples"] = list(map(list, itertools.product(*counts)))
+        report["tuples"] = Tuples(itertools.product(*counts))
     else:
         report.update(tuples=None,
                       tuples_omitted=f"product {pi0} exceeds the output cap {args.product_cap}")

@@ -172,8 +172,9 @@ class ClassSequence(Sequence):
             return tuple(map(self.__getitem__, k))
         return tuple(map(Fraction, self.digits(k), self.radices))
 
-    def __iter__(self):  # the values of a radix made once, as its nodes share them
-        values = {n: tuple(map(Fraction, range(n), [n] * n)) for n in set(self.radices)}
+    def __iter__(self):  # the values of a radix read once, as its nodes share them
+        nodes = dict(zip(self.radices, self.node_values))
+        values = {n: tuple(map(node.__getitem__, range(n))) for n, node in nodes.items()}
         return itertools.product(*[values[n] for n in self.radices])
 
     def __eq__(self, other):  # equal to the tuple of its classes

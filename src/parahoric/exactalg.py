@@ -269,11 +269,13 @@ def require_positive_order(e: int) -> None:
         raise ValueError("the order of Gamma must be positive")
 
 
-def grid_numerators(xs: Sequence[Fraction], e: int) -> List[int]:
-    """The numerators e x_i of a vector of (1/e)Z^r (ints or Fractions);
-    an order e < 1 or an entry outside (1/e)Z is a ValueError, and any
-    other value a TypeError, as in :func:`common_numerators`."""
+def grid_numerators(xs: Iterable[Fraction], e: int) -> List[int]:
+    """The numerators e x_i of a vector of (1/e)Z^r (ints or Fractions),
+    read once, so an iterator will do; an order e < 1 or an entry outside
+    (1/e)Z is a ValueError, and any other value a TypeError, as in
+    :func:`common_numerators`."""
     require_positive_order(e)
+    xs = tuple(xs)
     try:
         off_grid = any(e % x.denominator for x in xs)
     except AttributeError:

@@ -50,6 +50,11 @@ report built the same way, row by row from the Fraction API of
 :func:`facet_of`) with one ``str`` per entry, where the CLI folds each row
 once on integer numerators and makes each distinct string once.
 
+:func:`dict_global_report` and :func:`dict_global_text` are the ``global``
+report of trivial-action branch points built the same way: each entry from
+the :func:`dict_types_report` of its point, the tuples as lists of ints,
+and the text of each tuple written entry by entry.
+
 :func:`coroots_by_lengths` are the coroots 2 beta / (beta, beta) from the
 Fraction squared lengths of :func:`length_symmetrizers`, as the library
 computed them before the root closure carried each coroot: the oracle of
@@ -891,6 +896,43 @@ def dict_twist_text(report: dict) -> List[str]:
                else f"type {row['type_index']}")
         lines.append(f"{tag}: point " + _list_text(row["point_root_values"])
                      + f", facet: {row['facet_text']}")
+    return lines
+
+
+def dict_global_report(points: Sequence[Tuple[str, int, int]], product_cap: int = 10 ** 4) -> dict:
+    """The report of ``cli.cmd_global`` for trivial-action branch points
+    (label, rank, order) at the default base, named x0, x1, ... by their
+    position: each entry read off the :func:`dict_types_report` of its
+    point, and the tuples listed as lists of ints, or omitted past
+    ``product_cap``."""
+    branch_points = []
+    for i, (label, rank, order) in enumerate(points):
+        types = dict_types_report(label, rank, order, "trivial")
+        entry = {key: types[key] for key in ("group", "order", "action", "type_count")}
+        branch_points.append(dict(entry, name=f"x{i}",
+                                  types=[t["representative"] for t in types["types"]]))
+    pi0 = math.prod(bp["type_count"] for bp in branch_points)
+    report = {"schema_version": SCHEMA_VERSION, "command": "global",
+              "branch_points": branch_points, "pi0": pi0}
+    if pi0 <= product_cap:
+        report["tuples"] = [list(t) for t in itertools.product(
+            *[range(bp["type_count"]) for bp in branch_points])]
+    else:
+        report.update(tuples=None,
+                      tuples_omitted=f"product {pi0} exceeds the output cap {product_cap}")
+    return report
+
+
+def dict_global_text(report: dict) -> List[str]:
+    """The text lines of a :func:`dict_global_report`."""
+    lines = [f"point {bp['name']}: {bp['group']['label']}{bp['group']['rank']} "
+             f"order {bp['order']} ({_action_text(bp['action'])}) -> types {bp['type_count']}"
+             for bp in report["branch_points"]]
+    lines.append(f"pi0: {report['pi0']}")
+    if report["tuples"] is None:
+        lines.append(f"tuples omitted: {report['tuples_omitted']}")
+    else:
+        lines += ["tuple: (" + ", ".join(str(i) for i in t) + ")" for t in report["tuples"]]
     return lines
 
 

@@ -125,6 +125,16 @@ def test_grid_numerators_refuse_a_nonpositive_order(e):
     assert grid_numerators((F(1, 2), F(1)), 4) == [2, 4]
 
 
+def test_grid_numerators_read_a_one_shot_iterable_once():
+    # the grid test and the numerators each read the argument: a generator
+    # gave [] and an iterator off the grid a TypeError from len()
+    assert grid_numerators((x for x in (F(1, 2), F(-3, 4), 2)), 4) == [2, -3, 8]
+    with pytest.raises(ValueError, match=r"^vector \('1/2', '1/3'\) is not in \(1/4\)Z\^2$"):
+        grid_numerators(iter([F(1, 2), F(1, 3)]), 4)
+    with pytest.raises(TypeError, match=r"^0\.5 is not an int or a Fraction$"):
+        grid_numerators((x for x in (F(1, 2), 0.5)), 4)
+
+
 def test_quotient_order_equals_index():
     rng = random.Random(3)
     for _ in range(60):

@@ -13,15 +13,20 @@ sort_keys=True)`` (JSON) and through the old text renderer (text).  The
 `twist` report, folded on integer numerators, must equal the one built row
 by row from the Fraction API of ``parahoric.alcove``.  Each `global`
 branch point must carry the entries of the `types` report of the same
-point, and `global` must build no `types` report or table.
+point, and `global` must build no `types` report or table.  The `twist`
+rows and the `global` tuples, each written by one format or join, are
+checked at their edges (facets with no wall, with simple walls and with
+the theta-wall; no branch point, one, and a product at and past the output
+cap), and each split column against its progression (i a mod e)/e.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -30,9 +35,10 @@ from hypothesis import strategies as st
 
 import parahoric.cli as cli
 from parahoric.cli import compute_types, main
-from parahoric.cohomology import types_of_classes
+from parahoric.cohomology import ClassSequence, types_of_classes
 
-from .references import dict_twist_report, dict_twist_text, dict_types_report, dict_types_text
+from .references import (dict_global_report, dict_global_text, dict_twist_report,
+                         dict_twist_text, dict_types_report, dict_types_text)
 from .test_golden_cli import load_cases, run_case
 
 # groups of rank <= 4, with the largest order e <= 30 whose grid e^r the
@@ -166,6 +172,18 @@ def test_edge_orders_equal_the_dict_built_report(group, e, base, fmt):
     assert_matches_reference(argv, fmt, group[0], rank, e, "trivial", point=point)
 
 
+def test_a_split_listing_the_norm_does_not_kill_is_refused(monkeypatch):
+    # the norm check of a split report reads the radices of the listing in
+    # integers: a node of radix 3 at e = 2 takes the values j/3, not in (1/2)Z
+    parts = cli.types_parts("A", 1, 2, "trivial")
+    off_grid = replace(parts[3], representatives=ClassSequence((3,)))
+    monkeypatch.setattr(cli, "types_parts", lambda *args, **kwargs: (*parts[:3], off_grid,
+                                                                     *parts[4:]))
+    with pytest.raises(ValueError, match=r"^the norm 2 does not kill the classes over the "
+                                         r"radices \(3,\)$"):
+        compute_types("A", 1, 2, "trivial")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_each_split_column_is_made_once_per_layout(fmt, monkeypatch):
     # A2 at e = 30 has 166 types, 332 columns, but its tables share the
@@ -189,6 +207,35 @@ def test_each_split_column_is_made_once_per_layout(fmt, monkeypatch):
     assert len({(a, id(column)) for _, a, column in made}) == len(lists) == len(digits) <= 30
     monkeypatch.undo()
     assert out == expected(fmt, "A", 2, 30, "trivial")
+
+
+def key_ordered_progression(e, a, newline):
+    """The column of digit a, [(i a mod e)/e for i < e], in the row order of
+    a layout: row index order in text, string key order in JSON."""
+    order = range(e) if newline is None else sorted(range(e), key=str)
+    return [str(Fraction(i * a % e, e)) for i in order]
+
+
+def test_split_columns_are_the_progressions_of_their_digits():
+    for e in range(1, 61):
+        strings = cli.TableStrings(e)
+        for a in range(e):
+            for newline in (None, "\n    "):
+                assert list(strings.progression(a, newline)) \
+                    == key_ordered_progression(e, a, newline), (e, a, newline)
+
+
+@settings(database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 2000).flatmap(lambda e: st.tuples(
+    st.just(e), st.lists(st.integers(0, e - 1), min_size=1, max_size=4))))
+def test_split_columns_of_large_orders_are_the_progressions_of_their_digits(case):
+    e, digits = case
+    strings = cli.TableStrings(e)
+    for a in digits:
+        for newline in (None, "\n  "):
+            assert list(strings.progression(a, newline)) == key_ordered_progression(e, a, newline)
+    # the strings the slices read are held about sqrt(e) times, not e times
+    assert len(strings._cycled) <= e * (isqrt(e) + 1)
 
 
 @st.composite
@@ -226,6 +273,70 @@ def test_twist_equals_the_fraction_built_report(case, fmt):
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         assert out == "\n".join(dict_twist_text(report)) + "\n"
+
+
+# twist reports whose rows include a facet with no vanishing wall, one
+# with walls of simple roots only and one with the theta-wall 0, and a
+# report of one row; (group, e, base point), None for the default 1/e
+TWIST_EDGES = [("A2", 6, 0), ("G2", 6, None), ("B2", 4, None), ("A1", 1, None)]
+
+
+def test_the_twist_edges_hold_every_kind_of_facet():
+    walls = [tuple(row["facet"]["vanishing_walls"])
+             for group, e, base in TWIST_EDGES
+             for row in dict_twist_report(group[0], int(group[1:]), e, point=None if base is None
+                                          else (Fraction(base),) * int(group[1:]))["twists"]]
+    assert () in walls
+    assert any(w and 0 not in w for w in walls)
+    assert any(0 in w for w in walls)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("class_index", [None, 0, -1], ids=["types", "class-0", "last-class"])
+@pytest.mark.parametrize("group,e,base", TWIST_EDGES, ids=str)
+def test_twist_rows_at_their_edges_equal_the_fraction_built_report(group, e, base, class_index,
+                                                                   fmt):
+    rank = int(group[1:])
+    point = None if base is None else (Fraction(base),) * rank
+    argv = ["twist", "--group", group, "--order", str(e), "--format", fmt]
+    if point is not None:
+        argv.append("--point=" + ",".join(map(str, point)))
+    if class_index is not None:
+        class_index %= e ** rank
+        argv += ["--class", str(class_index)]
+    code, out = stdout_of(argv)
+    assert code == 0
+    report = dict_twist_report(group[0], rank, e, point=point, class_index=class_index)
+    if fmt == "json":
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == "\n".join(dict_twist_text(report)) + "\n"
+
+
+# global configs of trivial branch points (label, rank, order) with their
+# pi0: none (the one empty tuple), one, a product of exactly the output cap
+# 10^4 (100 types of A1 at e = 199, twice), listed, and one above it (101
+# types at e = 201), refused
+GLOBAL_EDGES = {"none": ([], 1), "one": ([("A", 1, 5)], 3), "cap": ([("A", 1, 199)] * 2, 10 ** 4),
+                "above-cap": ([("A", 1, 199), ("A", 1, 201)], 10 ** 4 + 100)}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("points,pi0", GLOBAL_EDGES.values(), ids=GLOBAL_EDGES.keys())
+def test_global_at_its_edges_equals_the_dict_built_report(points, pi0, fmt, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"branch_points": [
+        {"group": {"label": label, "rank": rank}, "order": order}
+        for label, rank, order in points]}))
+    code, out = stdout_of(["global", "--config", str(config), "--format", fmt])
+    report = dict_global_report(points)
+    assert report["pi0"] == pi0
+    assert code == (0 if pi0 <= 10 ** 4 else 3)
+    assert (report["tuples"] is None) == (pi0 > 10 ** 4)
+    if fmt == "json":
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == "\n".join(dict_global_text(report)) + "\n"
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
