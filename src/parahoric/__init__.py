@@ -53,6 +53,7 @@ from .cohomology import (
     h1_structural,
     local_types,
     trivial_action,
+    type_orbits,
     types_of_classes,
 )
 from .slmodel import (

@@ -43,13 +43,12 @@ from .alcove import (
 from .cohomology import (
     GammaAction,
     H1Classes,
-    _generator_rows,
-    _orbit_indices,
     cocycle_columns,
     h1_elements,
     require_grid_size,
     require_root_values_on_grid,
     trivial_action,
+    type_orbits,
 )
 from .exactalg import common_numerators
 from .rootdata import (
@@ -391,13 +390,15 @@ class Tuples(list):
 # ---------------------------------------------------------------------------
 
 def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
-    """The label and rank of ``--group`` (and ``--rank``), checked by
-    :func:`positive_root_count`."""
+    """The label and rank of ``--group``, a letter and a decimal rank or
+    none (then ``--rank``), checked by :func:`positive_root_count`."""
     g = group.strip()
-    if len(g) > 1 and g[1:].isdigit():
+    if g[1:].isdecimal():
         label, r = g[0].upper(), int(g[1:])
         if rank is not None and rank != r:
             raise UsageError(f"--group {group} conflicts with --rank {rank}")
+    elif len(g) > 1:
+        raise UsageError(f"--group {group!r} is not a letter followed by a decimal rank")
     elif rank is None:
         raise UsageError("--rank is required when --group is a bare letter")
     else:
@@ -463,11 +464,6 @@ def point_or_default(
     return point
 
 
-def _as_diagonals(vectors: Sequence, modulus=1) -> List[tuple]:
-    """The writer of an SL involution (:func:`types_parts`, :func:`sl_diagonal`)."""
-    return [sl_diagonal(v, modulus) for v in vectors]
-
-
 def types_parts(
     label: str,
     rank: int,
@@ -477,17 +473,15 @@ def types_parts(
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
 ) -> Tuple[RootDatum, GammaAction, Optional[Tuple[Fraction, ...]], H1Classes,
-           List[Tuple[int, int]], Optional[Callable]]:
-    """Root datum, action, base point, H^1 classes and local types of one
-    branch point, each type as the (index of its least class, orbit size)
-    of the orbit engine, and the writer of its vectors; raises ValueError
-    (UsageError among them) on invalid specs and EnumerationCapError on cap
-    breaches.  ``write(vectors, modulus=1)`` gives the sum-zero diagonals
-    of an SL involution (for numerator rows over d, ``modulus`` d); it is
-    None for every other action, whose report shows coroot coordinates.
+           List[Tuple[int, int]], Optional[str]]:
+    """Root datum, action, base point, H^1 classes, the local types as the
+    pairs of :func:`type_orbits`, and the SL variant ("J" or "J-prime"),
+    whose vectors are written as sum-zero diagonals (:func:`sl_diagonal`),
+    or None; raises ValueError (UsageError among them) on invalid specs
+    and EnumerationCapError on cap breaches.
 
     Each action kind picks the datum, the action and the base point, and
-    :func:`h1_elements` and the orbits of :func:`types_of_classes` run on them.  The
+    :func:`h1_elements` and :func:`type_orbits` run on them.  The
     trivial action takes the alcove-reduced point of the given root values
     (the grid cap and the grid condition are checked before the datum is
     built, and the datum before the default point is made and folded, so
@@ -501,7 +495,7 @@ def types_parts(
     if perm is not None and action_kind != "diagram":
         raise UsageError("--perm applies only to diagram actions")
 
-    write = None
+    variant = SL_VARIANTS.get(action_kind)
     if action_kind == "trivial":
         require_grid_size(rank, order, cap)
         if point is not None:  # the default 1/e is on the grid
@@ -510,13 +504,12 @@ def types_parts(
         action = trivial_action(rank, order)
         values = point_or_default(point, rank, order)
         base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values), cap)
-    elif action_kind in SL_VARIANTS:
+    elif variant is not None:
         if label != "A":
             raise UsageError("sl involutions are only defined for type A")
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
-        datum, action, base = sl_involution(rank + 1, SL_VARIANTS[action_kind])
-        write = _as_diagonals
+        datum, action, base = sl_involution(rank + 1, variant)
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError("--perm is required for a diagram action")
@@ -537,8 +530,7 @@ def types_parts(
             f"and here H^1 has order {classes.structure.order}; use an sl "
             f"involution for type A, or a trivial action"
         )
-    keys = _orbit_indices(_generator_rows(datum, action, base), action, classes)
-    return datum, action, base, classes, keys, write
+    return datum, action, base, classes, type_orbits(datum, action, classes, base), variant
 
 
 def compute_types(
@@ -561,14 +553,13 @@ def compute_types(
     the digits e t_k of its class, read by divmod from its index, which
     pick the columns of :meth:`TableStrings.progression`.  Any other action
     keeps the integer columns of :func:`cocycle_columns`, which checks the
-    norm on each sigma-orbit.  The classes are written from the strings of
-    the node values (the table strings of each radix), or as the sum-zero
-    diagonals of an SL involution (the writer of :func:`types_parts`),
-    whose tables are the columns of the diagonal rows; a type shows the
-    strings of its class, at its index."""
-    datum, action, base, classes, keys, write = types_parts(
+    norm on each sigma-orbit.  The classes are written as the product of
+    the table strings of each of ``reps.radices``, or as the sum-zero
+    diagonals of an SL involution (:func:`sl_diagonal`), whose tables are
+    the columns of the diagonal rows; a type shows the strings of its
+    class, at its index."""
+    datum, action, base, classes, keys, variant = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
-    variant = SL_VARIANTS.get(action_kind)
     strings = TableStrings(action.e)
     reps = classes.representatives
     if action_kind == "trivial" and any(action.e % n for n in reps.radices):
@@ -580,14 +571,13 @@ def compute_types(
             return CocycleTable(strings, digits=reps.digits(start))
         d, columns = cocycle_columns(reps[start], action)
         if variant is not None:  # the columns of the diagonal rows
-            columns = list(zip(*write(zip(*columns), d)))
+            columns = list(zip(*[sl_diagonal(row, d) for row in zip(*columns)]))
         return CocycleTable(strings, d=d, columns=columns)
 
     if variant is None:  # the classes are the product of their node strings
-        class_strings = list(itertools.product(
-            *[strings.values(len(values)) for values in classes.node_values]))
+        class_strings = list(itertools.product(*map(strings.values, reps.radices)))
     else:
-        class_strings = list(map(vec_str, write(reps)))
+        class_strings = [vec_str(sl_diagonal(v)) for v in reps]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -876,7 +866,7 @@ def _config_rational(value) -> str:
 
 def _branch_point_types(bp: dict, cap: int) -> dict:
     """The ``global`` entry of one branch point: those of :func:`_point_entries`
-    and ``types``, the type representatives as :func:`types_parts` writes them."""
+    and ``types``, the type representatives as a ``types`` report writes them."""
     try:
         group = bp["group"]
         label, rank, order = group["label"], group["rank"], bp["order"]
@@ -914,14 +904,13 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
-    *_, classes, keys, write = types_parts(label, rank, order, kind, perm=perm, point=point, cap=cap)
+    *_, classes, keys, variant = types_parts(label, rank, order, kind, perm, point, cap)
     reps = classes.representatives
-    if write is None:  # the node strings (the table strings of each radix) at its digits
-        strings = TableStrings(order)
-        nodes = [strings.values(len(values)) for values in classes.node_values]
+    if variant is None:  # the node strings (the table strings of each radix) at its digits
+        nodes = list(map(TableStrings(order).values, reps.radices))
         types = [[node[j] for node, j in zip(nodes, reps.digits(start))] for start, _ in keys]
     else:
-        types = list(map(vec_str, write([reps[start] for start, _ in keys])))
+        types = [vec_str(sl_diagonal(reps[start])) for start, _ in keys]
     return dict(_point_entries(label, rank, order, kind, perm, keys), types=types)
 
 
@@ -951,6 +940,8 @@ def cmd_global(args) -> int:
         name = bp.get("name", f"x{i}")
         if not isinstance(name, str):
             raise UsageError(f"branch point name must be a string, not {name!r}")
+        if "".join(name.splitlines()) != name:  # a line break would forge report lines
+            raise UsageError(f"branch point name must be one line, not {name!r}")
         if name in names:
             raise UsageError(f"duplicate branch point name {name!r}")
         names.add(name)

@@ -31,9 +31,9 @@ when (e/|O|) s_O lies in Z, and |H^1| = prod_O e/|O|.  The least
 O and 0 on every other node, so the digits j_O in [0, e/|O|), read in the
 order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
-numerators of t over e.  No class is kept: class k is read from the
-digits of k by divmod (:class:`ClassSequence`), and its cocycle off the
-same orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
+numerators of t over e.  A listing is its radices alone: class k is read
+from the digits of k by divmod (:class:`ClassSequence`), and its cocycle
+off the same orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
@@ -53,6 +53,7 @@ numbering, 3 outside D and E) and becomes one move table over them, the
 change of the index for each value of the window, built by one walk over
 the window digits: the search walks plain ints, and the tables of one
 search hold at most r N entries for N classes (:func:`_packed_orbits`).
+A type is the index of its least class and its size (:func:`type_orbits`).
 """
 
 from __future__ import annotations
@@ -135,26 +136,13 @@ def trivial_action(rank: int, e: int) -> GammaAction:
     return GammaAction(e=e, automorphism=identity_automorphism(rank))
 
 
-class NodeValues(Sequence):
-    """The values j/n, j < n, of a node of radix n, each made when read."""
-
-    def __init__(self, radix: int):
-        self.radix = radix
-
-    def __len__(self) -> int:
-        return self.radix
-
-    def __getitem__(self, j: int) -> Fraction:
-        return Fraction(range(self.radix)[j], self.radix)
-
-
 class ClassSequence(Sequence):
     """The classes of :func:`h1_elements` in lexicographic order, read-only,
-    over ``node_values``: class k by its :meth:`digits`, all by itertools.product."""
+    from their ``radices`` alone: class k by its :meth:`digits`, all by
+    itertools.product over the values j/n of each radix n."""
 
     def __init__(self, radices: Sequence[int]):
         self.radices, self._count = radices, prod(radices)
-        self.node_values = tuple(map(NodeValues, radices))
 
     def __len__(self) -> int:
         return self._count
@@ -172,9 +160,8 @@ class ClassSequence(Sequence):
             return tuple(map(self.__getitem__, k))
         return tuple(map(Fraction, self.digits(k), self.radices))
 
-    def __iter__(self):  # the values of a radix read once, as its nodes share them
-        nodes = dict(zip(self.radices, self.node_values))
-        values = {n: tuple(map(node.__getitem__, range(n))) for n, node in nodes.items()}
+    def __iter__(self):  # the values of a radix made once, as its nodes share them
+        values = {n: tuple(Fraction(j, n) for j in range(n)) for n in set(self.radices)}
         return itertools.product(*[values[n] for n in self.radices])
 
     def __eq__(self, other):  # equal to the tuple of its classes
@@ -185,13 +172,11 @@ class ClassSequence(Sequence):
 
 @dataclass(frozen=True)
 class H1Classes:
-    """H^1 as its structure and one representative per class.  A listing of
-    :func:`h1_elements` also keeps ``node_values``, the values each node
-    takes on the classes: ``representatives`` is their product, in
-    lexicographic order (:class:`ClassSequence`); the hash reads ``structure``."""
+    """H^1 as its structure and one representative per class; those of
+    :func:`h1_elements` are a :class:`ClassSequence`.  The hash reads
+    ``structure``."""
     structure: FiniteAbelianGroup
     representatives: Sequence[QZVector] = field(hash=False)
-    node_values: Optional[Tuple[Sequence[Fraction], ...]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -277,7 +262,7 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
             f"element model found {len(reps)} classes but the lattice quotient "
             f"has order {structure.order}"
         )
-    return H1Classes(structure=structure, representatives=reps, node_values=reps.node_values)
+    return H1Classes(structure=structure, representatives=reps)
 
 
 def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Sequence[int]]]:
@@ -468,48 +453,44 @@ def _generator_rows(datum: RootDatum, action: GammaAction,
     return [(q, sum(K * scaled[j] for j, K in twist), terms) for q, twist, terms in parts]
 
 
+def type_orbits(
+    datum: RootDatum,
+    action: GammaAction,
+    classes: H1Classes,
+    base: Optional[Sequence[Fraction]] = None,
+) -> List[Tuple[int, int]]:
+    """The local types as (index of the least class, orbit size), neutral
+    type first: the orbits of the H^1 classes of :func:`h1_elements` under
+    the twisted Weyl action t -> w(t + b) - b of W^sigma.
+
+    A must permute the nodes by a diagram symmetry sigma (the identity
+    included), else ValueError.  Only the generators w_J of W^sigma act
+    (:func:`fixed_weyl_generators`), each twisted by w_J(b) - b for the
+    base point b (default the origin), which must be fixed by sigma and
+    lie on the (1/e)-grid, as one affine row on the digits of the classes
+    (:func:`_generator_rows`).  The orbits run in :func:`_packed_orbits`,
+    and their sizes must add up to the class count.
+    """
+    keyed = _packed_orbits(_radices(action), _generator_rows(datum, action, base))
+    if sum(size for _, size in keyed) != len(classes.representatives):
+        raise AssertionError("orbit sizes must add up to the class count")
+    return keyed
+
+
 def types_of_classes(
     datum: RootDatum,
     action: GammaAction,
     classes: H1Classes,
     base: Optional[Sequence[Fraction]] = None,
 ) -> List[LocalType]:
-    """Orbits of the H^1 classes of :func:`h1_elements` under the twisted
-    Weyl action t -> w(t + b) - b of W^sigma, neutral type first.
-
-    A must permute the nodes by a diagram symmetry sigma (the identity
-    included), else ValueError.  Only the generators w_J of W^sigma act
-    (:func:`fixed_weyl_generators`; the simple reflections for the
-    identity), each twisted by w_J(b) - b for the base point b (default
-    the origin), which must be fixed by sigma and lie on the
-    (1/e)-grid.  Each generator is one affine row on the digits of the
-    classes (:func:`_generator_rows`), and the orbits run in
-    :func:`_packed_orbits` (:func:`_orbit_types`).
-    """
-    return _orbit_types(_generator_rows(datum, action, base), action, classes)
-
-
-def _orbit_types(rows: Sequence[Row], action: GammaAction,
-                 classes: H1Classes) -> List[LocalType]:
-    """The orbits of :func:`_orbit_indices` as local types, each represented
+    """The orbits of :func:`type_orbits` as local types, each represented
     by its least class, picked out of one walk over the classes."""
-    keyed = _orbit_indices(rows, action, classes)
+    keyed = type_orbits(datum, action, classes, base)
     least = bytearray(len(classes.representatives))
     for start, _ in keyed:
         least[start] = 1
     reps = itertools.compress(classes.representatives, least)
     return [LocalType(rep, size, i) for i, (rep, (_, size)) in enumerate(zip(reps, keyed))]
-
-
-def _orbit_indices(rows: Sequence[Row], action: GammaAction,
-                   classes: H1Classes) -> List[Tuple[int, int]]:
-    """(index of the least class, size) of each orbit of the generator
-    ``rows`` on the classes (:func:`_packed_orbits`), whose sizes must add
-    up to the class count."""
-    keyed = _packed_orbits(_radices(action), rows)
-    if sum(size for _, size in keyed) != len(classes.representatives):
-        raise AssertionError("orbit sizes must add up to the class count")
-    return keyed
 
 
 def local_types(
@@ -521,8 +502,8 @@ def local_types(
     """Orbits of H^1 classes under the twisted Weyl action, neutral type
     first (:func:`types_of_classes`).  The automorphism and the base point
     are checked before :func:`h1_elements` lists a class."""
-    rows = _generator_rows(datum, action, base)
-    return _orbit_types(rows, action, h1_elements(datum, action, cap=cap))
+    _generator_rows(datum, action, base)  # refuses a bad automorphism or base
+    return types_of_classes(datum, action, h1_elements(datum, action, cap=cap), base)
 
 
 @lru_cache(maxsize=None)

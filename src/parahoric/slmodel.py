@@ -39,7 +39,7 @@ from .cohomology import (
     LocalType,
     h1_elements,
     local_types,
-    types_of_classes,
+    type_orbits,
 )
 from .rootdata import (
     DEFAULT_CAP,
@@ -406,9 +406,10 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
     for J.
 
     H^1 is listed once, on the flip (:func:`_sl_flip`).  Only a nontrivial
-    H^1 runs the twisted orbits, on the triple of :func:`sl_involution`,
-    which refuses n above :data:`SL_WEYL_ENUMERATION_CAP`; a trivial one
-    (every odd n) is one type at any n.
+    H^1 counts the orbits of :func:`type_orbits` on the triple of
+    :func:`sl_involution`, which refuses n above
+    :data:`SL_WEYL_ENUMERATION_CAP`; a trivial one (every odd n) is one
+    type at any n.
     """
     key = _CASE_ALIASES.get(case.lower(), case)
     if key not in _SU_CASES:
@@ -424,5 +425,5 @@ def su_special_vertex_types(n: int, case: str) -> SUVertexReport:
         count = 1
     else:
         datum, action, base = sl_involution(n, kind)
-        count = len(types_of_classes(datum, action, classes, base=base))
+        count = len(type_orbits(datum, action, classes, base))
     return SUVertexReport(n, key, kind, order, count, derivation)

@@ -101,7 +101,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from parahoric.alcove import facet_of, simple_root_values, type_to_alcove
 from parahoric.cli import (
     SCHEMA_VERSION,
-    SL_VARIANTS,
     action_spec,
     point_or_default,
     types_parts,
@@ -741,17 +740,20 @@ def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[In
 def dict_types_report(label, rank, order, action_kind, **options) -> dict:
     """The report of ``cli.compute_types`` as plain dicts, lists and strings.
     The types come from :func:`types_of_classes` as ``LocalType`` values,
-    not from the class indices ``cli.types_parts`` passes to the writer.
-    The vectors of an SL involution are written by the writer of
-    ``cli.types_parts``, and the cocycles of the written diagonals are
-    recomputed on the diagonal action -rho (:func:`diagonal_action`), not
-    converted row by row as ``compute_types`` does; every other action
-    shows its coroot coordinates as they are."""
-    datum, action, base, classes, _, write = types_parts(
+    not from the class indices of ``cli.types_parts``.  The vectors of
+    the SL involution that ``cli.types_parts`` names are written as
+    diagonals by ``slmodel.sl_diagonal``, and the cocycles of the written
+    diagonals are recomputed on the diagonal action -rho
+    (:func:`diagonal_action`), not converted row by row as
+    ``compute_types`` does; every other action shows its coroot
+    coordinates as they are."""
+    datum, action, base, classes, _, variant = types_parts(
         label, rank, order, action_kind, **options)
     types = types_of_classes(datum, action, classes, base=base)
-    write = write or (lambda vectors: vectors)
-    variant = SL_VARIANTS.get(action_kind)
+
+    def write(vectors):
+        return vectors if variant is None else list(map(sl_diagonal, vectors))
+
     keys = [str(i) for i in range(action.e)]
     texts: Dict[int, List[str]] = {}
     reps = write(classes.representatives)

@@ -1,9 +1,9 @@
 """The classes of ``h1_elements`` as a sequence that keeps no class tuple.
 
 ``H1Classes.representatives`` of a listing is a read-only sequence over the
-values of each node: class k is read from its digits by divmod and
-iteration runs ``itertools.product``.  It must behave as the tuple of the
-product of the node values in every way a tuple is read (length, indices
+radices of its nodes: class k is read from its digits by divmod and
+iteration runs ``itertools.product`` over the values j/n of each radix n.
+It must behave as the tuple of that product in every way a tuple is read (length, indices
 of either sign, slices, iteration, ``==`` from either side, ``index``),
 and a listing must hold no list of tuples: its memory does not grow with
 the class count.
@@ -60,9 +60,8 @@ def test_the_classes_read_as_the_tuple_of_their_product(listing, data):
     datum, action = listing
     classes = h1_elements(datum, action)
     reps = classes.representatives
-    for values in classes.node_values:  # the values j/n of a radix n
-        assert list(values) == [Fraction(j, len(values)) for j in range(len(values))]
-    expected = tuple(itertools.product(*classes.node_values))
+    # the values j/n of each radix n
+    expected = tuple(itertools.product(*[[Fraction(j, n) for j in range(n)] for n in reps.radices]))
     n = len(expected)
     assert len(reps) == n == classes.structure.order
     assert [reps[k] for k in range(n)] == list(expected)

@@ -566,6 +566,55 @@ def test_global_refuses_branch_point_names_that_are_not_strings(capsys, tmp_path
         2, "", f"error: branch point name must be a string, not {name!r}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["x\npi0: 99", "x\r\n", "\u2028", "p\x0bq"])
+def test_global_refuses_a_branch_point_name_that_breaks_a_line(capsys, tmp_path, name, fmt):
+    # in text a line break in a name would forge report lines (`pi0: 99`);
+    # a tab stays on its line and is written as given
+    config = {"branch_points": [
+        {"name": name, "group": {"label": "A", "rank": 1}, "order": 2}]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config),
+                             "--format", fmt)
+    assert (code, out, err) == (
+        2, "", f"error: branch point name must be one line, not {name!r}\n")
+    config["branch_points"][0]["name"] = "x\ty"
+    code, out, _ = run_cli(capsys, "global", "--config", write_config(tmp_path, config),
+                           "--format", fmt)
+    written = out if fmt == "text" else json.loads(out)["branch_points"][0]["name"]
+    assert code == 0 and "x\ty" in written
+
+
+@pytest.mark.parametrize("group,rank", [("A²", None), ("A²", "2"), ("AB", None),
+                                        ("AB", "2"), ("A2x", None), ("A 2", None)])
+def test_a_group_suffix_that_is_no_decimal_rank_is_named(capsys, group, rank):
+    argv = ["types", "--group", group, "--order", "2"] + (["--rank", rank] if rank else [])
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: --group {group!r} is not a letter followed by a decimal rank\n")
+
+
+@pytest.mark.parametrize("group,rank,label", [("A2", None, "A2"), (" a3 ", None, "A3"),
+                                              ("A٣", None, "A3"), ("B", "2", "B2"),
+                                              ("c02", None, "C2")])
+def test_every_decimal_rank_suffix_is_still_read(capsys, group, rank, label):
+    argv = ["data", "--group", group] + (["--rank", rank] if rank else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == f"group: {label}"
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # cli reaches the library through its public calls (type_orbits among them)
+    import ast
+
+    import parahoric.cli
+
+    tree = ast.parse(Path(parahoric.cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("parahoric"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_global_names_a_nameless_branch_point_by_its_position(capsys, tmp_path):
     config = {"branch_points": [
         {"name": "None", "group": {"label": "A", "rank": 1}, "order": 2},

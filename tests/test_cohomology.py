@@ -19,6 +19,7 @@ from parahoric.cohomology import (
     local_types,
     require_root_values_on_grid,
     trivial_action,
+    type_orbits,
     types_of_classes,
 )
 from parahoric.exactalg import (
@@ -36,6 +37,7 @@ from parahoric.rootdata import (
     fixed_weyl_generators,
     orbit_partition,
 )
+from parahoric.slmodel import sl_involution
 
 from .references import (
     ImageMembership,
@@ -56,6 +58,7 @@ from .references import (
 )
 from .test_reach import defined_functions
 from .test_rootdata import flip
+from .test_types_writer import GROUPS
 
 
 def flip_action(n_nodes, e=2):
@@ -806,3 +809,32 @@ def test_packed_orbit_partition_matches_the_tuple_reference():
                 got = local_types(datum, trivial_action(rank, e), base=base)
                 assert [(t.orbit_representative, t.orbit_size) for t in got] \
                     == trivial_orbit_partition_reference(datum, e, base), (label, rank, e, base)
+
+
+def _type_orbit_cases():
+    for group in sorted(GROUPS):
+        datum = build_root_datum(group[0], int(group[1:]))
+        for e in range(1, 4):
+            equidistant = point_from_root_values(datum, (F(1, e),) * datum.rank)
+            yield datum, trivial_action(datum.rank, e), None
+            yield datum, trivial_action(datum.rank, e), equidistant
+    for label, rank in (("D", 4), ("A", 3)):
+        datum = build_root_datum(label, rank)
+        for e in (2, 4, 6):
+            yield datum, GammaAction(e, flip(datum)), None
+            yield datum, GammaAction(e, flip(datum)), (F(0),) * rank
+    for n in range(3, 9):
+        for kind in ("J", "J-prime")[:1 + (n % 2 == 0)]:
+            yield sl_involution(n, kind)
+
+
+def test_type_orbits_are_the_local_types_by_class_index():
+    cases = 0
+    for datum, action, base in _type_orbit_cases():
+        classes = h1_elements(datum, action)
+        reps = classes.representatives
+        expected = [(reps.index(t.orbit_representative), t.orbit_size)
+                    for t in local_types(datum, action, base=base)]
+        assert type_orbits(datum, action, classes, base) == expected, (datum.name, action, base)
+        cases += 1
+    assert cases == 2 * 3 * len(GROUPS) + 12 + 9
