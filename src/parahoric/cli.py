@@ -896,6 +896,8 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
             raise UsageError("branch point 'permutation' is not a permutation of the nodes")
     elif kind != "trivial":
         raise UsageError(f"unknown action kind {kind!r}")
+    if "permutation" in action and kind != "diagram":
+        raise UsageError("branch point 'permutation' applies only to diagram actions")
     if "point" in bp:
         if kind != "trivial":
             raise UsageError("branch point 'point' applies only to trivial actions")
@@ -904,6 +906,14 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
         if len(point) != rank:
             raise UsageError("branch point 'point' has the wrong length")
+    positive_root_count(label, rank)  # a bad group first, then the order, as in types_parts
+    if order < 1:
+        raise UsageError(f"branch point 'order' must be a positive integer, not {order}")
+    if perm is not None:  # after the closure cap and the symmetry check, as there
+        sigma = diagram_automorphism(build_root_datum(label, rank, cap), perm).order
+        if order % sigma:
+            raise UsageError(f"branch point 'permutation' has order {sigma}, which must "
+                             f"divide the branch point 'order' {order}")
     *_, classes, keys, variant = types_parts(label, rank, order, kind, perm, point, cap)
     reps = classes.representatives
     if variant is None:  # the node strings (the table strings of each radix) at its digits

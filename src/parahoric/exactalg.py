@@ -6,7 +6,10 @@ immutable tuples of tuples of ints, vectors over Q/Z are tuples of
 Fractions canonicalized to [0, 1).
 
 The workhorse is Smith normal form with unimodular transforms, from which
-lattice quotients follow.
+lattice quotients follow.  It is one elimination on the block matrix
+[[M, 1], [1, 0]], so each row operation carries U along with M and each
+column operation carries V (Cohen, A Course in Computational Algebraic
+Number Theory, 2.4).
 """
 
 from __future__ import annotations
@@ -145,106 +148,73 @@ class FiniteAbelianGroup:
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular U, V and diagonal D with U*M*V = D, d_i | d_{i+1} >= 0.
 
-    Deterministic: the pivot is always the nonzero entry of smallest absolute
-    value in the remaining block, first in row-major order among ties.
+    One elimination on B = [[M, 1], [1, 0]], which ends as [[D, U], [V, 0]]:
+    a row operation on the first ``rows`` rows of B acts on M and U at once,
+    a column operation on its first ``cols`` columns on M and V.  The pivot
+    of step t, moved to (t, t), is the nonzero entry of least absolute value
+    in the remaining block, first in row-major order among ties.  It clears
+    its column and row, then re-pivots on a remainder, or on row t plus the
+    first row with an entry it does not divide; else row t is made positive.
     """
     rows, cols = mat_shape(M)
-    a = [list(row) for row in M]
-    u = [list(row) for row in identity_matrix(rows)]
-    v = [list(row) for row in identity_matrix(cols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
+    b = [list(row) + [0] * rows for row in M] + [[0] * (cols + rows) for _ in range(cols)]
+    for k in range(rows + cols):  # the 1 of row k of either identity block
+        b[k][(k + cols) % (rows + cols)] = 1
     t = 0
     while t < min(rows, cols):
-        p = pivot(t)
-        if p is None:
-            break
-        _, pi, pj = p
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # smaller remainder appeared; re-pivot the same block
-        # pivot must divide every remaining entry for the divisibility chain
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
+        least = 0
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(b[i][j])
+                if x and (not least or x < least):
+                    least, pi, pj = x, i, j
+            if least == 1:  # no later entry is less, and a tie comes later
                 break
+        if not least:
+            break
+        if pi != t:
+            b[t], b[pi] = b[pi], b[t]
+        if pj != t:
+            for row in b:
+                row[t], row[pj] = row[pj], row[t]
+        top = b[t]
+        p, remainder = top[t], False
+        for i in range(t + 1, rows):  # row i -= q row t, on M and U
+            if b[i][t]:
+                q = b[i][t] // p
+                b[i] = [x - q * y for x, y in zip(b[i], top)]
+                remainder = remainder or b[i][t] != 0
+        for j in range(t + 1, cols):  # column j -= q column t, on M and V
+            if top[j]:
+                q = top[j] // p
+                for row in b:
+                    row[j] -= q * row[t]
+                remainder = remainder or top[j] != 0
+        if remainder:
+            continue  # re-pivot the same block
+        offender = None if p in (1, -1) else next(  # a unit divides every entry
+            (i for i in range(t + 1, rows) for x in b[i][t + 1:cols] if x % p), None)
         if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row in and redo
+            b[t] = [x + y for x, y in zip(top, b[offender])]
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        if p < 0:
+            b[t] = [-x for x in top]
         t += 1
-
-    U = tuple(tuple(r) for r in u)
-    V = tuple(tuple(r) for r in v)
-    D = tuple(tuple(r) for r in a)
-    return U, D, V
-
-
-def snf_diagonal(M: IntMatrix) -> Tuple[int, ...]:
-    _, D, _ = smith_normal_form(M)
-    rows, cols = mat_shape(M)
-    return tuple(D[i][i] for i in range(min(rows, cols)))
+    return (tuple(tuple(row[cols:]) for row in b[:rows]),
+            tuple(tuple(row[:cols]) for row in b[:rows]),
+            tuple(tuple(row[:cols]) for row in b[rows:]))
 
 
 def quotient_structure(rank: int, generators: Sequence[IntVector]) -> FiniteAbelianGroup:
-    """Structure of Z^rank modulo the span of the given column vectors."""
+    """Structure of Z^rank modulo the span of the given column vectors: the
+    nonzero Smith diagonal less its units, and free rank for the rest."""
     if any(len(g) != rank for g in generators):
         raise ValueError("generator length must equal the ambient rank")
     if not generators:
         return FiniteAbelianGroup((), free_rank=rank)
     M = tuple(tuple(g[i] for g in generators) for i in range(rank))
-    diag = snf_diagonal(M)
-    nonzero = [d for d in diag if d != 0]
+    _, D, _ = smith_normal_form(M)
+    nonzero = [D[i][i] for i in range(min(rank, len(generators))) if D[i][i]]
     return FiniteAbelianGroup(
         tuple(d for d in nonzero if d > 1),
         free_rank=rank - len(nonzero),

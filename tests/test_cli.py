@@ -659,7 +659,16 @@ def test_a_bad_group_is_named_before_the_point_and_the_permutation(capsys, argv,
      "branch point 'permutation' is not a permutation of the nodes"),
     ({"kind": "diagram", "permutation": [2, 1, 3]}, {},
      "branch point 'permutation' is not a permutation of the nodes"),
-], ids=["point-on-an-involution", "repeated-entry", "wrong-length"])
+    ({"kind": "trivial"}, {"order": 0},
+     "branch point 'order' must be a positive integer, not 0"),
+    ({"kind": "diagram", "permutation": [3, 2, 1]}, {"group": {"label": "A", "rank": 3}, "order": 3},
+     "branch point 'permutation' has order 2, which must divide the branch point 'order' 3"),
+    ({"kind": "trivial", "permutation": [2, 1]}, {},
+     "branch point 'permutation' applies only to diagram actions"),
+    ({"kind": "sl-involution", "permutation": [2, 1]}, {},
+     "branch point 'permutation' applies only to diagram actions"),
+], ids=["point-on-an-involution", "repeated-entry", "wrong-length", "order-zero",
+        "order-not-a-multiple", "permutation-on-trivial", "permutation-on-an-involution"])
 def test_global_names_its_own_config_fields(capsys, tmp_path, action, extra, message):
     config = {"branch_points": [
         dict({"group": {"label": "A", "rank": 2}, "order": 2, "action": action}, **extra)]}

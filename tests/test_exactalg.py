@@ -56,6 +56,37 @@ def test_snf_worked_example():
     assert diag == [2, 4]
 
 
+# (M, (U, D, V)): each path of the elimination pinned to its exact transforms
+SNF_PINNED = [
+    (((2, 4), (6, 8)), (((1, 0), (3, -1)), ((2, 0), (0, 4)), ((1, -2), (0, 1)))),
+    # 2 does not divide 3: row 1 is folded into row 0, D = diag(1, 6)
+    (((2, 0), (0, 3)), (((1, 1), (3, 2)), ((1, 0), (0, 6)), ((-1, 3), (1, -2)))),
+    (((4, 6), (6, 9)), (((-1, 1), (3, -2)), ((1, 0), (0, 0)), ((-1, 3), (1, -2)))),
+    # the first pass leaves the remainder 1 below the pivot 2: re-pivot
+    (((2, 3), (3, 4)), (((1, 0), (-1, 1)), ((1, 0), (0, 1)), ((-1, 3), (1, -2)))),
+    (((-3,),), (((-1,),), ((3,),), ((1,),))),
+    (((2, 3, 4), (5, 6, 7)),
+     (((1, 0), (-1, 1)), ((1, 0, 0), (0, 3, 0)), ((-1, 3, 1), (1, -2, -2), (0, 0, 1)))),
+    (((2, 3), (4, 5), (6, 7)),
+     (((1, 0, 0), (-1, 1, 0), (1, -2, 1)), ((1, 0), (0, 2), (0, 0)), ((-1, 3), (1, -2)))),
+    # swaps of rows and columns, and a fold that picks the first of two offender rows
+    (((3, 0, 0), (0, 0, -2), (0, 3, 0)),
+     (((-1, -1, 0), (0, 0, 1), (-4, -3, 0)), ((1, 0, 0), (0, 3, 0), (0, 0, 6)),
+      ((1, 0, -2), (0, 1, 0), (2, 0, -3)))),
+    ((), ((), (), ())),
+    (((),), (((1,),), ((),), ())),
+]
+
+
+@pytest.mark.parametrize("M,expected", SNF_PINNED, ids=[
+    "worked-example", "offender-fold", "zero-invariant", "re-pivot", "sign-fix",
+    "2x3", "3x2", "3x3-swaps-and-fold", "empty", "one-empty-row"])
+def test_snf_pins_the_exact_transforms(M, expected):
+    assert smith_normal_form(M) == expected
+    if M and M[0]:
+        snf_checks(M)
+
+
 def test_snf_zero_matrix():
     M = matrix([[0, 0], [0, 0]])
     U, D, V = smith_normal_form(M)
