@@ -20,16 +20,17 @@ from parahoric import (
     simple_root_values,
     trivial_action,
     type_to_alcove,
+    types_of_classes,
 )
 
 datum = build_root_datum("A", 1)
 
 for e in range(1, 13):
     # H^1 of the trivial action is all of T[e]: the classes j/e, in order
-    assert h1_elements(datum, trivial_action(1, e)).representatives == tuple(
-        (F(j, e),) for j in range(e))
+    classes = h1_elements(datum, trivial_action(1, e))
+    assert classes.representatives == tuple((F(j, e),) for j in range(e))
     base = point_from_root_values(datum, (F(1, e),))
-    types = local_types(datum, trivial_action(1, e), base=base)
+    types = types_of_classes(datum, trivial_action(1, e), classes, base=base)
     burnside = burnside_type_count(datum, e, base=base)
     apartment = apartment_orbit_types(datum, base, e)
     assert len(types) == burnside == len(apartment) == (e + 1) // 2

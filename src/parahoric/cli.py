@@ -28,7 +28,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .alcove import (
     apartment_orbit_types,
@@ -65,6 +65,13 @@ SCHEMA_VERSION = "1"
 DEFAULT_PRODUCT_CAP = 10 ** 4
 # the SL_n involution of each --action, by its name in reports and configs
 SL_VARIANTS = {"sl-J": "J", "sl-Jprime": "J-prime"}
+# how a refusal of `types_parts` names the order, permutation and point: by the
+# flags of `types`, or by the keys of a `global` config, which also quote a bad order
+FieldNames = NamedTuple("FieldNames", [("order", str), ("perm", str), ("point", str),
+                                       ("quotes_order", bool)])
+FLAG_NAMES = FieldNames("--order", "--perm", "--point", False)
+CONFIG_NAMES = FieldNames(*map("branch point '{}'".format, ("order", "permutation", "point")),
+                          True)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -110,9 +117,10 @@ def parse_fraction(s: str) -> Fraction:
     return value
 
 
-def parse_point(s: str, rank: int) -> Tuple[Fraction, ...]:
+def parse_point(s: str, rank: Optional[int] = None) -> Tuple[Fraction, ...]:
+    """The root values of ``--point``; ``rank`` of them, if ``rank`` is given."""
     parts = [p.strip() for p in s.split(",")]
-    if len(parts) != rank:
+    if rank is not None and len(parts) != rank:
         raise UsageError(f"--point needs {rank} comma-separated root values")
     return tuple(parse_fraction(p) for p in parts)
 
@@ -407,17 +415,12 @@ def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
     return label, r
 
 
-def parse_perm(s: str, rank: int) -> Tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",")]
-    if len(parts) != rank:
-        raise UsageError(f"--perm needs {rank} entries (1-indexed images)")
+def parse_perm(s: str) -> Tuple[int, ...]:
+    """The 0-indexed images of ``--perm``, checked by :func:`types_parts`."""
     try:
-        perm = tuple(int(p) - 1 for p in parts)
+        return tuple(int(p) - 1 for p in s.split(","))
     except ValueError as exc:
         raise UsageError("--perm entries must be integers") from exc
-    if sorted(perm) != list(range(rank)):
-        raise UsageError("--perm is not a permutation of the nodes")
-    return perm
 
 
 def action_spec(kind: str, variant: Optional[str] = None,
@@ -449,9 +452,10 @@ def _point_entries(label: str, rank: int, order: int, action_kind: str,
     }
 
 
-def require_order(order: int) -> None:
+def require_order(order: int, names: FieldNames = FLAG_NAMES) -> None:
     if order < 1:
-        raise UsageError("--order must be a positive integer")
+        raise UsageError(f"{names.order} must be a positive integer"
+                         + (f", not {order}" if names.quotes_order else ""))
 
 
 def point_or_default(
@@ -472,6 +476,7 @@ def types_parts(
     perm: Optional[Tuple[int, ...]] = None,
     point: Optional[Tuple[Fraction, ...]] = None,
     cap: int = DEFAULT_CAP,
+    names: FieldNames = FLAG_NAMES,
 ) -> Tuple[RootDatum, GammaAction, Optional[Tuple[Fraction, ...]], H1Classes,
            List[Tuple[int, int]], Optional[str]]:
     """Root datum, action, base point, H^1 classes, the local types as the
@@ -480,23 +485,26 @@ def types_parts(
     or None; raises ValueError (UsageError among them) on invalid specs
     and EnumerationCapError on cap breaches.
 
-    Each action kind picks the datum, the action and the base point, and
-    :func:`h1_elements` and :func:`type_orbits` run on them.  The
-    trivial action takes the alcove-reduced point of the given root values
-    (the grid cap and the grid condition are checked before the datum is
-    built, and the datum before the default point is made and folded, so
-    no work grows with the rank before a cap is checked); an SL involution is the A_(n-1) flip with
-    its base point (:func:`sl_involution`); a diagram action takes the base
-    0 and is reported only when H^1 = 0.  A bad label or rank comes first."""
+    One check for the ``types`` flags and a ``global`` config, naming the
+    order, permutation and point as ``names`` does, in order: the label and
+    rank; an order of at least 1; a point only on a trivial action, a
+    permutation only on a diagram one; then the action's own.  The trivial
+    action needs a point of rank entries, and checks the grid cap and grid
+    before it builds the datum, and that before it makes the default point,
+    so no work grows with the rank before a cap; an SL involution needs
+    type A and order 2; a diagram action (base 0) a permutation of the nodes
+    whose order divides the order (after the root closure cap), and H^1 = 0."""
     positive_root_count(label, rank)
-    require_order(order)
+    require_order(order, names)
     if point is not None and action_kind != "trivial":
-        raise UsageError("--point applies only to trivial actions")
+        raise UsageError(f"{names.point} applies only to trivial actions")
     if perm is not None and action_kind != "diagram":
-        raise UsageError("--perm applies only to diagram actions")
+        raise UsageError(f"{names.perm} applies only to diagram actions")
 
     variant = SL_VARIANTS.get(action_kind)
     if action_kind == "trivial":
+        if point is not None and len(point) != rank:
+            raise UsageError(f"{names.point} needs {rank} root values")
         require_grid_size(rank, order, cap)
         if point is not None:  # the default 1/e is on the grid
             require_root_values_on_grid(point, order)
@@ -512,13 +520,14 @@ def types_parts(
         datum, action, base = sl_involution(rank + 1, variant)
     elif action_kind == "diagram":
         if perm is None:
-            raise UsageError("--perm is required for a diagram action")
+            raise UsageError(f"{names.perm} is required for a diagram action")
+        if len(perm) != rank or sorted(perm) != list(range(rank)):
+            raise UsageError(f"{names.perm} is not a permutation of the nodes")
         datum = build_root_datum(label, rank, cap)
         aut = diagram_automorphism(datum, perm)
         if order % aut.order != 0:
-            raise UsageError(
-                f"the permutation has order {aut.order}, which must divide --order"
-            )
+            raise UsageError(f"{names.perm} has order {aut.order}, which must divide "
+                             f"the {names.order} {order}")
         action, base = GammaAction(order, aut), None
     else:
         raise UsageError(f"unknown action kind {action_kind!r}")
@@ -720,8 +729,8 @@ def global_text(report: dict) -> List[str]:
 
 def cmd_types(args) -> int:
     label, rank = parse_group(args.group, args.rank)
-    point = parse_point(args.point, rank) if args.point is not None else None
-    perm = parse_perm(args.perm, rank) if args.perm is not None else None
+    point = parse_point(args.point) if args.point is not None else None
+    perm = parse_perm(args.perm) if args.perm is not None else None
     report = compute_types(
         label, rank, args.order, args.action, perm=perm, point=point, cap=args.cap
     )
@@ -739,7 +748,7 @@ def cmd_twist(args) -> int:
     label, rank = parse_group(args.group, args.rank)
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
-    point = parse_point(args.point, rank) if args.point is not None else None
+    point = parse_point(args.point) if args.point is not None else None
     datum, _, base, classes, keys, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
     base_numerators = common_numerators(base)
@@ -866,7 +875,9 @@ def _config_rational(value) -> str:
 
 def _branch_point_types(bp: dict, cap: int) -> dict:
     """The ``global`` entry of one branch point: those of :func:`_point_entries`
-    and ``types``, the type representatives as a ``types`` report writes them."""
+    and ``types``, the type representatives as a ``types`` report writes them.
+    Only the JSON shape of its fields is checked here; :func:`types_parts`
+    checks what they mean."""
     try:
         group = bp["group"]
         label, rank, order = group["label"], group["rank"], bp["order"]
@@ -887,34 +898,21 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         kind = next((k for k, v in SL_VARIANTS.items() if v == variant), None)
         if kind is None:
             raise UsageError(f"unknown sl-involution variant {variant!r}")
-    elif kind == "diagram":
-        perm_in = action.get("permutation")
-        if not isinstance(perm_in, list):
-            raise UsageError("diagram action needs a permutation list")
-        perm = tuple(_config_integer(p, "permutation entry") - 1 for p in perm_in)
-        if len(perm) != rank or sorted(perm) != list(range(len(perm))):
-            raise UsageError("branch point 'permutation' is not a permutation of the nodes")
-    elif kind != "trivial":
+    elif kind not in ("trivial", "diagram"):
         raise UsageError(f"unknown action kind {kind!r}")
-    if "permutation" in action and kind != "diagram":
-        raise UsageError("branch point 'permutation' applies only to diagram actions")
+    elif "variant" in action:
+        raise UsageError("branch point 'variant' applies only to sl-involution actions")
+    if kind == "diagram" or "permutation" in action:
+        perm = action.get("permutation")
+        if not isinstance(perm, list):
+            raise UsageError("diagram action needs a permutation list")
+        perm = tuple(_config_integer(p, "permutation entry") - 1 for p in perm)
     if "point" in bp:
-        if kind != "trivial":
-            raise UsageError("branch point 'point' applies only to trivial actions")
         if not isinstance(bp["point"], list):
             raise UsageError("branch point 'point' must be a list of root values")
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
-        if len(point) != rank:
-            raise UsageError("branch point 'point' has the wrong length")
-    positive_root_count(label, rank)  # a bad group first, then the order, as in types_parts
-    if order < 1:
-        raise UsageError(f"branch point 'order' must be a positive integer, not {order}")
-    if perm is not None:  # after the closure cap and the symmetry check, as there
-        sigma = diagram_automorphism(build_root_datum(label, rank, cap), perm).order
-        if order % sigma:
-            raise UsageError(f"branch point 'permutation' has order {sigma}, which must "
-                             f"divide the branch point 'order' {order}")
-    *_, classes, keys, variant = types_parts(label, rank, order, kind, perm, point, cap)
+    *_, classes, keys, variant = types_parts(label, rank, order, kind, perm, point, cap,
+                                             CONFIG_NAMES)
     reps = classes.representatives
     if variant is None:  # the node strings (the table strings of each radix) at its digits
         nodes = list(map(TableStrings(order).values, reps.radices))

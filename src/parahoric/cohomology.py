@@ -471,7 +471,12 @@ def type_orbits(
     (:func:`_generator_rows`).  The orbits run in :func:`_packed_orbits`,
     and their sizes must add up to the class count.
     """
-    keyed = _packed_orbits(_radices(action), _generator_rows(datum, action, base))
+    return _orbits_of_rows(action, classes, _generator_rows(datum, action, base))
+
+
+def _orbits_of_rows(action: GammaAction, classes: H1Classes,
+                    rows: Sequence[Row]) -> List[Tuple[int, int]]:
+    keyed = _packed_orbits(_radices(action), rows)
     if sum(size for _, size in keyed) != len(classes.representatives):
         raise AssertionError("orbit sizes must add up to the class count")
     return keyed
@@ -485,7 +490,10 @@ def types_of_classes(
 ) -> List[LocalType]:
     """The orbits of :func:`type_orbits` as local types, each represented
     by its least class, picked out of one walk over the classes."""
-    keyed = type_orbits(datum, action, classes, base)
+    return _least_class_types(classes, type_orbits(datum, action, classes, base))
+
+
+def _least_class_types(classes: H1Classes, keyed: List[Tuple[int, int]]) -> List[LocalType]:
     least = bytearray(len(classes.representatives))
     for start, _ in keyed:
         least[start] = 1
@@ -501,9 +509,11 @@ def local_types(
 ) -> List[LocalType]:
     """Orbits of H^1 classes under the twisted Weyl action, neutral type
     first (:func:`types_of_classes`).  The automorphism and the base point
-    are checked before :func:`h1_elements` lists a class."""
-    _generator_rows(datum, action, base)  # refuses a bad automorphism or base
-    return types_of_classes(datum, action, h1_elements(datum, action, cap=cap), base)
+    are checked, by building the generator rows once, before
+    :func:`h1_elements` lists a class."""
+    rows = _generator_rows(datum, action, base)  # refuses a bad automorphism or base
+    classes = h1_elements(datum, action, cap=cap)
+    return _least_class_types(classes, _orbits_of_rows(action, classes, rows))
 
 
 @lru_cache(maxsize=None)

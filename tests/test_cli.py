@@ -676,6 +676,97 @@ def test_global_names_its_own_config_fields(capsys, tmp_path, action, extra, mes
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# the names of the order, permutation and point in a refusal: by flag, by config key
+FLAG_FIELDS = {"order": "--order", "perm": "--perm", "point": "--point"}
+CONFIG_FIELDS = {"order": "branch point 'order'", "perm": "branch point 'permutation'",
+                 "point": "branch point 'point'"}
+
+
+def one_point_config(group, order, action, perm=None, point=None):
+    """The ``global`` config of the branch point the ``types`` flags give."""
+    variant = {"sl-J": "J", "sl-Jprime": "J-prime"}.get(action)
+    bp = {"group": {"label": group[0], "rank": int(group[1:])}, "order": order,
+          "action": {"kind": "sl-involution", "variant": variant} if variant else {"kind": action}}
+    if perm is not None:
+        bp["action"]["permutation"] = perm
+    if point is not None:
+        bp["point"] = point
+    return {"branch_points": [bp]}
+
+
+def types_flags(group, order, action, perm=None, point=None):
+    argv = ["types", "--group", group, "--order", str(order), "--action", action]
+    if perm is not None:
+        argv += ["--perm", ",".join(map(str, perm))]
+    if point is not None:
+        argv += ["--point", ",".join(point)]
+    return argv
+
+
+def reason(message, fields):
+    for field, name in fields.items():
+        message = message.replace(name, f"<{field}>")
+    return message
+
+
+@pytest.mark.parametrize("spec,flag_error,config_error", [
+    (("Z2", 2, "trivial"), "unknown label 'Z'", "unknown label 'Z'"),
+    (("A2", 0, "trivial"), "--order must be a positive integer",
+     "branch point 'order' must be a positive integer, not 0"),
+    (("A2", 2, "sl-J", None, ["1/2", "0"]), "--point applies only to trivial actions",
+     "branch point 'point' applies only to trivial actions"),
+    (("A2", 2, "trivial", [2, 1]), "--perm applies only to diagram actions",
+     "branch point 'permutation' applies only to diagram actions"),
+    (("A2", 2, "diagram", [1, 1]), "--perm is not a permutation of the nodes",
+     "branch point 'permutation' is not a permutation of the nodes"),
+    (("A3", 3, "diagram", [3, 2, 1]), "--perm has order 2, which must divide the --order 3",
+     "branch point 'permutation' has order 2, which must divide the branch point 'order' 3"),
+    # several faults: both name the first in the shared order
+    (("Z3", 2, "diagram", [1, 1, 1]), "unknown label 'Z'", "unknown label 'Z'"),
+    (("D3", 2, "sl-J", None, ["1", "1", "1"]), "D_n needs n >= 4", "D_n needs n >= 4"),
+    (("A2", 0, "trivial", None, ["1"]), "--order must be a positive integer",
+     "branch point 'order' must be a positive integer, not 0"),
+], ids=["group", "order-below-one", "point-on-an-involution", "permutation-on-trivial",
+        "not-a-permutation", "order-not-a-multiple", "label-and-permutation",
+        "group-and-point", "order-and-point-length"])
+def test_flags_and_config_share_each_refusal(capsys, tmp_path, spec, flag_error, config_error):
+    # one check of a branch point: the same reason, each naming its own field
+    assert run_cli(capsys, *types_flags(*spec)) == (2, "", f"error: {flag_error}\n")
+    code, out, err = run_cli(capsys, "global", "--config",
+                             write_config(tmp_path, one_point_config(*spec)))
+    assert (code, out, err) == (2, "", f"error: {config_error}\n")
+    # the same reason with the field names masked; a config also quotes a bad order
+    assert reason(flag_error, FLAG_FIELDS) == reason(config_error, CONFIG_FIELDS).replace(
+        ", not 0", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("action", [{"kind": "trivial", "variant": "J"},
+                                    {"kind": "diagram", "permutation": [2, 1], "variant": "J"}],
+                         ids=["trivial", "diagram"])
+def test_global_refuses_a_variant_off_an_sl_involution(capsys, tmp_path, action, fmt):
+    # a variant belongs to an SL involution; on another action it is refused, not dropped
+    config = {"branch_points": [{"group": {"label": "A", "rank": 2}, "order": 2,
+                                 "action": action}]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config),
+                             "--format", fmt)
+    assert (code, out, err) == (
+        2, "", "error: branch point 'variant' applies only to sl-involution actions\n")
+
+
+def test_a_diagram_branch_point_builds_its_automorphism_once(capsys, tmp_path, monkeypatch):
+    import parahoric.cli
+
+    calls = []
+    original = parahoric.cli.diagram_automorphism
+    monkeypatch.setattr(parahoric.cli, "diagram_automorphism",
+                        lambda *args: calls.append(args) or original(*args))
+    config = one_point_config("A2", 2, "diagram", [2, 1])
+    code, out, _ = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out.splitlines()[0]) == (0, "point x0: A2 order 2 (diagram 2,1) -> types 1")
+    assert len(calls) == 1
+
+
 def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
     # |W(E6)| * 2^6 exceeds the default cap: refused from the order formula
     def no_closure(*args, **kwargs):

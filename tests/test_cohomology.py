@@ -103,6 +103,21 @@ def test_local_types_refuses_its_input_before_listing_classes(monkeypatch):
         local_types(e6, trivial_action(6, 9), base=half)
 
 
+def test_local_types_builds_the_generator_rows_once(monkeypatch):
+    # the rows that check the automorphism and the base are those the orbits run on
+    calls = []
+    original = parahoric.cohomology._generator_rows
+    monkeypatch.setattr(parahoric.cohomology, "_generator_rows",
+                        lambda *args: calls.append(args) or original(*args))
+    e6 = build_root_datum("E", 6)
+    assert len(local_types(e6, GammaAction(2, flip(e6)))) == 2
+    assert len(calls) == 1
+    a1 = build_root_datum("A", 1)
+    base = point_from_root_values(a1, (F(1, 5),))
+    assert len(local_types(a1, trivial_action(1, 5), base=base)) == 3
+    assert len(calls) == 2
+
+
 def test_non_permutation_actions_are_refused_at_construction():
     # -1 and a reflection are no lattice automorphisms of the library, which
     # keeps only node permutations; the grid oracle lists their H^1
