@@ -29,6 +29,7 @@ for e in range(1, 13):
     # H^1 of the trivial action is all of T[e]: the classes j/e, in order
     classes = h1_elements(datum, trivial_action(1, e))
     assert classes.representatives == tuple((F(j, e),) for j in range(e))
+    assert classes.representatives[-1] == (F(e - 1, e),)  # read by index, as from a tuple
     base = point_from_root_values(datum, (F(1, e),))
     types = types_of_classes(datum, trivial_action(1, e), classes, base=base)
     burnside = burnside_type_count(datum, e, base=base)

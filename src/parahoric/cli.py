@@ -41,9 +41,9 @@ from .alcove import (
     vertex_prime_data,
 )
 from .cohomology import (
+    ClassSequence,
     GammaAction,
     H1Classes,
-    cocycle_columns,
     h1_elements,
     require_grid_size,
     require_root_values_on_grid,
@@ -130,9 +130,9 @@ def json_text(value, newline: str = "\n") -> str:
     report: dicts with str keys, lists, str, int, bool and None, and the
     values that write themselves: of a ``types`` report, a
     :class:`CocycleTable` (as the dict of row index to list of strings,
-    joined from its columns), the class representatives' :class:`Vectors`
-    (as a list of lists of strings, joined from the product of the strings
-    of each node, or from the listed SL diagonals) and the
+    joined from the progressions of its digits), the class representatives'
+    :class:`Vectors` (as a list of lists of strings, joined from the product
+    of the strings of each node, or from the listed SL diagonals) and the
     :class:`TypeEntries` of the types (as the list of their dicts), and
     the :class:`TwistRows` of ``twist`` and :class:`Tuples` of ``global``.
 
@@ -179,31 +179,22 @@ def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 class TableStrings:
-    """The strings the cocycle tables of one report share, each made once:
-    the values a/d over each denominator d, the pieces a table of each
-    layout (JSON at one indentation, or text) puts around its values, and
-    the column of each digit a of a node that sigma fixes, in the row order
-    of each layout.  Such a column is the progression i -> (i a mod e)/e
-    (:func:`cocycle_columns`), so a report holds at most e of them per
-    layout, whatever its number of types.  The string of a rational needs no
-    JSON escaping, so the quotes around a JSON value belong to the pieces,
-    and each column serves every position in a row."""
+    """The strings the vectors and tables of one report share, each made
+    once: ``values``, the str of each Fraction(j, e), j < e, the pieces a
+    table of each layout (JSON at one indentation, or text) puts around its
+    values, and the column i -> (i a mod e)/e of each digit a, in the row
+    order of each layout: a report holds at most e columns per layout,
+    whatever its number of types.  The string of a rational needs no JSON
+    escaping, so the quotes around a JSON value belong to the pieces, and
+    each column serves every position in a row."""
 
     def __init__(self, e: int):
         self.e = e
-        self._values: Dict[int, List[str]] = {}
+        self.values = ["0"] + [f"{j // g}/{e // g}" for j in range(1, e)
+                               for g in (math.gcd(j, e),)]
         self._layouts: Dict[Optional[str], tuple] = {}
         self._progressions: Dict[Tuple[int, Optional[str]], Sequence[str]] = {}
         self._cycled: List[str] = []  # the strings of j/e repeated, made by the first column
-
-    def values(self, d: int) -> List[str]:
-        """The strings of a/d for a < d, as ``str(Fraction(a, d))`` writes
-        them: "0", and "n/m" in lowest terms, m > 1, for 0 < a < d."""
-        values = self._values.get(d)
-        if values is None:
-            values = self._values[d] = ["0"] + [f"{a // g}/{d // g}" for a in range(1, d)
-                                                for g in (math.gcd(a, d),)]
-        return values
 
     def layout(self, newline: Optional[str]) -> Tuple[Optional[Callable], List[str], str, str]:
         """(gather, openings, separator, close) of a JSON table one level
@@ -241,7 +232,7 @@ class TableStrings:
         column = self._progressions.get((a, newline))
         if column is None:
             e = self.e
-            cycled = self._cycled = self._cycled or self.values(e) * (math.isqrt(e) + 1)
+            cycled = self._cycled = self._cycled or self.values * (math.isqrt(e) + 1)
             column = cycled[:1] * e  # the column of a = 0, filled in place for a > 0
             i = p = 0
             while a and i < e:
@@ -256,38 +247,25 @@ class TableStrings:
 
 
 class CocycleTable:
-    """The cocycle gamma_0^i -> row i, i < e, of one type, written as the
-    dict of i to the list of the row's values, from one list of the
-    pieces of its rows: each row is its opening in the layout and its r
+    """The cocycle gamma_0^i -> row i = i t mod 1, i < e, of a type whose
+    written class t has the digits e t (:func:`digits_over_e`), written as
+    the dict of i to the list of the row's values, from one list of the
+    pieces of its rows: each row is its opening in the layout and its
     values with a separator between two of them.  The list starts as the
     separator repeated; one slice assignment puts in the openings and one
-    each the r columns, and one join writes it.
+    each the columns, the progressions of the digits
+    (:meth:`TableStrings.progression`), and one join writes it."""
 
-    A split action fixes every node, so its table is given by the digits
-    a_k = e t_k of its representative, and its columns are the shared
-    progressions of :meth:`TableStrings.progression`.  Any other action
-    gives the denominator ``d`` and the integer columns of
-    :func:`cocycle_columns` (or of the SL diagonals), whose entries are
-    written through the strings of a/d."""
+    __slots__ = ("strings", "digits")
 
-    __slots__ = ("strings", "digits", "d", "columns")
-
-    def __init__(self, strings: TableStrings, digits: Sequence[int] = (), d: int = 1,
-                 columns: Sequence[Sequence[int]] = ()):
+    def __init__(self, strings: TableStrings, digits: Sequence[int]):
         self.strings = strings
         self.digits = digits
-        self.d = d
-        self.columns = columns
 
     def _join(self, newline: Optional[str]) -> str:
-        gather, openings, separator, close = self.strings.layout(newline)
-        if self.digits:
-            progression = self.strings.progression
-            columns = [progression(a, newline) for a in self.digits]
-        else:
-            values = self.strings.values(self.d).__getitem__
-            columns = [map(values, gather(column) if gather else column)
-                       for column in self.columns]
+        _, openings, separator, close = self.strings.layout(newline)
+        progression = self.strings.progression
+        columns = [progression(a, newline) for a in self.digits]
         n = 2 * len(columns)
         pieces = [separator] * (n * self.strings.e)
         pieces[::n] = openings
@@ -486,15 +464,15 @@ def types_parts(
     and EnumerationCapError on cap breaches.
 
     One check for the ``types`` flags and a ``global`` config, naming the
-    order, permutation and point as ``names`` does, in order: the label and
-    rank; an order of at least 1; a point only on a trivial action, a
-    permutation only on a diagram one; then the action's own.  The trivial
+    order, permutation and point as ``names`` does, in order, after the
+    label and rank (checked where the group is read, before the point and
+    permutation): an order of at least 1; a point only on a trivial action,
+    a permutation only on a diagram one; then the action's own.  The trivial
     action needs a point of rank entries, and checks the grid cap and grid
     before it builds the datum, and that before it makes the default point,
     so no work grows with the rank before a cap; an SL involution needs
     type A and order 2; a diagram action (base 0) a permutation of the nodes
     whose order divides the order (after the root closure cap), and H^1 = 0."""
-    positive_root_count(label, rank)
     require_order(order, names)
     if point is not None and action_kind != "trivial":
         raise UsageError(f"{names.point} applies only to trivial actions")
@@ -542,6 +520,25 @@ def types_parts(
     return datum, action, base, classes, type_orbits(datum, action, classes, base), variant
 
 
+def digits_over_e(reps: ClassSequence, e: int,
+                  variant: Optional[str]) -> Callable[[int], Sequence[int]]:
+    """The digits over e of the written vector of class k: its digits in
+    ``reps.radices``, or for an SL variant those of its sum-zero diagonal,
+    ``sl_diagonal(digits, e)``, an integral map.  The radices are checked
+    once: each must divide e, or the norm does not kill the values j/n of
+    a node of radix n (ValueError), and be 1 or e, as in every listing that
+    :func:`types_parts` lets through (AssertionError).  So a class t is 0
+    off the nodes sigma fixes, and row i of its cocycle is i t mod 1."""
+    radices = reps.radices
+    if any(e % n for n in radices):
+        raise ValueError(f"the norm {e} does not kill the classes over the radices {radices}")
+    if any(1 < n < e for n in radices):
+        raise AssertionError(f"a written listing has radices 1 or {e}, not {radices}")
+    if variant is None:
+        return reps.digits
+    return lambda k: sl_diagonal(reps.digits(k), e)
+
+
 def compute_types(
     label: str,
     rank: int,
@@ -556,37 +553,20 @@ def compute_types(
     :func:`types_text` (``json.dumps`` refuses it): its classes are a
     :class:`Vectors` value, its ``types`` a :class:`TypeEntries` and each
     ``cocycle`` a :class:`CocycleTable`, made into strings when written.
-    A split action has the norm e, which kills exactly (1/e)Z^r: it is
-    checked in integers, once per node, as e divisible by the radix n of
-    the values j/n the node takes, so for every class, and a table keeps
-    the digits e t_k of its class, read by divmod from its index, which
-    pick the columns of :meth:`TableStrings.progression`.  Any other action
-    keeps the integer columns of :func:`cocycle_columns`, which checks the
-    norm on each sigma-orbit.  The classes are written as the product of
-    the table strings of each of ``reps.radices``, or as the sum-zero
-    diagonals of an SL involution (:func:`sl_diagonal`), whose tables are
-    the columns of the diagonal rows; a type shows the strings of its
-    class, at its index."""
+    Every vector and table is read off the digits over e of its class
+    (:func:`digits_over_e`, which checks the norm).  The classes are the
+    product of the strings of j/e for j below each of ``reps.radices``, or
+    the listed SL diagonals; a type shows the strings of its class."""
     datum, action, base, classes, keys, variant = types_parts(
         label, rank, order, action_kind, perm=perm, point=point, cap=cap)
     strings = TableStrings(action.e)
+    values = strings.values
     reps = classes.representatives
-    if action_kind == "trivial" and any(action.e % n for n in reps.radices):
-        raise ValueError(f"the norm {action.e} does not kill the classes over the radices "
-                         f"{reps.radices}")
-
-    def cocycle(start: int) -> CocycleTable:
-        if action_kind == "trivial":
-            return CocycleTable(strings, digits=reps.digits(start))
-        d, columns = cocycle_columns(reps[start], action)
-        if variant is not None:  # the columns of the diagonal rows
-            columns = list(zip(*[sl_diagonal(row, d) for row in zip(*columns)]))
-        return CocycleTable(strings, d=d, columns=columns)
-
+    digits = digits_over_e(reps, action.e, variant)
     if variant is None:  # the classes are the product of their node strings
-        class_strings = list(itertools.product(*map(strings.values, reps.radices)))
+        class_strings = list(itertools.product(*[values[:n] for n in reps.radices]))
     else:
-        class_strings = [vec_str(sl_diagonal(v)) for v in reps]
+        class_strings = [[values[a] for a in digits(k)] for k in range(len(reps))]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -603,7 +583,7 @@ def compute_types(
         "class_representatives": Vectors(class_strings),
         "types": TypeEntries(
             {"index": i, "representative": class_strings[start], "orbit_size": size,
-             "cocycle": cocycle(start)}
+             "cocycle": CocycleTable(strings, digits(start))}
             for i, (start, size) in enumerate(keys)
         ),
     }
@@ -752,7 +732,7 @@ def cmd_twist(args) -> int:
     datum, _, base, classes, keys, _ = types_parts(
         label, rank, args.order, "trivial", point=point, cap=args.cap)
     base_numerators = common_numerators(base)
-    node = TableStrings(args.order).values(args.order)  # the values j/e of every node
+    node = TableStrings(args.order).values  # the values j/e of every node
     texts: Dict[int, str] = {}  # a -> the string of a / D, for the one D of every row
 
     def strings(D: int, numerators: Sequence[int]) -> List[str]:
@@ -876,8 +856,9 @@ def _config_rational(value) -> str:
 def _branch_point_types(bp: dict, cap: int) -> dict:
     """The ``global`` entry of one branch point: those of :func:`_point_entries`
     and ``types``, the type representatives as a ``types`` report writes them.
-    Only the JSON shape of its fields is checked here; :func:`types_parts`
-    checks what they mean."""
+    The JSON shape of its fields is checked here, and the label and rank
+    before the permutation and point are read, as for the ``types`` flags;
+    :func:`types_parts` checks the rest."""
     try:
         group = bp["group"]
         label, rank, order = group["label"], group["rank"], bp["order"]
@@ -902,6 +883,7 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         raise UsageError(f"unknown action kind {kind!r}")
     elif "variant" in action:
         raise UsageError("branch point 'variant' applies only to sl-involution actions")
+    positive_root_count(label, rank)
     if kind == "diagram" or "permutation" in action:
         perm = action.get("permutation")
         if not isinstance(perm, list):
@@ -913,12 +895,9 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         point = tuple(parse_fraction(_config_rational(x)) for x in bp["point"])
     *_, classes, keys, variant = types_parts(label, rank, order, kind, perm, point, cap,
                                              CONFIG_NAMES)
-    reps = classes.representatives
-    if variant is None:  # the node strings (the table strings of each radix) at its digits
-        nodes = list(map(TableStrings(order).values, reps.radices))
-        types = [[node[j] for node, j in zip(nodes, reps.digits(start))] for start, _ in keys]
-    else:
-        types = [vec_str(sl_diagonal(reps[start])) for start, _ in keys]
+    digits = digits_over_e(classes.representatives, order, variant)
+    values = TableStrings(order).values
+    types = [[values[a] for a in digits(start)] for start, _ in keys]
     return dict(_point_entries(label, rank, order, kind, perm, keys), types=types)
 
 

@@ -33,7 +33,11 @@ order of the largest nodes, list the classes in lexicographic order.  The
 trivial action is the case of singleton orbits, where the digits are the
 numerators of t over e.  A listing is its radices alone: class k is read
 from the digits of k by divmod (:class:`ClassSequence`), and its cocycle
-off the same orbits, walked as sigma^-1-cycles (:func:`cocycle_columns`).
+off the same orbits, walked as sigma^-1-cycles (:func:`cocycle_of`).  When
+every radix is 1 or e, each least representative t carries j/e on nodes
+that sigma fixes and 0 elsewhere, so A t = t and row i of its cocycle is
+i t mod 1: the progression of the digits e t, which is how ``cli`` writes
+every table it reports.
 
 Local types are the orbits of the classes under the fixed Weyl subgroup
 W^sigma acting by twisted conjugation t -> w^-1(t) + t_w.  For a pinned
@@ -265,19 +269,17 @@ def h1_elements(datum: RootDatum, action: GammaAction, cap: int = DEFAULT_CAP) -
     return H1Classes(structure=structure, representatives=reps)
 
 
-def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Sequence[int]]]:
-    """The denominator d of a class rep and the cocycle table of
-    :func:`cocycle_of` as its r columns of integer numerators over d: entry
-    i of column k is coordinate k of sum_{j<i} A^j rep mod 1, times d.
+def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
+    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep,
+    as the dict of i < e to row i.
 
-    Coordinate k of A^j rep is that of node sigma^-j(k), so column k is a
-    walk of e steps along sigma^-1 from k, each adding the numerator p of
-    the node it leaves.  The norm kills rep exactly when (e/|O|) sum_O p = 0
-    mod d on every sigma-orbit O; else ValueError.  A fixed node has the
-    entries i p_k, and e p_k = 0 mod d, so its column is the progression
-    i -> (i a_k mod e)/e of the digit a_k = e t_k alone: the tables of a
-    split action share their columns (``cli.TableStrings``).  A rep without
-    one coordinate per node is a ValueError.
+    Coordinate k of A^j rep is that of node sigma^-j(k), so on the integer
+    numerators p of rep over its denominator d, column k is a walk of e
+    steps along sigma^-1 from k, each adding the numerator of the node it
+    leaves; each distinct numerator becomes one Fraction, so no table of d
+    entries is made.  The norm kills rep exactly when (e/|O|) sum_O p = 0
+    mod d on every sigma-orbit O; else ValueError.  A rep without one
+    coordinate per node is a ValueError.
     """
     if len(rep) != action.rank:
         raise ValueError(f"a rank-{action.rank} action needs {action.rank} coordinates, "
@@ -298,14 +300,6 @@ def cocycle_columns(rep: QZVector, action: GammaAction) -> Tuple[int, List[Seque
             prefix += p[node]
             node = inverse[node]
         columns.append(column)
-    return d, columns
-
-
-def cocycle_of(rep: QZVector, action: GammaAction) -> Dict[int, QZVector]:
-    """The cocycle gamma_0^i -> sum_{j<i} A^j rep attached to a class rep,
-    read off the rows of :func:`cocycle_columns`; each distinct numerator
-    becomes one Fraction."""
-    d, columns = cocycle_columns(rep, action)
     value = {a: Fraction(a, d) for a in set().union(*columns)}.__getitem__
     return {i: tuple(map(value, row)) for i, row in enumerate(zip(*columns))}
 

@@ -22,8 +22,8 @@ its matrix, with its order read off the powers of the matrix
 involution of the sum-zero diagonals that the SL_n reports write, so it is
 the oracle of the diagonal cocycle tables.
 :func:`cocycle_numerators` is the cocycle table by the matrix walk, for any
-finite-order automorphism: the oracle of the sigma-cycle columns of
-``cohomology.cocycle_columns``.
+finite-order automorphism: the oracle of the sigma^-1 walk of
+``cohomology.cocycle_of``.
 :func:`packed_orbits_by_digits` is the orbit engine of
 ``cohomology._packed_orbits`` as the library ran it before move tables:
 each vector in the search carries its digit list, and each map reads its
@@ -721,10 +721,11 @@ def norm_killed_numerators(t: QZVector, action: GammaAction) -> Tuple[int, IntVe
 
 
 def cocycle_numerators(rep: QZVector, action: GammaAction) -> Tuple[int, List[IntVector]]:
-    """The cocycle table of ``cohomology.cocycle_columns`` as its e rows, by
-    the matrix walk: row i holds the numerators of sum_{j<i} A^j rep mod 1
-    over d, and the walk applies A as an integer matrix mod d, one row at a
-    time.  It serves any finite-order automorphism."""
+    """The cocycle table of ``cohomology.cocycle_of`` as the numerators of
+    its e rows, by the matrix walk: row i holds the numerators of
+    sum_{j<i} A^j rep mod 1 over d, and the walk applies A as an integer
+    matrix mod d, one row at a time.  It serves any finite-order
+    automorphism."""
     d, power = norm_killed_numerators(rep, action)
     # the nonzero entries of each row of A
     support = [[(j, a) for j, a in enumerate(row) if a] for row in action.automorphism.matrix]

@@ -726,9 +726,10 @@ def reason(message, fields):
     (("D3", 2, "sl-J", None, ["1", "1", "1"]), "D_n needs n >= 4", "D_n needs n >= 4"),
     (("A2", 0, "trivial", None, ["1"]), "--order must be a positive integer",
      "branch point 'order' must be a positive integer, not 0"),
+    (("Z2", 2, "trivial", None, ["x", "0"]), "unknown label 'Z'", "unknown label 'Z'"),
 ], ids=["group", "order-below-one", "point-on-an-involution", "permutation-on-trivial",
         "not-a-permutation", "order-not-a-multiple", "label-and-permutation",
-        "group-and-point", "order-and-point-length"])
+        "group-and-point", "order-and-point-length", "label-and-unreadable-point"])
 def test_flags_and_config_share_each_refusal(capsys, tmp_path, spec, flag_error, config_error):
     # one check of a branch point: the same reason, each naming its own field
     assert run_cli(capsys, *types_flags(*spec)) == (2, "", f"error: {flag_error}\n")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import parahoric.cohomology as cohomology
 from parahoric.cohomology import (
     GammaAction,
-    cocycle_columns,
     cocycle_of,
     h1_elements,
     trivial_action,
@@ -155,9 +154,8 @@ def test_wrong_length_rep_is_refused(rep):
     # to give a table with an empty third column (length 3)
     action = trivial_action(2, 2)
     message = f"a rank-2 action needs 2 coordinates, not {len(rep)}"
-    for entry in (cocycle_columns, cocycle_of):
-        with pytest.raises(ValueError, match=message):
-            entry(rep, action)
+    with pytest.raises(ValueError, match=message):
+        cocycle_of(rep, action)
 
 
 @pytest.mark.parametrize("label,rank,perm,e", DIAGRAM)
@@ -187,7 +185,7 @@ def test_the_identity_is_read_once_per_automorphism(monkeypatch):
     assert trivial_action(3, 4).automorphism.node_orbits == ((0,), (1,), (2,))
     datum, action = build_root_datum("B", 3), trivial_action(3, 4)
     classes = h1_elements(datum, action)
-    tables = [cocycle_numerators(t.orbit_representative, action)
+    tables = [walk_table(t.orbit_representative, action)
               for t in types_of_classes(datum, action, classes)]
 
     def refuse(*args, **kwargs):
@@ -196,13 +194,15 @@ def test_the_identity_is_read_once_per_automorphism(monkeypatch):
     monkeypatch.setattr(cohomology, "identity_matrix", refuse)
     monkeypatch.setattr(LatticeAutomorphism, "matrix", property(refuse))
     types = types_of_classes(datum, action, classes)
-    assert [cocycle_columns(t.orbit_representative, action) for t in types] \
-        == [(d, [list(column) for column in zip(*rows)]) for d, rows in tables]
+    assert [cocycle_of(t.orbit_representative, action) for t in types] == tables
 
 
-def walk_rows(rep, action):
-    d, columns = cocycle_columns(rep, action)
-    return d, list(zip(*columns))
+def walk_table(rep, action):
+    """The table of ``cocycle_of`` by the matrix walk of the references,
+    one Fraction per distinct numerator."""
+    d, rows = cocycle_numerators(rep, action)
+    value = {a: F(a, d) for a in set().union(*rows)}.__getitem__
+    return {i: tuple(map(value, row)) for i, row in enumerate(rows)}
 
 
 def norm_killed_samples(action, rng, count):
@@ -244,7 +244,7 @@ def test_sigma_cycle_columns_match_the_matrix_walk():
         if len(reps) > 5000:
             reps = rng.sample(reps, 5000)
         for rep in list(reps) + list(norm_killed_samples(action, rng, samples)):
-            assert walk_rows(rep, action) == cocycle_numerators(rep, action), (action, rep)
+            assert cocycle_of(rep, action) == walk_table(rep, action), (action, rep)
             checked += 1
     assert checked > 5 * 10 ** 4
 
@@ -257,7 +257,7 @@ def test_sl_flip_columns_match_the_matrix_walk(n):
     rng = random.Random(n)
     reps = list(h1_elements(datum, flip).representatives)
     for rep in reps + list(norm_killed_samples(flip, rng, 20)):
-        assert walk_rows(rep, flip) == cocycle_numerators(rep, flip)
+        assert cocycle_of(rep, flip) == walk_table(rep, flip)
 
 
 @st.composite
@@ -285,11 +285,11 @@ def test_free_permutation_columns_match_the_matrix_walk(action, rng):
     if len(reps) > 200:
         reps = rng.sample(reps, 200)
     for rep in reps + list(norm_killed_samples(action, rng, 10)):
-        assert walk_rows(rep, action) == cocycle_numerators(rep, action), rep
+        assert cocycle_of(rep, action) == walk_table(rep, action), rep
     # 1/d on one node of an orbit O, d > e: (e/|O|)/d is not an integer
     orbit = rng.choice(action.automorphism.node_orbits)
     d = action.e * rng.choice((2, 3))
     killed_not = tuple(F(int(k == orbit[-1]), d) for k in range(action.rank))
-    for entry in (cocycle_columns, cocycle_numerators):
+    for entry in (cocycle_of, cocycle_numerators):
         with pytest.raises(ValueError, match="is not killed by the norm"):
             entry(killed_not, action)

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from parahoric.alcove import simple_root_values
-from parahoric.cohomology import LocalType, cocycle_columns, h1_elements, types_of_classes
-from parahoric.exactalg import identity_matrix, mat_sub, qz_vector, qz_zero
+from parahoric.cohomology import LocalType, cocycle_of, h1_elements, types_of_classes
+from parahoric.exactalg import common_numerators, identity_matrix, mat_sub, qz_vector, qz_zero
 from parahoric.slmodel import (
     MonomialMatrix,
     _sl_base,
@@ -486,9 +486,10 @@ def test_diagonal_coordinates_intertwine_the_flip_with_minus_rho(n):
         minus_rho = diagonal_action(spec)
         types = types_of_classes(datum, flip, classes, base=_sl_base(n, spec.kind))
         for c in list(classes.representatives) + [t.orbit_representative for t in types]:
-            d, columns = cocycle_columns(c, flip)
-            assert cocycle_numerators(sl_diagonal(c), minus_rho) == (
-                d, [sl_diagonal(row, d) for row in zip(*columns)])
+            d, rows = cocycle_numerators(sl_diagonal(c), minus_rho)
+            assert common_numerators(c)[0] == d
+            assert rows == [sl_diagonal([x.numerator * d // x.denominator for x in row], d)
+                            for row in cocycle_of(c, flip).values()]
 
 
 def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):

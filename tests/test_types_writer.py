@@ -4,9 +4,8 @@ dict-built report.
 The CLI writes the class representatives and the cocycle tables of a
 `types` report from :class:`parahoric.cli.Vectors` values (the product of
 the strings of each node, or the listed SL diagonals, joined once) and
-:class:`parahoric.cli.CocycleTable` values (for a split action the shared
-column of each digit, else integer columns over d, joined with the pieces
-of the layout in key order).  Its stdout must equal, byte for byte, the
+:class:`parahoric.cli.CocycleTable` values (the shared column of each
+digit over e, joined with the pieces of the layout in key order).  Its stdout must equal, byte for byte, the
 report of ``tests/references.py`` built as dicts of lists of strings from
 the rows of each table, passed through ``json.dumps(indent=2,
 sort_keys=True)`` (JSON) and through the old text renderer (text).  The
@@ -182,6 +181,34 @@ def test_a_split_listing_the_norm_does_not_kill_is_refused(monkeypatch):
     with pytest.raises(ValueError, match=r"^the norm 2 does not kill the classes over the "
                                          r"radices \(3,\)$"):
         compute_types("A", 1, 2, "trivial")
+
+
+def with_listing(monkeypatch, order, radices):
+    """``cli.types_parts`` of A1 at ``order``, its classes listed over ``radices``."""
+    parts = cli.types_parts("A", 1, order, "trivial")
+    listing = replace(parts[3], representatives=ClassSequence(radices))
+    monkeypatch.setattr(cli, "types_parts", lambda *args, **kwargs: (*parts[:3], listing,
+                                                                     *parts[4:]))
+
+
+def test_global_refuses_a_listing_the_norm_does_not_kill(monkeypatch, capsys, tmp_path):
+    # the types of a branch point are read off the same checked digits as a
+    # `types` report, so the listing refused there is refused here
+    with_listing(monkeypatch, 2, (3,))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"branch_points": [{"group": {"label": "A", "rank": 1},
+                                                     "order": 2}]}))
+    assert main(["global", "--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the norm 2 does not kill the classes over the radices (3,)\n")
+
+
+def test_a_listing_with_a_radix_between_one_and_the_order_is_a_hard_error(monkeypatch):
+    # every listing that types_parts passes has radices 1 or e; a radix 2 at
+    # e = 4 divides e, but its classes would not be fixed by sigma
+    with_listing(monkeypatch, 4, (2,))
+    with pytest.raises(AssertionError, match=r"radices 1 or 4, not \(2,\)"):
+        compute_types("A", 1, 4, "trivial")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
