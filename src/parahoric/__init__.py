@@ -9,10 +9,10 @@ cohomological and the building-theoretic descriptions.
 Layers:
 
 * :mod:`parahoric.exactalg` - integer/rational-mod-Z linear algebra (Smith
-  normal form, lattice quotients, the adjugate and determinant from one
-  elimination);
+  normal form, the only elimination, and lattice quotients);
 * :mod:`parahoric.rootdata` - root data (built under a cap by one integer
-  closure that gives every positive root its coroot), Weyl groups,
+  closure that gives every positive root its coroot, with C^-1 from the
+  Smith form of the Cartan matrix C), Weyl groups,
   lattice automorphisms as node permutations, orbit closure;
 * :mod:`parahoric.cohomology` - H^1 of a cyclic group on the torus from
   sigma-orbit sums, checked against the lattice quotient of one Smith form

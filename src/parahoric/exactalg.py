@@ -5,11 +5,13 @@ Everything in this package runs on arbitrary-precision integers and
 immutable tuples of tuples of ints, vectors over Q/Z are tuples of
 Fractions canonicalized to [0, 1).
 
-The workhorse is Smith normal form with unimodular transforms, from which
-lattice quotients follow.  It is one elimination on the block matrix
-[[M, 1], [1, 0]], so each row operation carries U along with M and each
-column operation carries V (Cohen, A Course in Computational Algebraic
-Number Theory, 2.4).
+The workhorse, and the only integer elimination in the package, is Smith
+normal form with unimodular transforms, from which lattice quotients
+follow, and the adjugate and determinant of a Cartan matrix
+(``rootdata.RootDatum.cartan_inverse``).  It is one elimination on the
+block matrix [[M, 1], [1, 0]], so each row operation carries U along with
+M and each column operation carries V (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -64,36 +66,6 @@ def mat_add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def adjugate_int(M: IntMatrix) -> Tuple[IntMatrix, int]:
-    """(adj(M), det(M)) of a nonsingular integer M, so that adj(M) M =
-    det(M) I, by one fraction-free (Bareiss) Gauss-Jordan elimination of
-    [M | I] in O(n^3) exact divisions.
-
-    Each step clears the pivot column in every other row, a <- (p a - f
-    a_k) / p_prev, and the division is exact.  The elimination ends at
-    [d I | R] with R M = d I, where the last pivot d is the determinant of
-    M with its rows swapped; so det(M) is d and adj(M) = det(M) M^-1 is R,
-    each times the sign of the row swaps.  A singular M raises ValueError.
-    """
-    n = len(M)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    sign, prev = 1, 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                raise ValueError("the adjugate is computed only for a nonsingular matrix")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, pivot_row = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = pivot
-    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
-
-
 # ---------------------------------------------------------------------------
 # Q/Z scalars and vectors
 # ---------------------------------------------------------------------------
@@ -133,12 +105,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> Optional[int]:
-        if self.free_rank > 0:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.invariant_factors)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,10 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 from .exactalg import (
     IntMatrix,
     IntVector,
-    adjugate_int,
     identity_matrix,
+    mat_mul,
     matrix,
+    smith_normal_form,
 )
 
 DEFAULT_CAP = 10 ** 6
@@ -172,8 +173,22 @@ class RootDatum:
 
     @cached_property
     def cartan_inverse(self) -> Tuple[IntMatrix, int]:
-        """(adj(C), det(C)), so that C^-1 = adj(C) / det(C)."""
-        return adjugate_int(self.cartan)
+        """(adj(C), det(C)), so that C^-1 = adj(C) / det(C), from the Smith
+        form U C V = D with U and V unimodular: C^-1 = V D^-1 U, the product
+        of the d_i is |det(C)|, which is det(C) since det(C) > 0 at finite
+        type, and adj(C) = V diag(det(C) / d_i) U.  Unless adj(C) C =
+        det(C) I with det(C) >= 1, an AssertionError names the datum."""
+        U, D, V = smith_normal_form(self.cartan)
+        diagonal = [D[i][i] for i in range(self.rank)]
+        det = prod(diagonal)
+        if det >= 1:
+            adj = mat_mul(V, tuple(tuple(det // d * x for x in row)
+                                   for d, row in zip(diagonal, U)))
+            if mat_mul(adj, self.cartan) == tuple(
+                    tuple(det * x for x in row) for row in identity_matrix(self.rank)):
+                return adj, det
+        raise AssertionError(f"the Smith form of the Cartan matrix of {self.name} "
+                             f"gives no adjugate of determinant {det}")
 
     @cached_property
     def root_ladder(self) -> Tuple[Tuple[int, int], ...]:

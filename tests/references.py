@@ -4,9 +4,10 @@
 computed it before it read the group off one Smith form of the norm: a
 kernel basis of A - 1 (:func:`kernel_basis`), a Fraction solve for the
 norm columns in it, and a second lattice quotient.  :func:`det_int` is the
-determinant by fraction-free elimination, the oracle of the determinant
-that ``exactalg.adjugate_int`` returns, and :func:`mat_vec` is the integer
-matrix-vector product that only the tests apply.
+determinant by fraction-free (Bareiss) elimination, an independent oracle
+of the determinant that ``RootDatum.cartan_inverse`` reads off the Smith
+form, and :func:`mat_vec` is the integer matrix-vector product that only
+the tests apply.
 
 :func:`grid_h1_elements` is the grid element model of H^1: it sorts the
 norm-killed vectors of the (1/e)-grid (:func:`torsion_grid`) into classes
@@ -68,8 +69,8 @@ the integer root row, and every coroot.  So are the mod-Z helpers
 invariant, :func:`root_row`, :func:`mat_pow`, the simple reflections
 (:func:`simple_reflection`, :func:`weyl_generators`), the list
 :func:`rank_range` of the simple types, and the adjugate by cofactors
-(:func:`cofactor_adjugate`), the oracle of the elimination in
-``exactalg.adjugate_int``.  A Weyl element is its integer matrix on the
+(:func:`cofactor_adjugate`), the independent oracle of the adjugate that
+``RootDatum.cartan_inverse`` reads off the Smith form.  A Weyl element is its integer matrix on the
 coroot lattice; :func:`weyl_matrices` forms the matrix of every element of
 ``rootdata.weyl_elements`` from its coroot places, in the order of the
 closure.

@@ -9,7 +9,6 @@ import pytest
 
 import parahoric.rootdata as rootdata
 from parahoric.exactalg import (
-    adjugate_int,
     identity_matrix,
     mat_mul,
 )
@@ -256,29 +255,48 @@ def test_weyl_orders(label, rank):
 def test_adjugate_matches_the_cofactor_oracle():
     pairs = rank_range(8) + [(label, r) for r in range(9, 21) for label in "ABCD"]
     for label, rank in pairs:
-        cartan = build_root_datum(label, rank).cartan
-        adj, det = adjugate_int(cartan)
+        datum = build_root_datum(label, rank)
+        cartan, (adj, det) = datum.cartan, datum.cartan_inverse
         assert (adj, det) == (cofactor_adjugate(cartan), det_int(cartan)), (label, rank)
         assert mat_mul(adj, cartan) == tuple(
             tuple(det * x for x in row) for row in identity_matrix(rank))
-    rng = random.Random(17)
-    checked = 0
-    while checked < 300:
-        n = rng.randint(1, 6)
-        M = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        if det_int(M) == 0:
-            with pytest.raises(ValueError, match="nonsingular"):
-                adjugate_int(M)
-            continue
-        assert adjugate_int(M) == (cofactor_adjugate(M), det_int(M)), M
-        checked += 1
+
+
+def test_cartan_determinant_is_the_index_of_the_coweight_lattice():
+    # det(C) = |P^v / Q^v| at every rank that the root-closure cap builds,
+    # and the next rank of A, B, C and D is refused
+    index = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2, "D": lambda r: 4}
+    for label, first, last in [("A", 1, 37), ("B", 2, 31), ("C", 2, 31), ("D", 4, 31)]:
+        for rank in range(first, last + 1):
+            assert build_root_datum(label, rank).cartan_inverse[1] == index[label](rank)
+        with pytest.raises(EnumerationCapError):
+            build_root_datum(label, last + 1)
+    for (label, rank), det in {("E", 6): 3, ("E", 7): 2, ("E", 8): 1,
+                               ("F", 4): 1, ("G", 2): 1}.items():
+        assert build_root_datum(label, rank).cartan_inverse[1] == det
+
+
+@pytest.mark.parametrize("diagonal", [lambda d: d[:-1] + [2 * d[-1]], lambda d: [0] * len(d)])
+def test_cartan_inverse_refuses_a_wrong_smith_diagonal(monkeypatch, diagonal):
+    smith = rootdata.smith_normal_form
+
+    def wrong(M):
+        U, D, V = smith(M)
+        d = diagonal([D[i][i] for i in range(len(M))])
+        return U, tuple(tuple(d[i] * (i == j) for j in range(len(M))) for i in range(len(M))), V
+
+    monkeypatch.setattr(rootdata, "smith_normal_form", wrong)
+    for label, rank in [("A", 1), ("E", 6), ("E", 8)]:
+        datum = replace(build_root_datum(label, rank))  # no cached pair
+        with pytest.raises(AssertionError, match=f"Cartan matrix of {label}{rank} "):
+            datum.cartan_inverse
 
 
 def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
     for label, rank in rank_range(8):
         datum = build_root_datum(label, rank)
         adj, det = datum.cartan_inverse
-        assert (adj, det) == adjugate_int(datum.cartan) and det == det_int(datum.cartan)
+        assert det == det_int(datum.cartan)
         assert mat_mul(adj, datum.cartan) == tuple(
             tuple(det * x for x in row) for row in identity_matrix(rank))
         assert datum.cartan_inverse is datum.cartan_inverse
@@ -605,14 +623,15 @@ def test_fixed_weyl_subgroup():
 
 
 def diagram_symmetries(datum):
-    """Every node permutation that is a Dynkin-diagram symmetry."""
-    out = []
-    for perm in permutations(range(datum.rank)):
-        try:
-            out.append(diagram_automorphism(datum, perm))
-        except ValueError:
-            pass
-    return out
+    """Every node permutation that is a Dynkin-diagram symmetry, in
+    lexicographic order: extended node by node while it keeps the Cartan
+    entries among the nodes placed so far."""
+    C, n = datum.cartan, datum.rank
+    perms = [()]
+    for i in range(n):
+        perms = [p + (k,) for p in perms for k in range(n) if k not in p
+                 and all(C[k][p[j]] == C[i][j] and C[p[j]][k] == C[j][i] for j in range(i))]
+    return [diagram_automorphism(datum, p) for p in perms]
 
 
 def test_fixed_weyl_generators_close_to_the_fixed_subgroup():
@@ -629,6 +648,31 @@ def test_fixed_weyl_generators_close_to_the_fixed_subgroup():
             checked += 1
     # A1-A5 (9), B2-B5 and C2-C5 (8), D4 (6), D5 (2), F4 and G2 (2)
     assert checked == 27
+
+
+def test_each_fixed_weyl_generator_is_the_longest_element_of_its_node_orbit():
+    # checked by its properties, with no descent: w_J is an involution that
+    # commutes with sigma and sends a positive coroot to a negative one
+    # exactly when the support of that coroot lies in J
+    checked = 0
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        coroots = set(datum.positive_coroots)
+        for aut in diagram_symmetries(datum):
+            A = aut.matrix
+            gens = fixed_weyl_generators(datum, aut)
+            assert len(gens) == len(aut.node_orbits)
+            for J, w in zip(sorted(aut.node_orbits), gens):
+                assert mat_mul(w, w) == identity_matrix(rank)
+                assert mat_mul(A, w) == mat_mul(w, A)
+                for coroot in datum.positive_coroots:
+                    image = mat_vec(w, coroot)
+                    in_J = all(i in J for i, x in enumerate(coroot) if x)
+                    assert (image in coroots) != in_J, (datum.name, J, coroot)
+                    assert (tuple(-x for x in image) in coroots) == in_J, (datum.name, J, coroot)
+            checked += 1
+    # A (15), B and C (7 each), D4 (6), D5-D8 (2 each), E (4), F4 and G2
+    assert checked == 49
 
 
 def flip(datum):

@@ -1,11 +1,10 @@
-"""Property tests of the Smith normal form, with sympy as a second oracle, and
-of the adjugate and determinant from one elimination."""
+"""Property tests of the Smith normal form, with sympy as a second oracle."""
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from parahoric.exactalg import adjugate_int, identity_matrix, mat_mul, smith_normal_form
+from parahoric.exactalg import mat_mul, smith_normal_form
 
 from .references import det_int
 
@@ -47,19 +46,3 @@ def test_snf_diagonal_matches_sympy(M):
     theirs = sympy_smith_normal_form(Matrix(M), domain=ZZ)
     assert [abs(d) for d in diagonal(D)] == [
         abs(int(theirs[i, i])) for i in range(min(len(M), len(M[0])))]
-
-
-square_matrices = st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n,
-).map(lambda rows: tuple(tuple(row) for row in rows)))
-
-
-@SETTINGS
-@given(square_matrices)
-def test_adjugate_returns_the_determinant_of_its_elimination(M):
-    det = det_int(M)
-    assume(det != 0)
-    adj, got = adjugate_int(M)
-    assert got == det
-    assert mat_mul(adj, M) == tuple(
-        tuple(det * x for x in row) for row in identity_matrix(len(M)))
