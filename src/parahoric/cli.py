@@ -969,11 +969,26 @@ def _add_common(p: argparse.ArgumentParser, with_group=True, with_order=False):
                    help="enumeration cap (default 10^6)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that keeps in ``flags``, by flag, the action that
+    each ``add_argument`` call after ``__init__`` (which adds help) returns."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.flags: Dict[str, argparse.Action] = {}
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        getattr(self, "flags", {}).update(dict.fromkeys(action.option_strings, action))
+        return action
+
+
 @functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, and building it costs more than most queries."""
-    parser = argparse.ArgumentParser(
+    was, and building it costs more than most queries.  Its ``commands``, the
+    parser of each command, and their ``flags`` are the table of :func:`read_argv`."""
+    parser = _Parser(
         prog="parahoric",
         description="Local types of equivariant torsors and twisted parahoric "
                     "group schemes, in exact arithmetic.",
@@ -1019,12 +1034,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config file")
     p.set_defaults(func=cmd_global)
 
+    parser.commands = sub.choices
     return parser
 
 
+def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """``build_parser().parse_args(argv)`` read in one pass when ``argv`` is a
+    command and flags spelled out in full, ``--flag value`` (the value starting
+    with no dash) or ``--flag=value`` (the value not ``--``), each value passing
+    its flag's type and choices, and no required flag missing; else None, and
+    argparse, the one writer of usage, help and error text, reads it."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    parser = build_parser().commands.get(command)
+    if parser is None:
+        return None
+    given = {}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = parser.flags.get(flag)
+        value = value if eq else next(tokens, "--")  # argparse 3.11 reads `--flag=--` as []
+        if action is None or value == "--" or not eq and value.startswith("-"):
+            return None
+        try:
+            value = (action.type or str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    actions = dict.fromkeys(parser.flags.values())
+    if any(action.required and action not in given for action in actions):
+        return None
+    return argparse.Namespace(command=command, func=parser.get_default("func"),
+                              **{a.dest: given.get(a, a.default) for a in actions})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv) or build_parser().parse_args(argv)
     args.product_cap = min(args.cap, DEFAULT_PRODUCT_CAP)
     try:
         if args.cap < 1:

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -47,15 +48,10 @@ def mat_shape(M: IntMatrix) -> Tuple[int, int]:
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca != rb:
+    if mat_shape(A)[1] != len(B):
         raise ValueError("dimension mismatch in mat_mul")
-    Bt = tuple(zip(*B)) if B else ()
-    return tuple(
-        tuple(sum(A[i][k] * Bt[j][k] for k in range(ca)) for j in range(cb))
-        for i in range(ra)
-    )
+    columns = tuple(zip(*B))
+    return tuple([tuple([sum(map(mul, row, column)) for column in columns]) for row in A])
 
 
 def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
