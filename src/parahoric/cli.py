@@ -953,121 +953,109 @@ def cmd_global(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line: one table, read by argparse and by `read_argv`
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, with_group=True, with_order=False):
-    if with_group:
-        p.add_argument("--group", required=True,
-                       help="Cartan label (A..G), optionally with the rank, e.g. A1")
-        p.add_argument("--rank", type=int, help="rank when --group is a bare letter")
-    if with_order:
-        p.add_argument("--order", type=int, required=True,
-                       help="order e of the cyclic group")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration cap (default 10^6)")
+# the help, function and flags (flag -> add_argument keywords, in help order) of a command
+Command = NamedTuple("Command", [("help", str), ("func", Callable[[argparse.Namespace], int]),
+                                 ("flags", Dict[str, dict])])
+_GROUP = {"--group": dict(required=True,
+                          help="Cartan label (A..G), optionally with the rank, e.g. A1"),
+          "--rank": dict(type=int, help="rank when --group is a bare letter")}
+_ORDER = {"--order": dict(type=int, required=True, help="order e of the cyclic group")}
+_OUTPUT = {"--format": dict(choices=("text", "json"), default="text"),
+           "--cap": dict(type=int, default=DEFAULT_CAP, help="enumeration cap (default 10^6)")}
+_ACTION = {"--action": dict(default="trivial",
+                            choices=("trivial", "diagram", "sl-J", "sl-Jprime"))}
+COMMANDS = {
+    "types": Command("H1 classes and local type count", cmd_types, {
+        **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
+        "--perm": dict(help="diagram permutation, 1-indexed, e.g. 3,2,1"),
+        "--point": dict(help="base point as comma-separated root values")}),
+    "twist": Command("alcove point and facet of each twisted type", cmd_twist, {
+        **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
+        "--point": dict(help="base point as comma-separated root values"),
+        "--class": dict(dest="class_index", type=int,
+                        help="index of a single H1 class to twist by")}),
+    "split-degree": Command("minimal splitting degree of a point", cmd_split_degree, {
+        **_GROUP, **_OUTPUT,
+        "--point": dict(required=True, help="point as comma-separated root values"),
+        "--char": dict(type=int, default=0,
+                       help="residue characteristic (0 or a prime) to test tameness against")}),
+    "orbit": Command("apartment orbit representatives at level e", cmd_orbit, {
+        **_GROUP, **_ORDER, **_OUTPUT,
+        "--point": dict(help="point as comma-separated root values")}),
+    "data": Command("mark primes and excluded characteristics", cmd_data, {**_GROUP, **_OUTPUT}),
+    "global": Command("product of local type sets over a config", cmd_global, {
+        **_OUTPUT, "--config": dict(required=True, help="JSON config file")}),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that keeps in ``flags``, by flag, the action that
-    each ``add_argument`` call after ``__init__`` (which adds help) returns."""
+class _Store(argparse.Action):
+    """argparse's store of one value, which refuses a flag joined to ``--``
+    (``--group=--``) as argparse refuses a flag with no value: Python 3.11
+    reads that value as an empty list, and a later argparse may read it as
+    ``--``, which no flag takes."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.flags: Dict[str, argparse.Action] = {}
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        getattr(self, "flags", {}).update(dict.fromkeys(action.option_strings, action))
-        return action
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values in ([], "--"):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
 
 
 @functools.lru_cache(maxsize=1)
-def build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it as it
-    was, and building it costs more than most queries.  Its ``commands``, the
-    parser of each command, and their ``flags`` are the table of :func:`read_argv`."""
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of :data:`COMMANDS`, built once per process, and
+    only for what :func:`read_argv` declines: it is the one writer of usage,
+    help and error text, and building it costs more than most queries."""
+    parser = argparse.ArgumentParser(
         prog="parahoric",
         description="Local types of equivariant torsors and twisted parahoric "
                     "group schemes, in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("types", help="H1 classes and local type count")
-    _add_common(p, with_order=True)
-    p.add_argument("--action", default="trivial",
-                   choices=("trivial", "diagram", "sl-J", "sl-Jprime"))
-    p.add_argument("--perm", help="diagram permutation, 1-indexed, e.g. 3,2,1")
-    p.add_argument("--point", help="base point as comma-separated root values")
-    p.set_defaults(func=cmd_types)
-
-    p = sub.add_parser("twist", help="alcove point and facet of each twisted type")
-    _add_common(p, with_order=True)
-    p.add_argument("--action", default="trivial",
-                   choices=("trivial", "diagram", "sl-J", "sl-Jprime"))
-    p.add_argument("--point", help="base point as comma-separated root values")
-    p.add_argument("--class", dest="class_index", type=int, default=None,
-                   help="index of a single H1 class to twist by")
-    p.set_defaults(func=cmd_twist)
-
-    p = sub.add_parser("split-degree", help="minimal splitting degree of a point")
-    _add_common(p)
-    p.add_argument("--point", required=True,
-                   help="point as comma-separated root values")
-    p.add_argument("--char", type=int, default=0,
-                   help="residue characteristic (0 or a prime) to test tameness against")
-    p.set_defaults(func=cmd_split_degree)
-
-    p = sub.add_parser("orbit", help="apartment orbit representatives at level e")
-    _add_common(p, with_order=True)
-    p.add_argument("--point", help="point as comma-separated root values")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("data", help="mark primes and excluded characteristics")
-    _add_common(p)
-    p.set_defaults(func=cmd_data)
-
-    p = sub.add_parser("global", help="product of local type sets over a config")
-    _add_common(p, with_group=False)
-    p.add_argument("--config", required=True, help="JSON config file")
-    p.set_defaults(func=cmd_global)
-
-    parser.commands = sub.choices
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.flags.items():
+            p.add_argument(flag, action=_Store, **keywords)
+        p.set_defaults(func=command.func)
     return parser
 
 
 def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """``build_parser().parse_args(argv)`` read in one pass when ``argv`` is a
-    command and flags spelled out in full, ``--flag value`` (the value starting
-    with no dash) or ``--flag=value`` (the value not ``--``), each value passing
-    its flag's type and choices, and no required flag missing; else None, and
-    argparse, the one writer of usage, help and error text, reads it."""
+    """``build_parser().parse_args(argv)``, read off :data:`COMMANDS` in one
+    pass without building a parser, when ``argv`` is a command and flags
+    spelled out in full, ``--flag value`` (the value starting with no dash)
+    or ``--flag=value`` (the value not ``--``), each value passing its
+    flag's ``type`` and ``choices``, and no ``required`` flag missing; a
+    flag given twice keeps its last value, an absent one its ``default``,
+    under its ``dest`` (else the flag without its dashes).  Else None, and
+    argparse reads ``argv``."""
     tokens = iter(argv)
-    command = next(tokens, None)
-    parser = build_parser().commands.get(command)
-    if parser is None:
+    name = next(tokens, None)
+    command = COMMANDS.get(name)
+    if command is None:
         return None
+    flags = command.flags
     given = {}
     for token in tokens:
         flag, eq, value = token.partition("=")
-        action = parser.flags.get(flag)
-        value = value if eq else next(tokens, "--")  # argparse 3.11 reads `--flag=--` as []
-        if action is None or value == "--" or not eq and value.startswith("-"):
+        keywords = flags.get(flag)
+        value = value if eq else next(tokens, "--")
+        if keywords is None or value == "--" or not eq and value.startswith("-"):
             return None
         try:
-            value = (action.type or str)(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = keywords.get("type", str)(value)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if value not in keywords.get("choices", (value,)):
             return None
-        given[action] = value
-    actions = dict.fromkeys(parser.flags.values())
-    if any(action.required and action not in given for action in actions):
+        given[flag] = value
+    if any(k.get("required") and flag not in given for flag, k in flags.items()):
         return None
-    return argparse.Namespace(command=command, func=parser.get_default("func"),
-                              **{a.dest: given.get(a, a.default) for a in actions})
+    return argparse.Namespace(command=name, func=command.func,
+                              **{k.get("dest", flag[2:]): given.get(flag, k.get("default"))
+                                 for flag, k in flags.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
