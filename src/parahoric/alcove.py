@@ -107,12 +107,9 @@ def fold_numerators(
         raise EnumerationCapError(
             f"alcove reduction of {_count_text(count)} reflections exceeds cap {cap}")
     r = datum.rank
-    cartan = datum.cartan
     marks = datum.marks
-    # the nonzero entries c_ji of column i, for the update of V under s_i
-    columns = [[(j, cartan[j][i]) for j in range(r) if cartan[j][i]] for i in range(r)]
+    columns, theta_values = datum.reflection_updates
     theta_coroot = datum.theta_coroot
-    theta_values = [sum(c * t for c, t in zip(row, theta_coroot)) for row in cartan]
     word: List[int] = []
     for _ in range(count + 1):
         for i, v in enumerate(values):
@@ -363,6 +360,11 @@ def require_characteristic(p: int) -> None:
 
 @dataclass(frozen=True)
 class VertexPrimeData:
+    """What :func:`vertex_prime_data` reads off one simple type: the primes
+    of its marks, the quoted orders of its affine and twisted affine
+    diagram automorphisms (None off type A), and the residue
+    characteristics a tame torsor excludes."""
+
     label: str
     rank: int
     mark_primes: FrozenSet[int]

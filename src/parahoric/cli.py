@@ -170,7 +170,8 @@ def json_text(value, newline: str = "\n") -> str:
 
 
 def emit(report: dict, fmt: str, render: Callable[[dict], List[str]]) -> None:
-    """Print the report as JSON, or as the text lines ``render`` makes of it."""
+    """Print the report as JSON, or as the text lines ``render`` makes of it;
+    called by :func:`main` only, once per report."""
     print(json_text(report) if fmt == "json" else "\n".join(render(report)))
 
 
@@ -383,7 +384,7 @@ def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
         label, r = g[0].upper(), int(g[1:])
         if rank is not None and rank != r:
             raise UsageError(f"--group {group} conflicts with --rank {rank}")
-    elif len(g) > 1:
+    elif len(g) != 1:
         raise UsageError(f"--group {group!r} is not a letter followed by a decimal rank")
     elif rank is None:
         raise UsageError("--rank is required when --group is a bare letter")
@@ -569,8 +570,6 @@ def compute_types(
         class_strings = [[values[a] for a in digits(k)] for k in range(len(reps))]
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "types",
         **_point_entries(label, rank, order, action_kind, perm, keys),
         "torus_h1": {
             "order": classes.structure.order,
@@ -704,28 +703,25 @@ def global_text(report: dict) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the body of its report, which `main` writes; a
+# command with --group reads its label and rank off `args.label`, `args.rank`
 # ---------------------------------------------------------------------------
 
-def cmd_types(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
+def cmd_types(args) -> dict:
     point = parse_point(args.point) if args.point is not None else None
     perm = parse_perm(args.perm) if args.perm is not None else None
-    report = compute_types(
-        label, rank, args.order, args.action, perm=perm, point=point, cap=args.cap
-    )
-    emit(report, args.format, types_text)
-    return EXIT_OK
+    return compute_types(args.label, args.rank, args.order, args.action, perm=perm,
+                         point=point, cap=args.cap)
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> dict:
     """Each row folds b + t once, on the integer numerators of
     :func:`fold_type` over D = lcm(den b, e), the same D for every row, for
     the digits of its class, read by divmod from its index; the facet and
     the strings of the root values V / D and the coroot coordinates X / D
     are read off that fold, each distinct string made once per report.
     The rows are :class:`TwistRows`, written in JSON by one format each."""
-    label, rank = parse_group(args.group, args.rank)
+    label, rank = args.label, args.rank
     if args.action != "trivial":
         raise UsageError("twist is only defined for trivial (split) actions")
     point = parse_point(args.point) if args.point is not None else None
@@ -761,32 +757,21 @@ def cmd_twist(args) -> int:
     else:
         rows = TwistRows(dict(twist_row(start), type_index=i) for i, (start, _) in enumerate(keys))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "twist",
-        "group": {"label": label, "rank": rank},
+    return {
         "order": args.order,
         "base_point": {"root_values": vec_str(point_or_default(point, rank, args.order))},
         "twists": rows,
         "type_count": len(keys),
     }
-    emit(report, args.format, twist_text)
-    return EXIT_OK
 
 
-def cmd_split_degree(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
-    if not args.point:
-        raise UsageError("--point is required for split-degree")
-    point = parse_point(args.point, rank)
-    datum = build_root_datum(label, rank, args.cap)
+def cmd_split_degree(args) -> dict:
+    point = parse_point(args.point, args.rank)
+    datum = build_root_datum(args.label, args.rank, args.cap)
     x = point_from_root_values(datum, point)
     degree, tame = min_split_degree(datum, x, args.char)
-    data = vertex_prime_data(label, rank, args.cap)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "split-degree",
-        "group": {"label": label, "rank": rank},
+    data = vertex_prime_data(args.label, args.rank, args.cap)
+    return {
         "point_root_values": vec_str(point),
         "degree": degree,
         "characteristic": args.char,
@@ -794,45 +779,31 @@ def cmd_split_degree(args) -> int:
         "mark_primes": sorted(data.mark_primes),
         "excluded_characteristics": sorted(data.excluded_characteristics),
     }
-    emit(report, args.format, split_degree_text)
-    return EXIT_OK
 
 
-def cmd_orbit(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
-    point = parse_point(args.point, rank) if args.point is not None else None
+def cmd_orbit(args) -> dict:
+    point = parse_point(args.point, args.rank) if args.point is not None else None
     require_order(args.order)  # a bad point, a bad order, then the cap
-    datum = build_root_datum(label, rank, args.cap)
-    point = point_or_default(point, rank, args.order)
+    datum = build_root_datum(args.label, args.rank, args.cap)
+    point = point_or_default(point, args.rank, args.order)
     a = point_from_root_values(datum, point)
     reps = apartment_orbit_types(datum, a, args.order, cap=args.cap)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orbit",
-        "group": {"label": label, "rank": rank},
+    return {
         "order": args.order,
         "point_root_values": vec_str(point),
         "representatives": [vec_str(simple_root_values(datum, r)) for r in reps],
         "count": len(reps),
     }
-    emit(report, args.format, orbit_text)
-    return EXIT_OK
 
 
-def cmd_data(args) -> int:
-    label, rank = parse_group(args.group, args.rank)
-    data = vertex_prime_data(label, rank, args.cap)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "data",
-        "group": {"label": label, "rank": rank},
+def cmd_data(args) -> dict:
+    data = vertex_prime_data(args.label, args.rank, args.cap)
+    return {
         "mark_primes": sorted(data.mark_primes),
         "affine_aut_order": data.affine_aut_order,
         "twisted_affine_aut_order": data.twisted_affine_aut_order,
         "excluded_characteristics": sorted(data.excluded_characteristics),
     }
-    emit(report, args.format, data_text)
-    return EXIT_OK
 
 
 def _config_integer(value, field: str) -> int:
@@ -901,9 +872,10 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
     return dict(_point_entries(label, rank, order, kind, perm, keys), types=types)
 
 
-def cmd_global(args) -> int:
+def cmd_global(args) -> dict:
     """The entries of each branch point, pi0 and, up to the product cap, the
-    tuples of type indices as :class:`Tuples`; past the cap exit 3, tuples null."""
+    tuples of type indices as :class:`Tuples`; past the cap the tuples are
+    null, and :func:`main` exits 3 after writing the report."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -936,28 +908,22 @@ def cmd_global(args) -> int:
 
     counts = [range(bp["type_count"]) for bp in branch_points]
     pi0 = math.prod(map(len, counts))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "global",
-        "branch_points": branch_points,
-        "pi0": pi0,
-    }
-    capped = pi0 > args.product_cap
-    if not capped:
-        report["tuples"] = Tuples(itertools.product(*counts))
-    else:
-        report.update(tuples=None,
-                      tuples_omitted=f"product {pi0} exceeds the output cap {args.product_cap}")
-    emit(report, args.format, global_text)
-    return EXIT_CAP if capped else EXIT_OK
+    product_cap = min(args.cap, DEFAULT_PRODUCT_CAP)
+    if pi0 <= product_cap:
+        return {"branch_points": branch_points, "pi0": pi0,
+                "tuples": Tuples(itertools.product(*counts))}
+    return {"branch_points": branch_points, "pi0": pi0, "tuples": None,
+            "tuples_omitted": f"product {pi0} exceeds the output cap {product_cap}"}
 
 
 # ---------------------------------------------------------------------------
 # the command line: one table, read by argparse and by `read_argv`
 # ---------------------------------------------------------------------------
 
-# the help, function and flags (flag -> add_argument keywords, in help order) of a command
-Command = NamedTuple("Command", [("help", str), ("func", Callable[[argparse.Namespace], int]),
+# the help, function (argv namespace -> report body), text renderer and flags
+# (flag -> add_argument keywords, in help order) of a command
+Command = NamedTuple("Command", [("help", str), ("func", Callable[[argparse.Namespace], dict]),
+                                 ("render", Callable[[dict], List[str]]),
                                  ("flags", Dict[str, dict])])
 _GROUP = {"--group": dict(required=True,
                           help="Cartan label (A..G), optionally with the rank, e.g. A1"),
@@ -967,26 +933,31 @@ _OUTPUT = {"--format": dict(choices=("text", "json"), default="text"),
            "--cap": dict(type=int, default=DEFAULT_CAP, help="enumeration cap (default 10^6)")}
 _ACTION = {"--action": dict(default="trivial",
                             choices=("trivial", "diagram", "sl-J", "sl-Jprime"))}
+# The one grammar and dispatch of the command line: `build_parser` and
+# `read_argv` read the flags, and `main` runs the function and writes its
+# report, in JSON or by the renderer.
 COMMANDS = {
-    "types": Command("H1 classes and local type count", cmd_types, {
+    "types": Command("H1 classes and local type count", cmd_types, types_text, {
         **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
         "--perm": dict(help="diagram permutation, 1-indexed, e.g. 3,2,1"),
         "--point": dict(help="base point as comma-separated root values")}),
-    "twist": Command("alcove point and facet of each twisted type", cmd_twist, {
+    "twist": Command("alcove point and facet of each twisted type", cmd_twist, twist_text, {
         **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
         "--point": dict(help="base point as comma-separated root values"),
         "--class": dict(dest="class_index", type=int,
                         help="index of a single H1 class to twist by")}),
-    "split-degree": Command("minimal splitting degree of a point", cmd_split_degree, {
+    "split-degree": Command("minimal splitting degree of a point", cmd_split_degree,
+                            split_degree_text, {
         **_GROUP, **_OUTPUT,
         "--point": dict(required=True, help="point as comma-separated root values"),
         "--char": dict(type=int, default=0,
                        help="residue characteristic (0 or a prime) to test tameness against")}),
-    "orbit": Command("apartment orbit representatives at level e", cmd_orbit, {
+    "orbit": Command("apartment orbit representatives at level e", cmd_orbit, orbit_text, {
         **_GROUP, **_ORDER, **_OUTPUT,
         "--point": dict(help="point as comma-separated root values")}),
-    "data": Command("mark primes and excluded characteristics", cmd_data, {**_GROUP, **_OUTPUT}),
-    "global": Command("product of local type sets over a config", cmd_global, {
+    "data": Command("mark primes and excluded characteristics", cmd_data, data_text,
+                    {**_GROUP, **_OUTPUT}),
+    "global": Command("product of local type sets over a config", cmd_global, global_text, {
         **_OUTPUT, "--config": dict(required=True, help="JSON config file")}),
 }
 
@@ -1018,7 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for flag, keywords in command.flags.items():
             p.add_argument(flag, action=_Store, **keywords)
-        p.set_defaults(func=command.func)
     return parser
 
 
@@ -1053,21 +1023,32 @@ def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         given[flag] = value
     if any(k.get("required") and flag not in given for flag, k in flags.items()):
         return None
-    return argparse.Namespace(command=name, func=command.func,
-                              **{k.get("dest", flag[2:]): given.get(flag, k.get("default"))
-                                 for flag, k in flags.items()})
+    return argparse.Namespace(command=name, **{
+        k.get("dest", flag[2:]): given.get(flag, k.get("default")) for flag, k in flags.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line and return its exit code.  The one writer of a
+    report: a command that takes ``--group`` gets its label and rank as
+    ``args.label`` and ``args.rank`` (:func:`parse_group`), and the body its
+    function returns follows the ``schema_version``, ``command`` and
+    ``group`` header in one :func:`emit`, by the command's renderer.  Exit 3
+    follows a written report whose ``tuples`` are null (a ``global`` product
+    past its cap); every refusal writes nothing to stdout."""
     argv = sys.argv[1:] if argv is None else argv
     args = read_argv(argv) or build_parser().parse_args(argv)
-    args.product_cap = min(args.cap, DEFAULT_PRODUCT_CAP)
+    command = COMMANDS[args.command]
     try:
         if args.cap < 1:
             raise UsageError("--cap must be a positive integer")
-        code = args.func(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        if "--group" in command.flags:
+            args.label, args.rank = parse_group(args.group, args.rank)
+            report["group"] = {"label": args.label, "rank": args.rank}
+        report.update(command.func(args))
+        emit(report, args.format, command.render)
         sys.stdout.flush()
-        return code
+        return EXIT_CAP if report.get("tuples", ()) is None else EXIT_OK
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so that the
         # flush at exit does not fail again (the SIGPIPE note of the Python

@@ -185,6 +185,9 @@ class H1Classes:
 
 @dataclass(frozen=True)
 class LocalType:
+    """One local type: the least H^1 class of its orbit, the size of that
+    orbit, and its place in the list of types, the neutral type 0."""
+
     orbit_representative: QZVector
     orbit_size: int
     index: int

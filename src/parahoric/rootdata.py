@@ -204,6 +204,16 @@ class RootDatum:
         """The coroot of the highest root, the last positive root."""
         return self.positive_coroots[-1]
 
+    @cached_property
+    def reflection_updates(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], IntVector]:
+        """What each wall reflection subtracts from the root values: per
+        simple wall i the nonzero (j, c_ji) of column i of C, and for the
+        theta-wall <alpha_j, theta^v> per j, the values of the theta-coroot."""
+        r, cartan = self.rank, self.cartan
+        columns = tuple(tuple((j, cartan[j][i]) for j in range(r) if cartan[j][i])
+                        for i in range(r))
+        return columns, tuple(sum(map(mul, row, self.theta_coroot)) for row in cartan)
+
 
 def build_root_datum(label: str, rank: int, cap: int = DEFAULT_CAP) -> RootDatum:
     """The root datum of a simple type, built once per (label, rank) and

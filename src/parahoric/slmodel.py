@@ -360,6 +360,11 @@ def gram_unit_part(g: GramMonomial) -> Optional[MonomialMatrix]:
 
 @dataclass(frozen=True)
 class SUVertexReport:
+    """The types at a special vertex of ramified SU_n
+    (:func:`su_special_vertex_types`): the canonical case, the involution
+    on SL_n it reduces to ("J" or "J-prime"), |H^1| of the torus, the
+    number of types and why the reduction holds."""
+
     n: int
     case: str
     involution_kind: str

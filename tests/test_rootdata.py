@@ -306,6 +306,21 @@ def test_cartan_inverse_and_theta_coroot_are_kept_per_datum():
         assert weyl_order(datum, cap=ORDER_CAP) == WEYL_ORDERS[(label, rank)]
 
 
+def test_reflection_updates_are_the_per_fold_tables_kept_per_datum():
+    # the two tables the alcove fold once built on every call: the nonzero
+    # c_ji of each column, and <alpha_j, theta^v> per j
+    for label, rank in rank_range(8):
+        datum = build_root_datum(label, rank)
+        cartan = datum.cartan
+        columns = [[(j, cartan[j][i]) for j in range(rank) if cartan[j][i]]
+                   for i in range(rank)]
+        theta_values = [sum(c * t for c, t in zip(row, datum.theta_coroot)) for row in cartan]
+        got_columns, got_theta_values = datum.reflection_updates
+        assert [list(column) for column in got_columns] == columns
+        assert list(got_theta_values) == theta_values
+        assert datum.reflection_updates is datum.reflection_updates
+
+
 def test_weyl_cap():
     with pytest.raises(EnumerationCapError):
         weyl_order(build_root_datum("A", 4), cap=100)
