@@ -25,7 +25,7 @@ for n in range(3, 8):
     if n % 2 == 0:
         specs.append(variant_involution(n))
     for spec in specs:
-        h1 = sl_torus_h1(n, spec)
+        h1 = sl_torus_h1(n)
         print(f"  n = {n}, {spec.kind:7s}: order {h1.structure.order}, "
               f"classes {[list(map(str, r)) for r in h1.representatives]}")
 
@@ -47,7 +47,7 @@ for n, spec_builder in [(5, standard_involution), (4, standard_involution),
                         (4, variant_involution), (6, standard_involution),
                         (6, variant_involution)]:
     spec = spec_builder(n)
-    types = sl_local_types(n, spec)
+    types = sl_local_types(n, spec.kind)
     print(f"  n = {n}, {spec.kind:7s}: {len(types)} type(s), "
           f"orbit sizes {[t.orbit_size for t in types]}")
 

@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Subcommands: ``types``, ``twist``, ``split-degree``, ``orbit``, ``data``,
-``global``.  Output is deterministic text (default) or JSON
-(``--format json``); rationals serialize as "num/den" strings so no float
-ever appears.  Exit codes: 0 success, 2 usage or validation error, 3
-enumeration cap exceeded.  ``--cap`` overrides the default enumeration
-cap and must be a positive integer.
+Subcommands: ``types``, ``twist`` (trivial actions only), ``split-degree``,
+``orbit``, ``data``, ``global``; ``--group`` is a letter and a decimal rank
+(``A1``).  Output is deterministic text (default) or JSON (``--format
+json``), rationals as "num/den" strings, never floats.  Exit codes: 0
+success, 2 usage or validation error (an unknown ``global`` config key
+among them), 3 enumeration cap exceeded; ``--cap`` must be positive.
 
 Points are given and reported by their simple-root values
 ``<alpha_1, x>, ..., <alpha_r, x>``; for the rank-one worked example this is
@@ -376,22 +376,15 @@ class Tuples(list):
 # group spec handling
 # ---------------------------------------------------------------------------
 
-def parse_group(group: str, rank: Optional[int]) -> Tuple[str, int]:
-    """The label and rank of ``--group``, a letter and a decimal rank or
-    none (then ``--rank``), checked by :func:`positive_root_count`."""
+def parse_group(group: str) -> Tuple[str, int]:
+    """The label and rank of ``--group``, a letter and a decimal rank,
+    checked by :func:`positive_root_count`."""
     g = group.strip()
-    if g[1:].isdecimal():
-        label, r = g[0].upper(), int(g[1:])
-        if rank is not None and rank != r:
-            raise UsageError(f"--group {group} conflicts with --rank {rank}")
-    elif len(g) != 1:
+    if not g[1:].isdecimal():
         raise UsageError(f"--group {group!r} is not a letter followed by a decimal rank")
-    elif rank is None:
-        raise UsageError("--rank is required when --group is a bare letter")
-    else:
-        label, r = g.upper(), rank
-    positive_root_count(label, r)
-    return label, r
+    label, rank = g[0].upper(), int(g[1:])
+    positive_root_count(label, rank)
+    return label, rank
 
 
 def parse_perm(s: str) -> Tuple[int, ...]:
@@ -472,8 +465,9 @@ def types_parts(
     action needs a point of rank entries, and checks the grid cap and grid
     before it builds the datum, and that before it makes the default point,
     so no work grows with the rank before a cap; an SL involution needs
-    type A and order 2; a diagram action (base 0) a permutation of the nodes
-    whose order divides the order (after the root closure cap), and H^1 = 0."""
+    type A and order 2; a diagram action (base 0) a diagram symmetry of the
+    nodes whose order divides the order (after the root closure cap), and
+    H^1 = 0."""
     require_order(order, names)
     if point is not None and action_kind != "trivial":
         raise UsageError(f"{names.point} applies only to trivial actions")
@@ -503,7 +497,10 @@ def types_parts(
         if len(perm) != rank or sorted(perm) != list(range(rank)):
             raise UsageError(f"{names.perm} is not a permutation of the nodes")
         datum = build_root_datum(label, rank, cap)
-        aut = diagram_automorphism(datum, perm)
+        try:
+            aut = diagram_automorphism(datum, perm)
+        except ValueError as exc:
+            raise UsageError(f"{names.perm} is not a Dynkin-diagram symmetry") from exc
         if order % aut.order != 0:
             raise UsageError(f"{names.perm} has order {aut.order}, which must divide "
                              f"the {names.order} {order}")
@@ -721,12 +718,9 @@ def cmd_twist(args) -> dict:
     the strings of the root values V / D and the coroot coordinates X / D
     are read off that fold, each distinct string made once per report.
     The rows are :class:`TwistRows`, written in JSON by one format each."""
-    label, rank = args.label, args.rank
-    if args.action != "trivial":
-        raise UsageError("twist is only defined for trivial (split) actions")
     point = parse_point(args.point) if args.point is not None else None
     datum, _, base, classes, keys, _ = types_parts(
-        label, rank, args.order, "trivial", point=point, cap=args.cap)
+        args.label, args.rank, args.order, "trivial", point=point, cap=args.cap)
     base_numerators = common_numerators(base)
     node = TableStrings(args.order).values  # the values j/e of every node
     texts: Dict[int, str] = {}  # a -> the string of a / D, for the one D of every row
@@ -759,7 +753,7 @@ def cmd_twist(args) -> dict:
 
     return {
         "order": args.order,
-        "base_point": {"root_values": vec_str(point_or_default(point, rank, args.order))},
+        "base_point": {"root_values": vec_str(point_or_default(point, args.rank, args.order))},
         "twists": rows,
         "type_count": len(keys),
     }
@@ -806,6 +800,13 @@ def cmd_data(args) -> dict:
     }
 
 
+def _known_keys(obj: dict, keys: Sequence[str], holder: str) -> None:
+    """Refuse the first key of the config object ``holder`` not in ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise UsageError(f"unknown key {key!r} in {holder}")
+
+
 def _config_integer(value, field: str) -> int:
     """A JSON integer of a config (``true`` and ``false`` are none), else a
     usage error naming the field."""
@@ -827,7 +828,7 @@ def _config_rational(value) -> str:
 def _branch_point_types(bp: dict, cap: int) -> dict:
     """The ``global`` entry of one branch point: those of :func:`_point_entries`
     and ``types``, the type representatives as a ``types`` report writes them.
-    The JSON shape of its fields is checked here, and the label and rank
+    The keys and JSON shape of its fields are checked here, and the label and rank
     before the permutation and point are read, as for the ``types`` flags;
     :func:`types_parts` checks the rest."""
     try:
@@ -835,6 +836,7 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
         label, rank, order = group["label"], group["rank"], bp["order"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed branch point {bp!r}") from exc
+    _known_keys(group, ("label", "rank"), "branch point 'group'")
     if not isinstance(label, str):
         raise UsageError(f"branch point label must be a string, not {label!r}")
     label = label.upper()
@@ -843,6 +845,7 @@ def _branch_point_types(bp: dict, cap: int) -> dict:
     action = bp.get("action", {"kind": "trivial"})
     if not isinstance(action, dict):
         raise UsageError(f"branch point action must be an object, not {action!r}")
+    _known_keys(action, ("kind", "variant", "permutation"), "branch point 'action'")
     kind = action.get("kind", "trivial")
     perm = point = None
     if kind == "sl-involution":
@@ -890,12 +893,14 @@ def cmd_global(args) -> dict:
     points = config["branch_points"]
     if not isinstance(points, list):
         raise UsageError("branch_points must be a list")
+    _known_keys(config, ("schema_version", "branch_points"), "the config")
 
     branch_points = []
     names = set()
     for i, bp in enumerate(points):
         if not isinstance(bp, dict):
             raise UsageError(f"branch point {i} is not an object: {bp!r}")
+        _known_keys(bp, ("name", "group", "order", "action", "point"), f"branch point {i}")
         name = bp.get("name", f"x{i}")
         if not isinstance(name, str):
             raise UsageError(f"branch point name must be a string, not {name!r}")
@@ -925,24 +930,21 @@ def cmd_global(args) -> dict:
 Command = NamedTuple("Command", [("help", str), ("func", Callable[[argparse.Namespace], dict]),
                                  ("render", Callable[[dict], List[str]]),
                                  ("flags", Dict[str, dict])])
-_GROUP = {"--group": dict(required=True,
-                          help="Cartan label (A..G), optionally with the rank, e.g. A1"),
-          "--rank": dict(type=int, help="rank when --group is a bare letter")}
+_GROUP = {"--group": dict(required=True, help="Cartan label (A..G) and rank, e.g. A1")}
 _ORDER = {"--order": dict(type=int, required=True, help="order e of the cyclic group")}
 _OUTPUT = {"--format": dict(choices=("text", "json"), default="text"),
            "--cap": dict(type=int, default=DEFAULT_CAP, help="enumeration cap (default 10^6)")}
-_ACTION = {"--action": dict(default="trivial",
-                            choices=("trivial", "diagram", "sl-J", "sl-Jprime"))}
 # The one grammar and dispatch of the command line: `build_parser` and
 # `read_argv` read the flags, and `main` runs the function and writes its
 # report, in JSON or by the renderer.
 COMMANDS = {
     "types": Command("H1 classes and local type count", cmd_types, types_text, {
-        **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
+        **_GROUP, **_ORDER, **_OUTPUT,
+        "--action": dict(default="trivial", choices=("trivial", "diagram", "sl-J", "sl-Jprime")),
         "--perm": dict(help="diagram permutation, 1-indexed, e.g. 3,2,1"),
         "--point": dict(help="base point as comma-separated root values")}),
     "twist": Command("alcove point and facet of each twisted type", cmd_twist, twist_text, {
-        **_GROUP, **_ORDER, **_OUTPUT, **_ACTION,
+        **_GROUP, **_ORDER, **_OUTPUT,
         "--point": dict(help="base point as comma-separated root values"),
         "--class": dict(dest="class_index", type=int,
                         help="index of a single H1 class to twist by")}),
@@ -1043,7 +1045,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("--cap must be a positive integer")
         report = {"schema_version": SCHEMA_VERSION, "command": args.command}
         if "--group" in command.flags:
-            args.label, args.rank = parse_group(args.group, args.rank)
+            args.label, args.rank = parse_group(args.group)
             report["group"] = {"label": args.label, "rank": args.rank}
         report.update(command.func(args))
         emit(report, args.format, command.render)

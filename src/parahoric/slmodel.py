@@ -137,7 +137,8 @@ def mm_transpose(m: MonomialMatrix) -> MonomialMatrix:
 
 @dataclass(frozen=True)
 class InvolutionSpec:
-    """gamma(A) = J^-1 (A^t)^-1 J for a fixed monomial J."""
+    """gamma(A) = J^-1 (A^t)^-1 J for a fixed monomial J, in the monomial
+    calculus only: the lattice calls take the ``kind`` ("J" or "J-prime")."""
 
     J: MonomialMatrix
     kind: str
@@ -282,29 +283,25 @@ def sl_involution(n: int, kind: str) -> Tuple[RootDatum, GammaAction, Tuple[Frac
     return (*_sl_flip(n), _sl_base(n, kind))
 
 
-def sl_torus_h1(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> H1Classes:
-    """H^1(Gamma, T(k)) as sum-zero diagonal vectors.
+def sl_torus_h1(n: int, cap: int = DEFAULT_CAP) -> H1Classes:
+    """H^1(Gamma, T(k)) as sum-zero diagonal vectors, the same for J and J'.
 
     The classes are those of :func:`h1_elements` on the flip of the coroot
     lattice, :func:`_sl_flip` (which checks the element model against the
     structural one, and refuses more than ``cap`` classes), written as
     diagonals by :func:`sl_diagonal`.
     """
-    datum, action = _sl_flip(n)
-    if spec.n != n:
-        raise ValueError("size mismatch")
-    classes = h1_elements(datum, action, cap=cap)
+    classes = h1_elements(*_sl_flip(n), cap=cap)
     return H1Classes(classes.structure, tuple(map(sl_diagonal, classes.representatives)))
 
 
-def sl_local_types(n: int, spec: InvolutionSpec, cap: int = DEFAULT_CAP) -> List[LocalType]:
-    """Orbits of H^1(Gamma, T) under W^gamma, neutral type first, with
-    sum-zero diagonal representatives: :func:`local_types` on the flip with
-    the base point of the involution (:func:`sl_involution`), whose n // 2
-    generators w_J each get the twist w_J(b) - b."""
-    if spec.n != n:
-        raise ValueError("size mismatch")
-    datum, action, base = sl_involution(n, spec.kind)
+def sl_local_types(n: int, kind: str, cap: int = DEFAULT_CAP) -> List[LocalType]:
+    """Orbits of H^1(Gamma, T) under W^gamma for the involution ``kind``
+    ("J" or "J-prime"), neutral type first, with sum-zero diagonal
+    representatives: :func:`local_types` on the flip with the base point of
+    the involution (:func:`sl_involution`, which refuses a bad ``kind`` or
+    size), whose n // 2 generators w_J each get the twist w_J(b) - b."""
+    datum, action, base = sl_involution(n, kind)
     return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
             for t in local_types(datum, action, base=base, cap=cap)]
 

@@ -78,13 +78,12 @@ def test_criterion_1_sl2_type_counts(capsys):
 
 def test_criterion_2_sln_involutions():
     for n in (3, 5, 7):
-        assert sl_torus_h1(n, standard_involution(n)).structure.order == 1
-    for n in (4, 6):
-        assert sl_torus_h1(n, standard_involution(n)).structure.order == 2
-        assert sl_torus_h1(n, variant_involution(n)).structure.order == 2
-    assert len(sl_local_types(5, standard_involution(5))) == 1
-    assert len(sl_local_types(4, standard_involution(4))) == 1
-    assert len(sl_local_types(4, variant_involution(4))) == 2
+        assert sl_torus_h1(n).structure.order == 1
+    for n in (4, 6):  # the same classes for J and J'
+        assert sl_torus_h1(n).structure.order == 2
+    assert len(sl_local_types(5, "J")) == 1
+    assert len(sl_local_types(4, "J")) == 1
+    assert len(sl_local_types(4, "J-prime")) == 2
     w = lift_of_permutation((0, 2, 1, 3))
     assert t_w(w, standard_involution(4)) == (F(0), F(1, 2), F(1, 2), F(0))
     assert t_w(w, variant_involution(4)) == (F(0),) * 4

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from parahoric.cli import json_text, main, parse_fraction
 
+from .test_read_argv import ending
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -24,8 +26,7 @@ def test_types_sl2_text(capsys):
 
 
 def test_types_sl2_trivial_e1(capsys):
-    code, out, _ = run_cli(capsys, "types", "--group", "A", "--rank", "1",
-                           "--order", "1")
+    code, out, _ = run_cli(capsys, "types", "--group", "A1", "--order", "1")
     assert code == 0
     assert out.splitlines()[-1] == "types: 1"
 
@@ -161,10 +162,23 @@ def test_twist_even_all_iwahori(capsys):
     assert out.count("Iwahori") == 2
 
 
-def test_twist_rejects_twisted_action(capsys):
-    code, _, err = run_cli(capsys, "twist", "--group", "A3", "--order", "2",
-                           "--action", "sl-J")
-    assert code == 2 and "trivial" in err
+@pytest.mark.parametrize("action", ["sl-J", "trivial"])
+def test_twist_rejects_twisted_action(capsys, action):
+    # twist runs on the trivial action only, so it takes no --action at all
+    argv = ["twist", "--group", "A3", "--order", "2", "--action", action]
+    code, out, err = ending(lambda: main(argv), capsys)
+    assert (code, out) == (2, "") and f"unrecognized arguments: --action {action}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["types", "--group", "A", "--order", "3"], ["types", "--group", "A1", "--order", "3"],
+    ["twist", "--group", "A1", "--order", "3"], ["split-degree", "--group", "A1", "--point", "0"],
+    ["orbit", "--group", "A1", "--order", "3"], ["data", "--group", "A1"],
+], ids=["types-bare", "types", "twist", "split-degree", "orbit", "data"])
+def test_the_rank_is_read_off_the_group_alone(capsys, argv):
+    # --group carries the rank; a --rank beside it is no flag of any command
+    code, out, err = ending(lambda: main(argv + ["--rank", "1"]), capsys)
+    assert (code, out) == (2, "") and "unrecognized arguments: --rank 1" in err
 
 
 def test_twist_rejects_bad_class(capsys):
@@ -362,7 +376,7 @@ def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
       "--action", "diagram", "--perm", "6,2,5,4,3,1"],
      "H^1 classes from sigma-orbit sums: 10^6000 or more"),
     # a 4,400-digit |Phi+| r^2 estimate of build_root_datum
-    (["data", "--group", "A", "--rank", "1" + "0" * 1100],
+    (["data", "--group", "A1" + "0" * 1100],
      "root closure for A1" + "0" * 1100 + ": |Phi+| * r^2 = 10^4399 or more"),
 ], ids=["orbit", "twist", "types", "data"])
 def test_a_count_too_long_to_write_is_a_cap_refusal(capsys, argv, stage):
@@ -584,20 +598,17 @@ def test_global_refuses_a_branch_point_name_that_breaks_a_line(capsys, tmp_path,
     assert code == 0 and "x\ty" in written
 
 
-@pytest.mark.parametrize("group,rank", [("A²", None), ("A²", "2"), ("AB", None),
-                                        ("AB", "2"), ("A2x", None), ("A 2", None)])
-def test_a_group_suffix_that_is_no_decimal_rank_is_named(capsys, group, rank):
-    argv = ["types", "--group", group, "--order", "2"] + (["--rank", rank] if rank else [])
-    assert run_cli(capsys, *argv) == (
+# a bare letter has no rank, so it is named as any other suffix is
+@pytest.mark.parametrize("group", ["A²", "A", "AB", "b", "A2x", "A 2"])
+def test_a_group_suffix_that_is_no_decimal_rank_is_named(capsys, group):
+    assert run_cli(capsys, "types", "--group", group, "--order", "2") == (
         2, "", f"error: --group {group!r} is not a letter followed by a decimal rank\n")
 
 
-@pytest.mark.parametrize("group,rank,label", [("A2", None, "A2"), (" a3 ", None, "A3"),
-                                              ("A٣", None, "A3"), ("B", "2", "B2"),
-                                              ("c02", None, "C2")])
-def test_every_decimal_rank_suffix_is_still_read(capsys, group, rank, label):
-    argv = ["data", "--group", group] + (["--rank", rank] if rank else [])
-    code, out, _ = run_cli(capsys, *argv)
+@pytest.mark.parametrize("group,label", [("A2", "A2"), (" a3 ", "A3"), ("A٣", "A3"),
+                                         ("b2", "B2"), ("c02", "C2")])
+def test_every_decimal_rank_suffix_is_still_read(capsys, group, label):
+    code, out, _ = run_cli(capsys, "data", "--group", group)
     assert code == 0 and out.splitlines()[0] == f"group: {label}"
 
 
@@ -721,6 +732,8 @@ def reason(message, fields):
      "branch point 'permutation' is not a permutation of the nodes"),
     (("A3", 3, "diagram", [3, 2, 1]), "--perm has order 2, which must divide the --order 3",
      "branch point 'permutation' has order 2, which must divide the branch point 'order' 3"),
+    (("D4", 3, "diagram", [2, 3, 1, 4]), "--perm is not a Dynkin-diagram symmetry",
+     "branch point 'permutation' is not a Dynkin-diagram symmetry"),
     # several faults: both name the first in the shared order
     (("Z3", 2, "diagram", [1, 1, 1]), "unknown label 'Z'", "unknown label 'Z'"),
     (("D3", 2, "sl-J", None, ["1", "1", "1"]), "D_n needs n >= 4", "D_n needs n >= 4"),
@@ -728,7 +741,7 @@ def reason(message, fields):
      "branch point 'order' must be a positive integer, not 0"),
     (("Z2", 2, "trivial", None, ["x", "0"]), "unknown label 'Z'", "unknown label 'Z'"),
 ], ids=["group", "order-below-one", "point-on-an-involution", "permutation-on-trivial",
-        "not-a-permutation", "order-not-a-multiple", "label-and-permutation",
+        "not-a-permutation", "order-not-a-multiple", "not-a-symmetry", "label-and-permutation",
         "group-and-point", "order-and-point-length", "label-and-unreadable-point"])
 def test_flags_and_config_share_each_refusal(capsys, tmp_path, spec, flag_error, config_error):
     # one check of a branch point: the same reason, each naming its own field
@@ -753,6 +766,29 @@ def test_global_refuses_a_variant_off_an_sl_involution(capsys, tmp_path, action,
                              "--format", fmt)
     assert (code, out, err) == (
         2, "", "error: branch point 'variant' applies only to sl-involution actions\n")
+
+
+ONE_BRANCH_POINT = {"group": {"label": "A", "rank": 1}, "order": 4, "point": ["0"]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("config,message", [
+    ({"branch_points": [ONE_BRANCH_POINT], "extra": 1}, "unknown key 'extra' in the config"),
+    # a misspelt "point": the default base would answer pi0 = 2, the point 0 gives 3
+    ({"branch_points": [{"group": {"label": "A", "rank": 1}, "order": 4, "pont": ["0"]}]},
+     "unknown key 'pont' in branch point 0"),
+    ({"branch_points": [ONE_BRANCH_POINT, dict(ONE_BRANCH_POINT, name="x1",
+                                               group={"label": "A", "rank": 1, "rnak": 2})]},
+     "unknown key 'rnak' in branch point 'group'"),
+    ({"branch_points": [{"group": {"label": "A", "rank": 2}, "order": 2, "action": {
+        "kind": "diagram", "permutation": [2, 1], "permuation": [1, 2]}}]},
+     "unknown key 'permuation' in branch point 'action'"),
+], ids=["top-level", "branch-point", "group", "action"])
+def test_global_refuses_an_unknown_key(capsys, tmp_path, config, message, fmt):
+    # an unknown key is refused, not dropped in favour of its default
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config),
+                             "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_a_diagram_branch_point_builds_its_automorphism_once(capsys, tmp_path, monkeypatch):

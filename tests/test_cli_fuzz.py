@@ -55,10 +55,7 @@ def point_text(rng: random.Random, rank: int, values=VALUES) -> str:
 
 def group_args(rng: random.Random):
     group = pick(rng, GROUPS)
-    args = ["--group", group]
-    if len(group) <= 1 or rng.random() < 0.1:
-        args += ["--rank", rng.choice(["1", "2", "3", "0", "-1"])]
-    return group, args
+    return group, ["--group", group]
 
 
 def common_tail(rng: random.Random):
@@ -74,7 +71,8 @@ def draw_types_or_twist(rng: random.Random, command: str):
     args = [command] + args + ["--order", pick(rng, SMALL_ORDERS)]
     action = rng.choice(["trivial", "trivial", "trivial", "diagram", "sl-J",
                          "sl-Jprime", "bogus"])
-    args += ["--action", action]
+    if command == "types" or rng.random() < 0.1:  # twist takes no --action
+        args += ["--action", action]
     if command == "types" and (action == "diagram" or rng.random() < 0.1):
         args += ["--perm", rng.choice(["2,1", "3,2,1", "1,2", "1,1", "x,y", "1,3,2,4"])]
     if rng.random() < 0.6:

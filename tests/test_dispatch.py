@@ -21,7 +21,7 @@ ONE_ARGV = {
     "twist": ["twist", "--group", "A1", "--order", "4"],
     "split-degree": ["split-degree", "--group", "B2", "--point", "1/2,0"],
     "orbit": ["orbit", "--group", "A2", "--order", "2"],
-    "data": ["data", "--group", "E", "--rank", "6"],
+    "data": ["data", "--group", "E6"],
     "global": ["global", "--config", "{config}"],
 }
 
@@ -37,7 +37,7 @@ def test_each_command_returns_its_report_body_and_writes_nothing(name, tmp_path,
     argv = with_config(ONE_ARGV[name], tmp_path)
     args = read_argv(argv)
     if "--group" in COMMANDS[name].flags:
-        args.label, args.rank = parse_group(args.group, args.rank)
+        args.label, args.rank = parse_group(args.group)
     body = COMMANDS[name].func(args)
     assert type(body) is dict
     assert not {"schema_version", "command"} & set(body)

@@ -200,7 +200,7 @@ def test_permutation_actions_never_build_the_grid(monkeypatch):
     for n in range(3, 9):
         specs = [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
         for spec in specs:
-            assert sl_local_types(n, spec)
+            assert sl_local_types(n, spec.kind)
     e6 = build_root_datum("E", 6)
     types = local_types(e6, GammaAction(6, flip(e6)))
     assert len(types) == 9

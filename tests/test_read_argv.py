@@ -120,7 +120,11 @@ def test_the_table_holds_the_flags_of_each_command_and_not_help():
     for command in COMMANDS.values():
         assert all(flag.startswith("--") for flag in command.flags)
         assert "-h" not in command.flags and "--help" not in command.flags
-    assert list(COMMANDS["data"].flags) == ["--group", "--rank", "--format", "--cap"]
+    assert list(COMMANDS["data"].flags) == ["--group", "--format", "--cap"]
+    # each input in one place: the rank in --group, and no --action on twist
+    assert list(COMMANDS["twist"].flags) == ["--group", "--order", "--format", "--cap",
+                                             "--point", "--class"]
+    assert not any("--rank" in command.flags for command in COMMANDS.values())
 
 
 def ending(call, capsys):

@@ -246,12 +246,12 @@ def test_t_w_values_n4():
 def test_t_w_class_independent_of_lift():
     # two lifts differing by a diagonal SL element induce the same orbits
     spec = standard_involution(4)
-    base_types = [t.orbit_representative for t in sl_local_types(4, spec)]
+    base_types = [t.orbit_representative for t in sl_local_types(4, spec.kind)]
 
     w = lift_of_permutation((0, 2, 1, 3))
     s = make_sl(mm_diag((F(1, 3), F(1, 5), F(0), F(0))))
     w_alt = mm_mul(w, s)
-    classes = sl_torus_h1(4, spec)
+    classes = sl_torus_h1(4)
     member = sl_membership(spec)
     index_of = {sl_invariant(member, t): i for i, t in enumerate(classes.representatives)}
 
@@ -301,7 +301,7 @@ def closure(gens, n):
 
 def _class_permutation(n, spec, sigma):
     """The twisted action of one fixed permutation on the class indices."""
-    classes = sl_torus_h1(n, spec)
+    classes = sl_torus_h1(n)
     member = sl_membership(spec)
     index_of = {sl_invariant(member, t): i
                 for i, t in enumerate(classes.representatives)}
@@ -319,7 +319,7 @@ def _class_permutation(n, spec, sigma):
                                        (6, standard_involution)])
 def test_twisted_action_is_bijective_per_generator(n, builder):
     spec = builder(n)
-    k = sl_torus_h1(n, spec).structure.order
+    k = sl_torus_h1(n).structure.order
     for sigma in reversal_fixed_permutations(n):
         images = _class_permutation(n, spec, sigma)
         assert sorted(images) == list(range(k))
@@ -340,7 +340,7 @@ def test_orbit_partition_generator_set_independent():
                 (lambda p, s=s: (_class_permutation(4, spec, s)[p[0]],))
                 for s in perms
             ]
-            k = sl_torus_h1(4, spec).structure.order
+            k = sl_torus_h1(4).structure.order
             return orbit_partition([(i,) for i in range(k)], maps)
 
         assert orbits(full) == orbits(subset)
@@ -348,10 +348,9 @@ def test_orbit_partition_generator_set_independent():
 
 def test_sl_torus_h1_orders():
     for n in (3, 5, 7):
-        assert sl_torus_h1(n, standard_involution(n)).structure.order == 1
-    for n in (4, 6):
-        assert sl_torus_h1(n, standard_involution(n)).structure.order == 2
-        assert sl_torus_h1(n, variant_involution(n)).structure.order == 2
+        assert sl_torus_h1(n).structure.order == 1
+    for n in (4, 6):  # the same classes for J and J'
+        assert sl_torus_h1(n).structure.order == 2
 
 
 def test_sl_torus_h1_against_lattice_model_up_to_9():
@@ -360,12 +359,12 @@ def test_sl_torus_h1_against_lattice_model_up_to_9():
         if n % 2 == 0:
             specs.append(variant_involution(n))
         for spec in specs:
-            classes = sl_torus_h1(n, spec)  # internal hard cross-check runs here
+            classes = sl_torus_h1(n)  # internal hard cross-check runs here
             assert len(classes.representatives) == classes.structure.order
 
 
 def test_sl_torus_h1_nontrivial_rep_detected_by_half_product():
-    classes = sl_torus_h1(4, standard_involution(4))
+    classes = sl_torus_h1(4)
     nontrivial = classes.representatives[1]
     assert sum(nontrivial[:2]) % 1 == F(1, 2)
 
@@ -382,18 +381,42 @@ def test_reversal_fixed_permutations():
 
 
 def test_sl_local_types_worked_examples():
-    assert len(sl_local_types(5, standard_involution(5))) == 1
-    assert len(sl_local_types(4, standard_involution(4))) == 1
-    assert len(sl_local_types(4, variant_involution(4))) == 2
-    assert len(sl_local_types(6, standard_involution(6))) == 1
-    assert len(sl_local_types(6, variant_involution(6))) == 2
+    assert len(sl_local_types(5, "J")) == 1
+    assert len(sl_local_types(4, "J")) == 1
+    assert len(sl_local_types(4, "J-prime")) == 2
+    assert len(sl_local_types(6, "J")) == 1
+    assert len(sl_local_types(6, "J-prime")) == 2
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sl_local_types_refuses_the_variant_of_odd_size(n):
+    # the refusal of sl_involution, the one check of the size
+    with pytest.raises(ValueError, match="^the variant involution needs even size$"):
+        sl_local_types(n, "J-prime")
+
+
+@pytest.mark.parametrize("kind", ["K", "j", "sl-J", ""])
+def test_sl_local_types_refuses_an_unknown_kind(kind):
+    # the refusal of _sl_base, which reads the kind
+    with pytest.raises(ValueError, match=f"^unknown involution kind {kind!r}$"):
+        sl_local_types(4, kind)
+
+
+def test_the_sl_lattice_calls_take_the_size_and_a_kind():
+    import inspect
+
+    from parahoric.rootdata import DEFAULT_CAP
+
+    for call, names in ((sl_torus_h1, ["n", "cap"]), (sl_local_types, ["n", "kind", "cap"])):
+        parameters = inspect.signature(call).parameters
+        assert list(parameters) == names and parameters["cap"].default == DEFAULT_CAP
 
 
 def test_sl_local_types_orbit_sizes():
-    types = sl_local_types(4, standard_involution(4))
+    types = sl_local_types(4, "J")
     assert types[0].orbit_representative == (F(0),) * 4
     assert types[0].orbit_size == 2
-    types = sl_local_types(4, variant_involution(4))
+    types = sl_local_types(4, "J-prime")
     assert [t.orbit_size for t in types] == [1, 1]
 
 
@@ -401,8 +424,8 @@ def test_sl_types_of_classes_matches_sl_local_types():
     for n in (3, 4, 5, 6):
         specs = [standard_involution(n)] + ([variant_involution(n)] if n % 2 == 0 else [])
         for spec in specs:
-            classes = sl_torus_h1(n, spec)
-            assert sl_types_of_classes(n, spec, classes) == sl_local_types(n, spec)
+            classes = sl_torus_h1(n)
+            assert sl_types_of_classes(n, spec, classes) == sl_local_types(n, spec.kind)
 
 
 def specs_of(n):
@@ -420,7 +443,7 @@ def test_reversal_fixed_generators_close_to_the_fixed_group(n):
 def test_twisted_diagonal_map_matches_the_monomial_product(n):
     rng = random.Random(n)
     for spec in specs_of(n):
-        vectors = list(sl_torus_h1(n, spec).representatives)
+        vectors = list(sl_torus_h1(n).representatives)
         vectors += [make_sl(mm_diag([F(rng.randint(0, 5), 6) for _ in range(n)])).entries
                     for _ in range(3)]
         for sigma in reversal_fixed_permutations(n):
@@ -450,7 +473,7 @@ def reference_sl_types(n, spec, classes):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_sl_types_of_classes_match_the_full_group_reference(n):
     for spec in specs_of(n):
-        classes = sl_torus_h1(n, spec)
+        classes = sl_torus_h1(n)
         assert sl_types_of_classes(n, spec, classes) == reference_sl_types(n, spec, classes)
 
 
@@ -460,7 +483,7 @@ def test_lattice_path_matches_the_diagonal_model(n, monkeypatch):
 
     monkeypatch.setattr(slmodel, "SL_WEYL_ENUMERATION_CAP", 12)
     for spec in specs_of(n):
-        classes = sl_torus_h1(n, spec)
+        classes = sl_torus_h1(n)
         reps = diagonal_classes(n, spec)
         assert classes.representatives == reps
         types = sl_types_of_classes(n, spec, classes)
@@ -505,7 +528,7 @@ def test_sl_torus_h1_runs_h1_elements_once(monkeypatch):
     monkeypatch.setattr(slmodel, "h1_elements", counted)
     for spec in specs_of(6):
         calls.clear()
-        sl_torus_h1(6, spec)
+        sl_torus_h1(6)
         assert len(calls) == 1
 
 
@@ -513,7 +536,7 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
     import parahoric.rootdata as rootdata
     import parahoric.slmodel as slmodel
 
-    first = {spec.kind: sl_local_types(6, spec) for spec in specs_of(6)}
+    first = {spec.kind: sl_local_types(6, spec.kind) for spec in specs_of(6)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the A5 flip must not be rebuilt")
@@ -522,17 +545,17 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
     monkeypatch.setattr(slmodel, "diagram_automorphism", refuse)
     monkeypatch.setattr(rootdata, "_cartan_matrix", refuse)
     for spec in specs_of(6):
-        assert sl_local_types(6, spec) == first[spec.kind]
+        assert sl_local_types(6, spec.kind) == first[spec.kind]
     assert rootdata.build_root_datum("a", 5) is slmodel._sl_flip(spec.n)[0]
 
 
 def test_sl_torus_h1_honours_the_cap():
     from parahoric.rootdata import EnumerationCapError
 
-    for spec in specs_of(6):
-        assert len(sl_torus_h1(6, spec, cap=2).representatives) == 2
+    assert len(sl_torus_h1(6, cap=2).representatives) == 2
+    for kind in ("J", "J-prime"):
         with pytest.raises(EnumerationCapError, match="2 exceeds cap 1$"):
-            sl_local_types(6, spec, cap=1)
+            sl_local_types(6, kind, cap=1)
 
 
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
@@ -542,7 +565,7 @@ def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
 
     n = 8
     for spec in specs_of(n):
-        classes = sl_torus_h1(n, spec)
+        classes = sl_torus_h1(n)
         want = monomial_lift_sl_types(n, spec, classes)
 
         def refuse(*args):
@@ -556,7 +579,7 @@ def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
                 patch.setattr(slmodel, name, refuse)
             patch.setattr(slmodel, "reversal_fixed_permutations", no_scan)
             assert sl_types_of_classes(n, spec, classes) == want
-            assert sl_local_types(n, spec) == want
+            assert sl_local_types(n, spec.kind) == want
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -568,7 +591,7 @@ def test_base_path_matches_the_monomial_lift_reference(n, monkeypatch):
 
     monkeypatch.setattr(slmodel, "SL_WEYL_ENUMERATION_CAP", 12)
     for spec in specs_of(n):
-        classes = sl_torus_h1(n, spec)
+        classes = sl_torus_h1(n)
         assert sl_types_of_classes(n, spec, classes) == monomial_lift_sl_types(n, spec, classes)
     root_values = {spec.kind: simple_root_values(slmodel._sl_flip(n)[0],
                                                  slmodel._sl_base(n, spec.kind))
@@ -599,8 +622,8 @@ def test_sl_types_of_classes_refuse_n_over_the_cap():
 
     n = SL_WEYL_ENUMERATION_CAP + 1
     spec = standard_involution(n)
-    for refused in (lambda: sl_types_of_classes(n, spec, sl_torus_h1(n, spec)),
-                    lambda: sl_local_types(n, spec)):
+    for refused in (lambda: sl_types_of_classes(n, spec, sl_torus_h1(n)),
+                    lambda: sl_local_types(n, spec.kind)):
         with pytest.raises(EnumerationCapError) as err:
             refused()
         assert str(err.value) == (f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds "
