@@ -7,6 +7,7 @@ rank-one series with the SL_4 involutions.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -23,24 +24,24 @@ CONFIG = {
     ],
 }
 
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(CONFIG, fh)
-    path = fh.name
-
 print("config:")
 print(json.dumps(CONFIG, indent=2))
 print()
-result = subprocess.run(
-    [sys.executable, "-m", "parahoric.cli", "global", "--config", path],
-    capture_output=True, text=True, check=True,
-)
-print(result.stdout)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(CONFIG, fh)
+    result = subprocess.run(
+        [sys.executable, "-m", "parahoric.cli", "global", "--config", path],
+        capture_output=True, text=True, check=True,
+    )
+    print(result.stdout)
 
-out = subprocess.run(
-    [sys.executable, "-m", "parahoric.cli", "global", "--config", path,
-     "--format", "json"],
-    capture_output=True, text=True, check=True,
-)
+    out = subprocess.run(
+        [sys.executable, "-m", "parahoric.cli", "global", "--config", path,
+         "--format", "json"],
+        capture_output=True, text=True, check=True,
+    )
 parsed = json.loads(out.stdout)
 counts = [bp["type_count"] for bp in parsed["branch_points"]]
 assert parsed["pi0"] == counts[0] * counts[1] * counts[2] == 3 * 2 * 2

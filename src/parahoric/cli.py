@@ -465,7 +465,8 @@ def types_parts(
     action needs a point of rank entries, and checks the grid cap and grid
     before it builds the datum, and that before it makes the default point,
     so no work grows with the rank before a cap; an SL involution needs
-    type A and order 2; a diagram action (base 0) a diagram symmetry of the
+    type A and order 2, then a size :func:`sl_involution` takes, then the
+    root closure cap; a diagram action (base 0) a diagram symmetry of the
     nodes whose order divides the order (after the root closure cap), and
     H^1 = 0."""
     require_order(order, names)
@@ -490,7 +491,8 @@ def types_parts(
             raise UsageError("sl involutions are only defined for type A")
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
-        datum, action, base = sl_involution(rank + 1, variant)
+        _, action, base = sl_involution(rank + 1, variant)
+        datum = build_root_datum(label, rank, cap)
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError(f"{names.perm} is required for a diagram action")
@@ -894,6 +896,9 @@ def cmd_global(args) -> dict:
     if not isinstance(points, list):
         raise UsageError("branch_points must be a list")
     _known_keys(config, ("schema_version", "branch_points"), "the config")
+    if config.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise UsageError(f"unsupported schema_version {config['schema_version']!r}, "
+                         f"not {SCHEMA_VERSION!r}")
 
     branch_points = []
     names = set()

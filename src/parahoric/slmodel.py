@@ -289,9 +289,11 @@ def sl_torus_h1(n: int, cap: int = DEFAULT_CAP) -> H1Classes:
     The classes are those of :func:`h1_elements` on the flip of the coroot
     lattice, :func:`_sl_flip` (which checks the element model against the
     structural one, and refuses more than ``cap`` classes), written as
-    diagonals by :func:`sl_diagonal`.
+    diagonals by :func:`sl_diagonal`; the root closure of A_(n-1) is held to
+    ``cap`` first, as :func:`build_root_datum` holds every closure.
     """
-    classes = h1_elements(*_sl_flip(n), cap=cap)
+    _, action = _sl_flip(n)
+    classes = h1_elements(build_root_datum("A", n - 1, cap), action, cap=cap)
     return H1Classes(classes.structure, tuple(map(sl_diagonal, classes.representatives)))
 
 
@@ -300,8 +302,10 @@ def sl_local_types(n: int, kind: str, cap: int = DEFAULT_CAP) -> List[LocalType]
     ("J" or "J-prime"), neutral type first, with sum-zero diagonal
     representatives: :func:`local_types` on the flip with the base point of
     the involution (:func:`sl_involution`, which refuses a bad ``kind`` or
-    size), whose n // 2 generators w_J each get the twist w_J(b) - b."""
-    datum, action, base = sl_involution(n, kind)
+    size, before the root closure is held to ``cap``), whose n // 2
+    generators w_J each get the twist w_J(b) - b."""
+    _, action, base = sl_involution(n, kind)
+    datum = build_root_datum("A", n - 1, cap)
     return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
             for t in local_types(datum, action, base=base, cap=cap)]
 

@@ -122,13 +122,33 @@ def test_types_diagram_e6_at_e20_reaches_the_h1_refusal(capsys):
 
 
 def test_types_sl_involution_honours_the_cap(capsys):
-    code, out, err = run_cli(capsys, "types", "--group", "A3", "--order", "2",
-                             "--action", "sl-J", "--cap", "1")
-    assert (code, out) == (3, "")
-    assert err == "cap exceeded: H^1 classes from sigma-orbit sums: 2 exceeds cap 1\n"
+    # the root closure of A3, |Phi+| r^2 = 6 * 9 = 54, is held to --cap before
+    # a class is listed
+    for cap in ("1", "53"):
+        code, out, err = run_cli(capsys, "types", "--group", "A3", "--order", "2",
+                                 "--action", "sl-J", "--cap", cap)
+        assert (code, out) == (3, "")
+        assert err == f"cap exceeded: root closure for A3: |Phi+| * r^2 = 54 exceeds cap {cap}\n"
     code, out, _ = run_cli(capsys, "types", "--group", "A3", "--order", "2",
-                           "--action", "sl-J", "--cap", "2")
+                           "--action", "sl-J", "--cap", "54")
     assert (code, out.splitlines()[-1]) == (0, "types: 1")
+
+
+@pytest.mark.parametrize("variant", ["J", "J-prime"])
+def test_an_sl_involution_holds_its_root_closure_to_the_cap(capsys, tmp_path, variant):
+    # A7 closes 28 positive roots under 7 reflections: |Phi+| r^2 = 1372, as
+    # for the diagram flip of A7, by the flag and by a config point alike
+    message = "cap exceeded: root closure for A7: |Phi+| * r^2 = 1372 exceeds cap 100\n"
+    action = {"J": "sl-J", "J-prime": "sl-Jprime"}[variant]
+    flags = ["types", "--group", "A7", "--order", "2", "--cap", "100"]
+    assert run_cli(capsys, *flags, "--action", action) == (3, "", message)
+    assert run_cli(capsys, *flags, "--action", "diagram", "--perm", "7,6,5,4,3,2,1") \
+        == (3, "", message)
+    cfg = write_config(tmp_path, {"branch_points": [
+        {"group": {"label": "A", "rank": 7}, "order": 2,
+         "action": {"kind": "sl-involution", "variant": variant}}]})
+    assert run_cli(capsys, "global", "--config", cfg, "--cap", "100") == (3, "", message)
+    assert run_cli(capsys, *flags[:-1], "1372", "--action", action)[0] == 0
 
 
 def test_types_perm_needs_a_diagram_action(capsys):
@@ -431,6 +451,21 @@ def test_global_product_cap(capsys, tmp_path):
     assert code == 3
     assert "pi0: 1296" in out  # the count is still printed
     assert "tuples omitted" in out
+
+
+@pytest.mark.parametrize("version", [7, "2", 1], ids=["seven", "string-two", "integer-one"])
+def test_global_reads_only_the_schema_it_writes(capsys, tmp_path, version):
+    # a config of another schema is refused, naming its value, not read as "1"
+    cfg = write_config(tmp_path, {"schema_version": version, "branch_points": []})
+    assert run_cli(capsys, "global", "--config", cfg) == (
+        2, "", f"error: unsupported schema_version {version!r}, not '1'\n")
+
+
+@pytest.mark.parametrize("config", [{"schema_version": "1", "branch_points": []},
+                                    {"branch_points": []}], ids=["one", "absent"])
+def test_global_reads_schema_1_and_a_config_without_a_schema(capsys, tmp_path, config):
+    code, out, _ = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert code == 0 and "pi0: 1" in out.splitlines()
 
 
 def test_global_rejects_bad_config(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 import parahoric.cli as cli
 from parahoric.cli import COMMANDS, main, parse_group, read_argv
 
-from .test_golden_cli import load_cases, run_case
+from .golden import load_cases, run_case
 
 CONFIG = {"branch_points": [{"group": {"label": "A", "rank": 1}, "order": 3},
                             {"group": {"label": "A", "rank": 3}, "order": 2,

@@ -1,54 +1,33 @@
 """Golden CLI corpus: exit code and stdout digest of a fixed command list.
 
-Every command in ``golden_cli.json`` must keep its exit code and produce
-byte-identical stdout, in text and JSON format alike.  ``{config}`` in an
-argv list stands for a file holding the case's ``config`` object.
-
-Re-record the digests (only when an output change is intended) with
-
-    PYTHONPATH=src python tests/test_golden_cli.py --record
+Every command in ``golden_cli.json`` (read by ``golden.py``, which also
+re-records it) must keep its exit code and produce byte-identical stdout, in
+text and JSON format alike; a JSON report is ``json.dumps`` of its own
+parse.  The corpus and the demos also replay in one ``python -S`` process,
+with site-packages off, the guard for ``dependencies = []``.
 """
 
-import contextlib
-import hashlib
-import io
 import json
+import os
+import subprocess
 import sys
-import tempfile
-from pathlib import Path
 
 import pytest
 
-from parahoric.cli import main
-
-CORPUS = Path(__file__).with_name("golden_cli.json")
-
-
-def run_case(case: dict, workdir: Path):
-    argv = list(case["argv"])
-    if "config" in case:
-        path = workdir / "config.json"
-        path.write_text(json.dumps(case["config"]), encoding="utf-8")
-        argv = [str(path) if a == "{config}" else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-
-
-def load_cases():
-    return json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]
+from .golden import HERE, case_stdout, load_cases, sha256
 
 
 @pytest.mark.parametrize("case", load_cases(), ids=lambda c: " ".join(c["argv"]))
 def test_golden_cli(case, tmp_path):
-    assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
+    code, out = case_stdout(case, tmp_path)
+    assert (code, sha256(out)) == (case["exit"], case["stdout_sha256"])
+    if "json" in case["argv"] and out:
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    cases = load_cases()
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in cases:
-            case["exit"], case["stdout_sha256"] = run_case(case, Path(tmp))
-    CORPUS.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(cases)} cases in {CORPUS}")
+def test_the_corpus_and_the_demos_replay_with_site_packages_off():
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", str(HERE / "golden.py")], cwd=HERE.parent,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
+    assert done.stdout.endswith("(site off): 0 mismatches\n")

@@ -11,17 +11,13 @@ function whose result an earlier test left in a cache is still called.
 """
 
 import ast
-import contextlib
-import io
-import runpy
 import sys
 from pathlib import Path
 
 import parahoric
 import parahoric.cli
 
-from .test_demos import DEMOS
-from .test_golden_cli import load_cases, run_case
+from .golden import DEMOS, demo_stdout, load_cases, run_case
 
 PACKAGE = Path(parahoric.__file__).resolve().parent
 
@@ -73,10 +69,8 @@ def reached_code(tmp_path):
         for case in load_cases():
             run_case(case, tmp_path)
         for path in DEMOS:
-            if path.name == "global_product.py":
-                continue
-            with contextlib.redirect_stdout(io.StringIO()):
-                runpy.run_path(str(path), run_name="__main__")
+            if path.name != "global_product.py":
+                demo_stdout(path)
     finally:
         sys.setprofile(None)
     return seen

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from parahoric.cli import COMMANDS, build_parser, main, read_argv
 
-from .test_golden_cli import load_cases, run_case
+from .golden import load_cases, run_case
 
 PARSER = build_parser()
 

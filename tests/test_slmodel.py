@@ -541,9 +541,11 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the A5 flip must not be rebuilt")
 
-    monkeypatch.setattr(slmodel, "build_root_datum", refuse)
+    # build_root_datum still holds the closure to the cap on each call, and
+    # hands back the datum built once: a rebuild would start at the Cartan matrix
     monkeypatch.setattr(slmodel, "diagram_automorphism", refuse)
     monkeypatch.setattr(rootdata, "_cartan_matrix", refuse)
+    monkeypatch.setattr(rootdata, "_positive_roots", refuse)
     for spec in specs_of(6):
         assert sl_local_types(6, spec.kind) == first[spec.kind]
     assert rootdata.build_root_datum("a", 5) is slmodel._sl_flip(spec.n)[0]
@@ -552,10 +554,15 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
 def test_sl_torus_h1_honours_the_cap():
     from parahoric.rootdata import EnumerationCapError
 
-    assert len(sl_torus_h1(6, cap=2).representatives) == 2
+    # the root closure of A5, |Phi+| r^2 = 15 * 25 = 375, is held to the cap
+    assert len(sl_torus_h1(6, cap=375).representatives) == 2
+    with pytest.raises(EnumerationCapError, match=r"A5: \|Phi\+\| \* r\^2 = 375 exceeds cap 374$"):
+        sl_torus_h1(6, cap=374)
     for kind in ("J", "J-prime"):
-        with pytest.raises(EnumerationCapError, match="2 exceeds cap 1$"):
+        with pytest.raises(EnumerationCapError, match="A5: .* = 375 exceeds cap 1$"):
             sl_local_types(6, kind, cap=1)
+        with pytest.raises(EnumerationCapError, match="A7: .* = 1372 exceeds cap 100$"):
+            sl_local_types(8, kind, cap=100)
 
 
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
@@ -794,7 +801,7 @@ def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_
     from parahoric.cli import types_parts
 
     from . import references
-    from .test_golden_cli import load_cases, run_case
+    from .golden import load_cases, run_case
 
     def refuse(*args, **kwargs):
         raise AssertionError("an order read off matrix powers")

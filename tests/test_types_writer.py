@@ -38,7 +38,7 @@ from parahoric.cohomology import ClassSequence, types_of_classes
 
 from .references import (dict_global_report, dict_global_text, dict_twist_report,
                          dict_twist_text, dict_types_report, dict_types_text)
-from .test_golden_cli import load_cases, run_case
+from .golden import load_cases, run_case
 
 # groups of rank <= 4, with the largest order e <= 30 whose grid e^r the
 # test lists in a few milliseconds
