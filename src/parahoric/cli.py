@@ -491,8 +491,7 @@ def types_parts(
             raise UsageError("sl involutions are only defined for type A")
         if order != 2:
             raise UsageError("sl involutions act through Gamma of order 2")
-        _, action, base = sl_involution(rank + 1, variant)
-        datum = build_root_datum(label, rank, cap)
+        datum, action, base = sl_involution(rank + 1, variant, cap)
     elif action_kind == "diagram":
         if perm is None:
             raise UsageError(f"{names.perm} is required for a diagram action")

@@ -225,15 +225,21 @@ def reversal_fixed_permutations(n: int) -> List[Tuple[int, ...]]:
 # torus cohomology on the coroot lattice, read as diagonals
 # ---------------------------------------------------------------------------
 
+def _sl_rank(n: int) -> int:
+    """The rank n - 1 of the root datum A_(n-1) of SL_n; n < 3 raises
+    ValueError."""
+    if n < 3:
+        raise ValueError("the worked involutions need n >= 3")
+    return n - 1
+
+
 @lru_cache(maxsize=None)
 def _sl_flip(n: int) -> Tuple[RootDatum, GammaAction]:
     """The root datum A_(n-1) of SL_n and the involution on its coroot
     lattice, gamma(alpha_i_coroot) = alpha_{n-i}_coroot for J and J' alike
     (only the reversal enters), built once per n and process; n < 3 raises
-    ValueError."""
-    if n < 3:
-        raise ValueError("the worked involutions need n >= 3")
-    datum = build_root_datum("A", n - 1)
+    ValueError (:func:`_sl_rank`)."""
+    datum = build_root_datum("A", _sl_rank(n))
     flip = tuple(n - 2 - i for i in range(n - 1))
     return datum, GammaAction(e=2, automorphism=diagram_automorphism(datum, flip))
 
@@ -265,14 +271,17 @@ def _sl_base(n: int, kind: str) -> Tuple[Fraction, ...]:
     return point_from_root_values(_sl_flip(n)[0], values)
 
 
-def sl_involution(n: int, kind: str) -> Tuple[RootDatum, GammaAction, Tuple[Fraction, ...]]:
+def sl_involution(n: int, kind: str, cap: int = DEFAULT_CAP
+                  ) -> Tuple[RootDatum, GammaAction, Tuple[Fraction, ...]]:
     """The involution ``kind`` ("J" or "J-prime") of SL_n as the root datum
     A_(n-1), the flip on its coroot lattice (:func:`_sl_flip`) and the base
     point of ``kind`` (:func:`_sl_base`), on which the types are counted.
 
     J' needs even n, and n must be at least 3 (ValueError); an n above
     :data:`SL_WEYL_ENUMERATION_CAP` is refused with
-    :class:`EnumerationCapError` before the root datum is built."""
+    :class:`EnumerationCapError`.  Only then is the root closure of
+    A_(n-1) held to ``cap`` (:func:`build_root_datum`), before the flip is
+    built on it."""
     if kind == "J-prime" and n % 2:
         raise ValueError("the variant involution needs even size")
     if n > SL_WEYL_ENUMERATION_CAP:
@@ -280,7 +289,8 @@ def sl_involution(n: int, kind: str) -> Tuple[RootDatum, GammaAction, Tuple[Frac
             f"twisted W^gamma orbits of SL_{n}: n = {n} exceeds the cap "
             f"n <= {SL_WEYL_ENUMERATION_CAP}"
         )
-    return (*_sl_flip(n), _sl_base(n, kind))
+    datum = build_root_datum("A", _sl_rank(n), cap)
+    return datum, _sl_flip(n)[1], _sl_base(n, kind)
 
 
 def sl_torus_h1(n: int, cap: int = DEFAULT_CAP) -> H1Classes:
@@ -290,10 +300,11 @@ def sl_torus_h1(n: int, cap: int = DEFAULT_CAP) -> H1Classes:
     lattice, :func:`_sl_flip` (which checks the element model against the
     structural one, and refuses more than ``cap`` classes), written as
     diagonals by :func:`sl_diagonal`; the root closure of A_(n-1) is held to
-    ``cap`` first, as :func:`build_root_datum` holds every closure.
+    ``cap`` before the flip is built, as :func:`build_root_datum` holds
+    every closure.
     """
-    _, action = _sl_flip(n)
-    classes = h1_elements(build_root_datum("A", n - 1, cap), action, cap=cap)
+    datum = build_root_datum("A", _sl_rank(n), cap)
+    classes = h1_elements(datum, _sl_flip(n)[1], cap=cap)
     return H1Classes(classes.structure, tuple(map(sl_diagonal, classes.representatives)))
 
 
@@ -301,11 +312,10 @@ def sl_local_types(n: int, kind: str, cap: int = DEFAULT_CAP) -> List[LocalType]
     """Orbits of H^1(Gamma, T) under W^gamma for the involution ``kind``
     ("J" or "J-prime"), neutral type first, with sum-zero diagonal
     representatives: :func:`local_types` on the flip with the base point of
-    the involution (:func:`sl_involution`, which refuses a bad ``kind`` or
-    size, before the root closure is held to ``cap``), whose n // 2
-    generators w_J each get the twist w_J(b) - b."""
-    _, action, base = sl_involution(n, kind)
-    datum = build_root_datum("A", n - 1, cap)
+    the involution (:func:`sl_involution`, which refuses a bad size, then
+    holds the root closure to ``cap``, then refuses a bad ``kind``), whose
+    n // 2 generators w_J each get the twist w_J(b) - b."""
+    datum, action, base = sl_involution(n, kind, cap)
     return [LocalType(sl_diagonal(t.orbit_representative), t.orbit_size, t.index)
             for t in local_types(datum, action, base=base, cap=cap)]
 

@@ -5,35 +5,45 @@ of command lines, in text and JSON format alike; ``{config}`` in an argv list
 stands for a file holding the case's ``config`` object.  ``golden_demos.json``
 pins the stdout sha256 of each ``demos/*.py``.
 
-This module imports only the standard library and ``parahoric``, so it runs
-with site-packages off, the guard for ``dependencies = []``:
+The replay is the one check of these digests.  This module imports only the
+standard library and ``parahoric``, so it runs with site-packages off, the
+guard for ``dependencies = []``:
 
     PYTHONPATH=src python -S tests/golden.py
 
-replays every golden case and every demo in one process, runs
-``python -S -m parahoric.cli`` on the first case, and exits 1 on any
-mismatch.  Re-record both corpora (only when an output change is intended)
-with
+runs every golden case through ``cli.main`` in this process, every demo in
+a fresh ``python -S`` process of its own and ``python -S -m parahoric.cli``
+on the first case, and exits 1 on any mismatch, each named by its argv or
+demo.  Besides its digest, each case is held to two facts: a JSON report is
+``json.dumps(json.loads(out), indent=2, sort_keys=True) + "\\n"``, and an
+argv that ``cli.read_argv`` takes builds no ``argparse.ArgumentParser``.
+Re-record both corpora from the same runs (only when an output change is
+intended) with
 
     PYTHONPATH=src python tests/golden.py --record
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
-import runpy
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from parahoric.cli import main
+import parahoric
+from parahoric.cli import build_parser, main, read_argv
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "golden_cli.json"
 DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 DEMO_DIGESTS = HERE / "golden_demos.json"
+# the subprocesses import the package this process imported
+ENV = dict(os.environ, PYTHONPATH=str(Path(parahoric.__file__).resolve().parents[1]),
+           PYTHONIOENCODING="utf-8")
 
 
 def sha256(text: str) -> str:
@@ -61,18 +71,52 @@ def case_stdout(case: dict, workdir: Path):
     return code, out.getvalue()
 
 
-def run_case(case: dict, workdir: Path):
-    """(exit code, stdout sha256) of the case, as the corpus records them."""
-    code, out = case_stdout(case, workdir)
-    return code, sha256(out)
+@contextlib.contextmanager
+def parsers_built():
+    """The list of every ``argparse.ArgumentParser`` built in the block,
+    with the memo of ``cli.build_parser`` cleared first, so that a call of
+    it builds one."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    argparse.ArgumentParser.__init__ = counted
+    try:
+        yield built
+    finally:
+        argparse.ArgumentParser.__init__ = init
 
 
-def demo_stdout(path: Path) -> str:
-    """The stdout of the demo script, run in this process as ``__main__``."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(path), run_name="__main__")
-    return out.getvalue()
+def case_faults(case: dict, workdir: Path):
+    """The mismatches of one golden case, each named by its argv: its exit
+    code and stdout digest, a JSON report that is not ``json.dumps`` of its
+    own parse, and a parser built for an argv that ``read_argv`` takes."""
+    name, faults = " ".join(case["argv"]), []
+    with parsers_built() as built:
+        code, out = case_stdout(case, workdir)
+    if (code, sha256(out)) != (case["exit"], case["stdout_sha256"]):
+        faults.append(f"{name}: exit and digest {(code, sha256(out))}")
+    if "json" in case["argv"] and out:
+        try:
+            canonical = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        except ValueError:
+            canonical = None
+        if canonical != out:
+            faults.append(f"{name}: the JSON report is not json.dumps of its own parse")
+    if built and read_argv(case["argv"]) is not None:
+        faults.append(f"{name}: the exact reader takes it, yet main built an argparse parser")
+    return faults
+
+
+def python_s(*args: str):
+    """(exit code, stdout sha256) of ``python -S`` on the arguments, in a
+    fresh process run from the repository root."""
+    done = subprocess.run([sys.executable, "-S", *args], cwd=HERE.parent, env=ENV,
+                          capture_output=True)
+    return done.returncode, hashlib.sha256(done.stdout).hexdigest()
 
 
 def replay():
@@ -81,16 +125,13 @@ def replay():
     cases, digests, faults = load_cases(), demo_digests(), []
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            got = run_case(case, Path(tmp))
-            if got != (case["exit"], case["stdout_sha256"]):
-                faults.append(f"{' '.join(case['argv'])}: exit and digest {got}")
+            faults += case_faults(case, Path(tmp))
     for path in DEMOS:
-        if sha256(demo_stdout(path)) != digests.get(path.name):
-            faults.append(f"demos/{path.name}: stdout digest moved")
+        got = python_s(str(path))
+        if got != (0, digests.get(path.name)):
+            faults.append(f"demos/{path.name}: exit and digest {got}")
     first = cases[0]
-    done = subprocess.run([sys.executable, "-S", "-m", "parahoric.cli", *first["argv"]],
-                          capture_output=True)
-    got = done.returncode, hashlib.sha256(done.stdout).hexdigest()
+    got = python_s("-m", "parahoric.cli", *first["argv"])
     if got != (first["exit"], first["stdout_sha256"]):
         faults.append(f"python -S -m parahoric.cli {' '.join(first['argv'])}: {got}")
     return faults
@@ -100,9 +141,10 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     cases = load_cases()
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
-            case["exit"], case["stdout_sha256"] = run_case(case, Path(tmp))
+            code, out = case_stdout(case, Path(tmp))
+            case["exit"], case["stdout_sha256"] = code, sha256(out)
     CORPUS.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
-    digests = {path.name: sha256(demo_stdout(path)) for path in DEMOS}
+    digests = {path.name: python_s(str(path))[1] for path in DEMOS}
     DEMO_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                             encoding="utf-8")
     print(f"recorded {len(cases)} cases and {len(digests)} demos")

@@ -9,7 +9,7 @@ import pytest
 import parahoric.cli as cli
 from parahoric.cli import COMMANDS, main, parse_group, read_argv
 
-from .golden import load_cases, run_case
+from .golden import case_stdout, load_cases
 
 CONFIG = {"branch_points": [{"group": {"label": "A", "rank": 1}, "order": 3},
                             {"group": {"label": "A", "rank": 3}, "order": 2,
@@ -77,7 +77,7 @@ def test_main_emits_once_per_command(name, tmp_path, monkeypatch, capsys):
                          ids=lambda c: " ".join(c["argv"]))
 def test_the_capped_global_report_is_written_once_and_exits_3(case, tmp_path, monkeypatch):
     calls = counting_emit(monkeypatch)
-    assert run_case(case, tmp_path) == (3, case["stdout_sha256"])
+    assert case_stdout(case, tmp_path)[0] == case["exit"] == 3
     assert len(calls) == 1
     report, _, render = calls[0]
     assert report["tuples"] is None and render is COMMANDS["global"].render

@@ -1,28 +1,20 @@
-"""Golden CLI corpus: exit code and stdout digest of a fixed command list.
+"""Golden CLI corpus and demos: the one check of their digests.
 
-Every command in ``golden_cli.json`` (read by ``golden.py``, which also
-re-records it) must keep its exit code and produce byte-identical stdout, in
-text and JSON format alike; a JSON report is ``json.dumps`` of its own
-parse.  The corpus and the demos also replay in one ``python -S`` process,
-with site-packages off, the guard for ``dependencies = []``.
+``golden.py`` replays every command of ``golden_cli.json`` in one
+``python -S`` process, with site-packages off, the guard for
+``dependencies = []``: each keeps its exit code and byte-identical stdout, in
+text and JSON format alike.  Each demo runs in a fresh ``python -S`` process
+of its own against ``golden_demos.json``.  The same replay makes the two
+other checks of each case: a JSON report is ``json.dumps`` of its own parse,
+and a command line that ``cli.read_argv`` takes builds no argparse parser.
+Every mismatch is named by its argv or demo.
 """
 
-import json
 import os
 import subprocess
 import sys
 
-import pytest
-
-from .golden import HERE, case_stdout, load_cases, sha256
-
-
-@pytest.mark.parametrize("case", load_cases(), ids=lambda c: " ".join(c["argv"]))
-def test_golden_cli(case, tmp_path):
-    code, out = case_stdout(case, tmp_path)
-    assert (code, sha256(out)) == (case["exit"], case["stdout_sha256"])
-    if "json" in case["argv"] and out:
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+from .golden import HERE
 
 
 def test_the_corpus_and_the_demos_replay_with_site_packages_off():

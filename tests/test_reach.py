@@ -11,13 +11,16 @@ function whose result an earlier test left in a cache is still called.
 """
 
 import ast
+import contextlib
+import io
+import runpy
 import sys
 from pathlib import Path
 
 import parahoric
 import parahoric.cli
 
-from .golden import DEMOS, demo_stdout, load_cases, run_case
+from .golden import DEMOS, case_stdout, load_cases
 
 PACKAGE = Path(parahoric.__file__).resolve().parent
 
@@ -51,6 +54,12 @@ def clear_caches():
                 value.cache_clear()
 
 
+def run_demo(path):
+    """Run the demo script in this process as ``__main__``, stdout dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(path), run_name="__main__")
+
+
 def reached_code(tmp_path):
     """(file path, first line) of every package function that the golden
     corpus and the demos call."""
@@ -67,10 +76,10 @@ def reached_code(tmp_path):
     sys.setprofile(profile)
     try:
         for case in load_cases():
-            run_case(case, tmp_path)
+            case_stdout(case, tmp_path)
         for path in DEMOS:
             if path.name != "global_product.py":
-                demo_stdout(path)
+                run_demo(path)
     finally:
         sys.setprofile(None)
     return seen

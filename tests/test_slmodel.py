@@ -565,6 +565,35 @@ def test_sl_torus_h1_honours_the_cap():
             sl_local_types(8, kind, cap=100)
 
 
+A7_REFUSED = "root closure for A7: |Phi+| * r^2 = 1372 exceeds cap 100"
+
+
+@pytest.mark.parametrize("call, out, err", [
+    ("main(['types', '--group', 'A7', '--order', '2', '--action', 'sl-J', '--cap', '100'])",
+     "3", f"cap exceeded: {A7_REFUSED}\n"),
+    ("sl_local_types(8, 'J', cap=100)", A7_REFUSED, ""),
+    ("sl_torus_h1(8, cap=100)", A7_REFUSED, ""),
+], ids=["types", "sl_local_types", "sl_torus_h1"])
+def test_a_refused_sl_root_closure_is_never_built(call, out, err):
+    # in a process of its own, so the memo of root closures starts empty and
+    # a closure built before the cap refuses it would stay in it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = ("from parahoric.cli import main\n"
+              "from parahoric.rootdata import EnumerationCapError, _root_datum\n"
+              "from parahoric.slmodel import sl_local_types, sl_torus_h1\n"
+              f"try:\n    print({call})\n"
+              "except EnumerationCapError as exc:\n    print(exc)\n"
+              "print(_root_datum.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{out}\n0\n", err)
+
+
 def test_sl_types_of_classes_apply_only_the_generators(monkeypatch):
     # the n // 2 generators of W^gamma act through the base point alone:
     # neither W^gamma nor a monomial lift is ever built
@@ -801,7 +830,7 @@ def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_
     from parahoric.cli import types_parts
 
     from . import references
-    from .golden import load_cases, run_case
+    from .golden import case_stdout, load_cases
 
     def refuse(*args, **kwargs):
         raise AssertionError("an order read off matrix powers")
@@ -824,5 +853,5 @@ def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_
         assert type(action.automorphism) is rootdata.LatticeAutomorphism
     for case in load_cases():
         if case["argv"][0] == "global":
-            assert run_case(case, tmp_path) == (case["exit"], case["stdout_sha256"])
+            assert case_stdout(case, tmp_path)[0] == case["exit"]
     assert built and all(type(aut) is rootdata.LatticeAutomorphism for aut in built)
