@@ -17,6 +17,9 @@ on the first case, and exits 1 on any mismatch, each named by its argv or
 demo.  Besides its digest, each case is held to two facts: a JSON report is
 ``json.dumps(json.loads(out), indent=2, sort_keys=True) + "\\n"``, and an
 argv that ``cli.read_argv`` takes builds no ``argparse.ArgumentParser``.
+With ``--json`` it prints the mismatches of every case, demo and
+``-m`` run as one JSON report instead; ``site_off_run`` runs that once
+per process, and the tier-1 tests read their verdicts from it.
 Re-record both corpora from the same runs (only when an output change is
 intended) with
 
@@ -25,6 +28,7 @@ intended) with
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -90,11 +94,16 @@ def parsers_built():
         argparse.ArgumentParser.__init__ = init
 
 
+def case_name(case: dict) -> str:
+    """The case's argv, as one string: its test id and the name of its faults."""
+    return " ".join(case["argv"])
+
+
 def case_faults(case: dict, workdir: Path):
     """The mismatches of one golden case, each named by its argv: its exit
     code and stdout digest, a JSON report that is not ``json.dumps`` of its
     own parse, and a parser built for an argv that ``read_argv`` takes."""
-    name, faults = " ".join(case["argv"]), []
+    name, faults = case_name(case), []
     with parsers_built() as built:
         code, out = case_stdout(case, workdir)
     if (code, sha256(out)) != (case["exit"], case["stdout_sha256"]):
@@ -120,21 +129,42 @@ def python_s(*args: str):
 
 
 def replay():
-    """The mismatches of every golden case, every demo and one run of
-    ``python -S -m parahoric.cli`` against their recorded digests."""
-    cases, digests, faults = load_cases(), demo_digests(), []
+    """The mismatches of every golden case (a list in corpus order, since
+    some argvs differ only in their config), of every demo and of one run of
+    ``python -S -m parahoric.cli``, against their recorded digests."""
+    cases, digests = load_cases(), demo_digests()
     with tempfile.TemporaryDirectory() as tmp:
-        for case in cases:
-            faults += case_faults(case, Path(tmp))
+        case_report = [case_faults(case, Path(tmp)) for case in cases]
+    demo_report = {}
     for path in DEMOS:
         got = python_s(str(path))
-        if got != (0, digests.get(path.name)):
-            faults.append(f"demos/{path.name}: exit and digest {got}")
+        demo_report[path.name] = ([] if got == (0, digests.get(path.name))
+                                  else [f"demos/{path.name}: exit and digest {got}"])
     first = cases[0]
     got = python_s("-m", "parahoric.cli", *first["argv"])
-    if got != (first["exit"], first["stdout_sha256"]):
-        faults.append(f"python -S -m parahoric.cli {' '.join(first['argv'])}: {got}")
-    return faults
+    module = ([] if got == (first["exit"], first["stdout_sha256"])
+              else [f"python -S -m parahoric.cli {case_name(first)}: {got}"])
+    return {"cases": case_report, "demos": demo_report, "module": module,
+            "site": "off" if sys.flags.no_site else "on"}
+
+
+def all_faults(report: dict):
+    """Every mismatch of a ``replay`` report, in one list."""
+    return [fault for faults in [*report["cases"], *report["demos"].values(), report["module"]]
+            for fault in faults]
+
+
+@functools.cache
+def site_off_run():
+    """One ``python -S tests/golden.py --json`` run, made once per process."""
+    return subprocess.run([sys.executable, "-S", str(Path(__file__).resolve()), "--json"],
+                          cwd=HERE.parent, env=ENV, capture_output=True, text=True,
+                          timeout=600)
+
+
+def site_off_report():
+    """The JSON report of ``site_off_run``."""
+    return json.loads(site_off_run().stdout)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
@@ -149,9 +179,13 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
                             encoding="utf-8")
     print(f"recorded {len(cases)} cases and {len(digests)} demos")
 elif __name__ == "__main__":
-    faults = replay()
-    for fault in faults:
-        print(fault)
-    print(f"replayed {len(load_cases())} golden cases and {len(DEMOS)} demos "
-          f"(site {'off' if sys.flags.no_site else 'on'}): {len(faults)} mismatches")
+    report = replay()
+    faults = all_faults(report)
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps(report, indent=1))
+    else:
+        for fault in faults:
+            print(fault)
+        print(f"replayed {len(report['cases'])} golden cases and {len(DEMOS)} demos "
+              f"(site {report['site']}): {len(faults)} mismatches")
     sys.exit(1 if faults else 0)

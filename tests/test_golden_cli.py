@@ -7,19 +7,25 @@ text and JSON format alike.  Each demo runs in a fresh ``python -S`` process
 of its own against ``golden_demos.json``.  The same replay makes the two
 other checks of each case: a JSON report is ``json.dumps`` of its own parse,
 and a command line that ``cli.read_argv`` takes builds no argparse parser.
-Every mismatch is named by its argv or demo.
+The replay runs once per test session (``site_off_run``); each case's test
+here, and each demo's in ``test_demos.py``, reads its own verdict from that
+run, so every mismatch is named by its argv or demo.
 """
 
-import os
-import subprocess
-import sys
+import pytest
 
-from .golden import HERE
+from .golden import all_faults, case_name, load_cases, site_off_report, site_off_run
 
 
 def test_the_corpus_and_the_demos_replay_with_site_packages_off():
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-    done = subprocess.run([sys.executable, "-S", str(HERE / "golden.py")], cwd=HERE.parent,
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert (done.returncode, done.stderr) == (0, ""), done.stdout + done.stderr
-    assert done.stdout.endswith("(site off): 0 mismatches\n")
+    done = site_off_run()
+    assert done.stderr == "", done.stdout + done.stderr
+    report = site_off_report()
+    assert all_faults(report) == []
+    assert (done.returncode, report["site"], len(report["cases"])) == (0, "off", len(load_cases()))
+
+
+@pytest.mark.parametrize("index", range(len(load_cases())),
+                         ids=[case_name(case) for case in load_cases()])
+def test_golden_cli(index):
+    assert site_off_report()["cases"][index] == []
