@@ -18,10 +18,9 @@ A Fraction is built only for a returned point or value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg import QZVector, common_numerators, grid_numerators, require_positive_order
 from .rootdata import (
@@ -133,8 +132,7 @@ def fold_numerators(
     return X, values, word
 
 
-@dataclass(frozen=True)
-class FacetDescriptor:
+class FacetDescriptor(NamedTuple):
     """The set of affine walls through a reduced point; node 0 is the
     theta-wall 1 - <theta, x> = 0."""
 
@@ -358,8 +356,7 @@ def require_characteristic(p: int) -> None:
         raise ValueError(f"a residue characteristic must be 0 or a prime, not {p}")
 
 
-@dataclass(frozen=True)
-class VertexPrimeData:
+class VertexPrimeData(NamedTuple):
     """What :func:`vertex_prime_data` reads off one simple type: the primes
     of its marks, the quoted orders of its affine and twisted affine
     diagram automorphisms (None off type A), and the residue

@@ -63,11 +63,10 @@ A type is the index of its least class and its size (:func:`type_orbits`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .alcove import root_numerators
 from .exactalg import (
@@ -99,8 +98,13 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class GammaAction:
+class _GammaActionFields(NamedTuple):
+    # the fields alone: typing.NamedTuple refuses a __new__ in its body
+    e: int
+    automorphism: LatticeAutomorphism
+
+
+class GammaAction(_GammaActionFields):
     """Cyclic group of order e acting through a lattice automorphism, a
     node permutation whose order (:attr:`LatticeAutomorphism.order`) must
     divide e.
@@ -110,13 +114,13 @@ class GammaAction:
     characteristic are given (:func:`parahoric.alcove.min_split_degree`).
     """
 
-    e: int
-    automorphism: LatticeAutomorphism
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_positive_order(self.e)
-        if self.e % self.automorphism.order != 0:
+    def __new__(cls, e: int, automorphism: LatticeAutomorphism):
+        require_positive_order(e)
+        if e % automorphism.order != 0:
             raise ValueError("automorphism order must divide the order of Gamma")
+        return super().__new__(cls, e, automorphism)
 
     @property
     def rank(self) -> int:
@@ -174,17 +178,15 @@ class ClassSequence(Sequence):
         return len(other) == self._count and all(a == b for a, b in zip(self, other))
 
 
-@dataclass(frozen=True)
-class H1Classes:
+class H1Classes(NamedTuple):
     """H^1 as its structure and one representative per class; those of
-    :func:`h1_elements` are a :class:`ClassSequence`.  The hash reads
-    ``structure``."""
+    :func:`h1_elements` are a :class:`ClassSequence`, so that such a record
+    has no hash."""
     structure: FiniteAbelianGroup
-    representatives: Sequence[QZVector] = field(hash=False)
+    representatives: Sequence[QZVector]
 
 
-@dataclass(frozen=True)
-class LocalType:
+class LocalType(NamedTuple):
     """One local type: the least H^1 class of its orbit, the size of that
     orbit, and its place in the list of types, the neutral type 0."""
 

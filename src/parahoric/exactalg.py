@@ -17,11 +17,10 @@ Algebraic Number Theory, 2.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -83,21 +82,26 @@ def qz_zero(n: int) -> QZVector:
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _FiniteAbelianGroupFields(NamedTuple):
+    # the fields alone: typing.NamedTuple refuses a __new__ in its body
+    invariant_factors: Tuple[int, ...]
+    free_rank: int
+
+
+class FiniteAbelianGroup(_FiniteAbelianGroupFields):
     """Invariant-factor form d_1 | d_2 | ... | d_s (each > 1) plus free rank."""
 
-    invariant_factors: Tuple[int, ...]
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for d, e in itertools.pairwise(self.invariant_factors):
+    def __new__(cls, invariant_factors: Tuple[int, ...], free_rank: int = 0):
+        for d, e in itertools.pairwise(invariant_factors):
             if e % d != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if any(d <= 1 for d in self.invariant_factors):
+        if any(d <= 1 for d in invariant_factors):
             raise ValueError("invariant factors must exceed 1")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        return super().__new__(cls, invariant_factors, free_rank)
 
     @property
     def order(self) -> Optional[int]:

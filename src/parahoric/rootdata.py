@@ -26,7 +26,6 @@ lattice automorphism is a node permutation sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, inf, lcm, log10, prod
 from operator import mul
@@ -153,16 +152,18 @@ def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[IntVector, IntVector], ...
     return tuple(sorted(pairs, key=lambda pair: (sum(pair[0]), pair[0])))
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """Simply-connected root datum of one simple type."""
-
+class _RootDatumFields(NamedTuple):
     label: str
     rank: int
     cartan: IntMatrix
     positive_roots: Tuple[IntVector, ...]
     positive_coroots: Tuple[IntVector, ...]  # the coroot of each positive root
     marks: IntVector
+
+
+class RootDatum(_RootDatumFields):
+    """Simply-connected root datum of one simple type; its cached
+    properties live in an instance ``__dict__``, so it has no slots."""
 
     @property
     def name(self) -> str:
@@ -443,20 +444,23 @@ def weyl_order(datum: RootDatum, cap: int = DEFAULT_CAP) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
-    """Automorphism A e_j = e_sigma(j) of the coroot lattice, held as the
-    node permutation sigma (0-indexed); anything but a permutation of
-    0, ..., r - 1, r >= 1, is refused with ValueError."""
-
+class _LatticeAutomorphismFields(NamedTuple):
+    # the fields alone: typing.NamedTuple refuses a __new__ in its body
     node_permutation: Tuple[int, ...]
 
-    def __post_init__(self):
-        perm = tuple(self.node_permutation)
+
+class LatticeAutomorphism(_LatticeAutomorphismFields):
+    """Automorphism A e_j = e_sigma(j) of the coroot lattice, held as the
+    node permutation sigma (0-indexed); anything but a permutation of
+    0, ..., r - 1, r >= 1, is refused with ValueError.  No slots, as for
+    :class:`RootDatum`."""
+
+    def __new__(cls, node_permutation: Sequence[int]):
+        perm = tuple(node_permutation)
         if (not perm or any(type(p) is not int for p in perm)
                 or set(perm) != set(range(len(perm)))):
             raise ValueError(f"{perm} is not a permutation of the nodes")
-        object.__setattr__(self, "node_permutation", perm)
+        return super().__new__(cls, perm)
 
     @property
     def rank(self) -> int:

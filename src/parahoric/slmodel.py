@@ -25,11 +25,10 @@ tests and printed by the unitary demo, not on each call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .alcove import point_from_root_values
 from .exactalg import QZVector, qz, qz_vector, qz_zero
@@ -69,19 +68,24 @@ def perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """perm[j] is the row of the nonzero entry of column j; entries additive."""
-
+class _MonomialMatrixFields(NamedTuple):
+    # the fields alone: typing.NamedTuple refuses a __new__ in its body
     n: int
     perm: Tuple[int, ...]
     entries: QZVector
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(self.n)):
+
+class MonomialMatrix(_MonomialMatrixFields):
+    """perm[j] is the row of the nonzero entry of column j; entries additive."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, perm: Tuple[int, ...], entries: QZVector):
+        if sorted(perm) != list(range(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        if len(self.entries) != self.n:
+        if len(entries) != n:
             raise ValueError("need one entry per column")
+        return super().__new__(cls, n, perm, entries)
 
     @property
     def det_value(self) -> Fraction:
@@ -135,8 +139,7 @@ def mm_transpose(m: MonomialMatrix) -> MonomialMatrix:
 # the involutions of the worked examples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvolutionSpec:
+class InvolutionSpec(NamedTuple):
     """gamma(A) = J^-1 (A^t)^-1 J for a fixed monomial J, in the monomial
     calculus only: the lattice calls take the ``kind`` ("J" or "J-prime")."""
 
@@ -324,8 +327,7 @@ def sl_local_types(n: int, kind: str, cap: int = DEFAULT_CAP) -> List[LocalType]
 # quasi-split special unitary vertices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramMonomial:
+class GramMonomial(NamedTuple):
     """Hermitian Gram matrix of monomial shape over F' = k((pi)).
 
     Column j has its unique entry in row perm[j], of the form
@@ -369,8 +371,7 @@ def gram_unit_part(g: GramMonomial) -> Optional[MonomialMatrix]:
     return MonomialMatrix(g.n, g.perm, entries)
 
 
-@dataclass(frozen=True)
-class SUVertexReport:
+class SUVertexReport(NamedTuple):
     """The types at a special vertex of ramified SU_n
     (:func:`su_special_vertex_types`): the canonical case, the involution
     on SL_n it reduces to ("J" or "J-prime"), |H^1| of the torus, the

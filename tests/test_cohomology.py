@@ -57,6 +57,7 @@ from .references import (
     weyl_matrices,
 )
 from .test_reach import defined_functions
+from .test_records import check_record
 from .test_rootdata import flip
 from .test_types_writer import GROUPS
 
@@ -81,6 +82,7 @@ def test_permutation_orders_take_no_matrix_product(monkeypatch):
     assert GammaAction(4, e6_flip).automorphism.order == 2
     triality = GammaAction(3, diagram_automorphism(d4, (2, 1, 3, 0)))
     assert triality.automorphism.order == 3
+    check_record(triality)
     with pytest.raises(ValueError, match="must divide"):
         GammaAction(3, diagram_automorphism(e6, (5, 1, 4, 3, 2, 0)))
 

@@ -23,6 +23,7 @@ from .references import (
     mat_vec_qz,
     solve_mod_z,
 )
+from .test_records import check_record
 
 
 def snf_checks(M):
@@ -242,4 +243,5 @@ def test_finite_abelian_group_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1, 2))
     assert FiniteAbelianGroup(()).order == 1
+    check_record(FiniteAbelianGroup((2, 4), 1))
 

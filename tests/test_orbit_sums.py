@@ -4,7 +4,6 @@ model ``grid_classes`` and the ``class_orbits`` reference of
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -182,11 +181,11 @@ def test_types_are_read_off_the_passed_classes():
     base = _bases(action.automorphism, 3, 4)[1][0]
     classes = h1_elements(datum, action)
     types = types_of_classes(datum, action, classes, base=base)
-    positions = replace(classes, representatives=tuple(range(len(classes.representatives))))
+    positions = classes._replace(representatives=tuple(range(len(classes.representatives))))
     assert [t.orbit_representative
             for t in types_of_classes(datum, action, positions, base=base)] \
         == [classes.representatives.index(t.orbit_representative) for t in types]
-    fewer = replace(classes, representatives=classes.representatives[:-1])
+    fewer = classes._replace(representatives=classes.representatives[:-1])
     with pytest.raises(AssertionError, match="orbit sizes must add up to the class count"):
         types_of_classes(datum, action, fewer, base=base)
 

@@ -1,7 +1,6 @@
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -180,7 +179,7 @@ def test_a_closure_that_misses_the_closed_form_is_a_hard_error(monkeypatch):
 
 def test_a_coroot_closure_that_misses_2_phi_plus_is_a_hard_error():
     datum = build_root_datum("B", 3)
-    short = replace(datum, positive_coroots=datum.positive_coroots[1:])
+    short = datum._replace(positive_coroots=datum.positive_coroots[1:])
     with pytest.raises(AssertionError, match="B3 has 16 coroots, not 2 \\|Phi\\+\\| = 18"):
         rootdata._packed_keys.__wrapped__(short)
 
@@ -188,7 +187,7 @@ def test_a_coroot_closure_that_misses_2_phi_plus_is_a_hard_error():
 def test_a_coroot_list_not_closed_under_the_reflections_is_a_hard_error():
     datum = build_root_datum("B", 3)
     doubled = tuple(2 * x for x in datum.theta_coroot)  # in place of theta^v
-    bad = replace(datum, positive_coroots=datum.positive_coroots[:-1] + (doubled,))
+    bad = datum._replace(positive_coroots=datum.positive_coroots[:-1] + (doubled,))
     with pytest.raises(AssertionError, match="^the coroot list of B3 is not closed under s2$"):
         rootdata._packed_keys.__wrapped__(bad)
 
@@ -287,7 +286,7 @@ def test_cartan_inverse_refuses_a_wrong_smith_diagonal(monkeypatch, diagonal):
 
     monkeypatch.setattr(rootdata, "smith_normal_form", wrong)
     for label, rank in [("A", 1), ("E", 6), ("E", 8)]:
-        datum = replace(build_root_datum(label, rank))  # no cached pair
+        datum = build_root_datum(label, rank)._replace()  # no cached pair
         with pytest.raises(AssertionError, match=f"Cartan matrix of {label}{rank} "):
             datum.cartan_inverse
 

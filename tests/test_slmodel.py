@@ -836,14 +836,14 @@ def test_types_and_global_build_only_permutation_automorphisms(monkeypatch, tmp_
         raise AssertionError("an order read off matrix powers")
 
     built = []
-    init = rootdata.LatticeAutomorphism.__init__
+    new = rootdata.LatticeAutomorphism.__new__
 
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    def recorded(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(references, "matrix_order", refuse)
-    monkeypatch.setattr(rootdata.LatticeAutomorphism, "__init__", recorded)
+    monkeypatch.setattr(rootdata.LatticeAutomorphism, "__new__", recorded)
     cases = [("A", 3, 4, "trivial", {}), ("B", 2, 4, "trivial", {"point": (F(1, 2), F(0))}),
              ("A", 4, 2, "diagram", {"perm": (3, 2, 1, 0)})]
     cases += [("A", n - 1, 2, kind, {}) for n in range(3, 9)

@@ -23,7 +23,6 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
 from pathlib import Path
@@ -175,7 +174,7 @@ def test_a_split_listing_the_norm_does_not_kill_is_refused(monkeypatch):
     # the norm check of a split report reads the radices of the listing in
     # integers: a node of radix 3 at e = 2 takes the values j/3, not in (1/2)Z
     parts = cli.types_parts("A", 1, 2, "trivial")
-    off_grid = replace(parts[3], representatives=ClassSequence((3,)))
+    off_grid = parts[3]._replace(representatives=ClassSequence((3,)))
     monkeypatch.setattr(cli, "types_parts", lambda *args, **kwargs: (*parts[:3], off_grid,
                                                                      *parts[4:]))
     with pytest.raises(ValueError, match=r"^the norm 2 does not kill the classes over the "
@@ -186,7 +185,7 @@ def test_a_split_listing_the_norm_does_not_kill_is_refused(monkeypatch):
 def with_listing(monkeypatch, order, radices):
     """``cli.types_parts`` of A1 at ``order``, its classes listed over ``radices``."""
     parts = cli.types_parts("A", 1, order, "trivial")
-    listing = replace(parts[3], representatives=ClassSequence(radices))
+    listing = parts[3]._replace(representatives=ClassSequence(radices))
     monkeypatch.setattr(cli, "types_parts", lambda *args, **kwargs: (*parts[:3], listing,
                                                                      *parts[4:]))
 
