@@ -3,6 +3,7 @@
 identity between apartment orbits and cohomology counts."""
 
 from fractions import Fraction as F
+from math import floor
 
 from parahoric import (
     apartment_orbit_types,
@@ -22,9 +23,12 @@ d2 = build_root_datum("A", 2)
 g2 = build_root_datum("G", 2)
 
 print("Folding a far point into the fundamental alcove (rank one):")
-x = point_from_root_values(d1, (F(73, 6),))
+x = point_from_root_values(d1, (F(71, 6),))
 x0, word = reduce_to_alcove(d1, x)
-print(f"  73/6 -> {simple_root_values(d1, x0)[0]} via walls {list(word)}")
+shift = tuple(floor(c) for c in x)  # the coroot translation made before the fold
+moved = simple_root_values(d1, tuple(c - k for c, k in zip(x, shift)))[0]
+print(f"  71/6 -> {moved} by the coroot translation {list(shift)}, "
+      f"then -> {simple_root_values(d1, x0)[0]} via walls {list(word)}")
 
 print()
 print("Facets of points of the closed alcove (rank one):")

@@ -4,10 +4,10 @@ apartment orbits.
 Points live in the rational span of the coroot lattice, written in
 simple-coroot coordinates.  The closed fundamental alcove is cut out by
 ``<alpha_i, x> >= 0`` for the simple roots and ``<theta, x> <= 1`` for the
-highest root; wall 0 is the theta-wall.  Reduction folds a point into the
-alcove by reflecting across violated walls, which terminates because each
-step lowers the number of affine hyperplanes separating the point from the
-alcove.
+highest root; wall 0 is the theta-wall.  Reduction translates a point
+outside the alcove into [0, 1)^r by the coroot lattice, then folds it by
+reflecting across violated walls, each step lowering the number of affine
+hyperplanes separating the point from the alcove.
 
 The kernels work on integer numerators: a point x is X / D for its least
 common denominator D, its simple-root values are V / D with V = C X for the
@@ -27,7 +27,6 @@ from .rootdata import (
     DEFAULT_CAP,
     EnumerationCapError,
     RootDatum,
-    _count_text,
     build_root_datum,
     weyl_order,
 )
@@ -67,46 +66,51 @@ def point_from_root_values(datum: RootDatum, values: Sequence[Fraction]) -> Alco
 
 
 def reduce_to_alcove(
-    datum: RootDatum, x: Sequence[Fraction], cap: int = DEFAULT_CAP
+    datum: RootDatum, x: Sequence[Fraction]
 ) -> Tuple[AlcovePoint, Tuple[int, ...]]:
-    """Fold x into the closed fundamental alcove; the word lists the walls
-    (0 for the theta-wall, i for the i-th simple wall) in reflection order.
-    The fold runs on the numerators of x over its least common denominator
-    (:func:`fold_numerators`), whose cap and checks apply."""
-    D, X, values = root_numerators(datum, x)
-    X, _, word = fold_numerators(datum, D, list(X), values, cap)
+    """Fold x into the closed fundamental alcove (:func:`fold_numerators`, on
+    the numerators of x over its least common denominator).  A point of the
+    closed alcove has the empty word; any other point is first translated by
+    floor(x) in Q_coroot, and its word lists the walls crossed after that (0
+    for the theta-wall, i for the i-th simple wall) in reflection order."""
+    require_coordinates(datum, x)
+    D, X = common_numerators(x)
+    X, _, word = fold_numerators(datum, D, list(X))
     return tuple(Fraction(a, D) for a in X), tuple(word)
 
 
 def fold_numerators(
-    datum: RootDatum, D: int, X: List[int], values: List[int], cap: int = DEFAULT_CAP
+    datum: RootDatum, D: int, X: List[int]
 ) -> Tuple[List[int], List[int], List[int]]:
-    """Fold the point X / D, whose root values are ``values`` / D (values =
-    C X), into the closed fundamental alcove, in place: (X, values, word)
-    after the fold, the word as in :func:`reduce_to_alcove`.
+    """Fold the point X / D, whose root values are V / D (V = C X), into the
+    closed fundamental alcove, in place: (X, V, word) after the fold, the
+    word as in :func:`reduce_to_alcove`.
 
-    Each step reflects across the first simple wall with a negative root
-    value, or else across the theta-wall when <theta, x> > 1.  No reflection
-    changes the denominator D, which need not be the least one: s_i lowers
-    X_i by V_i and V_j by c_ji V_i, the theta-reflection subtracts its
-    excess times the theta-coroot, and <theta, x> = sum_i m_i V_i / D for
-    the marks m.
+    A point outside the alcove, a strict fundamental domain of W x Q_coroot,
+    is first replaced by X mod D, in [0, 1)^r.  Each step then reflects
+    across the first simple wall with a negative root value, or else across
+    the theta-wall when <theta, x> > 1.  No reflection changes the
+    denominator D, which need not be the least one: s_i lowers X_i by V_i
+    and V_j by c_ji V_i, the theta-reflection subtracts its excess times the
+    theta-coroot, and <theta, x> = sum_i m_i V_i / D for the marks m.
 
     Each reflection crosses one separating wall, so the word has one letter
     per affine root hyperplane strictly between x and the alcove: sum over
     alpha > 0 of ceil(<alpha, x>) - 1 if <alpha, x> > 1, -floor(<alpha, x>)
-    if < 0.  A count above ``cap`` is refused with EnumerationCapError
-    before the first reflection; a word of another length is a hard error.
+    if < 0; on [0, 1)^r, at most max(P - 1, -N, 0) per root for the sums P
+    and N of the positive and the negative <alpha, alpha_i^vee>, at any
+    distance of the given point.  A word of another length is a hard error.
     """
+    marks = datum.marks
+    values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
+    if min(values) < 0 or sum(m * v for m, v in zip(marks, values)) > D:
+        X[:] = [a % D for a in X]
+        values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
     root_values = [0]  # D <alpha, x> per positive root, up the root ladder
     for k, i in datum.root_ladder:
         root_values.append(root_values[k] + values[i])
     count = sum((v - 1) // D if v > 0 else -(v // D) for v in root_values)
-    if count > cap:
-        raise EnumerationCapError(
-            f"alcove reduction of {_count_text(count)} reflections exceeds cap {cap}")
     r = datum.rank
-    marks = datum.marks
     columns, theta_values = datum.reflection_updates
     theta_coroot = datum.theta_coroot
     word: List[int] = []
@@ -200,7 +204,6 @@ def type_to_alcove(
     rep: QZVector,
     e: int,
     base: Sequence[Fraction],
-    cap: int = DEFAULT_CAP,
 ) -> Tuple[AlcovePoint, FacetDescriptor]:
     """Alcove point and facet of the twisted stabilizer attached to a class
     (:func:`fold_type`).
@@ -212,7 +215,7 @@ def type_to_alcove(
     split action does not kill, is a ValueError, raised before the fold.
     """
     require_positive_order(e)
-    D, X, values = fold_type(datum, grid_numerators(rep, e), e, common_numerators(base), cap)
+    D, X, values = fold_type(datum, grid_numerators(rep, e), e, common_numerators(base))
     return tuple(Fraction(a, D) for a in X), facet_of_numerators(datum, D, values)
 
 
@@ -221,7 +224,6 @@ def fold_type(
     digits: Sequence[int],
     e: int,
     base_numerators: Tuple[int, Sequence[int]],
-    cap: int = DEFAULT_CAP,
 ) -> Tuple[int, List[int], List[int]]:
     """(D, X, V): the point b + t folded into the closed alcove as X / D,
     with root values V / D, for the base b = B / N given as (N, B) and a
@@ -236,8 +238,7 @@ def fold_type(
     D = lcm(N, e)
     scale, step = D // N, D // e
     X = [b * scale + a * step for b, a in zip(B, digits)]
-    values = [sum(c * a for c, a in zip(row, X) if c) for row in datum.cartan]
-    X, values, _ = fold_numerators(datum, D, X, values, cap)
+    X, values, _ = fold_numerators(datum, D, X)
     return D, X, values
 
 
@@ -270,7 +271,7 @@ def apartment_orbit_types(
         )
     r = datum.rank
     cartan = datum.cartan
-    base, _ = reduce_to_alcove(datum, a, cap)
+    base, _ = reduce_to_alcove(datum, a)
     # x = X / (D e) with integer X; X mod D names the coset x + (1/e) Q_coroot
     D = lcm(*((x * e).denominator for x in base))
     start = tuple(int(x * e * D) % D for x in base)

@@ -25,6 +25,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -98,22 +99,27 @@ def parse_fraction(s: str) -> Fraction:
     a rational such as "1e4400" with a numerator or denominator of more
     digits than ``sys.get_int_max_str_digits()`` lets an int be written
     with (a limit of 0, or a Python without the limit, refuses none), as
-    reports and refusals write the values they are given.  An int of at
-    most 3 * limit bits has fewer digits than any limit Python allows (640
-    or more), so only a longer one is written to be checked."""
+    reports and refusals write the values they are given: only an int of
+    more than 3 * limit bits can pass a limit Python allows (640 or more),
+    and a decimal exponent past len(s) + limit leaves 0 or too many digits
+    whatever the mantissa, so 10^|exponent| is then never built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # digits, point, digits and exponent as Fraction reads them; compiled at a first exponent
+    decimal = limit and ("e" in s or "E" in s) and re.fullmatch(
+        r"(?ai)\s*[-+]?(?=\.?\d)(\d*)\.?(\d*)e([-+]?\d+)\s*", s)
     try:
         if "_" in s:
             raise ValueError("underscore in a rational")
-        value = Fraction(s)
+        far = decimal and abs(int(decimal[3])) > len(s) + limit
+        value = None if far else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {s!r}") from exc
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(abs(value.numerator), value.denominator).bit_length() > 3 * limit:
-        try:
-            str(value.numerator), str(value.denominator)
-        except ValueError as exc:
-            raise UsageError(f"the rational {s!r} has more digits than the limit of "
-                             f"{limit} for writing an int as a string") from exc
+    if far and not (decimal[1] + decimal[2]).strip("0"):
+        return Fraction(0)
+    top = 0 if far else max(abs(value.numerator), value.denominator)
+    if far or limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise UsageError(f"the rational {s!r} has more digits than the limit of "
+                         f"{limit} for writing an int as a string")
     return value
 
 
@@ -485,7 +491,7 @@ def types_parts(
         datum = build_root_datum(label, rank, cap)
         action = trivial_action(rank, order)
         values = point_or_default(point, rank, order)
-        base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values), cap)
+        base, _ = reduce_to_alcove(datum, point_from_root_values(datum, values))
     elif variant is not None:
         if label != "A":
             raise UsageError("sl involutions are only defined for type A")
@@ -731,7 +737,7 @@ def cmd_twist(args) -> dict:
 
     def twist_row(start: int) -> dict:
         digits = classes.representatives.digits(start)
-        D, X, values = fold_type(datum, digits, args.order, base_numerators, args.cap)
+        D, X, values = fold_type(datum, digits, args.order, base_numerators)
         facet = facet_of_numerators(datum, D, values)
         return {
             "representative": [node[j] for j in digits],

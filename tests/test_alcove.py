@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ import parahoric.rootdata
 from parahoric.alcove import (
     apartment_orbit_types,
     facet_of,
+    fold_numerators,
     fold_type,
     min_split_degree,
     point_from_root_values,
@@ -25,13 +26,9 @@ from parahoric.alcove import (
 )
 from parahoric.cohomology import local_types, trivial_action
 from parahoric.exactalg import common_numerators, grid_numerators
-from parahoric.rootdata import (
-    EnumerationCapError,
-    build_root_datum,
-    orbit_partition,
-)
+from parahoric.rootdata import build_root_datum, orbit_partition
 
-from .references import mat_vec, pairing, rank_range, weyl_generators, weyl_matrices
+from .references import mat_vec, pairing, rank_range, root_row, weyl_generators, weyl_matrices
 
 
 def rv_point(datum, *values):
@@ -76,11 +73,16 @@ def test_point_from_root_values_roundtrip():
 
 
 def test_reduce_a1_example():
+    # <alpha, x> = 7/3 is x = 7/6, translated to 1/6 (value 1/3) in the
+    # alcove: no reflection is left; 5/3 is x = 5/6, left as it is by the
+    # translation, and reflected across the theta-wall once
     d1 = build_root_datum("A", 1)
-    x = rv_point(d1, F(7, 3))
-    x0, word = reduce_to_alcove(d1, x)
-    assert simple_root_values(d1, x0) == (F(1, 3),)
-    assert word  # something was reflected
+    for value, folded, walls in ((F(7, 3), F(1, 3), ()), (F(5, 3), F(1, 3), (0,))):
+        x = rv_point(d1, value)
+        x0, word = reduce_to_alcove(d1, x)
+        assert simple_root_values(d1, x0) == (folded,)
+        assert x0 == reduce_to_alcove_reference(d1, x)[0]
+        assert word == walls == reduce_to_alcove_reference(d1, fold_start(d1, x))[1]
 
 
 def test_reduce_fixes_alcove_points():
@@ -167,6 +169,29 @@ def separating_walls(datum, x):
     return count
 
 
+def in_closed_alcove(datum, x):
+    r = datum.rank
+    return (all(pairing(datum, tuple(int(k == i) for k in range(r)), x) >= 0 for i in range(r))
+            and pairing(datum, datum.marks, x) <= 1)
+
+
+def fold_start(datum, x):
+    """The point the fold reflects from: x itself in the closed alcove, else
+    its translate x - floor(x) by the coroot lattice."""
+    return tuple(x) if in_closed_alcove(datum, x) else tuple(c - math.floor(c) for c in x)
+
+
+def wall_bound(datum):
+    """B = sum over alpha > 0 of max(P - 1, -N, 0), for P and N the sums of
+    the positive and of the negative pairings <alpha, alpha_i^vee>: on
+    [0, 1)^r, <alpha, x> lies in [N, P), so at most B walls are left."""
+    bound = 0
+    for root in datum.positive_roots:
+        row = root_row(datum, root)
+        bound += max(sum(c for c in row if c > 0) - 1, -sum(c for c in row if c < 0), 0)
+    return bound
+
+
 @st.composite
 def reduction_points(draw):
     datum = draw(st.sampled_from([build_root_datum(*lr) for lr in rank_range(4)]))
@@ -177,26 +202,59 @@ def reduction_points(draw):
 @settings(database=None, max_examples=150, deadline=None)
 @given(reduction_points())
 def test_reduction_word_length_is_the_number_of_separating_walls(case):
+    # the word is the walls from the translated point, the point that of x
     datum, x = case
-    count = separating_walls(datum, x)
-    _, word = reduce_to_alcove(datum, x)
-    assert len(word) == count
-    # the count is the cap's boundary: at the count the fold runs, one below it is refused
-    assert reduce_to_alcove(datum, x, cap=count)[1] == word
-    if count:
-        with pytest.raises(EnumerationCapError,
-                           match=f"^alcove reduction of {count} reflections exceeds cap {count - 1}$"):
-            reduce_to_alcove(datum, x, cap=count - 1)
+    start = fold_start(datum, x)
+    point, word = reduce_to_alcove(datum, x)
+    assert point == reduce_to_alcove_reference(datum, x)[0]
+    assert word == reduce_to_alcove_reference(datum, start)[1]
+    assert len(word) == separating_walls(datum, start)
 
 
-def test_reduction_beyond_the_cap_reflects_nothing(monkeypatch):
-    # the fold reads the theta-coroot before its first reflection
+def test_a_point_at_root_values_1e40_folds_from_its_translate():
+    # an E8 point whose fold from x itself would cross about 10^43 walls: it
+    # is translated by floor(x) first and then makes at most B reflections;
+    # the Fraction fold runs from x - round(x), another coroot translate
     e8 = build_root_datum("E", 8)
-    x = point_from_root_values(e8, (F(10 ** 40),) * 8)
-    monkeypatch.setattr(parahoric.rootdata.RootDatum, "theta_coroot",
-                        property(lambda self: pytest.fail("a reflection ran")))
-    with pytest.raises(EnumerationCapError, match="reflections exceeds cap 1000000$"):
-        reduce_to_alcove(e8, x)
+    x = point_from_root_values(e8, (F(10 ** 40),) * 7 + (F(-10 ** 40 - 1, 7),))
+    start = fold_start(e8, x)
+    assert all((c - t).denominator == 1 for c, t in zip(x, start)) and start != x
+    point, word = reduce_to_alcove(e8, x)
+    assert point == reduce_to_alcove_reference(e8, tuple(c - round(c) for c in x))[0]
+    assert word == reduce_to_alcove_reference(e8, start)[1]
+    assert 0 < len(word) == separating_walls(e8, start) <= wall_bound(e8)
+
+
+@st.composite
+def far_points(draw):
+    datum = draw(st.sampled_from(REDUCTION_BOUND_GROUPS))
+    big = 10 ** 40
+    return datum, point_from_root_values(datum, tuple(
+        F(draw(st.integers(-big, big)), draw(st.integers(1, 60))) for _ in range(datum.rank)))
+
+
+REDUCTION_BOUND_GROUPS = [build_root_datum(*lr) for lr in rank_range(8)]
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(far_points())
+def test_no_fold_makes_more_than_the_wall_bound(case):
+    # root values up to 10^40 over every type of rank <= 8
+    datum, x = case
+    point, word = reduce_to_alcove(datum, x)
+    assert len(word) <= wall_bound(datum)
+    assert (point, word) == reduce_to_alcove_reference(datum, fold_start(datum, x))
+
+
+def test_the_wall_bound_is_within_the_root_closure_estimate():
+    # every datum is built under |Phi+| r^2 <= cap, and the fold of a point
+    # of it makes at most B reflections: so no fold can pass the cap its
+    # datum was built under; A1 meets it with equality, B = 1 (<alpha, x> in
+    # (1, 2) leaves the wall <alpha, x> = 1)
+    assert wall_bound(build_root_datum("A", 1)) == 1
+    for label, rank in rank_range(30):
+        datum = build_root_datum(label, rank)
+        assert wall_bound(datum) <= len(datum.positive_roots) * rank ** 2
 
 
 @pytest.mark.parametrize("e", [0, -3])
@@ -620,7 +678,8 @@ def test_integer_fold_matches_the_fraction_fold(label, rank):
     rng = random.Random(f"{label}{rank}")
     for x in fold_test_points(rng, datum):
         point, word = reduce_to_alcove(datum, x)
-        assert (point, word) == reduce_to_alcove_reference(datum, x)
+        assert point == reduce_to_alcove_reference(datum, x)[0]
+        assert word == reduce_to_alcove_reference(datum, fold_start(datum, x))[1]
         assert all(type(c) is F for c in point)
         facet = facet_of(datum, point)
         walls, special, degree = facet_and_degree_reference(datum, point)
@@ -634,8 +693,8 @@ def test_integer_fold_matches_the_fraction_fold(label, rank):
 @pytest.mark.parametrize("label,rank", rank_range(6))
 def test_type_fold_over_lcm_matches_the_fraction_fold(label, rank):
     # type_to_alcove folds b + t over D = lcm(den b, e), which need not be
-    # the least denominator of b + t; the point, its facet and the cap are
-    # those of the Fraction fold of b + t
+    # the least denominator of b + t; the point and its facet are those of
+    # the Fraction fold of b + t, and the word over D that of its translate
     datum = build_root_datum(label, rank)
     rng = random.Random(f"type {label}{rank}")
     for e in (1, 2, 6):
@@ -643,10 +702,12 @@ def test_type_fold_over_lcm_matches_the_fraction_fold(label, rank):
             base = reduce_to_alcove(datum, x)[0]
             rep = tuple(F(rng.randrange(e), e) for _ in range(rank))
             twisted = tuple(b + t for b, t in zip(base, rep))
-            point, word = reduce_to_alcove_reference(datum, twisted)
+            point = reduce_to_alcove_reference(datum, twisted)[0]
             assert type_to_alcove(datum, rep, e, base) == (point, facet_of(datum, point))
-            if word:
-                with pytest.raises(EnumerationCapError, match=f"of {len(word)} reflections"):
-                    type_to_alcove(datum, rep, e, base, cap=len(word) - 1)
+            N, B = common_numerators(base)
+            D = lcm(N, e)
+            X = [b * (D // N) + a * (D // e) for b, a in zip(B, grid_numerators(rep, e))]
+            word = tuple(fold_numerators(datum, D, X)[2])
+            assert word == reduce_to_alcove_reference(datum, fold_start(datum, twisted))[1]
     with pytest.raises(ValueError, match=r"is not in \(1/2\)Z"):
         type_to_alcove(datum, (F(1, 3),) + (F(0),) * (rank - 1), 2, (F(0),) * rank)

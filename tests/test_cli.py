@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahoric.cli import json_text, main, parse_fraction
+from parahoric.alcove import point_from_root_values, simple_root_values
+from parahoric.cli import UsageError, json_text, main, parse_fraction
+from parahoric.rootdata import build_root_datum
 
+from .test_alcove import reduce_to_alcove_reference
 from .test_read_argv import ending
 
 
@@ -17,6 +21,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_root_values(label, rank, values):
+    """The root values, as a report writes them, of the Fraction fold of the
+    point with these root values, run from its coroot translate x - round(x)
+    (the fold from x itself would cross as many walls as x is far)."""
+    datum = build_root_datum(label, rank)
+    x = point_from_root_values(datum, tuple(Fraction(v) for v in values))
+    point = reduce_to_alcove_reference(datum, tuple(c - round(c) for c in x))[0]
+    return [str(v) for v in simple_root_values(datum, point)]
+
+
+def folded_point(report):
+    """The folded base point of a JSON ``types``, ``orbit`` or ``twist``
+    report: its base point, its one orbit representative at order 1, or the
+    point of the row of the zero class."""
+    if report["command"] == "types":
+        return report["base_point"]["root_values"]
+    if report["command"] == "orbit":
+        return report["representatives"][0]
+    return next(row["point_root_values"] for row in report["twists"]
+                if not any(a != "0" for a in row["representative"]))
 
 
 def test_types_sl2_text(capsys):
@@ -341,7 +367,7 @@ def test_an_underscore_in_a_rational_is_refused_on_every_python(capsys, tmp_path
 
 # Fraction reads "1e4400" as 10**4400 without writing it, but its 4,401
 # digits are more than Python writes an int with by default (4,300), so no
-# report or refusal could name it; "1e4000" still reaches the alcove cap
+# report or refusal could name it; "1e4000" is read, and folded
 TOO_LONG = "1e4400"
 INT_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -367,8 +393,42 @@ def test_a_rational_too_long_to_write_is_a_usage_error(capsys, tmp_path, command
     assert f"'{TOO_LONG}'" in err and str(INT_STR_LIMIT) in err
     assert "Exceeds the limit" not in err and "Traceback" not in err
     if command != "global" and command[0] != "split-degree":
-        code, out, err = run_cli(capsys, *command, "--point=1e4000")
-        assert (code, out) == (3, "") and "cap exceeded: alcove reduction" in err
+        code, out, err = run_cli(capsys, *command, "--point=1e4000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert folded_point(json.loads(out)) == reference_root_values("A", 1, [10 ** 4000])
+
+
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="this interpreter writes an int of any length")
+@pytest.mark.parametrize("value", ["1e9999999", "1e99999999", "-2.5E-99999999"])
+@pytest.mark.parametrize("command", ["split-degree", "global"])
+def test_a_far_decimal_exponent_is_refused_before_any_fraction(
+        capsys, tmp_path, monkeypatch, command, value):
+    # Fraction would build 10^|exponent| before any digit count: seconds
+    # for 1e9999999, minutes for 1e99999999
+    if command == "global":
+        argv = ["global", "--config", write_config(tmp_path, {"branch_points": [
+            {"name": "x0", "group": {"label": "A", "rank": 1}, "order": 2,
+             "point": [value]}]})]
+    else:
+        argv = ["split-degree", "--group", "A1", f"--point={value}"]
+    monkeypatch.setattr("parahoric.cli.Fraction",
+                        lambda *args: pytest.fail("a Fraction was built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the rational {value!r} has more digits than the limit of "
+                   f"{INT_STR_LIMIT} for writing an int as a string\n")
+
+
+@pytest.mark.skipif(not INT_STR_LIMIT, reason="this interpreter writes an int of any length")
+def test_a_decimal_exponent_within_the_limit_or_on_zero_is_read():
+    # 10^4299 has 4,300 digits, as many as the default limit writes
+    if INT_STR_LIMIT >= 4300:
+        assert parse_fraction("0.0001e4303") == 10 ** 4299
+    assert parse_fraction(f"1e{INT_STR_LIMIT - 1}") == 10 ** (INT_STR_LIMIT - 1)
+    with pytest.raises(UsageError, match="more digits than the limit"):
+        parse_fraction(f"1e{INT_STR_LIMIT}")
+    for zero in ("0e99999999", "-0.000E-99999999", ".0e+99999999"):
+        assert parse_fraction(zero) == 0
 
 
 def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
@@ -383,14 +443,21 @@ def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
     assert parse_fraction("-" + TOO_LONG) == -10 ** 4400
 
 
+@pytest.mark.skipif(0 < INT_STR_LIMIT < 4300,
+                    reason="this interpreter does not write an int of 4,300 digits")
+@pytest.mark.parametrize("command", ["orbit", "twist"])
+def test_a_point_of_4300_digits_is_folded_from_its_translate(capsys, command):
+    # the fold from x would cross more than 10^4300 walls, whose count could
+    # not be written; from x - floor(x) it crosses at most B
+    code, out, err = run_cli(capsys, command, "--group", "A2", "--order", "1",
+                             "--point=9e4299,9e4299", "--format", "json")
+    assert (code, err) == (0, "")
+    assert folded_point(json.loads(out)) == reference_root_values("A", 2, [9 * 10 ** 4299] * 2)
+
+
 @pytest.mark.skipif(not 0 < INT_STR_LIMIT < 4301,
                     reason="this interpreter writes an int of 4,301 digits")
 @pytest.mark.parametrize("argv,stage", [
-    # 4,301-digit reflection counts of alcove.fold_numerators
-    (["orbit", "--group", "A2", "--order", "1", "--point=9e4299,9e4299"],
-     "alcove reduction of 10^4300 or more reflections"),
-    (["twist", "--group", "A2", "--order", "1", "--point=9e4299,9e4299"],
-     "alcove reduction of 10^4300 or more reflections"),
     # a 6,001-digit class count of h1_elements
     (["types", "--group", "E6", "--order", "2" + "0" * 1500,
       "--action", "diagram", "--perm", "6,2,5,4,3,1"],
@@ -398,7 +465,7 @@ def test_a_rational_of_any_length_is_read_without_a_limit(monkeypatch):
     # a 4,400-digit |Phi+| r^2 estimate of build_root_datum
     (["data", "--group", "A1" + "0" * 1100],
      "root closure for A1" + "0" * 1100 + ": |Phi+| * r^2 = 10^4399 or more"),
-], ids=["orbit", "twist", "types", "data"])
+], ids=["types", "data"])
 def test_a_count_too_long_to_write_is_a_cap_refusal(capsys, argv, stage):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
@@ -670,22 +737,16 @@ def test_global_names_a_nameless_branch_point_by_its_position(capsys, tmp_path):
     assert "point None: A1" in out and "point x1: A1" in out
 
 
-def test_alcove_reduction_step_cap(capsys, monkeypatch):
-    # the 9999999 walls between the point and the alcove are counted and
-    # refused before the fold reads the theta-coroot for its first reflection
-    import parahoric.rootdata
-
-    monkeypatch.setattr(parahoric.rootdata.RootDatum, "theta_coroot",
-                        property(lambda self: pytest.fail("a reflection ran")))
-    code, out, err = run_cli(capsys, "orbit", "--group", "A1", "--order", "1",
-                             "--point", "10000000", "--cap", "50")
-    assert (code, out, err) == (
-        3, "", "cap exceeded: alcove reduction of 9999999 reflections exceeds cap 50\n")
-    code, out, err = run_cli(capsys, "types", "--group", "A1", "--order", "3",
-                             "--point", "1e30")
-    assert (code, out) == (3, "")
-    assert err == (f"cap exceeded: alcove reduction of {10 ** 30 - 1} reflections "
-                   f"exceeds cap 1000000\n")
+def test_a_point_past_the_cap_in_walls_is_folded(capsys):
+    # 9999999 and 10^30 - 1 walls lie between these points and the alcove,
+    # more than the cap; the fold translates first, so no count meets the cap
+    for argv, value in ((["orbit", "--group", "A1", "--order", "1", "--point", "10000000",
+                          "--cap", "50"], 10 ** 7),
+                        (["types", "--group", "A1", "--order", "3", "--point", "1e30"],
+                         10 ** 30)):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert folded_point(json.loads(out)) == reference_root_values("A", 1, [value]) == ["0"]
 
 
 @pytest.mark.parametrize("argv,message", [
