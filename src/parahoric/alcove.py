@@ -253,65 +253,62 @@ def apartment_orbit_types(
 
     The closed alcove is a strict fundamental domain for W_aff, so the
     classes are the closed-alcove points of the orbit, which is the union of
-    the cosets W(a) + (1/e) Q_coroot.  a is reduced into the alcove once; the
-    cosets are found by breadth-first search under the simple reflections on
-    coroot coordinates mod 1/e (a point of the (1/e)-grid has one coset).  In
-    a coset c the points c + mu/e of the closed alcove have root values
-    (Cc)_i + n_i/e >= 0 with sum_i m_i (Cc)_i + sum_i m_i n_i / e <= 1, where
-    n = C mu must satisfy adj(C) n = 0 mod det(C).  The cost is cosets times
-    alcove lattice points, but the size |W| * e^r of the orbit enumeration
-    is still checked against ``cap`` first, so the refusals do not move.
-    An order e < 1 is a ValueError, before any cap.
+    the cosets W(a) + (1/e) Q_coroot.  a is reduced into the alcove once, to
+    X / D; a coset is named by Y = e X mod D, and the cosets are found by
+    breadth-first search under the simple reflections on Y.  The coset Y
+    holds the points (Y + D mu) / (D e), mu in Q_coroot, of integer root
+    values W = C Y + D C mu over D e; those of the closed alcove are the
+    W = C Y mod D with W >= 0, sum_i m_i W_i <= D e and adj(C) W = det(C) Y
+    mod det(C) D, each the point adj(C) W / (det(C) D e).  A point with root
+    values in (1/e)Z (C Y = 0 mod D) has one coset, as s_i moves it by
+    <alpha_i, x> alpha_i^vee; its size e^r, or |W| * e^r for any other
+    point, is checked against ``cap`` before the cosets are walked.  An
+    order e < 1 is a ValueError, before any cap.
     """
     require_positive_order(e)
-    order = weyl_order(datum, cap=inf)
-    if order * e ** datum.rank > cap:
-        raise EnumerationCapError(
-            f"apartment orbit of size {order}*{e}^{datum.rank} exceeds cap {cap}"
-        )
-    r = datum.rank
-    cartan = datum.cartan
+    r, cartan, marks = datum.rank, datum.cartan, datum.marks
     base, _ = reduce_to_alcove(datum, a)
-    # x = X / (D e) with integer X; X mod D names the coset x + (1/e) Q_coroot
-    D = lcm(*((x * e).denominator for x in base))
-    start = tuple(int(x * e * D) % D for x in base)
+    # base = X / D; e X mod D names the coset base + (1/e) Q_coroot
+    D, X = common_numerators(base)
+    start = tuple(x * e % D for x in X)
+    # a point with root values in (1/e)Z has one coset, any other at most |W|
+    on_grid = all(sum(c * y for c, y in zip(row, start)) % D == 0 for row in cartan)
+    order = 1 if on_grid else weyl_order(datum, cap=inf)
+    if order * e ** r > cap:
+        size = f"{e}^{r}" if on_grid else f"{order}*{e}^{r}"
+        raise EnumerationCapError(f"apartment orbit of size {size} exceeds cap {cap}")
     cosets = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for X in frontier:
+        for Y in frontier:
             for i in range(r):
-                value = sum(c * x for c, x in zip(cartan[i], X))
-                image = X[:i] + ((X[i] - value) % D,) + X[i + 1:]
+                value = sum(c * y for c, y in zip(cartan[i], Y))
+                image = Y[:i] + ((Y[i] - value) % D,) + Y[i + 1:]
                 if image not in cosets:
                     cosets.add(image)
                     nxt.append(image)
         frontier = nxt
     adj, det = datum.cartan_inverse
     points = []
-    for X in cosets:
-        # D e <alpha_i, c>; the lattice point k >= 0 has n_i = k_i - floor(e <alpha_i, c>)
-        values = [sum(c * x for c, x in zip(row, X)) for row in cartan]
-        floors = [v // D for v in values]
-        budget = (e * D - sum(m * (v % D) for m, v in zip(datum.marks, values))) // D
-        for k in _bounded_points(datum.marks, budget):
-            n = [ki - fi for ki, fi in zip(k, floors)]
-            mu = [sum(c * ni for c, ni in zip(row, n)) for row in adj]
-            if all(m % det == 0 for m in mu):
-                points.append(tuple(
-                    Fraction(x + D * (m // det), D * e) for x, m in zip(X, mu)
-                ))
+    for Y in cosets:
+        # D e <alpha_i, x> mod D, the same for every point x of the coset
+        residues = [sum(c * y for c, y in zip(row, Y)) % D for row in cartan]
+        for W in _alcove_root_values(marks, residues, D, D * e):
+            sums = [sum(c * w for c, w in zip(row, W) if c) for row in adj]
+            if all((s - det * y) % (det * D) == 0 for s, y in zip(sums, Y)):
+                points.append(tuple(Fraction(s // det, D * e) for s in sums))
     return sorted(points)
 
 
-def _bounded_points(weights: Sequence[int], budget: int):
-    """Every k in N^r with sum_i weights_i k_i <= budget."""
-    if not weights:
+def _alcove_root_values(marks: Sequence[int], residues: Sequence[int], D: int, room: int):
+    """Every W >= 0 in residues + D Z^r with sum_i marks_i W_i <= room."""
+    if not marks:
         yield ()
         return
-    for k0 in range(budget // weights[0] + 1):
-        for rest in _bounded_points(weights[1:], budget - weights[0] * k0):
-            yield (k0,) + rest
+    for w in range(residues[0], room // marks[0] + 1, D):
+        for rest in _alcove_root_values(marks[1:], residues[1:], D, room - marks[0] * w):
+            yield (w,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +370,11 @@ class VertexPrimeData(NamedTuple):
 
 def vertex_prime_data(label: str, rank: int, cap: int = DEFAULT_CAP) -> VertexPrimeData:
     """Primes of the marks, the quoted affine-diagram automorphism orders
-    (untwisted A_n: 2(n+1); twisted: 2 for odd n, 1 for even n; absent for
-    the other types), and the excluded characteristics, read off the root
-    datum (built under ``cap``): 2, the primes of the marks (the bad primes)
-    and the primes of det(C) = |pi_1|."""
+    (untwisted A_n: the dihedral 2(n+1) from n = 2 on, and 2 for A_1, whose
+    two nodes pair to -2 both ways; twisted: 2 for odd n, 1 for even n;
+    absent for the other types), and the excluded characteristics, read off
+    the root datum (built under ``cap``): 2, the primes of the marks (the
+    bad primes) and the primes of det(C) = |pi_1|."""
     datum = build_root_datum(label, rank, cap)
     mark_primes = frozenset().union(*(prime_divisors(m) for m in datum.marks))
     type_a = datum.label == "A"
@@ -384,7 +382,7 @@ def vertex_prime_data(label: str, rank: int, cap: int = DEFAULT_CAP) -> VertexPr
         label=datum.label,
         rank=rank,
         mark_primes=mark_primes,
-        affine_aut_order=2 * (rank + 1) if type_a else None,
+        affine_aut_order=(2 * (rank + 1) if rank > 1 else 2) if type_a else None,
         twisted_affine_aut_order=(2 if rank % 2 == 1 else 1) if type_a else None,
         excluded_characteristics=frozenset({2}) | mark_primes
         | prime_divisors(datum.cartan_inverse[1]),

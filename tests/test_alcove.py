@@ -550,8 +550,11 @@ def test_apartment_orbit_matches_grid_bruteforce(label, rank, emax):
             assert got == want, (label, rank, e, base)
 
 
+# E6 at e = 2 and E7 and E8 at e = 1 are inside the cap only on the grid
+# estimate e^r, not at |W| * e^r
 @pytest.mark.parametrize("label,rank,emax", [("A", 1, 12), ("A", 2, 6),
-                                             ("C", 2, 6), ("G", 2, 6)])
+                                             ("C", 2, 6), ("G", 2, 6),
+                                             ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)])
 def test_apartment_count_equals_cohomology_count(label, rank, emax):
     datum = build_root_datum(label, rank)
     for e in range(1, emax + 1):
@@ -589,6 +592,36 @@ def test_excluded_characteristics_are_read_off_the_root_datum():
         assert vertex_prime_data(label, rank).excluded_characteristics == excluded
 
 
+def extended_cartan(datum):
+    """<alpha_i, alpha_j^vee> over the nodes of the extended diagram, node 0
+    the affine root alpha_0 = delta - theta, whose linear part is -theta."""
+    r = datum.rank
+    theta_coroot = datum.positive_coroots[datum.positive_roots.index(datum.marks)]
+    unit = [[int(i == j) for j in range(r)] for i in range(r)]
+    roots = [[-m for m in datum.marks]] + unit
+    coroots = [[-c for c in theta_coroot]] + unit
+    return [[sum(a * datum.cartan[i][j] * b for i, a in enumerate(root)
+                 for j, b in enumerate(coroot)) for coroot in coroots] for root in roots]
+
+
+def matrix_automorphism_count(matrix):
+    """The node permutations p with matrix[p(i)][p(j)] = matrix[i][j], by a
+    search that extends a partial permutation only while it preserves the
+    entries among the nodes already placed."""
+    n = len(matrix)
+
+    def extend(images):
+        k = len(images)
+        if k == n:
+            return 1
+        return sum(extend(images + [j]) for j in range(n) if j not in images
+                   and matrix[j][j] == matrix[k][k]
+                   and all(matrix[j][p] == matrix[k][i] and matrix[p][j] == matrix[i][k]
+                           for i, p in enumerate(images)))
+
+    return extend([])
+
+
 def test_vertex_prime_data():
     e8 = vertex_prime_data("E", 8)
     assert e8.mark_primes == frozenset({2, 3, 5})
@@ -596,10 +629,16 @@ def test_vertex_prime_data():
     assert e8.affine_aut_order is None
     f4 = vertex_prime_data("F", 4)
     assert f4.mark_primes == frozenset({2, 3})
+    # the two nodes of the A1 diagram pair to -2 both ways: 2 automorphisms,
+    # not the 2(n+1) = 4 of the dihedral rule, which holds from A2 on
+    assert extended_cartan(build_root_datum("A", 1)) == [[2, -2], [-2, 2]]
+    assert [matrix_automorphism_count(extended_cartan(build_root_datum("A", n)))
+            for n in range(1, 7)] == [2, 6, 8, 10, 12, 14]
     for n in range(1, 11):
         an = vertex_prime_data("A", n)
         assert an.mark_primes == frozenset()
-        assert an.affine_aut_order == 2 * (n + 1)
+        assert an.affine_aut_order == matrix_automorphism_count(
+            extended_cartan(build_root_datum("A", n)))
         assert an.twisted_affine_aut_order == (2 if n % 2 == 1 else 1)
         from parahoric.alcove import prime_divisors
 

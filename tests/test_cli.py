@@ -900,14 +900,35 @@ def test_a_diagram_branch_point_builds_its_automorphism_once(capsys, tmp_path, m
     assert len(calls) == 1
 
 
+def test_a_diagram_action_without_a_permutation_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "types", "--group", "A2", "--order", "2",
+                             "--action", "diagram")
+    assert (code, out, err) == (2, "", "error: --perm is required for a diagram action\n")
+
+
+def test_a_global_branch_point_name_given_twice_is_a_usage_error(capsys, tmp_path):
+    bp = one_point_config("A1", 2, "trivial")["branch_points"][0]
+    config = {"branch_points": [dict(bp, name="x"), dict(bp, name="x")]}
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (2, "", "error: duplicate branch point name 'x'\n")
+
+
+def test_a_global_action_of_an_unknown_kind_is_a_usage_error(capsys, tmp_path):
+    config = one_point_config("A1", 2, "sl-twist")
+    code, out, err = run_cli(capsys, "global", "--config", write_config(tmp_path, config))
+    assert (code, out, err) == (2, "", "error: unknown action kind 'sl-twist'\n")
+
+
 def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
-    # |W(E6)| * 2^6 exceeds the default cap: refused from the order formula
+    # the root value 1/3 is off the (1/2)-grid, so the estimate is
+    # |W(E6)| * 2^6, past the default cap: refused from the order formula
     def no_closure(*args, **kwargs):
         raise AssertionError("the Weyl group must not be enumerated")
 
     monkeypatch.setattr("parahoric.rootdata.weyl_elements", no_closure)
     monkeypatch.setattr("parahoric.cohomology.weyl_elements", no_closure)
-    code, out, err = run_cli(capsys, "orbit", "--group", "E6", "--order", "2")
+    code, out, err = run_cli(capsys, "orbit", "--group", "E6", "--order", "2",
+                             "--point", "1/3,0,0,0,0,0")
     assert (code, out) == (3, "")
     assert err == ("cap exceeded: apartment orbit of size 51840*2^6 "
                    "exceeds cap 1000000\n")
@@ -915,11 +936,22 @@ def test_orbit_over_cap_refused_before_weyl_closure(capsys, monkeypatch):
 
 @pytest.mark.parametrize("group,order", [("E7", 2903040), ("E8", 696729600)])
 def test_orbit_refusal_names_the_apartment_orbit_not_the_weyl_closure(capsys, group, order):
-    # |W| alone passes the cap at e = 1; orbit never closes W, so its refusal
-    # names its own stage
-    code, out, err = run_cli(capsys, "orbit", "--group", group, "--order", "1")
+    # off the grid, |W| alone passes the cap at e = 1; orbit never closes W,
+    # so its refusal names its own stage
+    point = ",".join(["1/2"] + ["0"] * (int(group[1]) - 1))
+    code, out, err = run_cli(capsys, "orbit", "--group", group, "--order", "1",
+                             "--point", point)
     assert (code, out) == (3, "")
     assert err == f"cap exceeded: apartment orbit of size {order}*1^{group[1]} exceeds cap 1000000\n"
+
+
+def test_a_grid_orbit_is_held_to_e_to_the_r_against_the_cap(capsys):
+    # on the grid the estimate is 4^2, where |W(A2)| * 4^2 = 96 refuses both
+    argv = ("orbit", "--group", "A2", "--order", "4", "--point", "1/4,0")
+    code, out, err = run_cli(capsys, *argv, "--cap", "16")
+    assert (code, out.splitlines()[-1], err) == (0, "count: 5", "")
+    code, out, err = run_cli(capsys, *argv, "--cap", "15")
+    assert (code, out, err) == (3, "", "cap exceeded: apartment orbit of size 4^2 exceeds cap 15\n")
 
 
 @pytest.mark.parametrize("command", ["types", "twist"])

@@ -541,6 +541,20 @@ def test_burnside_tables_of_equal_weyl_order_stay_apart():
     assert _burnside_table.cache_info().currsize == 2
 
 
+def test_burnside_refuses_a_base_off_the_grid_before_the_weyl_order(monkeypatch, capsys):
+    def no_order(*args, **kwargs):
+        raise AssertionError("the Weyl order was read first")
+
+    monkeypatch.setattr(parahoric.cohomology, "weyl_order", no_order)
+    d2 = build_root_datum("A", 2)
+    base = point_from_root_values(d2, (F(1, 3), F(0)))
+    with pytest.raises(ValueError) as info:
+        burnside_type_count(d2, 2, base=base)
+    assert str(info.value) == ("base point must lie on the (1/2)-grid: the value 1/3 "
+                               "of the root a1 is not in (1/2)Z")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("e", [0, -2])
 def test_burnside_rejects_a_nonpositive_order(e):
     with pytest.raises(ValueError, match="the order of Gamma must be positive"):

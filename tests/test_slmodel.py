@@ -7,6 +7,7 @@ import pytest
 from parahoric.alcove import simple_root_values
 from parahoric.cohomology import LocalType, cocycle_of, h1_elements, types_of_classes
 from parahoric.exactalg import common_numerators, identity_matrix, mat_sub, qz_vector, qz_zero
+from parahoric.rootdata import EnumerationCapError
 from parahoric.slmodel import (
     MonomialMatrix,
     _sl_base,
@@ -369,6 +370,19 @@ def test_sl_torus_h1_nontrivial_rep_detected_by_half_product():
     assert sum(nontrivial[:2]) % 1 == F(1, 2)
 
 
+def test_reversal_fixed_permutations_past_the_cap_are_refused_before_the_scan(monkeypatch,
+                                                                               capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the permutations were scanned")
+
+    monkeypatch.setattr(itertools, "permutations", no_scan)
+    with pytest.raises(EnumerationCapError) as info:
+        reversal_fixed_permutations(9)
+    assert str(info.value) == ("reversal-fixed permutations of S_9: a scan of 362880 "
+                               "permutations exceeds the cap n <= 8")
+    assert capsys.readouterr().out == ""
+
+
 def test_reversal_fixed_permutations():
     fixed = reversal_fixed_permutations(4)
     assert len(fixed) == 8  # centralizer of the reversal in S4
@@ -552,8 +566,6 @@ def test_the_sl_flip_is_built_once_per_n(monkeypatch):
 
 
 def test_sl_torus_h1_honours_the_cap():
-    from parahoric.rootdata import EnumerationCapError
-
     # the root closure of A5, |Phi+| r^2 = 15 * 25 = 375, is held to the cap
     assert len(sl_torus_h1(6, cap=375).representatives) == 2
     with pytest.raises(EnumerationCapError, match=r"A5: \|Phi\+\| \* r\^2 = 375 exceeds cap 374$"):
@@ -653,7 +665,6 @@ def test_sl_base_refuses_an_unknown_involution_kind():
 
 
 def test_sl_types_of_classes_refuse_n_over_the_cap():
-    from parahoric.rootdata import EnumerationCapError
     from parahoric.slmodel import SL_WEYL_ENUMERATION_CAP
 
     n = SL_WEYL_ENUMERATION_CAP + 1
@@ -668,7 +679,6 @@ def test_sl_types_of_classes_refuse_n_over_the_cap():
 
 def test_sl_involution_checks_before_it_builds(monkeypatch):
     import parahoric.slmodel as slmodel
-    from parahoric.rootdata import EnumerationCapError
 
     def refuse(*args, **kwargs):
         raise AssertionError("no root datum for a refused involution")
@@ -701,6 +711,19 @@ def test_su_special_vertex_types_compute_h1_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_su_special_vertex_types_refuse_n_below_3_before_h1(monkeypatch, capsys):
+    from parahoric import slmodel
+
+    def no_h1(*args, **kwargs):
+        raise AssertionError("H^1 was listed first")
+
+    monkeypatch.setattr(slmodel, "h1_elements", no_h1)
+    with pytest.raises(ValueError) as info:
+        su_special_vertex_types(2, "even-L0")
+    assert str(info.value) == "need n >= 3"
+    assert capsys.readouterr().out == ""
+
+
 def test_su_special_vertex_types():
     assert su_special_vertex_types(5, "odd-A").type_count == 1
     assert su_special_vertex_types(5, "odd-B").type_count == 1
@@ -713,7 +736,6 @@ def test_su_special_vertex_types():
 
 
 def test_su_special_vertex_types_past_the_sl_cap():
-    from parahoric.rootdata import EnumerationCapError
     from parahoric.slmodel import SL_WEYL_ENUMERATION_CAP
 
     # H^1 = 0 for odd n is one type at any n; a nontrivial H^1 runs the orbits
